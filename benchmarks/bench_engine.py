@@ -1,11 +1,12 @@
 """BENCH — the simulation-engine regression benchmark.
 
 Records the wall-clock, round and message trajectory of the hot paths
-every experiment (E1–E8) funnels through, now **per engine backend**:
-each simulator and decomposition scenario that has an array kernel is
-timed on both the interpreted active-set engine and the vectorized NumPy
-engine, and the JSON output carries **one record per (scenario, engine)
-pair** with an explicit ``engine`` field.
+every experiment (E1–E8) funnels through.  Each simulator scenario that
+has an array kernel is timed on both the interpreted active-set engine
+and the vectorized NumPy engine, and the JSON output carries **one
+record per (scenario, engine) pair** with an explicit ``engine`` field.
+The two decomposition peels have a single (plain Python) implementation
+and are timed once each, recorded under ``engine="interpreted"``.
 
 Two regression gates are asserted:
 
@@ -131,29 +132,25 @@ def _engine_scenarios():
 
 
 def _decomposition_scenarios():
-    """Decomposition scenarios on both engines, plus the generator."""
+    """The two decomposition peels, plus the generator."""
     entries = []
     n = 3000 if SMOKE else 30000
     tree = random_tree(n, seed=5)
-    for engine in ("interpreted", "vectorized"):
-        with EnginePolicy(engine):
-            decomposition, seconds = timed(lambda: rake_and_compress(tree, k=8))
-        entries.append(scenario_entry(
-            "decomposition/rake-compress/random-tree", n, seconds,
-            rounds=decomposition.rounds, engine=engine,
-        ))
+    decomposition, seconds = timed(lambda: rake_and_compress(tree, k=8))
+    entries.append(scenario_entry(
+        "decomposition/rake-compress/random-tree", n, seconds,
+        rounds=decomposition.rounds, engine="interpreted",
+    ))
 
     n = 1000 if SMOKE else 10000
     graph = forest_union(n, arboricity=3, seed=11)
-    for engine in ("interpreted", "vectorized"):
-        with EnginePolicy(engine):
-            decomposition, seconds = timed(
-                lambda: arboricity_decomposition(graph, arboricity=3, k=15)
-            )
-        entries.append(scenario_entry(
-            "decomposition/arboricity/forest-union", n, seconds,
-            rounds=decomposition.rounds, engine=engine,
-        ))
+    decomposition, seconds = timed(
+        lambda: arboricity_decomposition(graph, arboricity=3, k=15)
+    )
+    entries.append(scenario_entry(
+        "decomposition/arboricity/forest-union", n, seconds,
+        rounds=decomposition.rounds, engine="interpreted",
+    ))
 
     n = 2000 if SMOKE else 20000
     _, seconds = timed(lambda: random_graph_with_max_degree(n, 8, seed=3))

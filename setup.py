@@ -4,10 +4,11 @@ The environment this repository targets has no ``wheel`` package available
 (offline), so ``pip install -e .`` falls back to the legacy
 ``setup.py develop`` code path, which this file enables.
 
-``numpy`` is a hard dependency: the vectorized array engine
-(:mod:`repro.local.vectorized`) is the default backend for the
-kernel-capable baselines and the decomposition peeling loops, and the
-experiments CLI exposes it through ``--engine``.
+``numpy`` is a declared dependency: the array engine
+(:mod:`repro.local.vectorized`) is the default engine for the four
+kernel-capable baselines, and the experiments CLI exposes it through
+``--engine``.  On an interpreter without numpy those baselines run on
+the interpreted engine instead.
 """
 
 from setuptools import find_packages, setup

@@ -142,7 +142,7 @@ def linial_coloring(
 
     Returns ``(colours, palette_size, rounds)`` where colours are 1-based.
     Engine choice is ambient (:class:`~repro.local.EnginePolicy`):
-    ``auto`` uses the array engine when a backend is available; results
+    ``auto`` uses the array engine when numpy is available; results
     are identical either way.
     """
     network = Network(graph, identifiers=identifiers)

@@ -33,7 +33,6 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local.csr import CSRAdjacency
-from repro.local.engine import note_engine_use
 from repro.semigraph.builders import edge_id_for
 
 #: Rounds charged per peeling iteration (the compress test inspects the
@@ -164,11 +163,6 @@ def arboricity_decomposition(
     strict_iteration_bound:
         When true, raise if the peeling needs more iterations than the
         Lemma 13 bound.
-
-    Engine choice is ambient (:class:`~repro.local.EnginePolicy`): under
-    ``auto``/``vectorized`` the peeling loop runs as whole-graph array
-    operations on the policy's backend (identical layers, snapshots,
-    iterations and errors).
     """
     if arboricity < 1:
         raise ValueError("the arboricity bound must be at least 1")
@@ -197,40 +191,6 @@ def arboricity_decomposition(
     # runs entirely on int indices and flat arrays instead of re-hashing
     # node objects through dict-of-set adjacencies every iteration.
     csr = CSRAdjacency.from_graph(graph)
-
-    from repro.local.vectorized import active_backend
-
-    xp = active_backend()
-    if xp is not None:
-        layers, node_iteration, degree_snapshots, iteration = _peel_vectorized(
-            xp,
-            csr,
-            k,
-            b,
-            n,
-            arboricity,
-            safety_cap,
-            theoretical_bound,
-            strict_iteration_bound,
-        )
-        note_engine_use(
-            "vectorized",
-            kernel="arboricity-peel",
-            backend=xp.name,
-            rounds=ROUNDS_PER_ITERATION * iteration,
-        )
-        return _finish_decomposition(
-            graph,
-            arboricity,
-            k,
-            b,
-            layers,
-            node_iteration,
-            identifiers,
-            iteration,
-            theoretical_bound,
-            degree_snapshots,
-        )
 
     node_of = csr.nodes
     offsets, targets = csr.offsets, csr.targets
@@ -285,108 +245,6 @@ def arboricity_decomposition(
             remaining[i] = 0
         alive_indices = [i for i in alive_indices if alive[i]]
 
-    note_engine_use(
-        "interpreted",
-        kernel="arboricity-peel",
-        rounds=ROUNDS_PER_ITERATION * iteration,
-    )
-    return _finish_decomposition(
-        graph,
-        arboricity,
-        k,
-        b,
-        layers,
-        node_iteration,
-        identifiers,
-        iteration,
-        theoretical_bound,
-        degree_snapshots,
-    )
-
-
-def _peel_vectorized(
-    xp,
-    csr: CSRAdjacency,
-    k: int,
-    b: int,
-    n: int,
-    arboricity: int,
-    safety_cap: int,
-    theoretical_bound: int,
-    strict_iteration_bound: bool,
-) -> tuple[list[frozenset], dict, list[dict], int]:
-    """The Compress(G, b, k) peeling loop as array operations on ``xp``.
-
-    One segment reduction per iteration counts each node's alive
-    neighbours of remaining degree > k; the marked set and the degree
-    drops follow as masks.  Snapshots store Python ints (``tolist``) so
-    ``_classify_edges`` compares exactly what the interpreted loop
-    recorded.
-    """
-    indptr, indices, _ = csr.array_layout()
-    node_of = csr.nodes
-    remaining = indptr[1:] - indptr[:-1]
-    alive = xp.full(n, True, dtype=xp.bool_)
-
-    layers: list[frozenset] = []
-    node_iteration: dict[Hashable, int] = {}
-    degree_snapshots: list[dict] = []
-    iteration = 0
-
-    while alive.any():
-        iteration += 1
-        if iteration > safety_cap:
-            raise RuntimeError(
-                f"Algorithm 3 did not terminate within {safety_cap} iterations "
-                f"(n={n}, a={arboricity}, b={b}, k={k})"
-            )
-        if strict_iteration_bound and iteration > theoretical_bound:
-            raise RuntimeError(
-                f"Algorithm 3 exceeded the Lemma 13 bound of {theoretical_bound} "
-                f"iterations (n={n}, a={arboricity}, b={b}, k={k})"
-            )
-        alive_idx = xp.flatnonzero(alive)
-        degree_snapshots.append(
-            dict(
-                zip(
-                    (node_of[i] for i in alive_idx.tolist()),
-                    remaining[alive_idx].tolist(),
-                )
-            )
-        )
-        high = alive & (remaining > k)
-        marked = (
-            alive & (remaining <= k) & (xp.segment_sum(high[indices], indptr) <= b)
-        )
-        if not marked.any():
-            raise RuntimeError(
-                "Algorithm 3 made no progress; the arboricity bound or the "
-                "parameters (b, k) are inconsistent with the input graph"
-            )
-        marked_list = xp.flatnonzero(marked).tolist()
-        for i in marked_list:
-            node_iteration[node_of[i]] = iteration
-        layers.append(frozenset(node_of[i] for i in marked_list))
-        alive[marked] = False
-        drops = xp.segment_sum(marked[indices], indptr)
-        remaining = xp.where(alive, remaining - drops, 0)
-
-    return layers, node_iteration, degree_snapshots, iteration
-
-
-def _finish_decomposition(
-    graph: nx.Graph,
-    arboricity: int,
-    k: int,
-    b: int,
-    layers: list[frozenset],
-    node_iteration: dict,
-    identifiers: dict,
-    iteration: int,
-    theoretical_bound: int,
-    degree_snapshots: list[dict],
-) -> ArboricityDecomposition:
-    """Assemble the decomposition and derive the Section 4 edge structures."""
     decomposition = ArboricityDecomposition(
         graph=graph,
         arboricity=arboricity,

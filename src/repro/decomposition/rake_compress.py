@@ -30,7 +30,6 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local.csr import CSRAdjacency
-from repro.local.engine import note_engine_use
 
 #: Rounds charged per peeling iteration (one for the compress test, one for
 #: the rake test — each only inspects the 1-hop neighbourhood).
@@ -167,11 +166,6 @@ def rake_and_compress(
         ``⌈log_k n⌉ + 1`` iterations; otherwise keep iterating (and record
         the excess), which is useful for k-sweep ablations.
 
-    Engine choice is ambient (:class:`~repro.local.EnginePolicy`): under
-    ``auto``/``vectorized`` the peeling loop runs as whole-forest array
-    operations on the policy's backend (identical layers, iterations and
-    errors).
-
     Returns
     -------
     RakeCompressDecomposition
@@ -180,44 +174,22 @@ def rake_and_compress(
         raise ValueError("the compress parameter k must be at least 2")
     if tree.number_of_nodes() == 0:
         return RakeCompressDecomposition(tree, k, [], {}, 0, 0, 1, {})
-    if tree.number_of_edges() >= tree.number_of_nodes():
+
+    # One-time CSR indexing: the peeling loop runs on int indices and
+    # flat offset/target arrays rather than dict-of-set adjacencies.
+    csr = CSRAdjacency.from_graph(tree)
+    n = csr.num_nodes
+    # A graph is a forest exactly when m = n − (number of components);
+    # m < n alone passes a cycle padded out with isolated nodes.
+    if tree.number_of_edges() != n - _count_components(csr):
         raise ValueError("the input graph contains a cycle; Algorithm 1 expects a forest")
 
     if identifiers is None:
         ordered = sorted(tree.nodes(), key=repr)
         identifiers = {node: index + 1 for index, node in enumerate(ordered)}
 
-    n = tree.number_of_nodes()
     theoretical_bound = math.ceil(math.log(max(n, 2)) / math.log(k)) + 1
     safety_cap = max(4 * theoretical_bound + 8, 32)
-
-    # One-time CSR indexing: the peeling loop runs on int indices and
-    # flat offset/target arrays rather than dict-of-set adjacencies.
-    csr = CSRAdjacency.from_graph(tree)
-
-    from repro.local.vectorized import active_backend
-
-    xp = active_backend()
-    if xp is not None:
-        layers, node_layer, iteration = _peel_vectorized(
-            xp, csr, k, n, safety_cap, theoretical_bound, strict_iteration_bound
-        )
-        note_engine_use(
-            "vectorized",
-            kernel="rake-compress-peel",
-            backend=xp.name,
-            rounds=ROUNDS_PER_ITERATION * iteration,
-        )
-        return RakeCompressDecomposition(
-            tree=tree,
-            k=k,
-            layers=layers,
-            node_layer=node_layer,
-            iterations=iteration,
-            rounds=ROUNDS_PER_ITERATION * iteration,
-            theoretical_iteration_bound=theoretical_bound,
-            identifiers=dict(identifiers),
-        )
 
     node_of = csr.nodes
     offsets, targets = csr.offsets, csr.targets
@@ -272,16 +244,6 @@ def rake_and_compress(
             for i in raked:
                 node_layer[node_of[i]] = layer
 
-        if not compressed and not raked:
-            raise RuntimeError(
-                "rake-and-compress made no progress; the input is not a forest"
-            )
-
-    note_engine_use(
-        "interpreted",
-        kernel="rake-compress-peel",
-        rounds=ROUNDS_PER_ITERATION * iteration,
-    )
     return RakeCompressDecomposition(
         tree=tree,
         k=k,
@@ -311,80 +273,21 @@ def _remove(
         remaining[i] = 0
 
 
-def _peel_vectorized(
-    xp,
-    csr: CSRAdjacency,
-    k: int,
-    n: int,
-    safety_cap: int,
-    theoretical_bound: int,
-    strict_iteration_bound: bool,
-) -> tuple[list[Layer], dict, int]:
-    """The peeling loop as whole-forest array operations on backend ``xp``.
-
-    Per iteration: one segment reduction decides the compress set (no
-    alive neighbour of remaining degree > k), one more the degree drops
-    from the removed nodes, then the same for the rake set.  The layers
-    produced are identical to the interpreted loop's — both remove all
-    marked nodes of an iteration simultaneously.
-    """
-    indptr, indices, _ = csr.array_layout()
-    node_of = csr.nodes
-    remaining = indptr[1:] - indptr[:-1]
-    alive = xp.full(n, True, dtype=xp.bool_)
-
-    def remove(mask):
-        alive[mask] = False
-        drops = xp.segment_sum(mask[indices], indptr)
-        return xp.where(alive, remaining - drops, 0)
-
-    layers: list[Layer] = []
-    node_layer: dict[Hashable, Layer] = {}
-    iteration = 0
-
-    while alive.any():
-        iteration += 1
-        if iteration > safety_cap:
-            raise RuntimeError(
-                f"rake-and-compress did not terminate within {safety_cap} iterations "
-                f"(n={n}, k={k}); this contradicts Lemma 9"
-            )
-        if strict_iteration_bound and iteration > theoretical_bound:
-            raise RuntimeError(
-                f"rake-and-compress exceeded the ⌈log_k n⌉+1 = {theoretical_bound} "
-                f"iteration bound (n={n}, k={k})"
-            )
-
-        high = alive & (remaining > k)
-        compressed = (
-            alive & (remaining <= k) & (xp.segment_sum(high[indices], indptr) == 0)
-        )
-        remaining = remove(compressed)
-        if compressed.any():
-            layer = Layer(
-                iteration,
-                "compress",
-                frozenset(node_of[i] for i in xp.flatnonzero(compressed).tolist()),
-            )
-            layers.append(layer)
-            for node in layer.nodes:
-                node_layer[node] = layer
-
-        raked = alive & (remaining <= 1)
-        remaining = remove(raked)
-        if raked.any():
-            layer = Layer(
-                iteration,
-                "rake",
-                frozenset(node_of[i] for i in xp.flatnonzero(raked).tolist()),
-            )
-            layers.append(layer)
-            for node in layer.nodes:
-                node_layer[node] = layer
-
-        if not compressed.any() and not raked.any():
-            raise RuntimeError(
-                "rake-and-compress made no progress; the input is not a forest"
-            )
-
-    return layers, node_layer, iteration
+def _count_components(csr: CSRAdjacency) -> int:
+    """Number of connected components of the indexed graph."""
+    offsets, targets = csr.offsets, csr.targets
+    seen = [False] * csr.num_nodes
+    components = 0
+    for start in range(csr.num_nodes):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in targets[offsets[i] : offsets[i + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    return components

@@ -175,23 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
             "charged scenario) and shape fits\nfrom the store alone.\n"
             "\n"
             "engine selection (`run`/`submit --engine`):\n"
-            "  auto         (default) each algorithm family picks its backend: "
-            "kernel-capable\n               baselines (Linial, Cole–Vishkin "
-            "forest 3-colouring, colour-class\n               MIS, Δ+1 colour "
-            "reduction) and the decomposition peels run on\n               the "
-            "vectorized array engine, everything else on the interpreted\n"
+            "  auto         (default) the kernel-capable baselines (Linial, "
+            "Cole–Vishkin\n               forest 3-colouring, colour-class "
+            "MIS, Δ+1 colour reduction) run\n               on the NumPy "
+            "array engine, everything else on the interpreted\n"
             "               active-set engine\n"
             "  interpreted  force the interpreted engine everywhere\n"
             "  vectorized   require the array engine for kernel-capable "
             "families (fails if\n               numpy is unavailable)\n"
-            "  Kernels run against a pluggable array backend "
-            "(`repro.local.ArrayBackend`,\n  NumPy by default; "
-            "register_backend() adds more); a family-declared engine pin\n"
-            "  degrades to the interpreted engine on a numpy-free "
-            "interpreter.  Results are\n  bit-identical across engines and "
-            "backends; each stored cell records what\n  served it in its "
-            "`engine` field (e.g. `vectorized[numpy]`) plus per-kernel\n"
-            "  round counts in `engine_rounds`, surfaced by `report`.\n"
+            "  A family-declared engine pin degrades to the interpreted "
+            "engine on a\n  numpy-free interpreter.  The decomposition peels "
+            "are plain Python under\n  every mode.  Results are "
+            "bit-identical across engines; each stored cell\n  records what "
+            "served it in its `engine` field (e.g. `vectorized[numpy]`) "
+            "plus\n  per-kernel simulator round counts in `engine_rounds`, "
+            "surfaced by `report`.\n"
             "\n"
             "cross-machine transport:\n"
             "  `serve --listen host:port` adds a token-authenticated TCP "
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_options.add_argument(
         "--engine", choices=("auto", "interpreted", "vectorized"), default="auto",
-        help="simulation backend for measured cells (default: auto — the "
+        help="simulation engine for measured cells (default: auto — the "
         "vectorized array engine wherever a kernel exists, interpreted "
         "otherwise)",
     )

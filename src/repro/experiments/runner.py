@@ -66,8 +66,8 @@ def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResu
     Top-level and argument-picklable by design: this is the function the
     process pool ships to workers.  ``engine`` is the sweep-level
     ``--engine`` override, resolved here into one ambient
-    :class:`~repro.local.EnginePolicy` per cell; the engine and array
-    backend that actually served the cell are recorded in
+    :class:`~repro.local.EnginePolicy` per cell; the engine that
+    actually served the cell's simulator runs is recorded in
     ``CellResult.engine`` (e.g. ``"vectorized[numpy]"``) and the
     per-kernel round account in ``CellResult.engine_rounds``.
 

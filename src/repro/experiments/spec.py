@@ -288,7 +288,7 @@ class AlgorithmFamily:
     baseline is covered by some suite.
 
     ``engine`` is the family's capability flag / preference for the
-    simulation backend: ``"vectorized"`` declares that the family's whole
+    simulation engine: ``"vectorized"`` declares that the family's whole
     measured path is array-kernel capable and should run on the
     vectorized engine (:mod:`repro.local.vectorized`) by default;
     ``"auto"`` (the default) lets each inner run pick per-algorithm.  A

@@ -16,12 +16,11 @@ This package provides:
 * :class:`SynchronousAlgorithm` — the per-node state machine interface,
 * :func:`run_synchronous` — the active-set round-by-round simulator,
 * :func:`run_vectorized` — the array engine executing whole-network
-  rounds for kernel-capable baselines on a pluggable
-  :class:`ArrayBackend`, bit-identical to the interpreted engine
-  (:mod:`repro.local.vectorized`, :mod:`repro.local.array_backend`),
+  rounds as NumPy kernels for four baselines, bit-identical to the
+  interpreted engine (:mod:`repro.local.vectorized`),
 * :class:`EnginePolicy` / :func:`select_engine` — ambient engine policy
-  (``auto`` / ``interpreted`` / ``vectorized``, plus an array-backend
-  pin) and per-algorithm kernel dispatch via :class:`KernelRegistry`,
+  (``auto`` / ``interpreted`` / ``vectorized``) and per-algorithm
+  kernel dispatch,
 * :func:`run_synchronous_reference` — the seed engine, kept as the
   equivalence oracle and benchmark baseline, and
 * :class:`RoundLedger` — explicit round accounting for the orchestrated
@@ -32,16 +31,9 @@ This package provides:
 from repro.local.csr import CSRAdjacency
 from repro.local.network import Network
 from repro.local.algorithm import NodeContext, SynchronousAlgorithm
-from repro.local.array_backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.local.engine import (
     ENGINE_MODES,
     EnginePolicy,
-    EngineScope,
     current_engine_mode,
     current_policy,
 )
@@ -53,16 +45,10 @@ from repro.local.simulator import (
 )
 from repro.local.vectorized import (
     EngineUnavailable,
-    KernelRegistry,
-    KernelSpec,
-    KERNELS,
-    active_backend,
     numpy_available,
-    register_kernel,
     run_vectorized,
     select_engine,
     supports_vectorized,
-    use_vectorized,
 )
 from repro.local.rounds import RoundLedger
 
@@ -71,29 +57,18 @@ __all__ = [
     "Network",
     "NodeContext",
     "SynchronousAlgorithm",
-    "ArrayBackend",
     "MessageMeter",
     "RunResult",
     "ENGINE_MODES",
     "EnginePolicy",
-    "EngineScope",
     "EngineUnavailable",
-    "KernelRegistry",
-    "KernelSpec",
-    "KERNELS",
-    "active_backend",
-    "available_backends",
     "current_engine_mode",
     "current_policy",
-    "get_backend",
     "numpy_available",
-    "register_backend",
-    "register_kernel",
     "run_synchronous",
     "run_synchronous_reference",
     "run_vectorized",
     "select_engine",
     "supports_vectorized",
-    "use_vectorized",
     "RoundLedger",
 ]

@@ -2,10 +2,9 @@
 
 Two engines can execute a structured-message baseline: the interpreted
 active-set engine (:func:`repro.local.simulator.run_synchronous`, one
-Python callable dispatch per node per round) and the vectorized array
-engine (:func:`repro.local.vectorized.run_vectorized`, one array kernel
-per round over whole-network state, on a pluggable
-:mod:`~repro.local.array_backend`).  Which one runs is a *policy*
+Python callable dispatch per node per round) and the array engine
+(:func:`repro.local.vectorized.run_vectorized`, one NumPy kernel per
+round over whole-network state).  Which one runs is a *policy*
 decision that has to reach call sites buried many layers deep —
 ``deg_plus_one_coloring`` calls ``linial_coloring`` calls the engine —
 so the choice travels the same way message accounting does
@@ -20,26 +19,25 @@ signature::
 Modes
 -----
 ``auto``
-    Use the array engine wherever a kernel exists and an array backend
-    is available; fall back to the interpreted engine otherwise.  This
-    is the default (also with no policy active at all).
+    Use the array engine wherever a kernel exists and numpy is
+    importable; fall back to the interpreted engine otherwise.  This is
+    the default (also with no policy active at all).
 ``interpreted``
     Always use the interpreted engine.
 ``vectorized``
     Require the array engine; a kernel-capable call site raises
-    :class:`~repro.local.vectorized.EngineUnavailable` when the backend
-    is missing or the algorithm has no kernel.
+    :class:`~repro.local.vectorized.EngineUnavailable` when numpy is
+    missing or the algorithm has no kernel.
 
-A policy may additionally pin the array *backend* by registry name
-(``EnginePolicy("vectorized", backend="numpy")``); with no pin the
-default backend serves.
-
-The policy also records what actually served work inside it: run
-counts per engine, the set of array backends used, and a per-dispatch
-round account keyed ``"engine/kernel/backend"`` (:attr:`dispatches`) —
+The policy also records what actually served the simulator runs inside
+it: run counts per engine and a per-dispatch round account keyed
+``"engine/kernel/backend"`` (:attr:`dispatches`; the backend is
+``numpy`` for the array engine and ``-`` for the interpreted one) —
 which is how the experiment runner stamps ``engine`` provenance (e.g.
 ``"vectorized[numpy]"``) and ``engine_rounds`` telemetry onto each
-stored :class:`~repro.experiments.store.CellResult`.
+stored :class:`~repro.experiments.store.CellResult`.  The decomposition
+peels are not simulator runs and report nothing here; their rounds live
+in the decomposition objects and the round ledger.
 """
 
 from __future__ import annotations
@@ -47,9 +45,7 @@ from __future__ import annotations
 __all__ = [
     "ENGINE_MODES",
     "EnginePolicy",
-    "EngineScope",
     "current_engine_mode",
-    "current_backend_preference",
     "current_policy",
     "resolve_engine_mode",
     "note_engine_use",
@@ -58,29 +54,27 @@ __all__ = [
 #: The valid engine-selection modes, in CLI/`--engine` spelling.
 ENGINE_MODES = ("auto", "interpreted", "vectorized")
 
-# Policies currently in effect; the innermost decides the mode and
-# backend, every one in scope observes usage.  Per-process state, like
-# the meter stack: forked sweep workers each scope their own cells.
+#: The array library behind the array engine, as named in provenance.
+_ARRAY_BACKEND = "numpy"
+
+# Policies currently in effect; the innermost decides the mode, every
+# one in scope observes usage.  Per-process state, like the meter stack:
+# forked sweep workers each scope their own cells.
 _ENGINE_STACK: list["EnginePolicy"] = []
 
 
 class EnginePolicy:
     """Ambient engine choice plus a usage account for everything inside."""
 
-    def __init__(self, mode: str = "auto", backend: str | None = None) -> None:
+    def __init__(self, mode: str = "auto") -> None:
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"unknown engine mode {mode!r} (expected one of {ENGINE_MODES})"
             )
         self.mode = mode
-        #: Array-backend registry name to pin, or None for the default.
-        self.backend = backend
         self.vectorized_runs = 0
         self.interpreted_runs = 0
-        #: Names of array backends that actually served work in scope.
-        self.backends_used: set[str] = set()
-        #: Rounds simulated per dispatch, keyed ``"engine/kernel/backend"``
-        #: (backend is ``"-"`` for interpreted runs).
+        #: Rounds simulated per dispatch, keyed ``"engine/kernel/backend"``.
         self.dispatches: dict[str, int] = {}
 
     def __enter__(self) -> "EnginePolicy":
@@ -91,49 +85,35 @@ class EnginePolicy:
         _ENGINE_STACK.remove(self)
         return False
 
-    def note(
-        self,
-        kind: str,
-        *,
-        kernel: str | None = None,
-        backend: str | None = None,
-        rounds: int = 0,
-    ) -> None:
-        """Observe one unit of work served by engine ``kind``."""
+    def note(self, kind: str, *, kernel: str | None = None, rounds: int = 0) -> None:
+        """Observe one simulator run served by engine ``kind``."""
         if kind == "vectorized":
             self.vectorized_runs += 1
-            if backend:
-                self.backends_used.add(backend)
+            backend = _ARRAY_BACKEND
         else:
             self.interpreted_runs += 1
-            backend = None
-        key = f"{kind}/{kernel or 'unknown'}/{backend or '-'}"
+            backend = "-"
+        key = f"{kind}/{kernel or 'unknown'}/{backend}"
         self.dispatches[key] = self.dispatches.get(key, 0) + rounds
 
     @property
     def engine_used(self) -> str | None:
-        """Which engine(s) served work inside the policy's scope.
+        """Which engine(s) served simulator runs inside the policy's scope.
 
-        ``"vectorized[<backend>]"`` when only the array engine did
-        (e.g. ``"vectorized[numpy]"``), ``"interpreted"`` when only the
-        interpreted engine did, ``"mixed"`` when both did (e.g. a
-        transform whose peeling and forest colourings ran on arrays
-        while an adapter baseline ran interpreted), ``None`` when no
-        engine ran at all (analytic cells).
+        ``"vectorized[numpy]"`` when only the array engine did,
+        ``"interpreted"`` when only the interpreted engine did,
+        ``"mixed"`` when both did (e.g. a transform whose forest
+        colourings ran on arrays while an adapter baseline ran
+        interpreted), ``None`` when no engine ran at all (analytic
+        cells).
         """
         if self.vectorized_runs and self.interpreted_runs:
             return "mixed"
         if self.vectorized_runs:
-            backends = "/".join(sorted(self.backends_used)) or "?"
-            return f"vectorized[{backends}]"
+            return f"vectorized[{_ARRAY_BACKEND}]"
         if self.interpreted_runs:
             return "interpreted"
         return None
-
-
-#: Backwards-compatible alias — ``EngineScope`` predates the policy
-#: object and appears throughout older call sites and docs.
-EngineScope = EnginePolicy
 
 
 def current_policy() -> EnginePolicy | None:
@@ -144,11 +124,6 @@ def current_policy() -> EnginePolicy | None:
 def current_engine_mode() -> str:
     """The innermost policy's mode, or ``"auto"`` with no policy active."""
     return _ENGINE_STACK[-1].mode if _ENGINE_STACK else "auto"
-
-
-def current_backend_preference() -> str | None:
-    """The innermost policy's pinned backend name, or None."""
-    return _ENGINE_STACK[-1].backend if _ENGINE_STACK else None
 
 
 def resolve_engine_mode(engine: str | None = None) -> str:
@@ -162,16 +137,9 @@ def resolve_engine_mode(engine: str | None = None) -> str:
     return engine
 
 
-def note_engine_use(
-    kind: str,
-    *,
-    kernel: str | None = None,
-    backend: str | None = None,
-    rounds: int = 0,
-) -> None:
-    """Record that one unit of work ran on engine ``kind`` ("vectorized"
-    or "interpreted"), optionally attributing the kernel name, array
-    backend and simulated round count; every policy currently in effect
-    observes it."""
+def note_engine_use(kind: str, *, kernel: str | None = None, rounds: int = 0) -> None:
+    """Record that one simulator run used engine ``kind`` ("vectorized" or
+    "interpreted"), optionally attributing the kernel name and simulated
+    round count; every policy currently in effect observes it."""
     for policy in _ENGINE_STACK:
-        policy.note(kind, kernel=kernel, backend=backend, rounds=rounds)
+        policy.note(kind, kernel=kernel, rounds=rounds)

@@ -1,21 +1,16 @@
-"""Vectorized array engine: whole-network rounds as array operations.
+"""Array engine: whole-network rounds as NumPy operations.
 
 The interpreted engine (:func:`repro.local.simulator.run_synchronous`)
 dispatches one Python callable per node per round, which caps every
 suite at n ≈ 10⁴ on wall-clock alone.  For *structured-message*
 baselines — algorithms whose per-round behaviour is a fixed arithmetic
 function of the node's colour and its neighbours' colours — the whole
-round can instead run as a handful of array operations over flat
+round can instead run as a handful of NumPy operations over flat
 per-node state (colours, parent pointers, active masks) indexed by the
 existing CSR layout (:meth:`repro.local.csr.CSRAdjacency.array_layout`):
 neighbour gathers via ``indptr``/``indices``, segment reductions via
 prefix sums, and bit manipulation for the Linial / Cole–Vishkin colour
 reductions.
-
-Kernels are written against the :class:`~repro.local.array_backend.ArrayBackend`
-protocol — they receive the backend as their first argument and never
-import an array library directly — so a GPU or ``array_api`` backend
-registered under another name serves the same kernels unchanged.
 
 The contract is **bit-identity**: :func:`run_vectorized` must return a
 :class:`~repro.local.simulator.RunResult` whose ``rounds``,
@@ -23,31 +18,30 @@ The contract is **bit-identity**: :func:`run_vectorized` must return a
 :func:`run_synchronous` produces for the same network and algorithm —
 including raising the same exceptions with the same messages.  The
 equivalence suite (``tests/test_engine_equivalence.py`` and the
-property tests) pins this on every opted-in baseline.
+property tests) pins this on every kernel.
 
-Algorithms opt in through the first-class :class:`KernelRegistry`
-(:data:`KERNELS`): each registration is a :class:`KernelSpec` carrying
-capability metadata (algorithm type, problem, constraints, supported
-backends) and lookup walks the algorithm's MRO, so subclasses of a
-kernel-capable algorithm inherit its kernel.  :func:`supports_vectorized`
-reports capability and :func:`select_engine` resolves the
-ambient/explicit engine mode (:mod:`repro.local.engine`) to a runner,
-falling back to the interpreted engine for everything without a kernel.
+Four baselines have a kernel: Linial colouring, Cole–Vishkin forest
+3-colouring, colour-class MIS and Δ+1 colour-class reduction.  The
+kernel table maps each algorithm class to ``(name, kernel)`` and lookup
+walks the algorithm's MRO, so subclasses inherit their base class's
+kernel.  :func:`supports_vectorized` reports capability and
+:func:`select_engine` resolves the ambient/explicit engine mode
+(:mod:`repro.local.engine`) to a runner, falling back to the
+interpreted engine for everything without a kernel.
+
+NumPy is imported once, here; without it ``np`` is ``None``,
+:func:`numpy_available` is false, ``auto`` degrades to the interpreted
+engine and an explicit ``vectorized`` request raises
+:class:`EngineUnavailable`.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.local import array_backend
-from repro.local.array_backend import ArrayBackend, DEFAULT_BACKEND
-from repro.local.engine import (
-    current_backend_preference,
-    note_engine_use,
-    resolve_engine_mode,
-)
+from repro.local.engine import note_engine_use, resolve_engine_mode
 from repro.local.network import Network
 from repro.obs import record_phase
 from repro.local.simulator import (
@@ -57,18 +51,17 @@ from repro.local.simulator import (
     run_synchronous,
 )
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None
+
 __all__ = [
     "EngineUnavailable",
-    "KernelRegistry",
-    "KernelSpec",
-    "KERNELS",
-    "active_backend",
     "numpy_available",
-    "register_kernel",
     "supports_vectorized",
     "run_vectorized",
     "select_engine",
-    "use_vectorized",
 ]
 
 
@@ -77,243 +70,107 @@ class EngineUnavailable(RuntimeError):
 
 
 def numpy_available() -> bool:
-    """Whether the default (NumPy) array backend is usable.
+    """Whether numpy imported.
 
-    Delegates to :func:`repro.local.array_backend.numpy_available` at
-    call time, so monkeypatching either function simulates a numpy-free
-    interpreter for every availability check in the stack.
+    Reads the module attribute ``np`` at call time, so setting it to
+    ``None`` simulates a numpy-free interpreter for every availability
+    check in the stack (and for forked pool and daemon workers).
     """
-    return array_backend.numpy_available()
+    return np is not None
+
+
+def _require_numpy() -> None:
+    if np is None:
+        raise EngineUnavailable(
+            "the vectorized engine requires numpy, which is not importable"
+        )
 
 
 # ----------------------------------------------------------------------
-# kernel registry
+# kernel table
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelSpec:
-    """One kernel registration: the callable plus capability metadata.
+@functools.cache
+def _kernel_table() -> dict[type, tuple[str, Callable]]:
+    """``{algorithm type: (name, kernel)}``, built on first use.
 
-    A kernel takes ``(backend, network, algorithm, max_rounds)`` and
-    returns ``(rounds, messages_sent, outputs)``; ``backends`` names the
-    array backends (by registry name) the kernel is written for.
+    Built lazily to avoid a local ↔ baselines import cycle.  A kernel
+    takes ``(network, algorithm, max_rounds)`` and returns
+    ``(rounds, messages_sent, outputs)``.
     """
-
-    algorithm_type: type
-    kernel: Callable
-    name: str
-    problem: str = ""
-    constraints: str = ""
-    backends: tuple[str, ...] = (DEFAULT_BACKEND,)
-
-
-class KernelRegistry:
-    """Kernel specs keyed by algorithm type, with MRO-aware lookup.
-
-    Lookup walks ``type(algorithm).__mro__`` so subclasses of a
-    kernel-capable algorithm resolve to the base class's kernel instead
-    of silently falling back to the interpreted engine.  Registration
-    refuses to overwrite an existing (algorithm type, backend) pair
-    unless ``replace=True``.
-    """
-
-    def __init__(self) -> None:
-        self._by_type: dict[type, list[KernelSpec]] = {}
-
-    def register(self, spec: KernelSpec, *, replace: bool = False) -> KernelSpec:
-        specs = self._by_type.setdefault(spec.algorithm_type, [])
-        for position, existing in enumerate(specs):
-            overlap = sorted(set(existing.backends) & set(spec.backends))
-            if not overlap:
-                continue
-            if not replace:
-                raise ValueError(
-                    f"kernel {spec.name!r} would overwrite kernel "
-                    f"{existing.name!r} for {spec.algorithm_type.__name__} "
-                    f"on backend(s) {', '.join(overlap)}; "
-                    f"pass replace=True to replace it deliberately"
-                )
-            specs[position] = spec
-            return spec
-        specs.append(spec)
-        return spec
-
-    def registered(self, algorithm_type: type, backend: str = DEFAULT_BACKEND) -> bool:
-        """Exact-type check (no MRO walk); used to guard builtins."""
-        return any(
-            backend in spec.backends
-            for spec in self._by_type.get(algorithm_type, ())
-        )
-
-    def lookup(
-        self, algorithm: SynchronousAlgorithm, backend: str = DEFAULT_BACKEND
-    ) -> KernelSpec | None:
-        """The most specific spec serving ``algorithm`` on ``backend``."""
-        for klass in type(algorithm).__mro__:
-            for spec in self._by_type.get(klass, ()):
-                if backend in spec.backends:
-                    return spec
-        return None
-
-    def specs(self) -> tuple[KernelSpec, ...]:
-        """Every registration, in registration order per type."""
-        return tuple(
-            spec for specs in self._by_type.values() for spec in specs
-        )
-
-
-#: The process-wide kernel registry.
-KERNELS = KernelRegistry()
-_BUILTINS_LOADED = False
-
-
-def register_kernel(
-    algorithm_type: type,
-    *,
-    name: str | None = None,
-    problem: str = "",
-    constraints: str = "",
-    backends: tuple[str, ...] = (DEFAULT_BACKEND,),
-    replace: bool = False,
-):
-    """Decorator mapping an algorithm type to a kernel in :data:`KERNELS`.
-
-    Raises :class:`ValueError` when the (algorithm type, backend) pair is
-    already registered, naming both kernels; pass ``replace=True`` to
-    swap a kernel in deliberately (tests, experimental backends).
-    """
-
-    def decorate(kernel: Callable) -> Callable:
-        KERNELS.register(
-            KernelSpec(
-                algorithm_type=algorithm_type,
-                kernel=kernel,
-                name=name or kernel.__name__,
-                problem=problem,
-                constraints=constraints,
-                backends=tuple(backends),
-            ),
-            replace=replace,
-        )
-        return kernel
-
-    return decorate
-
-
-def _ensure_builtin_kernels() -> None:
-    # Built-in kernels are registered lazily to avoid a local ↔ baselines
-    # import cycle; a user registration made first wins (setdefault
-    # semantics, so eager test doubles do not trip the overwrite guard).
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
     from repro.baselines.color_reduction import ColorClassReduction
     from repro.baselines.forest_coloring import ForestThreeColoring
     from repro.baselines.linial import LinialColoring
     from repro.baselines.mis import ColorClassMIS
 
-    builtins = (
-        KernelSpec(
-            algorithm_type=LinialColoring,
-            kernel=_linial_kernel,
-            name="linial",
-            problem="colouring",
-            constraints="identifiers in [1, n^c]; colour count follows the reduction schedule",
-        ),
-        KernelSpec(
-            algorithm_type=ForestThreeColoring,
-            kernel=_forest_kernel,
-            name="forest-3-coloring",
-            problem="colouring",
-            constraints="input must be a rooted forest with proper identifier colours",
-        ),
-        KernelSpec(
-            algorithm_type=ColorClassMIS,
-            kernel=_mis_kernel,
-            name="color-class-mis",
-            problem="mis",
-            constraints="node inputs must be a proper colouring with palette shared['num_classes']",
-        ),
-        KernelSpec(
-            algorithm_type=ColorClassReduction,
-            kernel=_color_reduction_kernel,
-            name="color-class-reduction",
-            problem="colouring",
-            constraints="node inputs must be a proper colouring with palette shared['num_classes']",
-        ),
-    )
-    for spec in builtins:
-        if not KERNELS.registered(spec.algorithm_type):
-            KERNELS.register(spec)
-    _BUILTINS_LOADED = True
+    return {
+        LinialColoring: ("linial", _linial_kernel),
+        ForestThreeColoring: ("forest-3-coloring", _forest_kernel),
+        ColorClassMIS: ("color-class-mis", _mis_kernel),
+        ColorClassReduction: ("color-class-reduction", _color_reduction_kernel),
+    }
 
 
-def supports_vectorized(
-    algorithm: SynchronousAlgorithm, backend: str | None = None
-) -> bool:
-    """Whether ``algorithm`` has a registered array kernel (MRO-aware)."""
-    _ensure_builtin_kernels()
-    return KERNELS.lookup(algorithm, _resolve_backend_name(backend)) is not None
+def _kernel_for(algorithm: SynchronousAlgorithm) -> tuple[str, Callable] | None:
+    """``(name, kernel)`` for ``algorithm``, walking its MRO so subclasses
+    of a kernel-capable algorithm resolve to the base class's kernel."""
+    table = _kernel_table()
+    for klass in type(algorithm).__mro__:
+        if klass in table:
+            return table[klass]
+    return None
 
 
-# ----------------------------------------------------------------------
-# backend resolution
-# ----------------------------------------------------------------------
-def _resolve_backend_name(backend: str | None = None) -> str:
-    """Explicit argument, else the ambient policy's pin, else the default."""
-    return backend or current_backend_preference() or DEFAULT_BACKEND
-
-
-def _backend_for(name: str) -> ArrayBackend | None:
-    """The backend instance serving ``name``, or None when unavailable."""
-    if name == DEFAULT_BACKEND and not numpy_available():
-        return None
-    try:
-        return array_backend.get_backend(name)
-    except KeyError:
-        return None
-
-
-def _require_backend(name: str) -> ArrayBackend:
-    xp = _backend_for(name)
-    if xp is None:
-        if name == DEFAULT_BACKEND:
-            raise EngineUnavailable(
-                "the vectorized engine requires numpy, which is not importable"
-            )
-        raise EngineUnavailable(
-            f"the vectorized engine requires the {name!r} array backend, "
-            f"which is not registered"
-        )
-    return xp
+def supports_vectorized(algorithm: SynchronousAlgorithm) -> bool:
+    """Whether ``algorithm`` has an array kernel (MRO-aware)."""
+    return _kernel_for(algorithm) is not None
 
 
 # ----------------------------------------------------------------------
 # array primitives
 # ----------------------------------------------------------------------
-def _identifier_array(network: Network, xp: ArrayBackend):
+def _identifier_array(network: Network):
     """Node identifiers as an int64 array in CSR index order (cached)."""
-    caches = getattr(network, "_identifier_arrays", None)
-    if caches is None:
-        caches = {}
-        network._identifier_arrays = caches
-    cached = caches.get(xp.name)
+    cached = getattr(network, "_identifier_array", None)
     if cached is None:
         identifiers = network.identifiers
-        cached = xp.fromiter(
+        cached = np.fromiter(
             (identifiers[node] for node in network.csr.nodes),
-            dtype=xp.int64,
+            dtype=np.int64,
             count=network.csr.num_nodes,
         )
-        caches[xp.name] = cached
+        network._identifier_array = cached
     return cached
 
 
-def _node_input_array(network: Network, xp: ArrayBackend):
+def _segment_sum(values, indptr):
+    """Sum ``values`` over CSR segments delimited by ``indptr``.
+
+    Implemented with an exclusive prefix sum rather than
+    ``np.add.reduceat`` — ``reduceat`` misreads empty segments (it
+    returns the *next* element instead of zero), and every isolated
+    node has an empty neighbourhood.
+    """
+    prefix = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=prefix[1:])
+    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+
+
+def _bitwise_count(values):
+    """Per-element popcount of an int64 array."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(values)
+    # numpy 1.x: unpack the little-endian bytes of each int64, sum bits.
+    flat = np.ascontiguousarray(values, dtype=np.int64)
+    as_bytes = flat.view(np.uint8).reshape(flat.shape + (8,))
+    return np.unpackbits(as_bytes, axis=-1).sum(axis=-1).astype(flat.dtype)
+
+
+def _node_input_array(network: Network):
     """Per-node inputs (colour classes) as int64 in CSR index order."""
     node_inputs = network.node_inputs
-    return xp.fromiter(
+    return np.fromiter(
         (node_inputs[node] for node in network.csr.nodes),
-        dtype=xp.int64,
+        dtype=np.int64,
         count=network.csr.num_nodes,
     )
 
@@ -337,7 +194,7 @@ def _check_round_cap(algorithm, total_rounds: int, cap: int) -> None:
 # ----------------------------------------------------------------------
 # kernels
 # ----------------------------------------------------------------------
-def _linial_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
+def _linial_kernel(network: Network, algorithm, max_rounds):
     """Linial colour reduction, one array pass per scheduled round.
 
     State is one colour per node; a round with field parameters
@@ -358,20 +215,20 @@ def _linial_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     _check_round_cap(algorithm, total_rounds, _round_cap(network, max_rounds))
 
     indptr, indices, edge_sources = network.csr.array_layout()
-    colours = _identifier_array(network, xp).copy()
-    node_range = xp.arange(n, dtype=xp.int64)
+    colours = _identifier_array(network).copy()
+    node_range = np.arange(n, dtype=np.int64)
 
     for q, degree, _ in schedule:
         width = degree + 1
         # digits[i, j] = j-th base-q digit of node i's colour.
-        digits = xp.empty((n, width), dtype=xp.int64)
+        digits = np.empty((n, width), dtype=np.int64)
         value = colours.copy()
         for j in range(width):
             digits[:, j] = value % q
             value //= q
         # powers[j, x] = x^j mod q  →  values[i, x] = P_i(x) mod q.
-        xs = xp.arange(q, dtype=xp.int64)
-        powers = xp.empty((width, q), dtype=xp.int64)
+        xs = np.arange(q, dtype=np.int64)
+        powers = np.empty((width, q), dtype=np.int64)
         powers[0] = 1
         for j in range(1, width):
             powers[j] = (powers[j - 1] * xs) % q
@@ -380,11 +237,11 @@ def _linial_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
         # A neighbour contests x only if its colour differs (linial_step
         # skips same-coloured neighbours) and its polynomial agrees at x.
         differing = colours[edge_sources] != colours[indices]
-        free = xp.empty((n, q), dtype=xp.bool_)
+        free = np.empty((n, q), dtype=np.bool_)
         for x in range(q):
             column = values[:, x]
             clashes = differing & (column[edge_sources] == column[indices])
-            free[:, x] = xp.segment_sum(clashes, indptr) == 0
+            free[:, x] = _segment_sum(clashes, indptr) == 0
         if not free.any(axis=1).all():
             raise RuntimeError(
                 "no free evaluation point found; the field parameters are inconsistent"
@@ -399,7 +256,7 @@ def _linial_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     return total_rounds, total_rounds * len(indices), outputs
 
 
-def _forest_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
+def _forest_kernel(network: Network, algorithm, max_rounds):
     """Cole–Vishkin forest 3-colouring as whole-forest bit manipulation.
 
     Reduce rounds: every node's new colour is ``2·i + b`` where ``i`` is
@@ -421,43 +278,43 @@ def _forest_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     indptr, indices, edge_sources = network.csr.array_layout()
     csr = network.csr
     node_index = csr.index
-    parents = xp.full(n, -1, dtype=xp.int64)
+    parents = np.full(n, -1, dtype=np.int64)
     for node, parent in network.node_inputs.items():
         if parent is not None:
             parents[node_index[node]] = node_index[parent]
     roots = parents < 0
-    parent_or_self = xp.where(roots, xp.arange(n, dtype=xp.int64), parents)
+    parent_or_self = np.where(roots, np.arange(n, dtype=np.int64), parents)
 
-    colours = _identifier_array(network, xp).copy()
+    colours = _identifier_array(network).copy()
     for _ in range(reduce_rounds):
-        parent_colours = xp.where(roots, colours ^ 1, colours[parent_or_self])
+        parent_colours = np.where(roots, colours ^ 1, colours[parent_or_self])
         differing = colours ^ parent_colours
         if not differing.all():
             raise ValueError(
                 "adjacent nodes share a colour; the colouring is not proper"
             )
         low = differing & -differing
-        position = xp.bitwise_count(low - 1).astype(xp.int64)
+        position = _bitwise_count(low - 1).astype(np.int64)
         colours = 2 * position + ((colours >> position) & 1)
 
     for phase in range(1, 7):
         if phase % 2 == 1:  # shift-down
-            root_colours = xp.where(colours == 0, 1, 0)
-            colours = xp.where(roots, root_colours, colours[parent_or_self])
+            root_colours = np.where(colours == 0, 1, 0)
+            colours = np.where(roots, root_colours, colours[parent_or_self])
             continue
         eliminated = {2: 5, 4: 4, 6: 3}[phase]
         moving = colours == eliminated
         neighbour_colours = colours[indices]
-        seen0 = xp.segment_sum(neighbour_colours == 0, indptr) > 0
-        seen1 = xp.segment_sum(neighbour_colours == 1, indptr) > 0
-        seen2 = xp.segment_sum(neighbour_colours == 2, indptr) > 0
+        seen0 = _segment_sum(neighbour_colours == 0, indptr) > 0
+        seen1 = _segment_sum(neighbour_colours == 1, indptr) > 0
+        seen2 = _segment_sum(neighbour_colours == 2, indptr) > 0
         if (moving & seen0 & seen1 & seen2).any():
             # min() over an empty candidate set in the interpreted step.
             raise ValueError(
                 "min() arg is an empty sequence"
             )
-        replacement = xp.where(~seen0, 0, xp.where(~seen1, 1, 2))
-        colours = xp.where(moving, replacement, colours)
+        replacement = np.where(~seen0, 0, np.where(~seen1, 1, 2))
+        colours = np.where(moving, replacement, colours)
 
     outputs = {
         node: colour + 1
@@ -466,7 +323,7 @@ def _forest_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     return total_rounds, total_rounds * len(indices), outputs
 
 
-def _mis_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
+def _mis_kernel(network: Network, algorithm, max_rounds):
     """Colour-class MIS sweep as whole-network mask updates.
 
     One round per colour class plus one propagation round.  Per round
@@ -486,13 +343,13 @@ def _mis_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     _check_round_cap(algorithm, total_rounds, _round_cap(network, max_rounds))
 
     indptr, indices, _ = network.csr.array_layout()
-    colour = _node_input_array(network, xp)
-    in_mis = xp.zeros(n, dtype=xp.bool_)
-    blocked = xp.zeros(n, dtype=xp.bool_)
+    colour = _node_input_array(network)
+    in_mis = np.zeros(n, dtype=np.bool_)
+    blocked = np.zeros(n, dtype=np.bool_)
     for r in range(1, total_rounds + 1):
         # Gather before update: the segment sum sees in_mis as of the
         # end of round r-1, which is what the messages carried.
-        neighbour_joined = xp.segment_sum(in_mis[indices], indptr) > 0
+        neighbour_joined = _segment_sum(in_mis[indices], indptr) > 0
         blocked = blocked | neighbour_joined
         in_mis = in_mis | ((colour == r) & ~blocked)
 
@@ -503,7 +360,7 @@ def _mis_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
     return total_rounds, total_rounds * len(indices), outputs
 
 
-def _color_reduction_kernel(xp: ArrayBackend, network: Network, algorithm, max_rounds):
+def _color_reduction_kernel(network: Network, algorithm, max_rounds):
     """Δ+1 colour-class reduction as per-round scatter/mex over classes.
 
     One round per class of the initial proper colouring.  In round ``r``
@@ -522,8 +379,8 @@ def _color_reduction_kernel(xp: ArrayBackend, network: Network, algorithm, max_r
     _check_round_cap(algorithm, total_rounds, _round_cap(network, max_rounds))
 
     indptr, indices, edge_sources = network.csr.array_layout()
-    colour = _node_input_array(network, xp)
-    final = xp.zeros(n, dtype=xp.int64)  # 0 = not yet recoloured (None)
+    colour = _node_input_array(network)
+    final = np.zeros(n, dtype=np.int64)  # 0 = not yet recoloured (None)
     width = network.max_degree + 2
     for r in range(1, total_rounds + 1):
         moving = (colour == r) & (final == 0)
@@ -531,18 +388,18 @@ def _color_reduction_kernel(xp: ArrayBackend, network: Network, algorithm, max_r
         if rows == 0:
             continue
         # Compact row index for each moving node; valid only under `moving`.
-        row_of_node = xp.cumsum(moving, dtype=xp.int64) - 1
+        row_of_node = np.cumsum(moving, dtype=np.int64) - 1
         # CSR rows owned by a moving node, restricted to neighbours that
         # finished in an earlier round (final gathered before update —
         # exactly what the messages carried).
         relevant = moving[edge_sources] & (final[indices] > 0)
-        used = xp.zeros((rows, width), dtype=xp.bool_)
+        used = np.zeros((rows, width), dtype=np.bool_)
         used[row_of_node[edge_sources[relevant]], final[indices[relevant]]] = True
         # Smallest colour ≥ 1 not marked used — guaranteed within width.
         mex = (~used[:, 1:]).argmax(axis=1) + 1
-        picks = xp.zeros(n, dtype=xp.int64)
+        picks = np.zeros(n, dtype=np.int64)
         picks[moving] = mex
-        final = xp.where(moving, picks, final)
+        final = np.where(moving, picks, final)
 
     outputs = {
         node: (value if value else None)
@@ -558,28 +415,24 @@ def run_vectorized(
     network: Network,
     algorithm: SynchronousAlgorithm,
     max_rounds: int | None = None,
-    backend: str | None = None,
 ) -> RunResult:
     """Run ``algorithm`` on the array engine (bit-identical results).
 
-    ``backend`` pins an array backend by registry name; the default is
-    the ambient policy's pin, else NumPy.  Raises
-    :class:`EngineUnavailable` when the backend is missing or the
-    algorithm has no registered kernel; use :func:`select_engine` to
-    fall back automatically.
+    Raises :class:`EngineUnavailable` when numpy is missing or the
+    algorithm has no kernel; use :func:`select_engine` to fall back
+    automatically.
     """
-    name = _resolve_backend_name(backend)
-    xp = _require_backend(name)
-    _ensure_builtin_kernels()
-    spec = KERNELS.lookup(algorithm, name)
-    if spec is None:
+    _require_numpy()
+    entry = _kernel_for(algorithm)
+    if entry is None:
         raise EngineUnavailable(
             f"{algorithm.name} has no vectorized kernel; "
             f"run it with run_synchronous or engine='auto'"
         )
+    name, kernel = entry
     simulate_start = time.perf_counter()
-    rounds, messages_sent, outputs = spec.kernel(xp, network, algorithm, max_rounds)
-    note_engine_use("vectorized", kernel=spec.name, backend=xp.name, rounds=rounds)
+    rounds, messages_sent, outputs = kernel(network, algorithm, max_rounds)
+    note_engine_use("vectorized", kernel=name, rounds=rounds)
     record_phase("simulate", time.perf_counter() - simulate_start)
     result = RunResult(
         algorithm=algorithm.name,
@@ -598,49 +451,18 @@ def select_engine(
 
     ``engine`` overrides the ambient :class:`~repro.local.engine.EnginePolicy`
     mode; ``"auto"`` (the default) picks :func:`run_vectorized` exactly
-    when the algorithm has a kernel and the policy's array backend is
-    available.
+    when the algorithm has a kernel and numpy is available.
     """
     mode = resolve_engine_mode(engine)
     if mode == "interpreted":
         return run_synchronous
-    name = _resolve_backend_name()
     if mode == "vectorized":
-        _require_backend(name)
-        if not supports_vectorized(algorithm, name):
+        _require_numpy()
+        if not supports_vectorized(algorithm):
             raise EngineUnavailable(
                 f"{algorithm.name} has no vectorized kernel"
             )
         return run_vectorized
-    if _backend_for(name) is not None and supports_vectorized(algorithm, name):
+    if numpy_available() and supports_vectorized(algorithm):
         return run_vectorized
     return run_synchronous
-
-
-def use_vectorized(engine: str | None = None) -> bool:
-    """Whether non-simulator array code (the decomposition peels) should
-    take its vectorized path under the resolved engine mode.
-
-    Explicit ``"vectorized"`` without an available backend raises rather
-    than silently degrading; ``"auto"`` degrades.
-    """
-    mode = resolve_engine_mode(engine)
-    if mode == "interpreted":
-        return False
-    name = _resolve_backend_name()
-    if mode == "vectorized":
-        _require_backend(name)
-        return True
-    return _backend_for(name) is not None
-
-
-def active_backend(engine: str | None = None) -> ArrayBackend | None:
-    """The array backend non-simulator code should run on, or None.
-
-    Combines :func:`use_vectorized` with backend resolution: returns the
-    backend instance when the resolved mode takes the vectorized path,
-    None when it degrades to interpreted code.
-    """
-    if not use_vectorized(engine):
-        return None
-    return _require_backend(_resolve_backend_name())

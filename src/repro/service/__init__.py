@@ -4,10 +4,10 @@ Six layers turn the single-machine experiment runner into a
 multi-worker, multi-machine, resumable, mergeable, elastic sweep
 platform:
 
-* :mod:`repro.service.shard` — deterministic ``i/k`` partitioning of a
-  suite's cells by fingerprint (implemented in
-  :mod:`repro.experiments.shard`, re-exported here), so independent
-  workers and machines run disjoint shards (``run --shard i/k``);
+* :class:`ShardSpec` — deterministic ``i/k`` partitioning of a
+  suite's cells by fingerprint (:mod:`repro.experiments.shard`,
+  re-exported here), so independent workers and machines run disjoint
+  shards (``run --shard i/k``);
 * :mod:`repro.service.pool` — :class:`WorkerPool`, warm worker processes
   reused across sweeps with batched cell submission, amortising process
   startup over many small cells;
@@ -40,6 +40,7 @@ platform:
   collector's completed fingerprints.
 """
 
+from repro.experiments.shard import ShardSpec, partition, shard_cells
 from repro.service.client import (
     CollectorSink,
     ServiceClient,
@@ -70,7 +71,6 @@ from repro.service.protocol import (
     connect_endpoint,
     parse_endpoint,
 )
-from repro.service.shard import ShardSpec, partition, shard_cells
 
 __all__ = [
     "CollectorSink",

@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
+from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import get_suite
 from repro.experiments.store import DEFAULT_OUT, ResultStore
 from repro.local import ENGINE_MODES
@@ -81,7 +82,6 @@ from repro.service.protocol import (
     resolve_token,
     unix_socket_is_live,
 )
-from repro.service.shard import ShardSpec
 
 __all__ = ["DEFAULT_SOCKET", "MAX_SOCKET_PATH_BYTES", "Job", "SweepDaemon"]
 

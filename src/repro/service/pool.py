@@ -47,10 +47,10 @@ from repro.experiments.runner import (
     make_recorder,
     run_cell,
 )
+from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
 from repro.obs import MetricsRegistry
-from repro.service.shard import ShardSpec
 
 __all__ = ["DEFAULT_BATCH_SIZE", "CellOutcome", "WorkerPool", "batch_cells"]
 
@@ -247,7 +247,7 @@ class WorkerPool:
         arrive grouped by batch, in batch completion order.  The iterator
         must be consumed fully — it holds the pool's sweep lock, and the
         stream *is* the progress signal.  ``engine`` is the sweep-level
-        backend override forwarded to every cell.
+        engine override forwarded to every cell.
         """
         cells = list(cells)
         job_id = next(self._job_ids)

@@ -12,9 +12,7 @@ peeling loops kept inside this module.
 
 The vectorized array engine (:func:`run_vectorized`) is pinned
 three-ways on every kernel-capable scenario — vectorized vs. fast vs.
-seed engine, including :class:`MessageMeter` accounting — and the array
-peeling variants of the decomposition processes are pinned field-by-field
-against their interpreted counterparts.
+seed engine, including :class:`MessageMeter` accounting.
 
 The vectorized sections skip (not fail) without numpy: the no-numpy CI
 step runs this module to pin that the interpreted engine and the
@@ -39,19 +37,18 @@ from repro.generators import (
 from repro.local import (
     EnginePolicy,
     EngineUnavailable,
-    KERNELS,
     MessageMeter,
     Network,
     NodeContext,
     SynchronousAlgorithm,
     numpy_available,
-    register_kernel,
     run_synchronous,
     run_synchronous_reference,
     run_vectorized,
     select_engine,
     supports_vectorized,
 )
+from repro.local import vectorized as vectorized_engine
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -202,40 +199,14 @@ def test_supports_vectorized_resolves_subclasses_via_mro():
 
     algorithm = TunedLinial()
     assert supports_vectorized(algorithm)
-    spec = KERNELS.lookup(algorithm)
-    assert spec is not None and spec.name == "linial"
+    name, _ = vectorized_engine._kernel_for(algorithm)
+    assert name == "linial"
     if numpy_available():
         tree = random_tree(30, seed=2)
         vectorized = run_vectorized(Network(tree), algorithm)
         fast = run_synchronous(Network(tree), algorithm)
         assert vectorized.outputs == fast.outputs
         assert vectorized.rounds == fast.rounds
-
-
-def test_register_kernel_refuses_silent_overwrite():
-    class Doomed(_KernelLess):
-        name = "doomed"
-
-    try:
-        @register_kernel(Doomed, name="first")
-        def first_kernel(xp, network, algorithm, max_rounds):
-            raise NotImplementedError
-
-        with pytest.raises(ValueError, match=r"second.*first|first.*second"):
-            @register_kernel(Doomed, name="second")
-            def second_kernel(xp, network, algorithm, max_rounds):
-                raise NotImplementedError
-
-        # Same backend pair still registered to the original kernel…
-        assert KERNELS.lookup(Doomed()).name == "first"
-        # …until the explicit escape hatch swaps it.
-        @register_kernel(Doomed, name="second", replace=True)
-        def second_kernel_replacing(xp, network, algorithm, max_rounds):
-            raise NotImplementedError
-
-        assert KERNELS.lookup(Doomed()).name == "second"
-    finally:
-        KERNELS._by_type.pop(Doomed, None)
 
 
 @requires_numpy
@@ -255,7 +226,6 @@ def test_engine_policy_records_backend_provenance():
     with EnginePolicy("auto") as policy:
         run_vectorized(Network(tree), LinialColoring())
     assert policy.engine_used == "vectorized[numpy]"
-    assert policy.backends_used == {"numpy"}
     with EnginePolicy("interpreted") as policy:
         run_synchronous(Network(tree), LinialColoring())
     assert policy.engine_used == "interpreted"
@@ -377,7 +347,10 @@ def _naive_arboricity_layers(graph, k, b):
     return layers
 
 
-@pytest.mark.parametrize("n, k, seed", [(60, 3, 1), (150, 5, 2), (300, 8, 3)])
+@pytest.mark.parametrize(
+    "n, k, seed",
+    [(60, 3, 1), (150, 5, 2), (300, 8, 3), (100, 3, 1), (400, 6, 2), (1500, 8, 3)],
+)
 def test_rake_compress_layers_match_naive(n, k, seed):
     tree = random_tree(n, seed=seed)
     decomposition = rake_and_compress(tree, k=k)
@@ -385,52 +358,11 @@ def test_rake_compress_layers_match_naive(n, k, seed):
     assert fast_layers == _naive_rake_compress_layers(tree, k)
 
 
-@pytest.mark.parametrize("n, a, seed", [(80, 2, 4), (200, 3, 5)])
+@pytest.mark.parametrize(
+    "n, a, seed", [(80, 2, 4), (200, 3, 5), (150, 2, 1), (400, 3, 2), (900, 4, 3)]
+)
 def test_arboricity_layers_match_naive(n, a, seed):
     graph = forest_union(n, arboricity=a, seed=seed)
     k, b = 5 * a, 2 * a
     decomposition = arboricity_decomposition(graph, arboricity=a, k=k)
     assert decomposition.layers == _naive_arboricity_layers(graph, k, b)
-
-
-# ----------------------------------------------------------------------
-# vectorized peeling variants vs. the interpreted CSR loops
-# ----------------------------------------------------------------------
-@requires_numpy
-@pytest.mark.parametrize("n, k, seed", [(60, 3, 1), (150, 5, 2), (300, 8, 3)])
-def test_rake_compress_vectorized_matches_interpreted(n, k, seed):
-    tree = random_tree(n, seed=seed)
-    with EnginePolicy("vectorized"):
-        vectorized = rake_and_compress(tree, k=k)
-    with EnginePolicy("interpreted"):
-        interpreted = rake_and_compress(tree, k=k)
-    assert vectorized.layers == interpreted.layers
-    assert vectorized.node_layer == interpreted.node_layer
-    assert vectorized.iterations == interpreted.iterations
-    assert vectorized.rounds == interpreted.rounds
-    assert (
-        vectorized.theoretical_iteration_bound
-        == interpreted.theoretical_iteration_bound
-    )
-    assert vectorized.identifiers == interpreted.identifiers
-
-
-@requires_numpy
-@pytest.mark.parametrize("n, a, seed", [(80, 2, 4), (200, 3, 5)])
-def test_arboricity_vectorized_matches_interpreted(n, a, seed):
-    graph = forest_union(n, arboricity=a, seed=seed)
-    with EnginePolicy("vectorized"):
-        vectorized = arboricity_decomposition(graph, arboricity=a, k=5 * a)
-    with EnginePolicy("interpreted"):
-        interpreted = arboricity_decomposition(graph, arboricity=a, k=5 * a)
-    assert vectorized.layers == interpreted.layers
-    assert vectorized.node_iteration == interpreted.node_iteration
-    assert vectorized.iterations == interpreted.iterations
-    assert vectorized.degree_snapshots == interpreted.degree_snapshots
-    assert vectorized.typical_edges == interpreted.typical_edges
-    assert vectorized.atypical_edges == interpreted.atypical_edges
-    assert vectorized.forests == interpreted.forests
-    assert vectorized.forest_colorings == interpreted.forest_colorings
-    assert vectorized.star_collections == interpreted.star_collections
-    assert vectorized.forest_coloring_rounds == interpreted.forest_coloring_rounds
-    assert vectorized.rounds == interpreted.rounds

@@ -1,13 +1,14 @@
-"""Engine policy and backend registry: what happens when numpy is gone.
+"""Engine policy and provenance: what happens when numpy is gone.
 
 The vectorized engine is a preference, not a dependency — a
 numpy-free interpreter must degrade every family-pinned or auto cell
 to the interpreted engine with identical semantic results, and only an
 *explicit* ``engine="vectorized"`` request may raise
-:class:`EngineUnavailable`.  ``array_backend.numpy_available`` is the
-single monkeypatch point, and on Linux the fork start method carries
-the patch into pool and daemon worker processes, so the whole service
-stack can be exercised against a simulated numpy-free interpreter.
+:class:`EngineUnavailable`.  Setting ``repro.local.vectorized.np`` to
+``None`` is the single switch, and on Linux the fork start method
+carries the patch into pool and daemon worker processes, so the whole
+service stack can be exercised against a simulated numpy-free
+interpreter.
 """
 
 import socket
@@ -21,18 +22,14 @@ from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner
 from repro.experiments.runner import run_cell
 from repro.generators import random_tree
 from repro.local import (
-    EnginePolicy,
     EngineUnavailable,
     Network,
-    available_backends,
-    get_backend,
     numpy_available,
     run_synchronous,
     run_vectorized,
     select_engine,
-    use_vectorized,
 )
-from repro.local import array_backend
+from repro.local import vectorized
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -53,51 +50,33 @@ DEGRADE_SUITE = Suite(
     ),
 )
 
-
-class TestBackendRegistry:
-    @requires_numpy
-    def test_default_backend_is_numpy(self):
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert get_backend("numpy") is backend
-        assert "numpy" in available_backends()
-
-    def test_unknown_backend_names_the_available_ones(self):
-        with pytest.raises(KeyError, match="no-such-backend"):
-            get_backend("no-such-backend")
-
-    def test_register_backend_refuses_silent_overwrite(self):
-        class FirstBackend:
-            name = "collision-test"
-
-        class SecondBackend:
-            name = "collision-test"
-
-        first = FirstBackend()
-        second = SecondBackend()
-        try:
-            array_backend.register_backend(first)
-            with pytest.raises(ValueError, match="FirstBackend.*SecondBackend"):
-                array_backend.register_backend(second)
-            assert get_backend("collision-test") is first
-            # re-registering the same object is idempotent, not a clash
-            array_backend.register_backend(first)
-            array_backend.register_backend(second, replace=True)
-            assert get_backend("collision-test") is second
-        finally:
-            array_backend._BACKENDS.pop("collision-test", None)
+#: One transform per decomposition peel: Theorem 12 runs rake-and-compress,
+#: Theorem 15 runs the arboricity Decomposition process.
+TRANSFORM_SUITE = Suite(
+    name="transform-tiny",
+    description="test suite: one transform cell per decomposition peel",
+    scenarios=(
+        ScenarioSpec(
+            name="mis/tree-transform", generator="random-tree",
+            algorithm="tree-mis", sizes=(40,), seeds=(1,),
+        ),
+        ScenarioSpec(
+            name="edge-coloring/tree-transform", generator="random-tree",
+            algorithm="arb-edge-coloring", sizes=(40,), seeds=(1,),
+        ),
+    ),
+)
 
 
 @pytest.fixture()
 def no_numpy(monkeypatch):
     """Simulate a numpy-free interpreter for this test (and its forks)."""
-    monkeypatch.setattr(array_backend, "numpy_available", lambda: False)
+    monkeypatch.setattr(vectorized, "np", None)
 
 
 class TestNumpyAbsentDegradation:
-    def test_availability_funnels_through_array_backend(self, no_numpy):
+    def test_availability_reads_the_numpy_module_attribute(self, no_numpy):
         assert not numpy_available()
-        assert not use_vectorized("auto")
 
     def test_select_engine_auto_degrades_to_interpreted(self, no_numpy):
         algorithm = LinialColoring()
@@ -117,10 +96,8 @@ class TestNumpyAbsentDegradation:
         assert len(colours) == 40
         mis = maximal_independent_set(tree)
         assert mis.independent_set
-        with EnginePolicy("auto") as policy:
-            decomposition = rake_and_compress(tree, k=3)
+        decomposition = rake_and_compress(tree, k=3)
         assert decomposition.layers
-        assert policy.engine_used == "interpreted"
 
     def test_run_cell_degrades_family_pinned_vectorized(self, no_numpy):
         cell = next(
@@ -213,3 +190,37 @@ class TestEngineRoundsProvenance:
         store.append(result)
         loaded = ResultStore(tmp_path).results()
         assert [r.engine_rounds for r in loaded] == [result.engine_rounds]
+
+
+def _run_transform_cell(cell, engine=None):
+    result = run_cell(TRANSFORM_SUITE.name, cell, engine=engine)
+    assert result.verified
+    assert result.engine_rounds
+    assert not any("-peel/" in key for key in result.engine_rounds)
+    return result
+
+
+class TestPeelsStayOutOfProvenance:
+    """The decomposition peels are not simulator runs: a transform cell's
+    ``engine`` is decided by its simulator runs alone, and its
+    ``engine_rounds`` carry no peel keys."""
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "cell", TRANSFORM_SUITE.cells(), ids=lambda cell: cell.algorithm
+    )
+    def test_auto_cell_is_vectorized(self, cell):
+        assert _run_transform_cell(cell).engine == "vectorized[numpy]"
+
+    @pytest.mark.parametrize(
+        "cell", TRANSFORM_SUITE.cells(), ids=lambda cell: cell.algorithm
+    )
+    def test_interpreted_override_cell_is_interpreted(self, cell):
+        result = _run_transform_cell(cell, engine="interpreted")
+        assert result.engine == "interpreted"
+
+    @pytest.mark.parametrize(
+        "cell", TRANSFORM_SUITE.cells(), ids=lambda cell: cell.algorithm
+    )
+    def test_numpy_free_cell_is_interpreted(self, no_numpy, cell):
+        assert _run_transform_cell(cell).engine == "interpreted"

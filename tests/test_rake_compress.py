@@ -96,6 +96,11 @@ class TestAlgorithmOneEdgeCases:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             rake_and_compress(nx.cycle_graph(5), 2)
+        # m < n, but the triangle is still a cycle.
+        padded = nx.cycle_graph(3)
+        padded.add_nodes_from([3, 4, 5])
+        with pytest.raises(ValueError, match="contains a cycle"):
+            rake_and_compress(padded, 2)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):

@@ -143,27 +143,46 @@ def test_colour_reduction_three_way_on_bounded_degree_graphs(n, max_degree, seed
     _assert_identical(outcomes)
 
 
+# ----------------------------------------------------------------------
+# decomposition peels: one CSR loop, whatever the engine mode
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize("n, k, seed", [(100, 3, 1), (400, 6, 2), (1500, 8, 3)])
 def test_rake_compress_peel_property(n, k, seed):
     tree = random_tree(n, seed=seed)
-    with EnginePolicy("vectorized"):
+    with EnginePolicy("vectorized") as vectorized_policy:
         vectorized = rake_and_compress(tree, k=k)
-    with EnginePolicy("interpreted"):
+    with EnginePolicy("interpreted") as interpreted_policy:
         interpreted = rake_and_compress(tree, k=k)
     assert vectorized.layers == interpreted.layers
     assert vectorized.node_layer == interpreted.node_layer
     assert vectorized.rounds == interpreted.rounds
+    # The peel is not a simulator run, so it reports to no policy.
+    assert vectorized_policy.dispatches == {}
+    assert interpreted_policy.dispatches == {}
 
 
 @pytest.mark.parametrize("n, a, seed", [(150, 2, 1), (400, 3, 2), (900, 4, 3)])
 def test_arboricity_peel_property(n, a, seed):
     graph = forest_union(n, arboricity=a, seed=seed)
-    with EnginePolicy("vectorized"):
+    with EnginePolicy("vectorized") as vectorized_policy:
         vectorized = arboricity_decomposition(graph, arboricity=a, k=5 * a)
-    with EnginePolicy("interpreted"):
+    with EnginePolicy("interpreted") as interpreted_policy:
         interpreted = arboricity_decomposition(graph, arboricity=a, k=5 * a)
     assert vectorized.layers == interpreted.layers
     assert vectorized.degree_snapshots == interpreted.degree_snapshots
     assert vectorized.forests == interpreted.forests
     assert vectorized.forest_colorings == interpreted.forest_colorings
     assert vectorized.rounds == interpreted.rounds
+    # Only the forest colourings report, one run each on the engine the
+    # mode picks; the peel itself reports nothing.
+    coloured = sum(1 for colouring in vectorized.forest_colorings if colouring)
+    assert (vectorized_policy.vectorized_runs, vectorized_policy.interpreted_runs) == (
+        coloured,
+        0,
+    )
+    assert (
+        interpreted_policy.vectorized_runs,
+        interpreted_policy.interpreted_runs,
+    ) == (0, coloured)
+    for policy in (vectorized_policy, interpreted_policy):
+        assert not any("-peel/" in key for key in policy.dispatches)
