@@ -1,14 +1,14 @@
-"""Persistent worker pool vs. per-sweep ProcessPoolExecutor.
+"""One warm worker pool across sweeps vs. a fresh pool per sweep.
 
-The service claim (ROADMAP "heavy traffic" item): on many-small-cell
-workloads the dominant cost of the `SweepRunner` path is *not* the cells —
-it is creating a fresh process pool per sweep and paying one task
-round trip per cell.  `WorkerPool` keeps the workers warm across sweeps
-and ships cells in batches, so the same job stream should run measurably
-faster.
+Both paths run one cell per task on a `WorkerPool`; they differ only in
+how long the workers live.  `SweepRunner(jobs=2).run()` (the CLI's
+`run --jobs 2`) creates a pool, forks its workers and joins them before
+returning, so every sweep pays process startup.  The daemon passes one
+warm pool to every sweep (`SweepRunner(..., pool=pool)`), so on a stream
+of many small sweeps that startup is paid once.
 
 This benchmark replays the same stream of small sweeps through both paths
-and asserts the pool's speedup stays above a conservative floor
+and asserts the warm pool's speedup stays above a conservative floor
 (:data:`SPEEDUP_FLOOR`), recording both wall clocks in
 ``benchmarks/results/bench_pool.json`` so the trajectory is visible per
 PR.  ``BENCH_SMOKE=1`` shrinks the stream for CI.
@@ -31,9 +31,9 @@ from repro.service import WorkerPool
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
-#: The pool must beat the per-sweep-executor path by at least this factor
+#: The warm pool must beat the pool-per-sweep path by at least this factor
 #: on the many-small-cell stream.  Measured speedups are far higher (the
-#: executor path pays ~worker-count process startups per sweep); the floor
+#: fresh path pays worker-count process startups per sweep); the floor
 #: only guards against a regression that loses the amortisation.
 SPEEDUP_FLOOR = 1.1
 
@@ -64,24 +64,24 @@ def small_cell_suite(tag: int) -> Suite:
     )
 
 
-def run_executor_stream(base_dir: str) -> float:
-    """The PR 2 path: a fresh ProcessPoolExecutor per sweep, 1 cell/task."""
+def run_fresh_pool_stream(base_dir: str) -> float:
+    """The `run --jobs` path: each sweep forks and joins its own pool."""
     start = time.perf_counter()
     for sweep in range(SWEEPS):
-        store = ResultStore(os.path.join(base_dir, f"executor-{sweep}"))
+        store = ResultStore(os.path.join(base_dir, f"fresh-{sweep}"))
         report = SweepRunner(small_cell_suite(sweep), store, jobs=WORKERS).run()
-        assert report.ok, f"executor sweep {sweep} failed: {report.failures}"
+        assert report.ok, f"fresh-pool sweep {sweep} failed: {report.failures}"
     return time.perf_counter() - start
 
 
-def run_pool_stream(base_dir: str) -> float:
-    """The service path: one warm pool serving every sweep, batched cells."""
+def run_warm_pool_stream(base_dir: str) -> float:
+    """The daemon path: one warm pool serving every sweep."""
     start = time.perf_counter()
     with WorkerPool(workers=WORKERS) as pool:
         for sweep in range(SWEEPS):
-            store = ResultStore(os.path.join(base_dir, f"pool-{sweep}"))
-            report = pool.run_suite(small_cell_suite(sweep), store)
-            assert report.ok, f"pool sweep {sweep} failed: {report.failures}"
+            store = ResultStore(os.path.join(base_dir, f"warm-{sweep}"))
+            report = SweepRunner(small_cell_suite(sweep), store, pool=pool).run()
+            assert report.ok, f"warm-pool sweep {sweep} failed: {report.failures}"
     return time.perf_counter() - start
 
 
@@ -103,11 +103,11 @@ def main() -> None:
         f"{WORKERS} workers (smoke={SMOKE})"
     )
     with tempfile.TemporaryDirectory(prefix="bench_pool") as base_dir:
-        executor_s = best_of(run_executor_stream, os.path.join(base_dir, "executor"))
-        pool_s = best_of(run_pool_stream, os.path.join(base_dir, "pool"))
+        fresh_s = best_of(run_fresh_pool_stream, os.path.join(base_dir, "fresh"))
+        pool_s = best_of(run_warm_pool_stream, os.path.join(base_dir, "warm"))
 
-    speedup = executor_s / pool_s if pool_s > 0 else float("inf")
-    print(f"  per-sweep executor: {executor_s:.3f}s")
+    speedup = fresh_s / pool_s if pool_s > 0 else float("inf")
+    print(f"  pool per sweep:     {fresh_s:.3f}s")
     print(f"  persistent pool:    {pool_s:.3f}s")
     print(f"  speedup:            {speedup:.2f}x (floor: {SPEEDUP_FLOOR}x)")
 
@@ -115,7 +115,7 @@ def main() -> None:
         "bench_pool",
         [
             scenario_entry(
-                "executor-per-sweep", cells_per_sweep * SWEEPS, executor_s,
+                "pool-per-sweep", cells_per_sweep * SWEEPS, fresh_s,
                 sweeps=SWEEPS, workers=WORKERS,
             ),
             scenario_entry(
@@ -128,7 +128,7 @@ def main() -> None:
 
     assert speedup >= SPEEDUP_FLOOR, (
         f"persistent pool speedup {speedup:.2f}x fell below the "
-        f"{SPEEDUP_FLOOR}x floor over the per-sweep executor path"
+        f"{SPEEDUP_FLOOR}x floor over the pool-per-sweep path"
     )
 
 

@@ -8,8 +8,9 @@ workhorse:
   algorithm registries and the built-in suites (``paper-claims``,
   ``scaling``, ``stress``, ``workloads``, ``lower-bound``, ``charged``,
   ``orientation-lists``);
-* :mod:`repro.experiments.runner` — :class:`SweepRunner` fans pending
-  cells out over a ``ProcessPoolExecutor``; each worker generates the
+* :mod:`repro.experiments.runner` — :class:`SweepRunner` runs pending
+  cells in process or on a :class:`~repro.experiments.runner.WorkerPool`
+  of warm worker processes, one cell per task; each cell generates the
   instance, runs the engine under a message meter, verifies the output and
   returns a :class:`CellResult`;
 * :mod:`repro.experiments.store` — the append-only, fingerprint-keyed

@@ -76,7 +76,6 @@ from repro.service.leases import (
     DEFAULT_LEASE_BATCH,
     FleetWorker,
 )
-from repro.service.pool import DEFAULT_BATCH_SIZE
 from repro.service.protocol import AUTH_TOKEN_ENV
 
 __all__ = ["main", "build_parser"]
@@ -346,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="run the sweep daemon: a persistent worker pool behind "
-        "a local socket",
+        "serve", help="run the sweep daemon: submitted sweeps run one at a "
+        "time on one warm worker pool behind a local socket",
     )
     serve.add_argument(
         "--socket", default=DEFAULT_SOCKET,
@@ -356,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=_positive_int, default=None,
         help="warm worker processes (default: min(cpu count, 8))",
-    )
-    serve.add_argument(
-        "--batch-size", type=_positive_int, default=DEFAULT_BATCH_SIZE,
-        help=f"cells per task submission (default: {DEFAULT_BATCH_SIZE})",
     )
     serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -814,7 +809,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         daemon = SweepDaemon(
             socket_path=args.socket, workers=args.workers,
-            batch_size=args.batch_size, listen=args.listen, token=args.token,
+            listen=args.listen, token=args.token,
             scrape_interval_s=args.scrape_interval,
             history_spill=args.history_spill,
         )
@@ -822,10 +817,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(
-        f"sweep daemon: socket={args.socket} workers={daemon.pool.workers} "
-        f"batch-size={daemon.pool.batch_size}"
-    )
+    print(f"sweep daemon: socket={args.socket} workers={daemon.pool.workers}")
     if daemon.tcp_address is not None:
         host, port = daemon.tcp_address
         print(f"TCP listener: {host}:{port} (token-authenticated)")

@@ -1,40 +1,52 @@
-"""The parallel sweep runner: fan cells out over a process pool.
+"""The sweep runner: one loop from pending cells to stored results.
 
-:func:`run_cell` is the worker entry point: it resolves the cell's
+:func:`run_cell` is the cell entry point: it resolves the cell's
 generator and algorithm from the registries, builds the instance, runs the
 computation under a :class:`~repro.local.MessageMeter` and returns a
 :class:`~repro.experiments.store.CellResult`.  It deliberately takes only
 plain data (the suite name and a :class:`~repro.experiments.spec.Cell`) so
 the payload shipped to worker processes stays tiny.
 
+:class:`WorkerPool` keeps worker processes alive across sweeps and ships
+them one cell per task.
+
 :class:`SweepRunner` filters a suite's cells against the store's completed
-fingerprints, executes the remainder (serially for ``jobs=1``, over a
-``ProcessPoolExecutor`` otherwise) and appends each result to the store
-the moment it completes — a crashed sweep resumes exactly where it died.
-Failed cells (exceptions) are *not* stored, so the next run retries them.
+fingerprints and runs the remainder: in this process for ``jobs=1`` or a
+single pending cell, otherwise on a :class:`WorkerPool` — one that
+:meth:`SweepRunner.run` creates and shuts down, or a warm pool passed in
+(the daemon's), which then runs every cell.  Each result is appended to
+the store the moment it arrives, so a crashed sweep resumes exactly where
+it died.  Failed cells (exceptions, or cells lost with a dead worker) are
+*not* stored, so the next run retries them.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
+import queue as queue_module
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.experiments.shard import ShardSpec, shard_cells
 
 from repro.local import EnginePolicy, MessageMeter, numpy_available
 from repro.experiments.spec import ALGORITHMS, GENERATORS, Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
-from repro.obs import PhaseTimer, span
+from repro.obs import MetricsRegistry, PhaseTimer, span
 
 __all__ = [
     "run_cell",
     "make_recorder",
     "CellFailure",
+    "CellOutcome",
     "SweepReport",
     "SweepRunner",
+    "WorkerPool",
     "default_jobs",
 ]
 
@@ -63,8 +75,8 @@ def _effective_engine_mode(family_engine: str, override: str | None) -> str:
 def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResult:
     """Execute one sweep cell and return its structured result.
 
-    Top-level and argument-picklable by design: this is the function the
-    process pool ships to workers.  ``engine`` is the sweep-level
+    Top-level and argument-picklable by design: pool workers receive
+    these arguments and call it there.  ``engine`` is the sweep-level
     ``--engine`` override, resolved here into one ambient
     :class:`~repro.local.EnginePolicy` per cell; the engine that
     actually served the cell's simulator runs is recorded in
@@ -116,7 +128,8 @@ def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResu
 
 @dataclass
 class CellFailure:
-    """A cell whose worker raised; kept out of the store so it is retried."""
+    """A cell that raised or died with its worker; kept out of the store
+    so it is retried."""
 
     cell: Cell
     error: str
@@ -150,14 +163,15 @@ def make_recorder(
     report: SweepReport,
     progress: Callable[[CellResult], None] | None = None,
 ) -> Callable[[CellResult], None]:
-    """The per-result fan-out shared by every sweep execution path.
+    """The per-result fan-out of :meth:`SweepRunner.run` and the fleet worker.
 
     Appends the result to the store, ticks the report's counters, feeds
     the sinks and then the progress hook.  A sink (e.g. the
     ``--collector`` stream) that fails must not fail the sweep: the
     result is already durable in the local store, so the first error is
     recorded once in ``report.sink_error`` and the sinks disabled —
-    resume/merge recovers the lost stream.
+    resume/merge recovers the lost stream.  An exception from
+    ``progress`` propagates, which is how a failed fleet push aborts.
     """
     live_sinks = list(sinks)
 
@@ -179,8 +193,245 @@ def make_recorder(
     return record
 
 
+@dataclass
+class CellOutcome:
+    """One cell's outcome in a sweep: its result, or the error string."""
+
+    cell: Cell
+    result: CellResult | None
+    error: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+def _worker_main(tasks, results) -> None:
+    """Worker loop: run one cell per task until the ``None`` sentinel.
+
+    Lives at module top level so it is picklable under any
+    multiprocessing start method, and calls :func:`run_cell` through this
+    module's globals, so anything that replaced ``runner.run_cell`` or
+    switched numpy off before the fork reaches the workers.  A cell that
+    raises is reported as an error string and the worker keeps serving.
+    """
+    while True:
+        task = tasks.get()
+        if task is None:
+            break
+        sweep_id, index, suite_name, engine, cell = task
+        try:
+            outcome = (run_cell(suite_name, cell, engine=engine), None)
+        except Exception as error:  # noqa: BLE001 - reported to the caller
+            outcome = (None, repr(error))
+        results.put((sweep_id, index, *outcome))
+
+
+class WorkerPool:
+    """Warm worker processes serving sweeps, one cell per task.
+
+    Usage::
+
+        with WorkerPool(workers=4) as pool:
+            SweepRunner(get_suite("paper-claims"), store, smoke=True, pool=pool).run()
+            SweepRunner(get_suite("scaling"), store, pool=pool).run()   # same workers
+
+    The pool is lazy: processes spawn on the first submission, then stay
+    alive until :meth:`shutdown`.  Workers use the platform-default
+    multiprocessing context (fork on Linux) so that algorithms and
+    generators registered at runtime are visible in the workers;
+    multi-threaded hosts like the daemon should call :meth:`start`
+    eagerly, before spawning their own threads, to keep the fork clean.
+    """
+
+    def __init__(
+        self,
+        workers: int | None = None,
+        registry: MetricsRegistry | None = None,
+    ) -> None:
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        self.workers = workers if workers is not None else default_jobs()
+        self._context = multiprocessing.get_context()
+        self._tasks = self._context.Queue()
+        self._results = self._context.Queue()
+        self._processes: list = []
+        self._worker_counter = 0
+        self._sweep_lock = threading.Lock()
+        self._sweep_ids = itertools.count(1)
+        self._closed = False
+        self._ever_started = False
+        # Cumulative traffic counters (exposed by the daemon's status verb).
+        self.sweeps_served = 0
+        self.cells_executed = 0
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._restarts_metric = self.registry.counter(
+            "pool_worker_restarts_total",
+            "Worker processes respawned after the pool first came up.",
+        )
+        self._cells_metric = self.registry.counter(
+            "pool_cells_executed_total",
+            "Cells executed by the worker pool (ok and failed).",
+        )
+        self._sweeps_metric = self.registry.counter(
+            "pool_sweeps_total",
+            "Sweep submissions fully streamed by the pool.",
+        )
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def started(self) -> bool:
+        return bool(self._processes)
+
+    def start(self) -> None:
+        """Spawn the worker processes (idempotent, self-healing).
+
+        A worker that died (OOM, external kill), whether the pool sat
+        idle or a sweep is waiting on it, is handled here: the pool is
+        rebuilt wholesale rather than topped up, because a worker that
+        died blocked on a shared queue may have taken the queue's
+        internal lock with it.
+        """
+        if self._closed:
+            raise RuntimeError("the pool has been shut down")
+        if any(not process.is_alive() for process in self._processes):
+            for process in self._processes:
+                process.terminate()
+            for process in self._processes:
+                process.join(timeout=5)
+            self._processes.clear()
+            self._tasks = self._context.Queue()
+            self._results = self._context.Queue()
+        while len(self._processes) < self.workers:
+            self._spawn_worker()
+        self._ever_started = True
+
+    def _spawn_worker(self) -> None:
+        if self._ever_started:
+            # Spawning past the initial bring-up means a worker died and
+            # is being replaced — the restart SLO watches exactly this.
+            self._restarts_metric.inc()
+        self._worker_counter += 1
+        process = self._context.Process(
+            target=_worker_main,
+            args=(self._tasks, self._results),
+            name=f"sweep-worker-{self._worker_counter}",
+            daemon=True,
+        )
+        process.start()
+        self._processes.append(process)
+
+    def shutdown(self) -> None:
+        """Stop the workers and join them (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        for _ in self._processes:
+            self._tasks.put(None)
+        for process in self._processes:
+            process.join(timeout=10)
+            if process.is_alive():  # pragma: no cover - defensive
+                process.terminate()
+                process.join(timeout=10)
+        self._processes.clear()
+
+    def __enter__(self) -> "WorkerPool":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        self.shutdown()
+        return False
+
+    # ------------------------------------------------------------------
+    # sweep execution
+    # ------------------------------------------------------------------
+    def submit_sweep(
+        self, suite_name: str, cells: Sequence[Cell], engine: str | None = None
+    ) -> Iterator[CellOutcome]:
+        """Run ``cells`` on the warm workers, streaming per-cell outcomes.
+
+        Each task is one cell, and at most two cells per worker are in
+        flight, so a stream that is abandoned, or a pool that is shut
+        down, leaves little queued work behind.  Outcomes arrive in
+        completion order.  The iterator holds the pool's sweep lock until
+        it is exhausted or closed.  ``engine`` is the sweep-level engine
+        override forwarded to every cell.
+
+        A worker that dies mid-sweep (OOM, external kill) takes the cells
+        in flight with it: they come back as failed outcomes, the pool is
+        rebuilt wholesale (a worker that died on a shared queue may hold
+        its lock) and the rest of the sweep runs on the new workers.  The
+        lost cells were never stored, so resume re-runs them.
+
+        Fork-safety of respawning from a threaded host (the daemon's
+        runner thread): the replacement children execute only
+        ``_worker_main``, which touches nothing but the two queues this
+        thread creates immediately before forking — their locks are
+        provably unheld at fork time, and no daemon-side lock (jobs
+        table, stdio) is ever acquired by worker code, so a lock some
+        *other* thread held at fork cannot deadlock the child.
+        """
+        cells = list(cells)
+
+        def stream() -> Iterator[CellOutcome]:
+            with self._sweep_lock:
+                # start() (and its dead-worker rebuild) must run under
+                # the sweep lock: healing while another sweep is mid-
+                # flight would swap the queues out from under it.
+                self.start()
+                sweep_id = next(self._sweep_ids)
+                unsent = iter(enumerate(cells))
+                in_flight: dict[int, Cell] = {}
+
+                def send(count: int) -> None:
+                    for index, cell in itertools.islice(unsent, count):
+                        in_flight[index] = cell
+                        self._tasks.put((sweep_id, index, suite_name, engine, cell))
+
+                send(2 * self.workers)
+                while in_flight:
+                    try:
+                        received, index, result, error = self._results.get(timeout=1.0)
+                    except queue_module.Empty:
+                        dead = [p.name for p in self._processes if not p.is_alive()]
+                        if not dead:
+                            continue
+                        lost = list(in_flight.values())
+                        in_flight.clear()
+                        self.start()  # rebuilds the pool: a worker is dead
+                        send(2 * self.workers)
+                        reason = (
+                            f"worker process(es) died mid-sweep: {', '.join(dead)}; "
+                            f"the cell was lost and re-runs on resume"
+                        )
+                        for cell in lost:
+                            yield CellOutcome(cell=cell, result=None, error=reason)
+                        continue
+                    if received != sweep_id:
+                        # Left over from an abandoned earlier stream; the
+                        # cell completed, its sweep just stopped
+                        # listening.  Drop it — resume re-runs it.
+                        continue
+                    send(1)
+                    self.cells_executed += 1
+                    self._cells_metric.inc()
+                    yield CellOutcome(cell=in_flight.pop(index), result=result, error=error)
+                self.sweeps_served += 1
+                self._sweeps_metric.inc()
+
+        return stream()
+
+
 class SweepRunner:
-    """Run a suite's pending cells and append results to a store."""
+    """Run a suite's pending cells and append results to a store.
+
+    ``jobs`` worker processes run the cells when there is more than one;
+    a warm ``pool`` passed in runs every cell instead, whatever ``jobs``
+    says.
+    """
 
     def __init__(
         self,
@@ -193,6 +444,7 @@ class SweepRunner:
         shard: ShardSpec | None = None,
         sinks: Sequence[Callable[[CellResult], None]] = (),
         engine: str | None = None,
+        pool: WorkerPool | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -205,6 +457,7 @@ class SweepRunner:
         self.shard = shard
         self.sinks = tuple(sinks)
         self.engine = engine
+        self.pool = pool
 
     def pending_cells(self) -> tuple[list[Cell], int]:
         """The cells still to run, and how many the store already covers.
@@ -219,10 +472,33 @@ class SweepRunner:
         pending = [cell for cell in cells if cell.fingerprint not in completed]
         return pending, len(cells) - len(pending)
 
-    def run(self, progress: Callable[[CellResult], None] | None = None) -> SweepReport:
-        """Execute every pending cell; append each result as it completes."""
+    def _run_in_process(self, cells: Sequence[Cell]) -> Iterator[CellOutcome]:
+        for cell in cells:
+            try:
+                result = run_cell(self.suite.name, cell, engine=self.engine)
+            except Exception as error:  # noqa: BLE001 - collected, reported
+                yield CellOutcome(cell=cell, result=None, error=repr(error))
+            else:
+                yield CellOutcome(cell=cell, result=result, error=None)
+
+    def run(
+        self,
+        progress: Callable[[CellResult], None] | None = None,
+        on_plan: Callable[[int, int], None] | None = None,
+        on_failure: Callable[[Cell, str], None] | None = None,
+    ) -> SweepReport:
+        """Execute every pending cell; append each result as it arrives.
+
+        The hooks let a caller observe the sweep live (the daemon's status
+        verb feeds off them): ``on_plan(total_cells, skipped)`` fires once
+        before the first cell runs, ``progress(result)`` per stored cell,
+        ``on_failure(cell, error)`` per failed cell.  A pool this method
+        creates is shut down, its workers joined, before it returns.
+        """
         start = time.perf_counter()
         pending, skipped = self.pending_cells()
+        if on_plan is not None:
+            on_plan(len(pending) + skipped, skipped)
         report = SweepReport(
             suite=self.suite.name,
             total_cells=len(pending) + skipped,
@@ -230,30 +506,27 @@ class SweepRunner:
             executed=0,
             unverified=0,
         )
-
         record = make_recorder(self.store, self.sinks, report, progress)
 
-        if self.jobs == 1 or len(pending) <= 1:
-            for cell in pending:
-                try:
-                    record(run_cell(self.suite.name, cell, engine=self.engine))
-                except Exception as error:  # noqa: BLE001 - collected, reported
-                    report.failures.append(CellFailure(cell, repr(error)))
-        else:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    pool.submit(run_cell, self.suite.name, cell, self.engine): cell
-                    for cell in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        cell = futures[future]
-                        try:
-                            record(future.result())
-                        except Exception as error:  # noqa: BLE001
-                            report.failures.append(CellFailure(cell, repr(error)))
+        pool = self.pool
+        if pool is None and self.jobs > 1 and len(pending) > 1:
+            pool = WorkerPool(workers=min(self.jobs, len(pending)))
+        try:
+            if pool is None:
+                outcomes = self._run_in_process(pending)
+            else:
+                outcomes = pool.submit_sweep(self.suite.name, pending, engine=self.engine)
+            with closing(outcomes):
+                for outcome in outcomes:
+                    if outcome.ok:
+                        record(outcome.result)
+                        continue
+                    report.failures.append(CellFailure(outcome.cell, outcome.error))
+                    if on_failure is not None:
+                        on_failure(outcome.cell, outcome.error)
+        finally:
+            if pool is not self.pool:
+                pool.shutdown()
 
         report.wall_clock_s = time.perf_counter() - start
         return report

@@ -1,16 +1,14 @@
 """The distributed sweep service.
 
-Six layers turn the single-machine experiment runner into a
+Five layers turn the single-machine experiment runner into a
 multi-worker, multi-machine, resumable, mergeable, elastic sweep
 platform:
 
-* :class:`ShardSpec` — deterministic ``i/k`` partitioning of a
-  suite's cells by fingerprint (:mod:`repro.experiments.shard`,
-  re-exported here), so independent workers and machines run disjoint
-  shards (``run --shard i/k``);
-* :mod:`repro.service.pool` — :class:`WorkerPool`, warm worker processes
-  reused across sweeps with batched cell submission, amortising process
-  startup over many small cells;
+* :class:`ShardSpec` and :class:`WorkerPool` — re-exported from
+  :mod:`repro.experiments`: deterministic ``i/k`` partitioning of a
+  suite's cells by fingerprint (``run --shard i/k``), and warm worker
+  processes reused across sweeps, one cell per task, which the daemon
+  and fleet workers run their sweeps on;
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
   the shared :class:`LineServer` listener (accept loops, per-connection
@@ -35,11 +33,12 @@ platform:
   ``heartbeat`` / ``lease`` / ``fleet_status`` verbs; a ``push``
   completes the cell's lease), and :class:`FleetWorker` is the pull
   side behind ``run <suite> --fleet host:port`` — workers lease batches
-  instead of computing a static shard, dead workers' leases expire and
-  are reassigned to survivors, and replacement workers resume from the
-  collector's completed fingerprints.
+  of cells instead of computing a static shard, dead workers' leases
+  expire and are reassigned to survivors, and replacement workers
+  resume from the collector's completed fingerprints.
 """
 
+from repro.experiments.runner import CellOutcome, WorkerPool
 from repro.experiments.shard import ShardSpec, partition, shard_cells
 from repro.service.client import (
     CollectorSink,
@@ -56,12 +55,6 @@ from repro.service.leases import (
     LEASE_FATES,
     FleetWorker,
     LeaseTable,
-)
-from repro.service.pool import (
-    DEFAULT_BATCH_SIZE,
-    CellOutcome,
-    WorkerPool,
-    batch_cells,
 )
 from repro.service.protocol import (
     AUTH_TOKEN_ENV,
@@ -87,10 +80,8 @@ __all__ = [
     "LEASE_FATES",
     "FleetWorker",
     "LeaseTable",
-    "DEFAULT_BATCH_SIZE",
     "CellOutcome",
     "WorkerPool",
-    "batch_cells",
     "AUTH_TOKEN_ENV",
     "Endpoint",
     "LineServer",

@@ -6,8 +6,8 @@ machine.  It listens on a local Unix-domain socket — and, with
 JSON protocol of :mod:`repro.service.protocol` through its shared
 :class:`~repro.service.protocol.LineServer`, and lets any number of
 clients feed sweep jobs into one long-lived
-:class:`~repro.service.pool.WorkerPool` — the process-startup cost of a
-sweep is paid once per daemon, not once per request.  TCP requests are
+:class:`~repro.experiments.runner.WorkerPool` — the process-startup cost
+of a sweep is paid once per daemon, not once per request.  TCP requests are
 token-authenticated (``--token`` / ``REPRO_SERVICE_TOKEN``); the Unix
 socket stays guarded by filesystem permissions.
 
@@ -44,10 +44,13 @@ Verbs
     Stop accepting work, finish the jobs already queued, exit.
 
 Jobs run strictly in submission order (one at a time — the pool's
-workers parallelise *within* a job).  Every completed cell is appended to
-the job's :class:`~repro.experiments.store.ResultStore` the moment it
-finishes, so daemon jobs are resumable and mergeable exactly like CLI
-``run`` sweeps.
+workers parallelise *within* a job), each through
+:meth:`~repro.experiments.runner.SweepRunner.run` on the warm pool.  Every
+completed cell is appended to the job's
+:class:`~repro.experiments.store.ResultStore` the moment it finishes, so
+daemon jobs are resumable and mergeable exactly like CLI ``run`` sweeps.
+A job that loses a worker still ends ``done``: the cells that died with
+it are listed under ``failures`` and re-run on resume.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
+from repro.experiments.runner import SweepRunner, WorkerPool
 from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import get_suite
 from repro.experiments.store import DEFAULT_OUT, ResultStore
@@ -70,7 +74,6 @@ from repro.obs.timeseries import (
     DEFAULT_SCRAPE_INTERVAL_S,
 )
 from repro.service.client import CollectorSink, ServiceClient, ServiceError
-from repro.service.pool import DEFAULT_BATCH_SIZE, WorkerPool
 from repro.service.protocol import (
     MAX_SOCKET_PATH_BYTES,
     LineServer,
@@ -196,7 +199,6 @@ class SweepDaemon:
         self,
         socket_path: str | Path = DEFAULT_SOCKET,
         workers: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         listen: str | None = None,
         token: str | None = None,
         scrape_interval_s: float = DEFAULT_SCRAPE_INTERVAL_S,
@@ -213,9 +215,7 @@ class SweepDaemon:
             capacity=history_capacity,
             spill_path=history_spill,
         )
-        self.pool = WorkerPool(
-            workers=workers, batch_size=batch_size, registry=self.registry
-        )
+        self.pool = WorkerPool(workers=workers, registry=self.registry)
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._job_queue: queue_module.Queue[str] = queue_module.Queue()
@@ -383,7 +383,7 @@ class SweepDaemon:
             # No timeout: the shutdown contract is "queued jobs still
             # finish", however long they take.  A wedged sweep cannot
             # hang this forever — the pool detects dead workers within
-            # ~1s and fails the job rather than blocking.
+            # ~1s and fails their cells rather than blocking.
             self._runner_thread.join()
             self._runner_thread = None
         self.history.stop()
@@ -469,19 +469,17 @@ class SweepDaemon:
             if job.collector:
                 sink = CollectorSink(ServiceClient(job.collector, token=self.token))
                 sinks = (sink,)
-            report = self.pool.run_suite(
+            report = SweepRunner(
                 suite,
                 ResultStore(job.out),
                 smoke=job.smoke,
                 sizes=job.sizes,
                 seeds=job.seeds,
                 shard=shard,
-                progress=progress,
-                on_plan=on_plan,
-                on_failure=on_failure,
                 sinks=sinks,
                 engine=job.engine,
-            )
+                pool=self.pool,
+            ).run(progress=progress, on_plan=on_plan, on_failure=on_failure)
             job.sink_error = report.sink_error
         except Exception as error:  # noqa: BLE001 - surfaced via status verb
             job.state = "failed"
@@ -524,11 +522,9 @@ class SweepDaemon:
     def _pool_stats(self) -> dict[str, Any]:
         return {
             "workers": self.pool.workers,
-            "batch_size": self.pool.batch_size,
             "started": self.pool.started,
             "sweeps_served": self.pool.sweeps_served,
             "cells_executed": self.pool.cells_executed,
-            "batches_executed": self.pool.batches_executed,
         }
 
     def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -26,9 +26,9 @@ Two halves live here:
 
 :class:`FleetWorker`
     The worker-side loop behind ``run <suite> --fleet host:port``: it
-    offers the suite's fingerprint universe, executes granted batches on
-    a warm :class:`~repro.service.pool.WorkerPool`, appends each result
-    to its local store and pushes it via
+    offers the suite's fingerprint universe, runs the granted cells on a
+    warm :class:`~repro.experiments.runner.WorkerPool`, one cell per task,
+    appends each result to its local store and pushes it via
     :class:`~repro.service.client.CollectorSink`.  A replacement worker
     "resumes" a dead machine's sweep with no JSONL copying at all: the
     collector already knows the completed fingerprints and simply never
@@ -62,11 +62,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.experiments.runner import CellFailure, SweepReport
+from repro.experiments.runner import (
+    CellFailure,
+    SweepReport,
+    WorkerPool,
+    make_recorder,
+)
 from repro.experiments.spec import Suite
 from repro.experiments.store import CellResult, ResultStore
 from repro.service.client import CollectorSink, ServiceClient
-from repro.service.pool import DEFAULT_BATCH_SIZE, WorkerPool
 
 __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
@@ -87,8 +91,8 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: two consecutive heartbeats before its leases are up for reassignment.
 DEFAULT_TTL_HEARTBEATS = 2.0
 
-#: Fingerprints per lease grant (mirrors the pool's task batch size).
-DEFAULT_LEASE_BATCH = DEFAULT_BATCH_SIZE
+#: Fingerprints per lease grant.
+DEFAULT_LEASE_BATCH = 8
 
 #: Every fate the event callback can report (metrics label values).
 LEASE_FATES = (
@@ -397,10 +401,10 @@ class FleetWorker:
     """Pull-based sweep worker for ``run <suite> --fleet host:port``.
 
     Instead of computing a static shard, the worker registers with the
-    collector, then loops: lease a batch of pending fingerprints,
-    execute the cells on a warm :class:`WorkerPool`, append each result
-    to the local store and push it (push retires the lease).  A
-    background heartbeat thread renews the worker's leases every
+    collector, then loops: lease a batch of pending fingerprints, run
+    the cells on a warm :class:`WorkerPool` (``jobs`` of them at once),
+    append each result to the local store and push it (push retires the
+    lease).  A background heartbeat thread renews the worker's leases every
     ``heartbeat_interval_s`` (the cadence the collector hands out at
     registration), so a cell may run far longer than the lease TTL
     without losing its lease.  Failed cells are *released* back to the
@@ -494,10 +498,7 @@ class FleetWorker:
             executed=0,
             unverified=0,
         )
-        pool = WorkerPool(
-            workers=self.jobs,
-            batch_size=min(self.lease_batch, DEFAULT_BATCH_SIZE),
-        )
+        pool = WorkerPool(workers=self.jobs)
         # Fork the workers before any thread or socket exists: the
         # children must not inherit a mid-flight connection or a lock
         # the heartbeat thread holds.
@@ -505,6 +506,16 @@ class FleetWorker:
         client = ServiceClient(self.fleet, token=self.token)
         sink = CollectorSink(client)
         self._register(client)
+
+        def push(result: CellResult) -> None:
+            # The recorder's progress hook, not a fail-soft sink: a push
+            # that fails raises out of the lease loop and aborts the run.
+            sink(result)
+            self.pushed += 1
+            if self.progress is not None:
+                self.progress(result)
+
+        record = make_recorder(self.store, (), report, push)
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
             args=(client,),
@@ -541,21 +552,14 @@ class FleetWorker:
                     for outcome in pool.submit_sweep(
                         self.suite.name, batch, engine=self.engine
                     ):
-                        if outcome.error is not None:
-                            report.failures.append(
-                                CellFailure(outcome.cell, outcome.error)
-                            )
-                            failed.add(outcome.cell.fingerprint)
-                            release.append(outcome.cell.fingerprint)
+                        if outcome.ok:
+                            record(outcome.result)
                             continue
-                        self.store.append(outcome.result)
-                        report.executed += 1
-                        if not outcome.result.verified:
-                            report.unverified += 1
-                        sink(outcome.result)
-                        self.pushed += 1
-                        if self.progress is not None:
-                            self.progress(outcome.result)
+                        report.failures.append(
+                            CellFailure(outcome.cell, outcome.error)
+                        )
+                        failed.add(outcome.cell.fingerprint)
+                        release.append(outcome.cell.fingerprint)
                     continue
                 if reply.get("done"):
                     break

@@ -141,8 +141,8 @@ class TestWorkerPoolRunsNewSuites:
         assert SweepRunner(suite, runner_store, jobs=1, smoke=True).run().ok
 
         pool_store = ResultStore(tmp_path / "pool")
-        with WorkerPool(workers=2, batch_size=4) as pool:
-            report = pool.run_suite(suite, pool_store, smoke=True)
+        with WorkerPool(workers=2) as pool:
+            report = SweepRunner(suite, pool_store, smoke=True, pool=pool).run()
         assert report.ok
         assert _canonical(pool_store.records()) == _canonical(
             runner_store.records()

@@ -124,8 +124,8 @@ class TestNumpyAbsentDegradation:
         from repro.service import WorkerPool
 
         store = ResultStore(tmp_path)
-        with WorkerPool(workers=2, batch_size=2) as pool:
-            report = pool.run_suite(DEGRADE_SUITE, store)
+        with WorkerPool(workers=2) as pool:
+            report = SweepRunner(DEGRADE_SUITE, store, pool=pool).run()
         assert report.ok
         assert all(result.engine == "interpreted" for result in store.results())
 
@@ -139,9 +139,7 @@ class TestNumpyAbsentDegradation:
         from repro.obs.metrics import samples_named
         from repro.service import ServiceClient, SweepDaemon
 
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=2, batch_size=4
-        )
+        daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
         daemon.start()
         try:
             client = ServiceClient(daemon.socket_path)

@@ -132,7 +132,6 @@ class TestServeSubmitCli:
         "argv",
         [
             ["serve", "--workers", "0"],
-            ["serve", "--batch-size", "0"],
             ["run", "paper-claims", "--jobs", "0"],
         ],
     )

@@ -7,13 +7,17 @@ import time
 
 import pytest
 
-from repro.experiments import ResultStore, get_suite
+from repro.experiments import ResultStore, get_suite, register_suite
+from repro.experiments.cli import main
+from repro.experiments.spec import SUITES
 from repro.service import ServiceClient, ServiceError, SweepDaemon
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
     recv_message,
 )
+
+from test_service_pool import dying_suite
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -22,9 +26,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture()
 def daemon(tmp_path):
-    daemon = SweepDaemon(
-        socket_path=tmp_path / "svc.sock", workers=2, batch_size=4
-    )
+    daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
     daemon.start()
     yield daemon
     daemon.close()
@@ -168,6 +170,32 @@ class TestVerbs:
         status = client.wait(job)
         assert status["state"] == "failed"
         assert status["error"]
+
+    def test_a_job_that_loses_a_worker_ends_done_with_failures(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A worker that dies mid-job costs the job its in-flight cells,
+        listed under ``failures``; the job still ends ``done`` and
+        ``submit --wait`` exits 1.  The warm pool heals: the next job
+        completes the suite."""
+        suite = dying_suite(tmp_path, monkeypatch)
+        if suite.name not in SUITES:
+            register_suite(suite)
+        submit = [
+            "submit", suite.name, "--socket", str(tmp_path / "die.sock"),
+            "--out", str(tmp_path / "store"), "--wait", "--timeout", "120",
+        ]
+        with SweepDaemon(socket_path=tmp_path / "die.sock", workers=2) as daemon:
+            assert main(submit) == 1
+            assert "FAILED cell die/tree" in capsys.readouterr().err
+            assert main(submit) == 0
+            first, second = ServiceClient(daemon.socket_path).status()["jobs"]
+        assert first["state"] == "done" and first["error"] is None
+        assert first["failures"]
+        assert "died mid-sweep" in first["failures"][0]["error"]
+        assert first["executed"] + len(first["failures"]) == first["total_cells"]
+        assert second["executed"] == len(first["failures"])
+        assert len(ResultStore(tmp_path / "store")) == first["total_cells"]
 
 
 class TestBoundedMemory:

@@ -7,6 +7,7 @@ restarted collector skipping malformed store records instead of
 refusing to start."""
 
 import json
+import multiprocessing
 import socket
 import threading
 
@@ -34,6 +35,7 @@ from repro.service import (
 from repro.service.protocol import error_response, ok_response, parse_endpoint
 
 from test_service_collector import make_result
+from test_service_pool import meeting_suite
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -435,6 +437,33 @@ class TestFleetWorkerEndToEnd:
         assert status["active_leases"] == 0
         assert status["completed"] == total
         assert status["lease_counts"]["completed"] == total
+
+    def test_two_jobs_run_two_leased_cells_at_once(
+        self, collector, tmp_path, monkeypatch
+    ):
+        """One lease of two cells on two workers runs both at once: each
+        cell waits at a barrier for the other."""
+        suite = meeting_suite(monkeypatch)
+        worker, report = run_fleet_worker(
+            suite, ResultStore(tmp_path / "meet"), collector,
+            jobs=2, lease_batch=2, name="meet",
+        )
+        assert report.ok and report.executed == 2
+        assert worker.pushed == 2
+
+    def test_a_failed_push_aborts_the_run(self, collector, tmp_path, monkeypatch):
+        """Unlike a fail-soft ``--collector`` sink, a fleet push that fails
+        stops the worker; the cell it could not push is already in the
+        local store, and the pool is shut down."""
+        def refuse(sink, result):
+            raise ServiceError("collector refused the push")
+
+        monkeypatch.setattr(CollectorSink, "__call__", refuse)
+        store = ResultStore(tmp_path / "refused")
+        with pytest.raises(ServiceError, match="refused"):
+            run_fleet_worker(TINY, store, collector, jobs=2, name="refused")
+        assert len(store) == 1
+        assert multiprocessing.active_children() == []
 
     def test_dead_workers_leases_are_reassigned_and_report_is_identical(
         self, collector, tmp_path, capsys
