@@ -1,9 +1,9 @@
-"""Helpers shared by the experiment benchmarks.
+"""Helpers shared by ``bench_engine.py`` and ``bench_pool.py``.
 
 Two kinds of output are produced under ``benchmarks/results/``:
 
 * plain-text :class:`MeasurementTable` renderings (``<name>.txt``) for
-  humans and for EXPERIMENTS.md to quote, and
+  humans, and
 * machine-readable JSON (``<name>.json``) so the performance trajectory
   can be compared across PRs — the CI workflow uploads these as
   artifacts.  Every scenario entry records at least the scenario name,

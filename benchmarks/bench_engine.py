@@ -1,7 +1,7 @@
 """BENCH — the simulation-engine regression benchmark.
 
 Records the wall-clock, round and message trajectory of the hot paths
-every experiment (E1–E8) funnels through.  Each simulator scenario that
+every experiment cell funnels through.  Each simulator scenario that
 has an array kernel is timed on both the interpreted active-set engine
 and the vectorized NumPy engine, and the JSON output carries **one
 record per (scenario, engine) pair** with an explicit ``engine`` field.
@@ -58,7 +58,7 @@ from repro.generators import (  # noqa: E402
     random_tree,
 )
 from repro.local import (  # noqa: E402
-    EnginePolicy,
+    CellContext,
     Network,
     run_synchronous,
     run_synchronous_reference,
@@ -122,7 +122,7 @@ def _engine_scenarios():
     n = 1000 if SMOKE else 5000
     graph = random_graph_with_max_degree(n, 8, seed=7)
     for engine in ("interpreted", "vectorized"):
-        with EnginePolicy(engine):
+        with CellContext(engine):
             run, seconds = timed(lambda: maximal_independent_set(graph))
         entries.append(scenario_entry(
             "sync/color-class-mis/bounded-degree", n, seconds,

@@ -1,10 +1,11 @@
 """Measurement records, table formatting and growth-curve fitting.
 
-The experiment harness (``benchmarks/``) produces per-instance
-:class:`Measurement` records; this package turns them into the text tables
-recorded in EXPERIMENTS.md and fits simple growth models (``log n``,
-``log n / log log n``, ``log^β n``) to measured round counts so that the
-*shape* claims of the paper can be checked quantitatively.
+The experiment report (:mod:`repro.experiments.report`), the engine
+benchmark and the examples render their results as :class:`MeasurementTable`
+text tables; :func:`fit_power_of_log` and :func:`growth_exponent` fit
+simple growth models (``log n``, ``log n / log log n``, ``log^β n``) to
+measured round counts so that the *shape* claims of the paper can be
+checked quantitatively.
 """
 
 from repro.analysis.measurement import (

@@ -133,7 +133,7 @@ def color_forest_three(
         non-``None`` parent must be a neighbour of the node.
     identifiers:
         Optional identifier assignment (defaults to the canonical one).
-        Engine choice is ambient (:class:`~repro.local.EnginePolicy`).
+        The engine is the current :class:`~repro.local.CellContext`'s mode.
 
     Returns
     -------

@@ -141,9 +141,9 @@ def linial_coloring(
     """Properly colour ``graph`` with ``O(Δ²)`` colours in ``O(log* n)`` rounds.
 
     Returns ``(colours, palette_size, rounds)`` where colours are 1-based.
-    Engine choice is ambient (:class:`~repro.local.EnginePolicy`):
-    ``auto`` uses the array engine when numpy is available; results
-    are identical either way.
+    The engine is the current :class:`~repro.local.CellContext`'s mode:
+    ``auto`` (also outside any context) uses the array engine when numpy
+    is available; results are identical either way.
     """
     network = Network(graph, identifiers=identifiers)
     if network.num_nodes == 0:

@@ -48,8 +48,7 @@ from repro.core.sequential import (
     default_node_list_solver,
 )
 from repro.decomposition import arboricity_decomposition, rake_and_compress
-from repro.local import RoundLedger
-from repro.obs import span
+from repro.local import RoundLedger, span
 from repro.problems import verify_solution
 from repro.problems.lists import build_edge_list_instance, build_node_list_instance
 from repro.problems.verification import VerificationResult

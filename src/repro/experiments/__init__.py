@@ -11,8 +11,8 @@ workhorse:
 * :mod:`repro.experiments.runner` — :class:`SweepRunner` runs pending
   cells in process or on a :class:`~repro.experiments.runner.WorkerPool`
   of warm worker processes, one cell per task; each cell generates the
-  instance, runs the engine under a message meter, verifies the output and
-  returns a :class:`CellResult`;
+  instance, runs the engine under one per-cell context, verifies the
+  output and returns a :class:`CellResult`;
 * :mod:`repro.experiments.store` — the append-only, fingerprint-keyed
   JSONL :class:`ResultStore` that makes sweeps resumable;
 * :mod:`repro.experiments.report` — rebuilds the paper's scaling tables

@@ -2,7 +2,7 @@
 
 :func:`run_cell` is the cell entry point: it resolves the cell's
 generator and algorithm from the registries, builds the instance, runs the
-computation under a :class:`~repro.local.MessageMeter` and returns a
+computation under one :class:`~repro.local.CellContext` and returns a
 :class:`~repro.experiments.store.CellResult`.  It deliberately takes only
 plain data (the suite name and a :class:`~repro.experiments.spec.Cell`) so
 the payload shipped to worker processes stays tiny.
@@ -34,10 +34,10 @@ from typing import Callable, Iterator, Sequence
 
 from repro.experiments.shard import ShardSpec, shard_cells
 
-from repro.local import EnginePolicy, MessageMeter, numpy_available
+from repro.local import CellContext, check_engine_mode, numpy_available, span
 from repro.experiments.spec import ALGORITHMS, GENERATORS, Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
-from repro.obs import MetricsRegistry, PhaseTimer, span
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "run_cell",
@@ -63,9 +63,10 @@ def _effective_engine_mode(family_engine: str, override: str | None) -> str:
     beats the family's declared preference; otherwise the family decides.
     A family-declared "vectorized" degrades to "auto" when numpy is
     missing — the capability flag is a preference, only an explicit
-    override is a hard requirement.
+    override is a hard requirement.  An unknown ``override`` raises
+    ``ValueError``.
     """
-    if override in ("interpreted", "vectorized"):
+    if override is not None and check_engine_mode(override) != "auto":
         return override
     if family_engine == "vectorized" and not numpy_available():
         return "auto"
@@ -77,34 +78,35 @@ def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResu
 
     Top-level and argument-picklable by design: pool workers receive
     these arguments and call it there.  ``engine`` is the sweep-level
-    ``--engine`` override, resolved here into one ambient
-    :class:`~repro.local.EnginePolicy` per cell; the engine that
-    actually served the cell's simulator runs is recorded in
-    ``CellResult.engine`` (e.g. ``"vectorized[numpy]"``) and the
-    per-kernel round account in ``CellResult.engine_rounds``.
+    ``--engine`` override (``ValueError`` when it is not one of
+    :data:`~repro.local.ENGINE_MODES`), resolved here into the mode of
+    the cell's one :class:`~repro.local.CellContext`.
 
-    The cell runs under an ambient :class:`~repro.obs.PhaseTimer`: the
+    The context collects every simulator run of the cell: the message
+    count lands in ``CellResult.messages``, the engine that served the
+    runs in ``CellResult.engine`` (e.g. ``"vectorized[numpy]"``), the
+    per-kernel round account in ``CellResult.engine_rounds``, and the
+    seconds per phase in ``CellResult.timings`` (nonsemantic).  The
     instance build is the ``generate`` phase, the algorithm callable is
-    ``run``, and deeper layers add their own sub-spans (``verify`` from
-    the suite run functions, ``simulate`` from the engines — both nested
-    inside ``run``'s wall clock).  The breakdown lands on
-    ``CellResult.timings`` as nonsemantic telemetry.
+    ``run``, and deeper layers add their own spans (``verify`` from the
+    suite run functions, ``simulate`` from the engines — both nested
+    inside ``run``'s wall clock).
     """
     generator = GENERATORS[cell.generator]
     algorithm = ALGORITHMS[cell.algorithm]
     mode = _effective_engine_mode(algorithm.engine, engine)
 
     start = time.perf_counter()
-    with PhaseTimer() as timer:
+    with CellContext(mode) as context:
         graph = None
         if generator.build is not None:
             with span("generate"):
                 graph = generator.build(cell.n, cell.seed)
-        with MessageMeter() as meter, EnginePolicy(mode) as policy, span("run"):
+        with span("run"):
             fields = algorithm.run(graph, generator, cell.n)
     wall_clock = time.perf_counter() - start
 
-    messages = meter.messages if meter.runs else None
+    messages = context.messages if context.runs else None
     return CellResult(
         fingerprint=cell.fingerprint,
         suite=suite_name,
@@ -120,9 +122,9 @@ def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResu
         verified=bool(fields["verified"]),
         k=fields.get("k"),
         extras=dict(fields.get("extras", {})),
-        engine=policy.engine_used,
-        engine_rounds=dict(policy.dispatches) or None,
-        timings=timer.timings() or None,
+        engine=context.engine,
+        engine_rounds=context.engine_rounds or None,
+        timings=context.timings or None,
     )
 
 
@@ -448,6 +450,8 @@ class SweepRunner:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
+        if engine is not None:
+            check_engine_mode(engine)
         self.suite = suite
         self.store = store
         self.jobs = jobs

@@ -55,6 +55,7 @@ from repro.generators import (
     spider,
     star_graph,
 )
+from repro.local import span
 from repro.problems import verify_solution
 from repro.problems.classic import (
     is_deg_plus_one_coloring,
@@ -82,7 +83,6 @@ from repro.semigraph import (
 )
 from repro.semigraph.builders import edge_id_for
 from repro.experiments.store import cell_fingerprint
-from repro.obs import span
 
 __all__ = [
     "GeneratorFamily",

@@ -93,8 +93,8 @@ class CellResult:
     #: merge conflicts; ``None`` for analytic cells and older records.
     engine_rounds: dict[str, int] | None = None
     #: Per-phase wall-clock breakdown (``{"generate": s, "run": s,
-    #: "verify": s, "simulate": s}``) recorded by the ambient
-    #: :class:`repro.obs.PhaseTimer` around the cell.  Pure telemetry:
+    #: "verify": s, "simulate": s}``) recorded by the cell's
+    #: :class:`repro.local.CellContext`.  Pure telemetry:
     #: nondeterministic timing like ``wall_clock_s``, hence nonsemantic
     #: for merge conflicts; ``None`` for analytic cells and every
     #: pre-observability record.

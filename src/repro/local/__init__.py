@@ -18,9 +18,12 @@ This package provides:
 * :func:`run_vectorized` — the array engine executing whole-network
   rounds as NumPy kernels for four baselines, bit-identical to the
   interpreted engine (:mod:`repro.local.vectorized`),
-* :class:`EnginePolicy` / :func:`select_engine` — ambient engine policy
-  (``auto`` / ``interpreted`` / ``vectorized``) and per-algorithm
-  kernel dispatch,
+* :func:`select_engine` — per-algorithm kernel dispatch under the
+  engine mode (``auto`` / ``interpreted`` / ``vectorized``),
+* :class:`CellContext` / :func:`span` — the per-cell context: the engine
+  mode goes in; messages, the engine round account and seconds per
+  phase of every simulator run inside come out
+  (:mod:`repro.local.context`),
 * :func:`run_synchronous_reference` — the seed engine, kept as the
   equivalence oracle and benchmark baseline, and
 * :class:`RoundLedger` — explicit round accounting for the orchestrated
@@ -31,14 +34,8 @@ This package provides:
 from repro.local.csr import CSRAdjacency
 from repro.local.network import Network
 from repro.local.algorithm import NodeContext, SynchronousAlgorithm
-from repro.local.engine import (
-    ENGINE_MODES,
-    EnginePolicy,
-    current_engine_mode,
-    current_policy,
-)
+from repro.local.context import ENGINE_MODES, CellContext, check_engine_mode, span
 from repro.local.simulator import (
-    MessageMeter,
     RunResult,
     run_synchronous,
     run_synchronous_reference,
@@ -57,18 +54,17 @@ __all__ = [
     "Network",
     "NodeContext",
     "SynchronousAlgorithm",
-    "MessageMeter",
     "RunResult",
     "ENGINE_MODES",
-    "EnginePolicy",
+    "CellContext",
     "EngineUnavailable",
-    "current_engine_mode",
-    "current_policy",
+    "check_engine_mode",
     "numpy_available",
     "run_synchronous",
     "run_synchronous_reference",
     "run_vectorized",
     "select_engine",
+    "span",
     "supports_vectorized",
     "RoundLedger",
 ]

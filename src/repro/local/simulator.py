@@ -41,49 +41,8 @@ from types import MappingProxyType
 from typing import Any, Hashable
 
 from repro.local.algorithm import NodeContext, SynchronousAlgorithm
-from repro.local.engine import note_engine_use
+from repro.local.context import record_run
 from repro.local.network import Network
-from repro.obs import record_phase
-
-
-# Meters currently in scope; every engine run reports its message count to
-# all of them.  Per-process state: forked sweep workers each meter their
-# own cells.
-_ACTIVE_METERS: list["MessageMeter"] = []
-
-
-class MessageMeter:
-    """Accumulates message and run counts of every engine run in scope.
-
-    The transformation pipelines invoke the simulator many times (Linial
-    iterations, colour-class sweeps, line-graph runs); a meter observes
-    them all without threading a counter through every call signature::
-
-        with MessageMeter() as meter:
-            solve_on_tree(tree, MISAlgorithm())
-        print(meter.messages, meter.runs)
-
-    Meters nest: each one in scope sees every run.
-    """
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.runs = 0
-
-    def __enter__(self) -> "MessageMeter":
-        _ACTIVE_METERS.append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        _ACTIVE_METERS.remove(self)
-        return False
-
-
-def _report_to_meters(result: "RunResult") -> "RunResult":
-    for meter in _ACTIVE_METERS:
-        meter.messages += result.messages_sent
-        meter.runs += 1
-    return result
 
 
 @dataclass
@@ -204,14 +163,15 @@ def run_synchronous(
         active = still_active
 
     outputs = {node: algorithm.output(states[node], ctx) for node, ctx in contexts.items()}
-    note_engine_use("interpreted", kernel=algorithm.name, rounds=rounds)
-    record_phase("simulate", time.perf_counter() - simulate_start)
-    return _report_to_meters(RunResult(
-        algorithm=algorithm.name,
-        rounds=rounds,
-        outputs=outputs,
-        messages_sent=messages_sent,
-    ))
+    return record_run(
+        RunResult(
+            algorithm=algorithm.name,
+            rounds=rounds,
+            outputs=outputs,
+            messages_sent=messages_sent,
+        ),
+        "interpreted", algorithm.name, simulate_start,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +217,8 @@ def run_synchronous_reference(
     This is the pre-CSR implementation preserved for the equivalence
     tests (``tests/test_engine_equivalence.py``) and as the baseline of
     ``benchmarks/bench_engine.py``; production callers should use
-    :func:`run_synchronous`.
+    :func:`run_synchronous`.  Its runs count messages in the cell
+    context, but no engine and no ``simulate`` time.
     """
     contexts = _reference_build_contexts(network)
     states: dict[Hashable, Any] = {
@@ -291,7 +252,7 @@ def run_synchronous_reference(
             states[node] = algorithm.transition(states[node], inboxes[node], ctx)
 
     outputs = {node: algorithm.output(states[node], ctx) for node, ctx in contexts.items()}
-    return _report_to_meters(RunResult(
+    return record_run(RunResult(
         algorithm=algorithm.name,
         rounds=rounds,
         outputs=outputs,

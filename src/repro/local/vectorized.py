@@ -14,7 +14,7 @@ reductions.
 
 The contract is **bit-identity**: :func:`run_vectorized` must return a
 :class:`~repro.local.simulator.RunResult` whose ``rounds``,
-``messages_sent``, ``outputs`` and metered account are exactly what
+``messages_sent``, ``outputs`` and cell-context account are exactly what
 :func:`run_synchronous` produces for the same network and algorithm —
 including raising the same exceptions with the same messages.  The
 equivalence suite (``tests/test_engine_equivalence.py`` and the
@@ -25,8 +25,8 @@ Four baselines have a kernel: Linial colouring, Cole–Vishkin forest
 kernel table maps each algorithm class to ``(name, kernel)`` and lookup
 walks the algorithm's MRO, so subclasses inherit their base class's
 kernel.  :func:`supports_vectorized` reports capability and
-:func:`select_engine` resolves the ambient/explicit engine mode
-(:mod:`repro.local.engine`) to a runner, falling back to the
+:func:`select_engine` resolves the explicit or per-cell engine mode
+(:mod:`repro.local.context`) to a runner, falling back to the
 interpreted engine for everything without a kernel.
 
 NumPy is imported once, here; without it ``np`` is ``None``,
@@ -41,15 +41,9 @@ import functools
 import time
 from typing import Callable
 
-from repro.local.engine import note_engine_use, resolve_engine_mode
+from repro.local.context import record_run, resolve_engine_mode
 from repro.local.network import Network
-from repro.obs import record_phase
-from repro.local.simulator import (
-    RunResult,
-    SynchronousAlgorithm,
-    _report_to_meters,
-    run_synchronous,
-)
+from repro.local.simulator import RunResult, SynchronousAlgorithm, run_synchronous
 
 try:
     import numpy as np
@@ -432,16 +426,15 @@ def run_vectorized(
     name, kernel = entry
     simulate_start = time.perf_counter()
     rounds, messages_sent, outputs = kernel(network, algorithm, max_rounds)
-    note_engine_use("vectorized", kernel=name, rounds=rounds)
-    record_phase("simulate", time.perf_counter() - simulate_start)
-    result = RunResult(
-        algorithm=algorithm.name,
-        rounds=rounds,
-        outputs=outputs,
-        messages_sent=messages_sent,
+    return record_run(
+        RunResult(
+            algorithm=algorithm.name,
+            rounds=rounds,
+            outputs=outputs,
+            messages_sent=messages_sent,
+        ),
+        "vectorized", name, simulate_start,
     )
-    _report_to_meters(result)
-    return result
 
 
 def select_engine(
@@ -449,9 +442,10 @@ def select_engine(
 ) -> Callable[..., RunResult]:
     """Resolve the engine mode for ``algorithm`` to a runner callable.
 
-    ``engine`` overrides the ambient :class:`~repro.local.engine.EnginePolicy`
-    mode; ``"auto"`` (the default) picks :func:`run_vectorized` exactly
-    when the algorithm has a kernel and numpy is available.
+    ``engine`` overrides the mode of the current
+    :class:`~repro.local.context.CellContext`; ``"auto"`` (the default)
+    picks :func:`run_vectorized` exactly when the algorithm has a kernel
+    and numpy is available.
     """
     mode = resolve_engine_mode(engine)
     if mode == "interpreted":

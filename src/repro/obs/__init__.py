@@ -1,8 +1,10 @@
-"""Dependency-free observability: metrics, spans, SLOs, dashboards.
+"""Dependency-free observability: metrics, scrape history, SLOs, dashboards.
 
 The public surface is the registry/primitive layer (:mod:`.metrics`),
-the ambient phase-timing layer (:mod:`.spans`) and the SLO definitions
-(:mod:`.slo`).  The HTML dashboard renderer lives in
+the scrape history (:mod:`.timeseries`) and the SLO definitions
+(:mod:`.slo`).  Per-cell phase timing is not here: it lives with the
+engines, in :mod:`repro.local.context`, so the paper's layers never
+import this package.  The HTML dashboard renderer lives in
 :mod:`repro.obs.dashboard` and is imported explicitly by the CLI — it
 is presentation, not instrumentation, and nothing in the service path
 should pull it in.
@@ -28,7 +30,6 @@ from repro.obs.slo import (
     evaluate_slos,
     evaluate_slos_windowed,
 )
-from repro.obs.spans import PhaseTimer, record_phase, span
 from repro.obs.timeseries import (
     ScrapeHistory,
     ScrapePoint,
@@ -48,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
     "SLO",
     "SLOBurnResult",
     "SLOResult",
@@ -67,7 +67,5 @@ __all__ = [
     "parse_exposition",
     "parse_exposition_types",
     "points_from_payload",
-    "record_phase",
-    "span",
     "windowed_quantile",
 ]

@@ -67,7 +67,7 @@ from repro.experiments.runner import SweepRunner, WorkerPool
 from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import get_suite
 from repro.experiments.store import DEFAULT_OUT, ResultStore
-from repro.local import ENGINE_MODES
+from repro.local import check_engine_mode
 from repro.obs import MetricsRegistry, ScrapeHistory
 from repro.obs.timeseries import (
     DEFAULT_HISTORY_CAPACITY,
@@ -550,11 +550,11 @@ class SweepDaemon:
             except ValueError as error:
                 return error_response(str(error))
         engine = request.get("engine")
-        if engine is not None and engine not in ENGINE_MODES:
-            return error_response(
-                f"unknown engine {engine!r} "
-                f"(expected one of: {', '.join(ENGINE_MODES)})"
-            )
+        if engine is not None:
+            try:
+                check_engine_mode(engine)
+            except ValueError as error:
+                return error_response(str(error))
         # Validate before taking the lock: a malformed value must answer
         # a named validation error, never raise inside the handler.
         try:

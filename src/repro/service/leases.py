@@ -70,6 +70,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import Suite
 from repro.experiments.store import CellResult, ResultStore
+from repro.local import check_engine_mode
 from repro.service.client import CollectorSink, ServiceClient
 
 __all__ = [
@@ -438,6 +439,8 @@ class FleetWorker:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         if lease_batch < 1:
             raise ValueError(f"lease batch must be at least 1, got {lease_batch}")
+        if engine is not None:
+            check_engine_mode(engine)
         self.suite = suite
         self.store = store
         self.fleet = fleet

@@ -121,6 +121,21 @@ class TestParameterValidation:
         with pytest.raises(RuntimeError):
             arboricity_decomposition(nx.complete_graph(8), 1, k=5)
 
+    def test_lemmas_13_and_14_hold_for_larger_k(self):
+        for graph, a in INSTANCES.values():
+            for k in (10 * a, 20 * a):
+                decomposition = arboricity_decomposition(graph, a, k)
+                assert decomposition.iterations <= decomposition.theoretical_layer_bound()
+                assert decomposition.typical_max_degree() <= k
+                assert decomposition.max_atypical_per_lower_endpoint() <= decomposition.b
+                assert decomposition.star_components_are_stars()
+
+    def test_atypical_budget_holds_for_every_b(self):
+        graph = planar_triangulation_like(400, seed=5)
+        for b in (4, 6, 9, 12):
+            decomposition = arboricity_decomposition(graph, 3, 15, b=b)
+            assert decomposition.max_atypical_per_lower_endpoint() <= b
+
     def test_larger_k_reduces_iterations(self):
         graph = planar_triangulation_like(200, seed=7)
         small = arboricity_decomposition(graph, 3, k=15)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
+    deg_plus_one_coloring,
     edge_degree_plus_one_coloring,
     maximal_independent_set,
     maximal_matching,
@@ -90,6 +91,18 @@ class TestTrulyLocalScaling:
         low = maximal_independent_set(random_graph_with_max_degree(80, 3, seed=1)).rounds
         high = maximal_independent_set(random_graph_with_max_degree(80, 10, seed=1)).rounds
         assert high > low
+
+    @pytest.mark.parametrize("baseline", [
+        deg_plus_one_coloring,
+        edge_degree_plus_one_coloring,
+        maximal_matching,
+    ], ids=lambda baseline: baseline.__name__)
+    def test_other_baselines_grow_with_degree(self, baseline):
+        low, high = (
+            baseline(random_graph_with_max_degree(300, degree, seed=13)).rounds
+            for degree in (3, 12)
+        )
+        assert 0 < low < high
 
     def test_empty_graphs(self):
         assert maximal_independent_set(nx.Graph()).independent_set == set()

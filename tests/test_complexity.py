@@ -11,12 +11,15 @@ from repro.core.complexity import (
     linear,
     log_star,
     mm_mis_tree_bound,
+    mm_mis_tree_bound_from_log2,
     polylog,
     polynomial,
     predicted_rounds_arboricity,
     predicted_rounds_tree,
+    predicted_rounds_tree_from_log2,
     quadratic,
     solve_g,
+    solve_g_from_log2,
     sqrt_delta_log,
 )
 
@@ -136,6 +139,28 @@ class TestChooseKAndPredictions:
         predicted = predicted_rounds_tree(f, n)
         reference = mm_mis_tree_bound(n)
         assert 0.3 * reference <= predicted <= 3.5 * reference
+        for log2_n in (1e4, 1e8, 1e16):
+            predicted = predicted_rounds_tree_from_log2(f, log2_n)
+            assert 0.5 <= predicted / mm_mis_tree_bound_from_log2(log2_n) <= 3.0
+
+    def test_log12_prediction_grows_with_exponent_twelve_thirteenths(self):
+        f = polylog(12)
+        low, high = 1e8, 1e34
+        growth = predicted_rounds_tree_from_log2(f, high) / predicted_rounds_tree_from_log2(f, low)
+        assert abs(math.log(growth) / math.log(high / low) - 12 / 13) < 0.02
+        assert solve_g_from_log2(f, 1e24) > 1.0
+        assert solve_g_from_log2(polylog(2), 1e24) > 1.0
+
+    def test_intro_examples(self):
+        """Section 1.1: (Δ+1)-colouring in O(log⁵ Δ) would give O(log^{5/6} n)
+        on trees; (2Δ-1)-edge colouring in O(log Δ) would give O(√log n)."""
+        log2_n = 1e12
+        five = predicted_rounds_tree_from_log2(polylog(5), log2_n)
+        assert abs(math.log(five) / math.log(log2_n) - 5 / 6) < 0.03
+        # With f = log Δ the cut-off degree is 2^sqrt(log2 n): keep it a float.
+        log2_n = 1e5
+        one = predicted_rounds_tree_from_log2(polylog(1), log2_n)
+        assert abs(math.log(one) / math.log(log2_n) - 1 / 2) < 0.03
 
     def test_arboricity_prediction_requires_large_enough_rho(self):
         f = polylog(12)

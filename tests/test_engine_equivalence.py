@@ -12,7 +12,7 @@ peeling loops kept inside this module.
 
 The vectorized array engine (:func:`run_vectorized`) is pinned
 three-ways on every kernel-capable scenario — vectorized vs. fast vs.
-seed engine, including :class:`MessageMeter` accounting.
+seed engine, including the :class:`CellContext` message account.
 
 The vectorized sections skip (not fail) without numpy: the no-numpy CI
 step runs this module to pin that the interpreted engine and the
@@ -35,9 +35,8 @@ from repro.generators import (
     random_tree,
 )
 from repro.local import (
-    EnginePolicy,
+    CellContext,
     EngineUnavailable,
-    MessageMeter,
     Network,
     NodeContext,
     SynchronousAlgorithm,
@@ -145,16 +144,20 @@ def _vectorized_networks():
     ids=lambda value: value if isinstance(value, str) else "",
 )
 def test_vectorized_engine_matches_both(label, network, algorithm, max_rounds):
-    with MessageMeter() as vectorized_meter:
+    with CellContext() as vectorized_context:
         vectorized = run_vectorized(network, algorithm, max_rounds=max_rounds)
-    with MessageMeter() as fast_meter:
+    with CellContext() as fast_context:
         fast = run_synchronous(network, algorithm, max_rounds=max_rounds)
-    reference = run_synchronous_reference(network, algorithm, max_rounds=max_rounds)
+    with CellContext() as reference_context:
+        reference = run_synchronous_reference(network, algorithm, max_rounds=max_rounds)
     assert vectorized.rounds == fast.rounds == reference.rounds
     assert vectorized.messages_sent == fast.messages_sent == reference.messages_sent
     assert vectorized.outputs == fast.outputs == reference.outputs
-    assert vectorized_meter.messages == fast_meter.messages
-    assert vectorized_meter.runs == fast_meter.runs
+    assert (
+        vectorized_context.messages == fast_context.messages
+        == reference_context.messages == fast.messages_sent
+    )
+    assert vectorized_context.runs == fast_context.runs == reference_context.runs == 1
 
 
 class _KernelLess(SynchronousAlgorithm):
@@ -223,25 +226,29 @@ def test_select_engine_routes_by_mode_and_capability():
 @requires_numpy
 def test_engine_policy_records_backend_provenance():
     tree = random_tree(30, seed=1)
-    with EnginePolicy("auto") as policy:
+    with CellContext("auto") as context:
         run_vectorized(Network(tree), LinialColoring())
-    assert policy.engine_used == "vectorized[numpy]"
-    with EnginePolicy("interpreted") as policy:
+    assert context.engine == "vectorized[numpy]"
+    with CellContext("interpreted") as context:
         run_synchronous(Network(tree), LinialColoring())
-    assert policy.engine_used == "interpreted"
-    with EnginePolicy("auto") as policy:
+    assert context.engine == "interpreted"
+    with CellContext("auto") as context:
         run_vectorized(Network(tree), LinialColoring())
         run_synchronous(Network(tree), LinialColoring())
-    assert policy.engine_used == "mixed"
+    assert context.engine == "mixed"
+    with CellContext("auto") as context:
+        run_synchronous_reference(Network(tree), LinialColoring())
+    assert context.runs == 1
+    assert context.engine is None
 
 
 @requires_numpy
 def test_engine_policy_accounts_dispatch_rounds():
     tree = random_tree(30, seed=1)
-    with EnginePolicy("auto") as policy:
+    with CellContext("auto") as context:
         vectorized = run_vectorized(Network(tree), LinialColoring())
         interpreted = run_synchronous(Network(tree), LinialColoring())
-    assert policy.dispatches == {
+    assert context.engine_rounds == {
         "vectorized/linial/numpy": vectorized.rounds,
         "interpreted/linial-coloring/-": interpreted.rounds,
     }
@@ -254,14 +261,14 @@ def test_baseline_entry_points_respect_ambient_policy():
 
     tree = random_tree(40, seed=7)
     parents = bfs_forest_parents(tree)
-    with EnginePolicy("interpreted"):
+    with CellContext("interpreted"):
         expected_colours = linial_coloring(tree)
         expected_forest = color_forest_three(tree, parents)
     for mode in ("auto", "interpreted", "vectorized"):
-        with EnginePolicy(mode):
+        with CellContext(mode):
             assert linial_coloring(tree) == expected_colours
             assert color_forest_three(tree, parents) == expected_forest
-    # No policy at all behaves like "auto".
+    # No context at all behaves like "auto".
     assert linial_coloring(tree) == expected_colours
     assert color_forest_three(tree, parents) == expected_forest
 

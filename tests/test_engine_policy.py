@@ -1,4 +1,4 @@
-"""Engine policy and provenance: what happens when numpy is gone.
+"""Engine policy, provenance and the per-cell context.
 
 The vectorized engine is a preference, not a dependency — a
 numpy-free interpreter must degrade every family-pinned or auto cell
@@ -9,27 +9,53 @@ to the interpreted engine with identical semantic results, and only an
 carries the patch into pool and daemon worker processes, so the whole
 service stack can be exercised against a simulated numpy-free
 interpreter.
+
+One :class:`CellContext` carries a cell's engine mode in and its
+message, engine and phase accounts out.  Only the innermost context
+observes, two cells in two threads keep two records, and an unknown
+engine name is refused before any cell runs.
 """
 
+import os
+import re
 import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.baselines.linial import LinialColoring, linial_coloring
 from repro.baselines.mis import maximal_independent_set
 from repro.decomposition import rake_and_compress
-from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner
+from repro.experiments import (
+    AlgorithmFamily,
+    ResultStore,
+    ScenarioSpec,
+    Suite,
+    SweepRunner,
+    get_suite,
+    register_algorithm,
+)
 from repro.experiments.runner import run_cell
+from repro.experiments.spec import ALGORITHMS
 from repro.generators import random_tree
 from repro.local import (
+    ENGINE_MODES,
+    CellContext,
     EngineUnavailable,
     Network,
     numpy_available,
     run_synchronous,
     run_vectorized,
     select_engine,
+    span,
 )
 from repro.local import vectorized
+from repro.local.context import record_run, resolve_engine_mode
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -222,3 +248,179 @@ class TestPeelsStayOutOfProvenance:
     )
     def test_numpy_free_cell_is_interpreted(self, no_numpy, cell):
         assert _run_transform_cell(cell).engine == "interpreted"
+
+
+class TestCellContext:
+    def test_spans_accumulate_on_the_context(self):
+        with CellContext() as context:
+            with span("verify"):
+                pass
+            with span("verify"):
+                pass
+            run = run_synchronous(Network(random_tree(20, seed=1)), LinialColoring())
+        assert set(context.timings) == {"verify", "simulate"}
+        assert (context.runs, context.messages) == (1, run.messages_sent)
+
+    def test_no_context_is_a_noop(self):
+        run = run_synchronous(Network(random_tree(8, seed=1)), LinialColoring())
+        assert record_run(run, "interpreted", "linial", time.perf_counter()) is run
+        with span("orphan"):
+            pass
+        assert resolve_engine_mode() == "auto"
+
+    def test_nested_contexts_innermost_wins(self):
+        tree = random_tree(20, seed=1)
+        with CellContext("interpreted") as outer:
+            with CellContext("vectorized") as inner:
+                assert resolve_engine_mode() == "vectorized"
+                with span("p"):
+                    run = run_synchronous(Network(tree), LinialColoring())
+            assert resolve_engine_mode() == "interpreted"
+        assert resolve_engine_mode() == "auto"
+        assert (inner.runs, inner.messages) == (1, run.messages_sent)
+        assert inner.engine_rounds == {"interpreted/linial-coloring/-": run.rounds}
+        assert set(inner.timings) == {"p", "simulate"}
+        assert (outer.runs, outer.messages, outer.engine_rounds, outer.timings) == (
+            0, 0, {}, {},
+        )
+
+    def test_thread_isolation(self):
+        seen = {}
+
+        def worker():
+            with CellContext() as context:
+                with span("theirs"):
+                    pass
+                seen.update(context.timings)
+
+        with CellContext() as context:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert set(seen) == {"theirs"}
+        assert context.timings == {}
+
+
+#: The barrier of the family below; ``None`` runs its cell alone.
+_MEETING: dict = {"barrier": None}
+
+
+def _mis_between_barriers(graph, generator, n):
+    """A MIS cell that meets its partner thread before and after the run,
+    so both cells' contexts are open while both engines run."""
+    barrier = _MEETING["barrier"]
+    if barrier is not None:
+        barrier.wait()
+    run = maximal_independent_set(graph)
+    if barrier is not None:
+        barrier.wait()
+    return {"rounds": run.rounds, "verified": True}
+
+
+if "_test-mis-between-barriers" not in ALGORITHMS:
+    register_algorithm(AlgorithmFamily(
+        name="_test-mis-between-barriers", description="test family",
+        kind="baseline", run=_mis_between_barriers,
+    ))
+
+THREAD_SUITE = Suite(
+    name="threads-tiny",
+    description="test suite: one cell run in two threads at once",
+    scenarios=(
+        ScenarioSpec(
+            name="mis/tree", generator="random-tree",
+            algorithm="_test-mis-between-barriers", sizes=(60,), seeds=(1,),
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "engines",
+    [
+        ("interpreted", "interpreted"),
+        pytest.param(("interpreted", "vectorized"), marks=requires_numpy),
+    ],
+    ids="+".join,
+)
+def test_two_threads_keep_two_records(monkeypatch, engines):
+    cell = THREAD_SUITE.cells()[0]
+    alone = {
+        engine: run_cell(THREAD_SUITE.name, cell, engine=engine)
+        for engine in set(engines)
+    }
+    monkeypatch.setitem(_MEETING, "barrier", threading.Barrier(2, timeout=10))
+    results, errors = {}, []
+
+    def run(slot, engine):
+        try:
+            results[slot] = run_cell(THREAD_SUITE.name, cell, engine=engine)
+        except Exception as error:  # noqa: BLE001 - asserted below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=run, args=(slot, engine))
+        for slot, engine in enumerate(engines)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for slot, engine in enumerate(engines):
+        result, expected = results[slot], alone[engine]
+        assert result.messages == expected.messages
+        assert result.engine == expected.engine
+        assert result.engine_rounds == expected.engine_rounds
+        assert set(result.timings) == set(expected.timings)
+
+
+class TestUnknownEngineNames:
+    """A misspelt engine name is refused naming the valid modes, never
+    silently run under the family's or the ``auto`` engine."""
+
+    MESSAGE = re.escape(str(ENGINE_MODES))
+
+    def test_cell_context_rejects(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            CellContext("vectorised")
+
+    def test_run_cell_rejects(self):
+        cell = DEGRADE_SUITE.cells()[0]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            run_cell(DEGRADE_SUITE.name, cell, engine="vectorised")
+
+    def test_sweep_runner_rejects_before_any_cell_runs(self, tmp_path):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            SweepRunner(get_suite("paper-claims"), store, smoke=True, engine="interpretd")
+        assert store.results() == []
+
+    def test_fleet_worker_rejects_before_any_cell_runs(self, tmp_path):
+        from repro.service import FleetWorker
+
+        store = ResultStore(tmp_path)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            FleetWorker(
+                get_suite("paper-claims"), store, fleet="127.0.0.1:9",
+                smoke=True, engine="vectorised",
+            )
+        assert store.results() == []
+
+
+def test_paper_layers_do_not_import_obs():
+    """The paper's layers report through :mod:`repro.local.context`;
+    observability stays an infrastructure concern."""
+    code = (
+        "import sys, repro.core, repro.baselines, repro.decomposition; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'repro.obs' or m.startswith('repro.obs.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"

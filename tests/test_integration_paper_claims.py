@@ -111,6 +111,13 @@ class TestMatchingClaims:
             result = solve_on_bounded_arboricity(graph, arboricity, MaximalMatchingAlgorithm())
             assert is_maximal_matching(graph, [tuple(e) for e in result.classic])
 
+    def test_matching_is_at_least_half_of_maximum(self):
+        tree = random_tree(500, seed=61)
+        result = solve_on_bounded_arboricity(tree, 1, MaximalMatchingAlgorithm())
+        maximum = nx.max_weight_matching(tree, maxcardinality=True)
+        assert len(result.classic) >= len(maximum) / 2
+        assert result.rounds > 0
+
     def test_matching_round_shape_tracks_mm_bound(self):
         """With the linear-f cost model the charged rounds scale like the
         Θ(log n / log log n) bound the paper re-derives for matching."""

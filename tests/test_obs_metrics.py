@@ -1,6 +1,6 @@
 """Unit suite for the observability layer: registry primitives, the
 Prometheus text exposition (pinned against a golden file), the matching
-parser, quantile estimation, ambient spans and the SLO definitions."""
+parser, quantile estimation and the SLO definitions."""
 
 import math
 import threading
@@ -10,12 +10,9 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    PhaseTimer,
     evaluate_slos,
     histogram_quantile,
     parse_exposition,
-    record_phase,
-    span,
 )
 from repro.obs.metrics import Sample, samples_named, sum_samples
 from repro.obs.slo import DEFAULT_SLOS
@@ -184,46 +181,6 @@ class TestQuantile:
     def test_out_of_range_quantile_rejected(self):
         with pytest.raises(ValueError):
             histogram_quantile(1.5, [(1.0, 1)])
-
-
-class TestSpans:
-    def test_spans_accumulate_on_the_ambient_timer(self):
-        with PhaseTimer() as timer:
-            with span("verify"):
-                pass
-            with span("verify"):
-                pass
-            record_phase("simulate", 0.25)
-        timings = timer.timings()
-        assert set(timings) == {"verify", "simulate"}
-        assert timings["simulate"] == pytest.approx(0.25)
-
-    def test_no_ambient_timer_is_a_noop(self):
-        record_phase("orphan", 1.0)  # must not raise
-        with span("orphan"):
-            pass
-
-    def test_nested_timers_innermost_wins(self):
-        with PhaseTimer() as outer:
-            with PhaseTimer() as inner:
-                record_phase("p", 1.0)
-        assert inner.timings() == {"p": 1.0}
-        assert outer.timings() == {}
-
-    def test_thread_local_isolation(self):
-        seen = {}
-
-        def worker():
-            with PhaseTimer() as timer:
-                record_phase("theirs", 1.0)
-                seen.update(timer.timings())
-
-        with PhaseTimer() as timer:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen == {"theirs": 1.0}
-        assert timer.timings() == {}
 
 
 def sample(name, value, **labels):

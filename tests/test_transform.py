@@ -11,6 +11,7 @@ from repro.baselines import (
     MISAlgorithm,
     MaximalMatchingAlgorithm,
     OracleCostModel,
+    maximal_independent_set,
 )
 from repro.core import solve_on_bounded_arboricity, solve_on_tree
 from repro.core.complexity import polylog
@@ -203,6 +204,27 @@ class TestRoundScaling:
         small_a = small.ledger.breakdown().get("truly-local algorithm A", 0)
         large_a = large.ledger.breakdown().get("truly-local algorithm A", 0)
         assert abs(large_a - small_a) <= 8
+
+    def test_star_phase_rounds_are_linear_in_arboricity(self):
+        """The ``a`` term of Theorem 15: the finishing phase costs exactly
+        ``a`` times its one-forest cost."""
+        stars = {}
+        for arboricity in (1, 2, 4):
+            graph = forest_union(300, arboricity, seed=5)
+            result = solve_on_bounded_arboricity(graph, arboricity, EdgeColoringAlgorithm())
+            assert result.verification.ok
+            stars[arboricity] = result.ledger.breakdown()["star collections (gather & solve)"]
+        assert stars[1] > 0
+        assert stars[2] == 2 * stars[1]
+        assert stars[4] == 4 * stars[1]
+
+    def test_transformed_mis_beats_direct_on_high_degree_tree(self):
+        """The direct O(Δ² + log* n) algorithm pays for Δ; the transformed
+        one pays only for g(n) — the point of Theorem 12."""
+        tree = balanced_regular_tree(16, 2)
+        transformed = solve_on_tree(tree, MISAlgorithm())
+        assert transformed.verification.ok
+        assert transformed.rounds < maximal_independent_set(tree).rounds
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,8 +5,8 @@ Seeded random trees and bounded-degree graphs, swept over sizes and
 seeds, are run three ways — vectorized array kernels, the interpreted
 active-set engine and the preserved seed engine — and every observable
 must agree exactly: per-node labelings, round counts and message counts,
-both in the :class:`RunResult` and through :class:`MessageMeter`
-accounting.  This is the bit-identical contract that lets ``auto`` mode
+both in the :class:`RunResult` and through the :class:`CellContext`
+account.  This is the bit-identical contract that lets ``auto`` mode
 pick the backend per algorithm without changing any stored result.
 """
 
@@ -25,8 +25,7 @@ from repro.generators import (
     random_tree,
 )
 from repro.local import (
-    EnginePolicy,
-    MessageMeter,
+    CellContext,
     Network,
     numpy_available,
     run_synchronous,
@@ -49,9 +48,9 @@ def _three_way(network, algorithm_factory, max_rounds=None):
     """Run all three engines; return their (result, messages) pairs."""
     outcomes = []
     for runner in (run_vectorized, run_synchronous, run_synchronous_reference):
-        with MessageMeter() as meter:
+        with CellContext() as context:
             result = runner(network, algorithm_factory(), max_rounds=max_rounds)
-        outcomes.append((result, meter.messages))
+        outcomes.append((result, context.messages))
     return outcomes
 
 
@@ -149,24 +148,25 @@ def test_colour_reduction_three_way_on_bounded_degree_graphs(n, max_degree, seed
 @pytest.mark.parametrize("n, k, seed", [(100, 3, 1), (400, 6, 2), (1500, 8, 3)])
 def test_rake_compress_peel_property(n, k, seed):
     tree = random_tree(n, seed=seed)
-    with EnginePolicy("vectorized") as vectorized_policy:
+    with CellContext("vectorized") as vectorized_context:
         vectorized = rake_and_compress(tree, k=k)
-    with EnginePolicy("interpreted") as interpreted_policy:
+    with CellContext("interpreted") as interpreted_context:
         interpreted = rake_and_compress(tree, k=k)
     assert vectorized.layers == interpreted.layers
     assert vectorized.node_layer == interpreted.node_layer
     assert vectorized.rounds == interpreted.rounds
-    # The peel is not a simulator run, so it reports to no policy.
-    assert vectorized_policy.dispatches == {}
-    assert interpreted_policy.dispatches == {}
+    # The peel is not a simulator run, so it reports nothing.
+    assert vectorized_context.engine_rounds == {}
+    assert interpreted_context.engine_rounds == {}
+    assert vectorized_context.runs == interpreted_context.runs == 0
 
 
 @pytest.mark.parametrize("n, a, seed", [(150, 2, 1), (400, 3, 2), (900, 4, 3)])
 def test_arboricity_peel_property(n, a, seed):
     graph = forest_union(n, arboricity=a, seed=seed)
-    with EnginePolicy("vectorized") as vectorized_policy:
+    with CellContext("vectorized") as vectorized_context:
         vectorized = arboricity_decomposition(graph, arboricity=a, k=5 * a)
-    with EnginePolicy("interpreted") as interpreted_policy:
+    with CellContext("interpreted") as interpreted_context:
         interpreted = arboricity_decomposition(graph, arboricity=a, k=5 * a)
     assert vectorized.layers == interpreted.layers
     assert vectorized.degree_snapshots == interpreted.degree_snapshots
@@ -176,13 +176,12 @@ def test_arboricity_peel_property(n, a, seed):
     # Only the forest colourings report, one run each on the engine the
     # mode picks; the peel itself reports nothing.
     coloured = sum(1 for colouring in vectorized.forest_colorings if colouring)
-    assert (vectorized_policy.vectorized_runs, vectorized_policy.interpreted_runs) == (
-        coloured,
-        0,
+    assert vectorized_context.runs == interpreted_context.runs == coloured
+    assert all(
+        key.startswith("vectorized/") for key in vectorized_context.engine_rounds
     )
-    assert (
-        interpreted_policy.vectorized_runs,
-        interpreted_policy.interpreted_runs,
-    ) == (0, coloured)
-    for policy in (vectorized_policy, interpreted_policy):
-        assert not any("-peel/" in key for key in policy.dispatches)
+    assert all(
+        key.startswith("interpreted/") for key in interpreted_context.engine_rounds
+    )
+    for context in (vectorized_context, interpreted_context):
+        assert not any("-peel/" in key for key in context.engine_rounds)
