@@ -3,9 +3,10 @@
 Both paths run one cell per task on a `WorkerPool`; they differ only in
 how long the workers live.  `SweepRunner(jobs=2).run()` (the CLI's
 `run --jobs 2`) creates a pool, forks its workers and joins them before
-returning, so every sweep pays process startup.  The daemon passes one
-warm pool to every sweep (`SweepRunner(..., pool=pool)`), so on a stream
-of many small sweeps that startup is paid once.
+returning, so every sweep pays process startup.  A long-lived host (the
+sweep server, a fleet worker) keeps one warm pool and hands it every
+sweep (`WorkerPool.submit_sweep`), so on a stream of many small sweeps
+that startup is paid once.
 
 This benchmark replays the same stream of small sweeps through both paths
 and asserts the warm pool's speedup stays above a conservative floor
@@ -75,13 +76,15 @@ def run_fresh_pool_stream(base_dir: str) -> float:
 
 
 def run_warm_pool_stream(base_dir: str) -> float:
-    """The daemon path: one warm pool serving every sweep."""
+    """The long-lived-host path: one warm pool serving every sweep."""
     start = time.perf_counter()
     with WorkerPool(workers=WORKERS) as pool:
         for sweep in range(SWEEPS):
             store = ResultStore(os.path.join(base_dir, f"warm-{sweep}"))
-            report = SweepRunner(small_cell_suite(sweep), store, pool=pool).run()
-            assert report.ok, f"warm-pool sweep {sweep} failed: {report.failures}"
+            suite = small_cell_suite(sweep)
+            for outcome in pool.submit_sweep(suite.name, suite.cells()):
+                assert outcome.ok, f"warm-pool sweep {sweep} failed: {outcome.error}"
+                store.append(outcome.result)
     return time.perf_counter() - start
 
 

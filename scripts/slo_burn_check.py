@@ -17,9 +17,9 @@ fails over both the fast window (``--window``, default 5m) and the slow
 window (``--slow-window``, default 1h), the standard guard against
 paging on transient blips.
 
-With ``--store``, additionally asserts ingest completeness: the
-collector's ``collector_records_ingested_total`` counter must equal the
-streamed store's record count — the scrape and the durable store agree
+With ``--store``, additionally asserts ingest completeness: the sweep
+server's ``collector_records_ingested_total`` counter must equal its
+store's record count — the scrape and the durable store agree
 on how many records exist, so nothing was silently lost between the
 wire and the disk.
 
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 "  BURNING  ingest-completeness: the scrape has no "
                 "collector_records_ingested_total samples — was it taken "
-                "from a collector?"
+                "from a sweep server?"
             )
             failed = True
         else:

@@ -1,5 +1,5 @@
 """Command-line interface: ``python -m repro.experiments
-<run|list|report|merge|serve|submit|collect|metrics|dashboard>``.
+<run|list|report|merge|serve|submit|metrics|dashboard>``.
 
 Examples::
 
@@ -10,7 +10,7 @@ Examples::
     python -m repro.experiments report
     python -m repro.experiments report --json report.json --csv report.csv
 
-Distributed sharding and the sweep service::
+Static sharding, merged afterwards::
 
     # machine A                                  # machine B
     python -m repro.experiments run scaling \\
@@ -20,19 +20,14 @@ Distributed sharding and the sweep service::
         shards/a/results.jsonl shards/b/results.jsonl
     python -m repro.experiments report
 
-    # long-lived worker pool serving many clients:
-    python -m repro.experiments serve --workers 4 &
+The sweep server (TCP token-authenticated via ``REPRO_SERVICE_TOKEN``)::
+
+    # one store, local workers, a fleet endpoint:
+    python -m repro.experiments serve --workers 4 --listen 0.0.0.0:7919 --out central &
     python -m repro.experiments submit paper-claims --smoke --wait
-
-Cross-machine streaming (TCP, token-authenticated via
-``REPRO_SERVICE_TOKEN``)::
-
-    # collector machine:
-    python -m repro.experiments collect --listen 0.0.0.0:7919 --out central
-    # shard workers, each streaming every completed cell live:
-    python -m repro.experiments run scaling --shard 0/2 --collector host:7919
-    python -m repro.experiments run scaling --shard 1/2 --collector host:7919
-    # fetch the rendered report straight off the collector:
+    # fleet workers on any machine lease cells from the same server:
+    python -m repro.experiments run scaling --fleet host:7919
+    # fetch the rendered report straight off the server:
     python -m repro.experiments report --connect host:7919 --json report.json
 
 ``run`` appends to ``<out>/results.jsonl`` (default ``experiments/results``)
@@ -68,9 +63,8 @@ from repro.obs.timeseries import (
     points_in_window,
     windowed_quantile,
 )
-from repro.service.client import CollectorSink, ServiceClient, ServiceError
-from repro.service.collector import ResultCollector
-from repro.service.daemon import DEFAULT_SOCKET, SweepDaemon
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.collector import DEFAULT_SOCKET, ResultCollector
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
     DEFAULT_LEASE_BATCH,
@@ -107,13 +101,22 @@ def _shard_spec(text: str) -> ShardSpec:
 _shard_spec.__name__ = "shard spec"
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}"
+        )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got 0")
     return value
 
 
@@ -190,57 +193,55 @@ def build_parser() -> argparse.ArgumentParser:
             "plus\n  per-kernel simulator round counts in `engine_rounds`, "
             "surfaced by `report`.\n"
             "\n"
-            "cross-machine transport:\n"
-            "  `serve --listen host:port` adds a token-authenticated TCP "
-            "listener next to the\n  Unix socket, and `collect --listen "
-            "host:port` runs a result collector: shard\n  workers started with "
-            "`run <suite> --shard i/k --collector host:port` stream each\n"
-            "  completed cell record live into the collector's deduplicated "
-            "store (verified\n  records outrank unverified ones, same policy "
-            "as `merge`).  TCP requires a\n  shared token from --token or the "
-            f"{AUTH_TOKEN_ENV} environment variable; Unix\n  sockets need "
-            "none.  `report --connect host:port [--job job-N]` fetches the\n"
-            "  server-side `report` verb: the rendered bundle for a collector "
-            "store or a\n  finished daemon job, byte-identical to a local "
-            "`report --json` on that store.\n"
-            "\n"
+            "sweep server:\n"
+            "  `serve` is the one server role: a deduplicated store "
+            "(`--out`; verified\n  records outrank unverified ones, as in "
+            "`merge`) on a Unix socket and, with\n  `--listen host:port`, "
+            "token-authenticated TCP (token from --token or\n  "
+            f"{AUTH_TOKEN_ENV}; Unix "
+            "sockets need none).  `submit <suite>` queues the\n  cells not "
+            "yet verified in the store for the `--workers N` local "
+            "processes;\n  `--wait` polls them.  `serve --workers 0` refuses "
+            "`submit` and only collects\n  for `--fleet` workers.  `report "
+            "--connect host:port` serves the report over\n  the whole store, "
+            "byte-identical to `report --json` on it.\n\n"
             "elastic sweep fleet:\n"
             "  `run <suite> --fleet host:port` replaces the static shard "
             "split with a lease\n  loop: each worker registers with the "
-            "collector, offers the suite's fingerprint\n  universe and pulls "
-            "batches of leased cells (`--lease-batch`), streaming every\n  "
-            "result back over the same `push` path (a push completes the "
-            "cell's lease).\n  A background heartbeat renews a worker's "
-            "leases; a worker that dies stops\n  heartbeating, its leases "
-            "expire after the TTL (`collect --lease-ttl`, default\n  2x "
-            "`--heartbeat-interval`) and the cells are reassigned to the "
-            "survivors — kill\n  a worker mid-sweep and the suite still "
-            "finishes with no lost cells.  Workers\n  added mid-run (or "
-            "restarted after a collector restart, which answers unknown\n  "
-            "ids with `known: false`) simply register and start pulling.  "
-            "`fleet_status`\n  reports workers alive/lost, active leases and "
-            "lease fates; the collector's\n  metrics gain `fleet_workers`, "
-            "`fleet_leases_total{fate}` and a lease-age\n  histogram, plus a "
-            "`lease-stuck` SLO (oldest active lease vs 3x TTL).\n"
-            "\n"
+            "server, offers the suite's fingerprint\n  universe and pulls "
+            "batches of leased cells (`--lease-batch`), pushing every\n  "
+            "result back (a stored record completes the cell's lease).  The "
+            "server's\n  local workers hold leases in the same table, so a "
+            "fleet worker offering a\n  submitted suite shares its cells.  A "
+            "background heartbeat renews a worker's\n  leases; a worker that "
+            "dies stops heartbeating, its leases expire after the\n  TTL "
+            "(`serve --lease-ttl`, default 2x `--heartbeat-interval`) and "
+            "the cells\n  are reassigned to the survivors — kill a worker "
+            "mid-sweep and the suite\n  still finishes with no lost cells.  "
+            "Workers added mid-run (or restarted\n  after a server restart, "
+            "which answers unknown ids with `known: false`)\n  simply "
+            "register and start pulling.  `fleet_status` reports workers\n  "
+            "alive/lost, active leases and lease fates; the server's metrics "
+            "gain\n  `fleet_workers`, `fleet_leases_total{fate}` and a "
+            "lease-age histogram, plus\n  a `lease-stuck` SLO (oldest active "
+            "lease vs 3x TTL).\n\n"
             "observability:\n"
-            "  Both services export an in-process metrics registry over a "
-            "`metrics` verb as\n  Prometheus text: per-verb request counts and "
-            "latency histograms, auth failures,\n  malformed lines, queue "
-            "depth, jobs by state, cells/sec, ingest fates and\n  per-cell "
-            "phase timings (generate/run/verify/simulate — also stored "
-            "per record\n  in a nonsemantic `timings` field).  `metrics "
-            "--connect host:port [--out f.prom]`\n  scrapes either service; "
-            "`scripts/slo_burn_check.py <scrape>` evaluates the SLOs\n  "
-            "(p99 verb latency, zero dropped/malformed/unauthenticated, "
-            "conflict rate).\n  `dashboard --out DIR [--metrics f.prom | "
-            "--connect host:port] --html page.html`\n  renders the report "
+            "  The server's `metrics` verb exports Prometheus text: per-verb "
+            "request counts\n  and latency, auth failures, malformed lines, "
+            "ingest fates, pending cells,\n  pool traffic and, for every "
+            "stored record, `cell_phase_seconds`\n  "
+            "(generate/run/verify/simulate, also in the record's nonsemantic "
+            "`timings`)\n  and `engine_rounds_total`.  `metrics --connect "
+            "host:port [--out f.prom]`\n  scrapes it; "
+            "`scripts/slo_burn_check.py <scrape>` evaluates the SLOs (p99 "
+            "verb\n  latency, zero dropped/malformed/unauthenticated, "
+            "conflict rate).  `dashboard\n  --out DIR [--metrics f.prom | "
+            "--connect host:port] --html page.html` renders\n  the report "
             "bundle plus a scrape to one static HTML page (stat tiles,\n  "
             "scaling/fit tables, SLO verdicts) — CI uploads it as the "
-            "`dashboard` artifact.\n"
-            "\n"
+            "`dashboard`\n  artifact.\n\n"
             "time-series telemetry:\n"
-            "  Each service retains a ring buffer of metric scrapes "
+            "  The server retains a ring buffer of metric scrapes "
             "(snapshotted every\n  `--scrape-interval` seconds; 0 disables; "
             "`--history-spill FILE` mirrors each\n  snapshot to JSONL) and "
             "serves it over a `metrics_history` verb on both\n  transports.  "
@@ -301,16 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result-store directory (default: {DEFAULT_OUT})",
     )
     run.add_argument(
-        "--collector", default=None, metavar="ENDPOINT",
-        help="also stream each completed cell record to a result collector "
-        "(host:port or a Unix socket path); the local store is still written",
-    )
-    run.add_argument(
         "--fleet", default=None, metavar="ENDPOINT",
         help="elastic fleet mode: pull heartbeat-renewed lease batches from "
-        "a collector (host:port or Unix socket path) instead of computing a "
-        "static shard, and stream every result back; incompatible with "
-        "--shard and --collector",
+        "a sweep server (host:port or Unix socket path) instead of computing "
+        "a static shard, and push every result back; incompatible with "
+        "--shard",
     )
     run.add_argument(
         "--lease-batch", type=_positive_int, default=DEFAULT_LEASE_BATCH,
@@ -325,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--token", default=None,
-        help=f"shared auth token for a TCP --collector (default: ${AUTH_TOKEN_ENV})",
+        help=f"shared auth token for a TCP --fleet (default: ${AUTH_TOKEN_ENV})",
     )
     run.add_argument("--quiet", action="store_true", help="no per-cell progress lines")
 
@@ -345,16 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="run the sweep daemon: submitted sweeps run one at a "
-        "time on one warm worker pool behind a local socket",
+        "serve", help="run the sweep server: one deduplicated store fed by "
+        "its local workers (submit) and by --fleet workers",
     )
     serve.add_argument(
         "--socket", default=DEFAULT_SOCKET,
         help=f"Unix socket path to listen on (default: {DEFAULT_SOCKET})",
     )
     serve.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="warm worker processes (default: min(cpu count, 8))",
+        "--workers", type=_nonnegative_int, default=None,
+        help="warm local worker processes for submitted cells; 0 runs none "
+        "and refuses submit (default: min(cpu count, 8))",
+    )
+    serve.add_argument(
+        "--out", default=DEFAULT_OUT,
+        help=f"deduplicated result-store directory (default: {DEFAULT_OUT})",
     )
     serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -377,78 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="append each history snapshot to FILE as JSONL (readable by "
         "`dashboard --history` and `scripts/slo_burn_check.py --history`)",
     )
-
-    collect = sub.add_parser(
-        "collect", help="run a result collector: stream sharded sweep results "
-        "into one deduplicated store",
-    )
-    collect.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="TCP address to collect on (token-authenticated), "
-        "e.g. --listen 0.0.0.0:7919",
-    )
-    collect.add_argument(
-        "--socket", default=None,
-        help="Unix socket path to collect on (no token needed)",
-    )
-    collect.add_argument(
-        "--out", default=DEFAULT_OUT,
-        help=f"deduplicated result-store directory (default: {DEFAULT_OUT})",
-    )
-    collect.add_argument(
-        "--token", default=None,
-        help=f"shared auth token for the TCP listener (default: ${AUTH_TOKEN_ENV})",
-    )
-    collect.add_argument(
-        "--scrape-interval", type=_nonnegative_float,
-        default=DEFAULT_SCRAPE_INTERVAL_S, metavar="SECONDS",
-        help="seconds between metrics-history snapshots served by the "
-        "metrics_history verb (0 disables the background scraper; "
-        f"default: {DEFAULT_SCRAPE_INTERVAL_S:g})",
-    )
-    collect.add_argument(
-        "--history-spill", default=None, metavar="FILE",
-        help="append each history snapshot to FILE as JSONL (readable by "
-        "`dashboard --history` and `scripts/slo_burn_check.py --history`)",
-    )
-    collect.add_argument(
+    serve.add_argument(
         "--heartbeat-interval", type=_positive_float,
         default=DEFAULT_HEARTBEAT_INTERVAL_S, metavar="SECONDS",
         help="fleet cadence handed to `run --fleet` workers at registration "
         f"(default: {DEFAULT_HEARTBEAT_INTERVAL_S:g})",
     )
-    collect.add_argument(
+    serve.add_argument(
         "--lease-ttl", type=_positive_float, default=None, metavar="SECONDS",
         help="seconds a lease survives without a heartbeat before its cells "
         "are reassigned (default: 2x the heartbeat interval)",
     )
 
+    sub.add_parser("collect", help="removed: use `serve --workers 0`")
+
     submit = sub.add_parser(
-        "submit", help="submit a sweep job to a running daemon",
+        "submit", help="queue a suite's cells on a running sweep server",
         parents=[sweep_options],
     )
     submit.add_argument("suite", help="suite name to run")
     submit.add_argument(
         "--socket", default=DEFAULT_SOCKET,
-        help="daemon endpoint: Unix socket path or host:port "
+        help="server endpoint: Unix socket path or host:port "
         f"(default: {DEFAULT_SOCKET})",
     )
     submit.add_argument(
-        "--out", default=DEFAULT_OUT,
-        help=f"result-store directory on the daemon side (default: {DEFAULT_OUT})",
-    )
-    submit.add_argument(
-        "--collector", default=None, metavar="ENDPOINT",
-        help="have the daemon stream the job's records to this result "
-        "collector as well",
-    )
-    submit.add_argument(
         "--token", default=None,
-        help=f"shared auth token for a TCP daemon (default: ${AUTH_TOKEN_ENV})",
+        help=f"shared auth token for a TCP server (default: ${AUTH_TOKEN_ENV})",
     )
     submit.add_argument(
         "--wait", action="store_true",
-        help="block until the job finishes and print its summary",
+        help="block until every queued cell is stored or failed and print "
+        "a summary",
     )
     submit.add_argument(
         "--timeout", type=float, default=600.0,
@@ -468,12 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--connect", default=None, metavar="ENDPOINT",
-        help="fetch the rendered bundle from a collector or daemon "
+        help="fetch the rendered bundle over a sweep server's whole store "
         "(host:port or Unix socket path) instead of reading a local store",
-    )
-    report.add_argument(
-        "--job", default=None,
-        help="with --connect against a daemon: the finished job to report on",
     )
     report.add_argument(
         "--token", default=None,
@@ -483,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--csv", default=None, help="also write the scaling table as CSV")
 
     metrics = sub.add_parser(
-        "metrics", help="scrape a daemon or collector's Prometheus-text metrics"
+        "metrics", help="scrape a sweep server's Prometheus-text metrics"
     )
     metrics.add_argument(
         "--connect", required=True, metavar="ENDPOINT",
@@ -530,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dashboard.add_argument(
         "--connect", default=None, metavar="ENDPOINT",
-        help="scrape a live daemon/collector for the metrics section instead "
+        help="scrape a live sweep server for the metrics section instead "
         "of --metrics",
     )
     dashboard.add_argument(
@@ -595,28 +552,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    if args.fleet is not None and (
-        args.shard is not None or args.collector is not None
-    ):
+    if args.fleet is not None and args.shard is not None:
         print(
-            "--fleet replaces static sharding and streaming: drop --shard "
-            "and --collector (the fleet endpoint receives every result)",
+            "--fleet replaces static sharding: drop --shard (the fleet "
+            "server hands out every cell)",
             file=sys.stderr,
         )
         return 2
     store = ResultStore(args.out)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    sink = None
-    if args.collector is not None:
-        client = _make_client(args.collector, args.token)
-        if isinstance(client, int):
-            return client
-        sink = CollectorSink(client)
-    runner = SweepRunner(
-        suite, store, jobs=jobs, smoke=args.smoke, sizes=args.sizes,
-        seeds=args.seeds, shard=args.shard, sinks=(sink,) if sink else (),
-        engine=args.engine,
-    )
 
     def progress(result: CellResult) -> None:
         status = "ok" if result.verified else "VERIFY-FAILED"
@@ -670,11 +614,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     shard_note = f" [shard {args.shard}]" if args.shard is not None else ""
     print(f"suite {suite.name!r}{shard_note}: {suite.description}")
-    try:
-        report = runner.run(progress=None if args.quiet else progress)
-    finally:
-        if sink is not None:
-            sink.close()
+    report = SweepRunner(
+        suite, store, jobs=jobs, smoke=args.smoke, sizes=args.sizes,
+        seeds=args.seeds, shard=args.shard, engine=args.engine,
+    ).run(progress=None if args.quiet else progress)
     print(
         f"cells: {report.total_cells} total, {report.skipped} already stored, "
         f"{report.executed} executed, {len(report.failures)} failed, "
@@ -682,15 +625,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"({report.wall_clock_s:.1f}s, jobs={jobs})"
     )
     print(f"store: {store.path}")
-    if sink is not None:
-        print(f"streamed {sink.pushed} record(s) to collector {args.collector}")
-    if report.sink_error is not None:
-        print(
-            f"COLLECTOR STREAM FAILED after {sink.pushed} record(s): "
-            f"{report.sink_error} — the local store is complete; merge it "
-            f"into the collector store to recover",
-            file=sys.stderr,
-        )
     for failure in report.failures:
         print(
             f"FAILED cell {failure.cell.scenario} n={failure.cell.n} "
@@ -732,7 +666,7 @@ def _cmd_report_remote(args: argparse.Namespace) -> int:
     if isinstance(client, int):
         return client
     try:
-        payload = client.report(job=args.job)
+        payload = client.report()
     except ServiceError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -749,9 +683,6 @@ def _cmd_report_remote(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.connect is not None:
         return _cmd_report_remote(args)
-    if args.job is not None:
-        print("--job only makes sense with --connect", file=sys.stderr)
-        return 2
     store = ResultStore(args.out)
     records = store.records()
     if args.suite is not None:
@@ -806,70 +737,40 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    workers = args.workers if args.workers is not None else default_jobs()
     try:
-        daemon = SweepDaemon(
-            socket_path=args.socket, workers=args.workers,
-            listen=args.listen, token=args.token,
-            scrape_interval_s=args.scrape_interval,
-            history_spill=args.history_spill,
-        )
-        daemon.start()
-    except (ValueError, RuntimeError, OSError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(f"sweep daemon: socket={args.socket} workers={daemon.pool.workers}")
-    if daemon.tcp_address is not None:
-        host, port = daemon.tcp_address
-        print(f"TCP listener: {host}:{port} (token-authenticated)")
-    print(
-        "verbs: submit / status / results / report / metrics / "
-        "metrics_history / shutdown  (ctrl-c also stops)"
-    )
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        daemon.close()
-    print("sweep daemon stopped")
-    return 0
-
-
-def _cmd_collect(args: argparse.Namespace) -> int:
-    try:
-        collector = ResultCollector(
+        server = ResultCollector(
             out=args.out, listen=args.listen, socket_path=args.socket,
             token=args.token, scrape_interval_s=args.scrape_interval,
             history_spill=args.history_spill,
             heartbeat_interval_s=args.heartbeat_interval,
-            lease_ttl_s=args.lease_ttl,
+            lease_ttl_s=args.lease_ttl, workers=workers,
         )
-        collector.start()
+        server.start()
     except (ValueError, RuntimeError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    endpoints = []
-    if collector.tcp_address is not None:
-        host, port = collector.tcp_address
-        endpoints.append(f"{host}:{port} (TCP, token-authenticated)")
-    if args.socket is not None:
-        endpoints.append(str(args.socket))
-    print(f"result collector: {' and '.join(endpoints)}")
-    print(f"store: {collector.store.path}")
+    print(f"sweep server: socket={args.socket} workers={workers}")
+    if server.tcp_address is not None:
+        host, port = server.tcp_address
+        print(f"TCP listener: {host}:{port} (token-authenticated)")
+    print(f"store: {server.store.path}")
     print(
-        "verbs: push / status / report / metrics / metrics_history / "
+        f"fleet: heartbeat every {server.leases.heartbeat_interval_s:g}s, "
+        f"lease TTL {server.leases.lease_ttl_s:g}s"
+    )
+    print(
+        "verbs: submit / status / push / report / metrics / metrics_history / "
         "register / heartbeat / lease / fleet_status / shutdown  "
         "(ctrl-c also stops)"
     )
-    print(
-        f"fleet: heartbeat every {collector.leases.heartbeat_interval_s:g}s, "
-        f"lease TTL {collector.leases.lease_ttl_s:g}s"
-    )
     try:
-        collector.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:
-        collector.close()
+        server.close()
     print(
-        f"collector stopped: {collector.accepted} accepted, "
-        f"{collector.dropped} dropped, {collector.conflicts} conflicts"
+        f"sweep server stopped: {server.accepted} accepted, "
+        f"{server.dropped} dropped, {server.conflicts} conflicts"
     )
     return 0
 
@@ -879,47 +780,36 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if isinstance(client, int):
         return client
     try:
-        job_id = client.submit(
+        reply = client.submit(
             args.suite,
             smoke=args.smoke,
             sizes=args.sizes,
             seeds=args.seeds,
             shard=str(args.shard) if args.shard is not None else None,
-            out=args.out,
-            collector=args.collector,
             engine=args.engine,
         )
-        print(f"submitted {args.suite!r} as {job_id}")
+        queued = reply["fingerprints"]
+        print(
+            f"submitted {args.suite!r}: {reply['total_cells']} cells, "
+            f"{reply['skipped']} already stored, {len(queued)} queued"
+        )
         if not args.wait:
             return 0
-        status = client.wait(job_id, timeout=args.timeout)
+        status = client.wait(queued, timeout=args.timeout)
     except ServiceError as error:
         print(str(error), file=sys.stderr)
         return 2
     print(
-        f"{job_id} {status['state']}: {status['total_cells']} cells, "
-        f"{status['skipped']} already stored, {status['executed']} executed, "
+        f"{args.suite!r} done: {status['completed']} stored, "
         f"{len(status['failures'])} failed, {status['unverified']} unverified"
     )
-    if status["error"]:
-        print(f"job error: {status['error']}", file=sys.stderr)
-    if status.get("sink_error"):
-        print(
-            f"collector stream failed: {status['sink_error']}", file=sys.stderr
-        )
     for failure in status["failures"]:
         print(
             f"FAILED cell {failure['scenario']} n={failure['n']} "
             f"seed={failure['seed']}: {failure['error']}",
             file=sys.stderr,
         )
-    ok = (
-        status["state"] == "done"
-        and not status["failures"]
-        and status["unverified"] == 0
-        and not status.get("sink_error")
-    )
-    return 0 if ok else 1
+    return 0 if not status["failures"] and status["unverified"] == 0 else 1
 
 
 def _history_summary(
@@ -1206,7 +1096,14 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if args.command == "collect":
+        # Whatever flags an old invocation carries, name the replacement.
+        print("`collect` is now `serve --workers 0`", file=sys.stderr)
+        return 2
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "list":
@@ -1215,8 +1112,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_merge(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "collect":
-        return _cmd_collect(args)
     if args.command == "submit":
         return _cmd_submit(args)
     if args.command == "metrics":

@@ -289,10 +289,10 @@ class ReportBundle:
 def render_json_tables(bundle: ReportBundle) -> str:
     """The exact JSON payload ``report --json`` writes for ``bundle``.
 
-    One canonical serialisation shared by the CLI and the daemon/collector
+    One canonical serialisation shared by the CLI and the sweep server's
     ``report`` verb, so a bundle fetched over the wire is byte-identical
     to one written from the same store locally — the equivalence the
-    streamed-collector path is pinned against.
+    server paths are pinned against.
     """
     tables = [bundle.scaling, bundle.fits] + bundle.scenario_tables
     return "[" + ",\n".join(table.to_json() for table in tables) + "]\n"

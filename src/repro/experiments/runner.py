@@ -12,12 +12,12 @@ them one cell per task.
 
 :class:`SweepRunner` filters a suite's cells against the store's completed
 fingerprints and runs the remainder: in this process for ``jobs=1`` or a
-single pending cell, otherwise on a :class:`WorkerPool` — one that
-:meth:`SweepRunner.run` creates and shuts down, or a warm pool passed in
-(the daemon's), which then runs every cell.  Each result is appended to
-the store the moment it arrives, so a crashed sweep resumes exactly where
-it died.  Failed cells (exceptions, or cells lost with a dead worker) are
-*not* stored, so the next run retries them.
+single pending cell, otherwise on a :class:`WorkerPool` that
+:meth:`SweepRunner.run` creates and shuts down.  Each result is appended
+to the store the moment it arrives, so a crashed sweep resumes exactly
+where it died.
+Failed cells (exceptions, or cells lost with a dead worker) are *not*
+stored, so the next run retries them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.experiments.shard import ShardSpec, shard_cells
 
@@ -59,7 +59,7 @@ def default_jobs() -> int:
 def _effective_engine_mode(family_engine: str, override: str | None) -> str:
     """The engine mode a cell runs under.
 
-    An explicit CLI/daemon ``override`` ("interpreted" / "vectorized")
+    An explicit CLI/server ``override`` ("interpreted" / "vectorized")
     beats the family's declared preference; otherwise the family decides.
     A family-declared "vectorized" degrades to "auto" when numpy is
     missing — the capability flag is a preference, only an explicit
@@ -148,47 +148,29 @@ class SweepReport:
     unverified: int
     failures: list[CellFailure] = field(default_factory=list)
     wall_clock_s: float = 0.0
-    #: First failure of a result sink (e.g. the ``--collector`` stream).
-    #: The sweep itself keeps running on the local store — the records are
-    #: safe and mergeable — but the run is not ``ok``: the caller asked
-    #: for streaming and part of the stream was lost.
-    sink_error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.unverified == 0 and self.sink_error is None
+        return not self.failures and self.unverified == 0
 
 
 def make_recorder(
     store: ResultStore,
-    sinks: Sequence[Callable[[CellResult], None]],
     report: SweepReport,
     progress: Callable[[CellResult], None] | None = None,
 ) -> Callable[[CellResult], None]:
-    """The per-result fan-out of :meth:`SweepRunner.run` and the fleet worker.
+    """The per-result step of :meth:`SweepRunner.run` and the fleet worker.
 
-    Appends the result to the store, ticks the report's counters, feeds
-    the sinks and then the progress hook.  A sink (e.g. the
-    ``--collector`` stream) that fails must not fail the sweep: the
-    result is already durable in the local store, so the first error is
-    recorded once in ``report.sink_error`` and the sinks disabled —
-    resume/merge recovers the lost stream.  An exception from
-    ``progress`` propagates, which is how a failed fleet push aborts.
+    Appends the result to the store, ticks the report's counters, then
+    calls the progress hook.  An exception from ``progress`` propagates,
+    which is how a failed fleet push aborts.
     """
-    live_sinks = list(sinks)
 
     def record(result: CellResult) -> None:
         store.append(result)
         report.executed += 1
         if not result.verified:
             report.unverified += 1
-        if live_sinks:
-            try:
-                for sink in live_sinks:
-                    sink(result)
-            except Exception as error:  # noqa: BLE001 - surfaced in report
-                report.sink_error = repr(error)
-                live_sinks.clear()
         if progress is not None:
             progress(result)
 
@@ -235,14 +217,16 @@ class WorkerPool:
     Usage::
 
         with WorkerPool(workers=4) as pool:
-            SweepRunner(get_suite("paper-claims"), store, smoke=True, pool=pool).run()
-            SweepRunner(get_suite("scaling"), store, pool=pool).run()   # same workers
+            for outcome in pool.submit_sweep("paper-claims", cells):
+                ...
+            for outcome in pool.submit_sweep("scaling", more_cells):  # same workers
+                ...
 
     The pool is lazy: processes spawn on the first submission, then stay
     alive until :meth:`shutdown`.  Workers use the platform-default
     multiprocessing context (fork on Linux) so that algorithms and
     generators registered at runtime are visible in the workers;
-    multi-threaded hosts like the daemon should call :meth:`start`
+    multi-threaded hosts like the sweep server should call :meth:`start`
     eagerly, before spawning their own threads, to keep the fork clean.
     """
 
@@ -263,7 +247,7 @@ class WorkerPool:
         self._sweep_ids = itertools.count(1)
         self._closed = False
         self._ever_started = False
-        # Cumulative traffic counters (exposed by the daemon's status verb).
+        # Cumulative traffic counters.
         self.sweeps_served = 0
         self.cells_executed = 0
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -351,16 +335,19 @@ class WorkerPool:
     # sweep execution
     # ------------------------------------------------------------------
     def submit_sweep(
-        self, suite_name: str, cells: Sequence[Cell], engine: str | None = None
+        self, suite_name: str, cells: Iterable[Cell], engine: str | None = None
     ) -> Iterator[CellOutcome]:
         """Run ``cells`` on the warm workers, streaming per-cell outcomes.
 
         Each task is one cell, and at most two cells per worker are in
         flight, so a stream that is abandoned, or a pool that is shut
-        down, leaves little queued work behind.  Outcomes arrive in
-        completion order.  The iterator holds the pool's sweep lock until
-        it is exhausted or closed.  ``engine`` is the sweep-level engine
-        override forwarded to every cell.
+        down, leaves little queued work behind.  ``cells`` is pulled
+        lazily, one cell per task handed out, so a caller may feed it
+        while the sweep runs (the sweep server's local worker leases each
+        cell as it is pulled).  Outcomes arrive in completion order.  The
+        iterator holds the pool's sweep lock until it is exhausted or
+        closed.  ``engine`` is the sweep-level engine override forwarded
+        to every cell.
 
         A worker that dies mid-sweep (OOM, external kill) takes the cells
         in flight with it: they come back as failed outcomes, the pool is
@@ -368,15 +355,14 @@ class WorkerPool:
         its lock) and the rest of the sweep runs on the new workers.  The
         lost cells were never stored, so resume re-runs them.
 
-        Fork-safety of respawning from a threaded host (the daemon's
-        runner thread): the replacement children execute only
-        ``_worker_main``, which touches nothing but the two queues this
-        thread creates immediately before forking — their locks are
-        provably unheld at fork time, and no daemon-side lock (jobs
-        table, stdio) is ever acquired by worker code, so a lock some
-        *other* thread held at fork cannot deadlock the child.
+        Fork-safety of respawning from a threaded host (the sweep
+        server's local worker thread): the replacement children execute
+        only ``_worker_main``, which touches nothing but the two queues
+        this thread creates immediately before forking — their locks are
+        provably unheld at fork time, and no server-side lock (store
+        index, lease table, stdio) is ever acquired by worker code, so a
+        lock some *other* thread held at fork cannot deadlock the child.
         """
-        cells = list(cells)
 
         def stream() -> Iterator[CellOutcome]:
             with self._sweep_lock:
@@ -430,9 +416,7 @@ class WorkerPool:
 class SweepRunner:
     """Run a suite's pending cells and append results to a store.
 
-    ``jobs`` worker processes run the cells when there is more than one;
-    a warm ``pool`` passed in runs every cell instead, whatever ``jobs``
-    says.
+    ``jobs`` worker processes run the cells when there is more than one.
     """
 
     def __init__(
@@ -444,9 +428,7 @@ class SweepRunner:
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
         shard: ShardSpec | None = None,
-        sinks: Sequence[Callable[[CellResult], None]] = (),
         engine: str | None = None,
-        pool: WorkerPool | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -459,9 +441,7 @@ class SweepRunner:
         self.sizes = sizes
         self.seeds = seeds
         self.shard = shard
-        self.sinks = tuple(sinks)
         self.engine = engine
-        self.pool = pool
 
     def pending_cells(self) -> tuple[list[Cell], int]:
         """The cells still to run, and how many the store already covers.
@@ -486,23 +466,16 @@ class SweepRunner:
                 yield CellOutcome(cell=cell, result=result, error=None)
 
     def run(
-        self,
-        progress: Callable[[CellResult], None] | None = None,
-        on_plan: Callable[[int, int], None] | None = None,
-        on_failure: Callable[[Cell, str], None] | None = None,
+        self, progress: Callable[[CellResult], None] | None = None
     ) -> SweepReport:
         """Execute every pending cell; append each result as it arrives.
 
-        The hooks let a caller observe the sweep live (the daemon's status
-        verb feeds off them): ``on_plan(total_cells, skipped)`` fires once
-        before the first cell runs, ``progress(result)`` per stored cell,
-        ``on_failure(cell, error)`` per failed cell.  A pool this method
-        creates is shut down, its workers joined, before it returns.
+        ``progress(result)`` is called per stored cell.  A pool this
+        method creates is shut down, its workers joined, before it
+        returns.
         """
         start = time.perf_counter()
         pending, skipped = self.pending_cells()
-        if on_plan is not None:
-            on_plan(len(pending) + skipped, skipped)
         report = SweepReport(
             suite=self.suite.name,
             total_cells=len(pending) + skipped,
@@ -510,10 +483,10 @@ class SweepRunner:
             executed=0,
             unverified=0,
         )
-        record = make_recorder(self.store, self.sinks, report, progress)
+        record = make_recorder(self.store, report, progress)
 
-        pool = self.pool
-        if pool is None and self.jobs > 1 and len(pending) > 1:
+        pool = None
+        if self.jobs > 1 and len(pending) > 1:
             pool = WorkerPool(workers=min(self.jobs, len(pending)))
         try:
             if pool is None:
@@ -526,10 +499,8 @@ class SweepRunner:
                         record(outcome.result)
                         continue
                     report.failures.append(CellFailure(outcome.cell, outcome.error))
-                    if on_failure is not None:
-                        on_failure(outcome.cell, outcome.error)
         finally:
-            if pool is not self.pool:
+            if pool is not None:
                 pool.shutdown()
 
         report.wall_clock_s = time.perf_counter() - start

@@ -14,7 +14,7 @@ function of exactly the quantities that define the cell's computation
   reproduce the unsharded store record-for-record.
 
 Nothing here imports the experiment registries, so the module is safe to
-import from anywhere in the stack (CLI, runner, daemon) without cycles.
+import from anywhere in the stack (CLI, runner, server) without cycles.
 It lives in the experiments layer because the runner consumes it; the
 service package re-exports :class:`ShardSpec`, :func:`shard_cells` and
 :func:`partition` for its workers.

@@ -37,9 +37,9 @@ __all__ = [
     "semantic_payload",
 ]
 
-#: Default result-store directory, shared by the CLI and the daemon so
-#: ``run``, ``merge``, ``report`` and daemon-submitted jobs agree on
-#: where results live.
+#: Default result-store directory, shared by the CLI and the sweep server
+#: so ``run``, ``merge``, ``report`` and ``serve`` agree on where results
+#: live.
 DEFAULT_OUT = "experiments/results"
 
 
@@ -88,7 +88,7 @@ class CellResult:
     engine: str | None = None
     #: Rounds simulated per engine dispatch, keyed
     #: ``"engine/kernel/backend"`` (backend is ``"-"`` for interpreted
-    #: runs) — the per-cell account behind the daemon's
+    #: runs) — the per-cell account behind the sweep server's
     #: ``engine_rounds_total`` counter.  Telemetry, nonsemantic for
     #: merge conflicts; ``None`` for analytic cells and older records.
     engine_rounds: dict[str, int] | None = None

@@ -68,7 +68,7 @@ def numpy_available() -> bool:
 
     Reads the module attribute ``np`` at call time, so setting it to
     ``None`` simulates a numpy-free interpreter for every availability
-    check in the stack (and for forked pool and daemon workers).
+    check in the stack (and for forked pool and server workers).
     """
     return np is not None
 

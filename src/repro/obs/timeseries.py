@@ -2,7 +2,7 @@
 
 A :class:`ScrapeHistory` snapshots one :class:`MetricsRegistry` into a
 ring buffer on a configurable interval — a background thread in the
-long-lived services (``SweepDaemon``, ``ResultCollector``) — with an
+long-lived sweep server (``ResultCollector``) — with an
 optional on-disk JSONL spill for post-mortems.  Each retained point is
 the full Prometheus text exposition plus its wall-clock timestamp, so
 anything that can read one scrape can read the history.

@@ -1,13 +1,13 @@
-"""Client for the sweep daemon and result collector.
+"""Client for the sweep server.
 
 :class:`ServiceClient` wraps the protocol verbs as methods over either
 transport — give it a Unix socket path or a ``host:port`` address
 (:func:`repro.service.protocol.parse_endpoint` decides which).  Every
 call opens a short-lived connection by default — connections are cheap,
 and statelessness means a client never wedges the server by holding a
-socket open.  Streaming callers (the ``--collector`` sink) use
-:meth:`ServiceClient.connection` to reuse one connection for many
-requests instead.
+socket open.  :class:`CollectorSink`, the push stream of a ``--fleet``
+worker, uses :meth:`ServiceClient.connection` to reuse one connection
+for many requests instead.
 
 Startup races are absorbed here: a connect refused or a missing socket
 file retries with exponential backoff for up to ``connect_retry_s``
@@ -46,9 +46,6 @@ __all__ = [
     "ServiceConnection",
     "CollectorSink",
 ]
-
-#: Job states in which a job will make no further progress.
-TERMINAL_STATES = ("done", "failed")
 
 #: Default budget for connect retries, and the backoff ladder's first rung.
 DEFAULT_CONNECT_RETRY_S = 2.0
@@ -96,7 +93,7 @@ class ServiceConnection:
 
 
 class ServiceClient:
-    """Talk to a sweep daemon or result collector on either transport."""
+    """Talk to a sweep server on either transport."""
 
     def __init__(
         self,
@@ -120,7 +117,7 @@ class ServiceClient:
     def _connect(self) -> socket.socket:
         """Connect, absorbing startup races with bounded backoff.
 
-        A daemon that was just launched may not have bound (or begun
+        A server that was just launched may not have bound (or begun
         accepting on) its socket yet: ``ConnectionRefusedError`` and
         ``FileNotFoundError`` retry with exponential backoff until the
         ``connect_retry_s`` budget runs out, then surface the usual
@@ -142,7 +139,7 @@ class ServiceClient:
 
     def _unreachable(self, error: OSError) -> str:
         hint = (
-            "is the collector/daemon listening there?"
+            "is `python -m repro.experiments serve --listen` running there?"
             if self.endpoint.is_tcp
             else "is `python -m repro.experiments serve` running?"
         )
@@ -198,11 +195,14 @@ class ServiceClient:
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
         shard: str | None = None,
-        out: str | None = None,
-        collector: str | None = None,
         engine: str | None = None,
-    ) -> str:
-        """Enqueue a sweep job; returns the job id."""
+    ) -> dict[str, Any]:
+        """Queue a suite's cells for the server's local workers.
+
+        Returns ``total_cells``, ``skipped`` (already verified in the
+        server's store) and ``fingerprints``, the queued cells — the
+        argument :meth:`status` and :meth:`wait` track progress over.
+        """
         payload: dict[str, Any] = {"op": "submit", "suite": suite, "smoke": smoke}
         if sizes is not None:
             payload["sizes"] = list(sizes)
@@ -210,49 +210,35 @@ class ServiceClient:
             payload["seeds"] = list(seeds)
         if shard is not None:
             payload["shard"] = shard
-        if out is not None:
-            payload["out"] = out
-        if collector is not None:
-            payload["collector"] = collector
         if engine is not None:
             payload["engine"] = engine
-        return self.request(payload)["job"]
-
-    def status(self, job: str | None = None) -> dict[str, Any]:
-        """One job's status dict, or the whole-daemon view without a job."""
-        if job is None:
-            return self.request({"op": "status"})
-        return self.request({"op": "status", "job": job})["job"]
-
-    def results(self, job: str) -> list[dict[str, Any]]:
-        """The per-cell records the job has produced so far."""
-        return self.request({"op": "results", "job": job})["records"]
-
-    def report(self, job: str | None = None) -> dict[str, Any]:
-        """A rendered report bundle, built server-side from the store.
-
-        Against a daemon, ``job`` names a finished job and the bundle
-        covers that job's store; against a collector, ``job`` is omitted
-        and the bundle covers the streamed store.  The response carries
-        ``render`` (the text report), ``json`` and ``csv`` (byte-for-byte
-        what ``report --json`` / ``--csv`` would write) and
-        ``all_verified``.
-        """
-        payload: dict[str, Any] = {"op": "report"}
-        if job is not None:
-            payload["job"] = job
         return self.request(payload)
 
+    def status(self, fingerprints: list[str] | None = None) -> dict[str, Any]:
+        """The server's counters, or progress over ``fingerprints``:
+        ``completed``, ``unverified``, ``failures``, ``pending``, ``done``."""
+        if fingerprints is None:
+            return self.request({"op": "status"})
+        return self.request({"op": "status", "fingerprints": list(fingerprints)})
+
+    def report(self) -> dict[str, Any]:
+        """A rendered report bundle over the server's whole store.
+
+        The response carries ``render`` (the text report), ``json`` and
+        ``csv`` (byte-for-byte what ``report --json`` / ``--csv`` would
+        write over the store) and ``all_verified``.
+        """
+        return self.request({"op": "report"})
+
     def push(self, records: list[dict[str, Any]]) -> dict[str, Any]:
-        """Stream result records to a collector; returns ingest counters."""
+        """Stream result records to the server; returns ingest counters."""
         return self.request({"op": "push", "records": records})
 
     def metrics(self) -> str:
         """The server's Prometheus-text metrics exposition.
 
-        Works against both the daemon and the collector; the returned
-        string is scrape-ready (``repro.obs.parse_exposition`` reads it,
-        as does any Prometheus-compatible tool).
+        The returned string is scrape-ready (``repro.obs.parse_exposition``
+        reads it, as does any Prometheus-compatible tool).
         """
         return self.request({"op": "metrics"})["metrics"]
 
@@ -276,7 +262,7 @@ class ServiceClient:
             payload["max_points"] = max_points
         return self.request(payload)
 
-    # -- elastic-fleet verbs (collector as control plane) ---------------
+    # -- elastic-fleet verbs (the server as control plane) --------------
     def register(self, worker: str) -> dict[str, Any]:
         """Register a fleet worker; returns ``worker_id`` plus the
         fleet cadence (``heartbeat_interval_s``, ``lease_ttl_s``)."""
@@ -285,7 +271,7 @@ class ServiceClient:
     def heartbeat(self, worker_id: str) -> dict[str, Any]:
         """Renew the worker's liveness and all its leases.
 
-        ``known`` is false when the collector does not recognise the id
+        ``known`` is false when the server does not recognise the id
         (it restarted) — the worker should re-register, not crash.
         """
         return self.request({"op": "heartbeat", "worker_id": worker_id})
@@ -323,31 +309,34 @@ class ServiceClient:
         self.request({"op": "shutdown"})
 
     def wait(
-        self, job: str, poll_interval: float = 0.1, timeout: float = 600.0
+        self,
+        fingerprints: list[str],
+        poll_interval: float = 0.1,
+        timeout: float = 600.0,
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its status."""
+        """Poll :meth:`status` over submitted cells until none is pending."""
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job)
-            if status["state"] in TERMINAL_STATES:
+            status = self.status(fingerprints)
+            if status["done"]:
                 return status
             if time.monotonic() >= deadline:
                 raise ServiceError(
-                    f"timed out after {timeout:.0f}s waiting for {job} "
-                    f"(state: {status['state']})"
+                    f"timed out after {timeout:.0f}s waiting for "
+                    f"{status['pending']} pending cell(s)"
                 )
             time.sleep(poll_interval)
 
 
 class CollectorSink:
-    """Stream :class:`CellResult` records to a collector as they complete.
+    """Stream :class:`CellResult` records to the server as they complete.
 
-    Built for the runner's ``sinks`` hook: calling the sink pushes one
-    record over a persistent connection (opened lazily, reopened once per
-    push on failure — a collector restart costs one retry, not the
-    sweep).  A push that still fails raises :class:`ServiceError`; the
-    sweep's local store already holds the record, so the caller can
-    surface the error without losing work.
+    A fleet worker's push path: calling the sink pushes one record over
+    a persistent connection (opened lazily, reopened once per push on
+    failure — a server restart costs one retry, not the sweep).  A push
+    that still fails raises :class:`ServiceError`; the worker's local
+    store already holds the record, so the caller can surface the error
+    without losing work.
     """
 
     def __init__(self, client: ServiceClient) -> None:
@@ -363,7 +352,7 @@ class CollectorSink:
         try:
             self._ensure_connection().request(payload)
         except ServiceTransportError:
-            # One reconnect: the collector may have restarted between
+            # One reconnect: the server may have restarted between
             # cells.  A second failure is a real outage and propagates.
             # Only *transport* failures retry — a server error response
             # (a rejected record) arrived over a healthy connection, so

@@ -1,16 +1,27 @@
-"""The result collector: live fan-in of sharded sweep results.
+"""The sweep server: one deduplicated store, the lease table and local
+workers.
 
-``python -m repro.experiments collect --listen host:port`` runs one
-:class:`ResultCollector`: a :class:`~repro.service.protocol.LineServer`
-whose ``push`` verb appends streamed
-:class:`~repro.experiments.store.CellResult` records into one
-fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`.
-Shard workers run ``run <suite> --shard i/k --collector host:port`` and
-stream each completed cell the moment it finishes — the cross-machine
-replacement for copying shard JSONL files around and merging them after
-the fact.  The collector's store is a perfectly ordinary store:
-``report`` consumes it unchanged, and the ``report`` verb serves the
-rendered bundle straight off it.
+``python -m repro.experiments serve`` runs one :class:`ResultCollector`:
+a :class:`~repro.service.protocol.LineServer` on a Unix socket and, with
+``--listen host:port``, on token-authenticated TCP, in front of one
+fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`
+(``--out``).  Every record reaches that store through
+:meth:`ResultCollector.ingest`, whichever way it was computed:
+
+* **submitted**: ``submit`` queues a suite's cells that are not yet
+  verified in the store, and the server's local worker — a warm
+  :class:`~repro.experiments.runner.WorkerPool` of ``--workers N``
+  processes — leases and runs them;
+* **fleet**: ``run <suite> --fleet host:port`` workers on any machine
+  lease cells from the same :class:`~repro.service.leases.LeaseTable`
+  and ``push`` each result back.
+
+The local worker is one more lease holder, so a fleet worker that offers
+a submitted suite shares its cells, and a record for a pending cell from
+*any* stream retires it.  ``serve --workers 0`` runs no local worker and
+refuses ``submit``: it is the fleet's collector alone.  The store is a
+perfectly ordinary store: ``report --out`` reads it unchanged, and the
+``report`` verb serves the same bytes over the wire.
 
 Deduplication applies :func:`repro.experiments.store.resolve_duplicate`
 — the *same* policy as file-based merging, under one lock, so the
@@ -29,18 +40,28 @@ Verbs
 -----
 ``ping``
     Liveness + ingest counters.
+``submit``
+    ``{"op": "submit", "suite": "paper-claims", "smoke": true,
+    "sizes": [...], "seeds": [...], "shard": "0/2", "engine":
+    "vectorized"}`` → ``total_cells``, ``skipped`` (already verified in
+    the store) and ``fingerprints`` (the cells queued for the local
+    worker).  Every field is validated here, so a bad request fails fast
+    at the client.
+``status``
+    Cumulative ingest counters, the store path, uptime and the
+    records/sec ingest rate; with ``fingerprints`` (a submit reply's
+    list), progress over those cells: ``completed``, ``unverified``,
+    ``failures``, ``pending`` and ``done``.
 ``push``
     ``{"op": "push", "records": [<cell record>, ...]}`` → per-batch
     ``accepted`` / ``dropped`` / ``conflicts`` counts.
-``status``
-    Cumulative ingest counters, the store path, uptime and the
-    cumulative records/sec ingest rate.
 ``report``
-    The rendered report bundle over everything collected so far — the
-    same bytes ``report --json`` would write from the store.
+    The rendered report bundle over the whole store — the same bytes
+    ``report --json`` would write from it.
 ``metrics``
-    The collector's full Prometheus-text exposition (ingest counters by
-    fate, push-batch sizes, stream lag, per-verb latency).
+    The server's full Prometheus-text exposition (ingest counters by
+    fate, per-phase cell timings, simulator rounds per engine, pool
+    traffic, lease fates, per-verb latency).
 ``metrics_history``
     The retained scrape history (ring buffer snapshotted every
     ``scrape_interval_s``), optionally restricted by ``window_s`` and
@@ -48,35 +69,41 @@ Verbs
     dashboard sparklines consume.
 ``register`` / ``heartbeat`` / ``lease`` / ``fleet_status``
     The elastic-fleet control plane (:mod:`repro.service.leases`):
-    workers started with ``run <suite> --fleet host:port`` register,
-    pull batches of pending cells under heartbeat-renewed leases, and
-    stream results back through ``push`` — which doubles as lease
-    completion, so a record from *any* stream retires its lease.  A
-    worker that stops heartbeating has its leases expired and handed to
-    whoever asks next; ``fleet_status`` shows workers, active leases
-    and the lifecycle counters.
+    workers register, pull batches of pending cells under
+    heartbeat-renewed leases, and stream results back through ``push``
+    — which doubles as lease completion.  A worker that stops
+    heartbeating has its leases expired and handed to whoever asks
+    next; ``fleet_status`` shows workers, active leases and the
+    lifecycle counters.
 ``shutdown``
-    Stop serving (the store is already durable; nothing to flush).
+    Refuse new submits, let the local worker finish the submitted
+    cells, then stop serving.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
-from repro.obs import MetricsRegistry, ScrapeHistory
-from repro.obs.timeseries import (
-    DEFAULT_HISTORY_CAPACITY,
-    DEFAULT_SCRAPE_INTERVAL_S,
-)
+from repro.experiments.runner import WorkerPool
+from repro.experiments.shard import ShardSpec, shard_cells
+from repro.experiments.spec import Cell, get_suite
 from repro.experiments.store import (
     DEFAULT_OUT,
     CellResult,
     ResultStore,
     resolve_duplicate,
+)
+from repro.local import check_engine_mode
+from repro.obs import MetricsRegistry, ScrapeHistory
+from repro.obs.timeseries import (
+    DEFAULT_HISTORY_CAPACITY,
+    DEFAULT_SCRAPE_INTERVAL_S,
 )
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
@@ -86,18 +113,56 @@ from repro.service.leases import (
 from repro.service.protocol import (
     LineServer,
     ServiceError,
+    check_unix_socket_path,
     error_response,
     metrics_history_response,
     ok_response,
     parse_endpoint,
     resolve_token,
+    unix_socket_is_live,
 )
 
-__all__ = ["ResultCollector"]
+__all__ = ["DEFAULT_SOCKET", "ResultCollector"]
+
+#: Default rendezvous point, next to the default result store.
+DEFAULT_SOCKET = "experiments/service.sock"
+
+
+def _int_tuple_field(name: str, value: Any) -> tuple[int, ...] | None:
+    """Coerce a submit list field (``sizes``/``seeds``) to an int tuple.
+
+    Raises :class:`ValueError` naming the field and the offending value,
+    so the submit handler answers a validation ``error_response`` like
+    every other parameter instead of letting a bare ``int(...)`` crash
+    escape as an opaque handler exception.  Empty/absent means "use the
+    suite's own sweep" (``None``); booleans are rejected — ``True`` is
+    an ``int`` to Python but never a sweep size anyone meant.
+    """
+    if value is None or value == []:
+        return None
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(
+            f"submit: {name!r} must be a list of integers, got {value!r}"
+        )
+    items = []
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+            raise ValueError(
+                f"submit: {name!r} must be a list of integers, "
+                f"got {item!r} in {value!r}"
+            )
+        try:
+            items.append(int(item))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"submit: {name!r} must be a list of integers, "
+                f"got {item!r} in {value!r}"
+            ) from None
+    return tuple(items)
 
 
 class ResultCollector:
-    """Collect streamed shard results into one deduplicated store."""
+    """The sweep server: one deduplicated store, leases, local workers."""
 
     def __init__(
         self,
@@ -110,13 +175,22 @@ class ResultCollector:
         history_spill: str | Path | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         lease_ttl_s: float | None = None,
+        workers: int = 0,
     ) -> None:
+        if workers < 0:
+            raise ValueError(f"workers must be at least 0, got {workers}")
         self.store = ResultStore(out)
         self.listen = listen
         self.socket_path = Path(socket_path) if socket_path is not None else None
         self.token = resolve_token(token)
         self._latest: dict[str, dict[str, Any]] = {}
         self._lock = threading.Lock()
+        # Wakes the local worker when cells are submitted or retired.
+        self._work = threading.Condition(self._lock)
+        #: Submitted cells not yet retired: fingerprint → (suite, cell, engine).
+        self._pending: dict[str, tuple[str, Cell, str | None]] = {}
+        #: Submitted cells whose local run failed, by fingerprint.
+        self._failures: dict[str, dict[str, Any]] = {}
         self._shutdown = threading.Event()
         self._server: LineServer | None = None
         # Cumulative ingest counters (served by ping/status).
@@ -141,12 +215,20 @@ class ResultCollector:
             capacity=history_capacity,
             spill_path=history_spill,
         )
+        #: The local worker's warm pool; ``None`` with ``workers=0``.
+        self.pool = (
+            WorkerPool(workers=workers, registry=self.registry) if workers else None
+        )
+        self._local_worker_id: str | None = None
+        self._worker_thread: threading.Thread | None = None
+        self._heartbeat_thread: threading.Thread | None = None
+        self._heartbeat_stop = threading.Event()
         self._register_metrics()
 
     def _register_metrics(self) -> None:
         # collector_records_ingested_total counts store *appends* only —
-        # CI pins it equal to the streamed store's record count, so a
-        # dropped record must not tick it.
+        # CI pins it equal to the store's record count, so a dropped
+        # record must not tick it.
         self._ingested_metric = self.registry.counter(
             "collector_records_ingested_total",
             "Records appended to the collector's store.",
@@ -173,6 +255,26 @@ class ResultCollector:
             "collector_store_malformed_records",
             "Store records skipped at startup for lacking a fingerprint.",
         ).set_function(lambda: float(self.malformed_store_records))
+        self.registry.gauge(
+            "collector_pending_cells",
+            "Submitted cells not yet stored or failed.",
+        ).set_function(lambda: float(len(self._pending)))
+        # Cell phase timings and simulator rounds come off the records
+        # themselves: cells run in other processes (pool workers, fleet
+        # machines), so their accounts travel inside the record and land
+        # here at ingest, for submitted and fleet-pushed cells alike.
+        self._cell_phase_seconds = self.registry.histogram(
+            "cell_phase_seconds",
+            "Per-cell phase durations (generate/run/verify/simulate) of "
+            "stored records.",
+            ("phase",),
+        )
+        self._engine_rounds = self.registry.counter(
+            "engine_rounds_total",
+            "Rounds simulated per engine, kernel and array backend "
+            "(interpreted fallbacks show up as engine=interpreted).",
+            ("engine", "kernel", "backend"),
+        )
         # Fleet scheduling: lease lifecycle counters fed by the lease
         # table's event callback, liveness gauges read straight off it.
         self._lease_fates = self.registry.counter(
@@ -235,20 +337,45 @@ class ResultCollector:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Seed the dedup index from the existing store and start serving.
+        """Check the endpoints, load the store, fork the pool, then bind.
 
-        A restarted collector picks up exactly where it stopped: the
+        Every endpoint problem (over-long socket path, a live server on
+        the socket, TCP without a token) is refused before any resource
+        is acquired: the pool must never fork for a server that cannot
+        come up.  Binding happens only *after* the fork — a listener
+        bound first would be inherited by every worker and keep the
+        socket alive past the server's death — and the fork happens
+        before this server starts any thread, so no child inherits a
+        lock some other thread held.
+
+        A restarted server picks up exactly where it stopped: the
         store's records are replayed through the same duplicate policy,
         so a verified record that survived the previous run still blocks
         unverified latecomers.
         """
         if self._server is not None:
-            raise RuntimeError("collector already started")
+            raise RuntimeError("server already started")
         if self.listen is None and self.socket_path is None:
             raise ServiceError(
-                "a collector needs an endpoint: --listen host:port and/or "
+                "a server needs an endpoint: --listen host:port and/or "
                 "--socket path"
             )
+        tcp_endpoint = None
+        if self.socket_path is not None:
+            check_unix_socket_path(self.socket_path)
+            if self.socket_path.exists() and unix_socket_is_live(self.socket_path):
+                raise RuntimeError(f"another server is serving {self.socket_path}")
+        if self.listen is not None:
+            tcp_endpoint = parse_endpoint(self.listen)
+            if not tcp_endpoint.is_tcp:
+                raise ServiceError(
+                    f"--listen takes a host:port TCP address, got {self.listen!r}"
+                )
+            if not self.token:
+                raise ServiceError(
+                    "refusing to listen on TCP without an auth token — pass "
+                    "--token or set REPRO_SERVICE_TOKEN"
+                )
         for record in self.store.records():
             fingerprint = record.get("fingerprint")
             if not isinstance(fingerprint, str) or not fingerprint:
@@ -269,35 +396,43 @@ class ResultCollector:
             for fingerprint, record in self._latest.items()
             if record.get("verified")
         )
+        if self.pool is not None:
+            self.pool.start()
         server = LineServer(
             self._dispatch,
             token=self.token,
             name="result-collector",
             close_after=lambda request, _: request.get("op") == "shutdown",
             registry=self.registry,
-            verbs=("ping", "push", "status", "report", "metrics",
+            verbs=("ping", "submit", "status", "push", "report", "metrics",
                    "metrics_history", "register", "heartbeat", "lease",
                    "fleet_status", "shutdown"),
         )
         try:
             if self.socket_path is not None:
                 server.listen_unix(self.socket_path)
-            if self.listen is not None:
-                endpoint = parse_endpoint(self.listen)
-                if not endpoint.is_tcp:
-                    raise ServiceError(
-                        f"--listen takes a host:port TCP address, "
-                        f"got {self.listen!r}"
-                    )
-                server.listen_tcp(endpoint.host, endpoint.port)
+            if tcp_endpoint is not None:
+                server.listen_tcp(tcp_endpoint.host, tcp_endpoint.port)
             server.start()
         except BaseException:
             server.close()
+            if self.pool is not None:
+                self.pool.shutdown()
             raise
         self._server = server
         self._started_monotonic = time.monotonic()
         if self.history.interval_s > 0:
             self.history.start()
+        if self.pool is not None:
+            self._local_worker_id = self.leases.register("local")["worker_id"]
+            self._worker_thread = threading.Thread(
+                target=self._local_worker_loop, name="local-worker", daemon=True
+            )
+            self._heartbeat_thread = threading.Thread(
+                target=self._heartbeat_loop, name="local-heartbeat", daemon=True
+            )
+            self._worker_thread.start()
+            self._heartbeat_thread.start()
 
     def serve_forever(self) -> None:
         """Run until a ``shutdown`` request (or :meth:`stop`) arrives."""
@@ -310,14 +445,44 @@ class ResultCollector:
             self.close()
 
     def stop(self) -> None:
-        self._shutdown.set()
+        """Request shutdown: new submits are refused, submitted cells still run.
+
+        Setting the flag under the lock makes stopping atomic with
+        respect to ``submit``: a submit that passed its shutdown check
+        has queued its cells before the flag can be set, so the local
+        worker (which exits only once the flag is set *and* nothing is
+        pending) never strands an accepted cell.
+        """
+        with self._work:
+            self._shutdown.set()
+            self._work.notify_all()
 
     def close(self) -> None:
+        """Stop, let the local worker drain, and release every resource.
+
+        The local worker is joined *before* the listeners close: clients
+        keep polling ``status`` while the submitted cells drain.
+        """
         self.stop()
+        if self._worker_thread is not None:
+            # No timeout: the shutdown contract is "submitted cells still
+            # run", however long they take.  A dead pool worker cannot
+            # hang this — the pool fails its cells within ~1 s.
+            self._worker_thread.join()
+            self._worker_thread = None
+        self._heartbeat_stop.set()
+        if self._heartbeat_thread is not None:
+            self._heartbeat_thread.join()
+            self._heartbeat_thread = None
         self.history.stop()
         if self._server is not None:
+            # The server unlinks only a socket *it* bound: a close()
+            # after a failed start ("another server is serving") has no
+            # server and must not sever the live one owning the file.
             self._server.close()
             self._server = None
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def __enter__(self) -> "ResultCollector":
         self.start()
@@ -339,38 +504,166 @@ class ResultCollector:
         equal-rank record with a different semantic payload was already
         present).  The decision and the append happen under one lock, so
         two streams racing the same fingerprint serialise and the policy
-        — not arrival timing — picks the survivor.
+        — not arrival timing — picks the survivor.  The append comes
+        first: a record the store refused (an unwritable ``--out``)
+        raises here and leaves the index, the counters and the lease
+        table as they were.
         """
         fingerprint = record.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
             raise ValueError("pushed record lacks a fingerprint field")
         result = CellResult.from_record(record)
-        with self._lock:
+        with self._work:
             previous = self._latest.get(fingerprint)
-            if previous is not None:
-                self.duplicates += 1
-                resolution = resolve_duplicate(previous, record)
-                if not resolution.keep_newcomer:
-                    self.dropped += 1
-                    self._fate_metric.labels(fate="dropped").inc()
-                    fate = "dropped"
-                else:
-                    fate = "conflict" if resolution.conflict else "accepted"
+            resolution = (
+                resolve_duplicate(previous, record) if previous is not None else None
+            )
+            if resolution is not None and not resolution.keep_newcomer:
+                fate = "dropped"
+                self.dropped += 1
             else:
-                fate = "accepted"
-            if fate != "dropped":
-                self._latest[fingerprint] = result.to_record()
                 self.store.append(result)
+                self._latest[fingerprint] = result.to_record()
                 self.accepted += 1
                 self._ingested_metric.inc()
-                self._fate_metric.labels(fate=fate).inc()
-                if fate == "conflict":
+                self._observe_cell(result)
+                fate = "accepted"
+                if resolution is not None and resolution.conflict:
+                    fate = "conflict"
                     self.conflicts += 1
-        # Push doubles as lease completion — outside the ingest lock
-        # (the lease table has its own), and for *every* fate: even a
-        # dropped duplicate proves the cell ran somewhere.
-        self.leases.complete(fingerprint)
+            if previous is not None:
+                self.duplicates += 1
+            self._fate_metric.labels(fate=fate).inc()
+            # A record from any stream retires a submitted cell and
+            # completes its lease — for *every* fate: even a dropped
+            # duplicate proves the cell ran somewhere.  Both happen under
+            # the ingest lock, so a concurrent submit sees either neither
+            # or both.
+            self._failures.pop(fingerprint, None)
+            if self._pending.pop(fingerprint, None) is not None:
+                self._work.notify_all()
+            self.leases.complete(fingerprint)
         return fate
+
+    def _observe_cell(self, result: CellResult) -> None:
+        for phase, seconds in (result.timings or {}).items():
+            self._cell_phase_seconds.labels(phase=phase).observe(seconds)
+        for dispatch, rounds in (result.engine_rounds or {}).items():
+            engine_kind, _, rest = dispatch.partition("/")
+            kernel, _, backend = rest.partition("/")
+            self._engine_rounds.labels(
+                engine=engine_kind, kernel=kernel or "unknown",
+                backend=backend or "-",
+            ).inc(rounds)
+
+    # ------------------------------------------------------------------
+    # the local worker (threads of this process, cells on the pool)
+    # ------------------------------------------------------------------
+    def _local_worker_loop(self) -> None:
+        """Lease pending submitted cells and run them on the warm pool.
+
+        The local worker leases like any fleet worker: a cell a
+        ``--fleet`` worker holds is left to it, and comes back here if
+        that lease expires.  It exits once shutdown is requested and
+        nothing is pending.
+        """
+        while True:
+            with self._work:
+                while not self._pending and not self._shutdown.is_set():
+                    self._work.wait()
+                if not self._pending:
+                    return
+            first = self._lease_next()
+            if first is None:
+                # Fleet workers hold every pending cell: wait for their
+                # pushes, or for their leases to expire.
+                with self._work:
+                    self._work.wait(self.leases.heartbeat_interval_s / 2)
+                continue
+            self._run_sweep(*first)
+
+    def _lease_next(
+        self, group: tuple[str, str | None] | None = None
+    ) -> tuple[str, Cell, str | None] | None:
+        """Lease one pending cell, of ``(suite, engine)`` ``group`` if
+        given; ``None`` when every such cell is leased.
+
+        The offer and the grant happen under the ingest lock, so a
+        granted cell is still pending: the ingest that retires a cell
+        completes its lease under the same lock.
+        """
+        with self._lock:
+            offer = [
+                fingerprint
+                for fingerprint, (suite_name, _, engine) in self._pending.items()
+                if group is None or group == (suite_name, engine)
+            ]
+            granted = self.leases.grant(self._local_worker_id, offer, limit=1)
+            if not granted["granted"]:
+                return None
+            return self._pending[granted["granted"][0]]
+
+    def _run_sweep(self, suite_name: str, first: Cell, engine: str | None) -> None:
+        """Run leased cells of one suite and engine on the pool.
+
+        The pool pulls the next cell as each outcome arrives, and each
+        pull leases one more pending cell of the group, so every pool
+        process stays busy until nothing is left to lease — cells
+        submitted meanwhile join the running sweep.  Each result goes
+        through :meth:`ingest`; a cell that raised, died with its pool
+        process or could not be stored is failed.  Should the pool
+        itself break (a failed fork, say), every leased cell without an
+        outcome is failed too, and the loop goes on.
+        """
+        running = {first.fingerprint: first}
+
+        def lease_next() -> Cell | None:
+            leased = self._lease_next((suite_name, engine))
+            if leased is None:
+                return None
+            cell = leased[1]
+            running[cell.fingerprint] = cell
+            return cell
+
+        cells = itertools.chain([first], iter(lease_next, None))
+        try:
+            with closing(
+                self.pool.submit_sweep(suite_name, cells, engine=engine)
+            ) as outcomes:
+                for outcome in outcomes:
+                    running.pop(outcome.cell.fingerprint, None)
+                    error = outcome.error
+                    if error is None:
+                        try:
+                            self.ingest(outcome.result.to_record())
+                        except Exception as ingest_error:  # noqa: BLE001 - a cell failure
+                            error = repr(ingest_error)
+                    if error is not None:
+                        self._fail(outcome.cell, error)
+        except Exception as pool_error:  # noqa: BLE001 - fails the leased cells
+            for cell in list(running.values()):
+                self._fail(cell, repr(pool_error))
+
+    def _fail(self, cell: Cell, error: str) -> None:
+        """Record a failed local cell and hand its lease back."""
+        with self._lock:
+            if self._pending.pop(cell.fingerprint, None) is None:
+                return  # another stream's record retired it meanwhile
+            self._failures[cell.fingerprint] = {
+                "scenario": cell.scenario,
+                "n": cell.n,
+                "seed": cell.seed,
+                "error": error,
+            }
+        # An empty offer: lease nothing, release this one.
+        self.leases.grant(self._local_worker_id, [], release=[cell.fingerprint])
+
+    def _heartbeat_loop(self) -> None:
+        """Renew the local worker's leases while its cells run, as a
+        fleet worker's heartbeat thread does, so a cell may outlive the
+        lease TTL."""
+        while not self._heartbeat_stop.wait(self.leases.heartbeat_interval_s):
+            self.leases.heartbeat(self._local_worker_id)
 
     # ------------------------------------------------------------------
     # protocol handling
@@ -378,15 +671,13 @@ class ResultCollector:
     def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
         if op == "ping":
-            return ok_response(role="collector", **self._counters())
+            return ok_response(**self._counters())
+        if op == "submit":
+            return self._handle_submit(request)
+        if op == "status":
+            return self._handle_status(request)
         if op == "push":
             return self._handle_push(request)
-        if op == "status":
-            return ok_response(
-                uptime_s=self._uptime_s(),
-                records_per_s=self._records_per_s(),
-                **self._counters(),
-            )
         if op == "report":
             with self._lock:
                 records = list(self._latest.values())
@@ -409,7 +700,7 @@ class ResultCollector:
             self.stop()
             return ok_response(stopping=True)
         return error_response(
-            f"unknown op {op!r} (expected ping/push/status/report/"
+            f"unknown op {op!r} (expected ping/submit/status/push/report/"
             f"metrics/metrics_history/register/heartbeat/lease/"
             f"fleet_status/shutdown)"
         )
@@ -422,8 +713,104 @@ class ResultCollector:
             "dropped": self.dropped,
             "conflicts": self.conflicts,
             "malformed_store_records": self.malformed_store_records,
+            "pending": len(self._pending),
+            "workers": self.pool.workers if self.pool is not None else 0,
             "store": str(self.store.path),
         }
+
+    def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:
+        if self.pool is None:
+            return error_response(
+                "this server runs no local workers (serve --workers 0); run "
+                "the suite on fleet workers instead: run <suite> --fleet "
+                "<this endpoint>"
+            )
+        if self._shutdown.is_set():
+            return error_response("server is shutting down; submit rejected")
+        suite_name = request.get("suite")
+        if not suite_name:
+            return error_response("submit requires a 'suite' field")
+        try:
+            suite = get_suite(suite_name)
+        except KeyError as error:
+            return error_response(error.args[0])
+        shard = request.get("shard")
+        if shard is not None:
+            try:
+                shard = ShardSpec.parse(str(shard))
+            except ValueError as error:
+                return error_response(str(error))
+        engine = request.get("engine")
+        if engine is not None:
+            try:
+                check_engine_mode(engine)
+            except ValueError as error:
+                return error_response(str(error))
+        try:
+            sizes = _int_tuple_field("sizes", request.get("sizes"))
+            seeds = _int_tuple_field("seeds", request.get("seeds"))
+        except ValueError as error:
+            return error_response(str(error))
+        cells = shard_cells(
+            suite.cells(
+                smoke=bool(request.get("smoke", False)), sizes=sizes, seeds=seeds
+            ),
+            shard,
+        )
+        with self._work:
+            # Re-check under the lock: stop() also takes it, so cells
+            # queued here are queued before the flag can flip and the
+            # local worker is guaranteed to drain them.
+            if self._shutdown.is_set():
+                return error_response("server is shutting down; submit rejected")
+            queued = []
+            for cell in cells:
+                if self._latest.get(cell.fingerprint, {}).get("verified"):
+                    continue
+                queued.append(cell.fingerprint)
+                self._pending.setdefault(cell.fingerprint, (suite.name, cell, engine))
+                self._failures.pop(cell.fingerprint, None)
+            # An unverified record completed its lease; re-running the
+            # cell needs it leasable again.
+            self.leases.reopen(queued)
+            self._work.notify_all()
+        return ok_response(
+            total_cells=len(cells),
+            skipped=len(cells) - len(queued),
+            fingerprints=queued,
+        )
+
+    def _handle_status(self, request: dict[str, Any]) -> dict[str, Any]:
+        fingerprints = request.get("fingerprints")
+        if fingerprints is None:
+            return ok_response(
+                uptime_s=self._uptime_s(),
+                records_per_s=self._records_per_s(),
+                **self._counters(),
+            )
+        if not isinstance(fingerprints, list) or not all(
+            isinstance(item, str) for item in fingerprints
+        ):
+            return error_response(
+                "status: 'fingerprints' must be a list of cell fingerprint strings"
+            )
+        with self._lock:
+            pending = sum(1 for fp in fingerprints if fp in self._pending)
+            failures = [self._failures[fp] for fp in fingerprints if fp in self._failures]
+            stored = [
+                self._latest[fp]
+                for fp in fingerprints
+                if fp in self._latest
+                and fp not in self._pending
+                and fp not in self._failures
+            ]
+        return ok_response(
+            completed=len(stored),
+            unverified=sum(1 for record in stored if not record.get("verified")),
+            failures=failures,
+            pending=pending,
+            done=pending == 0,
+        )
 
     # ------------------------------------------------------------------
     # fleet verbs (the lease-based control plane)

@@ -3,7 +3,7 @@
 Static ``--shard i/k`` partitioning assumes ``k`` healthy, equal
 machines for the whole sweep — one lost worker strands its shard until
 a human reruns it.  The lease model drops that assumption: workers
-*register* with the collector, *pull* batches of pending cells under
+*register* with the server, *pull* batches of pending cells under
 short-lived leases, renew them from a background heartbeat thread, and
 stream each completed cell back through the ordinary ``push`` verb
 (push doubles as lease completion).  A lease whose worker stops
@@ -14,15 +14,17 @@ robustness jump from "k machines" to "whatever shows up".
 Two halves live here:
 
 :class:`LeaseTable`
-    The collector-side scheduler state: registered workers, heartbeat
+    The server-side scheduler state: registered workers, heartbeat
     deadlines, active leases and the completed-fingerprint set, all
     under one lock and all on the **monotonic** clock (a wall-clock step
     must never mass-expire leases).  Expiry is lazy — checked at the
     top of every verb — so the table needs no background thread of its
     own.  Every lease event is reported through an optional callback,
-    which is how the collector turns scheduling into
+    which is how the server turns scheduling into
     ``fleet_leases_total{fate}`` metrics without this module importing
-    any observability code.
+    any observability code.  The server's own local worker (``serve
+    --workers N``) holds leases in the same table, so submitted cells
+    and fleet workers share one schedule.
 
 :class:`FleetWorker`
     The worker-side loop behind ``run <suite> --fleet host:port``: it
@@ -31,7 +33,7 @@ Two halves live here:
     appends each result to its local store and pushes it via
     :class:`~repro.service.client.CollectorSink`.  A replacement worker
     "resumes" a dead machine's sweep with no JSONL copying at all: the
-    collector already knows the completed fingerprints and simply never
+    server already knows the completed fingerprints and simply never
     grants them again.
 
 Lease lifecycle fates (the ``fate`` label of ``fleet_leases_total``):
@@ -313,9 +315,9 @@ class LeaseTable:
     def complete(self, fingerprint: str) -> None:
         """Mark a fingerprint done; retires its lease if one is active.
 
-        Wired to the collector's ``push`` ingest, so completion needs no
-        verb of its own — and a record streamed by a *non*-fleet shard
-        worker still informs the scheduler.
+        Wired to the server's ingest, so completion needs no verb of its
+        own — and a record from any stream (a fleet push, the local
+        worker, a bare ``push``) informs the scheduler.
         """
         now = self._clock()
         with self._lock:
@@ -334,6 +336,12 @@ class LeaseTable:
         store (verified records only — mirroring resume semantics)."""
         with self._lock:
             self._completed.update(fingerprints)
+
+    def reopen(self, fingerprints: Iterable[str]) -> None:
+        """Make completed fingerprints leasable again: a submit re-runs
+        cells whose stored record is unverified, like a resumed sweep."""
+        with self._lock:
+            self._completed.difference_update(fingerprints)
 
     # ------------------------------------------------------------------
     # introspection (fleet_status verb, metrics gauges)
@@ -413,11 +421,10 @@ class FleetWorker:
     machine may still try them, and local resume retries them next
     sweep, exactly like the static path.
 
-    Unlike the fail-soft ``--collector`` sink of a static shard run, a
-    push failure here aborts the run: in fleet mode the collector *is*
-    the control plane, and a worker that cannot push cannot complete
-    leases either.  The local store keeps everything already executed,
-    so a rerun resumes collector-aware with no work lost.
+    A push failure aborts the run: the server is the control plane, and
+    a worker that cannot push cannot complete leases either.  The local
+    store keeps everything already executed, so a rerun resumes
+    server-aware with no work lost.
     """
 
     def __init__(
@@ -501,34 +508,36 @@ class FleetWorker:
             executed=0,
             unverified=0,
         )
-        pool = WorkerPool(workers=self.jobs)
-        # Fork the workers before any thread or socket exists: the
-        # children must not inherit a mid-flight connection or a lock
-        # the heartbeat thread holds.
-        pool.start()
+        # A bad endpoint fails here, before anything forks.
         client = ServiceClient(self.fleet, token=self.token)
         sink = CollectorSink(client)
-        self._register(client)
 
         def push(result: CellResult) -> None:
-            # The recorder's progress hook, not a fail-soft sink: a push
-            # that fails raises out of the lease loop and aborts the run.
+            # The recorder's progress hook: a push that fails raises out
+            # of the lease loop and aborts the run.
             sink(result)
             self.pushed += 1
             if self.progress is not None:
                 self.progress(result)
 
-        record = make_recorder(self.store, (), report, push)
+        record = make_recorder(self.store, report, push)
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
             args=(client,),
             name=f"fleet-heartbeat-{self.name}",
             daemon=True,
         )
-        heartbeat.start()
         failed: set[str] = set()
         release: list[str] = []
+        pool = WorkerPool(workers=self.jobs)
+        # Fork the workers before any thread or socket exists: the
+        # children must not inherit a mid-flight connection or a lock
+        # the heartbeat thread holds.
+        pool.start()
         try:
+            # Inside the try: an unreachable server must not leak the pool.
+            self._register(client)
+            heartbeat.start()
             while True:
                 offers = [
                     fingerprint
@@ -573,7 +582,8 @@ class FleetWorker:
                 self._stop.wait(self.poll_interval_s)
         finally:
             self._stop.set()
-            heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
+            if heartbeat.is_alive():
+                heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
             sink.close()
             pool.shutdown()
         report.skipped = (

@@ -22,8 +22,8 @@ Transports and endpoints
 path.  :class:`LineServer` is the shared listener abstraction — it owns
 the accept loop, the per-connection threads and the per-request token
 check, and dispatches each decoded request to a handler callable.  The
-sweep daemon and the result collector are both thin verb tables on top
-of it.
+sweep server (:class:`~repro.service.collector.ResultCollector`) is one
+verb table on top of it.
 
 Authentication
 --------------
@@ -69,8 +69,9 @@ __all__ = [
     "unix_socket_is_live",
 ]
 
-#: Upper bound on one protocol line.  Results of a large job dominate; a
-#: 64 MiB line is ~100k cell records, far beyond a sane single response.
+#: Upper bound on one protocol line.  Report bundles and submit replies
+#: dominate; a 64 MiB line is ~100k cell records, far beyond a sane
+#: single response.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: Environment variable holding the shared TCP auth token; ``--token``
@@ -144,7 +145,7 @@ def error_response(message: str) -> dict[str, Any]:
 
 
 def metrics_history_response(history, request: dict[str, Any]) -> dict[str, Any]:
-    """The shared ``metrics_history`` verb body for both services.
+    """The ``metrics_history`` verb body.
 
     Takes one fresh snapshot first — the reply always includes the
     state at request time, even on a just-started server — then returns
@@ -374,7 +375,7 @@ class LineServer:
             # A previous server that crashed leaves a stale socket file; a
             # *live* one would still answer, so probe before stealing.
             if unix_socket_is_live(path):
-                raise RuntimeError(f"another daemon is serving {path}")
+                raise RuntimeError(f"another server is serving {path}")
             path.unlink()
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:

@@ -142,8 +142,10 @@ class TestWorkerPoolRunsNewSuites:
 
         pool_store = ResultStore(tmp_path / "pool")
         with WorkerPool(workers=2) as pool:
-            report = SweepRunner(suite, pool_store, smoke=True, pool=pool).run()
-        assert report.ok
+            outcomes = list(pool.submit_sweep(suite.name, suite.cells(smoke=True)))
+        assert all(outcome.ok for outcome in outcomes)
+        for outcome in outcomes:
+            pool_store.append(outcome.result)
         assert _canonical(pool_store.records()) == _canonical(
             runner_store.records()
         )

@@ -6,7 +6,7 @@ to the interpreted engine with identical semantic results, and only an
 *explicit* ``engine="vectorized"`` request may raise
 :class:`EngineUnavailable`.  Setting ``repro.local.vectorized.np`` to
 ``None`` is the single switch, and on Linux the fork start method
-carries the patch into pool and daemon worker processes, so the whole
+carries the patch into pool and server worker processes, so the whole
 service stack can be exercised against a simulated numpy-free
 interpreter.
 
@@ -146,37 +146,39 @@ class TestNumpyAbsentDegradation:
         assert len(results) == len(DEGRADE_SUITE.cells())
         assert all(result.engine == "interpreted" for result in results)
 
-    def test_worker_pool_degrades_forked_workers(self, no_numpy, tmp_path):
+    def test_worker_pool_degrades_forked_workers(self, no_numpy):
         from repro.service import WorkerPool
 
-        store = ResultStore(tmp_path)
         with WorkerPool(workers=2) as pool:
-            report = SweepRunner(DEGRADE_SUITE, store, pool=pool).run()
-        assert report.ok
-        assert all(result.engine == "interpreted" for result in store.results())
+            outcomes = list(
+                pool.submit_sweep(DEGRADE_SUITE.name, DEGRADE_SUITE.cells())
+            )
+        assert all(outcome.ok for outcome in outcomes)
+        assert all(outcome.result.engine == "interpreted" for outcome in outcomes)
 
     @pytest.mark.skipif(
         not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
     )
-    def test_daemon_submit_degrades_and_ticks_interpreted_counters(
+    def test_server_submit_degrades_and_ticks_interpreted_counters(
         self, no_numpy, tmp_path
     ):
         from repro.obs import parse_exposition
         from repro.obs.metrics import samples_named
-        from repro.service import ServiceClient, SweepDaemon
+        from repro.service import ResultCollector, ServiceClient
 
-        daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
-        daemon.start()
+        server = ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock", workers=2
+        )
+        server.start()
         try:
-            client = ServiceClient(daemon.socket_path)
-            job = client.submit(
-                "paper-claims", smoke=True, out=str(tmp_path / "store")
-            )
-            status = client.wait(job, timeout=120)
-            assert status["state"] == "done"
+            client = ServiceClient(server.socket_path)
+            queued = client.submit("paper-claims", smoke=True)["fingerprints"]
+            status = client.wait(queued, timeout=120)
+            assert status["completed"] == len(queued)
             assert not status["failures"]
             engines = {
-                record.get("engine") for record in client.results(job)
+                record.get("engine")
+                for record in ResultStore(tmp_path / "store").records()
             }
             assert engines <= {"interpreted", None}
             samples = samples_named(
@@ -189,7 +191,7 @@ class TestNumpyAbsentDegradation:
                 for sample in samples
             )
         finally:
-            daemon.close()
+            server.close()
 
 
 class TestEngineRoundsProvenance:

@@ -7,7 +7,7 @@ shared :class:`~repro.service.protocol.LineServer` with a trivial echo
 handler, so what is pinned here is the *protocol layer* (one JSON object
 per ``\\n``-terminated line, one response per request, error responses
 for malformed input, per-request TCP auth), independent of any verb
-table the daemon or collector put on top.
+table the sweep server puts on top.
 """
 
 import io
@@ -176,7 +176,7 @@ class TestRoundTrip:
             sock.close()
 
     def test_close_after_verb_half_closes_cleanly(self, echo_server):
-        """After a terminal verb (the daemon's ``shutdown``), the response
+        """After a terminal verb (the server's ``shutdown``), the response
         still arrives, then the server closes the connection."""
         _, endpoint = echo_server
         sock = open_connection(endpoint)

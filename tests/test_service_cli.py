@@ -1,4 +1,5 @@
-"""CLI tests for the service subcommands: run --shard, merge, serve, submit."""
+"""CLI tests for the service subcommands: run --shard, merge, serve,
+submit, run --fleet, and the removed `collect` and flags."""
 
 import json
 import socket
@@ -87,61 +88,86 @@ class TestMergeCli:
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
 )
 class TestServeSubmitCli:
-    def test_serve_submit_shutdown(self, tmp_path, capsys):
-        sock_path = str(tmp_path / "svc.sock")
-        server = threading.Thread(
-            target=main,
-            args=(["serve", "--socket", sock_path, "--workers", "1"],),
-            daemon=True,
-        )
+    @staticmethod
+    def serve(argv):
+        """Run ``serve`` on a thread; return it once the server answers."""
+        server = threading.Thread(target=main, args=(["serve", *argv],), daemon=True)
         server.start()
-        client = ServiceClient(sock_path)
+        client = ServiceClient(argv[argv.index("--socket") + 1])
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             try:
                 client.ping()
-                break
+                return server, client
             except Exception:
                 time.sleep(0.05)
-        else:
-            pytest.fail("serve did not come up in time")
+        pytest.fail("serve did not come up in time")
 
-        assert main([
+    def test_serve_submit_shutdown(self, tmp_path, capsys):
+        sock_path = str(tmp_path / "svc.sock")
+        server, client = self.serve([
+            "--socket", sock_path, "--workers", "1",
+            "--out", str(tmp_path / "store"),
+        ])
+        submit = [
             "submit", "paper-claims", "--socket", sock_path, "--smoke",
-            "--out", str(tmp_path / "store"), "--wait", "--timeout", "120",
-        ]) == 0
+            "--wait", "--timeout", "120",
+        ]
+        assert main(submit) == 0
         out = capsys.readouterr().out
-        assert "submitted 'paper-claims'" in out
-        assert "done" in out and "0 unverified" in out
+        assert "submitted 'paper-claims': 19 cells, 0 already stored" in out
+        assert "done: 19 stored, 0 failed, 0 unverified" in out
         assert (tmp_path / "store" / "results.jsonl").exists()
+        assert main(submit) == 0
+        assert "19 already stored, 0 queued" in capsys.readouterr().out
 
+        client.shutdown()
+        server.join(timeout=30)
+        assert not server.is_alive()
+        assert "sweep server stopped: 19 accepted" in capsys.readouterr().out
+
+    def test_serve_workers_0_collects_and_refuses_submit(self, tmp_path, capsys):
+        sock_path = str(tmp_path / "svc.sock")
+        server, client = self.serve([
+            "--socket", sock_path, "--workers", "0",
+            "--out", str(tmp_path / "store"),
+        ])
+        assert client.ping()["workers"] == 0
+        assert main(["submit", "paper-claims", "--socket", sock_path]) == 2
+        assert "run <suite> --fleet" in capsys.readouterr().err
+        assert main([
+            "run", "lower-bound", "--smoke", "--jobs", "1", "--quiet",
+            "--fleet", sock_path, "--out", str(tmp_path / "worker"),
+        ]) == 0
+        assert client.status()["records"] > 0
         client.shutdown()
         server.join(timeout=30)
         assert not server.is_alive()
 
     def test_serve_on_busy_socket_exits_2(self, tmp_path, capsys):
-        from repro.service import SweepDaemon
+        from repro.service import ResultCollector
 
-        with SweepDaemon(socket_path=tmp_path / "busy.sock", workers=1):
+        with ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "busy.sock"):
             assert main([
                 "serve", "--socket", str(tmp_path / "busy.sock"),
+                "--out", str(tmp_path / "store"),
             ]) == 2
-        assert "another daemon" in capsys.readouterr().err
+        assert "another server" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["serve", "--workers", "0"],
-            ["run", "paper-claims", "--jobs", "0"],
+            (["serve", "--workers", "-1"], "non-negative integer"),
+            (["run", "paper-claims", "--jobs", "0"], "positive integer"),
         ],
     )
-    def test_nonpositive_counts_rejected_by_argparse(self, argv, tmp_path, capsys):
+    def test_out_of_range_counts_rejected_by_argparse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--socket", str(tmp_path / "x.sock")] if argv[0] == "serve" else argv)
+            main(argv)
         assert excinfo.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
-    def test_submit_without_daemon_exits_2(self, tmp_path, capsys):
+    def test_submit_without_server_exits_2(self, tmp_path, capsys):
         assert main([
             "submit", "paper-claims",
             "--socket", str(tmp_path / "nope.sock"),
@@ -152,10 +178,11 @@ class TestServeSubmitCli:
 @pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
 )
-class TestCollectCli:
-    def test_collect_run_report_connect_roundtrip(self, tmp_path, capsys, monkeypatch):
-        """The CLI face of the streamed transport: `collect --listen`,
-        `run --collector`, `report --connect` — token via the env var."""
+class TestFleetCli:
+    def test_fleet_run_report_connect_roundtrip(self, tmp_path, capsys, monkeypatch):
+        """The CLI face of the TCP transport: `run --fleet` against a
+        `serve --workers 0` server, `report --connect` — token via the
+        env var."""
         monkeypatch.setenv("REPRO_SERVICE_TOKEN", "cli-token")
         from repro.service import ResultCollector
 
@@ -168,35 +195,38 @@ class TestCollectCli:
             assert main([
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
                 "--out", str(tmp_path / "local"),
-                "--collector", f"{host}:{port}",
+                "--fleet", f"{host}:{port}",
             ]) == 0
             out = capsys.readouterr().out
-            assert "streamed" in out and f"{host}:{port}" in out
+            assert "pushed" in out and f"{host}:{port}" in out
             assert main(["report", "--connect", f"{host}:{port}"]) == 0
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:
             collector.close()
 
-    def test_collect_requires_an_endpoint(self, capsys):
-        assert main(["collect", "--out", "nowhere"]) == 2
-        assert "needs an endpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["collect"],
+        ["collect", "--listen", "0.0.0.0:7919", "--out", "central"],
+    ])
+    def test_collect_names_its_replacement(self, argv, capsys):
+        assert main(argv) == 2
+        assert "`collect` is now `serve --workers 0`" in capsys.readouterr().err
 
-    def test_collect_listen_without_token_exits_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
-        assert main(["collect", "--listen", "127.0.0.1:0"]) == 2
-        assert "REPRO_SERVICE_TOKEN" in capsys.readouterr().err
+    def test_unknown_flags_still_rejected_by_argparse(self, capsys):
+        """`main` parses known arguments first so that `collect` can name
+        its replacement; every other command still rejects extras."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "paper-claims", "--out", "store"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --out store" in capsys.readouterr().err
 
     def test_serve_listen_without_token_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
         assert main([
-            "serve", "--socket", str(tmp_path / "s.sock"),
+            "serve", "--socket", str(tmp_path / "s.sock"), "--workers", "0",
             "--listen", "127.0.0.1:0",
         ]) == 2
         assert "auth token" in capsys.readouterr().err
-
-    def test_report_job_without_connect_exits_2(self, capsys):
-        assert main(["report", "--job", "job-1"]) == 2
-        assert "--connect" in capsys.readouterr().err
 
     def test_report_suite_with_connect_exits_2(self, capsys):
         assert main([
@@ -205,7 +235,7 @@ class TestCollectCli:
         assert "--suite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["run", "paper-claims", "--smoke", "--collector", "127.0.0.1:99999"],
+        ["run", "paper-claims", "--smoke", "--fleet", "127.0.0.1:99999"],
         ["report", "--connect", "127.0.0.1:99999"],
         ["submit", "paper-claims", "--socket", "127.0.0.1:99999"],
     ])

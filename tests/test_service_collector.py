@@ -1,7 +1,8 @@
-"""Cross-machine transport tests: the TCP result collector, streamed
-shard→collector equivalence with the file-based merge path, concurrent
-fingerprint dedup, the daemon-side ``report`` verb, the daemon's TCP
-listener, and the client's connect-retry backoff."""
+"""Cross-machine transport tests: the server's TCP listener and push
+ingest, equivalence of two ``--fleet`` workers' server store with the
+file-based merge path, concurrent fingerprint dedup, the server-side
+``report`` verb, submit over TCP, and the client's connect-retry
+backoff."""
 
 import socket
 import threading
@@ -18,7 +19,6 @@ from repro.service import (
     ResultCollector,
     ServiceClient,
     ServiceError,
-    SweepDaemon,
 )
 from repro.service.protocol import ok_response
 
@@ -63,9 +63,9 @@ def collector_client(collector, **kwargs):
 
 
 class TestCollectorVerbs:
-    def test_ping_reports_role_and_counters(self, collector):
+    def test_ping_reports_counters(self, collector):
         response = collector_client(collector).ping()
-        assert response["role"] == "collector"
+        assert response["workers"] == 0
         assert response["records"] == 0
         assert response["store"] == str(collector.store.path)
 
@@ -102,6 +102,26 @@ class TestCollectorVerbs:
     def test_report_on_empty_collector_is_an_error(self, collector):
         with pytest.raises(ServiceError, match="no results"):
             collector_client(collector).report()
+
+    def test_failed_append_leaves_no_phantom_record(self, tmp_path):
+        """A push the store could not append is answered with an error
+        and leaves nothing behind: no index entry, no counter tick, no
+        record in the report verb, no completed lease."""
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        collector = ResultCollector(
+            out=blocked / "sub", listen="127.0.0.1:0", token=TOKEN
+        )
+        with collector:
+            client = collector_client(collector)
+            with pytest.raises(ServiceError, match="Error"):
+                client.push([make_result(1).to_record()])
+            status = client.status()
+            assert status["records"] == 0 and status["accepted"] == 0
+            with pytest.raises(ServiceError, match="no results"):
+                client.report()
+            assert collector.leases.completed_count() == 0
+        assert not (blocked / "sub").exists()
 
     def test_tcp_push_without_token_refused(self, collector):
         client = collector_client(collector)
@@ -258,23 +278,25 @@ class TestDedupPolicy:
 
 
 class TestStreamedEquivalence:
-    """The acceptance bar: two shard workers streaming to a TCP collector
-    yield a store whose ``report --json`` bundle is byte-identical to the
-    PR 3 file-based shard→merge→report path over the same records."""
+    """The acceptance bar: two ``--fleet`` workers pushing to a TCP
+    server yield a store whose ``report --json`` bundle is byte-identical
+    to the file-based shard→merge→report path over the workers' own
+    local stores."""
 
-    def test_streamed_store_report_matches_merge_path(self, collector, tmp_path, capsys):
+    def test_fleet_store_report_matches_merge_path(self, collector, tmp_path, capsys):
         host, port = collector.tcp_address
 
-        def run_shard(index):
+        def run_worker(index):
             assert main([
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
-                "--shard", f"{index}/2", "--out", str(tmp_path / f"shard{index}"),
-                "--collector", f"{host}:{port}", "--token", TOKEN,
+                "--out", str(tmp_path / f"worker{index}"),
+                "--fleet", f"{host}:{port}", "--token", TOKEN,
+                "--worker-name", f"w{index}",
             ]) == 0
 
-        # Two shard workers streaming concurrently, like two machines would.
+        # Two fleet workers pulling concurrently, like two machines would.
         threads = [
-            threading.Thread(target=run_shard, args=(index,)) for index in range(2)
+            threading.Thread(target=run_worker, args=(index,)) for index in range(2)
         ]
         for thread in threads:
             thread.start()
@@ -285,20 +307,23 @@ class TestStreamedEquivalence:
         assert collector.accepted == expected
         assert collector.dropped == 0 and collector.conflicts == 0
 
-        # file-based path: merge the shard workers' local stores
+        # file-based path: merge the workers' local stores
         merged = tmp_path / "merged"
         assert main([
             "merge", "--out", str(merged / "results.jsonl"),
-            str(tmp_path / "shard0" / "results.jsonl"),
-            str(tmp_path / "shard1" / "results.jsonl"),
+            *(
+                str(tmp_path / f"worker{index}" / "results.jsonl")
+                for index in range(2)
+                if (tmp_path / f"worker{index}" / "results.jsonl").exists()
+            ),
         ]) == 0
         assert main([
             "report", "--out", str(merged), "--json", str(tmp_path / "merged.json"),
             "--csv", str(tmp_path / "merged.csv"),
         ]) == 0
 
-        # streamed path, read two ways: the collector's store file, and
-        # the collector's server-side report verb
+        # the server's store, read two ways: the store file, and the
+        # server-side report verb
         assert main([
             "report", "--out", str(tmp_path / "central"),
             "--json", str(tmp_path / "central.json"),
@@ -322,145 +347,79 @@ class TestStreamedEquivalence:
         }
         assert merged_records == streamed_records
 
-    def test_sink_failure_does_not_fail_the_sweep(self, tmp_path, capsys):
-        """A collector that disappears mid-sweep costs the stream, not the
-        results: the local store completes, the exit code flags the loss."""
-        collector = ResultCollector(
-            out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN
-        )
-        collector.start()
-        host, port = collector.tcp_address
-        collector.close()  # gone before the sweep starts
-        code = main([
-            "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
-            "--shard", "0/2", "--out", str(tmp_path / "local"),
-            "--collector", f"{host}:{port}", "--token", TOKEN,
-        ])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "COLLECTOR STREAM FAILED" in captured.err
-        # every executed cell still landed in the local store
-        expected = [
-            cell for cell in get_suite("paper-claims").cells(smoke=True)
-            if int(cell.fingerprint, 16) % 2 == 0
-        ]
-        assert len(ResultStore(tmp_path / "local").records()) == len(expected)
 
-
-class TestDaemonReportVerb:
-    @pytest.fixture()
-    def daemon(self, tmp_path):
-        daemon = SweepDaemon(socket_path=tmp_path / "svc.sock", workers=2)
-        daemon.start()
-        yield daemon
-        daemon.close()
-
-    def test_report_for_finished_job_matches_local_bytes(self, daemon, tmp_path, capsys):
-        client = ServiceClient(daemon.socket_path)
-        out = tmp_path / "store"
-        job = client.submit("paper-claims", smoke=True, out=str(out))
-        client.wait(job, timeout=120)
-        payload = client.report(job)
-        assert payload["state"] == "done"
+class TestServerReportVerb:
+    def test_report_after_submit_matches_local_bytes(self, tmp_path, capsys):
+        with ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock", workers=2
+        ) as server:
+            client = ServiceClient(server.socket_path)
+            client.wait(client.submit("paper-claims", smoke=True)["fingerprints"])
+            payload = client.report()
         assert payload["all_verified"] is True
         assert "Theorem 3 shape" in payload["render"]
-        # byte-identical to a local `report --json` over the job's store
+        # byte-identical to a local `report --json` over the server's store
         assert main([
-            "report", "--out", str(out), "--json", str(tmp_path / "local.json"),
+            "report", "--out", str(tmp_path / "store"),
+            "--json", str(tmp_path / "local.json"),
         ]) == 0
         capsys.readouterr()
         assert payload["json"].encode() == (tmp_path / "local.json").read_bytes()
 
-    def test_report_requires_a_finished_job(self, daemon, tmp_path):
-        client = ServiceClient(daemon.socket_path)
-        with pytest.raises(ServiceError, match="requires a 'job'"):
-            client.report()
-        with pytest.raises(ServiceError, match="unknown job"):
-            client.report("job-999")
 
-    def test_report_on_failed_job_without_records(self, daemon, tmp_path):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file, not a directory")
-        client = ServiceClient(daemon.socket_path)
-        job = client.submit("paper-claims", smoke=True, out=str(blocked / "sub"))
-        assert client.wait(job)["state"] == "failed"
-        with pytest.raises(ServiceError, match="no results"):
-            client.report(job)
-
-
-class TestDaemonTcp:
+class TestServerTcp:
     def test_submit_wait_report_over_tcp(self, tmp_path):
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=2,
-            listen="127.0.0.1:0", token=TOKEN,
+        server = ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
+            workers=2, listen="127.0.0.1:0", token=TOKEN,
         )
-        daemon.start()
+        server.start()
         try:
-            host, port = daemon.tcp_address
+            host, port = server.tcp_address
             client = ServiceClient(f"{host}:{port}", token=TOKEN)
-            assert client.ping()["pool"]["workers"] == 2
-            out = tmp_path / "store"
-            job = client.submit("paper-claims", smoke=True, out=str(out))
-            status = client.wait(job, timeout=120)
-            assert status["state"] == "done" and status["unverified"] == 0
-            assert "Theorem 3 shape" in client.report(job)["render"]
+            assert client.ping()["workers"] == 2
+            queued = client.submit("paper-claims", smoke=True)["fingerprints"]
+            status = client.wait(queued, timeout=120)
+            assert status["completed"] == len(queued) and status["unverified"] == 0
+            assert "Theorem 3 shape" in client.report()["render"]
         finally:
-            daemon.close()
+            server.close()
 
     def test_tcp_request_with_wrong_token_refused(self, tmp_path):
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=1,
-            listen="127.0.0.1:0", token=TOKEN,
+        server = ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
+            workers=1, listen="127.0.0.1:0", token=TOKEN,
         )
-        daemon.start()
+        server.start()
         try:
-            host, port = daemon.tcp_address
+            host, port = server.tcp_address
             with pytest.raises(ServiceError, match="authentication failed"):
                 ServiceClient(f"{host}:{port}", token="wrong").ping()
             # the Unix socket keeps working without any token
-            assert ServiceClient(daemon.socket_path).ping()["ok"] is True
+            assert ServiceClient(server.socket_path).ping()["ok"] is True
         finally:
-            daemon.close()
+            server.close()
 
     def test_listen_without_token_refused_before_pool_start(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=1, listen="127.0.0.1:0"
+        server = ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
+            workers=1, listen="127.0.0.1:0",
         )
         with pytest.raises(ServiceError, match="without an auth token"):
-            daemon.start()
-        assert not daemon.pool.started
-        daemon.close()
+            server.start()
+        assert not server.pool.started
+        server.close()
 
     def test_listen_must_be_tcp(self, tmp_path):
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=1,
-            listen="/tmp/some.sock", token=TOKEN,
+        server = ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
+            workers=1, listen="/tmp/some.sock", token=TOKEN,
         )
         with pytest.raises(ServiceError, match="host:port"):
-            daemon.start()
-        assert not daemon.pool.started
-        daemon.close()
-
-    def test_daemon_job_streams_to_collector(self, collector, tmp_path):
-        """submit --collector: the daemon itself streams the job's records."""
-        host, port = collector.tcp_address
-        daemon = SweepDaemon(
-            socket_path=tmp_path / "svc.sock", workers=2, token=TOKEN
-        )
-        daemon.start()
-        try:
-            client = ServiceClient(daemon.socket_path)
-            job = client.submit(
-                "paper-claims", smoke=True, out=str(tmp_path / "store"),
-                collector=f"{host}:{port}",
-            )
-            status = client.wait(job, timeout=120)
-            assert status["state"] == "done"
-            assert status["sink_error"] is None
-            assert collector.accepted == status["executed"] > 0
-        finally:
-            daemon.close()
+            server.start()
+        assert not server.pool.started
+        server.close()
 
 
 class TestClientConnectRetry:
@@ -502,7 +461,7 @@ class TestClientConnectRetry:
             starter.join(timeout=10)
             server.close()
 
-    def test_unix_stale_socket_retries_until_daemon_replaces_it(self, tmp_path):
+    def test_unix_stale_socket_retries_until_a_server_replaces_it(self, tmp_path):
         path = tmp_path / "race.sock"
         # a dead server's leftover: bound once, nobody accepting →
         # connects raise ConnectionRefusedError

@@ -452,9 +452,9 @@ class TestFleetWorkerEndToEnd:
         assert worker.pushed == 2
 
     def test_a_failed_push_aborts_the_run(self, collector, tmp_path, monkeypatch):
-        """Unlike a fail-soft ``--collector`` sink, a fleet push that fails
-        stops the worker; the cell it could not push is already in the
-        local store, and the pool is shut down."""
+        """A fleet push that fails stops the worker; the cell it could
+        not push is already in the local store, and the pool is shut
+        down."""
         def refuse(sink, result):
             raise ServiceError("collector refused the push")
 
@@ -585,15 +585,31 @@ class TestFleetWorkerEndToEnd:
         assert collector.leases.counts["released"] == 1
         assert collector.leases.active_leases() == 0
 
-    def test_cli_fleet_flag_is_exclusive_with_shard_and_collector(
-        self, capsys
+    def test_cli_fleet_flag_is_exclusive_with_shard(self, capsys):
+        assert main([
+            "run", "paper-claims", "--smoke",
+            "--fleet", "127.0.0.1:1", "--shard", "0/2",
+        ]) == 2
+        assert "--fleet replaces" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint,message", [
+        ("127.0.0.1:99999", "out of range"),
+        ("{tmp}/a-file/fleet.sock", "cannot reach"),
+    ])
+    def test_a_bad_or_unreachable_endpoint_leaks_no_pool(
+        self, tmp_path, capsys, endpoint, message
     ):
-        for extra in (["--shard", "0/2"], ["--collector", "127.0.0.1:1"]):
-            assert main([
-                "run", "paper-claims", "--smoke",
-                "--fleet", "127.0.0.1:1", *extra,
-            ]) == 2
-            assert "--fleet replaces" in capsys.readouterr().err
+        """The endpoint is parsed before the pool forks, and registering
+        happens inside the run's cleanup scope: neither failure leaves a
+        worker process behind."""
+        (tmp_path / "a-file").write_text("not a directory")
+        assert main([
+            "run", "paper-claims", "--smoke", "--jobs", "2", "--quiet",
+            "--out", str(tmp_path / "store"),
+            "--fleet", endpoint.format(tmp=tmp_path),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_cli_fleet_run_end_to_end(self, collector, tmp_path, capsys):
         host, port = collector.tcp_address

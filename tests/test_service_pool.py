@@ -110,6 +110,16 @@ def meeting_suite(monkeypatch) -> Suite:
     )
 
 
+def run_on(pool: WorkerPool, suite: Suite, store: ResultStore) -> list:
+    """Run every cell of ``suite`` on a warm ``pool``, storing each
+    result; returns the outcomes."""
+    outcomes = list(pool.submit_sweep(suite.name, suite.cells()))
+    for outcome in outcomes:
+        if outcome.ok:
+            store.append(outcome.result)
+    return outcomes
+
+
 def normalized(store: ResultStore) -> dict[str, dict]:
     out = {}
     for record in store.records():
@@ -132,16 +142,16 @@ class TestPoolExecution:
         SweepRunner(SUITE, serial, jobs=1).run()
         pooled = ResultStore(tmp_path / "pool")
         with WorkerPool(workers=2) as pool:
-            report = SweepRunner(SUITE, pooled, pool=pool).run()
-        assert report.ok
-        assert report.executed == len(SUITE.cells())
+            outcomes = run_on(pool, SUITE, pooled)
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(outcomes) == len(SUITE.cells())
         assert normalized(pooled) == normalized(serial)
 
     def test_warm_reuse_across_sweeps_same_processes(self, tmp_path):
         with WorkerPool(workers=2) as pool:
-            SweepRunner(SUITE, ResultStore(tmp_path / "a"), pool=pool).run()
+            run_on(pool, SUITE, ResultStore(tmp_path / "a"))
             pids_after_first = [p.pid for p in pool._processes]
-            SweepRunner(SUITE, ResultStore(tmp_path / "b"), pool=pool).run()
+            run_on(pool, SUITE, ResultStore(tmp_path / "b"))
             pids_after_second = [p.pid for p in pool._processes]
         assert pids_after_first == pids_after_second
         assert pool.sweeps_served == 2
@@ -149,24 +159,22 @@ class TestPoolExecution:
 
     def test_resume_skips_completed(self, tmp_path):
         store = ResultStore(tmp_path)
-        with WorkerPool(workers=2) as pool:
-            first = SweepRunner(SUITE, store, pool=pool).run()
-            second = SweepRunner(SUITE, store, pool=pool).run()
+        first = SweepRunner(SUITE, store, jobs=2).run()
+        second = SweepRunner(SUITE, store, jobs=2).run()
         assert first.executed == len(SUITE.cells())
         assert second.executed == 0
         assert second.skipped == second.total_cells == len(SUITE.cells())
 
     def test_sharded_pool_run(self, tmp_path):
-        with WorkerPool(workers=2) as pool:
-            reports = [
-                SweepRunner(
-                    SUITE,
-                    ResultStore(tmp_path / f"s{index}"),
-                    shard=ShardSpec(index, 2),
-                    pool=pool,
-                ).run()
-                for index in range(2)
-            ]
+        reports = [
+            SweepRunner(
+                SUITE,
+                ResultStore(tmp_path / f"s{index}"),
+                jobs=2,
+                shard=ShardSpec(index, 2),
+            ).run()
+            for index in range(2)
+        ]
         assert all(report.ok for report in reports)
         fps0 = set(normalized(ResultStore(tmp_path / "s0")))
         fps1 = set(normalized(ResultStore(tmp_path / "s1")))
@@ -175,18 +183,14 @@ class TestPoolExecution:
 
     def test_progress_callback_streams_every_cell(self, tmp_path):
         events = []
-        with WorkerPool(workers=2) as pool:
-            SweepRunner(SUITE, ResultStore(tmp_path), pool=pool).run(
-                progress=lambda result: events.append("cell"),
-                on_plan=lambda total, skipped: events.append((total, skipped)),
-            )
-        total = len(SUITE.cells())
-        assert events == [(total, 0)] + ["cell"] * total
+        SweepRunner(SUITE, ResultStore(tmp_path), jobs=2).run(
+            progress=lambda result: events.append("cell"),
+        )
+        assert events == ["cell"] * len(SUITE.cells())
 
     def test_a_warm_pool_runs_even_a_single_cell(self, tmp_path):
-        """The daemon never runs a cell in its own process: a pool passed
-        in serves every cell, including the lone pending one that a
-        ``jobs`` runner would run in process."""
+        """A one-cell sweep runs on the pool's workers too, not in the
+        submitting process."""
         one_cell = Suite(
             name="pool-one", description="one cell", scenarios=(
                 ScenarioSpec(
@@ -196,9 +200,33 @@ class TestPoolExecution:
             ),
         )
         with WorkerPool(workers=2) as pool:
-            report = SweepRunner(one_cell, ResultStore(tmp_path), pool=pool).run()
-            assert report.ok and report.executed == 1
+            outcomes = run_on(pool, one_cell, ResultStore(tmp_path))
+            assert [outcome.error for outcome in outcomes] == [None]
             assert pool.cells_executed == 1
+
+    def test_cells_are_pulled_as_tasks_are_handed_out(self, tmp_path):
+        """``submit_sweep`` pulls its cells lazily: at most two per worker
+        before the first outcome, and a cell appended to the source while
+        the sweep runs still joins it."""
+        cells = SUITE.cells()
+        source = list(cells[:3])
+        pulled = []
+
+        def feed():
+            while source:
+                cell = source.pop(0)
+                pulled.append(cell)
+                yield cell
+
+        with WorkerPool(workers=1) as pool:
+            outcomes = pool.submit_sweep(SUITE.name, feed())
+            first = next(outcomes)
+            assert len(pulled) == 3  # two in flight, one pulled on arrival
+            source.append(cells[3])
+            rest = list(outcomes)
+        assert [o.cell.fingerprint for o in [first, *rest]] == [
+            c.fingerprint for c in cells[:4]
+        ]
 
     def test_two_workers_run_two_cells_at_once(self, monkeypatch):
         suite = meeting_suite(monkeypatch)
@@ -256,14 +284,9 @@ class TestPoolFailures:
             ),
         )
         store = ResultStore(tmp_path)
-        failed = []
-        with WorkerPool(workers=2) as pool:
-            report = SweepRunner(suite, store, pool=pool).run(
-                on_failure=lambda cell, error: failed.append(cell.scenario)
-            )
+        report = SweepRunner(suite, store, jobs=2).run()
         assert not report.ok
-        assert failed == ["boom"]
-        assert len(report.failures) == 1
+        assert [failure.cell.scenario for failure in report.failures] == ["boom"]
         assert "boom" in report.failures[0].error
         assert report.executed == 1
         assert len(store) == 1
@@ -274,17 +297,15 @@ class TestPoolFailures:
         queue may hold its lock) and the sweep runs cleanly."""
         pool = WorkerPool(workers=2)
         try:
-            assert SweepRunner(
-                SUITE, ResultStore(tmp_path / "first"), pool=pool
-            ).run().ok
+            first = run_on(pool, SUITE, ResultStore(tmp_path / "first"))
+            assert all(outcome.ok for outcome in first)
             old_pids = [p.pid for p in pool._processes]
             for process in list(pool._processes):
                 process.terminate()
                 process.join(timeout=5)
-            report = SweepRunner(
-                SUITE, ResultStore(tmp_path / "after"), pool=pool
-            ).run()
-            assert report.ok and report.executed == len(SUITE.cells())
+            after = run_on(pool, SUITE, ResultStore(tmp_path / "after"))
+            assert all(outcome.ok for outcome in after)
+            assert len(after) == len(SUITE.cells())
             assert len(pool._processes) == 2
             assert all(p.is_alive() for p in pool._processes)
             assert [p.pid for p in pool._processes] != old_pids
