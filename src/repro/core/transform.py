@@ -81,10 +81,7 @@ def gather_and_solve_rounds(semigraph_part: SemiGraph) -> tuple[int, list[int]]:
     sinkless-orientation and list-variant workload families so their
     round columns stay on the same account as the transforms.
     """
-    diameters = [
-        semigraph_part.component_diameter(component)
-        for component in semigraph_part.connected_components()
-    ]
+    diameters = semigraph_part.component_diameters()
     if not diameters:
         return 0, []
     return 2 * max(diameters) + GATHER_OVERHEAD, diameters

@@ -30,6 +30,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local.csr import CSRAdjacency
+from repro.semigraph.semigraph import component_diameters
 
 #: Rounds charged per peeling iteration (one for the compress test, one for
 #: the rake test — each only inspects the 1-hop neighbourhood).
@@ -119,16 +120,14 @@ class RakeCompressDecomposition:
         return max((d for _, d in subgraph.degree()), default=0)
 
     def raked_component_diameters(self) -> list[int]:
-        """Diameters of the connected components induced by raked nodes."""
-        subgraph = self.tree.subgraph(self.raked_nodes)
-        diameters = []
-        for component in nx.connected_components(subgraph):
-            component_graph = subgraph.subgraph(component)
-            if component_graph.number_of_nodes() <= 1:
-                diameters.append(0)
-            else:
-                diameters.append(nx.diameter(component_graph))
-        return diameters
+        """Diameters of the connected components induced by raked nodes.
+
+        Components come in the order of their first node in the tree.
+        """
+        raked = self.raked_nodes
+        return component_diameters({
+            v: [u for u in self.tree[v] if u in raked] for v in self.tree if v in raked
+        })
 
     def lemma_11_diameter_bound(self) -> int:
         """The paper's bound ``4(log_k n + 1) + 2`` on raked component diameters."""

@@ -1070,6 +1070,17 @@ register_suite(Suite(
             seeds=(1,),
             smoke_sizes=(20_000,),
         ),
+        # The Theorem 12 transform over two decades of n, so the β fits do
+        # not rest on n ≤ 1600 alone.  Smoke keeps one size above every
+        # other transform scenario's.
+        ScenarioSpec(
+            name="mis/tree-transform-large",
+            generator="random-tree",
+            algorithm="tree-mis",
+            sizes=(10_000, 30_000, 100_000),
+            seeds=(1,),
+            smoke_sizes=(5_000,),
+        ),
     ),
 ))
 

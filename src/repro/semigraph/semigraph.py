@@ -16,12 +16,14 @@ already been handled, and those edges drop to rank 1 (or 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
 NodeId = Hashable
 EdgeId = Hashable
+#: Each node's distinct neighbours in an undirected graph.
+Adjacency = Mapping[NodeId, Collection[NodeId]]
 
 
 @dataclass(frozen=True, order=True)
@@ -177,12 +179,22 @@ class SemiGraph:
                 graph.add_edge(endpoints[0], endpoints[1], edge_id=edge_id)
         return graph
 
+    def _adjacency(self) -> dict[NodeId, set[NodeId]]:
+        """Neighbour sets of the underlying graph, keyed in node iteration order.
+
+        Parallel rank-2 edges collapse, as in :meth:`underlying_graph`.
+        """
+        adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in self._nodes}
+        for endpoints in self._edges.values():
+            if len(endpoints) == 2:
+                u, v = endpoints
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        return adjacency
+
     def underlying_degree(self) -> int:
         """The maximum degree of the underlying graph (0 for an empty graph)."""
-        graph = self.underlying_graph()
-        if graph.number_of_nodes() == 0:
-            return 0
-        return max((d for _, d in graph.degree()), default=0)
+        return max(map(len, self._adjacency().values()), default=0)
 
     def max_degree(self) -> int:
         """Maximum number of incident half-edges over all nodes."""
@@ -205,21 +217,19 @@ class SemiGraph:
         nodes form singleton components.  Rank-0/1 edges do not connect
         anything.
         """
-        return [set(c) for c in nx.connected_components(self.underlying_graph())]
+        return [set(c) for c in _components(self._adjacency())]
 
-    def component_diameter(self, component: set) -> int:
-        """Diameter of a connected component of the underlying graph."""
-        graph = self.underlying_graph().subgraph(component)
-        if graph.number_of_nodes() <= 1:
-            return 0
-        return nx.diameter(graph)
+    def component_diameters(self) -> list[int]:
+        """The diameter of every connected component of the underlying graph.
+
+        One entry per component, in :meth:`connected_components` order; an
+        isolated node has diameter 0.
+        """
+        return component_diameters(self._adjacency())
 
     def is_connected(self) -> bool:
-        """Whether the underlying graph is connected."""
-        graph = self.underlying_graph()
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(graph)
+        """Whether the underlying graph is connected (the empty one is)."""
+        return len(self.connected_components()) <= 1
 
     # ------------------------------------------------------------------
     # dunder helpers
@@ -240,3 +250,62 @@ class SemiGraph:
     def copy(self) -> "SemiGraph":
         """A deep-enough copy (node/edge structure; identifiers are shared)."""
         return SemiGraph(self._nodes, dict(self._edges))
+
+
+# ----------------------------------------------------------------------
+# components and diameters of an undirected adjacency
+# ----------------------------------------------------------------------
+def component_diameters(adjacency: Adjacency) -> list[int]:
+    """The exact diameter of every connected component of ``adjacency``.
+
+    Components come in the order of their first node in ``adjacency``,
+    the order :func:`networkx.connected_components` yields them.  A tree
+    component (edges = nodes − 1) takes two BFS sweeps, which is exact on
+    a tree and O(c); a cyclic one takes the bounding search of
+    ``nx.diameter(usebounds=True)`` (Takes & Kosters' BoundingDiameters)
+    on a plain graph of the component.
+    """
+    diameters = []
+    for component in _components(adjacency):
+        edges = sum(len(adjacency[v]) for v in component) // 2
+        if edges == len(component) - 1:
+            # component[-1] is a farthest node from component[0]; on a tree
+            # its eccentricity is the diameter.
+            diameters.append(_sweep(adjacency, component[-1])[1])
+        else:
+            graph = nx.from_dict_of_lists({v: adjacency[v] for v in component})
+            diameters.append(nx.diameter(graph, usebounds=True))
+    return diameters
+
+
+def _components(adjacency: Adjacency) -> Iterator[list]:
+    """Each connected component's nodes, in BFS order from its first node."""
+    labeled: set[NodeId] = set()
+    for node in adjacency:
+        if node not in labeled:
+            component, _ = _sweep(adjacency, node)
+            labeled.update(component)
+            yield component
+
+
+def _sweep(adjacency: Adjacency, source: NodeId) -> tuple[list, int]:
+    """Breadth-first search from ``source``.
+
+    Returns the nodes it reaches in BFS order, so the last one is a
+    farthest one, and the eccentricity of ``source``.
+    """
+    seen = {source}
+    order = [source]
+    frontier = [source]
+    eccentricity = -1
+    while frontier:
+        eccentricity += 1
+        next_frontier = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    next_frontier.append(w)
+        order += next_frontier
+        frontier = next_frontier
+    return order, eccentricity

@@ -125,7 +125,7 @@ class TestSemiGraphQueries:
         semigraph = semigraph_from_graph(small_tree())
         components = semigraph.connected_components()
         assert len(components) == 1
-        assert semigraph.component_diameter(components[0]) == 3
+        assert semigraph.component_diameters() == [3]
         assert semigraph.is_connected()
 
     def test_isolated_nodes_are_components(self):

@@ -15,6 +15,7 @@ from repro.baselines import (
 )
 from repro.core import solve_on_bounded_arboricity, solve_on_tree
 from repro.core.complexity import polylog
+from repro.core.transform import GATHER_OVERHEAD, gather_and_solve_rounds
 from repro.generators import (
     balanced_regular_tree,
     caterpillar,
@@ -32,6 +33,7 @@ from repro.problems.classic import (
     is_maximal_independent_set,
     is_maximal_matching,
 )
+from repro.semigraph import SemiGraph, restrict_to_nodes, semigraph_from_graph
 
 TREES = {
     "path": path_graph(60),
@@ -225,6 +227,41 @@ class TestRoundScaling:
         transformed = solve_on_tree(tree, MISAlgorithm())
         assert transformed.verification.ok
         assert transformed.rounds < maximal_independent_set(tree).rounds
+
+
+class TestGatherAccount:
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_recorded_diameters_are_the_lemma_11_diameters(self, seed):
+        """The gather account's per-component diameters are the
+        decomposition's raked-component diameters, each within Lemma 11."""
+        tree = random_tree(100 * seed, seed=seed)
+        algorithm = (MISAlgorithm, DegPlusOneColoringAlgorithm)[seed % 2]()
+        result = solve_on_tree(tree, algorithm, k=(None, 2, 3)[seed % 3])
+        decomposition = result.decomposition
+        recorded = result.details["raked_component_diameters"]
+        assert sorted(recorded) == sorted(decomposition.raked_component_diameters())
+        bound = decomposition.lemma_11_diameter_bound()
+        assert all(diameter <= bound for diameter in recorded)
+
+    def test_gather_builds_no_underlying_graph(self, monkeypatch):
+        """One adjacency per call: no networkx graph is rebuilt, per
+        component or at all, on many forest components or a cyclic one."""
+        built = []
+        underlying_graph = SemiGraph.underlying_graph
+        monkeypatch.setattr(
+            SemiGraph, "underlying_graph",
+            lambda self: built.append(self) or underlying_graph(self),
+        )
+        tree = random_tree(300, seed=4)
+        parts = (
+            restrict_to_nodes(semigraph_from_graph(tree), [v for v in tree if v % 3]),
+            semigraph_from_graph(grid_graph(10, 10)),
+        )
+        for part in parts:
+            rounds, diameters = gather_and_solve_rounds(part)
+            assert rounds == 2 * max(diameters) + GATHER_OVERHEAD
+        assert len(gather_and_solve_rounds(parts[0])[1]) > 1
+        assert built == []
 
 
 @settings(max_examples=10, deadline=None)
