@@ -5,10 +5,9 @@ The environment this repository targets has no ``wheel`` package available
 ``setup.py develop`` code path, which this file enables.
 
 ``numpy`` is a declared dependency: the array engine
-(:mod:`repro.local.vectorized`) is the default engine for the four
-kernel-capable baselines, and the experiments CLI exposes it through
-``--engine``.  On an interpreter without numpy those baselines run on
-the interpreted engine instead.
+(:mod:`repro.local.vectorized`) runs the four kernel-capable baselines
+wherever they appear.  On an interpreter without numpy they run on the
+interpreted engine instead, with bit-identical results.
 """
 
 from setuptools import find_packages, setup

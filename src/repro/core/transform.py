@@ -2,13 +2,14 @@
 
 Both pipelines take
 
-* a problem ``Π`` in node-edge-checkable form,
+* a problem ``Π`` in node-edge-checkable form and
 * a truly local algorithm ``A`` for ``Π`` (an adapter from
-  :mod:`repro.baselines.adapters`), and
-* a sequential solver for the relevant list variant of ``Π``,
+  :mod:`repro.baselines.adapters`),
 
-and produce a complete half-edge labeling of the input graph together with
-a per-phase round account.
+solve the relevant list variant of ``Π`` with the sequential solver
+registered for it in :mod:`repro.core.sequential`, and produce a
+complete, verified half-edge labeling of the input graph together with a
+per-phase round account.
 
 :func:`solve_on_tree` implements Algorithm 2 / Theorem 12:
 
@@ -135,15 +136,12 @@ class TransformResult:
 def solve_on_tree(
     tree: nx.Graph,
     algorithm: TrulyLocalAlgorithm,
-    edge_list_solver: Any | None = None,
     k: int | None = None,
     cost_model: OracleCostModel | None = None,
-    verify: bool = True,
 ) -> TransformResult:
     """Solve ``algorithm.problem`` on a tree via the Theorem 12 pipeline."""
     problem = algorithm.problem
-    if edge_list_solver is None:
-        edge_list_solver = default_edge_list_solver(problem)
+    edge_list_solver = default_edge_list_solver(problem)
     n = tree.number_of_nodes()
     semigraph = semigraph_from_graph(tree)
     ledger = RoundLedger()
@@ -192,11 +190,8 @@ def solve_on_tree(
         ledger.charge_max("raked components (gather & solve)", gather_rounds)
 
     labeling = labeling_compressed.merge(labeling_raked)
-    if verify:
-        with span("verify"):
-            verification = verify_solution(problem, semigraph, labeling)
-    else:
-        verification = VerificationResult(ok=True)
+    with span("verify"):
+        verification = verify_solution(problem, semigraph, labeling)
     classic = problem.to_classic(semigraph, labeling) if verification.ok else None
 
     return TransformResult(
@@ -227,19 +222,16 @@ def solve_on_bounded_arboricity(
     graph: nx.Graph,
     arboricity: int,
     algorithm: TrulyLocalAlgorithm,
-    node_list_solver: Any | None = None,
     k: int | None = None,
     rho: int = 2,
     cost_model: OracleCostModel | None = None,
-    verify: bool = True,
 ) -> TransformResult:
     """Solve ``algorithm.problem`` on a bounded-arboricity graph via Theorem 15.
 
     For trees pass ``arboricity=1`` — this yields the Theorem 3 pipeline.
     """
     problem = algorithm.problem
-    if node_list_solver is None:
-        node_list_solver = default_node_list_solver(problem)
+    node_list_solver = default_node_list_solver(problem)
     n = graph.number_of_nodes()
     semigraph = semigraph_from_graph(graph)
     ledger = RoundLedger()
@@ -291,11 +283,8 @@ def solve_on_bounded_arboricity(
         ROUNDS_PER_STAR_COLLECTION * max(6 * arboricity, num_star_phases),
     )
 
-    if verify:
-        with span("verify"):
-            verification = verify_solution(problem, semigraph, current)
-    else:
-        verification = VerificationResult(ok=True)
+    with span("verify"):
+        verification = verify_solution(problem, semigraph, current)
     classic = problem.to_classic(semigraph, current) if verification.ok else None
 
     return TransformResult(

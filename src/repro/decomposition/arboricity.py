@@ -33,6 +33,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local.csr import CSRAdjacency
+from repro.local.network import default_identifiers
 from repro.semigraph.builders import edge_id_for
 
 #: Rounds charged per peeling iteration (the compress test inspects the
@@ -174,8 +175,7 @@ def arboricity_decomposition(
         raise ValueError("the degree threshold k must be at least 2")
 
     if identifiers is None:
-        ordered = sorted(graph.nodes(), key=repr)
-        identifiers = {node: index + 1 for index, node in enumerate(ordered)}
+        identifiers = default_identifiers(graph.nodes())
 
     n = graph.number_of_nodes()
     if n == 0:

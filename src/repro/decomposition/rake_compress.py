@@ -30,6 +30,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.local.csr import CSRAdjacency
+from repro.local.network import default_identifiers
 from repro.semigraph.semigraph import component_diameters
 
 #: Rounds charged per peeling iteration (one for the compress test, one for
@@ -184,8 +185,7 @@ def rake_and_compress(
         raise ValueError("the input graph contains a cycle; Algorithm 1 expects a forest")
 
     if identifiers is None:
-        ordered = sorted(tree.nodes(), key=repr)
-        identifiers = {node: index + 1 for index, node in enumerate(ordered)}
+        identifiers = default_identifiers(tree.nodes())
 
     theoretical_bound = math.ceil(math.log(max(n, 2)) / math.log(k)) + 1
     safety_cap = max(4 * theoretical_bound + 8, 32)

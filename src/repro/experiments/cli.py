@@ -176,23 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the scaling\ntables (with a `<scenario> [charged]` column per "
             "charged scenario) and shape fits\nfrom the store alone.\n"
             "\n"
-            "engine selection (`run`/`submit --engine`):\n"
-            "  auto         (default) the kernel-capable baselines (Linial, "
-            "Cole–Vishkin\n               forest 3-colouring, colour-class "
-            "MIS, Δ+1 colour reduction) run\n               on the NumPy "
-            "array engine, everything else on the interpreted\n"
-            "               active-set engine\n"
-            "  interpreted  force the interpreted engine everywhere\n"
-            "  vectorized   require the array engine for kernel-capable "
-            "families (fails if\n               numpy is unavailable)\n"
-            "  A family-declared engine pin degrades to the interpreted "
-            "engine on a\n  numpy-free interpreter.  The decomposition peels "
-            "are plain Python under\n  every mode.  Results are "
-            "bit-identical across engines; each stored cell\n  records what "
-            "served it in its `engine` field (e.g. `vectorized[numpy]`) "
-            "plus\n  per-kernel simulator round counts in `engine_rounds`, "
-            "surfaced by `report`.\n"
-            "\n"
             "sweep server:\n"
             "  `serve` is the one server role: a deduplicated store "
             "(`--out`; verified\n  records outrank unverified ones, as in "
@@ -281,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard", type=_shard_spec, default=None, metavar="I/K",
         help="run only shard i of k (deterministic disjoint fingerprint "
         "partition), e.g. --shard 0/2",
-    )
-    sweep_options.add_argument(
-        "--engine", choices=("auto", "interpreted", "vectorized"), default="auto",
-        help="simulation engine for measured cells (default: auto — the "
-        "vectorized array engine wherever a kernel exists, interpreted "
-        "otherwise)",
     )
 
     run = sub.add_parser(
@@ -582,7 +559,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         worker = FleetWorker(
             suite, store, args.fleet, token=args.token, jobs=jobs,
             smoke=args.smoke, sizes=args.sizes, seeds=args.seeds,
-            engine=args.engine, lease_batch=args.lease_batch,
+            lease_batch=args.lease_batch,
             name=args.worker_name,
             progress=None if args.quiet else progress,
         )
@@ -616,7 +593,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"suite {suite.name!r}{shard_note}: {suite.description}")
     report = SweepRunner(
         suite, store, jobs=jobs, smoke=args.smoke, sizes=args.sizes,
-        seeds=args.seeds, shard=args.shard, engine=args.engine,
+        seeds=args.seeds, shard=args.shard,
     ).run(progress=None if args.quiet else progress)
     print(
         f"cells: {report.total_cells} total, {report.skipped} already stored, "
@@ -786,7 +763,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             sizes=args.sizes,
             seeds=args.seeds,
             shard=str(args.shard) if args.shard is not None else None,
-            engine=args.engine,
         )
         queued = reply["fingerprints"]
         print(

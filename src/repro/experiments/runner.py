@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.experiments.shard import ShardSpec, shard_cells
 
-from repro.local import CellContext, check_engine_mode, numpy_available, span
+from repro.local import CellContext, span
 from repro.experiments.spec import ALGORITHMS, GENERATORS, Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
 from repro.obs import MetricsRegistry
@@ -56,31 +56,14 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _effective_engine_mode(family_engine: str, override: str | None) -> str:
-    """The engine mode a cell runs under.
-
-    An explicit CLI/server ``override`` ("interpreted" / "vectorized")
-    beats the family's declared preference; otherwise the family decides.
-    A family-declared "vectorized" degrades to "auto" when numpy is
-    missing — the capability flag is a preference, only an explicit
-    override is a hard requirement.  An unknown ``override`` raises
-    ``ValueError``.
-    """
-    if override is not None and check_engine_mode(override) != "auto":
-        return override
-    if family_engine == "vectorized" and not numpy_available():
-        return "auto"
-    return family_engine
-
-
-def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResult:
+def run_cell(suite_name: str, cell: Cell) -> CellResult:
     """Execute one sweep cell and return its structured result.
 
     Top-level and argument-picklable by design: pool workers receive
-    these arguments and call it there.  ``engine`` is the sweep-level
-    ``--engine`` override (``ValueError`` when it is not one of
-    :data:`~repro.local.ENGINE_MODES`), resolved here into the mode of
-    the cell's one :class:`~repro.local.CellContext`.
+    these arguments and call it there.  The cell runs under one
+    ``auto`` :class:`~repro.local.CellContext`: every simulator run takes
+    the array engine when its algorithm has a kernel and numpy imports,
+    the interpreted engine otherwise.
 
     The context collects every simulator run of the cell: the message
     count lands in ``CellResult.messages``, the engine that served the
@@ -94,10 +77,9 @@ def run_cell(suite_name: str, cell: Cell, engine: str | None = None) -> CellResu
     """
     generator = GENERATORS[cell.generator]
     algorithm = ALGORITHMS[cell.algorithm]
-    mode = _effective_engine_mode(algorithm.engine, engine)
 
     start = time.perf_counter()
-    with CellContext(mode) as context:
+    with CellContext() as context:
         graph = None
         if generator.build is not None:
             with span("generate"):
@@ -203,9 +185,9 @@ def _worker_main(tasks, results) -> None:
         task = tasks.get()
         if task is None:
             break
-        sweep_id, index, suite_name, engine, cell = task
+        sweep_id, index, suite_name, cell = task
         try:
-            outcome = (run_cell(suite_name, cell, engine=engine), None)
+            outcome = (run_cell(suite_name, cell), None)
         except Exception as error:  # noqa: BLE001 - reported to the caller
             outcome = (None, repr(error))
         results.put((sweep_id, index, *outcome))
@@ -335,7 +317,7 @@ class WorkerPool:
     # sweep execution
     # ------------------------------------------------------------------
     def submit_sweep(
-        self, suite_name: str, cells: Iterable[Cell], engine: str | None = None
+        self, suite_name: str, cells: Iterable[Cell]
     ) -> Iterator[CellOutcome]:
         """Run ``cells`` on the warm workers, streaming per-cell outcomes.
 
@@ -346,8 +328,7 @@ class WorkerPool:
         while the sweep runs (the sweep server's local worker leases each
         cell as it is pulled).  Outcomes arrive in completion order.  The
         iterator holds the pool's sweep lock until it is exhausted or
-        closed.  ``engine`` is the sweep-level engine override forwarded
-        to every cell.
+        closed.
 
         A worker that dies mid-sweep (OOM, external kill) takes the cells
         in flight with it: they come back as failed outcomes, the pool is
@@ -377,7 +358,7 @@ class WorkerPool:
                 def send(count: int) -> None:
                     for index, cell in itertools.islice(unsent, count):
                         in_flight[index] = cell
-                        self._tasks.put((sweep_id, index, suite_name, engine, cell))
+                        self._tasks.put((sweep_id, index, suite_name, cell))
 
                 send(2 * self.workers)
                 while in_flight:
@@ -428,12 +409,9 @@ class SweepRunner:
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
         shard: ShardSpec | None = None,
-        engine: str | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
-        if engine is not None:
-            check_engine_mode(engine)
         self.suite = suite
         self.store = store
         self.jobs = jobs
@@ -441,7 +419,6 @@ class SweepRunner:
         self.sizes = sizes
         self.seeds = seeds
         self.shard = shard
-        self.engine = engine
 
     def pending_cells(self) -> tuple[list[Cell], int]:
         """The cells still to run, and how many the store already covers.
@@ -459,7 +436,7 @@ class SweepRunner:
     def _run_in_process(self, cells: Sequence[Cell]) -> Iterator[CellOutcome]:
         for cell in cells:
             try:
-                result = run_cell(self.suite.name, cell, engine=self.engine)
+                result = run_cell(self.suite.name, cell)
             except Exception as error:  # noqa: BLE001 - collected, reported
                 yield CellOutcome(cell=cell, result=None, error=repr(error))
             else:
@@ -492,7 +469,7 @@ class SweepRunner:
             if pool is None:
                 outcomes = self._run_in_process(pending)
             else:
-                outcomes = pool.submit_sweep(self.suite.name, pending, engine=self.engine)
+                outcomes = pool.submit_sweep(self.suite.name, pending)
             with closing(outcomes):
                 for outcome in outcomes:
                     if outcome.ok:

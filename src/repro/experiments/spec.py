@@ -286,14 +286,6 @@ class AlgorithmFamily:
     names the entries of :mod:`repro.baselines` ``__all__`` the family
     exercises — the registry-completeness test checks every registered
     baseline is covered by some suite.
-
-    ``engine`` is the family's capability flag / preference for the
-    simulation engine: ``"vectorized"`` declares that the family's whole
-    measured path is array-kernel capable and should run on the
-    vectorized engine (:mod:`repro.local.vectorized`) by default;
-    ``"auto"`` (the default) lets each inner run pick per-algorithm.  A
-    CLI ``--engine`` override beats the family preference; results are
-    bit-identical either way.
     """
 
     name: str
@@ -304,7 +296,6 @@ class AlgorithmFamily:
     run: Callable[[nx.Graph | None, GeneratorFamily, int], dict]
     covers: tuple[str, ...] = ()
     requires_forest: bool = False
-    engine: str = "auto"
 
     def compatible_with(self, generator: GeneratorFamily) -> str | None:
         """``None`` if the pairing is valid, else a human-readable reason."""
@@ -587,7 +578,6 @@ register_algorithm(AlgorithmFamily(
     kind="baseline",
     run=_run_baseline_deg_plus_one,
     covers=("deg_plus_one_coloring",),
-    engine="vectorized",
 ))
 register_algorithm(AlgorithmFamily(
     name="baseline-edge-coloring",
@@ -602,7 +592,6 @@ register_algorithm(AlgorithmFamily(
     kind="baseline",
     run=_run_baseline_mis,
     covers=("maximal_independent_set",),
-    engine="vectorized",
 ))
 register_algorithm(AlgorithmFamily(
     name="baseline-matching",
@@ -617,7 +606,6 @@ register_algorithm(AlgorithmFamily(
     kind="baseline",
     run=_run_baseline_linial,
     covers=("linial_coloring",),
-    engine="vectorized",
 ))
 register_algorithm(AlgorithmFamily(
     name="baseline-forest-3coloring",
@@ -626,7 +614,6 @@ register_algorithm(AlgorithmFamily(
     run=_run_baseline_forest_three,
     covers=("color_forest_three",),
     requires_forest=True,
-    engine="vectorized",
 ))
 register_algorithm(AlgorithmFamily(
     name="predicted-edge-coloring-log12",

@@ -34,7 +34,7 @@ This package provides:
 from repro.local.csr import CSRAdjacency
 from repro.local.network import Network
 from repro.local.algorithm import NodeContext, SynchronousAlgorithm
-from repro.local.context import ENGINE_MODES, CellContext, check_engine_mode, span
+from repro.local.context import ENGINE_MODES, CellContext, span
 from repro.local.simulator import (
     RunResult,
     run_synchronous,
@@ -58,7 +58,6 @@ __all__ = [
     "ENGINE_MODES",
     "CellContext",
     "EngineUnavailable",
-    "check_engine_mode",
     "numpy_available",
     "run_synchronous",
     "run_synchronous_reference",

@@ -31,6 +31,11 @@ Modes
     :class:`~repro.local.vectorized.EngineUnavailable` when numpy is
     missing or the algorithm has no kernel.
 
+A sweep cell always runs under ``auto``: results are bit-identical
+across engines, so the engine is the code's choice, not the sweep's.
+The other two modes serve the engine benchmark and the equivalence
+tests.
+
 The engine account is keyed ``"engine/kernel/backend"``, with backend
 ``numpy`` for the array engine and ``-`` for the interpreted one.  The
 decomposition peels are not simulator runs and report nothing here;
@@ -47,13 +52,12 @@ from typing import Iterator
 __all__ = [
     "ENGINE_MODES",
     "CellContext",
-    "check_engine_mode",
     "record_run",
     "resolve_engine_mode",
     "span",
 ]
 
-#: The valid engine-selection modes, in CLI/`--engine` spelling.
+#: The valid engine modes of a :class:`CellContext`.
 ENGINE_MODES = ("auto", "interpreted", "vectorized")
 
 #: The array library behind the array engine, as named in provenance.
@@ -62,20 +66,15 @@ _ARRAY_BACKEND = "numpy"
 _CURRENT: ContextVar["CellContext | None"] = ContextVar("cell_context", default=None)
 
 
-def check_engine_mode(mode: str) -> str:
-    """``mode`` itself, or ``ValueError`` when it is not in :data:`ENGINE_MODES`."""
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r} (expected one of {ENGINE_MODES})"
-        )
-    return mode
-
-
 class CellContext:
     """The engine mode of one cell and the accounts of every run inside it."""
 
     def __init__(self, mode: str = "auto") -> None:
-        self.mode = check_engine_mode(mode)
+        if mode not in ENGINE_MODES:
+            raise ValueError(
+                f"unknown engine mode {mode!r} (expected one of {ENGINE_MODES})"
+            )
+        self.mode = mode
         self.messages = 0
         self.runs = 0
         #: Rounds simulated per dispatch, keyed ``"engine/kernel/backend"``.
@@ -110,10 +109,8 @@ class CellContext:
         return kinds.pop() if kinds else None
 
 
-def resolve_engine_mode(engine: str | None = None) -> str:
-    """An explicit ``engine`` argument, validated; else the context's mode."""
-    if engine is not None:
-        return check_engine_mode(engine)
+def resolve_engine_mode() -> str:
+    """The innermost context's engine mode; ``auto`` outside every context."""
     context = _CURRENT.get()
     return context.mode if context is not None else "auto"
 

@@ -38,6 +38,18 @@ import networkx as nx
 from repro.local.csr import CSRAdjacency
 
 
+def default_identifiers(nodes: Iterable[Hashable]) -> dict[Hashable, int]:
+    """The identifier assignment used when none is given: ``nodes``
+    numbered ``1 .. n`` in sorted order of their representation.
+
+    Deterministic (adversary-friendly, but valid).  :class:`Network` and
+    both decomposition processes number nodes this way, so a node keeps
+    one identifier across every layer of a pipeline.
+    """
+    ordered = sorted(nodes, key=repr)
+    return {node: index for index, node in enumerate(ordered, start=1)}
+
+
 class Network:
     """A LOCAL-model network over an undirected simple graph.
 
@@ -47,9 +59,7 @@ class Network:
         The communication graph.
     identifiers:
         Optional mapping from node to its unique integer identifier.  When
-        omitted, nodes are numbered ``1 .. n`` in sorted order of their
-        representation, which yields a deterministic (adversary-friendly,
-        but valid) identifier assignment.
+        omitted, :func:`default_identifiers` numbers the nodes.
     node_inputs:
         Optional per-node inputs available to the node at the start of the
         computation.
@@ -76,8 +86,7 @@ class Network:
         self.graph = graph
         self._nodes: tuple = tuple(graph.nodes())
         if identifiers is None:
-            ordered = sorted(self._nodes, key=repr)
-            identifiers = {node: index + 1 for index, node in enumerate(ordered)}
+            identifiers = default_identifiers(self._nodes)
         self.identifiers: dict[Hashable, int] = dict(identifiers)
         self._validate_identifiers()
         self.node_inputs: dict[Hashable, Any] = dict(node_inputs or {})

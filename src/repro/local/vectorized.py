@@ -25,14 +25,13 @@ Four baselines have a kernel: Linial colouring, Cole–Vishkin forest
 kernel table maps each algorithm class to ``(name, kernel)`` and lookup
 walks the algorithm's MRO, so subclasses inherit their base class's
 kernel.  :func:`supports_vectorized` reports capability and
-:func:`select_engine` resolves the explicit or per-cell engine mode
+:func:`select_engine` resolves the per-cell engine mode
 (:mod:`repro.local.context`) to a runner, falling back to the
 interpreted engine for everything without a kernel.
 
 NumPy is imported once, here; without it ``np`` is ``None``,
 :func:`numpy_available` is false, ``auto`` degrades to the interpreted
-engine and an explicit ``vectorized`` request raises
-:class:`EngineUnavailable`.
+engine and a ``vectorized`` context raises :class:`EngineUnavailable`.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ __all__ = [
 
 
 class EngineUnavailable(RuntimeError):
-    """The vectorized engine was explicitly requested but cannot serve."""
+    """The vectorized engine was required but cannot serve."""
 
 
 def numpy_available() -> bool:
@@ -437,17 +436,14 @@ def run_vectorized(
     )
 
 
-def select_engine(
-    algorithm: SynchronousAlgorithm, engine: str | None = None
-) -> Callable[..., RunResult]:
-    """Resolve the engine mode for ``algorithm`` to a runner callable.
+def select_engine(algorithm: SynchronousAlgorithm) -> Callable[..., RunResult]:
+    """Resolve the current :class:`~repro.local.context.CellContext`'s
+    engine mode for ``algorithm`` to a runner callable.
 
-    ``engine`` overrides the mode of the current
-    :class:`~repro.local.context.CellContext`; ``"auto"`` (the default)
-    picks :func:`run_vectorized` exactly when the algorithm has a kernel
-    and numpy is available.
+    ``"auto"`` (also outside every context) picks :func:`run_vectorized`
+    exactly when the algorithm has a kernel and numpy is available.
     """
-    mode = resolve_engine_mode(engine)
+    mode = resolve_engine_mode()
     if mode == "interpreted":
         return run_synchronous
     if mode == "vectorized":

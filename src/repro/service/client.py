@@ -100,12 +100,16 @@ class ServiceClient:
         endpoint: str | Path | Endpoint,
         timeout: float = 30.0,
         token: str | None = None,
-        connect_retry_s: float = DEFAULT_CONNECT_RETRY_S,
+        connect_retry_s: float | None = None,
     ) -> None:
         self.endpoint = parse_endpoint(endpoint)
         self.timeout = timeout
         self.token = resolve_token(token)
-        self.connect_retry_s = connect_retry_s
+        # The module default is read here, when the client is built, so
+        # patching it reaches every client built afterwards, the CLI's too.
+        self.connect_retry_s = (
+            DEFAULT_CONNECT_RETRY_S if connect_retry_s is None else connect_retry_s
+        )
 
     def _with_token(self, payload: dict[str, Any]) -> dict[str, Any]:
         # Unix sockets are guarded by filesystem permissions; only TCP
@@ -195,13 +199,15 @@ class ServiceClient:
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
         shard: str | None = None,
-        engine: str | None = None,
     ) -> dict[str, Any]:
         """Queue a suite's cells for the server's local workers.
 
-        Returns ``total_cells``, ``skipped`` (already verified in the
-        server's store) and ``fingerprints``, the queued cells — the
-        argument :meth:`status` and :meth:`wait` track progress over.
+        ``smoke``, ``sizes``, ``seeds`` and ``shard`` shape the sweep as
+        they do for ``run``; each cell runs on the engine
+        :func:`~repro.local.select_engine` picks for it.  Returns
+        ``total_cells``, ``skipped`` (already verified in the server's
+        store) and ``fingerprints``, the queued cells — the argument
+        :meth:`status` and :meth:`wait` track progress over.
         """
         payload: dict[str, Any] = {"op": "submit", "suite": suite, "smoke": smoke}
         if sizes is not None:
@@ -210,8 +216,6 @@ class ServiceClient:
             payload["seeds"] = list(seeds)
         if shard is not None:
             payload["shard"] = shard
-        if engine is not None:
-            payload["engine"] = engine
         return self.request(payload)
 
     def status(self, fingerprints: list[str] | None = None) -> dict[str, Any]:

@@ -42,11 +42,13 @@ Verbs
     Liveness + ingest counters.
 ``submit``
     ``{"op": "submit", "suite": "paper-claims", "smoke": true,
-    "sizes": [...], "seeds": [...], "shard": "0/2", "engine":
-    "vectorized"}`` → ``total_cells``, ``skipped`` (already verified in
-    the store) and ``fingerprints`` (the cells queued for the local
-    worker).  Every field is validated here, so a bad request fails fast
-    at the client.
+    "sizes": [...], "seeds": [...], "shard": "0/2"}`` → ``total_cells``,
+    ``skipped`` (already verified in the store) and ``fingerprints`` (the
+    cells queued for the local worker).  Every field is validated here,
+    so a bad request fails fast at the client; ``sizes`` and ``seeds``
+    take integral numbers or numeric strings only.  Unknown fields are
+    ignored; each cell runs on the engine
+    :func:`~repro.local.select_engine` picks for it.
 ``status``
     Cumulative ingest counters, the store path, uptime and the
     records/sec ingest rate; with ``fingerprints`` (a submit reply's
@@ -99,7 +101,6 @@ from repro.experiments.store import (
     ResultStore,
     resolve_duplicate,
 )
-from repro.local import check_engine_mode
 from repro.obs import MetricsRegistry, ScrapeHistory
 from repro.obs.timeseries import (
     DEFAULT_HISTORY_CAPACITY,
@@ -135,8 +136,11 @@ def _int_tuple_field(name: str, value: Any) -> tuple[int, ...] | None:
     so the submit handler answers a validation ``error_response`` like
     every other parameter instead of letting a bare ``int(...)`` crash
     escape as an opaque handler exception.  Empty/absent means "use the
-    suite's own sweep" (``None``); booleans are rejected — ``True`` is
-    an ``int`` to Python but never a sweep size anyone meant.
+    suite's own sweep" (``None``).  Only integral values pass: ``128.0``
+    and ``"96"`` coerce, while ``2.5`` is refused rather than truncated,
+    and so are ``Infinity`` and ``NaN``, which the server's JSON decoder
+    accepts.  Booleans are refused too — ``True`` is an ``int`` to
+    Python but never a sweep size anyone meant.
     """
     if value is None or value == []:
         return None
@@ -146,18 +150,20 @@ def _int_tuple_field(name: str, value: Any) -> tuple[int, ...] | None:
         )
     items = []
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+        coerced = item
+        if isinstance(item, float) and item.is_integer():
+            coerced = int(item)
+        elif isinstance(item, str):
+            try:
+                coerced = int(item)
+            except ValueError:
+                pass
+        if isinstance(coerced, bool) or not isinstance(coerced, int):
             raise ValueError(
                 f"submit: {name!r} must be a list of integers, "
                 f"got {item!r} in {value!r}"
             )
-        try:
-            items.append(int(item))
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"submit: {name!r} must be a list of integers, "
-                f"got {item!r} in {value!r}"
-            ) from None
+        items.append(coerced)
     return tuple(items)
 
 
@@ -187,8 +193,8 @@ class ResultCollector:
         self._lock = threading.Lock()
         # Wakes the local worker when cells are submitted or retired.
         self._work = threading.Condition(self._lock)
-        #: Submitted cells not yet retired: fingerprint → (suite, cell, engine).
-        self._pending: dict[str, tuple[str, Cell, str | None]] = {}
+        #: Submitted cells not yet retired: fingerprint → (suite, cell).
+        self._pending: dict[str, tuple[str, Cell]] = {}
         #: Submitted cells whose local run failed, by fingerprint.
         self._failures: dict[str, dict[str, Any]] = {}
         self._shutdown = threading.Event()
@@ -582,11 +588,9 @@ class ResultCollector:
                 continue
             self._run_sweep(*first)
 
-    def _lease_next(
-        self, group: tuple[str, str | None] | None = None
-    ) -> tuple[str, Cell, str | None] | None:
-        """Lease one pending cell, of ``(suite, engine)`` ``group`` if
-        given; ``None`` when every such cell is leased.
+    def _lease_next(self, suite: str | None = None) -> tuple[str, Cell] | None:
+        """Lease one pending cell, of ``suite`` if given; ``None`` when
+        every such cell is leased.
 
         The offer and the grant happen under the ingest lock, so a
         granted cell is still pending: the ingest that retires a cell
@@ -595,19 +599,19 @@ class ResultCollector:
         with self._lock:
             offer = [
                 fingerprint
-                for fingerprint, (suite_name, _, engine) in self._pending.items()
-                if group is None or group == (suite_name, engine)
+                for fingerprint, (suite_name, _) in self._pending.items()
+                if suite is None or suite == suite_name
             ]
             granted = self.leases.grant(self._local_worker_id, offer, limit=1)
             if not granted["granted"]:
                 return None
             return self._pending[granted["granted"][0]]
 
-    def _run_sweep(self, suite_name: str, first: Cell, engine: str | None) -> None:
-        """Run leased cells of one suite and engine on the pool.
+    def _run_sweep(self, suite_name: str, first: Cell) -> None:
+        """Run leased cells of one suite on the pool.
 
         The pool pulls the next cell as each outcome arrives, and each
-        pull leases one more pending cell of the group, so every pool
+        pull leases one more pending cell of the suite, so every pool
         process stays busy until nothing is left to lease — cells
         submitted meanwhile join the running sweep.  Each result goes
         through :meth:`ingest`; a cell that raised, died with its pool
@@ -618,7 +622,7 @@ class ResultCollector:
         running = {first.fingerprint: first}
 
         def lease_next() -> Cell | None:
-            leased = self._lease_next((suite_name, engine))
+            leased = self._lease_next(suite_name)
             if leased is None:
                 return None
             cell = leased[1]
@@ -627,9 +631,7 @@ class ResultCollector:
 
         cells = itertools.chain([first], iter(lease_next, None))
         try:
-            with closing(
-                self.pool.submit_sweep(suite_name, cells, engine=engine)
-            ) as outcomes:
+            with closing(self.pool.submit_sweep(suite_name, cells)) as outcomes:
                 for outcome in outcomes:
                     running.pop(outcome.cell.fingerprint, None)
                     error = outcome.error
@@ -740,12 +742,6 @@ class ResultCollector:
                 shard = ShardSpec.parse(str(shard))
             except ValueError as error:
                 return error_response(str(error))
-        engine = request.get("engine")
-        if engine is not None:
-            try:
-                check_engine_mode(engine)
-            except ValueError as error:
-                return error_response(str(error))
         try:
             sizes = _int_tuple_field("sizes", request.get("sizes"))
             seeds = _int_tuple_field("seeds", request.get("seeds"))
@@ -768,7 +764,7 @@ class ResultCollector:
                 if self._latest.get(cell.fingerprint, {}).get("verified"):
                     continue
                 queued.append(cell.fingerprint)
-                self._pending.setdefault(cell.fingerprint, (suite.name, cell, engine))
+                self._pending.setdefault(cell.fingerprint, (suite.name, cell))
                 self._failures.pop(cell.fingerprint, None)
             # An unverified record completed its lease; re-running the
             # cell needs it leasable again.

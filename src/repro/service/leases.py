@@ -72,7 +72,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import Suite
 from repro.experiments.store import CellResult, ResultStore
-from repro.local import check_engine_mode
 from repro.service.client import CollectorSink, ServiceClient
 
 __all__ = [
@@ -437,7 +436,6 @@ class FleetWorker:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        engine: str | None = None,
         lease_batch: int = DEFAULT_LEASE_BATCH,
         name: str | None = None,
         progress: Callable[[CellResult], None] | None = None,
@@ -446,8 +444,6 @@ class FleetWorker:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         if lease_batch < 1:
             raise ValueError(f"lease batch must be at least 1, got {lease_batch}")
-        if engine is not None:
-            check_engine_mode(engine)
         self.suite = suite
         self.store = store
         self.fleet = fleet
@@ -456,7 +452,6 @@ class FleetWorker:
         self.smoke = smoke
         self.sizes = sizes
         self.seeds = seeds
-        self.engine = engine
         self.lease_batch = lease_batch
         self.name = name if name else _default_worker_name()
         self.progress = progress
@@ -561,9 +556,7 @@ class FleetWorker:
                 ]
                 if granted:
                     batch = [by_fingerprint[f] for f in granted]
-                    for outcome in pool.submit_sweep(
-                        self.suite.name, batch, engine=self.engine
-                    ):
+                    for outcome in pool.submit_sweep(self.suite.name, batch):
                         if outcome.ok:
                             record(outcome.result)
                             continue

@@ -215,12 +215,17 @@ def test_supports_vectorized_resolves_subclasses_via_mro():
 @requires_numpy
 def test_select_engine_routes_by_mode_and_capability():
     capable, incapable = LinialColoring(), _KernelLess()
-    assert select_engine(capable, "auto") is run_vectorized
-    assert select_engine(capable, "vectorized") is run_vectorized
-    assert select_engine(capable, "interpreted") is run_synchronous
-    assert select_engine(incapable, "auto") is run_synchronous
-    with pytest.raises(EngineUnavailable):
-        select_engine(incapable, "vectorized")
+    assert select_engine(capable) is run_vectorized
+    assert select_engine(incapable) is run_synchronous
+    with CellContext("auto"):
+        assert select_engine(capable) is run_vectorized
+        assert select_engine(incapable) is run_synchronous
+    with CellContext("vectorized"):
+        assert select_engine(capable) is run_vectorized
+        with pytest.raises(EngineUnavailable):
+            select_engine(incapable)
+    with CellContext("interpreted"):
+        assert select_engine(capable) is run_synchronous
 
 
 @requires_numpy

@@ -1,19 +1,18 @@
 """Engine policy, provenance and the per-cell context.
 
 The vectorized engine is a preference, not a dependency — a
-numpy-free interpreter must degrade every family-pinned or auto cell
-to the interpreted engine with identical semantic results, and only an
-*explicit* ``engine="vectorized"`` request may raise
-:class:`EngineUnavailable`.  Setting ``repro.local.vectorized.np`` to
-``None`` is the single switch, and on Linux the fork start method
-carries the patch into pool and server worker processes, so the whole
-service stack can be exercised against a simulated numpy-free
-interpreter.
+numpy-free interpreter must degrade every cell to the interpreted
+engine with identical semantic results, and only a
+``CellContext("vectorized")`` may raise :class:`EngineUnavailable`.
+Setting ``repro.local.vectorized.np`` to ``None`` is the single
+switch, and on Linux the fork start method carries the patch into pool
+and server worker processes, so the whole service stack can be
+exercised against a simulated numpy-free interpreter.
 
 One :class:`CellContext` carries a cell's engine mode in and its
-message, engine and phase accounts out.  Only the innermost context
-observes, two cells in two threads keep two records, and an unknown
-engine name is refused before any cell runs.
+message, engine and phase accounts out.  Sweep cells always run
+``auto``.  Only the innermost context observes, two cells in two
+threads keep two records, and an unknown engine name is refused.
 """
 
 import os
@@ -37,11 +36,10 @@ from repro.experiments import (
     ScenarioSpec,
     Suite,
     SweepRunner,
-    get_suite,
     register_algorithm,
 )
 from repro.experiments.runner import run_cell
-from repro.experiments.spec import ALGORITHMS
+from repro.experiments.spec import ALGORITHMS, GENERATORS
 from repro.generators import random_tree
 from repro.local import (
     ENGINE_MODES,
@@ -63,7 +61,7 @@ requires_numpy = pytest.mark.skipif(
 
 DEGRADE_SUITE = Suite(
     name="degrade-tiny",
-    description="test suite: families that pin the vectorized engine",
+    description="test suite: kernel-capable baseline families",
     scenarios=(
         ScenarioSpec(
             name="linial/tree", generator="random-tree",
@@ -107,12 +105,14 @@ class TestNumpyAbsentDegradation:
     def test_select_engine_auto_degrades_to_interpreted(self, no_numpy):
         algorithm = LinialColoring()
         assert select_engine(algorithm) is run_synchronous
-        assert select_engine(algorithm, engine="auto") is run_synchronous
+        with CellContext("auto"):
+            assert select_engine(algorithm) is run_synchronous
 
     def test_explicit_vectorized_still_raises(self, no_numpy):
         algorithm = LinialColoring()
-        with pytest.raises(EngineUnavailable, match="requires numpy"):
-            select_engine(algorithm, engine="vectorized")
+        with CellContext("vectorized"):
+            with pytest.raises(EngineUnavailable, match="requires numpy"):
+                select_engine(algorithm)
         with pytest.raises(EngineUnavailable, match="requires numpy"):
             run_vectorized(Network(random_tree(8, seed=1)), algorithm)
 
@@ -125,7 +125,7 @@ class TestNumpyAbsentDegradation:
         decomposition = rake_and_compress(tree, k=3)
         assert decomposition.layers
 
-    def test_run_cell_degrades_family_pinned_vectorized(self, no_numpy):
+    def test_run_cell_degrades_kernel_capable_baseline(self, no_numpy):
         cell = next(
             c for c in DEGRADE_SUITE.cells() if c.algorithm == "baseline-mis"
         )
@@ -218,8 +218,8 @@ class TestEngineRoundsProvenance:
         assert [r.engine_rounds for r in loaded] == [result.engine_rounds]
 
 
-def _run_transform_cell(cell, engine=None):
-    result = run_cell(TRANSFORM_SUITE.name, cell, engine=engine)
+def _run_transform_cell(cell):
+    result = run_cell(TRANSFORM_SUITE.name, cell)
     assert result.verified
     assert result.engine_rounds
     assert not any("-peel/" in key for key in result.engine_rounds)
@@ -237,13 +237,6 @@ class TestPeelsStayOutOfProvenance:
     )
     def test_auto_cell_is_vectorized(self, cell):
         assert _run_transform_cell(cell).engine == "vectorized[numpy]"
-
-    @pytest.mark.parametrize(
-        "cell", TRANSFORM_SUITE.cells(), ids=lambda cell: cell.algorithm
-    )
-    def test_interpreted_override_cell_is_interpreted(self, cell):
-        result = _run_transform_cell(cell, engine="interpreted")
-        assert result.engine == "interpreted"
 
     @pytest.mark.parametrize(
         "cell", TRANSFORM_SUITE.cells(), ids=lambda cell: cell.algorithm
@@ -338,6 +331,15 @@ THREAD_SUITE = Suite(
 )
 
 
+def _run_in_context(cell, mode):
+    """The cell's family run under its own ``CellContext(mode)``."""
+    generator = GENERATORS[cell.generator]
+    graph = generator.build(cell.n, cell.seed)
+    with CellContext(mode) as context:
+        ALGORITHMS[cell.algorithm].run(graph, generator, cell.n)
+    return context
+
+
 @pytest.mark.parametrize(
     "engines",
     [
@@ -348,16 +350,13 @@ THREAD_SUITE = Suite(
 )
 def test_two_threads_keep_two_records(monkeypatch, engines):
     cell = THREAD_SUITE.cells()[0]
-    alone = {
-        engine: run_cell(THREAD_SUITE.name, cell, engine=engine)
-        for engine in set(engines)
-    }
+    alone = {engine: _run_in_context(cell, engine) for engine in set(engines)}
     monkeypatch.setitem(_MEETING, "barrier", threading.Barrier(2, timeout=10))
     results, errors = {}, []
 
     def run(slot, engine):
         try:
-            results[slot] = run_cell(THREAD_SUITE.name, cell, engine=engine)
+            results[slot] = _run_in_context(cell, engine)
         except Exception as error:  # noqa: BLE001 - asserted below
             errors.append(error)
 
@@ -372,44 +371,22 @@ def test_two_threads_keep_two_records(monkeypatch, engines):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     for slot, engine in enumerate(engines):
-        result, expected = results[slot], alone[engine]
-        assert result.messages == expected.messages
-        assert result.engine == expected.engine
-        assert result.engine_rounds == expected.engine_rounds
-        assert set(result.timings) == set(expected.timings)
+        context, expected = results[slot], alone[engine]
+        assert context.messages == expected.messages
+        assert context.engine == expected.engine
+        assert context.engine_rounds == expected.engine_rounds
+        assert set(context.timings) == set(expected.timings)
 
 
 class TestUnknownEngineNames:
-    """A misspelt engine name is refused naming the valid modes, never
-    silently run under the family's or the ``auto`` engine."""
+    """A misspelt engine mode is refused naming the valid modes, never
+    silently run under the ``auto`` engine."""
 
     MESSAGE = re.escape(str(ENGINE_MODES))
 
     def test_cell_context_rejects(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
             CellContext("vectorised")
-
-    def test_run_cell_rejects(self):
-        cell = DEGRADE_SUITE.cells()[0]
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            run_cell(DEGRADE_SUITE.name, cell, engine="vectorised")
-
-    def test_sweep_runner_rejects_before_any_cell_runs(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            SweepRunner(get_suite("paper-claims"), store, smoke=True, engine="interpretd")
-        assert store.results() == []
-
-    def test_fleet_worker_rejects_before_any_cell_runs(self, tmp_path):
-        from repro.service import FleetWorker
-
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            FleetWorker(
-                get_suite("paper-claims"), store, fleet="127.0.0.1:9",
-                smoke=True, engine="vectorised",
-            )
-        assert store.results() == []
 
 
 def test_paper_layers_do_not_import_obs():

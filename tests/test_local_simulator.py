@@ -77,6 +77,21 @@ class TestNetwork:
         assert network.max_degree == 2
         assert network.max_identifier == 5
 
+    def test_one_default_identifier_rule(self):
+        """Nodes numbered 1..n by ``repr``; the network and both
+        decomposition processes number a graph the same way."""
+        from repro.decomposition import arboricity_decomposition, rake_and_compress
+        from repro.local.network import default_identifiers
+
+        assert default_identifiers([2, "b", 10, "a"]) == {
+            "a": 1, "b": 2, 10: 3, 2: 4,
+        }
+        tree = nx.relabel_nodes(nx.path_graph(12), {i: (i * 7) % 12 for i in range(12)})
+        expected = default_identifiers(tree.nodes())
+        assert Network(tree).identifiers == expected
+        assert rake_and_compress(tree, 2).identifiers == expected
+        assert arboricity_decomposition(tree, 1, 5).identifiers == expected
+
     def test_explicit_identifiers_validated(self):
         graph = nx.path_graph(3)
         with pytest.raises(ValueError):

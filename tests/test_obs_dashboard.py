@@ -14,6 +14,7 @@ from repro.experiments.spec import ANALYTIC_GENERATOR
 from repro.obs import MetricsRegistry
 from repro.obs.dashboard import render_dashboard
 from repro.service import ResultCollector
+from repro.service import client as client_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BURN_CHECK = REPO_ROOT / "scripts" / "slo_burn_check.py"
@@ -197,7 +198,8 @@ class TestMetricsAndDashboardCLI:
         assert code == 0
         assert "# HELP collector_records_total" in capsys.readouterr().out
 
-    def test_metrics_bad_endpoint_is_exit_2(self, tmp_path, capsys):
+    def test_metrics_bad_endpoint_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         code = main(["metrics", "--connect", str(tmp_path / "nope.sock")])
         assert code == 2
 
@@ -462,7 +464,8 @@ class TestHistoryAndDiffCLI:
         assert code == 2
         assert "--window requires --history" in capsys.readouterr().err
 
-    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys):
+    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         endpoint = tmp_path / "nope.sock"
         code = main(["metrics", "--connect", str(endpoint), "--history"])
         assert code == 2

@@ -1,5 +1,6 @@
 """CLI tests for the service subcommands: run --shard, merge, serve,
-submit, run --fleet, and the removed `collect` and flags."""
+submit, run --fleet, and the removed `collect` and flags (`--engine`
+among them)."""
 
 import json
 import socket
@@ -10,6 +11,7 @@ import pytest
 
 from repro.experiments.cli import main
 from repro.service import ServiceClient
+from repro.service import client as client_module
 
 
 class TestRunShard:
@@ -167,7 +169,8 @@ class TestServeSubmitCli:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_submit_without_server_exits_2(self, tmp_path, capsys):
+    def test_submit_without_server_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([
             "submit", "paper-claims",
             "--socket", str(tmp_path / "nope.sock"),
@@ -220,6 +223,20 @@ class TestFleetCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --out store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "paper-claims", "--smoke"],
+        ["submit", "paper-claims"],
+    ])
+    def test_engine_flag_is_gone(self, command, capsys):
+        """The code picks each run's engine; no sweep chooses it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--engine", "interpreted"])
+        assert excinfo.value.code == 2
+        assert (
+            "unrecognized arguments: --engine interpreted"
+            in capsys.readouterr().err
+        )
+
     def test_serve_listen_without_token_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
         assert main([
@@ -243,7 +260,8 @@ class TestFleetCli:
         assert main(argv) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_report_connect_unreachable_exits_2(self, tmp_path, capsys):
+    def test_report_connect_unreachable_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([
             "report", "--connect", str(tmp_path / "ghost.sock"),
         ]) == 2

@@ -429,6 +429,13 @@ class TestClientConnectRetry:
     def test_default_retry_budget_is_positive(self):
         assert ServiceClient("127.0.0.1:1").connect_retry_s > 0
 
+    def test_module_default_is_read_when_a_client_is_built(self, monkeypatch):
+        from repro.service import client as client_module
+
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.25)
+        assert ServiceClient("127.0.0.1:1").connect_retry_s == 0.25
+        assert ServiceClient("127.0.0.1:1", connect_retry_s=3).connect_retry_s == 3
+
     def test_tcp_connection_refused_retries_until_server_appears(self):
         # reserve a free port, then release it so connects are refused
         placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

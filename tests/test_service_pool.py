@@ -239,8 +239,8 @@ class TestPoolExecution:
         tracer, say) serves the forked workers' cells."""
         original = runner.run_cell
 
-        def tagged(suite_name, cell, engine=None):
-            result = original(suite_name, cell, engine=engine)
+        def tagged(suite_name, cell):
+            result = original(suite_name, cell)
             result.extras["worker_pid"] = os.getpid()
             return result
 

@@ -161,9 +161,23 @@ class TestSubmit:
         with pytest.raises(ServiceError, match="shard"):
             client.submit("paper-claims", shard="2/2")
 
-    def test_submit_bad_engine_fails_fast(self, client):
-        with pytest.raises(ServiceError, match="unknown engine"):
-            client.submit("paper-claims", engine="warp")
+    def test_submit_ignores_an_engine_field(self, small, client, tmp_path):
+        """The engine is not the sweep's to choose: an ``engine`` field
+        is ignored like any unknown field, and every cell runs ``auto``."""
+        reply = client.request({
+            "op": "submit", "suite": small.name, "engine": "interpreted",
+        })
+        status = client.wait(reply["fingerprints"], timeout=120)
+        assert status["completed"] == len(small.cells())
+        assert not status["failures"]
+        engines = {
+            record["fingerprint"]: record["engine"]
+            for record in ResultStore(tmp_path / "store").records()
+        }
+        assert engines == {
+            cell.fingerprint: run_cell(small.name, cell).engine
+            for cell in small.cells()
+        }
 
     @pytest.mark.parametrize("field,value", [
         ("sizes", "24"),          # not a list at all
@@ -174,6 +188,10 @@ class TestSubmit:
         ("seeds", 7),
         ("seeds", ["one"]),
         ("seeds", [1, False]),
+        ("sizes", [2.5]),          # not truncated to 2
+        ("seeds", [1.5]),
+        ("sizes", [float("inf")]),  # JSON Infinity, which json.loads accepts
+        ("seeds", [float("nan")]),
     ])
     def test_submit_bad_sizes_and_seeds_fail_fast(self, client, field, value):
         """Malformed sweep overrides are rejected at submit time with an
@@ -195,18 +213,6 @@ class TestSubmit:
         assert reply["fingerprints"] == [cell.fingerprint for cell in expected]
         status = client.wait(reply["fingerprints"], timeout=120)
         assert status["completed"] == len(expected) and not status["failures"]
-
-    def test_submit_with_engine_threads_through_to_records(self, client, tmp_path):
-        queued = client.submit(
-            "paper-claims", smoke=True, engine="interpreted"
-        )["fingerprints"]
-        assert not client.wait(queued, timeout=120)["failures"]
-        records = ResultStore(tmp_path / "store").records()
-        # analytic prediction cells run no engine at all (engine None);
-        # every measured cell must carry the forced engine
-        measured = [r for r in records if r["engine"] is not None]
-        assert measured
-        assert all(record["engine"] == "interpreted" for record in measured)
 
     def test_unknown_op_and_malformed_fingerprints(self, client):
         with pytest.raises(ServiceError, match="unknown op"):
@@ -446,7 +452,7 @@ class TestShutdown:
             out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1
         )
         server.start()
-        client = ServiceClient(server.socket_path)
+        client = ServiceClient(server.socket_path, connect_retry_s=0)
         client.shutdown()
         server.close()
         assert not server.socket_path.exists()
