@@ -6,7 +6,9 @@ has an array kernel is timed on both the interpreted active-set engine
 and the vectorized NumPy engine, and the JSON output carries **one
 record per (scenario, engine) pair** with an explicit ``engine`` field.
 The two decomposition peels have a single (plain Python) implementation
-and are timed once each, recorded under ``engine="interpreted"``.
+and are timed once each, recorded under ``engine="interpreted"``.  The
+``instance/*`` entries time what every cell pays before any engine
+runs: one ``random_tree`` call and one ``Network`` built on it.
 
 Two regression gates are asserted:
 
@@ -96,6 +98,10 @@ VEC_SPEEDUP_FLOORS = (
 #: Full-mode-only demonstration size for the vectorized backend.
 FULL_SCALE_N = 1_000_000
 
+#: Sizes of the instance-construction entries.  Smoke mode runs 10⁵ so
+#: both entries stay well above the CI trajectory gate's 0.05 s floor.
+INSTANCE_SIZES = [100_000] if SMOKE else [10_000, 100_000, FULL_SCALE_N]
+
 
 def _engine_scenarios():
     """Dual-engine sweep: one entry per (scenario, engine) pair."""
@@ -155,6 +161,18 @@ def _decomposition_scenarios():
     n = 2000 if SMOKE else 20000
     _, seconds = timed(lambda: random_graph_with_max_degree(n, 8, seed=3))
     entries.append(scenario_entry("generator/random-graph-max-degree", n, seconds))
+    return entries
+
+
+def _instance_scenarios():
+    """Instance construction: one ``random_tree`` call and one ``Network``
+    (identifiers plus the CSR index) on that tree."""
+    entries = []
+    for n in INSTANCE_SIZES:
+        tree, seconds = timed(lambda: random_tree(n, seed=42))
+        entries.append(scenario_entry("instance/random-tree", n, seconds))
+        _, seconds = timed(lambda: Network(tree))
+        entries.append(scenario_entry("instance/network", n, seconds))
     return entries
 
 
@@ -297,6 +315,8 @@ def run_bench(check_speedup: bool = True) -> list:
     for entry in _engine_scenarios():
         add(entry)
     for entry in _decomposition_scenarios():
+        add(entry)
+    for entry in _instance_scenarios():
         add(entry)
 
     speedup_entries, speedups = _speedup_scenario()

@@ -59,14 +59,20 @@ def reduce_to_deg_plus_one(
 
     Returns ``(new_colours, rounds)``.
     """
-    network = Network(
-        graph,
-        identifiers=identifiers,
-        node_inputs=dict(colours),
-        shared={"num_classes": num_classes},
+    return _reduce_to_deg_plus_one(
+        Network(graph, identifiers=identifiers), colours, num_classes
+    )
+
+
+def _reduce_to_deg_plus_one(
+    network: Network, colours: Mapping[Hashable, int], num_classes: int
+) -> tuple[dict, int]:
+    """:func:`reduce_to_deg_plus_one` on a derivation of a built network."""
+    derived = network.with_inputs(
+        node_inputs=colours, shared={"num_classes": num_classes}
     )
     algorithm = ColorClassReduction()
     result: RunResult = select_engine(algorithm)(
-        network, algorithm, max_rounds=num_classes + 1
+        derived, algorithm, max_rounds=num_classes + 1
     )
     return result.outputs, result.rounds

@@ -13,8 +13,9 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from repro.baselines.color_reduction import reduce_to_deg_plus_one
-from repro.baselines.linial import linial_coloring
+from repro.baselines.color_reduction import _reduce_to_deg_plus_one
+from repro.baselines.linial import _linial_coloring
+from repro.local import Network
 
 
 @dataclass
@@ -38,10 +39,15 @@ def deg_plus_one_coloring(
     """
     if graph.number_of_nodes() == 0:
         return ColoringRun({}, 0, 0, 0, 0)
-    initial, palette, linial_rounds = linial_coloring(graph, identifiers=identifiers)
-    colours, sweep_rounds = reduce_to_deg_plus_one(
-        graph, initial, palette, identifiers=identifiers
-    )
+    return _deg_plus_one_coloring(Network(graph, identifiers=identifiers))
+
+
+def _deg_plus_one_coloring(network: Network) -> ColoringRun:
+    """:func:`deg_plus_one_coloring` on a built, non-empty network: Linial
+    runs on it and the reduction on a derivation, so the graph is indexed
+    once."""
+    initial, palette, linial_rounds = _linial_coloring(network)
+    colours, sweep_rounds = _reduce_to_deg_plus_one(network, initial, palette)
     return ColoringRun(
         colours=colours,
         rounds=linial_rounds + sweep_rounds,

@@ -145,13 +145,16 @@ def linial_coloring(
     ``auto`` (also outside any context) uses the array engine when numpy
     is available; results are identical either way.
     """
-    network = Network(graph, identifiers=identifiers)
+    return _linial_coloring(Network(graph, identifiers=identifiers))
+
+
+def _linial_coloring(network: Network) -> tuple[dict, int, int]:
+    """:func:`linial_coloring` on a built network (its inputs are unused)."""
     if network.num_nodes == 0:
         return {}, 1, 0
-    schedule, final_colours = reduction_schedule(
+    _, final_colours = reduction_schedule(
         network.max_identifier + 1, network.max_degree
     )
     algorithm = LinialColoring()
     result: RunResult = select_engine(algorithm)(network, algorithm)
-    del schedule
     return result.outputs, final_colours, result.rounds

@@ -13,7 +13,7 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from repro.baselines.coloring import deg_plus_one_coloring
+from repro.baselines.coloring import _deg_plus_one_coloring
 from repro.local import Network, NodeContext, RunResult, SynchronousAlgorithm, select_engine
 
 
@@ -59,20 +59,22 @@ class MISRun:
 def maximal_independent_set(
     graph: nx.Graph, identifiers: Mapping[Hashable, int] | None = None
 ) -> MISRun:
-    """Compute an MIS of ``graph`` in ``O(Δ² + log* n)`` rounds."""
+    """Compute an MIS of ``graph`` in ``O(Δ² + log* n)`` rounds.
+
+    The colouring and the sweep run on one network: the graph is indexed
+    once.
+    """
     if graph.number_of_nodes() == 0:
         return MISRun(set(), 0, 0, 0)
-    coloring = deg_plus_one_coloring(graph, identifiers=identifiers)
+    network = Network(graph, identifiers=identifiers)
+    coloring = _deg_plus_one_coloring(network)
     num_classes = max(coloring.colours.values(), default=1)
-    network = Network(
-        graph,
-        identifiers=identifiers,
-        node_inputs=dict(coloring.colours),
-        shared={"num_classes": num_classes},
+    sweep = network.with_inputs(
+        node_inputs=coloring.colours, shared={"num_classes": num_classes}
     )
     algorithm = ColorClassMIS()
     result: RunResult = select_engine(algorithm)(
-        network, algorithm, max_rounds=num_classes + 2
+        sweep, algorithm, max_rounds=num_classes + 2
     )
     independent = {node for node, joined in result.outputs.items() if joined}
     return MISRun(

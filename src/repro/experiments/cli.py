@@ -213,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
             "request counts\n  and latency, auth failures, malformed lines, "
             "ingest fates, pending cells,\n  pool traffic and, for every "
             "stored record, `cell_phase_seconds`\n  "
-            "(generate/run/verify/simulate, also in the record's nonsemantic "
-            "`timings`)\n  and `engine_rounds_total`.  `metrics --connect "
-            "host:port [--out f.prom]`\n  scrapes it; "
+            "(generate/run/network/verify/simulate, also in the record's "
+            "nonsemantic\n  `timings`) and `engine_rounds_total`.\n  "
+            "`metrics --connect host:port [--out f.prom]`\n  scrapes it; "
             "`scripts/slo_burn_check.py <scrape>` evaluates the SLOs (p99 "
             "verb\n  latency, zero dropped/malformed/unauthenticated, "
             "conflict rate).  `dashboard\n  --out DIR [--metrics f.prom | "

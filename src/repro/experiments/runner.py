@@ -71,9 +71,10 @@ def run_cell(suite_name: str, cell: Cell) -> CellResult:
     per-kernel round account in ``CellResult.engine_rounds``, and the
     seconds per phase in ``CellResult.timings`` (nonsemantic).  The
     instance build is the ``generate`` phase, the algorithm callable is
-    ``run``, and deeper layers add their own spans (``verify`` from the
-    suite run functions, ``simulate`` from the engines — both nested
-    inside ``run``'s wall clock).
+    ``run``, and deeper layers add their own spans (``network`` from
+    each ``Network`` build, ``verify`` from the suite run functions,
+    ``simulate`` from the engines — all nested inside ``run``'s wall
+    clock).
     """
     generator = GENERATORS[cell.generator]
     algorithm = ALGORITHMS[cell.algorithm]

@@ -102,12 +102,15 @@ def bfs_forest_parents(forest: nx.Graph) -> dict:
 
     The canonical input of :func:`repro.baselines.color_forest_three`; on a
     tree the pointers are independent of the traversal order, so any BFS
-    yields the same dict.
+    yields the same dict.  One traversal: nodes are visited in sorted
+    order and a BFS starts at each node not yet reached, which is the
+    smallest node of its component.
     """
     parents: dict = {}
     adj = forest.adj
-    for component in nx.connected_components(forest):
-        root = min(component)
+    for root in sorted(forest):
+        if root in parents:
+            continue
         parents[root] = None
         frontier = [root]
         while frontier:
@@ -121,18 +124,54 @@ def bfs_forest_parents(forest: nx.Graph) -> dict:
     return parents
 
 
+def _prufer_leaves(sequence: list[int], n: int) -> list[int]:
+    """The leaf end of each edge of the tree on ``0 .. n-1`` with Prüfer
+    code ``sequence``: edge ``k`` joins ``leaves[k]`` to ``sequence[k]``,
+    and the last edge joins ``leaves[-1]`` to ``n - 1``, in the order
+    :func:`networkx.from_prufer_sequence` adds them.
+
+    The linear-time decoding of Wang, Wang & Wu (2009), as networkx
+    implements it: ``u`` is the smallest leaf left; joining it to the next
+    code entry ``v`` makes ``v`` the next leaf when ``v`` drops to degree
+    one below the scan position, and otherwise the scan moves up to the
+    next leaf.  Node ``n - 1`` is never the smallest leaf while three or
+    more nodes remain, so it ends the last edge.
+    """
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
+    index = u = degree.index(1)
+    leaves = []
+    for v in sequence:
+        leaves.append(u)
+        degree[v] -= 1
+        if v < index and degree[v] == 1:
+            u = v
+        else:
+            index += 1
+            while degree[index] != 1:
+                index += 1
+            u = index
+    leaves.append(u)
+    return leaves
+
+
 def random_tree(n: int, seed: int = 0) -> nx.Graph:
-    """A uniformly random labelled tree on ``n`` nodes (via a Prüfer sequence)."""
+    """A uniformly random labelled tree on ``n`` nodes (via a Prüfer sequence).
+
+    Equal to ``nx.from_prufer_sequence`` of the same sequence in node
+    order, every node's neighbour order and ``edges()`` order; the graph
+    is filled by two bulk insertions.
+    """
+    graph = nx.Graph()
     if n <= 0:
-        return nx.Graph()
-    if n == 1:
-        graph = nx.Graph()
-        graph.add_node(0)
         return graph
-    if n == 2:
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
+    graph.add_nodes_from(range(n))
+    if n == 1:
         return graph
     rng = random.Random(seed)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
-    return nx.from_prufer_sequence(sequence)
+    # Zipping two int lists hands networkx one short-lived tuple at a
+    # time instead of n tuples the cyclic garbage collector must track.
+    graph.add_edges_from(zip(_prufer_leaves(sequence, n), [*sequence, n - 1]))
+    return graph

@@ -10,7 +10,9 @@ number of rounds until every node has produced its output.
 This package provides:
 
 * :class:`Network` — the communication graph with identifier assignment,
-  optional per-node inputs and a one-time CSR adjacency index,
+  optional per-node inputs and a one-time CSR adjacency index;
+  :meth:`Network.with_inputs` derives a network with other inputs on the
+  same index, so a pipeline indexes each graph once,
 * :class:`CSRAdjacency` — the flat int-indexed adjacency layout shared
   with the decomposition hot loops,
 * :class:`SynchronousAlgorithm` — the per-node state machine interface,

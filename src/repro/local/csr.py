@@ -20,6 +20,7 @@ the whole build is ``O(n log n + m)``.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Hashable, Sequence
 
 import networkx as nx
@@ -56,29 +57,31 @@ class CSRAdjacency:
         order_key:
             Optional total order on nodes.  When given, every node's
             neighbour slice is sorted by ``order_key`` (exploiting that
-            appending targets in source-key order leaves each adjacency
-            list sorted, so no per-node sort is needed).
+            filling slices in source-key order leaves each one sorted, so
+            no per-node sort is needed).
         """
         nodes = tuple(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
+        # ``graph.adjacency()`` yields the raw neighbour dicts in node
+        # order; ``graph.adj[node]`` would wrap each one in a fresh view.
+        rows = [neighbors for _, neighbors in graph.adjacency()]
+        offsets = [0, *accumulate(map(len, rows))]
         if order_key is None:
             order = range(n)
         else:
-            order = sorted(range(n), key=lambda i: order_key(nodes[i]))
-        graph_adj = graph.adj
+            keys = [order_key(node) for node in nodes]
+            order = sorted(range(n), key=keys.__getitem__)
+        # Fill each node's slice through a write cursor rather than n
+        # per-node lists: ints are not tracked by the cyclic garbage
+        # collector, so a large build does not set off full collections.
+        cursor = offsets[:-1]
+        targets = [0] * offsets[-1]
         for i in order:
-            for neighbor in graph_adj[nodes[i]]:
-                adjacency[index[neighbor]].append(i)
-        offsets = [0] * (n + 1)
-        total = 0
-        for i in range(n):
-            total += len(adjacency[i])
-            offsets[i + 1] = total
-        targets: list[int] = []
-        for neighbors in adjacency:
-            targets.extend(neighbors)
+            for neighbor in rows[i]:
+                j = index[neighbor]
+                targets[cursor[j]] = i
+                cursor[j] += 1
         return cls(nodes, index, offsets, targets)
 
     # ------------------------------------------------------------------

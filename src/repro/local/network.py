@@ -25,16 +25,32 @@ caches:
 * ``nodes()`` returns one cached tuple and ``neighbors()`` memoizes the
   identifier-sorted neighbour tuple of each node.
 
+The build runs under the ``network`` phase of the current
+:class:`~repro.local.context.CellContext`.
+
+One topology per instance
+-------------------------
+A pipeline that runs several algorithms on one graph (Linial's
+colouring, then the colour-class reduction, then the MIS sweep) builds
+one network and runs each stage on :meth:`Network.with_inputs`
+derivations of it.  A derivation shares the graph, node tuple,
+identifiers, CSR adjacency (and its ``array_layout()`` cache), ``Δ``,
+the largest identifier, the neighbour cache and, once the array engine
+has built it, the identifier array; it differs only in ``node_inputs``
+and ``shared``, costs no indexing pass and records no ``network`` time.
+
 The wrapped ``graph`` must not be mutated after the network is built; the
 caches would go stale silently.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Hashable, Iterable, Mapping
 
 import networkx as nx
 
+from repro.local.context import span
 from repro.local.csr import CSRAdjacency
 
 
@@ -75,34 +91,55 @@ class Network:
         node_inputs: Mapping[Hashable, Any] | None = None,
         shared: Mapping[str, Any] | None = None,
     ) -> None:
-        if graph.is_directed() or graph.is_multigraph():
-            raise ValueError("the LOCAL network must be a simple undirected graph")
-        if nx.number_of_selfloops(graph):
-            # The CSR index counts a self-loop once towards the degree while
-            # the reference engine's ``graph.degree`` counts it twice, so the
-            # two engines would disagree on Δ; self-loops carry no meaning in
-            # the LOCAL message model anyway, so reject them outright.
-            raise ValueError("the LOCAL network must not contain self-loops")
-        self.graph = graph
-        self._nodes: tuple = tuple(graph.nodes())
-        if identifiers is None:
-            identifiers = default_identifiers(self._nodes)
-        self.identifiers: dict[Hashable, int] = dict(identifiers)
-        self._validate_identifiers()
-        self.node_inputs: dict[Hashable, Any] = dict(node_inputs or {})
-        self.shared: dict[str, Any] = dict(shared or {})
-        # One-time indexing pass: identifier-sorted CSR adjacency plus the
-        # globally known scalars.
-        ids = self.identifiers
-        self.csr: CSRAdjacency = CSRAdjacency.from_graph(
-            graph, order_key=ids.__getitem__
-        )
-        offsets = self.csr.offsets
-        self.max_degree: int = max(
-            (offsets[i + 1] - offsets[i] for i in range(len(self._nodes))), default=0
-        )
-        self.max_identifier: int = max(ids.values(), default=1)
-        self._neighbor_cache: list[tuple | None] = [None] * len(self._nodes)
+        with span("network"):
+            if graph.is_directed() or graph.is_multigraph():
+                raise ValueError(
+                    "the LOCAL network must be a simple undirected graph"
+                )
+            if nx.number_of_selfloops(graph):
+                # The CSR index counts a self-loop once towards the degree
+                # while the reference engine's ``graph.degree`` counts it
+                # twice, so the two engines would disagree on Δ; self-loops
+                # carry no meaning in the LOCAL message model anyway, so
+                # reject them outright.
+                raise ValueError("the LOCAL network must not contain self-loops")
+            self.graph = graph
+            self._nodes: tuple = tuple(graph.nodes())
+            if identifiers is None:
+                identifiers = default_identifiers(self._nodes)
+            self.identifiers: dict[Hashable, int] = dict(identifiers)
+            self._validate_identifiers()
+            self.node_inputs: dict[Hashable, Any] = dict(node_inputs or {})
+            self.shared: dict[str, Any] = dict(shared or {})
+            # One-time indexing pass: identifier-sorted CSR adjacency plus
+            # the globally known scalars.
+            ids = self.identifiers
+            self.csr: CSRAdjacency = CSRAdjacency.from_graph(
+                graph, order_key=ids.__getitem__
+            )
+            self.max_degree: int = max(self.csr.degrees(), default=0)
+            self.max_identifier: int = max(ids.values(), default=1)
+            self._neighbor_cache: list[tuple | None] = [None] * len(self._nodes)
+            #: Identifiers in CSR index order, built by the array engine on
+            #: first use (see :mod:`repro.local.vectorized`).
+            self._identifier_array = None
+
+    def with_inputs(
+        self,
+        node_inputs: Mapping[Hashable, Any] | None = None,
+        shared: Mapping[str, Any] | None = None,
+    ) -> "Network":
+        """A network on the same topology with other per-node inputs and
+        shared quantities.
+
+        Shares every topology cache with this network (see the module
+        docstring) without indexing the graph again; this network's
+        ``node_inputs`` and ``shared`` are left as they are.
+        """
+        derived = copy.copy(self)
+        derived.node_inputs = dict(node_inputs or {})
+        derived.shared = dict(shared or {})
+        return derived
 
     def _validate_identifiers(self) -> None:
         missing = [v for v in self._nodes if v not in self.identifiers]

@@ -122,8 +122,9 @@ def supports_vectorized(algorithm: SynchronousAlgorithm) -> bool:
 # array primitives
 # ----------------------------------------------------------------------
 def _identifier_array(network: Network):
-    """Node identifiers as an int64 array in CSR index order (cached)."""
-    cached = getattr(network, "_identifier_array", None)
+    """Node identifiers as an int64 array in CSR index order (cached on
+    the network, and shared with derivations made after it is built)."""
+    cached = network._identifier_array
     if cached is None:
         identifiers = network.identifiers
         cached = np.fromiter(

@@ -13,6 +13,11 @@ from typing import Hashable, Iterable, Mapping
 import networkx as nx
 
 
+def _is_colour(colour: object) -> bool:
+    """A palette colour: an integer of at least 1, as in the formal problems."""
+    return isinstance(colour, int) and colour >= 1
+
+
 def is_proper_vertex_coloring(graph: nx.Graph, colours: Mapping[Hashable, int]) -> bool:
     """Every node coloured, adjacent nodes differ."""
     if any(node not in colours for node in graph.nodes()):
@@ -21,10 +26,13 @@ def is_proper_vertex_coloring(graph: nx.Graph, colours: Mapping[Hashable, int]) 
 
 
 def is_deg_plus_one_coloring(graph: nx.Graph, colours: Mapping[Hashable, int]) -> bool:
-    """Proper colouring in which each node's colour is at most its degree + 1."""
+    """Proper colouring in which each node's colour is in ``1 .. degree + 1``."""
     if not is_proper_vertex_coloring(graph, colours):
         return False
-    return all(colours[v] <= graph.degree(v) + 1 for v in graph.nodes())
+    return all(
+        _is_colour(colours[v]) and colours[v] <= graph.degree(v) + 1
+        for v in graph.nodes()
+    )
 
 
 def is_delta_plus_one_coloring(graph: nx.Graph, colours: Mapping[Hashable, int]) -> bool:
@@ -32,7 +40,10 @@ def is_delta_plus_one_coloring(graph: nx.Graph, colours: Mapping[Hashable, int])
     if not is_proper_vertex_coloring(graph, colours):
         return False
     max_degree = max((d for _, d in graph.degree()), default=0)
-    return all(1 <= colours[v] <= max_degree + 1 for v in graph.nodes())
+    return all(
+        _is_colour(colours[v]) and colours[v] <= max_degree + 1
+        for v in graph.nodes()
+    )
 
 
 def edge_degree(graph: nx.Graph, edge: tuple) -> int:
@@ -67,7 +78,7 @@ def is_proper_edge_coloring(graph: nx.Graph, colours: Mapping[tuple, int]) -> bo
 def is_edge_degree_plus_one_coloring(
     graph: nx.Graph, colours: Mapping[tuple, int]
 ) -> bool:
-    """Proper edge colouring with each edge's colour at most edge-degree + 1."""
+    """Proper edge colouring with each edge's colour in ``1 .. edge-degree + 1``."""
     normalised = _normalise_edge_map(graph, colours)
     if normalised is None:
         return False
@@ -75,10 +86,11 @@ def is_edge_degree_plus_one_coloring(
         return False
     # One degree map instead of two graph.degree() calls per edge.
     degrees = dict(graph.degree())
-    return all(
-        normalised[_edge_key(u, v)] <= degrees[u] + degrees[v] - 1
-        for u, v in graph.edges()
-    )
+    for u, v in graph.edges():
+        colour = normalised[_edge_key(u, v)]
+        if not (_is_colour(colour) and colour <= degrees[u] + degrees[v] - 1):
+            return False
+    return True
 
 
 def is_two_delta_minus_one_edge_coloring(
@@ -92,7 +104,7 @@ def is_two_delta_minus_one_edge_coloring(
         return False
     max_degree = max((d for _, d in graph.degree()), default=0)
     budget = max(1, 2 * max_degree - 1)
-    return all(1 <= c <= budget for c in normalised.values())
+    return all(_is_colour(c) and c <= budget for c in normalised.values())
 
 
 def is_matching(graph: nx.Graph, matching: Iterable[tuple]) -> bool:

@@ -45,9 +45,10 @@ Verbs
     "sizes": [...], "seeds": [...], "shard": "0/2"}`` → ``total_cells``,
     ``skipped`` (already verified in the store) and ``fingerprints`` (the
     cells queued for the local worker).  Every field is validated here,
-    so a bad request fails fast at the client; ``sizes`` and ``seeds``
-    take integral numbers or numeric strings only.  Unknown fields are
-    ignored; each cell runs on the engine
+    so a bad request fails fast at the client: ``suite`` takes a
+    non-empty string, ``smoke`` a JSON boolean (absent means false), and
+    ``sizes`` and ``seeds`` integral numbers or numeric strings only.
+    Unknown fields are ignored; each cell runs on the engine
     :func:`~repro.local.select_engine` picks for it.
 ``status``
     Cumulative ingest counters, the store path, uptime and the
@@ -271,7 +272,7 @@ class ResultCollector:
         # here at ingest, for submitted and fleet-pushed cells alike.
         self._cell_phase_seconds = self.registry.histogram(
             "cell_phase_seconds",
-            "Per-cell phase durations (generate/run/verify/simulate) of "
+            "Per-cell phase durations (generate/run/network/verify/simulate) of "
             "stored records.",
             ("phase",),
         )
@@ -730,8 +731,17 @@ class ResultCollector:
         if self._shutdown.is_set():
             return error_response("server is shutting down; submit rejected")
         suite_name = request.get("suite")
-        if not suite_name:
+        if suite_name is None:
             return error_response("submit requires a 'suite' field")
+        if not isinstance(suite_name, str) or not suite_name:
+            return error_response(
+                f"submit: 'suite' must be a non-empty string, got {suite_name!r}"
+            )
+        smoke = request.get("smoke", False)
+        if not isinstance(smoke, bool):
+            return error_response(
+                f"submit: 'smoke' must be a JSON boolean, got {smoke!r}"
+            )
         try:
             suite = get_suite(suite_name)
         except KeyError as error:
@@ -749,7 +759,7 @@ class ResultCollector:
             return error_response(str(error))
         cells = shard_cells(
             suite.cells(
-                smoke=bool(request.get("smoke", False)), sizes=sizes, seeds=seeds
+                smoke=smoke, sizes=sizes, seeds=seeds
             ),
             shard,
         )

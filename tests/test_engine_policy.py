@@ -253,7 +253,7 @@ class TestCellContext:
             with span("verify"):
                 pass
             run = run_synchronous(Network(random_tree(20, seed=1)), LinialColoring())
-        assert set(context.timings) == {"verify", "simulate"}
+        assert set(context.timings) == {"verify", "network", "simulate"}
         assert (context.runs, context.messages) == (1, run.messages_sent)
 
     def test_no_context_is_a_noop(self):
@@ -274,7 +274,7 @@ class TestCellContext:
         assert resolve_engine_mode() == "auto"
         assert (inner.runs, inner.messages) == (1, run.messages_sent)
         assert inner.engine_rounds == {"interpreted/linial-coloring/-": run.rounds}
-        assert set(inner.timings) == {"p", "simulate"}
+        assert set(inner.timings) == {"p", "network", "simulate"}
         assert (outer.runs, outer.messages, outer.engine_rounds, outer.timings) == (
             0, 0, {}, {},
         )

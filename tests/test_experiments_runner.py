@@ -269,10 +269,11 @@ class TestPhaseTimings:
         result = self.measured_cell()
         timings = result.timings
         assert timings is not None
-        assert {"generate", "run", "verify", "simulate"} <= set(timings)
+        assert {"generate", "run", "network", "verify", "simulate"} <= set(timings)
         assert all(seconds >= 0 for seconds in timings.values())
-        # verify and simulate are nested inside run's wall clock
+        # network, verify and simulate are nested inside run's wall clock
         assert timings["simulate"] <= timings["run"] + 1e-6
+        assert timings["network"] <= timings["run"]
 
     def test_analytic_cell_skips_generate_and_simulate(self):
         from repro.experiments import run_cell

@@ -202,6 +202,22 @@ class TestSubmit:
             })
         assert client.status()["pending"] == 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("smoke", "false"),         # a non-empty string, truthy to bool()
+        ("smoke", 1),
+        ("smoke", None),
+        ("suite", ["lower-bound"]),  # unhashable: escaped get_suite as TypeError
+        ("suite", ""),
+        ("suite", 7),
+    ])
+    def test_submit_bad_smoke_and_suite_fail_fast(self, client, field, value):
+        """``smoke`` takes only a JSON boolean and ``suite`` only a
+        non-empty string; anything else is refused with an error naming
+        the field before any cell is queued."""
+        with pytest.raises(ServiceError, match=f"'{field}'"):
+            client.request({"op": "submit", "suite": "lower-bound", field: value})
+        assert client.status()["pending"] == 0
+
     def test_submit_coerces_numeric_size_and_seed_strings(self, client):
         reply = client.request({
             "op": "submit", "suite": "paper-claims", "smoke": True,

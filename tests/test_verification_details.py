@@ -1,11 +1,29 @@
 """Additional coverage for the verification layer and transform bookkeeping."""
 
-import networkx as nx
+import random
 
-from repro.baselines import MISAlgorithm
+import networkx as nx
+import pytest
+
+from repro.baselines import (
+    MISAlgorithm,
+    deg_plus_one_coloring,
+    edge_degree_plus_one_coloring,
+)
 from repro.core import solve_on_tree
-from repro.generators import random_tree
-from repro.problems import MaximalIndependentSetProblem, verify_solution
+from repro.generators import planar_triangulation_like, random_tree
+from repro.problems import (
+    DegreePlusOneColoring,
+    EdgeDegreePlusOneEdgeColoring,
+    MaximalIndependentSetProblem,
+    verify_solution,
+)
+from repro.problems.classic import (
+    is_deg_plus_one_coloring,
+    is_delta_plus_one_coloring,
+    is_edge_degree_plus_one_coloring,
+    is_two_delta_minus_one_edge_coloring,
+)
 from repro.problems.mis import IN_MIS, OUT
 from repro.problems.verification import VerificationResult, Violation
 from repro.semigraph import HalfEdge, HalfEdgeLabeling, semigraph_from_graph
@@ -76,3 +94,81 @@ class TestTransformBookkeeping:
         result = solve_on_tree(tree, MISAlgorithm())
         assert "TransformResult" in repr(result)
         assert "RoundLedger" in repr(result.ledger)
+
+
+class TestClassicPaletteFloor:
+    """The classic colouring verifiers take only integer colours of at
+    least 1, like the formal problems' labels."""
+
+    @pytest.mark.parametrize("colours", [
+        {0: 0, 1: -1, 2: 0},
+        {0: 1, 1: 0, 2: 1},
+        {0: 1, 1: None, 2: 1},
+        {0: 1, 1: 2.0, 2: 1},
+        {0: 1, 1: 4, 2: 1},
+    ])
+    def test_vertex_colours_below_one_or_not_integers_fail(self, colours):
+        assert not is_deg_plus_one_coloring(nx.path_graph(3), colours)
+
+    @pytest.mark.parametrize("colours", [
+        {(0, 1): 0, (1, 2): -1},
+        {(0, 1): None, (1, 2): 1},
+        {(0, 1): 1, (1, 2): 4},
+    ])
+    def test_edge_colours_below_one_or_not_integers_fail(self, colours):
+        assert not is_edge_degree_plus_one_coloring(nx.path_graph(3), colours)
+
+    def test_budget_verifiers_refuse_none_instead_of_raising(self):
+        path = nx.path_graph(3)
+        assert not is_delta_plus_one_coloring(path, {0: 1, 1: None, 2: 1})
+        assert not is_two_delta_minus_one_edge_coloring(
+            path, {(0, 1): None, (1, 2): 1}
+        )
+
+    def test_valid_colourings_still_pass(self):
+        assert is_deg_plus_one_coloring(nx.path_graph(3), {0: 1, 1: 2, 2: 1})
+        assert is_edge_degree_plus_one_coloring(
+            nx.path_graph(3), {(0, 1): 1, (1, 2): 2}
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_classic_and_formal_verifiers_agree_on_corruptions(self, seed):
+        """Corrupt one colour of a valid colouring with 0, a negative
+        colour, ``None`` or one past the budget; both verifiers must give
+        the same verdict as on the formal lifting."""
+        rng = random.Random(seed)
+        graph = (random_tree if seed % 2 else planar_triangulation_like)(
+            30 + 10 * seed, seed=seed
+        )
+        semigraph = semigraph_from_graph(graph)
+        checks = [
+            (
+                DegreePlusOneColoring(),
+                deg_plus_one_coloring(graph).colours,
+                is_deg_plus_one_coloring,
+                lambda v: graph.degree(v) + 1,
+            ),
+            (
+                EdgeDegreePlusOneEdgeColoring(),
+                edge_degree_plus_one_coloring(graph).colours,
+                is_edge_degree_plus_one_coloring,
+                lambda e: graph.degree(e[0]) + graph.degree(e[1]) - 1,
+            ),
+        ]
+        for problem, colours, classic, budget in checks:
+            subjects = sorted(colours, key=repr)
+            cases = [dict(colours)]
+            for _ in range(8):
+                subject = rng.choice(subjects)
+                bad = rng.choice(
+                    [0, -rng.randint(1, 5), None, budget(subject) + 1]
+                )
+                cases.append({**colours, subject: bad})
+            for case in cases:
+                formal = verify_solution(
+                    problem, semigraph, problem.from_classic(semigraph, case)
+                )
+                assert classic(graph, case) == formal.ok
+            assert classic(graph, cases[0]) and not any(
+                classic(graph, case) for case in cases[1:]
+            )
