@@ -1,27 +1,22 @@
 #!/usr/bin/env python
-"""CI SLO burn check over a saved metrics scrape or scrape history.
+"""CI SLO burn check over one saved metrics scrape.
 
 Usage::
 
     python scripts/slo_burn_check.py <scrape.prom> [--store results.jsonl]
-    python scripts/slo_burn_check.py --history hist.jsonl \
-        [--window 5m] [--slow-window 1h] [--store results.jsonl]
 
-The first form evaluates every objective in
-:data:`repro.obs.slo.DEFAULT_SLOS` against one Prometheus-text
-exposition (the degenerate single-sample window: cumulative-total
-semantics).  The second form reads a scrape-history JSONL file (from
-``metrics --history --out`` or a service's ``--history-spill``) and
-evaluates dual-window burn rates: an objective is burning only when it
-fails over both the fast window (``--window``, default 5m) and the slow
-window (``--slow-window``, default 1h), the standard guard against
-paging on transient blips.
+Evaluates every objective in :data:`repro.obs.slo.DEFAULT_SLOS` against
+one Prometheus-text exposition (``metrics --connect ... --out``).  The
+server's counters are cumulative since it started, so each objective
+reads lifetime totals; to compare two moments, diff two scrapes with
+``dashboard --diff``.
 
-With ``--store``, additionally asserts ingest completeness: the sweep
-server's ``collector_records_ingested_total`` counter must equal its
-store's record count — the scrape and the durable store agree
-on how many records exist, so nothing was silently lost between the
-wire and the disk.
+With ``--store``, additionally asserts ingest completeness: the store
+must hold exactly the records the sweep server's startup replay read
+(``collector_store_records_at_start``) plus those it appended since
+(``collector_records_ingested_total``) — the scrape and the durable
+store agree on how many records exist, so nothing was silently lost
+between the wire and the disk, across server restarts too.
 
 Exit codes::
 
@@ -41,14 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.metrics import parse_exposition, samples_named, sum_samples
-from repro.obs.slo import (
-    DEFAULT_FAST_WINDOW_S,
-    DEFAULT_SLOW_WINDOW_S,
-    DEFAULT_SLOS,
-    evaluate_slos,
-    evaluate_slos_windowed,
-)
-from repro.obs.timeseries import load_history_jsonl, parse_duration
+from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
 
 EXIT_OK = 0
 EXIT_BURNING = 1
@@ -56,110 +44,32 @@ EXIT_UNREADABLE = 2
 EXIT_NO_DATA = 3
 
 
-def _duration(text: str) -> float:
-    try:
-        return parse_duration(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _format_window(seconds: float) -> str:
-    if seconds % 3600 == 0 and seconds >= 3600:
-        return f"{int(seconds // 3600)}h"
-    if seconds % 60 == 0 and seconds >= 60:
-        return f"{int(seconds // 60)}m"
-    return f"{seconds:g}s"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "scrape", nargs="?", default=None,
-        help="a saved Prometheus-text exposition file (single-scrape mode)",
-    )
-    parser.add_argument(
-        "--history", default=None, metavar="JSONL",
-        help="a scrape-history JSONL file (from `metrics --history --out` "
-        "or a --history-spill); switches to dual-window burn-rate mode",
-    )
-    parser.add_argument(
-        "--window", type=_duration, default=None, metavar="DURATION",
-        help="fast burn window for --history mode, e.g. 5m "
-        f"(default: {_format_window(DEFAULT_FAST_WINDOW_S)})",
-    )
-    parser.add_argument(
-        "--slow-window", type=_duration, default=None, metavar="DURATION",
-        help="slow corroboration window for --history mode, e.g. 1h "
-        f"(default: {_format_window(DEFAULT_SLOW_WINDOW_S)}, "
-        "clamped to at least the fast window)",
+        "scrape", help="a saved Prometheus-text exposition file",
     )
     parser.add_argument(
         "--store", default=None, metavar="JSONL",
-        help="assert collector_records_ingested_total equals this result "
-        "store's record count",
+        help="assert the server's records at startup plus "
+        "collector_records_ingested_total equal this result store's "
+        "record count",
     )
     args = parser.parse_args(argv)
 
-    if (args.scrape is None) == (args.history is None):
-        print(
-            "exactly one input required: a scrape file, or --history JSONL",
-            file=sys.stderr,
-        )
-        return EXIT_UNREADABLE
-    if args.scrape is not None and (
-        args.window is not None or args.slow_window is not None
-    ):
-        print("--window/--slow-window require --history", file=sys.stderr)
+    try:
+        text = Path(args.scrape).read_text(encoding="utf-8")
+        samples = parse_exposition(text)
+    except (OSError, ValueError) as error:
+        print(f"cannot read scrape: {error}", file=sys.stderr)
         return EXIT_UNREADABLE
 
     failed = False
     saw_data = False
-
-    if args.history is not None:
-        try:
-            points = load_history_jsonl(args.history)
-        except (OSError, ValueError) as error:
-            print(f"cannot read history: {error}", file=sys.stderr)
-            return EXIT_UNREADABLE
-        if not points:
-            print(f"{args.history}: empty history — no data", file=sys.stderr)
-            return EXIT_NO_DATA
-        fast = args.window if args.window is not None else DEFAULT_FAST_WINDOW_S
-        slow = (
-            args.slow_window
-            if args.slow_window is not None
-            else max(DEFAULT_SLOW_WINDOW_S, fast)
-        )
-        try:
-            burn_results = evaluate_slos_windowed(
-                points, fast_window_s=fast, slow_window_s=max(slow, fast)
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return EXIT_UNREADABLE
-        print(
-            f"dual-window burn over {len(points)} point(s): "
-            f"fast={_format_window(fast)} slow={_format_window(max(slow, fast))}"
-        )
-        for result in burn_results:
-            print(
-                f"  {result.status:>14}  {result.name}: "
-                f"fast: {result.fast.detail} | slow: {result.slow.detail}"
-            )
-            failed = failed or result.burning
-            saw_data = saw_data or not result.no_data
-        samples = points[-1].samples
-    else:
-        try:
-            text = Path(args.scrape).read_text(encoding="utf-8")
-            samples = parse_exposition(text)
-        except (OSError, ValueError) as error:
-            print(f"cannot read scrape: {error}", file=sys.stderr)
-            return EXIT_UNREADABLE
-        for result in evaluate_slos(samples, DEFAULT_SLOS):
-            print(f"  {result.status:>8}  {result.name}: {result.detail}")
-            failed = failed or not result.ok
-            saw_data = saw_data or not result.no_data
+    for result in evaluate_slos(samples, DEFAULT_SLOS):
+        print(f"  {result.status:>8}  {result.name}: {result.detail}")
+        failed = failed or not result.ok
+        saw_data = saw_data or not result.no_data
 
     if args.store is not None:
         if not samples_named(samples, "collector_records_ingested_total"):
@@ -171,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
         else:
             ingested = sum_samples(samples, "collector_records_ingested_total")
+            at_start = sum_samples(samples, "collector_store_records_at_start")
             try:
                 store_lines = sum(
                     1
@@ -180,10 +91,11 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as error:
                 print(f"cannot read store: {error}", file=sys.stderr)
                 return EXIT_UNREADABLE
-            ok = ingested == store_lines
+            ok = at_start + ingested == store_lines
             print(
                 f"  {'ok' if ok else 'BURNING':>8}  ingest-completeness: "
-                f"counter={int(ingested)} store_records={store_lines}"
+                f"counter={int(ingested)} store_records={store_lines} "
+                f"at_start={int(at_start)}"
             )
             failed = failed or not ok
             saw_data = True

@@ -53,16 +53,6 @@ from repro.experiments.store import (
     merge_result_files,
 )
 from repro.experiments.shard import ShardSpec
-from repro.obs.metrics import parse_exposition_types
-from repro.obs.timeseries import (
-    DEFAULT_SCRAPE_INTERVAL_S,
-    ScrapePoint,
-    load_history_jsonl,
-    parse_duration,
-    points_from_payload,
-    points_in_window,
-    windowed_quantile,
-)
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.collector import DEFAULT_SOCKET, ResultCollector
 from repro.service.leases import (
@@ -118,16 +108,6 @@ def _positive_int(text: str) -> int:
     if value == 0:
         raise argparse.ArgumentTypeError("expected a positive integer, got 0")
     return value
-
-
-def _duration(text: str) -> float:
-    try:
-        return parse_duration(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-_duration.__name__ = "duration"
 
 
 def _nonnegative_float(text: str) -> float:
@@ -216,32 +196,24 @@ def build_parser() -> argparse.ArgumentParser:
             "(generate/run/network/verify/simulate, also in the record's "
             "nonsemantic\n  `timings`) and `engine_rounds_total`.\n  "
             "`metrics --connect host:port [--out f.prom]`\n  scrapes it; "
-            "`scripts/slo_burn_check.py <scrape>` evaluates the SLOs (p99 "
-            "verb\n  latency, zero dropped/malformed/unauthenticated, "
-            "conflict rate).  `dashboard\n  --out DIR [--metrics f.prom | "
-            "--connect host:port] --html page.html` renders\n  the report "
-            "bundle plus a scrape to one static HTML page (stat tiles,\n  "
-            "scaling/fit tables, SLO verdicts) — CI uploads it as the "
-            "`dashboard`\n  artifact.\n\n"
-            "time-series telemetry:\n"
-            "  The server retains a ring buffer of metric scrapes "
-            "(snapshotted every\n  `--scrape-interval` seconds; 0 disables; "
-            "`--history-spill FILE` mirrors each\n  snapshot to JSONL) and "
-            "serves it over a `metrics_history` verb on both\n  transports.  "
-            "`metrics --connect host:port --history [--window 5m] "
-            "[--out h.jsonl]`\n  prints windowed counter rates, gauge deltas "
-            "and histogram quantiles, or saves\n  the raw points as JSONL.  "
-            "`scripts/slo_burn_check.py --history h.jsonl\n  [--window 5m]` "
-            "evaluates dual-window (fast/slow) SLO burn rates — exit 1 means\n"
-            "  burning, 3 means no data.  `dashboard --history h.jsonl` adds "
-            "sparkline trend\n  rows and the dual-window burn table "
-            "(`--connect` fetches the live history\n  automatically).  "
-            "`dashboard --diff old.prom new.prom` and `dashboard\n  "
-            "--diff-bench BENCH_engine.json fresh.json [--max-regression 2.0]` "
-            "render\n  regression-highlighted diff pages and exit 1 on "
-            "regression — CI gates each PR's\n  bench run against the "
-            "committed BENCH_engine.json trajectory and uploads the\n  page "
-            "as the `bench-diff` artifact."
+            "`scripts/slo_burn_check.py <scrape> [--store results.jsonl]`\n"
+            "  evaluates the seven SLOs over that one scrape (p99 verb "
+            "latency, zero\n  dropped/malformed/unauthenticated, conflict "
+            "rate, worker restarts, lease\n  age) and, with --store, checks "
+            "that the store holds exactly the records\n  the server found "
+            "at startup plus those it ingested.  `dashboard\n  --out DIR "
+            "[--metrics f.prom | --connect host:port] --html page.html` "
+            "renders\n  the report bundle plus a scrape to one static HTML "
+            "page (stat tiles,\n  scaling/fit tables, SLO verdicts) — CI "
+            "uploads it as the `dashboard`\n  artifact.  Counters are "
+            "cumulative since the server started: to see what\n  changed "
+            "over a stretch of time, save a scrape before and after it and "
+            "run\n  `dashboard --diff old.prom new.prom`.  It and `dashboard "
+            "--diff-bench\n  BENCH_engine.json fresh.json [--max-regression "
+            "2.0]` render regression-\n  highlighted diff pages and exit 1 "
+            "on regression — CI gates each PR's bench\n  run against the "
+            "committed BENCH_engine.json trajectory and uploads the page\n"
+            "  as the `bench-diff` artifact."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,18 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"shared auth token for the TCP listener (default: ${AUTH_TOKEN_ENV})",
     )
     serve.add_argument(
-        "--scrape-interval", type=_nonnegative_float,
-        default=DEFAULT_SCRAPE_INTERVAL_S, metavar="SECONDS",
-        help="seconds between metrics-history snapshots served by the "
-        "metrics_history verb (0 disables the background scraper; "
-        f"default: {DEFAULT_SCRAPE_INTERVAL_S:g})",
-    )
-    serve.add_argument(
-        "--history-spill", default=None, metavar="FILE",
-        help="append each history snapshot to FILE as JSONL (readable by "
-        "`dashboard --history` and `scripts/slo_burn_check.py --history`)",
-    )
-    serve.add_argument(
         "--heartbeat-interval", type=_positive_float,
         default=DEFAULT_HEARTBEAT_INTERVAL_S, metavar="SECONDS",
         help="fleet cadence handed to `run --fleet` workers at registration "
@@ -429,20 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--out", default=None, metavar="FILE",
-        help="write the exposition (or, with --history, the history points "
-        "as JSONL) to FILE instead of stdout",
-    )
-    metrics.add_argument(
-        "--history", action="store_true",
-        help="fetch the retained scrape history (metrics_history verb) "
-        "instead of one exposition: prints windowed counter rates, gauge "
-        "deltas and histogram quantiles, or writes the raw points as JSONL "
-        "with --out",
-    )
-    metrics.add_argument(
-        "--window", type=_duration, default=None, metavar="DURATION",
-        help="with --history: only points from the trailing window, "
-        "e.g. 5m, 90s, 1h (default: everything retained)",
+        help="write the exposition to FILE instead of stdout",
     )
 
     dashboard = sub.add_parser(
@@ -478,17 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument(
         "--title", default=None,
         help="page title (default: per-mode)",
-    )
-    dashboard.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="a scrape-history JSONL file (from `metrics --history --out` or "
-        "a `--history-spill`) to render as sparkline trends plus the "
-        "dual-window SLO burn table",
-    )
-    dashboard.add_argument(
-        "--window", type=_duration, default=None, metavar="DURATION",
-        help="with --history/--connect: restrict the history to the "
-        "trailing window, e.g. 5m",
     )
     dashboard.add_argument(
         "--diff", nargs=2, default=None, metavar=("A.prom", "B.prom"),
@@ -718,9 +654,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = ResultCollector(
             out=args.out, listen=args.listen, socket_path=args.socket,
-            token=args.token, scrape_interval_s=args.scrape_interval,
-            history_spill=args.history_spill,
-            heartbeat_interval_s=args.heartbeat_interval,
+            token=args.token, heartbeat_interval_s=args.heartbeat_interval,
             lease_ttl_s=args.lease_ttl, workers=workers,
         )
         server.start()
@@ -737,9 +671,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"lease TTL {server.leases.lease_ttl_s:g}s"
     )
     print(
-        "verbs: submit / status / push / report / metrics / metrics_history / "
-        "register / heartbeat / lease / fleet_status / shutdown  "
-        "(ctrl-c also stops)"
+        "verbs: submit / status / push / report / metrics / register / "
+        "heartbeat / lease / fleet_status / shutdown  (ctrl-c also stops)"
     )
     try:
         server.serve_forever()
@@ -788,123 +721,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if not status["failures"] and status["unverified"] == 0 else 1
 
 
-def _history_summary(
-    points: list[ScrapePoint], payload: dict
-) -> list[str]:
-    """Human-readable windowed queries over fetched history points."""
-    lines = []
-    retained = payload.get("retained", len(points))
-    interval = payload.get("interval_s")
-    note = " (truncated to the response cap)" if payload.get("truncated") else ""
-    header = f"history: {len(points)} of {retained} retained point(s)"
-    if interval:
-        header += f", scrape interval {interval:g}s"
-    lines.append(header + note)
-    if len(points) < 2:
-        lines.append(
-            "fewer than two points — no windowed queries yet; latest scrape:"
-        )
-        if points:
-            lines.append(points[-1].text.rstrip("\n"))
-        return lines
-    first, last = points[0], points[-1]
-    span = last.unix_s - first.unix_s
-    lines.append(f"window: {span:g}s across {len(points)} scrapes")
-    types = parse_exposition_types(last.text)
-    histograms = sorted(n for n, kind in types.items() if kind == "histogram")
-
-    def scalar_map(point: ScrapePoint) -> dict:
-        out: dict = {}
-        for sample in point.samples:
-            if any(key == "le" for key, _ in sample.labels):
-                continue
-            key = (sample.name, sample.labels)
-            out[key] = out.get(key, 0.0) + sample.value
-        return out
-
-    def is_histogram_series(name: str) -> bool:
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in histograms:
-                return True
-        return False
-
-    start, end = scalar_map(first), scalar_map(last)
-    counter_lines, gauge_lines = [], []
-    for name, labels in sorted(end):
-        if is_histogram_series(name):
-            continue
-        label_text = (
-            "{" + ",".join(f'{k}="{v}"' for k, v in labels) + "}"
-            if labels else ""
-        )
-        value = end[(name, labels)]
-        kind = types.get(name)
-        if kind == "counter":
-            increase = value - start.get((name, labels), 0.0)
-            if increase < 0:
-                counter_lines.append(
-                    f"  {name}{label_text}  reset mid-window "
-                    f"(latest cumulative: {value:g})"
-                )
-            elif increase > 0:
-                counter_lines.append(
-                    f"  {name}{label_text}  +{increase:g} "
-                    f"({increase / span:.3g}/s)"
-                )
-        elif kind == "gauge":
-            before = start.get((name, labels))
-            delta_text = (
-                "new series" if before is None else f"Δ {value - before:+g}"
-            )
-            gauge_lines.append(f"  {name}{label_text}  {value:g} ({delta_text})")
-    lines.append("counter increases over the window:" +
-                 ("" if counter_lines else " none"))
-    lines.extend(counter_lines)
-    if gauge_lines:
-        lines.append("gauges (latest value, change over the window):")
-        lines.extend(gauge_lines)
-    for name in histograms:
-        quantile_parts = []
-        for q in (0.5, 0.9, 0.99):
-            value = windowed_quantile(points, name, q)
-            quantile_parts.append(
-                f"p{int(q * 100)}=" + ("n/a" if value is None else f"{value:g}")
-            )
-        lines.append(f"histogram {name} (windowed): " + " ".join(quantile_parts))
-    return lines
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    if args.window is not None and not args.history:
-        print("--window requires --history", file=sys.stderr)
-        return 2
     client = _make_client(args.connect, args.token)
     if isinstance(client, int):
         return client
     try:
-        if args.history:
-            payload = client.metrics_history(window_s=args.window)
-        else:
-            text = client.metrics()
+        text = client.metrics()
     except ServiceError as error:
         print(
             f"metrics scrape from {args.connect} failed: {error}",
             file=sys.stderr,
         )
         return 2
-    if args.history:
-        points = points_from_payload(payload)
-        if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with out.open("w", encoding="utf-8") as handle:
-                for point in points:
-                    handle.write(json.dumps(point.to_record()) + "\n")
-            print(f"wrote {args.out} ({len(points)} point(s))")
-        else:
-            for line in _history_summary(points, payload):
-                print(line)
-        return 0
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text, encoding="utf-8")
@@ -998,33 +826,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     if args.metrics is not None and args.connect is not None:
         print("--metrics and --connect are mutually exclusive", file=sys.stderr)
         return 2
-    if args.history is not None and args.connect is not None:
-        print(
-            "--history and --connect are mutually exclusive "
-            "(--connect already fetches the live history)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.window is not None and args.history is None and args.connect is None:
-        print("--window requires --history or --connect", file=sys.stderr)
-        return 2
     metrics_text = None
-    history_points = None
-    if args.history is not None:
-        try:
-            history_points = load_history_jsonl(args.history)
-        except (OSError, ValueError) as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if args.window is not None:
-            history_points = points_in_window(history_points, args.window)
-        if not history_points:
-            print(
-                f"{args.history}: no history points"
-                + (" within the trailing window" if args.window else ""),
-                file=sys.stderr,
-            )
-            return 2
     if args.metrics is not None:
         try:
             metrics_text = Path(args.metrics).read_text(encoding="utf-8")
@@ -1043,29 +845,22 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        try:
-            payload = client.metrics_history(window_s=args.window)
-            history_points = points_from_payload(payload) or None
-        except ServiceError:
-            # Best-effort: a server without the verb still dashboards.
-            history_points = None
     bundle = None
     if not args.no_report:
         records = ResultStore(args.out).records()
         if records:
             bundle = build_report(records)
-        elif metrics_text is None and history_points is None:
+        elif metrics_text is None:
             print(
                 f"no stored results under {ResultStore(args.out).path} and no "
                 "metrics source — nothing to render "
-                "(pass --metrics/--connect/--history or run a suite first)",
+                "(pass --metrics/--connect or run a suite first)",
                 file=sys.stderr,
             )
             return 2
     title_kwargs = {} if args.title is None else {"title": args.title}
     html = render_dashboard(
-        bundle=bundle, metrics_text=metrics_text, history=history_points,
-        **title_kwargs,
+        bundle=bundle, metrics_text=metrics_text, **title_kwargs
     )
     _write_html(args, html)
     return 0

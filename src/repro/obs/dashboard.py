@@ -1,13 +1,11 @@
-"""Static HTML dashboards: report tables, scraped metrics, trends, diffs.
+"""Static HTML dashboards: report tables, scraped metrics, diffs.
 
 ``render_dashboard`` takes the pieces the ``dashboard`` CLI subcommand
 gathers — an optional :class:`~repro.experiments.report.ReportBundle`
 (duck-typed: anything with ``scaling`` / ``fits`` / ``scenario_tables``
-tables, ``theorem3_beta`` and ``all_verified``), an optional Prometheus
-exposition string, and optional retained scrape history — and emits one
-self-contained HTML page.  CI uploads it as the ``dashboard`` artifact.
-With history the page gains inline-SVG sparklines (counter rates, gauge
-values over the retained window) and the dual-window SLO burn table.
+tables, ``theorem3_beta`` and ``all_verified``) and an optional
+Prometheus exposition string — and emits one self-contained HTML page.
+CI uploads it as the ``dashboard`` artifact.
 
 ``render_metrics_diff`` (``dashboard --diff A.prom B.prom``) and
 ``render_bench_diff`` (``dashboard --diff-bench OLD.json NEW.json``)
@@ -15,14 +13,14 @@ are the cross-run views: per-metric deltas between two scrapes, and
 per-(scenario, engine, n) wall-clock ratios between two canonical
 ``BENCH_*.json`` payloads with regressions highlighted — the page CI
 uploads as the ``bench-diff`` artifact when gating a PR's bench run
-against the committed trajectory.
+against the committed trajectory.  Two scrapes saved with
+``metrics --out`` and diffed are the one view of metrics over time.
 
-Everything is a stat tile, a table, or a sparkline: the quantities here
-(verdicts, fits, per-size means, counter totals, histogram quantiles)
-are headline numbers and enumerable rows.  Status is always icon +
-label, never colour alone; text stays in the ink tokens; dark mode
-derives from ``prefers-color-scheme``.  Every interpolated value is
-HTML-escaped; sparkline geometry is numeric and needs none.
+Everything is a stat tile or a table: the quantities here (verdicts,
+fits, per-size means, counter totals, histogram quantiles) are headline
+numbers and enumerable rows.  Status is always icon + label, never
+colour alone; text stays in the ink tokens; dark mode derives from
+``prefers-color-scheme``.  Every interpolated value is HTML-escaped.
 """
 
 from __future__ import annotations
@@ -37,14 +35,9 @@ from repro.obs.metrics import (
     histogram_quantile,
     parse_exposition,
     parse_exposition_types,
+    pooled_buckets,
 )
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    SLOResult,
-    evaluate_slos,
-    evaluate_slos_windowed,
-)
-from repro.obs.timeseries import ScrapePoint, points_in_window
+from repro.obs.slo import DEFAULT_SLOS, SLOResult, evaluate_slos
 
 __all__ = [
     "BenchDiff",
@@ -103,7 +96,6 @@ pre {
 }
 .status { white-space: nowrap; }
 .muted { color: var(--ink-3); }
-.spark { color: var(--ink-2); vertical-align: middle; }
 tr.regression td { font-weight: 600; }
 """
 
@@ -169,8 +161,8 @@ def _format_number(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _label_text(sample: Sample, skip: tuple[str, ...] = ()) -> str:
-    pairs = [f"{k}={v}" for k, v in sample.labels if k not in skip]
+def _label_text(sample: Sample) -> str:
+    pairs = [f"{k}={v}" for k, v in sample.labels]
     return ", ".join(pairs) if pairs else "—"
 
 
@@ -270,153 +262,6 @@ def _metrics_section(metrics_text: str) -> tuple[str, list[SLOResult]]:
     return "".join(parts), slo_results
 
 
-# ----------------------------------------------------------------------
-# trends: sparklines + dual-window SLO burn over retained history
-# ----------------------------------------------------------------------
-
-#: Sparkline rows rendered per page; beyond this the table notes the cut.
-_MAX_SPARKLINE_ROWS = 60
-
-
-def _sparkline(values: Sequence[float], width: int = 140, height: int = 30) -> str:
-    """An inline SVG line over ``values`` (geometry only — nothing to escape)."""
-    if not values:
-        return '<span class="muted">—</span>'
-    finite = [v for v in values if v == v and abs(v) != math.inf]
-    if not finite:
-        return '<span class="muted">—</span>'
-    lo, hi = min(finite), max(finite)
-    span = (hi - lo) or 1.0
-    pad = 2.0
-    count = len(values)
-    step = (width - 2 * pad) / max(count - 1, 1)
-    coords = []
-    for index, value in enumerate(values):
-        clamped = min(max(value, lo), hi)
-        x = pad + index * step
-        y = (height - pad) - (clamped - lo) / span * (height - 2 * pad)
-        coords.append(f"{x:.1f},{y:.1f}")
-    if count == 1:
-        coords.append(f"{width - pad:.1f},{coords[0].split(',')[1]}")
-    points = " ".join(coords)
-    return (
-        f'<svg class="spark" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" role="img" '
-        f'aria-label="trend over {count} samples">'
-        f'<polyline points="{points}" fill="none" stroke="currentColor" '
-        f'stroke-width="1.5"/></svg>'
-    )
-
-
-def _series_from_history(
-    points: Sequence[ScrapePoint],
-) -> list[tuple[str, str, str, list[float]]]:
-    """Per-series trend data: ``(metric, labels, kind, values)`` rows.
-
-    Counters (and histogram ``_count`` series) plot per-interval rates;
-    gauges plot raw values.  Histogram buckets and sums are skipped —
-    the quantile tables cover them.
-    """
-    types = parse_exposition_types(points[-1].text)
-    histogram_names = {name for name, kind in types.items() if kind == "histogram"}
-
-    per_point: list[dict[tuple[str, tuple], float]] = []
-    for point in points:
-        values: dict[tuple[str, tuple], float] = {}
-        for sample in point.samples:
-            values[(sample.name, sample.labels)] = (
-                values.get((sample.name, sample.labels), 0.0) + sample.value
-            )
-        per_point.append(values)
-
-    rows: list[tuple[str, str, str, list[float]]] = []
-    for name, labels in sorted(per_point[-1]):
-        base = name
-        kind = types.get(name, "gauge")
-        if name.endswith("_count") and name[: -len("_count")] in histogram_names:
-            base, kind = name[: -len("_count")], "counter"
-        elif name.endswith("_bucket") and name[: -len("_bucket")] in histogram_names:
-            continue
-        elif name.endswith("_sum") and name[: -len("_sum")] in histogram_names:
-            continue
-        key = (name, labels)
-        if kind == "counter":
-            values_out: list[float] = []
-            for index in range(1, len(points)):
-                prev_v = per_point[index - 1].get(key)
-                curr_v = per_point[index].get(key)
-                dt = points[index].unix_s - points[index - 1].unix_s
-                if prev_v is None or curr_v is None or curr_v < prev_v or dt <= 0:
-                    values_out.append(0.0)
-                else:
-                    values_out.append((curr_v - prev_v) / dt)
-            label = "rate/s"
-        else:
-            label = "value"
-            values_out = [
-                values[key] for values in per_point if key in values
-            ]
-        sample = Sample(name=name, labels=labels, value=0.0)
-        rows.append((base if kind == "counter" else name,
-                     _label_text(sample, skip=("le",)), label, values_out))
-    return rows
-
-
-def _history_section(points: Sequence[ScrapePoint]) -> str:
-    ordered = points_in_window(points)
-    span_s = ordered[-1].unix_s - ordered[0].unix_s if len(ordered) > 1 else 0.0
-    parts = [
-        "<h2>Trends (retained scrape history)</h2>",
-        f'<p class="muted">{len(ordered)} retained scrapes spanning '
-        f"{_esc(_format_number(span_s))}s.</p>",
-    ]
-
-    burn = evaluate_slos_windowed(ordered)
-    burn_rows = []
-    for result in burn:
-        burn_rows.append([
-            _esc(result.name),
-            _status(not result.burning, result.status, "BURNING"),
-            _esc(result.fast.detail),
-            _esc(result.slow.detail),
-        ])
-    parts.append(_rows_table(
-        "Dual-window burn: an objective burns only when the fast and "
-        "slow windows agree",
-        ["objective", "status", "fast window", "slow window"],
-        burn_rows,
-    ))
-
-    if len(ordered) >= 2:
-        trend_rows = []
-        series = _series_from_history(ordered)
-        for name, labels, kind, values in series[:_MAX_SPARKLINE_ROWS]:
-            latest = values[-1] if values else 0.0
-            trend_rows.append([
-                _esc(name),
-                _esc(labels),
-                _esc(kind),
-                _esc(_format_number(latest)),
-                _sparkline(values),
-            ])
-        if trend_rows:
-            caption = "Counter rates and gauge values across the retained window"
-            if len(series) > _MAX_SPARKLINE_ROWS:
-                caption += (
-                    f" (first {_MAX_SPARKLINE_ROWS} of {len(series)} series)"
-                )
-            parts.append(_rows_table(
-                caption,
-                ["metric", "labels", "kind", "latest", "trend"],
-                trend_rows,
-            ))
-    else:
-        parts.append('<p class="muted">A single retained scrape has no '
-                     "trend to draw; windowed SLOs fall back to cumulative "
-                     "checks.</p>")
-    return "".join(parts)
-
-
 def _page(title: str, tiles: Sequence[str], sections: Sequence[str]) -> str:
     tiles_html = f'<div class="tiles">{"".join(tiles)}</div>' if tiles else ""
     return f"""<!DOCTYPE html>
@@ -441,14 +286,10 @@ def render_dashboard(
     bundle: Any | None = None,
     metrics_text: str | None = None,
     title: str = "Sweep observability dashboard",
-    history: Sequence[ScrapePoint] | None = None,
 ) -> str:
     """One self-contained HTML page from a report bundle and/or a scrape."""
     tiles: list[str] = []
     sections: list[str] = []
-    if history and not metrics_text:
-        # The newest retained point *is* a full scrape.
-        metrics_text = history[-1].text or None
 
     if bundle is not None:
         tiles.append(_tile(
@@ -469,16 +310,6 @@ def render_dashboard(
         sections.append(_table_html(bundle.fits))
         sections.append("<h2>Per-scenario detail</h2>")
         sections.extend(_table_html(table) for table in bundle.scenario_tables)
-
-    if history:
-        ordered = points_in_window(history)
-        span_s = ordered[-1].unix_s - ordered[0].unix_s if len(ordered) > 1 else 0.0
-        tiles.append(_tile(
-            "Scrape history",
-            str(len(ordered)),
-            note=f"points over {_format_number(span_s)}s",
-        ))
-        sections.append(_history_section(ordered))
 
     if metrics_text:
         metrics_html, slo_results = _metrics_section(metrics_text)
@@ -525,16 +356,7 @@ def _scalar_map(samples: Sequence[Sample]) -> dict[tuple[str, tuple], float]:
 
 
 def _pooled_p99(samples: Sequence[Sample], name: str) -> float | None:
-    buckets: dict[float, float] = {}
-    for sample in samples:
-        if sample.name != name + "_bucket":
-            continue
-        le = sample.label("le")
-        if le is None:
-            continue
-        bound = math.inf if le == "+Inf" else float(le)
-        buckets[bound] = buckets.get(bound, 0.0) + sample.value
-    return histogram_quantile(0.99, buckets.items())
+    return histogram_quantile(0.99, pooled_buckets(samples, name).items())
 
 
 def render_metrics_diff(

@@ -41,6 +41,7 @@ __all__ = [
     "histogram_quantile",
     "parse_exposition",
     "parse_exposition_types",
+    "pooled_buckets",
 ]
 
 #: Default histogram buckets for request/phase latencies, in seconds.
@@ -482,9 +483,8 @@ def parse_exposition(text: str) -> list[Sample]:
 def parse_exposition_types(text: str) -> dict[str, str]:
     """The ``# TYPE`` declarations of a scrape: family name → type name.
 
-    Window queries and the diff dashboard need to know whether a parsed
-    series is a counter (render a rate) or a gauge (render the value);
-    the sample lines alone cannot say.
+    The diff dashboard needs to know which families are histograms (it
+    compares their pooled p99s); the sample lines alone cannot say.
     """
     types: dict[str, str] = {}
     for raw in text.splitlines():
@@ -506,6 +506,20 @@ def sum_samples(samples: Iterable[Sample], name: str, **labels: str) -> float:
         if all(sample.label(key) == value for key, value in labels.items()):
             total += sample.value
     return total
+
+
+def pooled_buckets(samples: Iterable[Sample], name: str) -> dict[float, float]:
+    """Cumulative ``(le → count)`` of one histogram family, summed over
+    every label set — the input :func:`histogram_quantile` takes for a
+    p99 across all of a family's series."""
+    buckets: dict[float, float] = {}
+    for sample in samples_named(samples, name + "_bucket"):
+        le = sample.label("le")
+        if le is None:
+            continue
+        bound = math.inf if le == "+Inf" else float(le)
+        buckets[bound] = buckets.get(bound, 0.0) + sample.value
+    return buckets
 
 
 def histogram_quantile(

@@ -1,21 +1,18 @@
-"""Service-level objectives evaluated over metric windows.
+"""Service-level objectives evaluated over one metrics scrape.
 
-Each :class:`SLO` is a named predicate over a :class:`Window` — a slice
-of retained scrape history.  With two or more points the objectives
-evaluate PromQL-style: counter *increases* inside the window, p99
-latency from bucket deltas, ingest-stall detection via a zero
-``rate(collector_records_ingested_total)``.  A single scrape is the
-degenerate one-sample window and falls back to the cumulative checks,
-so ``scripts/slo_burn_check.py`` on one ``.prom`` file keeps working.
+Each :class:`SLO` is a named predicate over the samples of one
+Prometheus-text exposition.  Counters are cumulative since the server
+started, so an objective reads lifetime totals: drops, malformed lines,
+auth failures and worker restarts against a zero budget, the conflict
+share of every ingested record, and the p99 of every request the
+server has answered.  To see what changed between two moments, save two
+scrapes and compare them with ``dashboard --diff``.
 
-``evaluate_slos`` runs every objective over one window (or a bare
-sample sequence); ``evaluate_slos_windowed`` runs the SRE dual-window
-form — an objective *burns* only when both the fast window (is it bad
-right now?) and the slow window (has it been bad long enough to spend
-real budget?) agree, which suppresses one-scrape blips without missing
-sustained burns.
+``evaluate_slos`` runs every objective over one scrape; both
+``scripts/slo_burn_check.py <scrape>`` and the dashboard's SLO table
+call it.
 
-An objective whose underlying series is absent from the window passes
+An objective whose underlying series is absent from the scrape passes
 with ``"no data"`` (and ``no_data=True`` on the result) rather than
 burning: a scrape taken before the first request, or from a service
 that does not own that subsystem, is not an outage.  The reverse — a
@@ -30,123 +27,24 @@ from typing import Callable, Iterable, Sequence
 from repro.obs.metrics import (
     Sample,
     histogram_quantile,
+    pooled_buckets,
     samples_named,
     sum_samples,
 )
-from repro.obs.timeseries import (
-    ScrapePoint,
-    bucket_counts,
-    counter_increase,
-    counter_rate,
-    gauge_delta,
-    points_in_window,
-    windowed_quantile,
-)
 
 __all__ = [
-    "DEFAULT_FAST_WINDOW_S",
     "DEFAULT_SLOS",
-    "DEFAULT_SLOW_WINDOW_S",
     "SLO",
-    "SLOBurnResult",
     "SLOResult",
-    "Window",
     "evaluate_slos",
-    "evaluate_slos_windowed",
 ]
-
-#: Dual-window burn-rate defaults: "bad over the last 5 minutes" must be
-#: corroborated by "bad over the last hour" before an alert fires.
-DEFAULT_FAST_WINDOW_S = 300.0
-DEFAULT_SLOW_WINDOW_S = 3600.0
 
 _NO_DATA = "no data"
 
 
-class Window:
-    """A slice of scrape history that SLO checks evaluate over.
-
-    One point (or a bare sample list via :meth:`from_samples`) is the
-    degenerate window: queries fall back to cumulative-scrape semantics.
-    Two or more points unlock the windowed queries.
-    """
-
-    def __init__(
-        self, points: Sequence[ScrapePoint], windowed: bool | None = None
-    ) -> None:
-        self.points = sorted(points, key=lambda point: point.unix_s)
-        # A window carved out of real history stays windowed even when it
-        # caught fewer than two scrapes: the queries then answer None
-        # ("no data") rather than silently flipping back to cumulative
-        # semantics, which would misread a lifetime total as an
-        # in-window burn.
-        self._windowed = (
-            len(self.points) >= 2 if windowed is None else windowed
-        )
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample]) -> "Window":
-        return cls([ScrapePoint.from_samples(0.0, samples)])
-
-    @property
-    def is_windowed(self) -> bool:
-        return self._windowed
-
-    @property
-    def span_s(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        return self.points[-1].unix_s - self.points[0].unix_s
-
-    @property
-    def latest_samples(self) -> Sequence[Sample]:
-        return self.points[-1].samples if self.points else ()
-
-    def describe(self) -> str:
-        if len(self.points) >= 2:
-            return f"{len(self.points)} points over {self.span_s:.0f}s"
-        if self.is_windowed:
-            return f"{len(self.points)} point(s) (window too sparse)"
-        return "single scrape"
-
-    def has_series(self, name: str) -> bool:
-        return bool(samples_named(self.latest_samples, name))
-
-    def latest_total(self, name: str, **labels: str) -> float:
-        return sum_samples(self.latest_samples, name, **labels)
-
-    def increase(self, name: str, **labels: str) -> float | None:
-        """Counter growth inside the window; cumulative total when
-        degenerate; ``None`` when the series is absent (or reset)."""
-        if self.is_windowed:
-            return counter_increase(self.points, name, **labels)
-        if not self.has_series(name):
-            return None
-        return self.latest_total(name, **labels)
-
-    def rate(self, name: str, **labels: str) -> float | None:
-        """Per-second counter growth; undefined on a degenerate window."""
-        if not self.is_windowed:
-            return None
-        return counter_rate(self.points, name, **labels)
-
-    def delta(self, name: str, **labels: str) -> float | None:
-        if not self.is_windowed:
-            return None
-        return gauge_delta(self.points, name, **labels)
-
-    def quantile(self, quantile: float, name: str, **labels: str) -> float | None:
-        """Histogram quantile over the window's observations (bucket
-        deltas); over all observations when degenerate."""
-        if self.is_windowed:
-            return windowed_quantile(self.points, name, quantile, **labels)
-        buckets = bucket_counts(self.latest_samples, name, **labels)
-        return histogram_quantile(quantile, buckets.items())
-
-
 @dataclass(frozen=True)
 class SLOResult:
-    """One objective's verdict over one window."""
+    """One objective's verdict over one scrape."""
 
     name: str
     ok: bool
@@ -159,40 +57,15 @@ class SLOResult:
 
 
 @dataclass(frozen=True)
-class SLOBurnResult:
-    """The dual-window verdict: burning only if fast AND slow agree."""
-
-    name: str
-    fast: SLOResult
-    slow: SLOResult
-
-    @property
-    def burning(self) -> bool:
-        return not self.fast.ok and not self.slow.ok
-
-    @property
-    def no_data(self) -> bool:
-        return self.fast.no_data and self.slow.no_data
-
-    @property
-    def status(self) -> str:
-        if self.burning:
-            return "BURNING"
-        if not self.fast.ok:
-            return "fast-burn only"
-        return "ok"
-
-
-@dataclass(frozen=True)
 class SLO:
-    """A named objective: ``check`` maps a window to (ok, detail)."""
+    """A named objective: ``check`` maps a scrape's samples to (ok, detail)."""
 
     name: str
     description: str
-    check: Callable[[Window], tuple[bool, str]]
+    check: Callable[[Sequence[Sample]], tuple[bool, str]]
 
-    def evaluate(self, window: Window) -> SLOResult:
-        ok, detail = self.check(window)
+    def evaluate(self, samples: Sequence[Sample]) -> SLOResult:
+        ok, detail = self.check(samples)
         return SLOResult(
             name=self.name,
             ok=ok,
@@ -206,122 +79,86 @@ def _trim(value: float) -> str:
 
 
 def _histogram_p99(
-    window: Window, name: str, threshold_s: float
+    samples: Sequence[Sample], name: str, threshold_s: float
 ) -> tuple[bool, str]:
     """p99 over all label combinations of one latency histogram pooled."""
-    p99 = window.quantile(0.99, name)
+    p99 = histogram_quantile(0.99, pooled_buckets(samples, name).items())
     if p99 is None:
-        return True, f"no data ({name} has no observations in window)"
-    ok = p99 <= threshold_s
-    note = f" over {window.describe()}" if window.is_windowed else ""
-    return ok, f"p99 ≈ {p99:.4f}s (budget {threshold_s}s){note}"
+        return True, f"no data ({name} has no observations)"
+    return p99 <= threshold_s, f"p99 ≈ {p99:.4f}s (budget {threshold_s}s)"
 
 
 def _counter_at_most(
-    window: Window, name: str, budget: float, **labels: str
+    samples: Sequence[Sample], name: str, budget: float, **labels: str
 ) -> tuple[bool, str]:
-    if not window.has_series(name):
+    if not samples_named(samples, name):
         return True, f"no data ({name} absent)"
-    total = window.increase(name, **labels)
-    if total is None:
-        return True, (
-            f"no data ({name} increase unmeasurable: reset or too few "
-            f"scrapes in window)"
-        )
+    total = sum_samples(samples, name, **labels)
     label_note = "".join(f"{{{k}={v}}}" for k, v in labels.items())
-    verb = "increase" if window.is_windowed else "total"
     return (
         total <= budget,
-        f"{name}{label_note} {verb} = {_trim(total)} (budget {_trim(budget)})",
+        f"{name}{label_note} total = {_trim(total)} (budget {_trim(budget)})",
     )
 
 
 def _ratio_at_most(
-    window: Window,
+    samples: Sequence[Sample],
     numerator: tuple[str, dict],
     denominator: str,
     budget: float,
 ) -> tuple[bool, str]:
     num_name, num_labels = numerator
-    if not window.has_series(denominator):
+    if not samples_named(samples, denominator):
         return True, f"no data ({denominator} absent)"
-    total = window.increase(denominator)
-    if total is None or total <= 0:
-        return True, f"no data ({denominator} saw no increase in window)"
-    part = window.increase(num_name, **num_labels)
-    if part is None:
-        part = 0.0
-    ratio = part / total
+    total = sum_samples(samples, denominator)
+    if total <= 0:
+        return True, f"no data ({denominator} is zero)"
+    ratio = sum_samples(samples, num_name, **num_labels) / total
     return ratio <= budget, f"ratio = {ratio:.4f} (budget {budget})"
 
 
-def _slo_verb_latency(window: Window) -> tuple[bool, str]:
-    return _histogram_p99(window, "service_request_seconds", threshold_s=5.0)
+def _slo_verb_latency(samples: Sequence[Sample]) -> tuple[bool, str]:
+    return _histogram_p99(samples, "service_request_seconds", threshold_s=5.0)
 
 
-def _slo_zero_dropped(window: Window) -> tuple[bool, str]:
+def _slo_zero_dropped(samples: Sequence[Sample]) -> tuple[bool, str]:
     return _counter_at_most(
-        window, "collector_records_total", budget=0, fate="dropped"
+        samples, "collector_records_total", budget=0, fate="dropped"
     )
 
 
-def _slo_conflict_rate(window: Window) -> tuple[bool, str]:
+def _slo_conflict_rate(samples: Sequence[Sample]) -> tuple[bool, str]:
     return _ratio_at_most(
-        window,
+        samples,
         numerator=("collector_records_total", {"fate": "conflict"}),
         denominator="collector_records_ingested_total",
         budget=0.05,
     )
 
 
-def _slo_malformed_lines(window: Window) -> tuple[bool, str]:
-    return _counter_at_most(window, "service_malformed_lines_total", budget=0)
+def _slo_malformed_lines(samples: Sequence[Sample]) -> tuple[bool, str]:
+    return _counter_at_most(samples, "service_malformed_lines_total", budget=0)
 
 
-def _slo_auth_failures(window: Window) -> tuple[bool, str]:
-    return _counter_at_most(window, "service_auth_failures_total", budget=0)
+def _slo_auth_failures(samples: Sequence[Sample]) -> tuple[bool, str]:
+    return _counter_at_most(samples, "service_auth_failures_total", budget=0)
 
 
-def _slo_worker_restarts(window: Window) -> tuple[bool, str]:
-    return _counter_at_most(window, "pool_worker_restarts_total", budget=0)
+def _slo_worker_restarts(samples: Sequence[Sample]) -> tuple[bool, str]:
+    return _counter_at_most(samples, "pool_worker_restarts_total", budget=0)
 
 
-def _slo_ingest_stall(window: Window) -> tuple[bool, str]:
-    """A collector that has ingested records before the window but none
-    inside it has stalled — the signature of a wedged transport that a
-    cumulative counter can never show."""
-    name = "collector_records_ingested_total"
-    if not window.is_windowed:
-        return True, "no data (single scrape cannot measure an ingest rate)"
-    if not window.has_series(name):
-        return True, f"no data ({name} absent)"
-    total = window.latest_total(name)
-    if total <= 0:
-        return True, "no data (nothing ingested yet)"
-    increase = window.increase(name)
-    if increase is None:
-        return True, f"no data ({name} reset mid-window)"
-    if increase <= 0:
-        return False, (
-            f"ingest stalled: 0 records over {window.describe()} "
-            f"(cumulative total {_trim(total)})"
-        )
-    rate = window.rate(name)
-    rate_note = f" ≈ {rate:.2f}/s" if rate is not None else ""
-    return True, f"+{_trim(increase)} records{rate_note} over {window.describe()}"
-
-
-def _slo_lease_stuck(window: Window) -> tuple[bool, str]:
+def _slo_lease_stuck(samples: Sequence[Sample]) -> tuple[bool, str]:
     """No fleet lease should outlive 3x the lease TTL: heartbeats renew
     live workers' leases and expiry reassigns dead workers' leases, so a
     lease that old means reassignment itself has wedged."""
     name = "fleet_oldest_lease_age_seconds"
-    if not window.has_series(name):
+    if not samples_named(samples, name):
         return True, f"no data ({name} absent)"
-    ttl = window.latest_total("fleet_lease_ttl_seconds")
+    ttl = sum_samples(samples, "fleet_lease_ttl_seconds")
     if ttl <= 0:
         return True, "no data (fleet_lease_ttl_seconds absent or zero)"
-    oldest = window.latest_total(name)
+    oldest = sum_samples(samples, name)
     budget = 3.0 * ttl
     ok = oldest <= budget
     return ok, (
@@ -332,8 +169,7 @@ def _slo_lease_stuck(window: Window) -> tuple[bool, str]:
 
 #: The repo's objectives, documented in ROADMAP.md.  Budgets are tuned
 #: for the CI smoke jobs: a healthy run serves every verb in well under
-#: five seconds at p99 and drops, mangles and rejects nothing; a
-#: collector with history must keep ingesting while work is in flight.
+#: five seconds at p99 and drops, mangles and rejects nothing.
 DEFAULT_SLOS: tuple[SLO, ...] = (
     SLO(
         name="verb-latency-p99",
@@ -366,11 +202,6 @@ DEFAULT_SLOS: tuple[SLO, ...] = (
         check=_slo_worker_restarts,
     ),
     SLO(
-        name="ingest-not-stalled",
-        description="a collector that has ingested keeps ingesting in-window",
-        check=_slo_ingest_stall,
-    ),
-    SLO(
         name="lease-stuck",
         description="no fleet lease stays active beyond 3x the lease TTL",
         check=_slo_lease_stuck,
@@ -378,52 +209,10 @@ DEFAULT_SLOS: tuple[SLO, ...] = (
 )
 
 
-def _as_window(samples: "Window | Sequence[Sample]") -> Window:
-    if isinstance(samples, Window):
-        return samples
-    return Window.from_samples(list(samples))
-
-
 def evaluate_slos(
-    samples: "Window | Sequence[Sample]",
+    samples: Iterable[Sample],
     slos: Iterable[SLO] = DEFAULT_SLOS,
 ) -> list[SLOResult]:
-    """Every objective's verdict over one window, in definition order.
-
-    Accepts either a :class:`Window` or a bare sample sequence (one
-    scrape), which evaluates as the degenerate single-sample window.
-    """
-    window = _as_window(samples)
-    return [slo.evaluate(window) for slo in slos]
-
-
-def evaluate_slos_windowed(
-    points: Sequence[ScrapePoint],
-    fast_window_s: float = DEFAULT_FAST_WINDOW_S,
-    slow_window_s: float = DEFAULT_SLOW_WINDOW_S,
-    slos: Iterable[SLO] = DEFAULT_SLOS,
-    now: float | None = None,
-) -> list[SLOBurnResult]:
-    """Dual-window burn evaluation over retained scrape history.
-
-    Each objective is checked over the trailing fast window and the
-    trailing slow window (both ending at ``now``, default: the newest
-    point); it is *burning* only when both verdicts fail.
-    """
-    if slow_window_s < fast_window_s:
-        raise ValueError(
-            f"slow window ({slow_window_s}s) must be >= fast window "
-            f"({fast_window_s}s)"
-        )
-    ordered = points_in_window(points)
-    end = now
-    if end is None and ordered:
-        end = ordered[-1].unix_s
-    fast = Window(points_in_window(ordered, fast_window_s, end), windowed=True)
-    slow = Window(points_in_window(ordered, slow_window_s, end), windowed=True)
-    return [
-        SLOBurnResult(
-            name=slo.name, fast=slo.evaluate(fast), slow=slo.evaluate(slow)
-        )
-        for slo in slos
-    ]
+    """Every objective's verdict over one scrape, in definition order."""
+    samples = list(samples)
+    return [slo.evaluate(samples) for slo in slos]

@@ -246,26 +246,6 @@ class ServiceClient:
         """
         return self.request({"op": "metrics"})["metrics"]
 
-    def metrics_history(
-        self,
-        window_s: float | None = None,
-        max_points: int | None = None,
-    ) -> dict[str, Any]:
-        """The server's retained scrape history (``metrics_history`` verb).
-
-        Returns the raw payload: ``points`` (``{unix_s, metrics}``
-        records, oldest first), the server's ``interval_s`` / ``capacity``
-        / ``retained`` count, and ``truncated`` when the server clipped
-        the reply to its response cap.  Feed ``points`` through
-        :func:`repro.obs.points_from_payload` for query-ready objects.
-        """
-        payload: dict[str, Any] = {"op": "metrics_history"}
-        if window_s is not None:
-            payload["window_s"] = window_s
-        if max_points is not None:
-            payload["max_points"] = max_points
-        return self.request(payload)
-
     # -- elastic-fleet verbs (the server as control plane) --------------
     def register(self, worker: str) -> dict[str, Any]:
         """Register a fleet worker; returns ``worker_id`` plus the

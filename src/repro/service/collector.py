@@ -64,12 +64,9 @@ Verbs
 ``metrics``
     The server's full Prometheus-text exposition (ingest counters by
     fate, per-phase cell timings, simulator rounds per engine, pool
-    traffic, lease fates, per-verb latency).
-``metrics_history``
-    The retained scrape history (ring buffer snapshotted every
-    ``scrape_interval_s``), optionally restricted by ``window_s`` and
-    capped by ``max_points`` — what windowed SLO burn checks and
-    dashboard sparklines consume.
+    traffic, lease fates, per-verb latency).  Counters are cumulative
+    since the server started; two saved scrapes compared with
+    ``dashboard --diff`` show what changed between them.
 ``register`` / ``heartbeat`` / ``lease`` / ``fleet_status``
     The elastic-fleet control plane (:mod:`repro.service.leases`):
     workers register, pull batches of pending cells under
@@ -102,11 +99,7 @@ from repro.experiments.store import (
     ResultStore,
     resolve_duplicate,
 )
-from repro.obs import MetricsRegistry, ScrapeHistory
-from repro.obs.timeseries import (
-    DEFAULT_HISTORY_CAPACITY,
-    DEFAULT_SCRAPE_INTERVAL_S,
-)
+from repro.obs import MetricsRegistry
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
     DEFAULT_LEASE_BATCH,
@@ -117,7 +110,6 @@ from repro.service.protocol import (
     ServiceError,
     check_unix_socket_path,
     error_response,
-    metrics_history_response,
     ok_response,
     parse_endpoint,
     resolve_token,
@@ -177,9 +169,6 @@ class ResultCollector:
         listen: str | None = None,
         socket_path: str | Path | None = None,
         token: str | None = None,
-        scrape_interval_s: float = DEFAULT_SCRAPE_INTERVAL_S,
-        history_capacity: int = DEFAULT_HISTORY_CAPACITY,
-        history_spill: str | Path | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
         lease_ttl_s: float | None = None,
         workers: int = 0,
@@ -208,6 +197,9 @@ class ResultCollector:
         #: Store records skipped at startup for lacking a fingerprint —
         #: surfaced by status/metrics instead of refusing to serve.
         self.malformed_store_records = 0
+        #: Records the startup replay read from the store, malformed ones
+        #: included: what was on disk before this process appended any.
+        self.store_records_at_start = 0
         self.leases = LeaseTable(
             heartbeat_interval_s=heartbeat_interval_s,
             lease_ttl_s=lease_ttl_s,
@@ -216,12 +208,6 @@ class ResultCollector:
         self._started_monotonic: float | None = None
         self._last_push_monotonic: float | None = None
         self.registry = MetricsRegistry()
-        self.history = ScrapeHistory(
-            self.registry,
-            interval_s=scrape_interval_s,
-            capacity=history_capacity,
-            spill_path=history_spill,
-        )
         #: The local worker's warm pool; ``None`` with ``workers=0``.
         self.pool = (
             WorkerPool(workers=workers, registry=self.registry) if workers else None
@@ -233,9 +219,10 @@ class ResultCollector:
         self._register_metrics()
 
     def _register_metrics(self) -> None:
-        # collector_records_ingested_total counts store *appends* only —
-        # CI pins it equal to the store's record count, so a dropped
-        # record must not tick it.
+        # collector_records_ingested_total counts this process's store
+        # *appends* only — CI pins it plus collector_store_records_at_start
+        # equal to the store's record count, so a dropped record must not
+        # tick it.
         self._ingested_metric = self.registry.counter(
             "collector_records_ingested_total",
             "Records appended to the collector's store.",
@@ -258,6 +245,11 @@ class ResultCollector:
             "Per-stream lag: seconds since the last push batch arrived "
             "(0 before the first push).",
         ).set_function(self._seconds_since_last_push)
+        self.registry.gauge(
+            "collector_store_records_at_start",
+            "Store records the startup replay read, before this process "
+            "appended any.",
+        ).set_function(lambda: float(self.store_records_at_start))
         self.registry.gauge(
             "collector_store_malformed_records",
             "Store records skipped at startup for lacking a fingerprint.",
@@ -383,7 +375,9 @@ class ResultCollector:
                     "refusing to listen on TCP without an auth token — pass "
                     "--token or set REPRO_SERVICE_TOKEN"
                 )
-        for record in self.store.records():
+        records = self.store.records()
+        self.store_records_at_start = len(records)
+        for record in records:
             fingerprint = record.get("fingerprint")
             if not isinstance(fingerprint, str) or not fingerprint:
                 # One corrupt line must not brick a restart (and with it
@@ -412,8 +406,8 @@ class ResultCollector:
             close_after=lambda request, _: request.get("op") == "shutdown",
             registry=self.registry,
             verbs=("ping", "submit", "status", "push", "report", "metrics",
-                   "metrics_history", "register", "heartbeat", "lease",
-                   "fleet_status", "shutdown"),
+                   "register", "heartbeat", "lease", "fleet_status",
+                   "shutdown"),
         )
         try:
             if self.socket_path is not None:
@@ -428,8 +422,6 @@ class ResultCollector:
             raise
         self._server = server
         self._started_monotonic = time.monotonic()
-        if self.history.interval_s > 0:
-            self.history.start()
         if self.pool is not None:
             self._local_worker_id = self.leases.register("local")["worker_id"]
             self._worker_thread = threading.Thread(
@@ -481,7 +473,6 @@ class ResultCollector:
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join()
             self._heartbeat_thread = None
-        self.history.stop()
         if self._server is not None:
             # The server unlinks only a socket *it* bound: a close()
             # after a failed start ("another server is serving") has no
@@ -689,8 +680,6 @@ class ResultCollector:
             return ok_response(records=len(records), **report_payload(records))
         if op == "metrics":
             return ok_response(metrics=self.registry.render())
-        if op == "metrics_history":
-            return metrics_history_response(self.history, request)
         if op == "register":
             return self._handle_register(request)
         if op == "heartbeat":
@@ -704,8 +693,7 @@ class ResultCollector:
             return ok_response(stopping=True)
         return error_response(
             f"unknown op {op!r} (expected ping/submit/status/push/report/"
-            f"metrics/metrics_history/register/heartbeat/lease/"
-            f"fleet_status/shutdown)"
+            f"metrics/register/heartbeat/lease/fleet_status/shutdown)"
         )
 
     def _counters(self) -> dict[str, Any]:

@@ -263,13 +263,16 @@ class LeaseTable:
 
         ``offered`` is the worker's whole fingerprint universe (its view
         of the suite); the table subtracts what is already completed or
-        actively leased.  ``release`` hands back fingerprints the worker
-        will not finish (failed cells) so another worker may try them.
+        actively leased, and a fingerprint offered twice is leased once,
+        at its first place in the offer.  ``release`` hands back
+        fingerprints the worker will not finish (failed cells) so
+        another worker may try them.
         Returns ``None`` for an unknown worker.  The reply's ``done``
         flag is true only when every offered fingerprint is completed —
         an empty grant with ``done`` false means other workers hold the
         remainder, so the caller should poll again, not exit.
         """
+        offered = list(dict.fromkeys(offered))
         now = self._clock()
         with self._lock:
             self._expire(now)

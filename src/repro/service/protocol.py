@@ -60,7 +60,6 @@ __all__ = [
     "check_unix_socket_path",
     "connect_endpoint",
     "error_response",
-    "metrics_history_response",
     "ok_response",
     "parse_endpoint",
     "recv_message",
@@ -142,35 +141,6 @@ def ok_response(**fields: Any) -> dict[str, Any]:
 
 def error_response(message: str) -> dict[str, Any]:
     return {"ok": False, "error": message}
-
-
-def metrics_history_response(history, request: dict[str, Any]) -> dict[str, Any]:
-    """The ``metrics_history`` verb body.
-
-    Takes one fresh snapshot first — the reply always includes the
-    state at request time, even on a just-started server — then returns
-    the (bounded) retained window.  ``window_s`` restricts to a trailing
-    window in seconds; ``max_points`` caps the reply below the server's
-    own hard cap.
-    """
-    window_s = request.get("window_s")
-    if window_s is not None:
-        if not isinstance(window_s, (int, float)) or isinstance(window_s, bool) \
-                or window_s <= 0:
-            return error_response(
-                f"metrics_history: 'window_s' must be a positive number, "
-                f"got {window_s!r}"
-            )
-    max_points = request.get("max_points")
-    if max_points is not None:
-        if not isinstance(max_points, int) or isinstance(max_points, bool) \
-                or max_points < 1:
-            return error_response(
-                f"metrics_history: 'max_points' must be a positive integer, "
-                f"got {max_points!r}"
-            )
-    history.snapshot()
-    return ok_response(**history.payload(window_s=window_s, max_points=max_points))
 
 
 def resolve_token(token: str | None) -> str | None:

@@ -1,5 +1,5 @@
 """Dashboard rendering, the ``metrics``/``dashboard`` CLI subcommands
-and the CI SLO burn-check script."""
+and the CI SLO burn-check script, which read one scrape at a time."""
 
 import socket
 import subprocess
@@ -15,6 +15,8 @@ from repro.obs import MetricsRegistry
 from repro.obs.dashboard import render_dashboard
 from repro.service import ResultCollector
 from repro.service import client as client_module
+
+from test_service_collector import make_result
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BURN_CHECK = REPO_ROOT / "scripts" / "slo_burn_check.py"
@@ -137,6 +139,59 @@ class TestBurnCheckScript:
     def test_unreadable_scrape_is_exit_2(self, tmp_path):
         assert self.run_check(tmp_path / "missing.prom").returncode == 2
 
+    def test_unparseable_scrape_is_exit_2(self, tmp_path):
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text("this is not a metric line\n", encoding="utf-8")
+        proc = self.run_check(scrape)
+        assert proc.returncode == 2
+        assert "cannot read scrape" in proc.stderr
+
+    def test_scrape_without_objective_series_is_exit_3(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.gauge("collector_uptime_seconds", "x").set(5)
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(registry.render(), encoding="utf-8")
+        proc = self.run_check(scrape)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "no data" in proc.stderr
+        assert "BURNING" not in proc.stdout
+
+    def test_store_check_counts_as_data(self, tmp_path):
+        """A server that ingested nothing over an empty store has no
+        objective data, but its completeness check is a verdict."""
+        registry = MetricsRegistry()
+        registry.counter("collector_records_ingested_total", "x")
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(registry.render(), encoding="utf-8")
+        store = tmp_path / "results.jsonl"
+        store.write_text("", encoding="utf-8")
+        assert self.run_check(scrape).returncode == 3
+        proc = self.run_check(scrape, "--store", store)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "counter=0 store_records=0 at_start=0" in proc.stdout
+
+    def test_store_blank_lines_are_not_records(self, tmp_path):
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(clean_scrape(), encoding="utf-8")  # ingested = 3
+        store = tmp_path / "results.jsonl"
+        store.write_text('{"a":1}\n\n{"a":2}\n   \n{"a":3}\n\n', encoding="utf-8")
+        proc = self.run_check(scrape, "--store", store)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "store_records=3" in proc.stdout
+
+    def test_records_at_start_do_not_excuse_a_lost_record(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("collector_records_ingested_total", "x").inc(1)
+        registry.gauge("collector_store_records_at_start", "x").set(3)
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(registry.render(), encoding="utf-8")
+        store = tmp_path / "results.jsonl"
+        store.write_text('{"a":1}\n{"a":2}\n{"a":3}\n', encoding="utf-8")
+        proc = self.run_check(scrape, "--store", store)
+        assert proc.returncode == 1
+        assert "BURNING  ingest-completeness" in proc.stdout
+        assert "counter=1 store_records=3 at_start=3" in proc.stdout
+
     def test_store_count_match_passes(self, tmp_path):
         scrape = tmp_path / "metrics.prom"
         scrape.write_text(clean_scrape(), encoding="utf-8")  # ingested = 3
@@ -163,6 +218,37 @@ class TestBurnCheckScript:
         proc = self.run_check(scrape, "--store", store)
         assert proc.returncode == 1
         assert "no collector_records_ingested_total" in proc.stdout
+
+    def test_usage_errors_are_exit_2(self, tmp_path):
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(clean_scrape(), encoding="utf-8")
+        # no input, a missing store file
+        assert self.run_check().returncode == 2
+        proc = self.run_check(scrape, "--store", tmp_path / "nope.jsonl")
+        assert proc.returncode == 2
+        assert "cannot read store" in proc.stderr
+
+    @pytest.mark.skipif(
+        not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
+    )
+    def test_restarted_server_passes_ingest_completeness(self, tmp_path):
+        """A server restarted on a filled store counts the records its
+        startup replay read, so the store's line count is those plus
+        what this process ingested — not the ingest counter alone."""
+        store = ResultStore(tmp_path / "central")
+        for seed in (1, 2, 3):
+            store.append(make_result(seed=seed))
+        with ResultCollector(
+            out=store.directory, socket_path=tmp_path / "restart.sock"
+        ) as server:
+            assert server.ingest(make_result(seed=4).to_record()) == "accepted"
+            text = server.registry.render()
+        assert "collector_store_records_at_start 3" in text
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(text, encoding="utf-8")
+        proc = self.run_check(scrape, "--store", store.path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "counter=1 store_records=4 at_start=3" in proc.stdout
 
 
 @pytest.mark.skipif(
@@ -202,6 +288,19 @@ class TestMetricsAndDashboardCLI:
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         code = main(["metrics", "--connect", str(tmp_path / "nope.sock")])
         assert code == 2
+
+    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
+        endpoint = tmp_path / "nope.sock"
+        code = main(["metrics", "--connect", str(endpoint)])
+        assert code == 2
+        assert str(endpoint) in capsys.readouterr().err
+        code = main([
+            "dashboard", "--no-report", "--connect", str(endpoint),
+            "--html", str(tmp_path / "x.html"),
+        ])
+        assert code == 2
+        assert str(endpoint) in capsys.readouterr().err
 
     def test_dashboard_from_saved_scrape(self, tmp_path, capsys):
         scrape = tmp_path / "metrics.prom"
@@ -260,75 +359,6 @@ class TestMetricsAndDashboardCLI:
         assert "Per-scenario detail" in html
 
 
-def write_history(tmp_path, name, build):
-    """Write a spill file by driving a registry through ``build(registry,
-    snap)`` where ``snap(now)`` takes one timestamped snapshot."""
-    from repro.obs import ScrapeHistory
-
-    path = tmp_path / name
-    registry = MetricsRegistry()
-    history = ScrapeHistory(registry, interval_s=5.0, spill_path=path)
-    build(registry, history.snapshot)
-    return path
-
-
-class TestBurnCheckHistoryMode:
-    run_check = TestBurnCheckScript.run_check
-
-    def test_healthy_history_passes(self, tmp_path):
-        def build(registry, snap):
-            ingested = registry.counter("collector_records_ingested_total", "x")
-            ingested.inc(5)
-            snap(now=1000.0)
-            ingested.inc(5)
-            snap(now=1060.0)
-
-        path = write_history(tmp_path, "ok.jsonl", build)
-        proc = self.run_check("--history", path, "--window", "5m")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "dual-window burn" in proc.stdout
-
-    def test_sustained_stall_burns(self, tmp_path):
-        def build(registry, snap):
-            ingested = registry.counter("collector_records_ingested_total", "x")
-            ingested.inc(10)
-            snap(now=1000.0)
-            snap(now=1060.0)
-            snap(now=1120.0)
-
-        path = write_history(tmp_path, "stalled.jsonl", build)
-        proc = self.run_check("--history", path)
-        assert proc.returncode == 1
-        assert "ingest-not-stalled" in proc.stdout
-        assert "FAILED" in proc.stderr
-
-    def test_empty_series_history_is_exit_3(self, tmp_path):
-        def build(registry, snap):
-            snap(now=1000.0)
-            snap(now=1060.0)
-
-        path = write_history(tmp_path, "nodata.jsonl", build)
-        proc = self.run_check("--history", path)
-        assert proc.returncode == 3
-        assert "no data" in proc.stderr
-
-    def test_usage_errors_are_exit_2(self, tmp_path):
-        scrape = tmp_path / "metrics.prom"
-        scrape.write_text(clean_scrape(), encoding="utf-8")
-        # both inputs, neither input, window without history, bad file
-        assert self.run_check(scrape, "--history", "x.jsonl").returncode == 2
-        assert self.run_check().returncode == 2
-        assert self.run_check(scrape, "--window", "5m").returncode == 2
-        assert self.run_check("--history", tmp_path / "nope.jsonl").returncode == 2
-
-    def test_corrupt_history_is_exit_2(self, tmp_path):
-        path = tmp_path / "corrupt.jsonl"
-        path.write_text("not json\n", encoding="utf-8")
-        proc = self.run_check("--history", path)
-        assert proc.returncode == 2
-        assert "cannot read history" in proc.stderr
-
-
 class TestDiffPrimitives:
     def test_metrics_diff_flags_bad_counter_growth(self):
         from repro.obs.dashboard import render_metrics_diff
@@ -349,6 +379,108 @@ class TestDiffPrimitives:
         html, regressions = render_metrics_diff(clean_scrape(), clean_scrape())
         assert regressions == []
         assert "no regressions" in html
+
+    @staticmethod
+    def latency_scrape(*observations):
+        """One ``service_request_seconds`` family, observations split
+        between two verbs so the p99 must pool label sets."""
+        registry = MetricsRegistry()
+        family = registry.histogram(
+            "service_request_seconds", "x", ("server", "verb"),
+            buckets=(0.01, 0.1, 1.0, 10.0),
+        )
+        for index, value in enumerate(observations):
+            verb = "push" if index % 2 else "ping"
+            family.labels(server="collector", verb=verb).observe(value)
+        return registry.render()
+
+    def test_metrics_diff_flags_p99_more_than_doubling(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        before = self.latency_scrape(*[0.005] * 100)
+        after = self.latency_scrape(*[0.005] * 50, *[0.5] * 50)
+        html, regressions = render_metrics_diff(before, after)
+        assert len(regressions) == 1
+        assert regressions[0].startswith("service_request_seconds p99 grew")
+        assert "REGRESSION" in html
+
+    def test_metrics_diff_p99_growth_under_the_factor_passes(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        before = self.latency_scrape(*[0.05] * 100)
+        after = self.latency_scrape(*[0.05] * 100, *[0.5])
+        _, regressions = render_metrics_diff(before, after)
+        assert regressions == []
+
+    def test_metrics_diff_p99_matches_the_slo_p99(self):
+        """The diff table and the latency SLO read one pooled p99."""
+        from repro.obs import evaluate_slos, parse_exposition
+        from repro.obs.dashboard import render_metrics_diff
+
+        text = self.latency_scrape(*[0.005] * 90, *[0.5] * 10)
+        html, _ = render_metrics_diff(text, text)
+        results = {r.name: r for r in evaluate_slos(parse_exposition(text))}
+        detail = results["verb-latency-p99"].detail
+        p99 = detail.split("≈ ")[1].split(" ")[0]
+        assert p99 == "0.9100s"
+        assert f"<td>{p99}</td>" in html
+
+    def test_metrics_diff_ignores_growth_of_healthy_counters(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        registry = MetricsRegistry()
+        registry.counter("collector_records_ingested_total", "x").inc(10)
+        fates = registry.counter("collector_records_total", "x", ("fate",))
+        fates.labels(fate="accepted").inc(10)
+        fates.labels(fate="dropped")
+        html, regressions = render_metrics_diff(clean_scrape(), registry.render())
+        assert regressions == []
+        assert "changed" in html and "REGRESSION" not in html
+
+    def test_metrics_diff_flags_dropped_but_not_accepted_growth(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        registry = MetricsRegistry()
+        fates = registry.counter("collector_records_total", "x", ("fate",))
+        fates.labels(fate="accepted").inc(9)
+        fates.labels(fate="dropped").inc(2)
+        _, regressions = render_metrics_diff(clean_scrape(), registry.render())
+        assert regressions == ["collector_records_total{fate=dropped} grew 0 → 2"]
+
+    def test_metrics_diff_flags_a_failure_counter_born_between_scrapes(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        registry = MetricsRegistry()
+        registry.counter("pool_worker_restarts_total", "x").inc()
+        _, regressions = render_metrics_diff(
+            clean_scrape(), clean_scrape() + registry.render()
+        )
+        assert regressions == ["pool_worker_restarts_total grew 0 → 1"]
+
+    def test_metrics_diff_unchanged_failure_count_passes(self):
+        """Only growth between the two scrapes regresses; a failure both
+        scrapes already counted is the single-scrape SLO's business."""
+        from repro.obs.dashboard import render_metrics_diff
+
+        text = burning_scrape()
+        html, regressions = render_metrics_diff(text, text)
+        assert regressions == []
+        assert "no regressions" in html
+
+    def test_metrics_diff_series_in_one_scrape_only(self):
+        from repro.obs.dashboard import render_metrics_diff
+
+        registry = MetricsRegistry()
+        registry.gauge("collector_pending_cells", "x").set(4)
+        html, regressions = render_metrics_diff(
+            clean_scrape(), clean_scrape() + registry.render(),
+            label_a="before.prom", label_b="after.prom",
+        )
+        assert regressions == []
+        row = html.split("<td>collector_pending_cells</td>")[1].split("</tr>")[0]
+        assert '<span class="muted">—</span>' in row
+        assert "<td>4</td>" in row and "<td>+4</td>" in row
+        assert "before.prom" in html and "after.prom" in html
 
     @staticmethod
     def bench_payload(wall_s, scenario="mis", engine="python", n=1000):
@@ -404,87 +536,8 @@ class TestDiffPrimitives:
         html = render_bench_diff(diff, label_old="base", label_new="pr")
         assert "REGRESSION" in html and "class=\"regression\"" in html
 
-    def test_sparklines_render_from_history(self, tmp_path):
-        from repro.obs.timeseries import load_history_jsonl
 
-        def build(registry, snap):
-            counter = registry.counter("t_total", "x")
-            for t in range(4):
-                counter.inc()
-                snap(now=1000.0 + 60 * t)
-
-        path = write_history(tmp_path, "spark.jsonl", build)
-        html = render_dashboard(history=load_history_jsonl(path))
-        assert "<svg" in html and "polyline" in html
-        assert "Dual-window burn" in html
-
-
-@pytest.mark.skipif(
-    not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
-)
-class TestHistoryAndDiffCLI:
-    collector = TestMetricsAndDashboardCLI.collector
-
-    def test_metrics_history_summary(self, collector, capsys):
-        collector.history.snapshot()
-        code = main([
-            "metrics", "--connect", str(collector.socket_path),
-            "--token", TOKEN, "--history", "--window", "5m",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "history:" in out
-        assert "histogram" in out
-
-    def test_metrics_history_jsonl_round_trip(self, collector, tmp_path, capsys):
-        from repro.obs.timeseries import load_history_jsonl
-
-        collector.history.snapshot()
-        out = tmp_path / "hist.jsonl"
-        code = main([
-            "metrics", "--connect", str(collector.socket_path),
-            "--token", TOKEN, "--history", "--out", str(out),
-        ])
-        assert code == 0
-        points = load_history_jsonl(out)
-        assert len(points) >= 2
-
-        html_path = tmp_path / "dash.html"
-        code = main([
-            "dashboard", "--no-report", "--history", str(out),
-            "--html", str(html_path),
-        ])
-        assert code == 0
-        html = html_path.read_text(encoding="utf-8")
-        assert "<svg" in html
-        assert "Dual-window burn" in html
-
-    def test_metrics_window_requires_history(self, capsys):
-        code = main(["metrics", "--connect", "x.sock", "--window", "5m"])
-        assert code == 2
-        assert "--window requires --history" in capsys.readouterr().err
-
-    def test_failure_messages_name_the_endpoint(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
-        endpoint = tmp_path / "nope.sock"
-        code = main(["metrics", "--connect", str(endpoint), "--history"])
-        assert code == 2
-        assert str(endpoint) in capsys.readouterr().err
-        code = main([
-            "dashboard", "--no-report", "--connect", str(endpoint),
-            "--html", str(tmp_path / "x.html"),
-        ])
-        assert code == 2
-        assert str(endpoint) in capsys.readouterr().err
-
-    def test_dashboard_history_and_connect_conflict(self, tmp_path, capsys):
-        code = main([
-            "dashboard", "--history", "h.jsonl", "--connect", "y.sock",
-            "--html", str(tmp_path / "dash.html"),
-        ])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
+class TestDiffCLI:
     def test_diff_bench_cli_gates(self, tmp_path, capsys):
         import json as json_module
 
@@ -532,6 +585,32 @@ class TestHistoryAndDiffCLI:
         assert "no regressions" in capsys.readouterr().out
         assert html_path.exists()
 
+    def test_metrics_diff_cli_regression_is_exit_1(self, tmp_path, capsys):
+        a = tmp_path / "a.prom"
+        b = tmp_path / "b.prom"
+        a.write_text(clean_scrape(), encoding="utf-8")
+        b.write_text(burning_scrape(), encoding="utf-8")  # 2 dropped
+        html_path = tmp_path / "mdiff.html"
+        code = main([
+            "dashboard", "--diff", str(a), str(b), "--html", str(html_path),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION: collector_records_total{fate=dropped} grew 0 → 2" in out
+        assert "REGRESSION" in html_path.read_text(encoding="utf-8")
+
+    def test_metrics_diff_missing_scrape_is_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.prom"
+        a.write_text(clean_scrape(), encoding="utf-8")
+        html_path = tmp_path / "mdiff.html"
+        code = main([
+            "dashboard", "--diff", str(a), str(tmp_path / "gone.prom"),
+            "--html", str(html_path),
+        ])
+        assert code == 2
+        assert "gone.prom" in capsys.readouterr().err
+        assert not html_path.exists()
+
     def test_diff_modes_conflict(self, tmp_path, capsys):
         code = main([
             "dashboard", "--diff", "a", "b", "--diff-bench", "c", "d",
@@ -539,3 +618,53 @@ class TestHistoryAndDiffCLI:
         ])
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+
+class TestRemovedHistoryFlags:
+    """Metrics over time are two scrapes and ``dashboard --diff``: the
+    scrape-history flags are refused like any unknown argument."""
+
+    run_check = TestBurnCheckScript.run_check
+
+    @pytest.mark.parametrize("command,removed", [
+        pytest.param(["serve"], ["--scrape-interval", "1"],
+                     id="serve--scrape-interval"),
+        pytest.param(["serve"], ["--history-spill", "h.jsonl"],
+                     id="serve--history-spill"),
+        pytest.param(["metrics", "--connect", "{tmp}/x.sock"], ["--history"],
+                     id="metrics--history"),
+        pytest.param(["metrics", "--connect", "{tmp}/x.sock"], ["--window", "5m"],
+                     id="metrics--window"),
+        pytest.param(["dashboard", "--no-report"], ["--history", "h.jsonl"],
+                     id="dashboard--history"),
+        pytest.param(["dashboard", "--no-report"], ["--window", "5m"],
+                     id="dashboard--window"),
+    ])
+    def test_removed_cli_flag_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, removed
+    ):
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve accepted a removed flag")
+
+        monkeypatch.setattr("repro.experiments.cli.ResultCollector", no_server)
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
+        command = [part.format(tmp=tmp_path) for part in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, *removed])
+        assert excinfo.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(removed)}"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("removed", [
+        pytest.param(["--history", "h.jsonl"], id="--history"),
+        pytest.param(["--window", "5m"], id="--window"),
+        pytest.param(["--slow-window", "1h"], id="--slow-window"),
+    ])
+    def test_removed_script_flag_exits_2(self, tmp_path, removed):
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(clean_scrape(), encoding="utf-8")
+        proc = self.run_check(scrape, *removed)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr

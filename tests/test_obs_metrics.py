@@ -14,7 +14,7 @@ from repro.obs import (
     histogram_quantile,
     parse_exposition,
 )
-from repro.obs.metrics import Sample, samples_named, sum_samples
+from repro.obs.metrics import Sample, pooled_buckets, samples_named, sum_samples
 from repro.obs.slo import DEFAULT_SLOS
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics.prom"
@@ -187,6 +187,53 @@ def sample(name, value, **labels):
     return Sample(name=name, labels=tuple(labels.items()), value=value)
 
 
+def latency(verb, *buckets):
+    """``service_request_seconds`` bucket samples of one verb from
+    ``(le, cumulative count)`` pairs."""
+    return [
+        sample("service_request_seconds_bucket", count, verb=verb, le=le)
+        for le, count in buckets
+    ]
+
+
+class TestPooledBuckets:
+    def test_sums_each_bound_across_label_sets(self):
+        registry = MetricsRegistry()
+        family = registry.histogram("h", "x", ("verb",), buckets=(0.1, 1.0))
+        family.labels(verb="ping").observe(0.05)
+        family.labels(verb="push").observe(0.5)
+        family.labels(verb="push").observe(5.0)
+        pooled = pooled_buckets(parse_exposition(registry.render()), "h")
+        assert pooled == {0.1: 1, 1.0: 2, math.inf: 3}
+
+    def test_absent_family_is_empty(self):
+        assert pooled_buckets([sample("other_bucket", 1, le="1")], "h") == {}
+
+    def test_reads_only_the_family_bucket_samples(self):
+        scrape = [
+            sample("h_bucket", 2, le="1"),
+            sample("h_bucket", 2, le="+Inf"),
+            sample("h_bucket", 7),  # no le: not a bucket line
+            sample("h_count", 2),
+            sample("h_sum", 0.4),
+            sample("h_other_bucket", 5, le="1"),
+        ]
+        assert pooled_buckets(scrape, "h") == {1.0: 2, math.inf: 2}
+
+    def test_pooled_p99_differs_from_any_one_series(self):
+        # One slow request among a hundred: the verb's own p99 is slow,
+        # the family's pooled p99 is not.
+        scrape = [
+            *latency("ping", ("0.01", 99), ("30", 99), ("+Inf", 99)),
+            *latency("submit", ("0.01", 0), ("30", 1), ("+Inf", 1)),
+        ]
+        pooled = pooled_buckets(scrape, "service_request_seconds")
+        assert histogram_quantile(0.99, pooled.items()) == pytest.approx(0.01)
+        submit_only = [s for s in scrape if s.label("verb") == "submit"]
+        alone = pooled_buckets(submit_only, "service_request_seconds")
+        assert histogram_quantile(0.99, alone.items()) > 5.0
+
+
 class TestSLOs:
     def test_all_pass_on_empty_scrape(self):
         results = evaluate_slos([])
@@ -239,3 +286,172 @@ class TestSLOs:
         assert not results["zero-malformed-lines"].ok
         assert not results["zero-auth-failures"].ok
         assert not results["zero-worker-restarts"].ok
+
+    def test_roster_is_seven_single_scrape_objectives(self):
+        assert [slo.name for slo in DEFAULT_SLOS] == [
+            "verb-latency-p99",
+            "zero-dropped-records",
+            "duplicate-conflict-rate",
+            "zero-malformed-lines",
+            "zero-auth-failures",
+            "zero-worker-restarts",
+            "lease-stuck",
+        ]
+
+    @pytest.mark.parametrize("objective,scrape,ok,no_data", [
+        pytest.param("verb-latency-p99", [], True, True, id="latency-absent"),
+        pytest.param(
+            "verb-latency-p99", latency("push", ("1", 0), ("+Inf", 0)),
+            True, True, id="latency-never-observed",
+        ),
+        pytest.param(
+            "verb-latency-p99", latency("push", ("0.01", 100), ("+Inf", 100)),
+            True, False, id="latency-fast",
+        ),
+        pytest.param(
+            "verb-latency-p99",
+            latency("push", ("1", 0), ("30", 100), ("+Inf", 100)),
+            False, False, id="latency-slow",
+        ),
+        pytest.param(
+            "verb-latency-p99",
+            latency("push", ("1", 0), ("5", 99), ("10", 100), ("+Inf", 100)),
+            True, False, id="latency-p99-at-budget",
+        ),
+        pytest.param(
+            "verb-latency-p99",
+            [
+                *latency("ping", ("0.01", 99), ("30", 99), ("+Inf", 99)),
+                *latency("submit", ("0.01", 0), ("30", 1), ("+Inf", 1)),
+            ],
+            True, False, id="latency-pooled-one-slow-in-a-hundred",
+        ),
+        pytest.param(
+            "verb-latency-p99",
+            [
+                *latency("ping", ("0.01", 98), ("30", 98), ("+Inf", 98)),
+                *latency("submit", ("0.01", 0), ("30", 2), ("+Inf", 2)),
+            ],
+            False, False, id="latency-pooled-two-slow-in-a-hundred",
+        ),
+        pytest.param("zero-dropped-records", [], True, True, id="dropped-absent"),
+        pytest.param(
+            "zero-dropped-records",
+            [sample("collector_records_total", 5, fate="accepted")],
+            True, False, id="dropped-accepted-only",
+        ),
+        pytest.param(
+            "zero-dropped-records",
+            [sample("collector_records_total", 0, fate="dropped")],
+            True, False, id="dropped-zero",
+        ),
+        pytest.param(
+            "zero-dropped-records",
+            [sample("collector_records_total", 1, fate="dropped")],
+            False, False, id="dropped-one",
+        ),
+        pytest.param(
+            "duplicate-conflict-rate",
+            [sample("collector_records_total", 3, fate="conflict")],
+            True, True, id="conflict-without-ingest-counter",
+        ),
+        pytest.param(
+            "duplicate-conflict-rate",
+            [sample("collector_records_ingested_total", 0)],
+            True, True, id="conflict-nothing-ingested",
+        ),
+        pytest.param(
+            "duplicate-conflict-rate",
+            [
+                sample("collector_records_ingested_total", 20),
+                sample("collector_records_total", 10, fate="duplicate"),
+            ],
+            True, False, id="conflict-duplicates-are-not-conflicts",
+        ),
+        pytest.param(
+            "duplicate-conflict-rate",
+            [
+                sample("collector_records_ingested_total", 20),
+                sample("collector_records_total", 1, fate="conflict"),
+            ],
+            True, False, id="conflict-rate-at-budget",
+        ),
+        pytest.param(
+            "duplicate-conflict-rate",
+            [
+                sample("collector_records_ingested_total", 20),
+                sample("collector_records_total", 2, fate="conflict"),
+            ],
+            False, False, id="conflict-rate-over-budget",
+        ),
+        *(
+            case
+            for objective, name in (
+                ("zero-malformed-lines", "service_malformed_lines_total"),
+                ("zero-auth-failures", "service_auth_failures_total"),
+            )
+            for case in (
+                pytest.param(objective, [], True, True, id=f"{name}-absent"),
+                pytest.param(
+                    objective,
+                    [sample(name, 0, server="collector")],
+                    True, False, id=f"{name}-zero",
+                ),
+                pytest.param(
+                    objective,
+                    [
+                        sample(name, 0, server="collector"),
+                        sample(name, 1, server="worker"),
+                    ],
+                    False, False, id=f"{name}-summed-over-servers",
+                ),
+            )
+        ),
+        pytest.param("zero-worker-restarts", [], True, True, id="restarts-absent"),
+        pytest.param(
+            "zero-worker-restarts", [sample("pool_worker_restarts_total", 0)],
+            True, False, id="restarts-zero",
+        ),
+        pytest.param(
+            "zero-worker-restarts", [sample("pool_worker_restarts_total", 1)],
+            False, False, id="restarts-one",
+        ),
+        pytest.param("lease-stuck", [], True, True, id="lease-absent"),
+        pytest.param(
+            "lease-stuck", [sample("fleet_oldest_lease_age_seconds", 100)],
+            True, True, id="lease-without-ttl",
+        ),
+        pytest.param(
+            "lease-stuck",
+            [
+                sample("fleet_oldest_lease_age_seconds", 100),
+                sample("fleet_lease_ttl_seconds", 0),
+            ],
+            True, True, id="lease-zero-ttl",
+        ),
+        pytest.param(
+            "lease-stuck",
+            [
+                sample("fleet_oldest_lease_age_seconds", 30),
+                sample("fleet_lease_ttl_seconds", 10),
+            ],
+            True, False, id="lease-age-at-three-ttls",
+        ),
+        pytest.param(
+            "lease-stuck",
+            [
+                sample("fleet_oldest_lease_age_seconds", 30.5),
+                sample("fleet_lease_ttl_seconds", 10),
+            ],
+            False, False, id="lease-age-past-three-ttls",
+        ),
+    ])
+    def test_single_scrape_verdict(self, objective, scrape, ok, no_data):
+        """Each objective over one scrape: absent or empty series read
+        "no data" and pass, budgets are inclusive, histograms pool every
+        label set and counters sum them."""
+        results = {r.name: r for r in evaluate_slos(scrape)}
+        result = results[objective]
+        assert (result.ok, result.no_data) == (ok, no_data), result.detail
+        assert result.status == ("ok" if ok else "BURNING")
+        assert result.detail.startswith("no data") == no_data

@@ -587,6 +587,53 @@ class TestMetricsVerb:
             for sample in samples
         )
 
+    def test_one_scrape_feeds_every_slo(self, collector):
+        """A scrape off the wire is all the SLO evaluation reads: every
+        objective gets a verdict from it and a fresh server burns none."""
+        from repro.obs import evaluate_slos, parse_exposition
+        from repro.obs.slo import DEFAULT_SLOS
+
+        _, endpoint = collector
+        sock = open_connection(endpoint)
+        try:
+            with sock.makefile("rb") as reader:
+                sock.sendall(framed({"op": "metrics"}, endpoint))
+                response = recv_message(reader)
+        finally:
+            sock.close()
+        samples = parse_exposition(response["metrics"])
+        results = evaluate_slos(samples)
+        assert [r.name for r in results] == [s.name for s in DEFAULT_SLOS]
+        assert all(r.ok for r in results), [r.detail for r in results]
+        assert any(
+            sample.name == "collector_store_records_at_start"
+            and sample.value == 0
+            for sample in samples
+        )
+
+    def test_tcp_requires_auth(self, tmp_path):
+        from repro.service.collector import ResultCollector
+
+        served = ResultCollector(
+            out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN
+        )
+        served.start()
+        try:
+            host, port = served.tcp_address
+            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            try:
+                sock.sendall(json.dumps({"op": "metrics"}).encode() + b"\n")
+                with sock.makefile("rb") as reader:
+                    response = recv_message(reader)
+                    assert response["ok"] is False
+                    assert "authentication failed" in response["error"]
+                    assert "metrics" not in response
+                    assert recv_message(reader) is None
+            finally:
+                sock.close()
+        finally:
+            served.close()
+
 class TestFleetVerbsConformance:
     """The fleet control-plane verbs (``register`` / ``heartbeat`` /
     ``lease`` / ``fleet_status``) speak the same one-line contract on
@@ -704,142 +751,6 @@ class TestFleetVerbsConformance:
                     assert response["ok"] is False
                     assert "authentication failed" in response["error"]
                     assert recv_message(reader) is None
-            finally:
-                sock.close()
-        finally:
-            served.close()
-
-
-class TestMetricsHistoryVerb:
-    """The ``metrics_history`` verb serves the retained scrape ring
-    buffer on both transports, with TCP auth and a bounded response."""
-
-    @pytest.fixture()
-    def collector(self, transport, tmp_path):
-        from repro.service.collector import ResultCollector
-
-        if transport == "unix":
-            served = ResultCollector(
-                out=tmp_path / "store",
-                socket_path=tmp_path / "history.sock",
-                token=TOKEN,
-            )
-            served.start()
-            endpoint = parse_endpoint(tmp_path / "history.sock")
-        else:
-            served = ResultCollector(
-                out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN
-            )
-            served.start()
-            host, port = served.tcp_address
-            endpoint = parse_endpoint(f"{host}:{port}")
-        yield served, endpoint
-        served.close()
-
-    @staticmethod
-    def request_history(endpoint, payload=None):
-        sock = open_connection(endpoint)
-        try:
-            with sock.makefile("rb") as reader:
-                sock.sendall(
-                    framed({"op": "metrics_history", **(payload or {})}, endpoint)
-                )
-                return recv_message(reader)
-        finally:
-            sock.close()
-
-    def test_history_round_trips(self, collector):
-        from repro.obs.timeseries import points_from_payload
-
-        served, endpoint = collector
-        served.history.snapshot()
-        response = self.request_history(endpoint)
-        assert response["ok"] is True
-        assert response["interval_s"] == served.history.interval_s
-        assert response["retained"] >= 2
-        points = points_from_payload(response)
-        assert len(points) >= 2
-        # Each point is a full exposition the single-scrape tooling reads.
-        assert any(
-            sample.name == "collector_uptime_seconds"
-            for sample in points[-1].samples
-        )
-        # Reading the verb snapshots first, so the reply includes "now".
-        assert points[-1].unix_s >= points[0].unix_s
-
-    def test_window_restricts_to_recent_points(self, collector):
-        served, endpoint = collector
-        # Two points stamped far in the past fall outside any trailing
-        # window ending at the snapshot the verb itself takes.
-        served.history.snapshot(now=1000.0)
-        served.history.snapshot(now=1060.0)
-        response = self.request_history(endpoint, {"window_s": 300.0})
-        assert response["ok"] is True
-        ancient = {
-            point["unix_s"] for point in response["points"]
-        } & {1000.0, 1060.0}
-        assert not ancient
-        assert response["points"]  # the read-time snapshot is included
-
-    def test_response_is_bounded_for_large_histories(self, collector):
-        from repro.obs.timeseries import MAX_HISTORY_POINTS_PER_RESPONSE
-
-        served, endpoint = collector
-        for t in range(MAX_HISTORY_POINTS_PER_RESPONSE + 40):
-            served.history.snapshot(now=float(t))
-        response = self.request_history(endpoint)
-        assert response["ok"] is True
-        assert len(response["points"]) == MAX_HISTORY_POINTS_PER_RESPONSE
-        assert response["truncated"] is True
-        assert response["retained"] > MAX_HISTORY_POINTS_PER_RESPONSE
-
-    def test_max_points_keeps_most_recent(self, collector):
-        served, endpoint = collector
-        for t in range(10):
-            served.history.snapshot(now=float(t))
-        response = self.request_history(endpoint, {"max_points": 3})
-        assert response["ok"] is True
-        assert len(response["points"]) == 3
-        assert response["truncated"] is True
-        # Most recent survive: the verb's own read-time snapshot is last.
-        returned = [point["unix_s"] for point in response["points"]]
-        assert returned == sorted(returned)
-        assert returned[-1] >= 9.0
-
-    @pytest.mark.parametrize("bad", [
-        {"window_s": "5m"},
-        {"window_s": -1},
-        {"window_s": True},
-        {"max_points": 0},
-        {"max_points": 2.5},
-        {"max_points": True},
-    ])
-    def test_invalid_parameters_are_errors(self, collector, bad):
-        _, endpoint = collector
-        response = self.request_history(endpoint, bad)
-        assert response["ok"] is False
-        assert "window_s" in response["error"] or "max_points" in response["error"]
-
-    def test_tcp_requires_auth(self, tmp_path):
-        from repro.service.collector import ResultCollector
-
-        served = ResultCollector(
-            out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN
-        )
-        served.start()
-        try:
-            host, port = served.tcp_address
-            endpoint = parse_endpoint(f"{host}:{port}")
-            sock = open_connection(endpoint)
-            try:
-                with sock.makefile("rb") as reader:
-                    sock.sendall(
-                        json.dumps({"op": "metrics_history"}).encode() + b"\n"
-                    )
-                    response = recv_message(reader)
-                    assert response["ok"] is False
-                    assert "authentication failed" in response["error"]
-                    assert recv_message(reader) is None  # connection closed
             finally:
                 sock.close()
         finally:

@@ -587,3 +587,30 @@ class TestObservability:
         # per-stream lag gauge is present once a push has arrived
         lag = samples_named(samples, "collector_seconds_since_last_push")
         assert len(lag) == 1 and lag[0].value >= 0
+
+    def test_fresh_store_reads_zero_records_at_start(self, collector):
+        text = collector_client(collector).metrics()
+        assert "collector_store_records_at_start 0\n" in text
+
+    def test_records_at_start_count_the_replay_not_later_appends(self, tmp_path):
+        """The gauge is what was on disk before this process appended
+        anything, a fingerprint-less line included; pushes tick only the
+        ingest counter."""
+        store = ResultStore(tmp_path / "central")
+        store.append(make_result(seed=1))
+        store.append(make_result(seed=2))
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"seed": 3}\n')
+        collector = ResultCollector(
+            out=store.directory, listen="127.0.0.1:0", token=TOKEN
+        )
+        collector.start()
+        try:
+            client = collector_client(collector)
+            client.push([make_result(seed=4).to_record()])
+            text = client.metrics()
+        finally:
+            collector.close()
+        assert "collector_store_records_at_start 3\n" in text
+        assert "collector_store_malformed_records 1\n" in text
+        assert "collector_records_ingested_total 1\n" in text

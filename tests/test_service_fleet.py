@@ -114,6 +114,34 @@ class TestLeaseTable:
         assert second["outstanding"] == 3  # alpha still holds its batch
         assert not second["done"]
 
+    def test_grant_leases_a_repeated_fingerprint_once(self):
+        """An offer naming a cell twice leases it once, in first-offer
+        order: a worker trusting the reply must not run it twice."""
+        table, _ = make_table()
+        alpha = table.register("alpha")["worker_id"]
+        grant = table.grant(alpha, ["fp-a", "fp-a", "fp-b"], limit=10)
+        assert grant["granted"] == ["fp-a", "fp-b"]
+        assert grant["pending"] == 0 and grant["outstanding"] == 0
+        assert table.counts["granted"] == 2
+
+    def test_grant_limit_counts_distinct_fingerprints(self):
+        table, _ = make_table()
+        alpha = table.register("alpha")["worker_id"]
+        grant = table.grant(alpha, ["fp-a", "fp-a", "fp-b", "fp-c"], limit=2)
+        assert grant["granted"] == ["fp-a", "fp-b"]
+        assert grant["pending"] == 1
+
+    def test_repeated_offer_of_a_leased_fingerprint_grants_nothing_new(self):
+        table, _ = make_table()
+        alpha = table.register("alpha")["worker_id"]
+        beta = table.register("beta")["worker_id"]
+        assert table.grant(alpha, ["fp-a"], limit=10)["granted"] == ["fp-a"]
+        grant = table.grant(beta, ["fp-a", "fp-c", "fp-a"], limit=10)
+        assert grant["granted"] == ["fp-c"]
+        assert grant["outstanding"] == 1
+        assert table.counts["granted"] == 2
+        assert table.active_leases() == 2
+
     def test_unknown_worker_gets_none(self):
         table, _ = make_table()
         assert table.heartbeat("worker-99") is None
@@ -265,6 +293,14 @@ class TestCollectorFleetVerbs:
         status = client.fleet_status()
         assert status["active_leases"] == 1
         assert status["workers"][0]["worker_id"] == worker_id
+
+    def test_lease_verb_grants_a_repeated_fingerprint_once(self, collector):
+        client = collector_client(collector)
+        worker_id = client.register("w1")["worker_id"]
+        grant = client.lease(worker_id, ["fp-b", "fp-a", "fp-b"], limit=10)
+        assert grant["granted"] == ["fp-b", "fp-a"]
+        assert collector.leases.active_leases() == 2
+        assert 'fleet_leases_total{fate="granted"} 2' in client.metrics()
 
     def test_unknown_worker_is_known_false_not_an_error(self, collector):
         client = collector_client(collector)

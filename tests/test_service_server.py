@@ -231,8 +231,10 @@ class TestSubmit:
         assert status["completed"] == len(expected) and not status["failures"]
 
     def test_unknown_op_and_malformed_fingerprints(self, client):
-        with pytest.raises(ServiceError, match="unknown op"):
-            client.request({"op": "dance"})
+        for op in ("dance", "metrics_history"):
+            with pytest.raises(ServiceError, match="unknown op") as excinfo:
+                client.request({"op": op})
+            assert "metrics/register" in str(excinfo.value)
         with pytest.raises(ServiceError, match="fingerprints"):
             client.request({"op": "status", "fingerprints": "fp"})
 
@@ -674,37 +676,10 @@ class TestObservability:
         ]
         assert pings == [2]
 
-    def test_metrics_history_verb_serves_retained_scrapes(self, server, client):
-        from repro.obs.timeseries import points_from_payload
-
-        server.history.snapshot()
-        payload = client.metrics_history()
-        assert payload["interval_s"] == server.history.interval_s
-        points = points_from_payload(payload)
-        assert len(points) >= 2  # the snapshot above plus the read-time one
-        names = {sample.name for sample in points[-1].samples}
-        assert "collector_uptime_seconds" in names
-        # The client surfaces invalid parameters as ServiceError.
-        with pytest.raises(ServiceError, match="window_s"):
-            client.metrics_history(window_s=-5)
-
-    def test_history_spill_written_by_server(self, tmp_path):
-        from repro.obs.timeseries import load_history_jsonl
-
-        spill = tmp_path / "server-hist.jsonl"
-        server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "spill.sock",
-            workers=1, scrape_interval_s=0.05, history_spill=spill,
-        )
-        server.start()
-        try:
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if spill.exists() and len(spill.read_text().splitlines()) >= 2:
-                    break
-                time.sleep(0.02)
-        finally:
-            server.close()
-        points = load_history_jsonl(spill)
-        assert len(points) >= 2
-        assert [p.unix_s for p in points] == sorted(p.unix_s for p in points)
+    def test_a_started_server_runs_no_scrape_thread(self, client):
+        """Metrics are read one scrape at a time: nothing snapshots the
+        registry in the background."""
+        client.ping()
+        names = {thread.name for thread in threading.enumerate()}
+        assert "local-worker" in names
+        assert "scrape-history" not in names
