@@ -82,19 +82,24 @@ def main(argv: list[str] | None = None) -> int:
         else:
             ingested = sum_samples(samples, "collector_records_ingested_total")
             at_start = sum_samples(samples, "collector_store_records_at_start")
+            # Records as the server's startup replay counts them: a
+            # truncated final line (a crash mid-append) is not one.  The
+            # store's package imports the whole simulator (~0.5 s), so
+            # only a --store check pays for it.
+            from repro.experiments.store import ResultStore
+
+            store = ResultStore.from_path(args.store)
             try:
-                store_lines = sum(
-                    1
-                    for line in Path(args.store).read_text(encoding="utf-8").splitlines()
-                    if line.strip()
-                )
-            except OSError as error:
+                if not store.path.is_file():
+                    raise FileNotFoundError(f"no store file at {store.path}")
+                store_records = len(store.records())
+            except (OSError, ValueError) as error:
                 print(f"cannot read store: {error}", file=sys.stderr)
                 return EXIT_UNREADABLE
-            ok = at_start + ingested == store_lines
+            ok = at_start + ingested == store_records
             print(
                 f"  {'ok' if ok else 'BURNING':>8}  ingest-completeness: "
-                f"counter={int(ingested)} store_records={store_lines} "
+                f"counter={int(ingested)} store_records={store_records} "
                 f"at_start={int(at_start)}"
             )
             failed = failed or not ok

@@ -53,13 +53,10 @@ from repro.experiments.store import (
     merge_result_files,
 )
 from repro.experiments.shard import ShardSpec
+from repro.obs import parse_exposition
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.collector import DEFAULT_SOCKET, ResultCollector
-from repro.service.leases import (
-    DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_LEASE_BATCH,
-    FleetWorker,
-)
+from repro.service.leases import DEFAULT_HEARTBEAT_INTERVAL_S, FleetWorker
 from repro.service.protocol import AUTH_TOKEN_ENV
 
 __all__ = ["main", "build_parser"]
@@ -171,23 +168,23 @@ def build_parser() -> argparse.ArgumentParser:
             "elastic sweep fleet:\n"
             "  `run <suite> --fleet host:port` replaces the static shard "
             "split with a lease\n  loop: each worker registers with the "
-            "server, offers the suite's fingerprint\n  universe and pulls "
-            "batches of leased cells (`--lease-batch`), pushing every\n  "
+            "server, offers the suite's fingerprint\n  universe and leases "
+            "one cell each time its pool pulls one, pushing every\n  "
             "result back (a stored record completes the cell's lease).  The "
-            "server's\n  local workers hold leases in the same table, so a "
-            "fleet worker offering a\n  submitted suite shares its cells.  A "
-            "background heartbeat renews a worker's\n  leases; a worker that "
-            "dies stops heartbeating, its leases expire after the\n  TTL "
-            "(`serve --lease-ttl`, default 2x `--heartbeat-interval`) and "
-            "the cells\n  are reassigned to the survivors — kill a worker "
-            "mid-sweep and the suite\n  still finishes with no lost cells.  "
-            "Workers added mid-run (or restarted\n  after a server restart, "
-            "which answers unknown ids with `known: false`)\n  simply "
-            "register and start pulling.  `fleet_status` reports workers\n  "
-            "alive/lost, active leases and lease fates; the server's metrics "
-            "gain\n  `fleet_workers`, `fleet_leases_total{fate}` and a "
-            "lease-age histogram, plus\n  a `lease-stuck` SLO (oldest active "
-            "lease vs 3x TTL).\n\n"
+            "server's\n  local workers run the same loop on the same table, "
+            "so a fleet worker\n  offering a submitted suite shares its "
+            "cells.  A background heartbeat renews\n  a worker's leases; a "
+            "worker that dies stops heartbeating, its leases expire\n  after "
+            "the TTL (`serve --lease-ttl`, default 2x `--heartbeat-interval`) "
+            "and the\n  cells are reassigned to the survivors — kill a "
+            "worker mid-sweep and the\n  suite still finishes with no lost "
+            "cells.  Workers added mid-run (or\n  restarted after a server "
+            "restart, which answers unknown ids with\n  `known: false`) "
+            "simply register and start leasing.  `fleet_status` reports\n  "
+            "workers alive/lost, active leases and lease fates; the server's "
+            "metrics\n  gain `fleet_workers`, `fleet_leases_total{fate}` and "
+            "a lease-age histogram,\n  plus a `lease-stuck` SLO (oldest "
+            "active lease vs 3x TTL).\n\n"
             "observability:\n"
             "  The server's `metrics` verb exports Prometheus text: per-verb "
             "request counts\n  and latency, auth failures, malformed lines, "
@@ -252,16 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--fleet", default=None, metavar="ENDPOINT",
-        help="elastic fleet mode: pull heartbeat-renewed lease batches from "
-        "a sweep server (host:port or Unix socket path) instead of computing "
-        "a static shard, and push every result back; incompatible with "
-        "--shard",
-    )
-    run.add_argument(
-        "--lease-batch", type=_positive_int, default=DEFAULT_LEASE_BATCH,
-        metavar="N",
-        help="with --fleet: cells requested per lease grant "
-        f"(default: {DEFAULT_LEASE_BATCH})",
+        help="elastic fleet mode: lease cells under heartbeat-renewed leases "
+        "from a sweep server (host:port or Unix socket path), one each time "
+        "the pool pulls one, instead of computing a static shard, and push "
+        "every result back; incompatible with --shard",
     )
     run.add_argument(
         "--worker-name", default=None, metavar="NAME",
@@ -326,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a lease survives without a heartbeat before its cells "
         "are reassigned (default: 2x the heartbeat interval)",
     )
-
-    sub.add_parser("collect", help="removed: use `serve --workers 0`")
 
     submit = sub.add_parser(
         "submit", help="queue a suite's cells on a running sweep server",
@@ -495,7 +484,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         worker = FleetWorker(
             suite, store, args.fleet, token=args.token, jobs=jobs,
             smoke=args.smoke, sizes=args.sizes, seeds=args.seeds,
-            lease_batch=args.lease_batch,
             name=args.worker_name,
             progress=None if args.quiet else progress,
         )
@@ -751,6 +739,20 @@ def _read_json(path: str):
         raise ValueError(f"{path}: not valid JSON ({error})") from None
 
 
+def _read_scrape(path: str) -> str:
+    """A saved scrape's text; ``ValueError`` when it is unreadable or does
+    not parse as Prometheus text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as error:
+        raise ValueError(str(error)) from None
+    try:
+        parse_exposition(text)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    return text
+
+
 def _write_html(args: argparse.Namespace, html: str) -> None:
     out_path = Path(args.html)
     if out_path.parent != Path("."):
@@ -771,9 +773,9 @@ def _cmd_dashboard_diff(args: argparse.Namespace) -> int:
     if args.diff is not None:
         path_a, path_b = args.diff
         try:
-            text_a = Path(path_a).read_text(encoding="utf-8")
-            text_b = Path(path_b).read_text(encoding="utf-8")
-        except OSError as error:
+            text_a, text_b = _read_scrape(path_a), _read_scrape(path_b)
+        except ValueError as error:
+            # Bad input is exit 2, never 1: that means "regressions found".
             print(str(error), file=sys.stderr)
             return 2
         html, regressions = render_metrics_diff(
@@ -829,8 +831,8 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     metrics_text = None
     if args.metrics is not None:
         try:
-            metrics_text = Path(args.metrics).read_text(encoding="utf-8")
-        except OSError as error:
+            metrics_text = _read_scrape(args.metrics)
+        except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
     elif args.connect is not None:
@@ -867,14 +869,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if args.command == "collect":
-        # Whatever flags an old invocation carries, name the replacement.
-        print("`collect` is now `serve --workers 0`", file=sys.stderr)
-        return 2
-    if unknown:
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "list":

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Default histogram buckets for request/phase latencies, in seconds.
-#: Sub-millisecond verbs (ping) through multi-second sweep phases.
+#: Sub-millisecond verbs (status, lease) through multi-second sweep phases.
 DEFAULT_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0,

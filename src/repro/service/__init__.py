@@ -25,11 +25,12 @@ platform:
   :class:`LeaseTable` tracks registered workers, heartbeats and
   per-fingerprint leases inside the server (``register`` /
   ``heartbeat`` / ``lease`` / ``fleet_status`` verbs; any stored record
-  completes the cell's lease), and :class:`FleetWorker` is the pull
-  side behind ``run <suite> --fleet host:port`` — workers lease batches
-  of cells instead of computing a static shard, dead workers' leases
-  expire and are reassigned to survivors, and replacement workers
-  resume from the server's completed fingerprints.
+  completes the cell's lease), and one lease loop runs cells for the
+  server's local worker and for :class:`FleetWorker`, the pull side
+  behind ``run <suite> --fleet host:port`` — workers lease one cell
+  each time their pool pulls one instead of computing a static shard,
+  dead workers' leases expire and are reassigned to survivors, and
+  replacement workers resume from the server's completed fingerprints.
 
 A sweep is distributed one of two ways: static ``--shard`` runs merged
 afterwards with ``merge``, or live ``--fleet`` workers leasing from one
@@ -48,7 +49,6 @@ from repro.service.client import (
 from repro.service.collector import DEFAULT_SOCKET, ResultCollector
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_LEASE_BATCH,
     LEASE_FATES,
     FleetWorker,
     LeaseTable,
@@ -71,7 +71,6 @@ __all__ = [
     "ResultCollector",
     "DEFAULT_SOCKET",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "DEFAULT_LEASE_BATCH",
     "LEASE_FATES",
     "FleetWorker",
     "LeaseTable",

@@ -189,9 +189,6 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
-    def ping(self) -> dict[str, Any]:
-        return self.request({"op": "ping"})
-
     def submit(
         self,
         suite: str,
@@ -219,8 +216,9 @@ class ServiceClient:
         return self.request(payload)
 
     def status(self, fingerprints: list[str] | None = None) -> dict[str, Any]:
-        """The server's counters, or progress over ``fingerprints``:
-        ``completed``, ``unverified``, ``failures``, ``pending``, ``done``."""
+        """The server's counters, uptime and ingest rate, or progress over
+        ``fingerprints``: ``completed``, ``unverified``, ``failures``,
+        ``pending``, ``done``."""
         if fingerprints is None:
             return self.request({"op": "status"})
         return self.request({"op": "status", "fingerprints": list(fingerprints)})
@@ -252,14 +250,6 @@ class ServiceClient:
         fleet cadence (``heartbeat_interval_s``, ``lease_ttl_s``)."""
         return self.request({"op": "register", "worker": worker})
 
-    def heartbeat(self, worker_id: str) -> dict[str, Any]:
-        """Renew the worker's liveness and all its leases.
-
-        ``known`` is false when the server does not recognise the id
-        (it restarted) — the worker should re-register, not crash.
-        """
-        return self.request({"op": "heartbeat", "worker_id": worker_id})
-
     def lease(
         self,
         worker_id: str,
@@ -267,7 +257,8 @@ class ServiceClient:
         limit: int | None = None,
         release: list[str] | None = None,
     ) -> dict[str, Any]:
-        """Ask for a batch of pending cells from the offered universe.
+        """Lease pending cells from the offered universe: one, or up to
+        ``limit``.
 
         Returns ``granted`` (fingerprints now leased to this worker),
         ``pending`` / ``outstanding`` counts and ``done`` — true only

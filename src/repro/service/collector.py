@@ -16,8 +16,11 @@ fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`
   lease cells from the same :class:`~repro.service.leases.LeaseTable`
   and ``push`` each result back.
 
-The local worker is one more lease holder, so a fleet worker that offers
-a submitted suite shares its cells, and a record for a pending cell from
+Both run the one :class:`~repro.service.leases.LeaseLoop`: the local
+worker asks this server's own verb table, in-process, for the pending
+submitted cells, one each time its pool pulls one, and ingests each
+result.  It is one more lease holder, so a fleet worker that offers a
+submitted suite shares its cells, and a record for a pending cell from
 *any* stream retires it.  ``serve --workers 0`` runs no local worker and
 refuses ``submit``: it is the fleet's collector alone.  The store is a
 perfectly ordinary store: ``report --out`` reads it unchanged, and the
@@ -38,8 +41,6 @@ concurrent streams deliver a fingerprint:
 
 Verbs
 -----
-``ping``
-    Liveness + ingest counters.
 ``submit``
     ``{"op": "submit", "suite": "paper-claims", "smoke": true,
     "sizes": [...], "seeds": [...], "shard": "0/2"}`` → ``total_cells``,
@@ -51,10 +52,11 @@ Verbs
     Unknown fields are ignored; each cell runs on the engine
     :func:`~repro.local.select_engine` picks for it.
 ``status``
-    Cumulative ingest counters, the store path, uptime and the
-    records/sec ingest rate; with ``fingerprints`` (a submit reply's
-    list), progress over those cells: ``completed``, ``unverified``,
-    ``failures``, ``pending`` and ``done``.
+    Cumulative ingest counters, the pending-cell and local-worker
+    counts, the store path, uptime and the records/sec ingest rate;
+    with ``fingerprints`` (a submit reply's list), progress over those
+    cells: ``completed``, ``unverified``, ``failures``, ``pending`` and
+    ``done``.
 ``push``
     ``{"op": "push", "records": [<cell record>, ...]}`` → per-batch
     ``accepted`` / ``dropped`` / ``conflicts`` counts.
@@ -69,8 +71,9 @@ Verbs
     ``dashboard --diff`` show what changed between them.
 ``register`` / ``heartbeat`` / ``lease`` / ``fleet_status``
     The elastic-fleet control plane (:mod:`repro.service.leases`):
-    workers register, pull batches of pending cells under
-    heartbeat-renewed leases, and stream results back through ``push``
+    workers register, lease pending cells (one per request unless
+    ``limit`` asks for more) under heartbeat-renewed leases, and stream
+    results back through ``push``
     — which doubles as lease completion.  A worker that stops
     heartbeating has its leases expired and handed to whoever asks
     next; ``fleet_status`` shows workers, active leases and the
@@ -82,15 +85,13 @@ Verbs
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from contextlib import closing
 from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
-from repro.experiments.runner import WorkerPool
+from repro.experiments.runner import CellOutcome, WorkerPool
 from repro.experiments.shard import ShardSpec, shard_cells
 from repro.experiments.spec import Cell, get_suite
 from repro.experiments.store import (
@@ -102,7 +103,7 @@ from repro.experiments.store import (
 from repro.obs import MetricsRegistry
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_LEASE_BATCH,
+    LeaseLoop,
     LeaseTable,
 )
 from repro.service.protocol import (
@@ -181,7 +182,8 @@ class ResultCollector:
         self.token = resolve_token(token)
         self._latest: dict[str, dict[str, Any]] = {}
         self._lock = threading.Lock()
-        # Wakes the local worker when cells are submitted or retired.
+        # Wakes the local worker when cells are submitted or shutdown is
+        # requested.
         self._work = threading.Condition(self._lock)
         #: Submitted cells not yet retired: fingerprint → (suite, cell).
         self._pending: dict[str, tuple[str, Cell]] = {}
@@ -189,7 +191,7 @@ class ResultCollector:
         self._failures: dict[str, dict[str, Any]] = {}
         self._shutdown = threading.Event()
         self._server: LineServer | None = None
-        # Cumulative ingest counters (served by ping/status).
+        # Cumulative ingest counters (served by status).
         self.accepted = 0
         self.dropped = 0
         self.duplicates = 0
@@ -212,10 +214,8 @@ class ResultCollector:
         self.pool = (
             WorkerPool(workers=workers, registry=self.registry) if workers else None
         )
-        self._local_worker_id: str | None = None
+        self._worker: LeaseLoop | None = None
         self._worker_thread: threading.Thread | None = None
-        self._heartbeat_thread: threading.Thread | None = None
-        self._heartbeat_stop = threading.Event()
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -405,7 +405,7 @@ class ResultCollector:
             name="result-collector",
             close_after=lambda request, _: request.get("op") == "shutdown",
             registry=self.registry,
-            verbs=("ping", "submit", "status", "push", "report", "metrics",
+            verbs=("submit", "status", "push", "report", "metrics",
                    "register", "heartbeat", "lease", "fleet_status",
                    "shutdown"),
         )
@@ -423,15 +423,17 @@ class ResultCollector:
         self._server = server
         self._started_monotonic = time.monotonic()
         if self.pool is not None:
-            self._local_worker_id = self.leases.register("local")["worker_id"]
-            self._worker_thread = threading.Thread(
-                target=self._local_worker_loop, name="local-worker", daemon=True
+            # The local worker: the fleet's lease loop, asking this
+            # server's verb table in-process for submitted cells.
+            self._worker = LeaseLoop(
+                self._dispatch, self.pool, "local",
+                offer=lambda: self._pending, sink=self._settle, lock=self._lock,
             )
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, name="local-heartbeat", daemon=True
+            self._worker.start()
+            self._worker_thread = threading.Thread(
+                target=self._run_submitted, name="local-worker", daemon=True
             )
             self._worker_thread.start()
-            self._heartbeat_thread.start()
 
     def serve_forever(self) -> None:
         """Run until a ``shutdown`` request (or :meth:`stop`) arrives."""
@@ -469,10 +471,8 @@ class ResultCollector:
             # hang this — the pool fails its cells within ~1 s.
             self._worker_thread.join()
             self._worker_thread = None
-        self._heartbeat_stop.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join()
-            self._heartbeat_thread = None
+        if self._worker is not None:
+            self._worker.stop()
         if self._server is not None:
             # The server unlinks only a socket *it* bound: a close()
             # after a failed start ("another server is serving") has no
@@ -538,8 +538,7 @@ class ResultCollector:
             # the ingest lock, so a concurrent submit sees either neither
             # or both.
             self._failures.pop(fingerprint, None)
-            if self._pending.pop(fingerprint, None) is not None:
-                self._work.notify_all()
+            self._pending.pop(fingerprint, None)
             self.leases.complete(fingerprint)
         return fate
 
@@ -555,117 +554,47 @@ class ResultCollector:
             ).inc(rounds)
 
     # ------------------------------------------------------------------
-    # the local worker (threads of this process, cells on the pool)
+    # the local worker (a thread of this process, cells on the pool)
     # ------------------------------------------------------------------
-    def _local_worker_loop(self) -> None:
-        """Lease pending submitted cells and run them on the warm pool.
-
-        The local worker leases like any fleet worker: a cell a
-        ``--fleet`` worker holds is left to it, and comes back here if
-        that lease expires.  It exits once shutdown is requested and
-        nothing is pending.
-        """
+    def _run_submitted(self) -> None:
+        """Run the lease loop over submitted cells whenever any is
+        pending, until shutdown is requested and none is left."""
         while True:
             with self._work:
                 while not self._pending and not self._shutdown.is_set():
                     self._work.wait()
                 if not self._pending:
                     return
-            first = self._lease_next()
-            if first is None:
-                # Fleet workers hold every pending cell: wait for their
-                # pushes, or for their leases to expire.
-                with self._work:
-                    self._work.wait(self.leases.heartbeat_interval_s / 2)
-                continue
-            self._run_sweep(*first)
+            self._worker.run()
 
-    def _lease_next(self, suite: str | None = None) -> tuple[str, Cell] | None:
-        """Lease one pending cell, of ``suite`` if given; ``None`` when
-        every such cell is leased.
-
-        The offer and the grant happen under the ingest lock, so a
-        granted cell is still pending: the ingest that retires a cell
-        completes its lease under the same lock.
-        """
+    def _settle(self, outcome: CellOutcome) -> bool:
+        """The local worker's sink: ingest a result, or record the failure
+        of a cell that raised, died with its pool process or could not
+        be stored.  Returns whether the cell was stored."""
+        error = outcome.error
+        if error is None:
+            try:
+                self.ingest(outcome.result.to_record())
+                return True
+            except Exception as ingest_error:  # noqa: BLE001 - a cell failure
+                error = repr(ingest_error)
+        cell = outcome.cell
         with self._lock:
-            offer = [
-                fingerprint
-                for fingerprint, (suite_name, _) in self._pending.items()
-                if suite is None or suite == suite_name
-            ]
-            granted = self.leases.grant(self._local_worker_id, offer, limit=1)
-            if not granted["granted"]:
-                return None
-            return self._pending[granted["granted"][0]]
-
-    def _run_sweep(self, suite_name: str, first: Cell) -> None:
-        """Run leased cells of one suite on the pool.
-
-        The pool pulls the next cell as each outcome arrives, and each
-        pull leases one more pending cell of the suite, so every pool
-        process stays busy until nothing is left to lease — cells
-        submitted meanwhile join the running sweep.  Each result goes
-        through :meth:`ingest`; a cell that raised, died with its pool
-        process or could not be stored is failed.  Should the pool
-        itself break (a failed fork, say), every leased cell without an
-        outcome is failed too, and the loop goes on.
-        """
-        running = {first.fingerprint: first}
-
-        def lease_next() -> Cell | None:
-            leased = self._lease_next(suite_name)
-            if leased is None:
-                return None
-            cell = leased[1]
-            running[cell.fingerprint] = cell
-            return cell
-
-        cells = itertools.chain([first], iter(lease_next, None))
-        try:
-            with closing(self.pool.submit_sweep(suite_name, cells)) as outcomes:
-                for outcome in outcomes:
-                    running.pop(outcome.cell.fingerprint, None)
-                    error = outcome.error
-                    if error is None:
-                        try:
-                            self.ingest(outcome.result.to_record())
-                        except Exception as ingest_error:  # noqa: BLE001 - a cell failure
-                            error = repr(ingest_error)
-                    if error is not None:
-                        self._fail(outcome.cell, error)
-        except Exception as pool_error:  # noqa: BLE001 - fails the leased cells
-            for cell in list(running.values()):
-                self._fail(cell, repr(pool_error))
-
-    def _fail(self, cell: Cell, error: str) -> None:
-        """Record a failed local cell and hand its lease back."""
-        with self._lock:
-            if self._pending.pop(cell.fingerprint, None) is None:
-                return  # another stream's record retired it meanwhile
-            self._failures[cell.fingerprint] = {
-                "scenario": cell.scenario,
-                "n": cell.n,
-                "seed": cell.seed,
-                "error": error,
-            }
-        # An empty offer: lease nothing, release this one.
-        self.leases.grant(self._local_worker_id, [], release=[cell.fingerprint])
-
-    def _heartbeat_loop(self) -> None:
-        """Renew the local worker's leases while its cells run, as a
-        fleet worker's heartbeat thread does, so a cell may outlive the
-        lease TTL."""
-        while not self._heartbeat_stop.wait(self.leases.heartbeat_interval_s):
-            self.leases.heartbeat(self._local_worker_id)
+            # Not pending: another stream's record retired it meanwhile.
+            if self._pending.pop(cell.fingerprint, None) is not None:
+                self._failures[cell.fingerprint] = {
+                    "scenario": cell.scenario,
+                    "n": cell.n,
+                    "seed": cell.seed,
+                    "error": error,
+                }
+        return False
 
     # ------------------------------------------------------------------
     # protocol handling
     # ------------------------------------------------------------------
     def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
-        if op == "ping":
-            return ok_response(**self._counters())
         if op == "submit":
             return self._handle_submit(request)
         if op == "status":
@@ -692,22 +621,9 @@ class ResultCollector:
             self.stop()
             return ok_response(stopping=True)
         return error_response(
-            f"unknown op {op!r} (expected ping/submit/status/push/report/"
+            f"unknown op {op!r} (expected submit/status/push/report/"
             f"metrics/register/heartbeat/lease/fleet_status/shutdown)"
         )
-
-    def _counters(self) -> dict[str, Any]:
-        return {
-            "records": len(self._latest),
-            "accepted": self.accepted,
-            "duplicates": self.duplicates,
-            "dropped": self.dropped,
-            "conflicts": self.conflicts,
-            "malformed_store_records": self.malformed_store_records,
-            "pending": len(self._pending),
-            "workers": self.pool.workers if self.pool is not None else 0,
-            "store": str(self.store.path),
-        }
 
     def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:
         if self.pool is None:
@@ -778,9 +694,17 @@ class ResultCollector:
         fingerprints = request.get("fingerprints")
         if fingerprints is None:
             return ok_response(
+                records=len(self._latest),
+                accepted=self.accepted,
+                duplicates=self.duplicates,
+                dropped=self.dropped,
+                conflicts=self.conflicts,
+                malformed_store_records=self.malformed_store_records,
+                pending=len(self._pending),
+                workers=self.pool.workers if self.pool is not None else 0,
+                store=str(self.store.path),
                 uptime_s=self._uptime_s(),
                 records_per_s=self._records_per_s(),
-                **self._counters(),
             )
         if not isinstance(fingerprints, list) or not all(
             isinstance(item, str) for item in fingerprints
@@ -821,12 +745,7 @@ class ResultCollector:
         worker_id = request.get("worker_id")
         if not isinstance(worker_id, str) or not worker_id:
             return error_response("heartbeat requires a 'worker_id' string")
-        beat = self.leases.heartbeat(worker_id)
-        if beat is None:
-            # Not an error: a restarted collector has an empty worker
-            # table, and the cure (re-register) belongs to the worker.
-            return ok_response(known=False)
-        return ok_response(known=True, **beat)
+        return ok_response(**self.leases.heartbeat(worker_id))
 
     def _handle_lease(self, request: dict[str, Any]) -> dict[str, Any]:
         worker_id = request.get("worker_id")
@@ -840,7 +759,7 @@ class ResultCollector:
                 "lease requires a 'fingerprints' list of cell fingerprint "
                 "strings (the worker's offered universe)"
             )
-        limit = request.get("limit", DEFAULT_LEASE_BATCH)
+        limit = request.get("limit", 1)
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             return error_response(
                 f"lease: 'limit' must be a positive integer, got {limit!r}"
@@ -852,12 +771,9 @@ class ResultCollector:
             return error_response(
                 "lease: 'release' must be a list of fingerprint strings"
             )
-        grant = self.leases.grant(
+        return ok_response(**self.leases.grant(
             worker_id, fingerprints, limit=limit, release=release
-        )
-        if grant is None:
-            return ok_response(known=False, granted=[], done=False)
-        return ok_response(known=True, **grant)
+        ))
 
     def _handle_push(self, request: dict[str, Any]) -> dict[str, Any]:
         records = request.get("records")

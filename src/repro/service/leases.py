@@ -3,7 +3,7 @@
 Static ``--shard i/k`` partitioning assumes ``k`` healthy, equal
 machines for the whole sweep — one lost worker strands its shard until
 a human reruns it.  The lease model drops that assumption: workers
-*register* with the server, *pull* batches of pending cells under
+*register* with the server, *lease* pending cells one at a time under
 short-lived leases, renew them from a background heartbeat thread, and
 stream each completed cell back through the ordinary ``push`` verb
 (push doubles as lease completion).  A lease whose worker stops
@@ -22,19 +22,16 @@ Two halves live here:
     own.  Every lease event is reported through an optional callback,
     which is how the server turns scheduling into
     ``fleet_leases_total{fate}`` metrics without this module importing
-    any observability code.  The server's own local worker (``serve
-    --workers N``) holds leases in the same table, so submitted cells
-    and fleet workers share one schedule.
+    any observability code.
 
-:class:`FleetWorker`
-    The worker-side loop behind ``run <suite> --fleet host:port``: it
-    offers the suite's fingerprint universe, runs the granted cells on a
-    warm :class:`~repro.experiments.runner.WorkerPool`, one cell per task,
-    appends each result to its local store and pushes it via
-    :class:`~repro.service.client.CollectorSink`.  A replacement worker
+:class:`LeaseLoop`
+    The one worker-side loop, run by the server's local worker (``serve
+    --workers N``) against its own verb table and by
+    :class:`FleetWorker` (``run <suite> --fleet host:port``) over a
+    :class:`~repro.service.client.ServiceClient`, so submitted cells and
+    fleet workers share one schedule.  A replacement fleet worker
     "resumes" a dead machine's sweep with no JSONL copying at all: the
-    server already knows the completed fingerprints and simply never
-    grants them again.
+    server never grants a completed fingerprint again.
 
 Lease lifecycle fates (the ``fate`` label of ``fleet_leases_total``):
 
@@ -57,29 +54,32 @@ Lease lifecycle fates (the ``fate`` label of ``fleet_leases_total``):
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket as socket_module
 import threading
 import time
+from contextlib import AbstractContextManager, closing, nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.experiments.runner import (
     CellFailure,
+    CellOutcome,
     SweepReport,
     WorkerPool,
     make_recorder,
 )
-from repro.experiments.spec import Suite
+from repro.experiments.spec import Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
-from repro.service.client import CollectorSink, ServiceClient
+from repro.service.client import CollectorSink, ServiceClient, ServiceError
 
 __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "DEFAULT_LEASE_BATCH",
     "LEASE_FATES",
     "FleetWorker",
     "Lease",
+    "LeaseLoop",
     "LeaseTable",
     "WorkerEntry",
 ]
@@ -92,9 +92,6 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: Lease TTL as a multiple of the heartbeat interval: a worker must miss
 #: two consecutive heartbeats before its leases are up for reassignment.
 DEFAULT_TTL_HEARTBEATS = 2.0
-
-#: Fingerprints per lease grant.
-DEFAULT_LEASE_BATCH = 8
 
 #: Every fate the event callback can report (metrics label values).
 LEASE_FATES = (
@@ -133,7 +130,6 @@ class Lease:
     worker_id: str
     granted_at: float  # monotonic
     deadline: float  # monotonic
-    renewals: int = 0
 
     def age_s(self, now: float) -> float:
         return max(0.0, now - self.granted_at)
@@ -227,38 +223,37 @@ class LeaseTable:
                 "lease_ttl_s": self.lease_ttl_s,
             }
 
-    def heartbeat(self, worker_id: str) -> dict[str, Any] | None:
+    def heartbeat(self, worker_id: str) -> dict[str, Any]:
         """Mark the worker live and renew all its leases.
 
-        Returns ``None`` for an unknown worker — the collector answers
-        ``known: false`` and the worker re-registers, which is how a
-        fleet survives a collector restart (the lease table is in-memory
-        state; the *results* are durable in the store).
+        Answers ``known: false`` for an unknown worker, not an error: the
+        worker re-registers, which is how a fleet survives a collector
+        restart (the lease table is in-memory state; the *results* are
+        durable in the store).
         """
         now = self._clock()
         with self._lock:
             self._expire(now)
             worker = self._workers.get(worker_id)
             if worker is None:
-                return None
+                return {"known": False}
             worker.last_seen = now
             worker.heartbeats += 1
             renewed = 0
             for lease in self._leases.values():
                 if lease.worker_id == worker_id:
                     lease.deadline = now + self.lease_ttl_s
-                    lease.renewals += 1
                     renewed += 1
                     self._event("renewed")
-            return {"leases": renewed}
+            return {"known": True, "leases": renewed}
 
     def grant(
         self,
         worker_id: str,
         offered: Sequence[str],
-        limit: int = DEFAULT_LEASE_BATCH,
+        limit: int = 1,
         release: Sequence[str] = (),
-    ) -> dict[str, Any] | None:
+    ) -> dict[str, Any]:
         """Lease up to ``limit`` pending fingerprints from ``offered``.
 
         ``offered`` is the worker's whole fingerprint universe (its view
@@ -266,11 +261,11 @@ class LeaseTable:
         actively leased, and a fingerprint offered twice is leased once,
         at its first place in the offer.  ``release`` hands back
         fingerprints the worker will not finish (failed cells) so
-        another worker may try them.
-        Returns ``None`` for an unknown worker.  The reply's ``done``
-        flag is true only when every offered fingerprint is completed —
-        an empty grant with ``done`` false means other workers hold the
-        remainder, so the caller should poll again, not exit.
+        another worker may try them.  Answers ``known: false`` for an
+        unknown worker.  The reply's ``done`` flag is true only when
+        every offered fingerprint is completed — an empty grant with
+        ``done`` false means other workers hold the remainder, so the
+        caller should poll again, not exit.
         """
         offered = list(dict.fromkeys(offered))
         now = self._clock()
@@ -278,7 +273,7 @@ class LeaseTable:
             self._expire(now)
             worker = self._workers.get(worker_id)
             if worker is None:
-                return None
+                return {"known": False, "granted": [], "done": False}
             worker.last_seen = now
             for fingerprint in release:
                 lease = self._leases.get(fingerprint)
@@ -308,6 +303,7 @@ class LeaseTable:
                 1 for fingerprint in offered if fingerprint in self._leases
             )
             return {
+                "known": True,
                 "granted": granted,
                 "pending": len(pending) - len(granted),
                 "outstanding": outstanding - len(granted),
@@ -404,6 +400,164 @@ class LeaseTable:
             }
 
 
+class LeaseLoop:
+    """Register once, heartbeat from one thread, lease one cell each
+    time the warm :class:`WorkerPool` pulls one, and hand each outcome to
+    a sink.
+
+    ``request(payload)`` answers the ``register``, ``heartbeat`` and
+    ``lease`` verbs: a :class:`ServiceClient`'s for a fleet worker, the
+    server's own verb table for its local worker.  ``offer()`` maps each
+    fingerprint the worker would run to its ``(suite name, cell)``, read
+    under ``lock`` together with the lease request (the server passes its
+    ingest lock, so a granted cell is still pending).  ``sink(outcome)``
+    returns false for a failed cell, whose lease is released at once; an
+    exception from it ends the loop.  The heartbeat renews the worker's
+    leases every ``heartbeat_interval_s``, the cadence the server hands
+    out at registration, so a cell may outlive the lease TTL.
+    """
+
+    def __init__(
+        self,
+        request: Callable[[dict[str, Any]], dict[str, Any]],
+        pool: WorkerPool,
+        name: str,
+        offer: Callable[[], Mapping[str, tuple[str, Cell]]],
+        sink: Callable[[CellOutcome], bool],
+        lock: AbstractContextManager = nullcontext(),
+    ) -> None:
+        self.request = request
+        self.pool = pool
+        self.name = name
+        self.offer = offer
+        self.sink = sink
+        self._lock = lock
+        self.worker_id: str | None = None
+        self.heartbeat_interval_s = DEFAULT_HEARTBEAT_INTERVAL_S
+        self._stop = threading.Event()
+        self._heartbeat: threading.Thread | None = None
+
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Register, then heartbeat from one thread until :meth:`stop`."""
+        self._register()
+        self._heartbeat = threading.Thread(
+            target=self._heartbeat_loop,
+            name=f"lease-heartbeat-{self.name}",
+            daemon=True,
+        )
+        self._heartbeat.start()
+
+    def stop(self) -> None:
+        """Stop heartbeating; the worker's leases then lapse with the TTL."""
+        self._stop.set()
+        if self._heartbeat is not None:
+            self._heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
+            self._heartbeat = None
+
+    def _register(self) -> None:
+        reply = self.request({"op": "register", "worker": self.name})
+        self.worker_id = reply["worker_id"]
+        self.heartbeat_interval_s = float(reply["heartbeat_interval_s"])
+
+    def _heartbeat_loop(self) -> None:
+        """Renew leases until stopped; re-register if forgotten.  A failed
+        beat is swallowed: the lease loop surfaces a real outage on its
+        next request, and one missed beat inside the TTL costs nothing."""
+        while not self._stop.wait(self.heartbeat_interval_s):
+            try:
+                beat = self.request(
+                    {"op": "heartbeat", "worker_id": self.worker_id}
+                )
+                if not beat["known"]:
+                    self._register()
+            except Exception:  # noqa: BLE001 - transient by design
+                continue
+
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        """Lease, run and settle cells until every offered cell is complete."""
+        while True:
+            leased, done = self._lease()
+            if leased is not None:
+                with closing(self._sweep(*leased)) as outcomes:
+                    for outcome in outcomes:
+                        if not self.sink(outcome):
+                            self._release(outcome.cell.fingerprint)
+            elif done:
+                return
+            else:
+                # Other workers hold what is left: ask again in half a
+                # beat, well inside the 2x-heartbeat TTL, so a holder
+                # that dies has its expired leases granted here.
+                self._stop.wait(self.heartbeat_interval_s / 2)
+
+    def _lease(
+        self, suite_name: str | None = None
+    ) -> tuple[tuple[str, Cell] | None, bool]:
+        """Lease one offered cell, of ``suite_name`` if given: the granted
+        ``(suite name, cell)`` or ``None``, and whether every offered
+        cell is complete."""
+        with self._lock:
+            offered = self.offer()
+            reply = self.request({
+                "op": "lease",
+                "worker_id": self.worker_id,
+                "fingerprints": [
+                    fingerprint
+                    for fingerprint, (suite, _) in offered.items()
+                    if suite_name is None or suite == suite_name
+                ],
+            })
+            leased = next(
+                (offered[f] for f in reply["granted"] if f in offered), None
+            )
+        if not reply["known"]:
+            # The server restarted and forgot this worker: register again
+            # and ask next time — completed work is durable in its store.
+            self._register()
+        return leased, reply["done"]
+
+    def _release(self, fingerprint: str) -> None:
+        # An empty offer: lease nothing, hand this one back.
+        self.request({
+            "op": "lease", "worker_id": self.worker_id,
+            "fingerprints": [], "release": [fingerprint],
+        })
+
+    def _sweep(self, suite_name: str, first: Cell) -> Iterator[CellOutcome]:
+        """Run leased cells of one suite on the pool, streaming outcomes.
+
+        The pool pulls the next cell as each outcome arrives, and each
+        pull leases one more offered cell of the suite, so every pool
+        process stays busy until nothing of the suite is leasable.
+        Should the pool itself break (a failed fork, say), every leased
+        cell still without an outcome fails with the error.  A failed
+        lease request is no cell's failure: it propagates.
+        """
+        running = {first.fingerprint: first}
+
+        def pull() -> Cell | None:
+            leased, _ = self._lease(suite_name)
+            if leased is None:
+                return None
+            cell = leased[1]
+            running[cell.fingerprint] = cell
+            return cell
+
+        cells = itertools.chain([first], iter(pull, None))
+        try:
+            with closing(self.pool.submit_sweep(suite_name, cells)) as outcomes:
+                for outcome in outcomes:
+                    running.pop(outcome.cell.fingerprint, None)
+                    yield outcome
+        except ServiceError:
+            raise
+        except Exception as error:  # noqa: BLE001 - fails the leased cells
+            for cell in list(running.values()):
+                yield CellOutcome(cell=cell, result=None, error=repr(error))
+
+
 def _default_worker_name() -> str:
     return f"{socket_module.gethostname()}-{os.getpid()}"
 
@@ -411,17 +565,13 @@ def _default_worker_name() -> str:
 class FleetWorker:
     """Pull-based sweep worker for ``run <suite> --fleet host:port``.
 
-    Instead of computing a static shard, the worker registers with the
-    collector, then loops: lease a batch of pending fingerprints, run
-    the cells on a warm :class:`WorkerPool` (``jobs`` of them at once),
-    append each result to the local store and push it (push retires the
-    lease).  A background heartbeat thread renews the worker's leases every
-    ``heartbeat_interval_s`` (the cadence the collector hands out at
-    registration), so a cell may run far longer than the lease TTL
-    without losing its lease.  Failed cells are *released* back to the
-    fleet and excluded from this worker's future offers — another
-    machine may still try them, and local resume retries them next
-    sweep, exactly like the static path.
+    Instead of computing a static shard, the worker runs the
+    :class:`LeaseLoop` against the server, offering the suite's cells,
+    on a warm :class:`WorkerPool` of ``jobs`` processes.  It appends each
+    result to the local store and pushes it (push retires the lease).
+    Failed cells are *released* back to the fleet and left out of this
+    worker's later offers — another machine may still try them, and
+    local resume retries them next sweep, exactly like the static path.
 
     A push failure aborts the run: the server is the control plane, and
     a worker that cannot push cannot complete leases either.  The local
@@ -439,14 +589,11 @@ class FleetWorker:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        lease_batch: int = DEFAULT_LEASE_BATCH,
         name: str | None = None,
         progress: Callable[[CellResult], None] | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
-        if lease_batch < 1:
-            raise ValueError(f"lease batch must be at least 1, got {lease_batch}")
         self.suite = suite
         self.store = store
         self.fleet = fleet
@@ -455,50 +602,16 @@ class FleetWorker:
         self.smoke = smoke
         self.sizes = sizes
         self.seeds = seeds
-        self.lease_batch = lease_batch
         self.name = name if name else _default_worker_name()
         self.progress = progress
-        self.worker_id: str | None = None
-        self.heartbeat_interval_s = DEFAULT_HEARTBEAT_INTERVAL_S
         self.pushed = 0
-        self._stop = threading.Event()
 
-    # ------------------------------------------------------------------
-    def _register(self, client: ServiceClient) -> None:
-        reply = client.register(self.name)
-        self.worker_id = reply["worker_id"]
-        self.heartbeat_interval_s = float(reply["heartbeat_interval_s"])
-
-    def _heartbeat_loop(self, client: ServiceClient) -> None:
-        """Renew leases until told to stop; re-register if forgotten.
-
-        Transient heartbeat failures are swallowed — the lease loop
-        surfaces a real collector outage on its next request, and one
-        missed beat inside the TTL costs nothing.
-        """
-        while not self._stop.wait(self.heartbeat_interval_s):
-            try:
-                reply = client.heartbeat(self.worker_id)
-                if not reply.get("known", True):
-                    self._register(client)
-            except Exception:  # noqa: BLE001 - transient by design
-                continue
-
-    @property
-    def poll_interval_s(self) -> float:
-        """How long to idle between empty grants: half a heartbeat, so
-        a reassignable (expired) lease is picked up well inside the
-        2×-heartbeat recovery budget."""
-        return max(0.05, self.heartbeat_interval_s / 2)
-
-    # ------------------------------------------------------------------
     def run(self) -> SweepReport:
         """Lease, execute and stream until the suite is fleet-complete."""
         start = time.perf_counter()
         cells = self.suite.cells(
             smoke=self.smoke, sizes=self.sizes, seeds=self.seeds
         )
-        by_fingerprint = {cell.fingerprint: cell for cell in cells}
         report = SweepReport(
             suite=self.suite.name,
             total_cells=len(cells),
@@ -519,67 +632,36 @@ class FleetWorker:
                 self.progress(result)
 
         record = make_recorder(self.store, report, push)
-        heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(client,),
-            name=f"fleet-heartbeat-{self.name}",
-            daemon=True,
-        )
         failed: set[str] = set()
-        release: list[str] = []
+
+        def settle(outcome: CellOutcome) -> bool:
+            if outcome.ok:
+                record(outcome.result)
+                return True
+            report.failures.append(CellFailure(outcome.cell, outcome.error))
+            failed.add(outcome.cell.fingerprint)
+            return False
+
         pool = WorkerPool(workers=self.jobs)
+        loop = LeaseLoop(
+            client.request, pool, self.name,
+            offer=lambda: {
+                cell.fingerprint: (self.suite.name, cell)
+                for cell in cells
+                if cell.fingerprint not in failed
+            },
+            sink=settle,
+        )
         # Fork the workers before any thread or socket exists: the
         # children must not inherit a mid-flight connection or a lock
         # the heartbeat thread holds.
         pool.start()
         try:
             # Inside the try: an unreachable server must not leak the pool.
-            self._register(client)
-            heartbeat.start()
-            while True:
-                offers = [
-                    fingerprint
-                    for fingerprint in by_fingerprint
-                    if fingerprint not in failed
-                ]
-                reply = client.lease(
-                    self.worker_id, offers,
-                    limit=self.lease_batch, release=release,
-                )
-                release = []
-                if not reply.get("known", True):
-                    # The collector restarted and forgot us; re-register
-                    # and retry — completed work is durable in its store.
-                    self._register(client)
-                    continue
-                granted = [
-                    fingerprint
-                    for fingerprint in reply.get("granted", [])
-                    if fingerprint in by_fingerprint
-                ]
-                if granted:
-                    batch = [by_fingerprint[f] for f in granted]
-                    for outcome in pool.submit_sweep(self.suite.name, batch):
-                        if outcome.ok:
-                            record(outcome.result)
-                            continue
-                        report.failures.append(
-                            CellFailure(outcome.cell, outcome.error)
-                        )
-                        failed.add(outcome.cell.fingerprint)
-                        release.append(outcome.cell.fingerprint)
-                    continue
-                if reply.get("done"):
-                    break
-                # Nothing pending for us right now, but other workers
-                # hold leases (or everything left is failed-everywhere):
-                # wait half a beat and ask again — if a holder dies, its
-                # expired leases land here.
-                self._stop.wait(self.poll_interval_s)
+            loop.start()
+            loop.run()
         finally:
-            self._stop.set()
-            if heartbeat.is_alive():
-                heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
+            loop.stop()
             sink.close()
             pool.shutdown()
         report.skipped = (

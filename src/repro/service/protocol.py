@@ -406,8 +406,15 @@ class LineServer:
 
         In-flight connection threads are daemonic and finish (or die with
         the process) on their own; only the listeners are torn down here.
+        Shutting a listener down wakes its blocked ``accept`` at once; the
+        accept timeout is the fallback where shutdown does not.
         """
         self._stop.set()
+        for listener, _ in self._listeners:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         for thread in self._accept_threads:
             thread.join(timeout=10)
         self._accept_threads.clear()
@@ -426,7 +433,7 @@ class LineServer:
                 connection, _ = listener.accept()
             except socket.timeout:
                 continue
-            except OSError:  # pragma: no cover - listener closed under us
+            except OSError:  # the listener was shut down by close()
                 break
             threading.Thread(
                 target=self._serve_connection,

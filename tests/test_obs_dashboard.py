@@ -179,6 +179,31 @@ class TestBurnCheckScript:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "store_records=3" in proc.stdout
 
+    def test_store_truncated_tail_is_not_a_record(self, tmp_path):
+        """A crash mid-append leaves a truncated final line, which the
+        server's startup replay skips: a restart on it burns nothing."""
+        registry = MetricsRegistry()
+        registry.counter("collector_records_ingested_total", "x")
+        registry.gauge("collector_store_records_at_start", "x").set(3)
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(registry.render(), encoding="utf-8")
+        store = tmp_path / "results.jsonl"
+        store.write_text(
+            '{"a":1}\n{"a":2}\n{"a":3}\n{"fingerprint": "ab', encoding="utf-8"
+        )
+        proc = self.run_check(scrape, "--store", store)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "counter=0 store_records=3 at_start=3" in proc.stdout
+
+    def test_store_corrupt_before_its_tail_is_exit_2(self, tmp_path):
+        scrape = tmp_path / "metrics.prom"
+        scrape.write_text(clean_scrape(), encoding="utf-8")
+        store = tmp_path / "results.jsonl"
+        store.write_text('{"a":1}\nnot json\n{"a":3}\n', encoding="utf-8")
+        proc = self.run_check(scrape, "--store", store)
+        assert proc.returncode == 2
+        assert "cannot read store" in proc.stderr and "line 2" in proc.stderr
+
     def test_records_at_start_do_not_excuse_a_lost_record(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("collector_records_ingested_total", "x").inc(1)
@@ -331,6 +356,18 @@ class TestMetricsAndDashboardCLI:
         ])
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_dashboard_unparseable_scrape_is_exit_2(self, tmp_path, capsys):
+        scrape = tmp_path / "bad.prom"
+        scrape.write_text("not a metric line\n", encoding="utf-8")
+        html_path = tmp_path / "dash.html"
+        code = main([
+            "dashboard", "--no-report", "--metrics", str(scrape),
+            "--html", str(html_path),
+        ])
+        assert code == 2
+        assert "bad.prom: unparseable" in capsys.readouterr().err
+        assert not html_path.exists()
 
     def test_dashboard_with_nothing_to_render_is_exit_2(self, tmp_path, capsys):
         code = main([
@@ -609,6 +646,21 @@ class TestDiffCLI:
         ])
         assert code == 2
         assert "gone.prom" in capsys.readouterr().err
+        assert not html_path.exists()
+
+    def test_metrics_diff_unparseable_scrape_is_exit_2(self, tmp_path, capsys):
+        """Exit 1 means "regressions found": a scrape that does not parse
+        is bad input, exit 2, not a traceback."""
+        a = tmp_path / "a.prom"
+        a.write_text(clean_scrape(), encoding="utf-8")
+        bad = tmp_path / "bad.prom"
+        bad.write_text("not a metric line\n", encoding="utf-8")
+        html_path = tmp_path / "mdiff.html"
+        code = main([
+            "dashboard", "--diff", str(a), str(bad), "--html", str(html_path),
+        ])
+        assert code == 2
+        assert "bad.prom: unparseable" in capsys.readouterr().err
         assert not html_path.exists()
 
     def test_diff_modes_conflict(self, tmp_path, capsys):

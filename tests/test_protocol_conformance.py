@@ -533,7 +533,7 @@ class TestMetricsVerb:
         sock = open_connection(endpoint)
         try:
             with sock.makefile("rb") as reader:
-                sock.sendall(framed({"op": "ping"}, endpoint))
+                sock.sendall(framed({"op": "status"}, endpoint))
                 assert recv_message(reader)["ok"] is True
                 sock.sendall(framed({"op": "metrics"}, endpoint))
                 response = recv_message(reader)
@@ -546,10 +546,11 @@ class TestMetricsVerb:
         samples = parse_exposition(text)
         assert "# HELP service_requests_total " in text
         assert "# TYPE service_request_seconds histogram" in text
-        # The ping we just made is counted under its own verb label.
+        # The status request we just made is counted under its own verb
+        # label.
         assert any(
             sample.name == "service_requests_total"
-            and sample.label("verb") == "ping"
+            and sample.label("verb") == "status"
             and sample.label("outcome") == "ok"
             and sample.value >= 1
             for sample in samples

@@ -99,7 +99,7 @@ class TestServeSubmitCli:
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             try:
-                client.ping()
+                client.status()
                 return server, client
             except Exception:
                 time.sleep(0.05)
@@ -134,7 +134,7 @@ class TestServeSubmitCli:
             "--socket", sock_path, "--workers", "0",
             "--out", str(tmp_path / "store"),
         ])
-        assert client.ping()["workers"] == 0
+        assert client.status()["workers"] == 0
         assert main(["submit", "paper-claims", "--socket", sock_path]) == 2
         assert "run <suite> --fleet" in capsys.readouterr().err
         assert main([
@@ -211,17 +211,30 @@ class TestFleetCli:
         ["collect"],
         ["collect", "--listen", "0.0.0.0:7919", "--out", "central"],
     ])
-    def test_collect_names_its_replacement(self, argv, capsys):
-        assert main(argv) == 2
-        assert "`collect` is now `serve --workers 0`" in capsys.readouterr().err
+    def test_collect_is_an_unknown_command(self, argv, capsys):
+        """`serve --workers 0` is the fleet's collector; `collect` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'collect'" in capsys.readouterr().err
 
     def test_unknown_flags_still_rejected_by_argparse(self, capsys):
-        """`main` parses known arguments first so that `collect` can name
-        its replacement; every other command still rejects extras."""
+        """A flag no command knows is an argparse usage error."""
         with pytest.raises(SystemExit) as excinfo:
             main(["submit", "paper-claims", "--out", "store"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --out store" in capsys.readouterr().err
+
+    def test_lease_batch_flag_is_gone(self, capsys):
+        """A fleet worker leases one cell each time its pool pulls one;
+        no flag sizes a lease."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "paper-claims", "--smoke", "--fleet", "127.0.0.1:7919",
+                "--lease-batch", "4",
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --lease-batch 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["run", "paper-claims", "--smoke"],

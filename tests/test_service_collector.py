@@ -63,8 +63,8 @@ def collector_client(collector, **kwargs):
 
 
 class TestCollectorVerbs:
-    def test_ping_reports_counters(self, collector):
-        response = collector_client(collector).ping()
+    def test_status_reports_counters(self, collector):
+        response = collector_client(collector).status()
         assert response["workers"] == 0
         assert response["records"] == 0
         assert response["store"] == str(collector.store.path)
@@ -127,7 +127,7 @@ class TestCollectorVerbs:
         client = collector_client(collector)
         client.token = None
         with pytest.raises(ServiceError, match="authentication failed"):
-            client.ping()
+            client.status()
 
     def test_shutdown_verb_stops_collector(self, tmp_path):
         collector = ResultCollector(
@@ -377,7 +377,7 @@ class TestServerTcp:
         try:
             host, port = server.tcp_address
             client = ServiceClient(f"{host}:{port}", token=TOKEN)
-            assert client.ping()["workers"] == 2
+            assert client.status()["workers"] == 2
             queued = client.submit("paper-claims", smoke=True)["fingerprints"]
             status = client.wait(queued, timeout=120)
             assert status["completed"] == len(queued) and status["unverified"] == 0
@@ -394,9 +394,9 @@ class TestServerTcp:
         try:
             host, port = server.tcp_address
             with pytest.raises(ServiceError, match="authentication failed"):
-                ServiceClient(f"{host}:{port}", token="wrong").ping()
+                ServiceClient(f"{host}:{port}", token="wrong").status()
             # the Unix socket keeps working without any token
-            assert ServiceClient(server.socket_path).ping()["ok"] is True
+            assert ServiceClient(server.socket_path).status()["ok"] is True
         finally:
             server.close()
 
@@ -449,7 +449,7 @@ class TestClientConnectRetry:
         with pytest.raises(ServiceError, match="cannot reach"):
             ServiceClient(
                 f"127.0.0.1:{port}", token=TOKEN, connect_retry_s=0
-            ).ping()
+            ).status()
 
         server = LineServer(lambda r: ok_response(up=True), token=TOKEN)
 
@@ -462,7 +462,7 @@ class TestClientConnectRetry:
         begun = time.monotonic()
         starter.start()
         try:
-            assert client.ping()["up"] is True
+            assert client.status()["up"] is True
             assert time.monotonic() - begun >= 0.3  # it genuinely waited
         finally:
             starter.join(timeout=10)
@@ -476,7 +476,7 @@ class TestClientConnectRetry:
         leftover.bind(str(path))
         leftover.close()
         with pytest.raises(ServiceError, match="cannot reach"):
-            ServiceClient(path, connect_retry_s=0).ping()
+            ServiceClient(path, connect_retry_s=0).status()
 
         server = LineServer(lambda r: ok_response(up=True))
 
@@ -488,7 +488,7 @@ class TestClientConnectRetry:
         starter = threading.Thread(target=start_late, daemon=True)
         starter.start()
         try:
-            assert ServiceClient(path, connect_retry_s=10).ping()["up"] is True
+            assert ServiceClient(path, connect_retry_s=10).status()["up"] is True
         finally:
             starter.join(timeout=10)
             server.close()
@@ -507,7 +507,7 @@ class TestClientConnectRetry:
         starter = threading.Thread(target=start_late, daemon=True)
         starter.start()
         try:
-            assert ServiceClient(path, connect_retry_s=10).ping()["up"] is True
+            assert ServiceClient(path, connect_retry_s=10).status()["up"] is True
         finally:
             starter.join(timeout=10)
             server.close()
@@ -515,7 +515,7 @@ class TestClientConnectRetry:
     def test_exhausted_budget_raises_service_error_with_hint(self, tmp_path):
         began = time.monotonic()
         with pytest.raises(ServiceError, match="cannot reach"):
-            ServiceClient(tmp_path / "ghost.sock", connect_retry_s=0.3).ping()
+            ServiceClient(tmp_path / "ghost.sock", connect_retry_s=0.3).status()
         elapsed = time.monotonic() - began
         assert 0.2 <= elapsed < 5
 

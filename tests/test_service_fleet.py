@@ -142,17 +142,19 @@ class TestLeaseTable:
         assert table.counts["granted"] == 2
         assert table.active_leases() == 2
 
-    def test_unknown_worker_gets_none(self):
+    def test_unknown_worker_is_known_false(self):
         table, _ = make_table()
-        assert table.heartbeat("worker-99") is None
-        assert table.grant("worker-99", ["fp-0"]) is None
+        assert table.heartbeat("worker-99") == {"known": False}
+        assert table.grant("worker-99", ["fp-0"]) == {
+            "known": False, "granted": [], "done": False,
+        }
 
     def test_heartbeat_renews_leases_past_original_deadline(self):
         table, clock = make_table(lease_ttl_s=2.0)
         alpha = table.register("alpha")["worker_id"]
         table.grant(alpha, ["fp-0"], limit=1)
         clock.advance(1.5)
-        assert table.heartbeat(alpha) == {"leases": 1}
+        assert table.heartbeat(alpha) == {"known": True, "leases": 1}
         clock.advance(1.5)  # 3.0s after grant, 1.5s after renewal
         assert table.active_leases() == 1
         assert table.counts["expired"] == 0
@@ -175,7 +177,7 @@ class TestLeaseTable:
         expired = [age for fate, age in events if fate == "expired"]
         assert expired == [2.5, 2.5]
         # the dead worker's late heartbeat finds nothing to renew
-        assert table.heartbeat(dead) == {"leases": 0}
+        assert table.heartbeat(dead) == {"known": True, "leases": 0}
 
     def test_release_hands_failed_cells_to_the_next_worker(self):
         table, _ = make_table()
@@ -285,7 +287,7 @@ class TestCollectorFleetVerbs:
         worker_id = reply["worker_id"]
         assert reply["heartbeat_interval_s"] == 0.2
         assert reply["lease_ttl_s"] == pytest.approx(0.4)
-        beat = client.heartbeat(worker_id)
+        beat = client.request({"op": "heartbeat", "worker_id": worker_id})
         assert beat["known"] is True and beat["leases"] == 0
         grant = client.lease(worker_id, ["fp-0", "fp-1"], limit=1)
         assert grant["known"] is True
@@ -304,7 +306,8 @@ class TestCollectorFleetVerbs:
 
     def test_unknown_worker_is_known_false_not_an_error(self, collector):
         client = collector_client(collector)
-        assert client.heartbeat("worker-404")["known"] is False
+        beat = client.request({"op": "heartbeat", "worker_id": "worker-404"})
+        assert beat["known"] is False
         grant = client.lease("worker-404", ["fp-0"])
         assert grant["known"] is False and grant["granted"] == []
 
@@ -461,7 +464,7 @@ class TestFleetWorkerEndToEnd:
     def test_single_worker_completes_the_suite(self, collector, tmp_path):
         store = ResultStore(tmp_path / "w1")
         worker, report = run_fleet_worker(
-            TINY, store, collector, jobs=2, lease_batch=2, name="w1"
+            TINY, store, collector, jobs=2, name="w1"
         )
         total = len(TINY.cells())
         assert report.ok
@@ -477,15 +480,39 @@ class TestFleetWorkerEndToEnd:
     def test_two_jobs_run_two_leased_cells_at_once(
         self, collector, tmp_path, monkeypatch
     ):
-        """One lease of two cells on two workers runs both at once: each
-        cell waits at a barrier for the other."""
+        """Two leased cells on two workers run at once: each cell waits
+        at a barrier for the other."""
         suite = meeting_suite(monkeypatch)
         worker, report = run_fleet_worker(
             suite, ResultStore(tmp_path / "meet"), collector,
-            jobs=2, lease_batch=2, name="meet",
+            jobs=2, name="meet",
         )
         assert report.ok and report.executed == 2
         assert worker.pushed == 2
+
+    def test_a_worker_leases_one_cell_per_pool_pull(
+        self, collector, tmp_path, monkeypatch
+    ):
+        """The pool keeps two cells per process in flight and may pull the
+        next before the finished one is pushed, so a one-process worker
+        never holds more than three leases, however many cells the suite
+        has left."""
+        held = []
+        grant = collector.leases.grant
+
+        def counting_grant(worker_id, offered, **kwargs):
+            reply = grant(worker_id, offered, **kwargs)
+            # Every cell is offered and this is the only worker, so the
+            # offered cells on lease are the ones it holds.
+            held.append(reply["outstanding"] + len(reply["granted"]))
+            return reply
+
+        monkeypatch.setattr(collector.leases, "grant", counting_grant)
+        worker, report = run_fleet_worker(
+            TINY, ResultStore(tmp_path / "lazy"), collector, jobs=1, name="lazy"
+        )
+        assert report.ok and report.executed == len(TINY.cells()) == 5
+        assert max(held) <= 3
 
     def test_a_failed_push_aborts_the_run(self, collector, tmp_path, monkeypatch):
         """A fleet push that fails stops the worker; the cell it could
@@ -517,7 +544,7 @@ class TestFleetWorkerEndToEnd:
 
         store = ResultStore(tmp_path / "survivor")
         worker, report = run_fleet_worker(
-            TINY, store, collector, jobs=2, lease_batch=2, name="survivor"
+            TINY, store, collector, jobs=2, name="survivor"
         )
         total = len(TINY.cells())
         assert report.ok and report.executed == total

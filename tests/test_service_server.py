@@ -109,8 +109,8 @@ def client(server):
 
 
 class TestSubmit:
-    def test_ping_reports_workers(self, client):
-        response = client.ping()
+    def test_status_reports_workers(self, client):
+        response = client.status()
         assert response["ok"] is True
         assert response["workers"] == 2
         assert response["pending"] == 0
@@ -231,7 +231,7 @@ class TestSubmit:
         assert status["completed"] == len(expected) and not status["failures"]
 
     def test_unknown_op_and_malformed_fingerprints(self, client):
-        for op in ("dance", "metrics_history"):
+        for op in ("dance", "metrics_history", "ping"):
             with pytest.raises(ServiceError, match="unknown op") as excinfo:
                 client.request({"op": op})
             assert "metrics/register" in str(excinfo.value)
@@ -286,7 +286,7 @@ class TestLocalWorker:
                 assert status["completed"] == 0
                 assert len(status["failures"]) == len(queued) == len(small.cells())
                 assert all("Error" in failure["error"] for failure in status["failures"])
-            assert client.ping()["records"] == 0
+            assert client.status()["records"] == 0
             assert server.leases.active_leases() == 0
             assert server.leases.counts["released"] == 2 * len(small.cells())
 
@@ -355,7 +355,7 @@ class TestLocalWorker:
         ) as server:
             worker = FleetWorker(
                 small, ResultStore(tmp_path / "remote"), str(server.socket_path),
-                jobs=1, lease_batch=1, name="remote",
+                jobs=1, name="remote",
             )
             reports = []
             thread = threading.Thread(target=lambda: reports.append(worker.run()))
@@ -475,7 +475,7 @@ class TestShutdown:
         server.close()
         assert not server.socket_path.exists()
         with pytest.raises(ServiceError, match="cannot reach"):
-            client.ping()
+            client.status()
 
     def test_status_still_served_while_draining(self, server, client):
         """After shutdown is requested, submitted cells still run and
@@ -496,7 +496,7 @@ class TestShutdown:
         mute.listen(1)
         try:
             with pytest.raises(ServiceError, match="mid-flight"):
-                ServiceClient(path, timeout=0.3).ping()
+                ServiceClient(path, timeout=0.3).status()
         finally:
             mute.close()
 
@@ -517,7 +517,7 @@ class TestShutdown:
         thread.start()
         try:
             with pytest.raises(ServiceError, match="mid-flight"):
-                ServiceClient(path, timeout=5).ping()
+                ServiceClient(path, timeout=5).status()
         finally:
             server.close()
             thread.join(timeout=5)
@@ -538,7 +538,7 @@ class TestShutdown:
         # never bound the socket, so it must not unlink it either.
         rival.close()
         assert server.socket_path.exists()
-        assert ServiceClient(server.socket_path).ping()["ok"] is True
+        assert ServiceClient(server.socket_path).status()["ok"] is True
 
     def test_stale_socket_file_is_reclaimed(self, tmp_path):
         path = tmp_path / "stale.sock"
@@ -549,7 +549,7 @@ class TestShutdown:
         server = ResultCollector(out=tmp_path / "store", socket_path=path, workers=1)
         server.start()
         try:
-            assert ServiceClient(path).ping()["ok"] is True
+            assert ServiceClient(path).status()["ok"] is True
         finally:
             server.close()
 
@@ -581,7 +581,7 @@ class TestSocketPathLimit:
         server = ResultCollector(out=tmp_path / "store", socket_path=path, workers=1)
         server.start()
         try:
-            assert ServiceClient(path).ping()["ok"] is True
+            assert ServiceClient(path).status()["ok"] is True
         finally:
             server.close()
 
@@ -620,7 +620,7 @@ class TestProtocol:
         try:
             with sock.makefile("rb") as reader:
                 for _ in range(3):
-                    sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
+                    sock.sendall(json.dumps({"op": "status"}).encode() + b"\n")
                     assert recv_message(reader)["ok"] is True
         finally:
             sock.close()
@@ -660,26 +660,26 @@ class TestObservability:
         assert submits and sum_samples(submits, "service_requests_total") == 1
         assert sum_samples(samples, "service_request_seconds_count") > 0
 
-    def test_ping_does_not_inflate_latency_histograms(self, client):
-        """ping stays cheap: it is counted, and nothing about the metrics
-        path mutates server state."""
+    def test_requests_are_counted_under_their_verb(self, client):
+        """Each request is counted once under its own verb label, and
+        nothing about the metrics path mutates server state."""
         from repro.obs import parse_exposition
         from repro.obs.metrics import samples_named
 
-        client.ping()
-        client.ping()
+        client.status()
+        client.status()
         samples = parse_exposition(client.metrics())
-        pings = [
+        counted = [
             sample.value
             for sample in samples_named(samples, "service_requests_total")
-            if sample.label("verb") == "ping" and sample.label("outcome") == "ok"
+            if sample.label("verb") == "status" and sample.label("outcome") == "ok"
         ]
-        assert pings == [2]
+        assert counted == [2]
 
     def test_a_started_server_runs_no_scrape_thread(self, client):
         """Metrics are read one scrape at a time: nothing snapshots the
         registry in the background."""
-        client.ping()
+        client.status()
         names = {thread.name for thread in threading.enumerate()}
         assert "local-worker" in names
         assert "scrape-history" not in names
