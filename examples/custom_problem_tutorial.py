@@ -2,7 +2,7 @@
 
 The transformation is generic: anything you can phrase in the
 node-edge-checkability formalism (Definition 6) and equip with a truly
-local algorithm plus a sequential list solver can be pushed through
+local algorithm plus its P1/P2 rule can be pushed through
 Theorem 12 or Theorem 15.  This tutorial defines a small new problem from
 scratch — *weak 2-colouring* (every non-isolated node must have at least
 one neighbour with a different colour) — and walks through:

@@ -3,16 +3,18 @@
 * :mod:`repro.core.complexity` — complexity functions ``f``, the solution
   ``g(n)`` of ``g^{f(g)} = n``, and the analytic round predictions used by
   Theorems 1–3.
-* :mod:`repro.core.sequential` — the sequential list solvers: the labelling
-  processes of Lemma 16 (edge colouring) and Lemma 17 (maximal matching),
-  greedy solvers for the edge-list variants of MIS and (deg+1)-colouring,
-  and a generic backtracking solver for small components.
+* :mod:`repro.core.sequential` — the sequential list solvers: the P1/P2
+  rules of :mod:`repro.core.slocal` run over a list instance (Lemma 16 for
+  edge colouring, Lemma 17 for maximal matching, the greedy rules for MIS
+  and (deg+1)-colouring), and a generic backtracking solver for small
+  components.
 * :mod:`repro.core.transform` — Algorithm 2 / Theorem 12 (node problems on
   trees) and Algorithm 4 / Theorem 15 (edge problems on bounded-arboricity
   graphs), with full round accounting.
 * :mod:`repro.core.slocal` — the SLOCAL(1) sequential-local formulation of
   the problem classes P1 and P2, with executable membership witnesses for
-  the four problems of Section 5.
+  the four problems of Section 5: the one rule per problem that every
+  gathered component is solved with.
 """
 
 from repro.core.complexity import (

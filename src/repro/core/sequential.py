@@ -3,203 +3,98 @@
 Inside the transformation, each connected component of the "second part" of
 the decomposition is gathered at its highest node, which then solves the
 residual list problem *sequentially* with full knowledge of the component
-(Algorithm 2 line 2 and Algorithm 4 line 2).  This module implements those
-sequential solvers:
+(Algorithm 2 line 2 and Algorithm 4 line 2).  The transformation applies to
+the classes P1 and P2 because their sequential 1-hop rules still work on a
+correctly, partially solved instance, so these list solvers are the P1/P2
+rules of :mod:`repro.core.slocal` run over a list instance, with the labels
+its lists fix outside the component in each rule's view:
 
-* :class:`EdgeColoringNodeListSolver` — the labelling process of Lemma 16
-  for the node-list variant of (edge-degree+1)-edge colouring;
-* :class:`MatchingNodeListSolver` — the labelling process of Lemma 17 for
-  the node-list variant of maximal matching;
-* :class:`MISEdgeListSolver` and :class:`ColoringEdgeListSolver` — greedy
-  solvers for the edge-list variants of MIS and (deg+1)-colouring used by
-  the Theorem 12 pipeline (the paper places both problems in the class
-  ``P1`` of problems with 1-hop sequential solvers);
+* :class:`EdgeListSolver` runs a P1 rule node by node over a ``Π×``
+  instance — :class:`MISEdgeListSolver` and :class:`ColoringEdgeListSolver`
+  for the Theorem 12 pipeline;
+* :class:`NodeListSolver` runs a P2 rule edge by edge over a ``Π*``
+  instance — :class:`EdgeColoringNodeListSolver` (the labelling process of
+  Lemma 16) and :class:`MatchingNodeListSolver` (Lemma 17);
 * :class:`BacktrackingListSolver` — a generic exhaustive solver over a
   finite candidate label set, used as an independent cross-check on small
   components in the test-suite.
+
+:data:`~repro.core.slocal.P1_ORACLES` and
+:data:`~repro.core.slocal.P2_ORACLES` decide which problems have a solver.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.problems import DUMMY
-from repro.problems.edge_coloring import is_pair_label
-from repro.problems.lists import (
-    EdgeListConstraint,
-    EdgeListInstance,
-    NodeListConstraint,
-    NodeListInstance,
+from repro.core.slocal import (
+    P1_ORACLES,
+    P2_ORACLES,
+    EdgeOracle,
+    NodeOracle,
+    coloring_oracle,
+    edge_coloring_oracle,
+    matching_oracle,
+    mis_oracle,
+    solve_edge_sequential,
+    solve_node_sequential,
 )
-from repro.problems.matching import MATCHED, POINTER as MATCH_POINTER, UNMATCHED
-from repro.problems.mis import IN_MIS, OUT, POINTER as MIS_POINTER
+from repro.problems.lists import EdgeListInstance, NodeListInstance
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
+from repro.semigraph.labeling import canonical_multiset
 from repro.semigraph.semigraph import HalfEdge
 
 
 class SequentialSolverError(RuntimeError):
-    """Raised when a sequential solver cannot complete a valid solution."""
+    """Raised when a problem has no sequential rule or a search finds no solution."""
 
 
-def _ordered(items: Iterable) -> list:
-    """A deterministic processing order (the solvers are order-robust)."""
-    return sorted(items, key=repr)
+class EdgeListSolver:
+    """Solves ``Π×`` instances with a P1 rule, processing nodes in order."""
 
+    rule: NodeOracle
 
-# ----------------------------------------------------------------------
-# Lemma 16: (edge-degree+1)-edge colouring, node-list variant
-# ----------------------------------------------------------------------
-class EdgeColoringNodeListSolver:
-    """The sequential labelling process of Lemma 16."""
-
-    def solve(self, instance: NodeListInstance) -> HalfEdgeLabeling:
-        """Solve the ``Π*`` instance for the edge colouring problem."""
-        semigraph = instance.semigraph
-        labeling = HalfEdgeLabeling()
-        assigned_pairs: dict[Any, list] = {node: [] for node in semigraph.nodes}
-
-        for edge in _ordered(semigraph.edges_of_rank(2)):
-            v1, v2 = semigraph.endpoints(edge)
-            fixed_1 = instance.list_for(v1).fixed
-            fixed_2 = instance.list_for(v2).fixed
-            pairs_1 = [lab for lab in fixed_1 if lab != DUMMY]
-            pairs_2 = [lab for lab in fixed_2 if lab != DUMMY]
-            chi_1 = assigned_pairs[v1]
-            chi_2 = assigned_pairs[v2]
-            used_colours = {
-                lab[1]
-                for lab in (*pairs_1, *pairs_2, *chi_1, *chi_2)
-                if is_pair_label(lab)
-            }
-            budget = len(pairs_1) + len(pairs_2) + len(chi_1) + len(chi_2) + 1
-            colour = next(c for c in range(1, budget + 1) if c not in used_colours)
-            label_1 = (len(pairs_1) + len(chi_1) + 1, colour)
-            label_2 = (len(pairs_2) + len(chi_2) + 1, colour)
-            labeling.assign(HalfEdge(v1, edge), label_1)
-            labeling.assign(HalfEdge(v2, edge), label_2)
-            assigned_pairs[v1].append(label_1)
-            assigned_pairs[v2].append(label_2)
-
-        for edge in _ordered(semigraph.edges_of_rank(1)):
-            (node,) = semigraph.endpoints(edge)
-            labeling.assign(HalfEdge(node, edge), DUMMY)
-        return labeling
-
-
-# ----------------------------------------------------------------------
-# Lemma 17: maximal matching, node-list variant
-# ----------------------------------------------------------------------
-class MatchingNodeListSolver:
-    """The sequential labelling process of Lemma 17."""
-
-    def solve(self, instance: NodeListInstance) -> HalfEdgeLabeling:
-        """Solve the ``Π*`` instance for the maximal matching problem."""
-        semigraph = instance.semigraph
-        labeling = HalfEdgeLabeling()
-        has_matched: dict[Any, bool] = {
-            node: MATCHED in instance.list_for(node).fixed for node in semigraph.nodes
-        }
-
-        for edge in _ordered(semigraph.edges_of_rank(2)):
-            v1, v2 = semigraph.endpoints(edge)
-            matched_1 = has_matched[v1]
-            matched_2 = has_matched[v2]
-            if not matched_1 and not matched_2:
-                labels = (MATCHED, MATCHED)
-                has_matched[v1] = True
-                has_matched[v2] = True
-            elif matched_1 and matched_2:
-                labels = (MATCH_POINTER, MATCH_POINTER)
-            elif matched_1:
-                labels = (MATCH_POINTER, UNMATCHED)
-            else:
-                labels = (UNMATCHED, MATCH_POINTER)
-            labeling.assign(HalfEdge(v1, edge), labels[0])
-            labeling.assign(HalfEdge(v2, edge), labels[1])
-
-        for edge in _ordered(semigraph.edges_of_rank(1)):
-            (node,) = semigraph.endpoints(edge)
-            labeling.assign(HalfEdge(node, edge), DUMMY)
-        return labeling
-
-
-# ----------------------------------------------------------------------
-# Greedy edge-list solvers for the Theorem 12 pipeline
-# ----------------------------------------------------------------------
-class MISEdgeListSolver:
-    """Greedy sequential solver for the edge-list variant of MIS.
-
-    Processing nodes in any order: a node joins the MIS unless one of its
-    edge lists reveals an already-chosen MIS neighbour outside the
-    component or an earlier-processed neighbour inside the component joined
-    the MIS.  A node that does not join points ``P`` at one of those MIS
-    neighbours and ``O`` everywhere else.
-    """
+    def __init__(self, rule: NodeOracle | None = None) -> None:
+        if rule is not None:
+            self.rule = rule
 
     def solve(self, instance: EdgeListInstance) -> HalfEdgeLabeling:
-        """Solve the ``Π×`` instance for MIS."""
-        semigraph = instance.semigraph
-        labeling = HalfEdgeLabeling()
-        decision: dict[Any, bool] = {}
-
-        for node in _ordered(semigraph.nodes):
-            blocking_edges = []
-            for edge in semigraph.incident_edges(node):
-                constraint = instance.list_for(edge)
-                if IN_MIS in constraint.fixed:
-                    blocking_edges.append(edge)
-                    continue
-                other = semigraph.other_endpoint(edge, node)
-                if other is not None and decision.get(other) is True:
-                    blocking_edges.append(edge)
-            joins = not blocking_edges
-            decision[node] = joins
-            if joins:
-                for edge in semigraph.incident_edges(node):
-                    labeling.assign(HalfEdge(node, edge), IN_MIS)
-            else:
-                pointer_edge = min(blocking_edges, key=repr)
-                for edge in semigraph.incident_edges(node):
-                    label = MIS_POINTER if edge == pointer_edge else OUT
-                    labeling.assign(HalfEdge(node, edge), label)
-        return labeling
+        """Label every half-edge of the instance's semi-graph."""
+        outside = {edge: lst.fixed for edge, lst in instance.edge_lists.items()}
+        return solve_node_sequential(instance.semigraph, self.rule, outside=outside)
 
 
-class ColoringEdgeListSolver:
-    """Greedy sequential solver for the edge-list variant of (deg+1)-colouring.
+class NodeListSolver:
+    """Solves ``Π*`` instances with a P2 rule, processing edges in order."""
 
-    A node picks the smallest colour that no edge list forbids and that no
-    earlier-processed neighbour inside the component chose; at most
-    ``deg`` colours are forbidden, so a colour of value at most
-    ``deg + 1`` always exists.
-    """
+    rule: EdgeOracle
 
-    def solve(self, instance: EdgeListInstance) -> HalfEdgeLabeling:
-        """Solve the ``Π×`` instance for (deg+1)-colouring."""
-        semigraph = instance.semigraph
-        labeling = HalfEdgeLabeling()
-        chosen: dict[Any, int] = {}
+    def __init__(self, rule: EdgeOracle | None = None) -> None:
+        if rule is not None:
+            self.rule = rule
 
-        for node in _ordered(semigraph.nodes):
-            forbidden: set[int] = set()
-            for edge in semigraph.incident_edges(node):
-                constraint = instance.list_for(edge)
-                forbidden.update(lab for lab in constraint.fixed if isinstance(lab, int))
-                other = semigraph.other_endpoint(edge, node)
-                if other is not None and other in chosen:
-                    forbidden.add(chosen[other])
-            colour = 1
-            while colour in forbidden:
-                colour += 1
-            if colour > semigraph.degree(node) + 1:
-                raise SequentialSolverError(
-                    f"node {node!r} needs colour {colour} > deg+1 = "
-                    f"{semigraph.degree(node) + 1}"
-                )
-            chosen[node] = colour
-            for edge in semigraph.incident_edges(node):
-                labeling.assign(HalfEdge(node, edge), colour)
-        return labeling
+    def solve(self, instance: NodeListInstance) -> HalfEdgeLabeling:
+        """Label every half-edge of the instance's semi-graph."""
+        outside = {node: lst.fixed for node, lst in instance.node_lists.items()}
+        return solve_edge_sequential(instance.semigraph, self.rule, outside=outside)
+
+
+# The four problems of Section 5 keep a solver class each, so that their
+# calls can be told apart (e.g. by a profiler wrapping ``<Class>.solve``).
+class MISEdgeListSolver(EdgeListSolver):
+    rule = staticmethod(mis_oracle)
+
+
+class ColoringEdgeListSolver(EdgeListSolver):
+    rule = staticmethod(coloring_oracle)
+
+
+class EdgeColoringNodeListSolver(NodeListSolver):
+    rule = staticmethod(edge_coloring_oracle)
+
+
+class MatchingNodeListSolver(NodeListSolver):
+    rule = staticmethod(matching_oracle)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +148,7 @@ class BacktrackingListSolver:
                 if h not in assignment:
                     return None
                 labels.append(assignment[h])
-            return tuple(sorted(labels, key=lambda lab: (type(lab).__name__, repr(lab))))
+            return canonical_multiset(labels)
 
         def consistent(last: HalfEdge) -> bool:
             node_labels = config(semigraph.half_edges_of_node(last.node))
@@ -285,34 +180,25 @@ class BacktrackingListSolver:
 # ----------------------------------------------------------------------
 # Default solver selection
 # ----------------------------------------------------------------------
-_NODE_LIST_SOLVERS = {
-    "(edge-degree+1)-edge-coloring": EdgeColoringNodeListSolver,
-    "maximal-matching": MatchingNodeListSolver,
-}
-_EDGE_LIST_SOLVERS = {
-    "maximal-independent-set": MISEdgeListSolver,
-    "(deg+1)-coloring": ColoringEdgeListSolver,
-}
+def default_node_list_solver(problem) -> NodeListSolver:
+    """The ``Π*`` solver for ``problem``: its P2 rule."""
+    return _solver_for(NodeListSolver, P2_ORACLES, problem)
 
 
-def default_node_list_solver(problem) -> Any:
-    """The registered sequential ``Π*`` solver for ``problem``."""
-    try:
-        return _NODE_LIST_SOLVERS[problem.name]()
-    except KeyError as error:
+def default_edge_list_solver(problem) -> EdgeListSolver:
+    """The ``Π×`` solver for ``problem``: its P1 rule."""
+    return _solver_for(EdgeListSolver, P1_ORACLES, problem)
+
+
+def _solver_for(kind: type, rules: dict, problem) -> Any:
+    rule = rules.get(problem.name)
+    if rule is None:
         raise SequentialSolverError(
-            f"no node-list solver registered for problem {problem.name!r}"
-        ) from error
-
-
-def default_edge_list_solver(problem) -> Any:
-    """The registered sequential ``Π×`` solver for ``problem``."""
-    if problem.name in _EDGE_LIST_SOLVERS:
-        return _EDGE_LIST_SOLVERS[problem.name]()
-    if problem.name.endswith(")-coloring") and "deg" not in problem.name:
-        # (Δ+1)-colouring instances reuse the greedy (deg+1) solver: its
-        # colours never exceed deg+1 ≤ Δ+1.
-        return ColoringEdgeListSolver()
-    raise SequentialSolverError(
-        f"no edge-list solver registered for problem {problem.name!r}"
-    )
+            f"no sequential rule for problem {problem.name!r} ({kind.__name__})"
+        )
+    # A rule with a named class runs through it; any other rule in the
+    # table runs in the generic solver.
+    for named in kind.__subclasses__():
+        if named.rule is rule:
+            return named()
+    return kind(rule)

@@ -16,13 +16,19 @@ and :func:`solve_edge_sequential` drive an oracle over an arbitrary
 processing order while exposing only the local view the definition allows
 (:class:`NodeView` / :class:`EdgeView`), and the provided oracles realise
 the membership of MIS, (deg+1)-colouring (P1) and maximal matching,
-(edge-degree+1)-edge colouring (P2).  The test-suite exercises them under
+(edge-degree+1)-edge colouring (P2).  :data:`P1_ORACLES` and
+:data:`P2_ORACLES` are the one table of which problems have a rule.
+
+The same rules solve every gathered component of the transformation: the
+list solvers of :mod:`repro.core.sequential` run them over a list
+instance, passing the labels its lists fix outside the component as the
+views' ``outside`` labels.  The test-suite also exercises the rules under
 adversarial (randomised) orders and on partially solved instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.problems import DUMMY
@@ -34,7 +40,7 @@ from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId
 
 
 class SLocalError(RuntimeError):
-    """Raised when an oracle returns labels inconsistent with its local view."""
+    """Raised when an oracle cannot label its item consistently with its local view."""
 
 
 # ----------------------------------------------------------------------
@@ -42,15 +48,23 @@ class SLocalError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass
 class NodeView:
-    """The 1-hop view available when a node is processed (class P1)."""
+    """The 1-hop view available when a node is processed (class P1).
+
+    ``outside`` maps an edge whose far endpoint lies outside the solved
+    semi-graph to the labels already fixed there (an edge list's ``ψ``).
+    """
 
     node: NodeId
     semigraph: SemiGraph
     labeling: HalfEdgeLabeling
+    outside: Mapping[EdgeId, tuple] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._edges = sorted(self.semigraph.incident_edges(self.node), key=repr)
 
     def incident_edges(self) -> list[EdgeId]:
         """The edges incident on the processed node, in a deterministic order."""
-        return sorted(self.semigraph.incident_edges(self.node), key=repr)
+        return list(self._edges)
 
     def rank(self, edge: EdgeId) -> int:
         """The rank of an incident edge."""
@@ -61,28 +75,30 @@ class NodeView:
         return self.semigraph.other_endpoint(edge, self.node)
 
     def label_across(self, edge: EdgeId) -> Any:
-        """The label already committed on the far half-edge of ``edge`` (or ``None``)."""
+        """The label already committed on the far half-edge of ``edge`` (or ``None``).
+
+        Across an edge that leaves the solved semi-graph, this is the label
+        ``outside`` fixes there.
+        """
         other = self.neighbor(edge)
         if other is None:
-            return None
+            fixed = self.outside.get(edge, ())
+            return fixed[0] if fixed else None
         return self.labeling.get(HalfEdge(other, edge))
-
-    def neighbor_labels(self, neighbor: NodeId) -> list[Any]:
-        """All labels already committed on the half-edges of a neighbour."""
-        return [
-            self.labeling[h]
-            for h in self.semigraph.half_edges_of_node(neighbor)
-            if self.labeling.is_labeled(h)
-        ]
 
 
 @dataclass
 class EdgeView:
-    """The 1-hop edge view available when an edge is processed (class P2)."""
+    """The 1-hop edge view available when an edge is processed (class P2).
+
+    ``outside`` maps a node to the labels already fixed on its half-edges
+    outside the solved semi-graph (a node list's ``ψ``).
+    """
 
     edge: EdgeId
     semigraph: SemiGraph
     labeling: HalfEdgeLabeling
+    outside: Mapping[NodeId, tuple] = field(default_factory=dict)
 
     def endpoints(self) -> tuple:
         """The processed edge's endpoints."""
@@ -93,18 +109,13 @@ class EdgeView:
         return self.semigraph.rank(self.edge)
 
     def endpoint_labels(self, node: NodeId) -> list[Any]:
-        """Labels already committed on the half-edges of an endpoint."""
-        return [
-            self.labeling[h]
-            for h in self.semigraph.half_edges_of_node(node)
-            if self.labeling.is_labeled(h) and h.edge != self.edge
-        ]
-
-    def adjacent_edge_labels(self) -> list[Any]:
-        """Labels already committed on half-edges of adjacent edges."""
-        labels = []
-        for node in self.endpoints():
-            labels.extend(self.endpoint_labels(node))
+        """Labels already committed on the other half-edges of an endpoint, as a multiset."""
+        labels = list(self.outside.get(node, ()))
+        for edge in self.semigraph.incident_edges(node):
+            if edge != self.edge:
+                label = self.labeling.get(HalfEdge(node, edge))
+                if label is not None:
+                    labels.append(label)
         return labels
 
 
@@ -120,19 +131,25 @@ def solve_node_sequential(
     oracle: NodeOracle,
     order: Iterable[NodeId] | None = None,
     partial: HalfEdgeLabeling | None = None,
+    outside: Mapping[EdgeId, tuple] | None = None,
 ) -> HalfEdgeLabeling:
     """Run a P1-style sequential 1-hop solver.
 
-    Nodes are processed in ``order`` (default: a deterministic order); for
-    each node the oracle must return a label for every incident half-edge
-    that is not already labeled by ``partial``.
+    Nodes are processed in ``order`` (default: a deterministic order), which
+    must hold every node exactly once; for each node the oracle must return
+    a label for every incident half-edge that is not already labeled by
+    ``partial``.  ``outside`` is handed to every :class:`NodeView`.
     """
     labeling = partial.copy() if partial is not None else HalfEdgeLabeling()
-    nodes = list(order) if order is not None else sorted(semigraph.nodes, key=repr)
-    if set(nodes) != set(semigraph.nodes):
-        raise ValueError("the processing order must cover every node exactly once")
+    outside = outside if outside is not None else {}
+    if order is None:
+        nodes = sorted(semigraph.nodes, key=repr)
+    else:
+        nodes = list(order)
+        if len(nodes) != semigraph.num_nodes() or set(nodes) != semigraph.nodes:
+            raise ValueError("the processing order must cover every node exactly once")
     for node in nodes:
-        view = NodeView(node, semigraph, labeling)
+        view = NodeView(node, semigraph, labeling, outside)
         decisions = oracle(view)
         for edge in semigraph.incident_edges(node):
             half_edge = HalfEdge(node, edge)
@@ -151,14 +168,23 @@ def solve_edge_sequential(
     oracle: EdgeOracle,
     order: Iterable[EdgeId] | None = None,
     partial: HalfEdgeLabeling | None = None,
+    outside: Mapping[NodeId, tuple] | None = None,
 ) -> HalfEdgeLabeling:
-    """Run a P2-style sequential 1-hop solver (edges processed one at a time)."""
+    """Run a P2-style sequential 1-hop solver (edges processed one at a time).
+
+    ``order`` must hold every edge exactly once; ``outside`` is handed to
+    every :class:`EdgeView`.
+    """
     labeling = partial.copy() if partial is not None else HalfEdgeLabeling()
-    edges = list(order) if order is not None else sorted(semigraph.edges, key=repr)
-    if set(edges) != set(semigraph.edges):
-        raise ValueError("the processing order must cover every edge exactly once")
+    outside = outside if outside is not None else {}
+    if order is None:
+        edges = sorted(semigraph.edges, key=repr)
+    else:
+        edges = list(order)
+        if len(edges) != semigraph.num_edges() or set(edges) != semigraph.edges:
+            raise ValueError("the processing order must cover every edge exactly once")
     for edge in edges:
-        view = EdgeView(edge, semigraph, labeling)
+        view = EdgeView(edge, semigraph, labeling, outside)
         decisions = oracle(view)
         for node in semigraph.endpoints(edge):
             half_edge = HalfEdge(node, edge)
@@ -176,34 +202,37 @@ def solve_edge_sequential(
 # P1 oracles
 # ----------------------------------------------------------------------
 def mis_oracle(view: NodeView) -> dict[EdgeId, Any]:
-    """Greedy MIS membership decision from the 1-hop view."""
-    blocking = []
-    for edge in view.incident_edges():
-        across = view.label_across(edge)
-        if across == IN_MIS:
-            blocking.append(edge)
-    decisions: dict[EdgeId, Any] = {}
+    """Greedy MIS membership decision from the 1-hop view.
+
+    The node joins unless an MIS node lies across one of its edges; then it
+    points ``P`` at one of those and puts ``O`` everywhere else.
+    """
+    edges = view.incident_edges()
+    blocking = [edge for edge in edges if view.label_across(edge) == IN_MIS]
     if not blocking:
-        for edge in view.incident_edges():
-            decisions[edge] = IN_MIS
-    else:
-        pointer = min(blocking, key=repr)
-        for edge in view.incident_edges():
-            decisions[edge] = MIS_POINTER if edge == pointer else OUT
-    return decisions
+        return {edge: IN_MIS for edge in edges}
+    pointer = min(blocking, key=repr)
+    return {edge: MIS_POINTER if edge == pointer else OUT for edge in edges}
 
 
 def coloring_oracle(view: NodeView) -> dict[EdgeId, Any]:
-    """Greedy (deg+1)-colouring decision from the 1-hop view."""
-    forbidden = set()
-    for edge in view.incident_edges():
-        across = view.label_across(edge)
-        if isinstance(across, int):
-            forbidden.add(across)
+    """Greedy (deg+1)-colouring decision from the 1-hop view.
+
+    Each edge forbids at most one colour, so the smallest free colour is at
+    most ``deg + 1``; a larger one means the view was inconsistent.
+    """
+    edges = view.incident_edges()
+    forbidden = {
+        across for across in map(view.label_across, edges) if isinstance(across, int)
+    }
     colour = 1
     while colour in forbidden:
         colour += 1
-    return {edge: colour for edge in view.incident_edges()}
+    if colour > len(edges) + 1:
+        raise SLocalError(
+            f"node {view.node!r} needs colour {colour} > deg+1 = {len(edges) + 1}"
+        )
+    return {edge: colour for edge in edges}
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +271,8 @@ def edge_coloring_oracle(view: EdgeView) -> dict[NodeId, Any]:
     }
 
 
-#: The P1 / P2 membership witnesses shipped with this reproduction.
+#: The P1 / P2 membership witnesses shipped with this reproduction, and the
+#: rules that solve every gathered list instance.
 P1_ORACLES: dict[str, NodeOracle] = {
     "maximal-independent-set": mis_oracle,
     "(deg+1)-coloring": coloring_oracle,

@@ -21,7 +21,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Iterable
 
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.labeling import canonical_multiset
 
 #: The dummy label used by the paper on half-edges of rank-1 edges for the
 #: edge problems of Section 5 ("D" in the paper).
@@ -59,24 +58,6 @@ class NodeEdgeCheckableProblem(ABC):
     def from_classic(self, semigraph: SemiGraph, classic: Any) -> HalfEdgeLabeling:
         """Convert a classic solution object to a half-edge labeling."""
         raise NotImplementedError(f"{self.name} does not define a classic conversion")
-
-    # ------------------------------------------------------------------
-    # convenience helpers
-    # ------------------------------------------------------------------
-    def node_ok(self, semigraph: SemiGraph, labeling: HalfEdgeLabeling, node) -> bool:
-        """Whether the labels around ``node`` form a valid node configuration."""
-        config = labeling.node_configuration(semigraph, node)
-        return self.node_config_ok(config)
-
-    def edge_ok(self, semigraph: SemiGraph, labeling: HalfEdgeLabeling, edge) -> bool:
-        """Whether the labels around ``edge`` form a valid edge configuration."""
-        config = labeling.edge_configuration(semigraph, edge)
-        return self.edge_config_ok(config, semigraph.rank(edge))
-
-    @staticmethod
-    def as_multiset(labels: Iterable[Any]) -> tuple:
-        """Canonical multiset representation used throughout the package."""
-        return canonical_multiset(labels)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

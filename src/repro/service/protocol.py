@@ -406,10 +406,19 @@ class LineServer:
 
         In-flight connection threads are daemonic and finish (or die with
         the process) on their own; only the listeners are torn down here.
-        Shutting a listener down wakes its blocked ``accept`` at once; the
-        accept timeout is the fallback where shutdown does not.
+        Shutting a TCP listener down wakes its blocked ``accept`` at once.
+        On Linux that does not wake a Unix listener's ``accept``, so one
+        connection to the socket file wakes it instead; the accept timeout
+        is the fallback where neither does.
         """
         self._stop.set()
+        if self._started and self.unix_path is not None:
+            try:
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as waker:
+                    waker.settimeout(0.2)
+                    waker.connect(str(self.unix_path))
+            except OSError:
+                pass
         for listener, _ in self._listeners:
             try:
                 listener.shutdown(socket.SHUT_RDWR)
@@ -434,6 +443,9 @@ class LineServer:
             except socket.timeout:
                 continue
             except OSError:  # the listener was shut down by close()
+                break
+            if self._stop.is_set():  # close()'s wake-up connection
+                connection.close()
                 break
             threading.Thread(
                 target=self._serve_connection,

@@ -19,6 +19,8 @@ import time
 import pytest
 
 import repro.service.protocol as protocol
+from repro.obs import parse_exposition
+from repro.obs.metrics import sum_samples
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     Endpoint,
@@ -498,6 +500,29 @@ class TestAuthentication:
         server = LineServer(lambda r: ok_response())
         with pytest.raises(ServiceError, match="REPRO_SERVICE_TOKEN"):
             server.listen_tcp("127.0.0.1", 0)
+
+
+class TestClose:
+    def test_unix_close_does_not_sit_out_the_accept_timeout(self, tmp_path):
+        """On Linux, shutting a Unix listener down leaves its ``accept``
+        blocked until the 0.2 s timeout; close() wakes it with one
+        connection, which is not counted as a client's."""
+        server = LineServer(lambda r: ok_response(echo=r), name="closing")
+        path = server.listen_unix(tmp_path / "close.sock")
+        server.start()
+        sock = open_connection(parse_endpoint(path))
+        try:
+            sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
+            with sock.makefile("rb") as reader:
+                assert recv_message(reader)["ok"] is True
+        finally:
+            sock.close()
+        began = time.monotonic()
+        server.close()
+        assert time.monotonic() - began < 0.1
+        assert not path.exists()
+        samples = parse_exposition(server.registry.render())
+        assert sum_samples(samples, "service_connections_total", server="closing") == 1
 
 
 class TestMetricsVerb:

@@ -96,6 +96,8 @@ class TestP1Solvers:
         semigraph = semigraph_from_graph(nx.path_graph(3))
         with pytest.raises(ValueError):
             solve_node_sequential(semigraph, mis_oracle, order=[0, 1])
+        with pytest.raises(ValueError):
+            solve_node_sequential(semigraph, mis_oracle, order=[0, 1, 1, 2])
 
     def test_incomplete_oracle_rejected(self):
         semigraph = semigraph_from_graph(nx.path_graph(3))
@@ -131,6 +133,14 @@ class TestP2Solvers:
         semigraph = semigraph_from_graph(graph)
         labeling = solve_edge_sequential(semigraph, edge_coloring_oracle)
         assert verify_solution(EDGE_COLORING, semigraph, labeling).ok
+
+    def test_order_must_cover_all_edges_once(self):
+        semigraph = semigraph_from_graph(nx.path_graph(3))
+        first, second = sorted(semigraph.edges)
+        with pytest.raises(ValueError):
+            solve_edge_sequential(semigraph, matching_oracle, order=[first])
+        with pytest.raises(ValueError):
+            solve_edge_sequential(semigraph, matching_oracle, order=[first, second, first])
 
     def test_membership_registry(self):
         assert membership_class(MIS) == "P1"
