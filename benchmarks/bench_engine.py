@@ -8,7 +8,10 @@ record per (scenario, engine) pair** with an explicit ``engine`` field.
 The two decomposition peels have a single (plain Python) implementation
 and are timed once each, recorded under ``engine="interpreted"``.  The
 ``instance/*`` entries time what every cell pays before any engine
-runs: one ``random_tree`` call and one ``Network`` built on it.
+runs: one ``random_tree`` call and one ``Network`` built on it.  The
+``semigraph/*`` entries time the layer the transform and list cells run
+on: Definition 6's check of one ``solve_semigraph`` labeling per problem,
+and the restrictions of one split of the instance.
 
 Two regression gates are asserted:
 
@@ -46,6 +49,7 @@ if _SRC not in sys.path:
 from _harness import record_json, record_table, scenario_entry, timed  # noqa: E402
 
 from repro.analysis import MeasurementTable  # noqa: E402
+from repro.baselines.adapters import EdgeColoringAlgorithm, MISAlgorithm  # noqa: E402
 from repro.baselines.color_reduction import ColorClassReduction  # noqa: E402
 from repro.baselines.coloring import deg_plus_one_coloring  # noqa: E402
 from repro.baselines.forest_coloring import ForestThreeColoring  # noqa: E402
@@ -66,6 +70,12 @@ from repro.local import (  # noqa: E402
     run_synchronous_reference,
 )
 from repro.local.vectorized import run_vectorized  # noqa: E402
+from repro.problems import verify_solution  # noqa: E402
+from repro.semigraph import (  # noqa: E402
+    restrict_to_edges,
+    restrict_to_nodes,
+    semigraph_from_graph,
+)
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -101,6 +111,10 @@ FULL_SCALE_N = 1_000_000
 #: Sizes of the instance-construction entries.  Smoke mode runs 10⁵ so
 #: both entries stay well above the CI trajectory gate's 0.05 s floor.
 INSTANCE_SIZES = [100_000] if SMOKE else [10_000, 100_000, FULL_SCALE_N]
+
+#: Sizes of the semi-graph entries.  At the smoke size every entry stays
+#: above the CI trajectory gate's 0.05 s floor.
+SEMIGRAPH_SIZES = [16_000] if SMOKE else [16_000, 100_000]
 
 
 def _engine_scenarios():
@@ -173,6 +187,40 @@ def _instance_scenarios():
         entries.append(scenario_entry("instance/random-tree", n, seconds))
         _, seconds = timed(lambda: Network(tree))
         entries.append(scenario_entry("instance/network", n, seconds))
+    return entries
+
+
+def _semigraph_scenarios():
+    """Verification of one labeling per problem, and the restrictions to
+    both halves of the nodes (in both modes) and of the edges."""
+    entries = []
+    for n in SEMIGRAPH_SIZES:
+        semigraph = semigraph_from_graph(random_tree(n, seed=42))
+        for name, algorithm in (
+            ("mis", MISAlgorithm()),
+            ("edge-coloring", EdgeColoringAlgorithm()),
+        ):
+            labeling, _ = algorithm.solve_semigraph(semigraph)
+            result, seconds = timed(
+                lambda: verify_solution(algorithm.problem, semigraph, labeling)
+            )
+            assert result.ok, result.summary()
+            entries.append(
+                scenario_entry(f"semigraph/verify/{name}/random-tree", n, seconds)
+            )
+
+        nodes = sorted(semigraph.nodes, key=repr)
+        edges = sorted(semigraph.edges, key=repr)
+
+        def restrict():
+            for part in (nodes[0::2], nodes[1::2]):
+                restrict_to_nodes(semigraph, part)
+                restrict_to_nodes(semigraph, part, keep_boundary_edges=False)
+            for part in (edges[0::2], edges[1::2]):
+                restrict_to_edges(semigraph, part)
+
+        _, seconds = timed(restrict)
+        entries.append(scenario_entry("semigraph/restrict/random-tree", n, seconds))
     return entries
 
 
@@ -317,6 +365,8 @@ def run_bench(check_speedup: bool = True) -> list:
     for entry in _decomposition_scenarios():
         add(entry)
     for entry in _instance_scenarios():
+        add(entry)
+    for entry in _semigraph_scenarios():
         add(entry)
 
     speedup_entries, speedups = _speedup_scenario()

@@ -47,7 +47,6 @@ class ScenarioPoint:
     cells: int
     rounds: float
     messages: float | None
-    wall_clock_s: float
     verified: bool
     #: Mean analytic account under ``OracleCostModel`` charging; ``None``
     #: for cells that ran without a cost model.
@@ -120,7 +119,6 @@ def aggregate(records: Iterable[dict[str, Any]]) -> list[ScenarioSummary]:
                     if message_counts
                     else None
                 ),
-                wall_clock_s=sum(c.get("wall_clock_s", 0.0) for c in cells) / len(cells),
                 verified=all(c["verified"] for c in cells),
                 charged_rounds=sum(charged) / len(charged) if charged else None,
             ))
@@ -148,7 +146,7 @@ def scenario_table(summary: ScenarioSummary) -> MeasurementTable:
         f"{summary.scenario}  [{summary.generator} × {summary.algorithm}]"
         + provenance,
         ["n", "cells", "rounds (mean)", "charged (mean)", "messages (mean)",
-         "wall s (mean)", "verified"],
+         "verified"],
     )
     for point in summary.points:
         table.add_row(
@@ -157,7 +155,6 @@ def scenario_table(summary: ScenarioSummary) -> MeasurementTable:
             round(point.rounds, 2),
             round(point.charged_rounds, 2) if point.charged_rounds is not None else "-",
             round(point.messages, 1) if point.messages is not None else "-",
-            round(point.wall_clock_s, 4),
             "ok" if point.verified else "FAILED",
         )
     return table

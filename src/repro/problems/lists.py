@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.problems.base import NodeEdgeCheckableProblem
-from repro.problems.verification import VerificationResult, Violation
+from repro.problems.verification import VerificationResult, check_labeling
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
 from repro.semigraph.labeling import canonical_multiset
 from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId
@@ -77,7 +77,10 @@ class NodeListInstance:
 
     def list_for(self, node: NodeId) -> NodeListConstraint:
         """The list of ``node`` (a trivial list if none was supplied)."""
-        return self.node_lists.get(node, NodeListConstraint(self.problem, ()))
+        constraint = self.node_lists.get(node)
+        if constraint is None:
+            constraint = NodeListConstraint(self.problem, ())
+        return constraint
 
 
 @dataclass
@@ -93,9 +96,10 @@ class EdgeListInstance:
 
     def list_for(self, edge: EdgeId) -> EdgeListConstraint:
         """The list of ``edge`` (a trivial list if none was supplied)."""
-        return self.edge_lists.get(
-            edge, EdgeListConstraint(self.problem, (), self.semigraph.rank(edge))
-        )
+        constraint = self.edge_lists.get(edge)
+        if constraint is None:
+            constraint = EdgeListConstraint(self.problem, (), self.semigraph.rank(edge))
+        return constraint
 
 
 # ----------------------------------------------------------------------
@@ -114,16 +118,15 @@ def build_node_list_instance(
     in the full semi-graph that are not part of the sub-semi-graph (this is
     the construction used in Algorithm 4, line 2).
     """
-    sub_half_edges = set(sub_semigraph.half_edges())
+    labels = partial.as_mapping()
     node_lists: dict[NodeId, NodeListConstraint] = {}
     for node in sub_semigraph.nodes:
         fixed = []
-        for edge in full_semigraph.incident_edges(node):
+        outside = full_semigraph.incident_edges(node) - sub_semigraph.incident_edges(node)
+        for edge in outside:
             half_edge = HalfEdge(node, edge)
-            if half_edge in sub_half_edges:
-                continue
-            if partial.is_labeled(half_edge):
-                fixed.append(partial[half_edge])
+            if half_edge in labels:
+                fixed.append(labels[half_edge])
         node_lists[node] = NodeListConstraint(problem, canonical_multiset(fixed))
     return NodeListInstance(problem, sub_semigraph, node_lists)
 
@@ -141,20 +144,19 @@ def build_edge_list_instance(
     full semi-graph that are not part of the sub-semi-graph (Algorithm 2,
     line 2).
     """
-    sub_half_edges = set(sub_semigraph.half_edges())
+    labels = partial.as_mapping()
     edge_lists: dict[EdgeId, EdgeListConstraint] = {}
-    for edge in sub_semigraph.edges:
+    for edge, inside in sub_semigraph.edge_endpoints().items():
         fixed = []
-        for node in full_semigraph.endpoints(edge):
-            half_edge = HalfEdge(node, edge)
-            if half_edge in sub_half_edges:
+        endpoints = full_semigraph.endpoints(edge)
+        for node in endpoints:
+            if node in inside:
                 continue
-            if partial.is_labeled(half_edge):
-                fixed.append(partial[half_edge])
+            half_edge = HalfEdge(node, edge)
+            if half_edge in labels:
+                fixed.append(labels[half_edge])
         edge_lists[edge] = EdgeListConstraint(
-            problem,
-            canonical_multiset(fixed),
-            full_rank=full_semigraph.rank(edge),
+            problem, canonical_multiset(fixed), full_rank=len(endpoints)
         )
     return EdgeListInstance(problem, sub_semigraph, edge_lists)
 
@@ -166,55 +168,36 @@ def verify_node_list_solution(
     instance: NodeListInstance, labeling: HalfEdgeLabeling
 ) -> VerificationResult:
     """Verify a solution to a ``Π*`` instance (Definition 7)."""
-    violations: list[Violation] = []
-    semigraph = instance.semigraph
-    for half_edge in semigraph.half_edges():
-        if not labeling.is_labeled(half_edge):
-            violations.append(
-                Violation("unlabeled", half_edge, (), "half-edge has no label")
-            )
-    if violations:
-        return VerificationResult(ok=False, violations=violations)
-
-    for node in semigraph.nodes:
-        config = labeling.node_configuration(semigraph, node)
-        if not instance.list_for(node).allows(config):
-            violations.append(
-                Violation("node", node, config, "node list does not allow configuration")
-            )
-    for edge in semigraph.edges:
-        config = labeling.edge_configuration(semigraph, edge)
-        if not instance.problem.edge_config_ok(config, semigraph.rank(edge)):
-            violations.append(
-                Violation("edge", edge, config, "edge configuration not allowed")
-            )
-    return VerificationResult(ok=not violations, violations=violations)
+    list_for = instance.list_for
+    edge_config_ok = instance.problem.edge_config_ok
+    return _unlabeled_first(check_labeling(
+        instance.semigraph,
+        labeling,
+        lambda node, config: list_for(node).allows(config),
+        lambda edge, config, rank: edge_config_ok(config, rank),
+        node_message="node list does not allow configuration",
+    ))
 
 
 def verify_edge_list_solution(
     instance: EdgeListInstance, labeling: HalfEdgeLabeling
 ) -> VerificationResult:
     """Verify a solution to a ``Π×`` instance (Definition 8)."""
-    violations: list[Violation] = []
-    semigraph = instance.semigraph
-    for half_edge in semigraph.half_edges():
-        if not labeling.is_labeled(half_edge):
-            violations.append(
-                Violation("unlabeled", half_edge, (), "half-edge has no label")
-            )
-    if violations:
-        return VerificationResult(ok=False, violations=violations)
+    node_config_ok = instance.problem.node_config_ok
+    list_for = instance.list_for
+    return _unlabeled_first(check_labeling(
+        instance.semigraph,
+        labeling,
+        lambda node, config: node_config_ok(config),
+        lambda edge, config, rank: list_for(edge).allows(config),
+        edge_message="edge list does not allow configuration",
+    ))
 
-    for node in semigraph.nodes:
-        config = labeling.node_configuration(semigraph, node)
-        if not instance.problem.node_config_ok(config):
-            violations.append(
-                Violation("node", node, config, "node configuration not allowed")
-            )
-    for edge in semigraph.edges:
-        config = labeling.edge_configuration(semigraph, edge)
-        if not instance.list_for(edge).allows(config):
-            violations.append(
-                Violation("edge", edge, config, "edge list does not allow configuration")
-            )
-    return VerificationResult(ok=not violations, violations=violations)
+
+def _unlabeled_first(result: VerificationResult) -> VerificationResult:
+    """A list solution must label every half-edge: if it does not, only
+    the unlabeled half-edges are reported."""
+    unlabeled = [v for v in result.violations if v.kind == "unlabeled"]
+    if unlabeled:
+        return VerificationResult(ok=False, violations=unlabeled)
+    return result

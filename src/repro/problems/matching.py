@@ -25,11 +25,15 @@ POINTER = "P"
 UNMATCHED = "O"
 
 _NODE_REST = {POINTER, UNMATCHED, DUMMY}
-_EDGE_CONFIGS = {
-    frozenset({MATCHED}): 2,  # {M, M}
-    frozenset({POINTER}): 2,  # {P, P}
-    frozenset({POINTER, UNMATCHED}): 2,  # {P, O}
-}
+#: The rank-2 edge configurations {M, M}, {P, P} and {P, O}, in either
+#: order.  Membership compares with ``==``, so a label of another type is
+#: simply not allowed (sorting it next to a string would raise).
+_RANK2_CONFIGS = (
+    (MATCHED, MATCHED),
+    (POINTER, POINTER),
+    (POINTER, UNMATCHED),
+    (UNMATCHED, POINTER),
+)
 
 
 class MaximalMatchingProblem(NodeEdgeCheckableProblem):
@@ -56,13 +60,7 @@ class MaximalMatchingProblem(NodeEdgeCheckableProblem):
             return True
         if rank == 1:
             return labels[0] == DUMMY
-        pair = tuple(sorted(labels))
-        return pair in (
-            (MATCHED, MATCHED),
-            (POINTER, POINTER),
-            (UNMATCHED, POINTER),
-            (POINTER, UNMATCHED),
-        )
+        return labels in _RANK2_CONFIGS
 
     # ------------------------------------------------------------------
     # classic conversions

@@ -77,11 +77,10 @@ class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
         """
         independent = set()
         for node in semigraph.nodes:
-            half_edges = semigraph.half_edges_of_node(node)
-            if not half_edges:
-                independent.add(node)
-                continue
-            if all(labeling[h] == IN_MIS for h in half_edges):
+            if all(
+                labeling[HalfEdge(node, edge)] == IN_MIS
+                for edge in semigraph.incident_edges(node)
+            ):
                 independent.add(node)
         return independent
 

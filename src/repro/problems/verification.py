@@ -5,15 +5,26 @@ A solution is valid (Definition 6) when every node's label multiset is in
 verifier reports every violated constraint, which the test-suite and the
 experiment harness use both to assert correctness and to produce useful
 diagnostics when an algorithm is wrong.
+
+:func:`verify_solution` and the list verifiers of
+:mod:`repro.problems.lists` share one walk, :func:`check_labeling`.  It
+passes once over the semi-graph's edges and reads each half-edge's label
+once: an edge's labels are checked as soon as they are gathered, and each
+label is also appended to its node's list.  Every node whose half-edges
+are all labeled is then checked.  Each complete configuration goes once
+through :func:`~repro.semigraph.labeling.canonical_multiset` and the
+predicate the caller supplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.problems.base import NodeEdgeCheckableProblem
-from repro.semigraph import HalfEdgeLabeling, SemiGraph
+from repro.semigraph import HalfEdge, HalfEdgeLabeling, SemiGraph
+from repro.semigraph.labeling import canonical_multiset
+from repro.semigraph.semigraph import EdgeId, NodeId
 
 
 @dataclass(frozen=True)
@@ -64,33 +75,73 @@ def verify_solution(
         half-edges are labeled are checked — useful for verifying the
         intermediate, partial outputs produced inside the transformation.
     """
-    violations: list[Violation] = []
+    node_config_ok = problem.node_config_ok
+    edge_config_ok = problem.edge_config_ok
+    return check_labeling(
+        semigraph,
+        labeling,
+        lambda node, config: node_config_ok(config),
+        lambda edge, config, rank: edge_config_ok(config, rank),
+        require_complete,
+    )
 
-    if require_complete:
-        for half_edge in semigraph.half_edges():
-            if not labeling.is_labeled(half_edge):
-                violations.append(
-                    Violation("unlabeled", half_edge, (), "half-edge has no label")
-                )
 
-    for node in semigraph.nodes:
-        incident = semigraph.half_edges_of_node(node)
-        if not all(labeling.is_labeled(h) for h in incident):
-            continue
-        config = labeling.node_configuration(semigraph, node)
-        if not problem.node_config_ok(config):
-            violations.append(
-                Violation("node", node, config, "node configuration not allowed")
-            )
+#: The label :func:`check_labeling` reads for an unlabeled half-edge.
+_UNLABELED = object()
 
+
+def check_labeling(
+    semigraph: SemiGraph,
+    labeling: HalfEdgeLabeling,
+    node_ok: Callable[[NodeId, tuple], bool],
+    edge_ok: Callable[[EdgeId, tuple, int], bool],
+    require_complete: bool = True,
+    node_message: str = "node configuration not allowed",
+    edge_message: str = "edge configuration not allowed",
+) -> VerificationResult:
+    """The one verifier walk: check every completely labeled node and edge.
+
+    ``node_ok(node, config)`` and ``edge_ok(edge, config, rank)`` decide a
+    canonical configuration.  With ``require_complete`` every unlabeled
+    half-edge is reported too; either way a node or edge with an
+    unlabeled half-edge is not checked.
+    """
+    # A half-edge equals its plain ``(node, edge)`` pair, so the walk looks
+    # labels up by the pair and builds a ``HalfEdge`` only to report one.
+    label_of = labeling.as_mapping().get
+    endpoints_of = semigraph.edge_endpoints()
+    node_labels: dict[NodeId, list] = {node: [] for node in semigraph.nodes}
+    partial_nodes: set[NodeId] = set()
+    unlabeled: list[Violation] = []
+    edge_violations: list[Violation] = []
+    # Node and edge violations are listed in ``semigraph.nodes`` and
+    # ``semigraph.edges`` order.
     for edge in semigraph.edges:
-        incident = semigraph.half_edges_of_edge(edge)
-        if not all(labeling.is_labeled(h) for h in incident):
-            continue
-        config = labeling.edge_configuration(semigraph, edge)
-        if not problem.edge_config_ok(config, semigraph.rank(edge)):
-            violations.append(
-                Violation("edge", edge, config, "edge configuration not allowed")
-            )
+        endpoints = endpoints_of[edge]
+        edge_labels = []
+        for node in endpoints:
+            label = label_of((node, edge), _UNLABELED)
+            if label is _UNLABELED:
+                partial_nodes.add(node)
+                if require_complete:
+                    unlabeled.append(Violation(
+                        "unlabeled", HalfEdge(node, edge), (), "half-edge has no label"
+                    ))
+            else:
+                edge_labels.append(label)
+                node_labels[node].append(label)
+        if len(edge_labels) == len(endpoints):
+            config = canonical_multiset(edge_labels)
+            if not edge_ok(edge, config, len(endpoints)):
+                edge_violations.append(Violation("edge", edge, config, edge_message))
 
+    node_violations: list[Violation] = []
+    for node, labels in node_labels.items():
+        if node in partial_nodes:
+            continue
+        config = canonical_multiset(labels)
+        if not node_ok(node, config):
+            node_violations.append(Violation("node", node, config, node_message))
+
+    violations = unlabeled + node_violations + edge_violations
     return VerificationResult(ok=not violations, violations=violations)

@@ -72,11 +72,12 @@ class DegreePlusOneColoring(NodeEdgeCheckableProblem):
         """
         colouring: dict[Any, int] = {}
         for node in semigraph.nodes:
-            half_edges = semigraph.half_edges_of_node(node)
-            if not half_edges:
+            colours = {
+                labeling[HalfEdge(node, edge)] for edge in semigraph.incident_edges(node)
+            }
+            if not colours:
                 colouring[node] = 1
                 continue
-            colours = {labeling[h] for h in half_edges}
             if len(colours) != 1:
                 raise ValueError(f"node {node!r} carries inconsistent colours: {colours!r}")
             colouring[node] = next(iter(colours))

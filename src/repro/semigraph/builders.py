@@ -18,9 +18,9 @@ from repro.semigraph.semigraph import EdgeId, NodeId, SemiGraph
 
 
 def edge_id_for(u: Hashable, v: Hashable) -> tuple:
-    """Canonical edge identifier for the graph edge ``{u, v}``."""
-    a, b = sorted((u, v), key=repr)
-    return (a, b)
+    """Canonical edge identifier for the graph edge ``{u, v}``: the pair
+    ordered by ``repr`` (``(u, v)`` on a tie)."""
+    return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 def semigraph_from_graph(graph: nx.Graph) -> SemiGraph:
@@ -30,10 +30,13 @@ def semigraph_from_graph(graph: nx.Graph) -> SemiGraph:
     :func:`edge_id_for`, so sub-semi-graph constructions on the same graph
     share identifiers and labelings can be merged across them.
     """
-    semigraph = SemiGraph(graph.nodes())
+    edges: dict[EdgeId, tuple] = {}
     for u, v in graph.edges():
-        semigraph.add_edge(edge_id_for(u, v), (u, v))
-    return semigraph
+        # The one check an ``nx.Graph`` does not make for us.
+        if u == v:
+            raise ValueError("self-loops are not allowed in a semi-graph")
+        edges[edge_id_for(u, v)] = (u, v)
+    return SemiGraph._from_checked(set(graph.nodes()), edges)
 
 
 def restrict_to_nodes(
@@ -52,38 +55,40 @@ def restrict_to_nodes(
     With ``keep_boundary_edges=False`` only edges with *all* endpoints in
     ``nodes`` are kept (ranks are preserved) — the ordinary induced
     sub-semi-graph ``G[P]``.
+
+    The kept edges are the parent's, already checked, so the result is
+    built without :meth:`SemiGraph.add_edge`'s per-edge checks.
     """
     node_set = set(nodes)
-    unknown = node_set - set(semigraph.nodes)
+    unknown = node_set - semigraph.nodes
     if unknown:
         raise ValueError(f"nodes not in semi-graph: {sorted(unknown, key=repr)!r}")
-    result = SemiGraph(node_set)
-    for edge_id in semigraph.edges:
-        endpoints = semigraph.endpoints(edge_id)
-        inside = tuple(v for v in endpoints if v in node_set)
+    edges: dict[EdgeId, tuple] = {}
+    is_inside = node_set.__contains__
+    for edge_id, endpoints in semigraph.edge_endpoints().items():
+        inside = tuple(filter(is_inside, endpoints))
         if keep_boundary_edges:
             if inside:
-                result.add_edge(edge_id, inside)
-        else:
-            if len(inside) == len(endpoints) and endpoints:
-                result.add_edge(edge_id, endpoints)
-    return result
+                edges[edge_id] = inside
+        elif len(inside) == len(endpoints) and endpoints:
+            edges[edge_id] = endpoints
+    return SemiGraph._from_checked(node_set, edges)
 
 
 def restrict_to_edges(semigraph: SemiGraph, edges: Iterable[EdgeId]) -> SemiGraph:
     """Sub-semi-graph induced by an edge subset (the paper's ``G[Q]``).
 
     The node set consists of every endpoint of a selected edge; ranks are
-    preserved.
+    preserved.  The edges are the parent's, already checked, so the result
+    is built without :meth:`SemiGraph.add_edge`'s per-edge checks.
     """
     edge_set = set(edges)
-    unknown = edge_set - set(semigraph.edges)
+    unknown = edge_set - semigraph.edges
     if unknown:
         raise ValueError(f"edges not in semi-graph: {sorted(unknown, key=repr)!r}")
+    parent = semigraph.edge_endpoints()
+    kept = {edge_id: parent[edge_id] for edge_id in edge_set}
     nodes: set[NodeId] = set()
-    for edge_id in edge_set:
-        nodes.update(semigraph.endpoints(edge_id))
-    result = SemiGraph(nodes)
-    for edge_id in edge_set:
-        result.add_edge(edge_id, semigraph.endpoints(edge_id))
-    return result
+    for endpoints in kept.values():
+        nodes.update(endpoints)
+    return SemiGraph._from_checked(nodes, kept)

@@ -10,6 +10,7 @@ against.
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId, SemiGraph
@@ -57,6 +58,10 @@ class HalfEdgeLabeling:
     def items(self) -> Iterator[tuple[HalfEdge, Any]]:
         """Iterate over ``(half_edge, label)`` pairs."""
         return iter(self._labels.items())
+
+    def as_mapping(self) -> Mapping[HalfEdge, Any]:
+        """The assignment as a read-only view (no copy)."""
+        return MappingProxyType(self._labels)
 
     def __len__(self) -> int:
         return len(self._labels)

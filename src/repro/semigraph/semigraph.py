@@ -15,8 +15,8 @@ already been handled, and those edges drop to rank 1 (or 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import networkx as nx
 
@@ -26,15 +26,22 @@ EdgeId = Hashable
 Adjacency = Mapping[NodeId, Collection[NodeId]]
 
 
-@dataclass(frozen=True, order=True)
-class HalfEdge:
-    """An incidence between a node and an edge of a semi-graph."""
+class HalfEdge(NamedTuple):
+    """An incidence between a node and an edge of a semi-graph.
+
+    A tuple, so it hashes, compares and orders in C: ``hash(HalfEdge(v, e))
+    == hash((v, e))`` and the repr is ``HalfEdge(node=v, edge=e)``.
+
+    It also *equals* the plain pair ``(v, e)``.  No mapping or set may
+    therefore key both half-edges and plain pairs, and none does:
+    labelings and their searches key half-edges only, ``NodeView.outside``
+    is keyed by edge identifiers and ``EdgeView.outside`` by node
+    identifiers (a grid's node identifiers are pairs themselves).  Readers
+    of a labeling may look a half-edge up by its plain pair.
+    """
 
     node: NodeId
     edge: EdgeId
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HalfEdge(node={self.node!r}, edge={self.edge!r})"
 
 
 class SemiGraph:
@@ -62,6 +69,24 @@ class SemiGraph:
         if edges:
             for edge_id, endpoints in edges.items():
                 self.add_edge(edge_id, endpoints)
+
+    @classmethod
+    def _from_checked(cls, nodes: set, edges: dict[EdgeId, tuple]) -> "SemiGraph":
+        """A semi-graph that takes ``nodes`` and ``edges`` over as they are.
+
+        The caller vouches for what :meth:`add_edge` checks: every endpoint
+        tuple has at most two distinct endpoints, all in ``nodes``.  The
+        incidence sets are built once, in ``edges`` order.
+        """
+        semigraph = cls.__new__(cls)
+        semigraph._nodes = nodes
+        semigraph._edges = edges
+        incident: dict[NodeId, set[EdgeId]] = {v: set() for v in nodes}
+        for edge_id, endpoints in edges.items():
+            for v in endpoints:
+                incident[v].add(edge_id)
+        semigraph._incident = incident
+        return semigraph
 
     # ------------------------------------------------------------------
     # construction
@@ -105,6 +130,10 @@ class SemiGraph:
         """The endpoints of an edge, as a tuple of length 0, 1 or 2."""
         return self._edges[edge_id]
 
+    def edge_endpoints(self) -> Mapping[EdgeId, tuple]:
+        """Every edge's endpoints, as a read-only view of the edge index."""
+        return MappingProxyType(self._edges)
+
     def rank(self, edge_id: EdgeId) -> int:
         """The rank (number of endpoints) of an edge."""
         return len(self._edges[edge_id])
@@ -124,7 +153,7 @@ class SemiGraph:
                 yield HalfEdge(v, edge_id)
 
     def half_edges_of_node(self, node: NodeId) -> list[HalfEdge]:
-        """All half-edges incident on ``node``."""
+        """All half-edges incident on ``node``, sorted by edge ``repr``."""
         return [HalfEdge(node, e) for e in sorted(self._incident[node], key=repr)]
 
     def half_edges_of_edge(self, edge_id: EdgeId) -> list[HalfEdge]:
@@ -249,7 +278,7 @@ class SemiGraph:
 
     def copy(self) -> "SemiGraph":
         """A deep-enough copy (node/edge structure; identifiers are shared)."""
-        return SemiGraph(self._nodes, dict(self._edges))
+        return SemiGraph._from_checked(set(self._nodes), dict(self._edges))
 
 
 # ----------------------------------------------------------------------

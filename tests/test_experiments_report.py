@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import MeasurementTable
 from repro.experiments import ResultStore, SweepRunner, build_report, get_suite
 from repro.experiments.cli import main
+from repro.experiments.report import render_json_tables
 from repro.experiments.spec import ANALYTIC_GENERATOR
 
 
@@ -74,6 +75,23 @@ class TestReportBundle:
     def test_empty_records_raise(self):
         with pytest.raises(ValueError, match="no stored results"):
             build_report([])
+
+    def test_nonsemantic_fields_leave_report_bytes_unchanged(self, smoke_store):
+        """Two runs of the same cells differ in their timings and engine
+        round split; neither the JSON tables nor the text may differ."""
+        records = list(smoke_store.records())
+        rerun = [
+            dict(
+                record,
+                wall_clock_s=3 * record["wall_clock_s"] + 1.0,
+                timings={"run": 9.5, "verify": 4.25},
+                engine_rounds={"interpreted/none/none": record["rounds"]},
+            )
+            for record in records
+        ]
+        first, second = build_report(records), build_report(rerun)
+        assert render_json_tables(first) == render_json_tables(second)
+        assert first.render() == second.render()
 
     def test_rerun_record_supersedes_stale_unverified_one(self):
         """A cell that failed verification and was re-run on resume has two

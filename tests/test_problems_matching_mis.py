@@ -51,6 +51,13 @@ class TestMatchingConstraints:
         assert not MATCHING.edge_config_ok((MATCHED,), 1)
         assert MATCHING.edge_config_ok((), 0)
 
+    def test_edge_with_label_of_another_type_rejected(self):
+        # A pair label next to a string is not allowed, and must not make
+        # the check (or the verifier calling it) raise.
+        assert not MATCHING.edge_config_ok((DUMMY, (1, 2)), 2)
+        assert not MATCHING.edge_config_ok((7, POINTER), 2)
+        assert MATCHING.edge_config_ok((UNMATCHED, POINTER), 2)
+
 
 class TestMatchingConversions:
     def test_roundtrip_on_path(self):

@@ -282,3 +282,103 @@ def test_property_restriction_degree_split(n, seed):
     # Every half-edge of the tree is covered by exactly one of the two parts.
     total = len(list(sub_part.half_edges())) + len(list(sub_rest.half_edges()))
     assert total == 2 * tree.number_of_edges()
+
+
+# ----------------------------------------------------------------------
+# HalfEdge as a tuple, and restrictions built from the parent's index
+# ----------------------------------------------------------------------
+def _add_edge_restrict_to_nodes(semigraph, nodes, keep_boundary_edges):
+    """``restrict_to_nodes`` built edge by edge through ``add_edge``."""
+    node_set = set(nodes)
+    result = SemiGraph(node_set)
+    for edge in semigraph.edges:
+        endpoints = semigraph.endpoints(edge)
+        inside = tuple(v for v in endpoints if v in node_set)
+        if keep_boundary_edges:
+            if inside:
+                result.add_edge(edge, inside)
+        elif len(inside) == len(endpoints) and endpoints:
+            result.add_edge(edge, endpoints)
+    return result
+
+
+def _add_edge_restrict_to_edges(semigraph, edges):
+    """``restrict_to_edges`` built edge by edge through ``add_edge``."""
+    result = SemiGraph(v for edge in edges for v in semigraph.endpoints(edge))
+    for edge in edges:
+        result.add_edge(edge, semigraph.endpoints(edge))
+    return result
+
+
+def _structure(semigraph):
+    """Nodes, endpoints per edge and incidence sets of a semi-graph."""
+    return (
+        semigraph.nodes,
+        {edge: semigraph.endpoints(edge) for edge in semigraph.edges},
+        {node: semigraph.incident_edges(node) for node in semigraph.nodes},
+    )
+
+
+def _generated_graphs():
+    from repro.generators import forest_union, random_tree
+
+    for seed in range(12):
+        yield random_tree(2 + 7 * seed, seed=seed)
+        yield forest_union(3 + 6 * seed, arboricity=2, seed=seed)
+
+
+class TestHalfEdgeTupleAndCheckedRestrictions:
+    def test_half_edge_repr_and_hash_are_the_tuple_ones(self):
+        assert repr(HalfEdge(1, (1, 2))) == "HalfEdge(node=1, edge=(1, 2))"
+        for node, edge in ((1, (1, 2)), ("a", "e"), ((0, 1), ((0, 1), (0, 2)))):
+            assert hash(HalfEdge(node, edge)) == hash((node, edge))
+            assert HalfEdge(node, edge) == (node, edge)
+
+    def test_semigraph_from_graph_matches_add_edge(self):
+        for graph in _generated_graphs():
+            reference = SemiGraph(graph.nodes())
+            for u, v in graph.edges():
+                reference.add_edge(edge_id_for(u, v), (u, v))
+            assert _structure(semigraph_from_graph(graph)) == _structure(reference)
+
+    def test_restrictions_match_add_edge(self):
+        import random
+
+        rng = random.Random(7)
+        for graph in _generated_graphs():
+            semigraph = semigraph_from_graph(graph)
+            nodes = [v for v in sorted(graph.nodes()) if rng.random() < 0.5]
+            edges = [e for e in sorted(semigraph.edges) if rng.random() < 0.5]
+            for keep in (True, False):
+                assert _structure(restrict_to_nodes(semigraph, nodes, keep)) == (
+                    _structure(_add_edge_restrict_to_nodes(semigraph, nodes, keep))
+                )
+            assert _structure(restrict_to_edges(semigraph, edges)) == (
+                _structure(_add_edge_restrict_to_edges(semigraph, edges))
+            )
+            # A restriction of a restriction keeps rank-1 edges as they are.
+            boundary = restrict_to_nodes(semigraph, nodes)
+            inner = [v for v in nodes if rng.random() < 0.5]
+            assert _structure(restrict_to_nodes(boundary, inner)) == (
+                _structure(_add_edge_restrict_to_nodes(boundary, inner, True))
+            )
+            assert _structure(semigraph.copy()) == _structure(semigraph)
+
+    def test_semigraph_from_graph_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            semigraph_from_graph(nx.Graph([(0, 0), (0, 1)]))
+
+    def test_edge_id_for_orders_by_repr(self):
+        pairs = [(1, 2), (2, 1), (10, 9), ("b", "a"), ((0, 1), (0, 0)), (3, "3"),
+                 ("3", 3), (1.5, 1), ((2, 10), (2, 9))]
+        for u, v in pairs:
+            assert edge_id_for(u, v) == tuple(sorted((u, v), key=repr))
+
+        class Anonymous:
+            def __repr__(self):
+                return "anonymous"
+
+        first, second = Anonymous(), Anonymous()
+        # On a repr tie the pair keeps its order, as a stable sort does.
+        assert edge_id_for(first, second) == (first, second)
+        assert edge_id_for(second, first) == (second, first)
