@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _harness import record_json, scenario_entry  # noqa: E402
 
 from repro.experiments import ResultStore, ScenarioSpec, Suite, SweepRunner
-from repro.service import WorkerPool
+from repro.experiments.runner import WorkerPool
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 

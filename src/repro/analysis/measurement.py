@@ -1,85 +1,11 @@
-"""Measurement records and result tables (text, JSON and CSV)."""
+"""Result tables, rendered as text, JSON and CSV."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable
-
-
-@dataclass
-class Measurement:
-    """One measured data point of an experiment."""
-
-    experiment: str
-    instance: str
-    n: int
-    value: float
-    unit: str = "rounds"
-    extras: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "instance": self.instance,
-            "n": self.n,
-            "value": self.value,
-            "unit": self.unit,
-            "extras": dict(self.extras),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Measurement":
-        return cls(
-            experiment=payload["experiment"],
-            instance=payload["instance"],
-            n=payload["n"],
-            value=payload["value"],
-            unit=payload.get("unit", "rounds"),
-            extras=dict(payload.get("extras", {})),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Measurement":
-        return cls.from_dict(json.loads(text))
-
-
-def measurements_to_csv(measurements: Iterable[Measurement]) -> str:
-    """Render measurements as CSV; ``extras`` travel as one JSON column."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["experiment", "instance", "n", "value", "unit", "extras"])
-    for measurement in measurements:
-        writer.writerow([
-            measurement.experiment,
-            measurement.instance,
-            measurement.n,
-            measurement.value,
-            measurement.unit,
-            json.dumps(measurement.extras, sort_keys=True),
-        ])
-    return buffer.getvalue()
-
-
-def measurements_from_csv(text: str) -> list[Measurement]:
-    """Parse the CSV produced by :func:`measurements_to_csv`."""
-    reader = csv.DictReader(io.StringIO(text))
-    measurements = []
-    for row in reader:
-        measurements.append(Measurement(
-            experiment=row["experiment"],
-            instance=row["instance"],
-            n=int(row["n"]),
-            value=float(row["value"]),
-            unit=row["unit"],
-            extras=json.loads(row["extras"]) if row.get("extras") else {},
-        ))
-    return measurements
 
 
 class MeasurementTable:
@@ -125,14 +51,6 @@ class MeasurementTable:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementTable":
-        payload = json.loads(text)
-        table = cls(payload["title"], payload["columns"])
-        for row in payload["rows"]:
-            table.add_row(*row)
-        return table
-
     def to_csv(self) -> str:
         """The table as CSV (header row = columns; the title is not encoded)."""
         buffer = io.StringIO()
@@ -141,22 +59,6 @@ class MeasurementTable:
         for row in self.rows:
             writer.writerow(row)
         return buffer.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, title: str = "") -> "MeasurementTable":
-        """Parse CSV back into a table, recovering ints and floats.
-
-        CSV stringifies every value; numeric-looking cells are converted
-        back (int first, then float), everything else stays a string.
-        """
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if not rows:
-            raise ValueError("cannot build a MeasurementTable from empty CSV")
-        table = cls(title, rows[0])
-        for row in rows[1:]:
-            table.add_row(*[_parse_cell(cell) for cell in row])
-        return table
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
@@ -167,13 +69,3 @@ def _format_cell(value: Any) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def _parse_cell(cell: str) -> Any:
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell

@@ -53,15 +53,12 @@ def reduce_to_deg_plus_one(
     graph: nx.Graph,
     colours: Mapping[Hashable, int],
     num_classes: int,
-    identifiers: Mapping[Hashable, int] | None = None,
 ) -> tuple[dict, int]:
     """Reduce a proper colouring to a (deg+1)-colouring in ``num_classes`` rounds.
 
     Returns ``(new_colours, rounds)``.
     """
-    return _reduce_to_deg_plus_one(
-        Network(graph, identifiers=identifiers), colours, num_classes
-    )
+    return _reduce_to_deg_plus_one(Network(graph), colours, num_classes)
 
 
 def _reduce_to_deg_plus_one(

@@ -9,7 +9,6 @@ so the result is simultaneously a (deg+1)- and a (Δ+1)-colouring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import networkx as nx
 
@@ -29,9 +28,7 @@ class ColoringRun:
     palette_after_linial: int
 
 
-def deg_plus_one_coloring(
-    graph: nx.Graph, identifiers: Mapping[Hashable, int] | None = None
-) -> ColoringRun:
+def deg_plus_one_coloring(graph: nx.Graph) -> ColoringRun:
     """Colour ``graph`` properly with each colour at most ``deg + 1``.
 
     Round complexity: ``O(Δ² + log* n)`` — the measured breakdown is
@@ -39,7 +36,7 @@ def deg_plus_one_coloring(
     """
     if graph.number_of_nodes() == 0:
         return ColoringRun({}, 0, 0, 0, 0)
-    return _deg_plus_one_coloring(Network(graph, identifiers=identifiers))
+    return _deg_plus_one_coloring(Network(graph))
 
 
 def _deg_plus_one_coloring(network: Network) -> ColoringRun:

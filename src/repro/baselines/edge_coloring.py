@@ -14,7 +14,6 @@ count — the constant-factor overhead the paper's model permits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import networkx as nx
 
@@ -31,9 +30,7 @@ class EdgeColoringRun:
     line_graph_rounds: int
 
 
-def edge_degree_plus_one_coloring(
-    graph: nx.Graph, identifiers: Mapping[Hashable, int] | None = None
-) -> EdgeColoringRun:
+def edge_degree_plus_one_coloring(graph: nx.Graph) -> EdgeColoringRun:
     """Properly colour the edges with colours at most ``edge-degree + 1``.
 
     Returns colours keyed by the canonical edge pair (see
@@ -41,16 +38,7 @@ def edge_degree_plus_one_coloring(
     """
     if graph.number_of_edges() == 0:
         return EdgeColoringRun({}, 0, 0)
-    line_graph = nx.line_graph(graph)
-    line_identifiers = None
-    if identifiers is not None:
-        # Derive deterministic line-graph identifiers from endpoint identifiers.
-        size = max(identifiers.values()) + 1
-        line_identifiers = {
-            edge: identifiers[edge[0]] * size + identifiers[edge[1]]
-            for edge in line_graph.nodes()
-        }
-    run = deg_plus_one_coloring(line_graph, identifiers=line_identifiers)
+    run = deg_plus_one_coloring(nx.line_graph(graph))
     colours = {edge_id_for(u, v): colour for (u, v), colour in run.colours.items()}
     return EdgeColoringRun(
         colours=colours,

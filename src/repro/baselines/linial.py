@@ -16,8 +16,6 @@ number of rounds.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
-
 import networkx as nx
 
 from repro.baselines.primes import next_prime
@@ -134,10 +132,7 @@ class LinialColoring(SynchronousAlgorithm):
         return state["colour"] + 1  # colours 1 .. final_colours
 
 
-def linial_coloring(
-    graph: nx.Graph,
-    identifiers: Mapping[Hashable, int] | None = None,
-) -> tuple[dict, int, int]:
+def linial_coloring(graph: nx.Graph) -> tuple[dict, int, int]:
     """Properly colour ``graph`` with ``O(Δ²)`` colours in ``O(log* n)`` rounds.
 
     Returns ``(colours, palette_size, rounds)`` where colours are 1-based.
@@ -145,7 +140,7 @@ def linial_coloring(
     ``auto`` (also outside any context) uses the array engine when numpy
     is available; results are identical either way.
     """
-    return _linial_coloring(Network(graph, identifiers=identifiers))
+    return _linial_coloring(Network(graph))
 
 
 def _linial_coloring(network: Network) -> tuple[dict, int, int]:

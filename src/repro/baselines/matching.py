@@ -15,7 +15,7 @@ charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable
 
 import networkx as nx
 
@@ -32,13 +32,11 @@ class MatchingRun:
     sweep_rounds: int
 
 
-def maximal_matching(
-    graph: nx.Graph, identifiers: Mapping[Hashable, int] | None = None
-) -> MatchingRun:
+def maximal_matching(graph: nx.Graph) -> MatchingRun:
     """Compute a maximal matching of ``graph`` in ``O(Δ² + log* n)`` rounds."""
     if graph.number_of_edges() == 0:
         return MatchingRun(set(), 0, 0, 0)
-    coloring = edge_degree_plus_one_coloring(graph, identifiers=identifiers)
+    coloring = edge_degree_plus_one_coloring(graph)
     num_classes = max(coloring.colours.values(), default=1)
 
     matched_nodes: set[Hashable] = set()

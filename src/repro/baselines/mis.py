@@ -9,7 +9,6 @@ conflict; processing classes in increasing order makes the result maximal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
 
 import networkx as nx
 
@@ -56,9 +55,7 @@ class MISRun:
     sweep_rounds: int
 
 
-def maximal_independent_set(
-    graph: nx.Graph, identifiers: Mapping[Hashable, int] | None = None
-) -> MISRun:
+def maximal_independent_set(graph: nx.Graph) -> MISRun:
     """Compute an MIS of ``graph`` in ``O(Δ² + log* n)`` rounds.
 
     The colouring and the sweep run on one network: the graph is indexed
@@ -66,7 +63,7 @@ def maximal_independent_set(
     """
     if graph.number_of_nodes() == 0:
         return MISRun(set(), 0, 0, 0)
-    network = Network(graph, identifiers=identifiers)
+    network = Network(graph)
     coloring = _deg_plus_one_coloring(network)
     num_classes = max(coloring.colours.values(), default=1)
     sweep = network.with_inputs(

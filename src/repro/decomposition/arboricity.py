@@ -144,7 +144,6 @@ def arboricity_decomposition(
     arboricity: int,
     k: int,
     b: int | None = None,
-    identifiers: dict[Hashable, int] | None = None,
     strict_iteration_bound: bool = False,
 ) -> ArboricityDecomposition:
     """Run Algorithm 3 on ``graph`` and derive the edge structures of Section 4.
@@ -174,8 +173,7 @@ def arboricity_decomposition(
     if k < 2:
         raise ValueError("the degree threshold k must be at least 2")
 
-    if identifiers is None:
-        identifiers = default_identifiers(graph.nodes())
+    identifiers = default_identifiers(graph.nodes())
 
     n = graph.number_of_nodes()
     if n == 0:

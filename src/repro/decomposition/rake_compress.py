@@ -146,7 +146,6 @@ class RakeCompressDecomposition:
 def rake_and_compress(
     tree: nx.Graph,
     k: int,
-    identifiers: dict[Hashable, int] | None = None,
     strict_iteration_bound: bool = False,
 ) -> RakeCompressDecomposition:
     """Run Algorithm 1 on ``tree`` with compress parameter ``k``.
@@ -158,9 +157,6 @@ def rake_and_compress(
         which only helps the process).
     k:
         The compress threshold, at least 2.
-    identifiers:
-        Optional unique integer identifiers used to break ties inside a
-        layer (defaults to a deterministic numbering).
     strict_iteration_bound:
         When true, raise if the process needs more than the paper's
         ``⌈log_k n⌉ + 1`` iterations; otherwise keep iterating (and record
@@ -184,8 +180,7 @@ def rake_and_compress(
     if tree.number_of_edges() != n - _count_components(csr):
         raise ValueError("the input graph contains a cycle; Algorithm 1 expects a forest")
 
-    if identifiers is None:
-        identifiers = default_identifiers(tree.nodes())
+    identifiers = default_identifiers(tree.nodes())
 
     theoretical_bound = math.ceil(math.log(max(n, 2)) / math.log(k)) + 1
     safety_cap = max(4 * theoretical_bound + 8, 32)

@@ -50,7 +50,7 @@ from repro.experiments.store import (
 )
 from repro.experiments.runner import SweepReport, SweepRunner, default_jobs, run_cell
 from repro.experiments.report import ReportBundle, build_report
-from repro.experiments.shard import ShardSpec, partition, shard_cells
+from repro.experiments.shard import ShardSpec, shard_cells
 
 __all__ = [
     "ALGORITHMS",
@@ -81,6 +81,5 @@ __all__ = [
     "ReportBundle",
     "build_report",
     "ShardSpec",
-    "partition",
     "shard_cells",
 ]

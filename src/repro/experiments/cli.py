@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -112,6 +113,8 @@ def _nonnegative_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
     return value
@@ -175,16 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
             "so a fleet worker\n  offering a submitted suite shares its "
             "cells.  A background heartbeat renews\n  a worker's leases; a "
             "worker that dies stops heartbeating, its leases expire\n  after "
-            "the TTL (`serve --lease-ttl`, default 2x `--heartbeat-interval`) "
-            "and the\n  cells are reassigned to the survivors — kill a "
-            "worker mid-sweep and the\n  suite still finishes with no lost "
-            "cells.  Workers added mid-run (or\n  restarted after a server "
-            "restart, which answers unknown ids with\n  `known: false`) "
-            "simply register and start leasing.  `fleet_status` reports\n  "
-            "workers alive/lost, active leases and lease fates; the server's "
-            "metrics\n  gain `fleet_workers`, `fleet_leases_total{fate}` and "
-            "a lease-age histogram,\n  plus a `lease-stuck` SLO (oldest "
-            "active lease vs 3x TTL).\n\n"
+            "the TTL (2x `serve --heartbeat-interval`) and the cells are\n  "
+            "reassigned to the survivors — kill a worker mid-sweep and the "
+            "suite still\n  finishes with no lost cells.  Workers added "
+            "mid-run (or restarted after a\n  server restart, which answers "
+            "unknown ids with `known: false`) simply\n  register and start "
+            "leasing.  The server's metrics count workers alive and\n  lost "
+            "(`fleet_workers`) and lease events by fate "
+            "(`fleet_leases_total`),\n  with a lease-age histogram and a "
+            "`lease-stuck` SLO (oldest active lease\n  vs 3x TTL).\n\n"
             "observability:\n"
             "  The server's `metrics` verb exports Prometheus text: per-verb "
             "request counts\n  and latency, auth failures, malformed lines, "
@@ -199,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
             "rate, worker restarts, lease\n  age) and, with --store, checks "
             "that the store holds exactly the records\n  the server found "
             "at startup plus those it ingested.  `dashboard\n  --out DIR "
-            "[--metrics f.prom | --connect host:port] --html page.html` "
-            "renders\n  the report bundle plus a scrape to one static HTML "
-            "page (stat tiles,\n  scaling/fit tables, SLO verdicts) — CI "
-            "uploads it as the `dashboard`\n  artifact.  Counters are "
-            "cumulative since the server started: to see what\n  changed "
-            "over a stretch of time, save a scrape before and after it and "
-            "run\n  `dashboard --diff old.prom new.prom`.  It and `dashboard "
-            "--diff-bench\n  BENCH_engine.json fresh.json [--max-regression "
-            "2.0]` render regression-\n  highlighted diff pages and exit 1 "
-            "on regression — CI gates each PR's bench\n  run against the "
-            "committed BENCH_engine.json trajectory and uploads the page\n"
-            "  as the `bench-diff` artifact."
+            "[--metrics f.prom] --html page.html` renders the report bundle\n"
+            "  plus a saved scrape to one static HTML page (stat tiles, "
+            "scaling/fit tables,\n  SLO verdicts) — CI uploads it as the "
+            "`dashboard` artifact.  Counters are\n  cumulative since the "
+            "server started: to see what changed over a stretch of\n  time, "
+            "save a scrape before and after it and run `dashboard --diff\n"
+            "  old.prom new.prom`.  It and `dashboard --diff-bench "
+            "BENCH_engine.json\n  fresh.json [--max-regression 2.0]` render "
+            "regression-highlighted diff pages\n  and exit 1 on regression "
+            "— CI gates each PR's bench run against the\n  committed "
+            "BENCH_engine.json trajectory and uploads the page as the\n"
+            "  `bench-diff` artifact."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke", action="store_true",
         help="CI-size sweep: smoke sizes, first seed only (analytic cells unchanged)",
     )
-    sweep_options.add_argument(
-        "--shard", type=_shard_spec, default=None, metavar="I/K",
-        help="run only shard i of k (deterministic disjoint fingerprint "
-        "partition), e.g. --shard 0/2",
-    )
 
     run = sub.add_parser(
         "run", help="run a suite's pending cells", parents=[sweep_options]
     )
     run.add_argument("suite", help=f"suite name (one of: {', '.join(sorted(SUITES))})")
+    run.add_argument(
+        "--shard", type=_shard_spec, default=None, metavar="I/K",
+        help="run only shard i of k (deterministic disjoint fingerprint "
+        "partition), e.g. --shard 0/2",
+    )
     run.add_argument(
         "--jobs", type=_positive_int, default=None,
         help="worker processes (default: min(cpu count, 8))",
@@ -309,13 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--heartbeat-interval", type=_positive_float,
         default=DEFAULT_HEARTBEAT_INTERVAL_S, metavar="SECONDS",
-        help="fleet cadence handed to `run --fleet` workers at registration "
+        help="fleet cadence handed to `run --fleet` workers at registration; "
+        "a lease survives two intervals without a heartbeat "
         f"(default: {DEFAULT_HEARTBEAT_INTERVAL_S:g})",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=_positive_float, default=None, metavar="SECONDS",
-        help="seconds a lease survives without a heartbeat before its cells "
-        "are reassigned (default: 2x the heartbeat interval)",
     )
 
     submit = sub.add_parser(
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a summary",
     )
     submit.add_argument(
-        "--timeout", type=float, default=600.0,
+        "--timeout", type=_positive_float, default=600.0,
         help="--wait timeout in seconds (default: 600)",
     )
 
@@ -399,15 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a saved Prometheus-text scrape to include (from `metrics --out`)",
     )
     dashboard.add_argument(
-        "--connect", default=None, metavar="ENDPOINT",
-        help="scrape a live sweep server for the metrics section instead "
-        "of --metrics",
-    )
-    dashboard.add_argument(
-        "--token", default=None,
-        help=f"shared auth token for a TCP --connect (default: ${AUTH_TOKEN_ENV})",
-    )
-    dashboard.add_argument(
         "--html", default="dashboard.html", metavar="PATH",
         help="output HTML path (default: dashboard.html)",
     )
@@ -430,11 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FACTOR",
         help="--diff-bench: wall-clock ratio above which an entry is a "
         "regression (default: 2.0)",
-    )
-    dashboard.add_argument(
-        "--min-wall", type=_nonnegative_float, default=0.05, metavar="SECONDS",
-        help="--diff-bench: entries with either wall clock below this noise "
-        "floor are reported but never gate (default: 0.05)",
     )
     return parser
 
@@ -643,7 +627,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ResultCollector(
             out=args.out, listen=args.listen, socket_path=args.socket,
             token=args.token, heartbeat_interval_s=args.heartbeat_interval,
-            lease_ttl_s=args.lease_ttl, workers=workers,
+            workers=workers,
         )
         server.start()
     except (ValueError, RuntimeError, OSError) as error:
@@ -660,7 +644,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         "verbs: submit / status / push / report / metrics / register / "
-        "heartbeat / lease / fleet_status / shutdown  (ctrl-c also stops)"
+        "heartbeat / lease / shutdown  (ctrl-c also stops)"
     )
     try:
         server.serve_forever()
@@ -683,7 +667,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             smoke=args.smoke,
             sizes=args.sizes,
             seeds=args.seeds,
-            shard=str(args.shard) if args.shard is not None else None,
         )
         queued = reply["fingerprints"]
         print(
@@ -791,7 +774,7 @@ def _cmd_dashboard_diff(args: argparse.Namespace) -> int:
     try:
         diff = diff_bench_payloads(
             _read_json(path_old), _read_json(path_new),
-            max_regression=args.max_regression, min_wall_s=args.min_wall,
+            max_regression=args.max_regression,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -825,27 +808,12 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
     from repro.obs.dashboard import render_dashboard
 
-    if args.metrics is not None and args.connect is not None:
-        print("--metrics and --connect are mutually exclusive", file=sys.stderr)
-        return 2
     metrics_text = None
     if args.metrics is not None:
         try:
             metrics_text = _read_scrape(args.metrics)
         except ValueError as error:
             print(str(error), file=sys.stderr)
-            return 2
-    elif args.connect is not None:
-        client = _make_client(args.connect, args.token)
-        if isinstance(client, int):
-            return client
-        try:
-            metrics_text = client.metrics()
-        except ServiceError as error:
-            print(
-                f"metrics scrape from {args.connect} failed: {error}",
-                file=sys.stderr,
-            )
             return 2
     bundle = None
     if not args.no_report:
@@ -856,7 +824,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
             print(
                 f"no stored results under {ResultStore(args.out).path} and no "
                 "metrics source — nothing to render "
-                "(pass --metrics/--connect or run a suite first)",
+                "(pass --metrics or run a suite first)",
                 file=sys.stderr,
             )
             return 2

@@ -230,9 +230,6 @@ class WorkerPool:
         self._sweep_ids = itertools.count(1)
         self._closed = False
         self._ever_started = False
-        # Cumulative traffic counters.
-        self.sweeps_served = 0
-        self.cells_executed = 0
         self.registry = registry if registry is not None else MetricsRegistry()
         self._restarts_metric = self.registry.counter(
             "pool_worker_restarts_total",
@@ -386,10 +383,8 @@ class WorkerPool:
                         # listening.  Drop it — resume re-runs it.
                         continue
                     send(1)
-                    self.cells_executed += 1
                     self._cells_metric.inc()
                     yield CellOutcome(cell=in_flight.pop(index), result=result, error=error)
-                self.sweeps_served += 1
                 self._sweeps_metric.inc()
 
         return stream()

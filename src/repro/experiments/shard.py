@@ -14,18 +14,15 @@ function of exactly the quantities that define the cell's computation
   reproduce the unsharded store record-for-record.
 
 Nothing here imports the experiment registries, so the module is safe to
-import from anywhere in the stack (CLI, runner, server) without cycles.
-It lives in the experiments layer because the runner consumes it; the
-service package re-exports :class:`ShardSpec`, :func:`shard_cells` and
-:func:`partition` for its workers.
+import from anywhere in the stack (CLI, runner) without cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, TypeVar
 
-__all__ = ["ShardSpec", "shard_cells", "partition"]
+__all__ = ["ShardSpec", "shard_cells"]
 
 CellT = TypeVar("CellT")
 
@@ -76,8 +73,3 @@ def shard_cells(cells: Iterable[CellT], shard: ShardSpec | None) -> list[CellT]:
     if shard is None:
         return list(cells)
     return [cell for cell in cells if shard.owns(cell.fingerprint)]
-
-
-def partition(cells: Sequence[CellT], count: int) -> list[list[CellT]]:
-    """All ``count`` shards of ``cells`` at once (testing / inspection aid)."""
-    return [shard_cells(cells, ShardSpec(index, count)) for index in range(count)]

@@ -344,6 +344,10 @@ _BAD_COUNTER_DELTAS: tuple[tuple[str, dict[str, str]], ...] = (
 #: A p99 that grows past this factor between two scrapes is a regression.
 _P99_REGRESSION_FACTOR = 2.0
 
+#: Bench entries under this wall clock (seconds) on either side are
+#: noise-dominated: the bench diff reports them but never gates on them.
+BENCH_NOISE_FLOOR_S = 0.05
+
 
 def _scalar_map(samples: Sequence[Sample]) -> dict[tuple[str, tuple], float]:
     values: dict[tuple[str, tuple], float] = {}
@@ -486,7 +490,7 @@ class BenchEntryDiff:
     old_wall_s: float
     new_wall_s: float
     ratio: float | None
-    gated: bool  # large enough (>= min_wall_s on both sides) to gate on
+    gated: bool  # at or above BENCH_NOISE_FLOOR_S on both sides
     regression: bool
     note: str = ""
 
@@ -499,7 +503,6 @@ class BenchDiff:
     only_old: list[tuple[str, str, int]]
     only_new: list[tuple[str, str, int]]
     max_regression: float
-    min_wall_s: float
 
     @property
     def regressions(self) -> list[BenchEntryDiff]:
@@ -540,17 +543,14 @@ def _bench_entries(payload: Mapping) -> dict[tuple[str, str, int], Mapping]:
 
 
 def diff_bench_payloads(
-    old: Mapping,
-    new: Mapping,
-    max_regression: float = 2.0,
-    min_wall_s: float = 0.05,
+    old: Mapping, new: Mapping, max_regression: float = 2.0
 ) -> BenchDiff:
     """Compare two canonical bench payloads entry by entry.
 
     An entry *regresses* when its wall clock grew by more than
-    ``max_regression``× — but only entries taking at least ``min_wall_s``
-    on both sides gate: sub-threshold timings are noise-dominated and
-    reported informationally, never failed on.  Semantic fields
+    ``max_regression``× — but only entries taking at least
+    :data:`BENCH_NOISE_FLOOR_S` on both sides gate: shorter timings are
+    noise-dominated and reported informationally, never failed on.  Semantic fields
     (``rounds``, ``messages``) that changed are noted on the row.
     """
     old_entries = _bench_entries(old)
@@ -561,7 +561,9 @@ def diff_bench_payloads(
         old_wall = float(old_entry.get("wall_clock_s", 0.0))
         new_wall = float(new_entry.get("wall_clock_s", 0.0))
         ratio = new_wall / old_wall if old_wall > 0 else None
-        gated = old_wall >= min_wall_s and new_wall >= min_wall_s
+        gated = (
+            old_wall >= BENCH_NOISE_FLOOR_S and new_wall >= BENCH_NOISE_FLOOR_S
+        )
         regression = (
             gated and ratio is not None and ratio > max_regression
         )
@@ -589,7 +591,6 @@ def diff_bench_payloads(
         only_old=sorted(set(old_entries) - set(new_entries)),
         only_new=sorted(set(new_entries) - set(old_entries)),
         max_regression=max_regression,
-        min_wall_s=min_wall_s,
     )
 
 
@@ -635,7 +636,7 @@ def render_bench_diff(
         if row.regression:
             status = _status(False, "", "REGRESSION")
         elif not row.gated:
-            status = f'<span class="muted">below {diff.min_wall_s}s floor</span>'
+            status = f'<span class="muted">below {BENCH_NOISE_FLOOR_S}s floor</span>'
         else:
             status = _status(True, "ok", "")
         entry_rows.append([
@@ -652,7 +653,7 @@ def render_bench_diff(
     sections.append(f"<h2>Wall clock: {_esc(label_old)} vs {_esc(label_new)}</h2>")
     sections.append(_rows_table(
         f"Regression = ratio > {diff.max_regression}× with both sides ≥ "
-        f"{diff.min_wall_s}s",
+        f"{BENCH_NOISE_FLOOR_S}s",
         ["scenario", "engine", "n", f"{label_old} (s)", f"{label_new} (s)",
          "ratio", "status", "notes"],
         entry_rows,

@@ -32,13 +32,15 @@ IN_MIS = "M"
 POINTER = "P"
 OUT = "O"
 
-_RANK2_CONFIGS = {
+# A tuple, compared with ``==``: set membership would hash the labels, and
+# an unhashable label must fail the check, not crash it.
+_RANK2_CONFIGS = (
     (IN_MIS, POINTER),
     (POINTER, IN_MIS),
     (IN_MIS, OUT),
     (OUT, IN_MIS),
     (OUT, OUT),
-}
+)
 
 
 class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
@@ -64,7 +66,7 @@ class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
             return True
         if rank == 1:
             return labels[0] in (IN_MIS, OUT)
-        return tuple(labels) in _RANK2_CONFIGS
+        return labels in _RANK2_CONFIGS
 
     # ------------------------------------------------------------------
     # classic conversions

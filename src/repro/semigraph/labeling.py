@@ -2,18 +2,18 @@
 
 A solution to a node-edge-checkable problem is a mapping from half-edges to
 output labels (Definition 6).  :class:`HalfEdgeLabeling` represents such a
-mapping, possibly partial, and provides the per-node and per-edge label
-multisets ("configurations") that the problem constraints are checked
-against.
+mapping, possibly partial; :func:`canonical_multiset` is the canonical form
+of the per-node and per-edge label multisets ("configurations") that
+:func:`repro.problems.verification.check_labeling` checks the problem
+constraints against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId, SemiGraph
+from repro.semigraph.semigraph import HalfEdge, SemiGraph
 
 
 class HalfEdgeLabeling:
@@ -73,34 +73,8 @@ class HalfEdgeLabeling:
         return half_edge in self._labels
 
     # ------------------------------------------------------------------
-    # configurations
+    # views over a semi-graph
     # ------------------------------------------------------------------
-    def node_configuration(
-        self, semigraph: SemiGraph, node: NodeId, partial: bool = False
-    ) -> tuple:
-        """The multiset of labels on half-edges incident on ``node``.
-
-        Returned as a sorted tuple (a canonical multiset representation).
-        With ``partial=False``, every incident half-edge must be labeled.
-        With ``partial=True``, unlabeled half-edges are skipped.
-        """
-        return self._configuration(semigraph.half_edges_of_node(node), partial)
-
-    def edge_configuration(
-        self, semigraph: SemiGraph, edge: EdgeId, partial: bool = False
-    ) -> tuple:
-        """The multiset of labels on half-edges incident on ``edge``."""
-        return self._configuration(semigraph.half_edges_of_edge(edge), partial)
-
-    def _configuration(self, half_edges: Iterable[HalfEdge], partial: bool) -> tuple:
-        labels = []
-        for half_edge in half_edges:
-            if half_edge in self._labels:
-                labels.append(self._labels[half_edge])
-            elif not partial:
-                raise KeyError(f"half-edge {half_edge!r} is unlabeled")
-        return canonical_multiset(labels)
-
     def is_complete(self, semigraph: SemiGraph) -> bool:
         """Whether every half-edge of ``semigraph`` is labeled."""
         return all(h in self._labels for h in semigraph.half_edges())
@@ -115,10 +89,6 @@ class HalfEdgeLabeling:
     def copy(self) -> "HalfEdgeLabeling":
         """An independent copy of the labeling."""
         return HalfEdgeLabeling(self._labels)
-
-    def label_counts(self) -> Counter:
-        """Counter of how many half-edges carry each label."""
-        return Counter(self._labels.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HalfEdgeLabeling({len(self._labels)} half-edges labeled)"

@@ -231,14 +231,6 @@ class SemiGraph:
             return 0
         return max(self.degree(v) for v in self._nodes)
 
-    def edge_degree(self, edge_id: EdgeId) -> int:
-        """Number of edges adjacent to ``edge_id`` (sharing an endpoint)."""
-        adjacent: set[EdgeId] = set()
-        for v in self._edges[edge_id]:
-            adjacent.update(self._incident[v])
-        adjacent.discard(edge_id)
-        return len(adjacent)
-
     def connected_components(self) -> list[set]:
         """Connected components of the underlying graph.
 

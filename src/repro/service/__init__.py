@@ -1,14 +1,12 @@
 """The distributed sweep service.
 
-Four layers turn the single-machine experiment runner into a
-multi-worker, multi-machine, resumable, mergeable, elastic sweep
-platform:
+Three layers turn the single-machine experiment runner
+(:mod:`repro.experiments`: its warm
+:class:`~repro.experiments.runner.WorkerPool`, which the server's local
+worker and fleet workers run cells on, and static ``run --shard i/k``
+partitioning) into a multi-worker, multi-machine, resumable, elastic
+sweep platform:
 
-* :class:`ShardSpec` and :class:`WorkerPool` — re-exported from
-  :mod:`repro.experiments`: deterministic ``i/k`` partitioning of a
-  suite's cells by fingerprint (``run --shard i/k``, then ``merge``),
-  and warm worker processes reused across sweeps, one cell per task,
-  which the server's local worker and fleet workers run cells on;
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
   the :class:`LineServer` listener (accept loops, per-connection
@@ -20,16 +18,16 @@ platform:
   :func:`repro.experiments.store.resolve_duplicate`, shared with
   :func:`repro.experiments.store.merge_result_files`), fed by the
   server's own local workers (``submit``; ``serve --workers N``) and by
-  fleet workers' pushes, and :class:`ServiceClient` for every verb;
+  fleet workers' pushes, and :class:`ServiceClient` for the verbs;
 * :mod:`repro.service.leases` — the elastic control plane:
   :class:`LeaseTable` tracks registered workers, heartbeats and
   per-fingerprint leases inside the server (``register`` /
-  ``heartbeat`` / ``lease`` / ``fleet_status`` verbs; any stored record
-  completes the cell's lease), and one lease loop runs cells for the
-  server's local worker and for :class:`FleetWorker`, the pull side
-  behind ``run <suite> --fleet host:port`` — workers lease one cell
-  each time their pool pulls one instead of computing a static shard,
-  dead workers' leases expire and are reassigned to survivors, and
+  ``heartbeat`` / ``lease`` verbs; any stored record completes the
+  cell's lease), and one lease loop runs cells for the server's local
+  worker and for :class:`FleetWorker`, the pull side behind
+  ``run <suite> --fleet host:port`` — workers lease one cell each time
+  their pool pulls one instead of computing a static shard, dead
+  workers' leases expire and are reassigned to survivors, and
   replacement workers resume from the server's completed fingerprints.
 
 A sweep is distributed one of two ways: static ``--shard`` runs merged
@@ -37,8 +35,6 @@ afterwards with ``merge``, or live ``--fleet`` workers leasing from one
 server.
 """
 
-from repro.experiments.runner import CellOutcome, WorkerPool
-from repro.experiments.shard import ShardSpec, partition, shard_cells
 from repro.service.client import (
     CollectorSink,
     ServiceClient,
@@ -49,7 +45,6 @@ from repro.service.client import (
 from repro.service.collector import DEFAULT_SOCKET, ResultCollector
 from repro.service.leases import (
     DEFAULT_HEARTBEAT_INTERVAL_S,
-    LEASE_FATES,
     FleetWorker,
     LeaseTable,
 )
@@ -71,18 +66,12 @@ __all__ = [
     "ResultCollector",
     "DEFAULT_SOCKET",
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "LEASE_FATES",
     "FleetWorker",
     "LeaseTable",
-    "CellOutcome",
-    "WorkerPool",
     "AUTH_TOKEN_ENV",
     "Endpoint",
     "LineServer",
     "ProtocolError",
     "connect_endpoint",
     "parse_endpoint",
-    "ShardSpec",
-    "partition",
-    "shard_cells",
 ]

@@ -10,9 +10,10 @@ worker, uses :meth:`ServiceClient.connection` to reuse one connection
 for many requests instead.
 
 Startup races are absorbed here: a connect refused or a missing socket
-file retries with exponential backoff for up to ``connect_retry_s``
-seconds before surfacing :class:`ServiceError` — ``serve &`` followed
-immediately by ``submit`` works without hand-written sleep loops.
+file retries with exponential backoff for up to
+``DEFAULT_CONNECT_RETRY_S`` seconds before surfacing
+:class:`ServiceError` — ``serve &`` followed immediately by ``submit``
+works without hand-written sleep loops.
 
 TCP requests carry the shared auth token (explicit ``token=`` or the
 ``REPRO_SERVICE_TOKEN`` environment variable); Unix-socket requests
@@ -100,16 +101,13 @@ class ServiceClient:
         endpoint: str | Path | Endpoint,
         timeout: float = 30.0,
         token: str | None = None,
-        connect_retry_s: float | None = None,
     ) -> None:
         self.endpoint = parse_endpoint(endpoint)
         self.timeout = timeout
         self.token = resolve_token(token)
         # The module default is read here, when the client is built, so
         # patching it reaches every client built afterwards, the CLI's too.
-        self.connect_retry_s = (
-            DEFAULT_CONNECT_RETRY_S if connect_retry_s is None else connect_retry_s
-        )
+        self.connect_retry_s = DEFAULT_CONNECT_RETRY_S
 
     def _with_token(self, payload: dict[str, Any]) -> dict[str, Any]:
         # Unix sockets are guarded by filesystem permissions; only TCP
@@ -195,12 +193,11 @@ class ServiceClient:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        shard: str | None = None,
     ) -> dict[str, Any]:
         """Queue a suite's cells for the server's local workers.
 
-        ``smoke``, ``sizes``, ``seeds`` and ``shard`` shape the sweep as
-        they do for ``run``; each cell runs on the engine
+        ``smoke``, ``sizes`` and ``seeds`` shape the sweep as they do
+        for ``run``; each cell runs on the engine
         :func:`~repro.local.select_engine` picks for it.  Returns
         ``total_cells``, ``skipped`` (already verified in the server's
         store) and ``fingerprints``, the queued cells — the argument
@@ -211,8 +208,6 @@ class ServiceClient:
             payload["sizes"] = list(sizes)
         if seeds is not None:
             payload["seeds"] = list(seeds)
-        if shard is not None:
-            payload["shard"] = shard
         return self.request(payload)
 
     def status(self, fingerprints: list[str] | None = None) -> dict[str, Any]:
@@ -232,10 +227,6 @@ class ServiceClient:
         """
         return self.request({"op": "report"})
 
-    def push(self, records: list[dict[str, Any]]) -> dict[str, Any]:
-        """Stream result records to the server; returns ingest counters."""
-        return self.request({"op": "push", "records": records})
-
     def metrics(self) -> str:
         """The server's Prometheus-text metrics exposition.
 
@@ -254,31 +245,24 @@ class ServiceClient:
         self,
         worker_id: str,
         fingerprints: list[str],
-        limit: int | None = None,
         release: list[str] | None = None,
     ) -> dict[str, Any]:
-        """Lease pending cells from the offered universe: one, or up to
-        ``limit``.
+        """Lease one pending cell from the offered universe.
 
-        Returns ``granted`` (fingerprints now leased to this worker),
-        ``pending`` / ``outstanding`` counts and ``done`` — true only
-        when every offered fingerprint is completed fleet-wide.
-        ``release`` hands back fingerprints this worker gave up on.
+        Returns ``granted`` (the fingerprint now leased to this worker,
+        if any), ``pending`` / ``outstanding`` counts and ``done`` —
+        true only when every offered fingerprint is completed
+        fleet-wide.  ``release`` hands back fingerprints this worker
+        gave up on.
         """
         payload: dict[str, Any] = {
             "op": "lease",
             "worker_id": worker_id,
             "fingerprints": list(fingerprints),
         }
-        if limit is not None:
-            payload["limit"] = limit
         if release:
             payload["release"] = list(release)
         return self.request(payload)
-
-    def fleet_status(self) -> dict[str, Any]:
-        """Workers, active leases and lease-lifecycle counters."""
-        return self.request({"op": "fleet_status"})
 
     def shutdown(self) -> None:
         self.request({"op": "shutdown"})

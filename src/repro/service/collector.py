@@ -43,7 +43,7 @@ Verbs
 -----
 ``submit``
     ``{"op": "submit", "suite": "paper-claims", "smoke": true,
-    "sizes": [...], "seeds": [...], "shard": "0/2"}`` → ``total_cells``,
+    "sizes": [...], "seeds": [...]}`` → ``total_cells``,
     ``skipped`` (already verified in the store) and ``fingerprints`` (the
     cells queued for the local worker).  Every field is validated here,
     so a bad request fails fast at the client: ``suite`` takes a
@@ -69,15 +69,15 @@ Verbs
     traffic, lease fates, per-verb latency).  Counters are cumulative
     since the server started; two saved scrapes compared with
     ``dashboard --diff`` show what changed between them.
-``register`` / ``heartbeat`` / ``lease`` / ``fleet_status``
+``register`` / ``heartbeat`` / ``lease``
     The elastic-fleet control plane (:mod:`repro.service.leases`):
-    workers register, lease pending cells (one per request unless
-    ``limit`` asks for more) under heartbeat-renewed leases, and stream
-    results back through ``push``
+    workers register, lease one pending cell per request under
+    heartbeat-renewed leases, and stream results back through ``push``
     — which doubles as lease completion.  A worker that stops
     heartbeating has its leases expired and handed to whoever asks
-    next; ``fleet_status`` shows workers, active leases and the
-    lifecycle counters.
+    next; the ``metrics`` scrape counts workers alive and lost
+    (``fleet_workers``) and lease events by fate
+    (``fleet_leases_total``).
 ``shutdown``
     Refuse new submits, let the local worker finish the submitted
     cells, then stop serving.
@@ -92,7 +92,6 @@ from typing import Any
 
 from repro.experiments.report import report_payload
 from repro.experiments.runner import CellOutcome, WorkerPool
-from repro.experiments.shard import ShardSpec, shard_cells
 from repro.experiments.spec import Cell, get_suite
 from repro.experiments.store import (
     DEFAULT_OUT,
@@ -171,7 +170,6 @@ class ResultCollector:
         socket_path: str | Path | None = None,
         token: str | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        lease_ttl_s: float | None = None,
         workers: int = 0,
     ) -> None:
         if workers < 0:
@@ -204,7 +202,6 @@ class ResultCollector:
         self.store_records_at_start = 0
         self.leases = LeaseTable(
             heartbeat_interval_s=heartbeat_interval_s,
-            lease_ttl_s=lease_ttl_s,
             on_event=self._on_lease_event,
         )
         self._started_monotonic: float | None = None
@@ -406,8 +403,7 @@ class ResultCollector:
             close_after=lambda request, _: request.get("op") == "shutdown",
             registry=self.registry,
             verbs=("submit", "status", "push", "report", "metrics",
-                   "register", "heartbeat", "lease", "fleet_status",
-                   "shutdown"),
+                   "register", "heartbeat", "lease", "shutdown"),
         )
         try:
             if self.socket_path is not None:
@@ -615,14 +611,12 @@ class ResultCollector:
             return self._handle_heartbeat(request)
         if op == "lease":
             return self._handle_lease(request)
-        if op == "fleet_status":
-            return ok_response(**self.leases.fleet_status())
         if op == "shutdown":
             self.stop()
             return ok_response(stopping=True)
         return error_response(
             f"unknown op {op!r} (expected submit/status/push/report/"
-            f"metrics/register/heartbeat/lease/fleet_status/shutdown)"
+            f"metrics/register/heartbeat/lease/shutdown)"
         )
 
     def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -650,23 +644,12 @@ class ResultCollector:
             suite = get_suite(suite_name)
         except KeyError as error:
             return error_response(error.args[0])
-        shard = request.get("shard")
-        if shard is not None:
-            try:
-                shard = ShardSpec.parse(str(shard))
-            except ValueError as error:
-                return error_response(str(error))
         try:
             sizes = _int_tuple_field("sizes", request.get("sizes"))
             seeds = _int_tuple_field("seeds", request.get("seeds"))
         except ValueError as error:
             return error_response(str(error))
-        cells = shard_cells(
-            suite.cells(
-                smoke=smoke, sizes=sizes, seeds=seeds
-            ),
-            shard,
-        )
+        cells = suite.cells(smoke=smoke, sizes=sizes, seeds=seeds)
         with self._work:
             # Re-check under the lock: stop() also takes it, so cells
             # queued here are queued before the flag can flip and the
@@ -759,11 +742,6 @@ class ResultCollector:
                 "lease requires a 'fingerprints' list of cell fingerprint "
                 "strings (the worker's offered universe)"
             )
-        limit = request.get("limit", 1)
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            return error_response(
-                f"lease: 'limit' must be a positive integer, got {limit!r}"
-            )
         release = request.get("release", [])
         if not isinstance(release, list) or not all(
             isinstance(item, str) for item in release
@@ -772,7 +750,7 @@ class ResultCollector:
                 "lease: 'release' must be a list of fingerprint strings"
             )
         return ok_response(**self.leases.grant(
-            worker_id, fingerprints, limit=limit, release=release
+            worker_id, fingerprints, release=release
         ))
 
     def _handle_push(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -55,6 +55,7 @@ Lease lifecycle fates (the ``fate`` label of ``fleet_leases_total``):
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import socket as socket_module
 import threading
@@ -76,7 +77,6 @@ from repro.service.client import CollectorSink, ServiceClient, ServiceError
 
 __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
-    "LEASE_FATES",
     "FleetWorker",
     "Lease",
     "LeaseLoop",
@@ -93,11 +93,6 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: two consecutive heartbeats before its leases are up for reassignment.
 DEFAULT_TTL_HEARTBEATS = 2.0
 
-#: Every fate the event callback can report (metrics label values).
-LEASE_FATES = (
-    "granted", "renewed", "expired", "released", "reassigned", "completed",
-)
-
 
 @dataclass
 class WorkerEntry:
@@ -105,21 +100,7 @@ class WorkerEntry:
 
     worker_id: str
     name: str
-    registered_unix: float
     last_seen: float  # monotonic
-    heartbeats: int = 0
-    completed: int = 0
-
-    def describe(self, alive: bool, leases: int) -> dict[str, Any]:
-        return {
-            "worker_id": self.worker_id,
-            "name": self.name,
-            "state": "alive" if alive else "lost",
-            "registered_unix": self.registered_unix,
-            "heartbeats": self.heartbeats,
-            "completed": self.completed,
-            "leases": leases,
-        }
 
 
 @dataclass
@@ -140,8 +121,10 @@ class LeaseTable:
 
     Thread-safe: every public method takes the table lock, and every
     mutating method first sweeps expired leases, so callers never see a
-    lease that has outlived its deadline.  ``clock`` is injectable for
-    deterministic tests and defaults to :func:`time.monotonic`.
+    lease that has outlived its deadline.  A lease lives
+    ``DEFAULT_TTL_HEARTBEATS`` heartbeat intervals without a renewal.
+    ``clock`` is injectable for deterministic tests and defaults to
+    :func:`time.monotonic`.
     ``on_event(fate, age_s)`` fires once per lease event (``age_s`` is
     ``None`` except on ``completed``/``expired``/``released``, where it
     is the lease's age) — the collector points it at its metrics.
@@ -150,24 +133,17 @@ class LeaseTable:
     def __init__(
         self,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        lease_ttl_s: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         on_event: Callable[[str, float | None], None] | None = None,
     ) -> None:
-        if heartbeat_interval_s <= 0:
+        # NaN fails every comparison: a NaN TTL would never expire a lease.
+        if not (0 < heartbeat_interval_s < math.inf):
             raise ValueError(
-                f"heartbeat interval must be positive, got {heartbeat_interval_s}"
-            )
-        if lease_ttl_s is None:
-            lease_ttl_s = heartbeat_interval_s * DEFAULT_TTL_HEARTBEATS
-        if lease_ttl_s < heartbeat_interval_s:
-            raise ValueError(
-                f"lease TTL ({lease_ttl_s}s) must be at least the heartbeat "
-                f"interval ({heartbeat_interval_s}s) or every lease expires "
-                f"between beats"
+                f"heartbeat interval must be a positive finite number of "
+                f"seconds, got {heartbeat_interval_s}"
             )
         self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.lease_ttl_s = float(lease_ttl_s)
+        self.lease_ttl_s = self.heartbeat_interval_s * DEFAULT_TTL_HEARTBEATS
         self._clock = clock
         self._on_event = on_event
         self._lock = threading.Lock()
@@ -178,13 +154,11 @@ class LeaseTable:
         # of these again is the "reassigned" recovery event.
         self._orphaned: set[str] = set()
         self._worker_counter = 0
-        self.counts: dict[str, int] = {fate: 0 for fate in LEASE_FATES}
 
     # ------------------------------------------------------------------
     # internals (call with the lock held)
     # ------------------------------------------------------------------
     def _event(self, fate: str, age_s: float | None = None) -> None:
-        self.counts[fate] += 1
         if self._on_event is not None:
             self._on_event(fate, age_s)
 
@@ -212,10 +186,7 @@ class LeaseTable:
             self._worker_counter += 1
             worker_id = f"worker-{self._worker_counter}"
             self._workers[worker_id] = WorkerEntry(
-                worker_id=worker_id,
-                name=str(name),
-                registered_unix=time.time(),
-                last_seen=now,
+                worker_id=worker_id, name=str(name), last_seen=now
             )
             return {
                 "worker_id": worker_id,
@@ -238,7 +209,6 @@ class LeaseTable:
             if worker is None:
                 return {"known": False}
             worker.last_seen = now
-            worker.heartbeats += 1
             renewed = 0
             for lease in self._leases.values():
                 if lease.worker_id == worker_id:
@@ -251,15 +221,14 @@ class LeaseTable:
         self,
         worker_id: str,
         offered: Sequence[str],
-        limit: int = 1,
         release: Sequence[str] = (),
     ) -> dict[str, Any]:
-        """Lease up to ``limit`` pending fingerprints from ``offered``.
+        """Lease the first pending fingerprint of ``offered``.
 
         ``offered`` is the worker's whole fingerprint universe (its view
         of the suite); the table subtracts what is already completed or
-        actively leased, and a fingerprint offered twice is leased once,
-        at its first place in the offer.  ``release`` hands back
+        actively leased, and a fingerprint offered twice counts once, at
+        its first place in the offer.  ``release`` hands back
         fingerprints the worker will not finish (failed cells) so
         another worker may try them.  Answers ``known: false`` for an
         unknown worker.  The reply's ``done`` flag is true only when
@@ -287,7 +256,7 @@ class LeaseTable:
                 if fingerprint not in self._completed
                 and fingerprint not in self._leases
             ]
-            granted = pending[:limit]
+            granted = pending[:1]
             for fingerprint in granted:
                 self._leases[fingerprint] = Lease(
                     fingerprint=fingerprint,
@@ -324,9 +293,6 @@ class LeaseTable:
             self._completed.add(fingerprint)
             self._orphaned.discard(fingerprint)
             if lease is not None:
-                worker = self._workers.get(lease.worker_id)
-                if worker is not None:
-                    worker.completed += 1
                 self._event("completed", lease.age_s(now))
 
     def seed_completed(self, fingerprints: Iterable[str]) -> None:
@@ -342,7 +308,7 @@ class LeaseTable:
             self._completed.difference_update(fingerprints)
 
     # ------------------------------------------------------------------
-    # introspection (fleet_status verb, metrics gauges)
+    # introspection (metrics gauges)
     # ------------------------------------------------------------------
     def worker_counts(self) -> dict[str, int]:
         now = self._clock()
@@ -361,43 +327,6 @@ class LeaseTable:
             if not self._leases:
                 return 0.0
             return max(lease.age_s(now) for lease in self._leases.values())
-
-    def active_leases(self) -> int:
-        with self._lock:
-            return len(self._leases)
-
-    def completed_count(self) -> int:
-        with self._lock:
-            return len(self._completed)
-
-    def fleet_status(self) -> dict[str, Any]:
-        """The ``fleet_status`` verb payload: workers, leases, counters."""
-        now = self._clock()
-        with self._lock:
-            self._expire(now)
-            held: dict[str, int] = {}
-            for lease in self._leases.values():
-                held[lease.worker_id] = held.get(lease.worker_id, 0) + 1
-            workers = [
-                worker.describe(
-                    alive=self._alive(worker, now),
-                    leases=held.get(worker.worker_id, 0),
-                )
-                for worker in self._workers.values()
-            ]
-            oldest = max(
-                (lease.age_s(now) for lease in self._leases.values()),
-                default=0.0,
-            )
-            return {
-                "heartbeat_interval_s": self.heartbeat_interval_s,
-                "lease_ttl_s": self.lease_ttl_s,
-                "workers": workers,
-                "active_leases": len(self._leases),
-                "oldest_lease_age_s": oldest,
-                "completed": len(self._completed),
-                "lease_counts": dict(self.counts),
-            }
 
 
 class LeaseLoop:

@@ -21,7 +21,8 @@ from repro.experiments import (
     merge_result_files,
 )
 from repro.experiments.cli import main
-from repro.service import ShardSpec, WorkerPool
+from repro.experiments.runner import WorkerPool
+from repro.experiments.shard import ShardSpec
 
 
 def _canonical(records):

@@ -147,7 +147,7 @@ class TestNumpyAbsentDegradation:
         assert all(result.engine == "interpreted" for result in results)
 
     def test_worker_pool_degrades_forked_workers(self, no_numpy):
-        from repro.service import WorkerPool
+        from repro.experiments.runner import WorkerPool
 
         with WorkerPool(workers=2) as pool:
             outcomes = list(

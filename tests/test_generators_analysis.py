@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.analysis import Measurement, MeasurementTable, fit_power_of_log, growth_exponent
+from repro.analysis import MeasurementTable, fit_power_of_log, growth_exponent
 from repro.generators import (
     balanced_regular_tree,
     binary_tree,
@@ -103,10 +103,6 @@ class TestAnalysis:
         table = MeasurementTable("Demo", ["a", "b"])
         with pytest.raises(ValueError):
             table.add_row(1)
-
-    def test_measurement_dataclass(self):
-        m = Measurement("E1", "random-tree", 100, 12.0)
-        assert m.unit == "rounds"
 
     def test_fit_power_of_log_recovers_exponent(self):
         ns = [2**e for e in range(4, 40, 4)]

@@ -320,12 +320,6 @@ class TestMetricsAndDashboardCLI:
         code = main(["metrics", "--connect", str(endpoint)])
         assert code == 2
         assert str(endpoint) in capsys.readouterr().err
-        code = main([
-            "dashboard", "--no-report", "--connect", str(endpoint),
-            "--html", str(tmp_path / "x.html"),
-        ])
-        assert code == 2
-        assert str(endpoint) in capsys.readouterr().err
 
     def test_dashboard_from_saved_scrape(self, tmp_path, capsys):
         scrape = tmp_path / "metrics.prom"
@@ -341,21 +335,19 @@ class TestMetricsAndDashboardCLI:
         assert "Service-level objectives" in html
 
     def test_dashboard_from_live_collector(self, collector, tmp_path, capsys):
-        html_path = tmp_path / "dash.html"
+        """A live server's dashboard is a saved scrape: ``metrics --out``,
+        then ``dashboard --metrics``."""
+        scrape, html_path = tmp_path / "live.prom", tmp_path / "dash.html"
+        assert main([
+            "metrics", "--connect", str(collector.socket_path),
+            "--token", TOKEN, "--out", str(scrape),
+        ]) == 0
         code = main([
-            "dashboard", "--no-report", "--connect", str(collector.socket_path),
-            "--token", TOKEN, "--html", str(html_path),
+            "dashboard", "--no-report", "--metrics", str(scrape),
+            "--html", str(html_path),
         ])
         assert code == 0
         assert "collector_uptime_seconds" in html_path.read_text(encoding="utf-8")
-
-    def test_dashboard_metrics_and_connect_conflict(self, tmp_path, capsys):
-        code = main([
-            "dashboard", "--metrics", "x.prom", "--connect", "y.sock",
-            "--html", str(tmp_path / "dash.html"),
-        ])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_dashboard_unparseable_scrape_is_exit_2(self, tmp_path, capsys):
         scrape = tmp_path / "bad.prom"
@@ -674,7 +666,10 @@ class TestDiffCLI:
 
 class TestRemovedHistoryFlags:
     """Metrics over time are two scrapes and ``dashboard --diff``: the
-    scrape-history flags are refused like any unknown argument."""
+    scrape-history flags are refused like any unknown argument, and so
+    are the flags no caller set (a live dashboard is ``metrics --out``
+    then ``dashboard --metrics``; ``submit`` shards nothing; the lease
+    TTL is two heartbeat intervals; the bench noise floor is fixed)."""
 
     run_check = TestBurnCheckScript.run_check
 
@@ -691,6 +686,15 @@ class TestRemovedHistoryFlags:
                      id="dashboard--history"),
         pytest.param(["dashboard", "--no-report"], ["--window", "5m"],
                      id="dashboard--window"),
+        pytest.param(["submit", "paper-claims"], ["--shard", "0/2"],
+                     id="submit--shard"),
+        pytest.param(["serve"], ["--lease-ttl", "4"], id="serve--lease-ttl"),
+        pytest.param(["dashboard", "--no-report"], ["--connect", "x.sock"],
+                     id="dashboard--connect"),
+        pytest.param(["dashboard", "--no-report"], ["--token", "secret"],
+                     id="dashboard--token"),
+        pytest.param(["dashboard", "--diff-bench", "a.json", "b.json"],
+                     ["--min-wall", "0.1"], id="dashboard--min-wall"),
     ])
     def test_removed_cli_flag_exits_2(
         self, tmp_path, capsys, monkeypatch, command, removed

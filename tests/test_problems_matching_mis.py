@@ -121,6 +121,18 @@ class TestMISConstraints:
         assert MIS.edge_config_ok((OUT,), 1)
         assert not MIS.edge_config_ok((MIS_POINTER,), 1)
 
+    def test_edge_with_unhashable_label_rejected(self):
+        # An unhashable label is not allowed, and must not make the check
+        # (or the verifier calling it) raise.
+        assert not MIS.edge_config_ok((["x"], IN_MIS), 2)
+        semigraph = semigraph_from_graph(nx.path_graph(2))
+        labeling = MIS.from_classic(semigraph, {0})
+        (edge,) = semigraph.edges
+        labeling = HalfEdgeLabeling({**labeling.as_mapping(), HalfEdge(1, edge): ["x"]})
+        result = verify_solution(MIS, semigraph, labeling)
+        assert not result.ok
+        assert {violation.kind for violation in result.violations} == {"node", "edge"}
+
 
 class TestMISConversions:
     def test_roundtrip_on_star(self):

@@ -662,8 +662,8 @@ class TestMetricsVerb:
 
 class TestFleetVerbsConformance:
     """The fleet control-plane verbs (``register`` / ``heartbeat`` /
-    ``lease`` / ``fleet_status``) speak the same one-line contract on
-    both transports, with TCP auth and typed-parameter validation."""
+    ``lease``) speak the same one-line contract on both transports, with
+    TCP auth and typed-parameter validation."""
 
     @pytest.fixture()
     def collector(self, transport, tmp_path):
@@ -708,18 +708,18 @@ class TestFleetVerbsConformance:
         beat = self.ask(endpoint, {"op": "heartbeat", "worker_id": worker_id})
         assert beat["ok"] is True and beat["known"] is True
 
-        grant = self.ask(endpoint, {
+        lease = {
             "op": "lease", "worker_id": worker_id,
-            "fingerprints": ["fp-a", "fp-b"], "limit": 1,
-        })
+            "fingerprints": ["fp-a", "fp-b"],
+        }
+        grant = self.ask(endpoint, lease)
         assert grant["ok"] is True and grant["known"] is True
         assert grant["granted"] == ["fp-a"]
-        assert grant["done"] is False
+        assert grant["pending"] == 1 and grant["done"] is False
 
-        status = self.ask(endpoint, {"op": "fleet_status"})
-        assert status["ok"] is True
-        assert status["active_leases"] == 1
-        assert [w["worker_id"] for w in status["workers"]] == [worker_id]
+        again = self.ask(endpoint, lease)
+        assert again["ok"] is True
+        assert again["granted"] == ["fp-b"] and again["outstanding"] == 1
 
     def test_unknown_ids_answer_known_false_not_error(self, collector):
         _, endpoint = collector
@@ -742,10 +742,6 @@ class TestFleetVerbsConformance:
          "fingerprints"),
         ({"op": "lease", "worker_id": "w", "fingerprints": [""]},
          "fingerprints"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [], "limit": -2},
-         "limit"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [],
-          "limit": "ten"}, "limit"),
         ({"op": "lease", "worker_id": "w", "fingerprints": [],
           "release": [3]}, "release"),
     ])
@@ -757,9 +753,7 @@ class TestFleetVerbsConformance:
         assert response["ok"] is False
         assert match in response["error"]
 
-    @pytest.mark.parametrize("op", [
-        "register", "heartbeat", "lease", "fleet_status",
-    ])
+    @pytest.mark.parametrize("op", ["register", "heartbeat", "lease"])
     def test_tcp_requires_auth(self, tmp_path, op):
         from repro.service.collector import ResultCollector
 

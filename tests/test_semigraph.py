@@ -107,12 +107,6 @@ class TestSemiGraphQueries:
         semigraph = SemiGraph(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("a",)})
         assert semigraph.neighbors("a") == {"b"}
 
-    def test_edge_degree(self):
-        semigraph = semigraph_from_graph(small_tree())
-        centre_edge = edge_id_for(1, 3)
-        # Edge {1,3}: node 1 has 3 incident edges, node 3 has 2, minus itself twice.
-        assert semigraph.edge_degree(centre_edge) == 3
-
     def test_underlying_graph_and_degree(self):
         semigraph = SemiGraph(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("a",)})
         underlying = semigraph.underlying_graph()
@@ -210,22 +204,14 @@ class TestHalfEdgeLabeling:
         with pytest.raises(ValueError):
             first.merge(conflicting)
 
-    def test_configurations(self):
+    def test_is_complete(self):
         semigraph = SemiGraph(["a", "b"], {"e": ("a", "b"), "f": ("a",)})
         labeling = HalfEdgeLabeling(
             {HalfEdge("a", "e"): "X", HalfEdge("b", "e"): "Y", HalfEdge("a", "f"): "Z"}
         )
-        assert labeling.node_configuration(semigraph, "a") == ("X", "Z")
-        assert labeling.edge_configuration(semigraph, "e") == ("X", "Y")
         assert labeling.is_complete(semigraph)
-
-    def test_partial_configuration(self):
-        semigraph = SemiGraph(["a", "b"], {"e": ("a", "b")})
-        labeling = HalfEdgeLabeling({HalfEdge("a", "e"): "X"})
-        with pytest.raises(KeyError):
-            labeling.node_configuration(semigraph, "b")
-        assert labeling.node_configuration(semigraph, "b", partial=True) == ()
-        assert not labeling.is_complete(semigraph)
+        partial = HalfEdgeLabeling({HalfEdge("a", "e"): "X"})
+        assert not partial.is_complete(semigraph)
 
     def test_restricted_to(self):
         semigraph = SemiGraph(["a", "b"], {"e": ("a", "b")})
@@ -234,12 +220,6 @@ class TestHalfEdgeLabeling:
         )
         restricted = labeling.restricted_to(semigraph)
         assert len(restricted) == 1
-
-    def test_label_counts(self):
-        labeling = HalfEdgeLabeling(
-            {HalfEdge("a", "e"): "X", HalfEdge("b", "e"): "X", HalfEdge("c", "f"): "Y"}
-        )
-        assert labeling.label_counts() == {"X": 2, "Y": 1}
 
     def test_canonical_multiset_mixed_types(self):
         assert canonical_multiset(["D", (1, 2)]) == canonical_multiset([(1, 2), "D"])

@@ -169,6 +169,44 @@ class TestServeSubmitCli:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            pytest.param(["serve", "--heartbeat-interval", "nan"], "finite number",
+                         id="serve--heartbeat-interval-nan"),
+            pytest.param(["serve", "--heartbeat-interval", "inf"], "finite number",
+                         id="serve--heartbeat-interval-inf"),
+            pytest.param(["submit", "paper-claims", "--timeout", "nan"], "finite number",
+                         id="submit--timeout-nan"),
+            pytest.param(["submit", "paper-claims", "--timeout", "-5"],
+                         "non-negative number", id="submit--timeout-negative"),
+            pytest.param(["submit", "paper-claims", "--timeout", "0"], "positive number",
+                         id="submit--timeout-0"),
+            pytest.param(["dashboard", "--diff-bench", "a.json", "b.json",
+                          "--max-regression", "nan"], "finite number",
+                         id="dashboard--max-regression-nan"),
+            pytest.param(["dashboard", "--diff-bench", "a.json", "b.json",
+                          "--max-regression", "inf"], "finite number",
+                         id="dashboard--max-regression-inf"),
+        ],
+    )
+    def test_non_finite_or_nonpositive_seconds_rejected_by_argparse(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        """A NaN heartbeat interval makes a lease table whose leases never
+        expire, a NaN ``--max-regression`` passes any regression, and a
+        NaN ``--timeout`` never times out: each is refused at parse time."""
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve accepted a non-finite interval")
+
+        monkeypatch.setattr("repro.experiments.cli.ResultCollector", no_server)
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_submit_without_server_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         assert main([

@@ -20,6 +20,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service import client as client_module
 from repro.service.protocol import ok_response
 
 pytestmark = pytest.mark.skipif(
@@ -57,9 +58,21 @@ def collector(tmp_path):
     collector.close()
 
 
-def collector_client(collector, **kwargs):
+def collector_client(collector):
     host, port = collector.tcp_address
-    return ServiceClient(f"{host}:{port}", token=TOKEN, **kwargs)
+    return ServiceClient(f"{host}:{port}", token=TOKEN)
+
+
+def push(client, records):
+    """Send one ``push`` batch; the reply carries the ingest counts."""
+    return client.request({"op": "push", "records": records})
+
+
+def retrying_client(monkeypatch, endpoint, retry_s, **kwargs):
+    """A client whose connect-retry budget is ``retry_s`` seconds: the
+    module default is read when a client is built."""
+    monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", retry_s)
+    return ServiceClient(endpoint, **kwargs)
 
 
 class TestCollectorVerbs:
@@ -71,7 +84,7 @@ class TestCollectorVerbs:
 
     def test_push_appends_to_a_normal_store(self, collector, tmp_path):
         client = collector_client(collector)
-        response = client.push([make_result(seed).to_record() for seed in (1, 2)])
+        response = push(client, [make_result(seed).to_record() for seed in (1, 2)])
         assert response["accepted"] == 2 and response["dropped"] == 0
         records = ResultStore(tmp_path / "central").records()
         assert {record["seed"] for record in records} == {1, 2}
@@ -80,11 +93,11 @@ class TestCollectorVerbs:
         with pytest.raises(ServiceError, match="records"):
             collector_client(collector).request({"op": "push"})
         with pytest.raises(ServiceError, match="JSON object"):
-            collector_client(collector).push(["not-a-record"])
+            push(collector_client(collector), ["not-a-record"])
 
     def test_push_without_fingerprint_rejected(self, collector):
         with pytest.raises(ServiceError, match="fingerprint"):
-            collector_client(collector).push([{"seed": 1}])
+            push(collector_client(collector), [{"seed": 1}])
 
     def test_bad_record_mid_batch_ingests_nothing(self, collector, tmp_path):
         """A batch is validated whole before any record is ingested: a bad
@@ -93,11 +106,11 @@ class TestCollectorVerbs:
         client = collector_client(collector)
         batch = [make_result(1).to_record(), {"fingerprint": "ab" * 8}]
         with pytest.raises(ServiceError, match="record 1"):
-            client.push(batch)
+            push(client, batch)
         assert collector.accepted == 0
         assert ResultStore(tmp_path / "central").records() == []
         # the repaired batch then ingests cleanly, exactly once
-        assert client.push([make_result(1).to_record()])["accepted"] == 1
+        assert push(client, [make_result(1).to_record()])["accepted"] == 1
 
     def test_report_on_empty_collector_is_an_error(self, collector):
         with pytest.raises(ServiceError, match="no results"):
@@ -115,12 +128,13 @@ class TestCollectorVerbs:
         with collector:
             client = collector_client(collector)
             with pytest.raises(ServiceError, match="Error"):
-                client.push([make_result(1).to_record()])
+                push(client, [make_result(1).to_record()])
             status = client.status()
             assert status["records"] == 0 and status["accepted"] == 0
             with pytest.raises(ServiceError, match="no results"):
                 client.report()
-            assert collector.leases.completed_count() == 0
+            worker_id = client.register("probe")["worker_id"]
+            assert client.lease(worker_id, [make_result(1).fingerprint])["granted"]
         assert not (blocked / "sub").exists()
 
     def test_tcp_push_without_token_refused(self, collector):
@@ -158,7 +172,7 @@ class TestCollectorVerbs:
         collector.start()
         try:
             client = ServiceClient(tmp_path / "collect.sock")
-            assert client.push([make_result(1).to_record()])["accepted"] == 1
+            assert push(client, [make_result(1).to_record()])["accepted"] == 1
         finally:
             collector.close()
 
@@ -177,12 +191,12 @@ class TestDedupPolicy:
                 verified = make_result(1, rounds=7.0, verified=True).to_record()
                 unverified = make_result(1, rounds=9.0, verified=False).to_record()
                 if order == "unverified-first":
-                    client.push([unverified])
-                    response = client.push([verified])
+                    push(client, [unverified])
+                    response = push(client, [verified])
                     assert response["accepted"] == 1
                 else:
-                    client.push([verified])
-                    response = client.push([unverified])
+                    push(client, [verified])
+                    response = push(client, [unverified])
                     assert response["dropped"] == 1
             finally:
                 collector.close()
@@ -195,8 +209,8 @@ class TestDedupPolicy:
 
     def test_equal_rank_differing_payloads_count_conflicts(self, collector):
         client = collector_client(collector)
-        client.push([make_result(1, rounds=7.0).to_record()])
-        response = client.push([make_result(1, rounds=13.0).to_record()])
+        push(client, [make_result(1, rounds=7.0).to_record()])
+        response = push(client, [make_result(1, rounds=13.0).to_record()])
         assert response["conflicts"] == 1
         # last-write-wins, exactly like merge_result_files
         latest = {r["fingerprint"]: r for r in collector.store.records()}
@@ -225,15 +239,15 @@ class TestDedupPolicy:
                     ).to_record()
                     barrier = threading.Barrier(2)
 
-                    def push(stream, record):
+                    def push_on(stream, record):
                         barrier.wait()
                         stream.request(
                             {"op": "push", "records": [record], "token": TOKEN}
                         )
 
                     threads = [
-                        threading.Thread(target=push, args=(stream_a, verified)),
-                        threading.Thread(target=push, args=(stream_b, unverified)),
+                        threading.Thread(target=push_on, args=(stream_a, verified)),
+                        threading.Thread(target=push_on, args=(stream_b, unverified)),
                     ]
                     for thread in threads:
                         thread.start()
@@ -252,14 +266,14 @@ class TestDedupPolicy:
         same policy."""
         first = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         first.start()
-        collector_client(first).push([make_result(1, verified=True).to_record()])
+        push(collector_client(first), [make_result(1, verified=True).to_record()])
         first.close()
 
         second = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         second.start()
         try:
-            response = collector_client(second).push(
-                [make_result(1, verified=False).to_record()]
+            response = push(
+                collector_client(second), [make_result(1, verified=False).to_record()]
             )
             assert response["dropped"] == 1
         finally:
@@ -430,26 +444,19 @@ class TestClientConnectRetry:
         assert ServiceClient("127.0.0.1:1").connect_retry_s > 0
 
     def test_module_default_is_read_when_a_client_is_built(self, monkeypatch):
-        from repro.service import client as client_module
-
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.25)
         assert ServiceClient("127.0.0.1:1").connect_retry_s == 0.25
-        assert ServiceClient("127.0.0.1:1", connect_retry_s=3).connect_retry_s == 3
 
-    def test_tcp_connection_refused_retries_until_server_appears(self):
+    def test_tcp_connection_refused_retries_until_server_appears(self, monkeypatch):
         # reserve a free port, then release it so connects are refused
         placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         placeholder.bind(("127.0.0.1", 0))
         port = placeholder.getsockname()[1]
         placeholder.close()
 
-        client = ServiceClient(
-            f"127.0.0.1:{port}", token=TOKEN, connect_retry_s=10
-        )
+        client = retrying_client(monkeypatch, f"127.0.0.1:{port}", 10, token=TOKEN)
         with pytest.raises(ServiceError, match="cannot reach"):
-            ServiceClient(
-                f"127.0.0.1:{port}", token=TOKEN, connect_retry_s=0
-            ).status()
+            retrying_client(monkeypatch, f"127.0.0.1:{port}", 0, token=TOKEN).status()
 
         server = LineServer(lambda r: ok_response(up=True), token=TOKEN)
 
@@ -468,7 +475,9 @@ class TestClientConnectRetry:
             starter.join(timeout=10)
             server.close()
 
-    def test_unix_stale_socket_retries_until_a_server_replaces_it(self, tmp_path):
+    def test_unix_stale_socket_retries_until_a_server_replaces_it(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "race.sock"
         # a dead server's leftover: bound once, nobody accepting →
         # connects raise ConnectionRefusedError
@@ -476,7 +485,7 @@ class TestClientConnectRetry:
         leftover.bind(str(path))
         leftover.close()
         with pytest.raises(ServiceError, match="cannot reach"):
-            ServiceClient(path, connect_retry_s=0).status()
+            retrying_client(monkeypatch, path, 0).status()
 
         server = LineServer(lambda r: ok_response(up=True))
 
@@ -488,12 +497,12 @@ class TestClientConnectRetry:
         starter = threading.Thread(target=start_late, daemon=True)
         starter.start()
         try:
-            assert ServiceClient(path, connect_retry_s=10).status()["up"] is True
+            assert retrying_client(monkeypatch, path, 10).status()["up"] is True
         finally:
             starter.join(timeout=10)
             server.close()
 
-    def test_missing_socket_file_also_retries(self, tmp_path):
+    def test_missing_socket_file_also_retries(self, tmp_path, monkeypatch):
         """`serve &` may not have bound yet when the first submit arrives:
         FileNotFoundError is part of the same startup race."""
         path = tmp_path / "notyet.sock"
@@ -507,27 +516,28 @@ class TestClientConnectRetry:
         starter = threading.Thread(target=start_late, daemon=True)
         starter.start()
         try:
-            assert ServiceClient(path, connect_retry_s=10).status()["up"] is True
+            assert retrying_client(monkeypatch, path, 10).status()["up"] is True
         finally:
             starter.join(timeout=10)
             server.close()
 
-    def test_exhausted_budget_raises_service_error_with_hint(self, tmp_path):
+    def test_exhausted_budget_raises_service_error_with_hint(self, tmp_path, monkeypatch):
+        client = retrying_client(monkeypatch, tmp_path / "ghost.sock", 0.3)
         began = time.monotonic()
         with pytest.raises(ServiceError, match="cannot reach"):
-            ServiceClient(tmp_path / "ghost.sock", connect_retry_s=0.3).status()
+            client.status()
         elapsed = time.monotonic() - began
         assert 0.2 <= elapsed < 5
 
 
 class TestCollectorSink:
-    def test_sink_reconnects_after_collector_restart(self, tmp_path):
+    def test_sink_reconnects_after_collector_restart(self, tmp_path, monkeypatch):
         """One mid-stream collector restart costs a reconnect, not the sweep."""
         first = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         first.start()
         host, port = first.tcp_address
         sink = CollectorSink(
-            ServiceClient(f"{host}:{port}", token=TOKEN, connect_retry_s=10)
+            retrying_client(monkeypatch, f"{host}:{port}", 10, token=TOKEN)
         )
         sink(make_result(1))
         first.close()
@@ -548,7 +558,7 @@ class TestCollectorSink:
 class TestObservability:
     def test_status_reports_uptime_and_rates(self, collector):
         client = collector_client(collector)
-        client.push([make_result(1).to_record()])
+        push(client, [make_result(1).to_record()])
         status = client.status()
         assert status["uptime_s"] > 0
         assert status["records_per_s"] > 0
@@ -559,11 +569,11 @@ class TestObservability:
         from repro.obs.metrics import samples_named, sum_samples
 
         client = collector_client(collector)
-        client.push([make_result(seed).to_record() for seed in (1, 2)])
+        push(client, [make_result(seed).to_record() for seed in (1, 2)])
         # unverified duplicate loses to the verified record -> dropped
-        client.push([make_result(1, verified=False).to_record()])
+        push(client, [make_result(1, verified=False).to_record()])
         # equal-rank duplicate with a different payload -> conflict (kept)
-        client.push([make_result(1, rounds=99.0).to_record()])
+        push(client, [make_result(1, rounds=99.0).to_record()])
         samples = parse_exposition(client.metrics())
 
         # ingested counts store *appends* only — the dropped record must
@@ -607,7 +617,7 @@ class TestObservability:
         collector.start()
         try:
             client = collector_client(collector)
-            client.push([make_result(seed=4).to_record()])
+            push(client, [make_result(seed=4).to_record()])
             text = client.metrics()
         finally:
             collector.close()

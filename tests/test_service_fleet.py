@@ -21,6 +21,8 @@ from repro.experiments.spec import (
     ScenarioSpec,
     register_algorithm,
 )
+from repro.obs import parse_exposition
+from repro.obs.metrics import sum_samples
 from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
 from repro.service import (
     CollectorSink,
@@ -34,7 +36,7 @@ from repro.service import (
 )
 from repro.service.protocol import error_response, ok_response, parse_endpoint
 
-from test_service_collector import make_result
+from test_service_collector import make_result, push
 from test_service_pool import meeting_suite
 
 pytestmark = pytest.mark.skipif(
@@ -70,198 +72,200 @@ class FakeClock:
         self.now += seconds
 
 
-def make_table(**kwargs) -> tuple[LeaseTable, FakeClock]:
-    clock = FakeClock()
+class Recorder:
+    """A lease table's event callback: every ``(fate, age_s)`` it reports."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, float | None]] = []
+
+    def __call__(self, fate: str, age_s: float | None) -> None:
+        self.events.append((fate, age_s))
+
+    def count(self, fate: str) -> int:
+        return sum(1 for event, _ in self.events if event == fate)
+
+    def held(self) -> int:
+        """Leases granted and not yet completed, expired or released."""
+        return self.count("granted") - sum(
+            self.count(fate) for fate in ("completed", "expired", "released")
+        )
+
+
+def make_table(heartbeat_interval_s: float = 1.0):
+    clock, events = FakeClock(), Recorder()
     table = LeaseTable(
-        heartbeat_interval_s=kwargs.pop("heartbeat_interval_s", 1.0),
-        clock=clock,
-        **kwargs,
+        heartbeat_interval_s=heartbeat_interval_s, clock=clock, on_event=events
     )
-    return table, clock
+    return table, clock, events
 
 
 class TestLeaseTable:
     def test_register_hands_out_ids_and_cadence(self):
-        table, _ = make_table(lease_ttl_s=3.0)
+        table, _, _ = make_table(heartbeat_interval_s=1.5)
         first = table.register("alpha")
         second = table.register("beta")
         assert first["worker_id"] != second["worker_id"]
-        assert first["heartbeat_interval_s"] == 1.0
+        assert first["heartbeat_interval_s"] == 1.5
         assert first["lease_ttl_s"] == 3.0
 
-    def test_invalid_cadence_rejected(self):
+    @pytest.mark.parametrize("interval", [0, -1.0, float("nan"), float("inf")])
+    def test_invalid_cadence_rejected(self, interval):
+        """A NaN interval would make a NaN TTL, under which no lease ever
+        expires and every worker reads as lost."""
         with pytest.raises(ValueError, match="heartbeat interval"):
-            LeaseTable(heartbeat_interval_s=0)
-        with pytest.raises(ValueError, match="lease TTL"):
-            LeaseTable(heartbeat_interval_s=2.0, lease_ttl_s=1.0)
+            LeaseTable(heartbeat_interval_s=interval)
+
+    def test_the_server_refuses_a_non_finite_interval_too(self, tmp_path):
+        """``ResultCollector`` builds its lease table without the CLI."""
+        with pytest.raises(ValueError, match="heartbeat interval"):
+            ResultCollector(out=tmp_path / "c", heartbeat_interval_s=float("nan"))
 
     def test_default_ttl_is_two_heartbeats(self):
         table = LeaseTable(heartbeat_interval_s=0.5)
         assert table.lease_ttl_s == 1.0
 
-    def test_grant_respects_limit_and_skips_completed_and_leased(self):
-        table, _ = make_table()
+    def test_grant_leases_one_cell_and_skips_completed_and_leased(self):
+        table, _, _ = make_table()
         universe = [f"fp-{i}" for i in range(6)]
         table.seed_completed(["fp-0"])
         alpha = table.register("alpha")["worker_id"]
         beta = table.register("beta")["worker_id"]
-        first = table.grant(alpha, universe, limit=3)
-        assert first["granted"] == ["fp-1", "fp-2", "fp-3"]
-        assert first["pending"] == 2 and not first["done"]
-        second = table.grant(beta, universe, limit=10)
-        assert second["granted"] == ["fp-4", "fp-5"]
-        assert second["pending"] == 0
-        assert second["outstanding"] == 3  # alpha still holds its batch
+        first = table.grant(alpha, universe)
+        assert first["granted"] == ["fp-1"]
+        assert first["pending"] == 4 and not first["done"]
+        second = table.grant(beta, universe)
+        assert second["granted"] == ["fp-2"]
+        assert second["pending"] == 3
+        assert second["outstanding"] == 1  # alpha still holds its cell
         assert not second["done"]
 
     def test_grant_leases_a_repeated_fingerprint_once(self):
         """An offer naming a cell twice leases it once, in first-offer
         order: a worker trusting the reply must not run it twice."""
-        table, _ = make_table()
+        table, _, events = make_table()
         alpha = table.register("alpha")["worker_id"]
-        grant = table.grant(alpha, ["fp-a", "fp-a", "fp-b"], limit=10)
-        assert grant["granted"] == ["fp-a", "fp-b"]
-        assert grant["pending"] == 0 and grant["outstanding"] == 0
-        assert table.counts["granted"] == 2
-
-    def test_grant_limit_counts_distinct_fingerprints(self):
-        table, _ = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        grant = table.grant(alpha, ["fp-a", "fp-a", "fp-b", "fp-c"], limit=2)
-        assert grant["granted"] == ["fp-a", "fp-b"]
-        assert grant["pending"] == 1
+        offer = ["fp-a", "fp-a", "fp-b"]
+        first = table.grant(alpha, offer)
+        assert first["granted"] == ["fp-a"]
+        assert first["pending"] == 1 and first["outstanding"] == 0
+        second = table.grant(alpha, offer)
+        assert second["granted"] == ["fp-b"]
+        assert second["pending"] == 0 and second["outstanding"] == 1
+        assert table.grant(alpha, offer)["granted"] == []
+        assert events.count("granted") == 2
 
     def test_repeated_offer_of_a_leased_fingerprint_grants_nothing_new(self):
-        table, _ = make_table()
+        table, _, events = make_table()
         alpha = table.register("alpha")["worker_id"]
         beta = table.register("beta")["worker_id"]
-        assert table.grant(alpha, ["fp-a"], limit=10)["granted"] == ["fp-a"]
-        grant = table.grant(beta, ["fp-a", "fp-c", "fp-a"], limit=10)
+        assert table.grant(alpha, ["fp-a"])["granted"] == ["fp-a"]
+        grant = table.grant(beta, ["fp-a", "fp-c", "fp-a"])
         assert grant["granted"] == ["fp-c"]
         assert grant["outstanding"] == 1
-        assert table.counts["granted"] == 2
-        assert table.active_leases() == 2
+        assert events.count("granted") == 2
+        assert events.held() == 2
 
     def test_unknown_worker_is_known_false(self):
-        table, _ = make_table()
+        table, _, _ = make_table()
         assert table.heartbeat("worker-99") == {"known": False}
         assert table.grant("worker-99", ["fp-0"]) == {
             "known": False, "granted": [], "done": False,
         }
 
     def test_heartbeat_renews_leases_past_original_deadline(self):
-        table, clock = make_table(lease_ttl_s=2.0)
+        table, clock, events = make_table()
         alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         clock.advance(1.5)
         assert table.heartbeat(alpha) == {"known": True, "leases": 1}
         clock.advance(1.5)  # 3.0s after grant, 1.5s after renewal
-        assert table.active_leases() == 1
-        assert table.counts["expired"] == 0
+        table.register("sweeper")  # every verb sweeps expired leases first
+        assert events.held() == 1
+        assert events.count("expired") == 0
 
     def test_missed_heartbeats_expire_and_reassign(self):
-        events = []
-        clock = FakeClock()
-        table = LeaseTable(
-            heartbeat_interval_s=1.0, lease_ttl_s=2.0, clock=clock,
-            on_event=lambda fate, age: events.append((fate, age)),
-        )
+        table, clock, events = make_table()
         dead = table.register("dead")["worker_id"]
-        table.grant(dead, ["fp-0", "fp-1"], limit=2)
+        table.grant(dead, ["fp-0", "fp-1"])
+        table.grant(dead, ["fp-0", "fp-1"])
         clock.advance(2.5)
         survivor = table.register("survivor")["worker_id"]
-        grant = table.grant(survivor, ["fp-0", "fp-1"], limit=2)
-        assert sorted(grant["granted"]) == ["fp-0", "fp-1"]
-        assert table.counts["expired"] == 2
-        assert table.counts["reassigned"] == 2
-        expired = [age for fate, age in events if fate == "expired"]
+        granted = [table.grant(survivor, ["fp-0", "fp-1"])["granted"] for _ in range(2)]
+        assert sorted(sum(granted, [])) == ["fp-0", "fp-1"]
+        assert events.count("expired") == 2
+        assert events.count("reassigned") == 2
+        expired = [age for fate, age in events.events if fate == "expired"]
         assert expired == [2.5, 2.5]
         # the dead worker's late heartbeat finds nothing to renew
         assert table.heartbeat(dead) == {"known": True, "leases": 0}
 
     def test_release_hands_failed_cells_to_the_next_worker(self):
-        table, _ = make_table()
+        table, _, events = make_table()
         alpha = table.register("alpha")["worker_id"]
         beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         table.grant(alpha, [], release=["fp-0"])
-        assert table.counts["released"] == 1
-        grant = table.grant(beta, ["fp-0"], limit=1)
+        assert events.count("released") == 1
+        grant = table.grant(beta, ["fp-0"])
         assert grant["granted"] == ["fp-0"]
-        assert table.counts["reassigned"] == 1
+        assert events.count("reassigned") == 1
 
     def test_release_of_another_workers_lease_is_ignored(self):
-        table, _ = make_table()
+        table, _, events = make_table()
         alpha = table.register("alpha")["worker_id"]
         beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         table.grant(beta, [], release=["fp-0"])
-        assert table.counts["released"] == 0
-        assert table.active_leases() == 1
+        assert events.count("released") == 0
+        assert events.held() == 1
 
-    def test_complete_retires_the_lease_and_credits_the_worker(self):
-        table, clock = make_table()
+    def test_complete_retires_the_lease(self):
+        table, clock, events = make_table()
         alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         clock.advance(0.5)
         table.complete("fp-0")
-        assert table.active_leases() == 0
-        assert table.completed_count() == 1
-        assert table.counts["completed"] == 1
-        status = table.fleet_status()
-        assert status["workers"][0]["completed"] == 1
+        assert events.held() == 0
+        assert events.events[-1] == ("completed", 0.5)
         # a completed fingerprint is never granted again
-        assert table.grant(alpha, ["fp-0"], limit=1)["granted"] == []
+        grant = table.grant(alpha, ["fp-0"])
+        assert grant["granted"] == [] and grant["done"] is True
 
     def test_complete_without_a_lease_counts_no_lease_event(self):
         """A non-fleet shard worker's push still informs the scheduler
         (the fingerprint is done) but must not tick lease metrics."""
-        table, _ = make_table()
+        table, _, events = make_table()
         table.complete("fp-0")
-        assert table.completed_count() == 1
-        assert table.counts["completed"] == 0
+        assert events.events == []
+        alpha = table.register("alpha")["worker_id"]
+        assert table.grant(alpha, ["fp-0"])["done"] is True
 
     def test_done_only_when_offered_universe_is_completed(self):
-        table, _ = make_table()
+        table, _, _ = make_table()
         alpha = table.register("alpha")["worker_id"]
         beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         # beta sees nothing pending, but alpha's lease is outstanding
-        stalled = table.grant(beta, ["fp-0"], limit=1)
+        stalled = table.grant(beta, ["fp-0"])
         assert stalled["granted"] == [] and not stalled["done"]
         table.complete("fp-0")
-        assert table.grant(beta, ["fp-0"], limit=1)["done"] is True
+        assert table.grant(beta, ["fp-0"])["done"] is True
 
     def test_worker_counts_track_liveness(self):
-        table, clock = make_table(lease_ttl_s=2.0)
+        table, clock, _ = make_table()
         table.register("alpha")
         clock.advance(3.0)
         table.register("beta")
         assert table.worker_counts() == {"alive": 1, "lost": 1}
 
     def test_oldest_lease_age_feeds_the_stuck_slo(self):
-        table, clock = make_table(lease_ttl_s=2.0)
+        table, clock, _ = make_table()
         alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"], limit=1)
+        table.grant(alpha, ["fp-0"])
         assert table.oldest_lease_age_s() == 0.0
         clock.advance(7.0)
         # deliberately unswept: the age is visible even past the TTL
         assert table.oldest_lease_age_s() == 7.0
-
-    def test_fleet_status_shape(self):
-        table, _ = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0", "fp-1"], limit=2)
-        table.complete("fp-0")
-        status = table.fleet_status()
-        assert status["active_leases"] == 1
-        assert status["completed"] == 1
-        assert status["workers"][0]["leases"] == 1
-        assert status["lease_counts"]["granted"] == 2
-        assert set(status["lease_counts"]) == {
-            "granted", "renewed", "expired", "released", "reassigned",
-            "completed",
-        }
 
 
 @pytest.fixture()
@@ -280,6 +284,24 @@ def collector_client(collector):
     return ServiceClient(f"{host}:{port}", token=TOKEN)
 
 
+def lease_fates(collector) -> Recorder:
+    """The collector's ``fleet_leases_total`` counters, read off its
+    scrape, as a :class:`Recorder` of that many events per fate."""
+    samples = parse_exposition(collector.registry.render())
+    fates = Recorder()
+    for fate in ("granted", "renewed", "expired", "released", "reassigned", "completed"):
+        count = sum_samples(samples, "fleet_leases_total", fate=fate)
+        fates.events.extend([(fate, None)] * int(count))
+    return fates
+
+
+def is_done(client, fingerprints) -> bool:
+    """Whether the server holds every one of ``fingerprints`` completed,
+    as a fresh worker offering them is told."""
+    worker_id = client.register("probe")["worker_id"]
+    return client.lease(worker_id, list(fingerprints))["done"]
+
+
 class TestCollectorFleetVerbs:
     def test_register_heartbeat_lease_round_trip(self, collector):
         client = collector_client(collector)
@@ -289,19 +311,36 @@ class TestCollectorFleetVerbs:
         assert reply["lease_ttl_s"] == pytest.approx(0.4)
         beat = client.request({"op": "heartbeat", "worker_id": worker_id})
         assert beat["known"] is True and beat["leases"] == 0
-        grant = client.lease(worker_id, ["fp-0", "fp-1"], limit=1)
+        grant = client.lease(worker_id, ["fp-0", "fp-1"])
         assert grant["known"] is True
         assert grant["granted"] == ["fp-0"]
-        status = client.fleet_status()
-        assert status["active_leases"] == 1
-        assert status["workers"][0]["worker_id"] == worker_id
+        assert lease_fates(collector).held() == 1
+        assert sum(collector.leases.worker_counts().values()) == 1
+
+    def test_a_lease_request_carrying_limit_is_granted_one_cell(self, collector):
+        """The removed ``limit`` field is ignored like any unknown field."""
+        client = collector_client(collector)
+        worker_id = client.register("w1")["worker_id"]
+        grant = client.request({
+            "op": "lease", "worker_id": worker_id,
+            "fingerprints": [f"fp-{i}" for i in range(6)], "limit": 5,
+        })
+        assert grant["granted"] == ["fp-0"]
+        assert grant["pending"] == 5
+
+    def test_fleet_status_is_an_unknown_op(self, collector):
+        with pytest.raises(ServiceError, match="unknown op 'fleet_status'") as info:
+            collector_client(collector).request({"op": "fleet_status"})
+        assert "register/heartbeat/lease/shutdown" in str(info.value)
 
     def test_lease_verb_grants_a_repeated_fingerprint_once(self, collector):
         client = collector_client(collector)
         worker_id = client.register("w1")["worker_id"]
-        grant = client.lease(worker_id, ["fp-b", "fp-a", "fp-b"], limit=10)
-        assert grant["granted"] == ["fp-b", "fp-a"]
-        assert collector.leases.active_leases() == 2
+        offer = ["fp-b", "fp-a", "fp-b"]
+        assert client.lease(worker_id, offer)["granted"] == ["fp-b"]
+        assert client.lease(worker_id, offer)["granted"] == ["fp-a"]
+        assert client.lease(worker_id, offer)["granted"] == []
+        assert lease_fates(collector).held() == 2
         assert 'fleet_leases_total{fate="granted"} 2' in client.metrics()
 
     def test_unknown_worker_is_known_false_not_an_error(self, collector):
@@ -315,11 +354,11 @@ class TestCollectorFleetVerbs:
         client = collector_client(collector)
         worker_id = client.register("w1")["worker_id"]
         result = make_result(seed=1)
-        client.lease(worker_id, [result.fingerprint], limit=1)
-        assert collector.leases.active_leases() == 1
-        client.push([result.to_record()])
-        assert collector.leases.active_leases() == 0
-        assert collector.leases.counts["completed"] == 1
+        client.lease(worker_id, [result.fingerprint])
+        assert lease_fates(collector).held() == 1
+        push(client, [result.to_record()])
+        assert lease_fates(collector).held() == 0
+        assert lease_fates(collector).count("completed") == 1
 
     def test_every_push_fate_completes_idempotently(self, collector):
         """Every ingest fate — even a dropped duplicate — marks the
@@ -328,15 +367,15 @@ class TestCollectorFleetVerbs:
         client = collector_client(collector)
         worker_id = client.register("w1")["worker_id"]
         verified = make_result(seed=1, verified=True)
-        client.lease(worker_id, [verified.fingerprint], limit=1)
+        client.lease(worker_id, [verified.fingerprint])
         assert collector.ingest(verified.to_record()) == "accepted"
-        assert collector.leases.counts["completed"] == 1
+        assert lease_fates(collector).count("completed") == 1
         unverified = make_result(seed=1, verified=False)
         assert collector.ingest(unverified.to_record()) == "dropped"
-        assert collector.leases.completed_count() == 1
-        assert collector.leases.active_leases() == 0
+        assert is_done(client, [verified.fingerprint])
+        assert lease_fates(collector).held() == 0
         # the second push found no active lease: no second event
-        assert collector.leases.counts["completed"] == 1
+        assert lease_fates(collector).count("completed") == 1
 
     @pytest.mark.parametrize("payload,match", [
         ({"op": "register"}, "worker"),
@@ -346,8 +385,6 @@ class TestCollectorFleetVerbs:
         ({"op": "lease"}, "worker_id"),
         ({"op": "lease", "worker_id": "w", "fingerprints": "fp"}, "fingerprints"),
         ({"op": "lease", "worker_id": "w", "fingerprints": [1]}, "fingerprints"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [], "limit": 0}, "limit"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [], "limit": True}, "limit"),
         ({"op": "lease", "worker_id": "w", "fingerprints": [], "release": "x"}, "release"),
     ])
     def test_malformed_fleet_requests_are_errors(self, collector, payload, match):
@@ -358,8 +395,8 @@ class TestCollectorFleetVerbs:
         client = collector_client(collector)
         worker_id = client.register("w1")["worker_id"]
         result = make_result(seed=1)
-        client.lease(worker_id, [result.fingerprint], limit=1)
-        client.push([result.to_record()])
+        client.lease(worker_id, [result.fingerprint])
+        push(client, [result.to_record()])
         text = client.metrics()
         assert 'fleet_workers{state="alive"} 1' in text
         assert 'fleet_leases_total{fate="granted"} 1' in text
@@ -447,7 +484,7 @@ class TestMalformedStoreRestart:
             assert status["malformed_store_records"] == 2
             assert "collector_store_malformed_records 2" in client.metrics()
             # the surviving verified record still seeds the lease table
-            assert collector.leases.completed_count() == 1
+            assert is_done(client, [good.fingerprint])
         finally:
             collector.close()
 
@@ -472,10 +509,10 @@ class TestFleetWorkerEndToEnd:
         assert worker.pushed == total
         assert len(store) == total
         assert len(ResultStore(tmp_path / "central")) == total
-        status = collector.leases.fleet_status()
-        assert status["active_leases"] == 0
-        assert status["completed"] == total
-        assert status["lease_counts"]["completed"] == total
+        fates = lease_fates(collector)
+        assert fates.held() == 0
+        assert fates.count("completed") == total
+        assert is_done(collector_client(collector), [c.fingerprint for c in TINY.cells()])
 
     def test_two_jobs_run_two_leased_cells_at_once(
         self, collector, tmp_path, monkeypatch
@@ -538,7 +575,11 @@ class TestFleetWorkerEndToEnd:
         client = collector_client(collector)
         dead_id = client.register("doomed")["worker_id"]
         universe = [cell.fingerprint for cell in TINY.cells()]
-        grabbed = client.lease(dead_id, universe, limit=3)["granted"]
+        grabbed = {
+            fingerprint
+            for _ in range(3)
+            for fingerprint in client.lease(dead_id, universe)["granted"]
+        }
         assert len(grabbed) == 3
         # ... the worker dies here: no heartbeat ever arrives
 
@@ -548,14 +589,11 @@ class TestFleetWorkerEndToEnd:
         )
         total = len(TINY.cells())
         assert report.ok and report.executed == total
-        assert collector.leases.counts["expired"] >= 3
-        assert collector.leases.counts["reassigned"] >= 3
+        fates = lease_fates(collector)
+        assert fates.count("expired") >= 3
+        assert fates.count("reassigned") >= 3
         assert len(ResultStore(tmp_path / "central")) == total
-        states = {
-            w["name"]: w["state"]
-            for w in collector.leases.fleet_status()["workers"]
-        }
-        assert states["doomed"] == "lost"
+        assert collector.leases.worker_counts()["lost"] >= 1
 
         # The survivor executed every cell, so the collector's merged
         # store and the survivor's local store hold the same records —
@@ -602,7 +640,7 @@ class TestFleetWorkerEndToEnd:
 
             result = run_cell(TINY.name, cell)
             first.append(result)
-            client.push([result.to_record()])
+            push(client, [result.to_record()])
             done += 1
         replacement = ResultStore(tmp_path / "replacement")
         worker, report = run_fleet_worker(
@@ -645,8 +683,9 @@ class TestFleetWorkerEndToEnd:
         assert "boom" in report.failures[0].error
         assert report.executed == 1
         # the failed fingerprint went back to the fleet, not into limbo
-        assert collector.leases.counts["released"] == 1
-        assert collector.leases.active_leases() == 0
+        fates = lease_fates(collector)
+        assert fates.count("released") == 1
+        assert fates.held() == 0
 
     def test_cli_fleet_flag_is_exclusive_with_shard(self, capsys):
         assert main([
@@ -697,10 +736,7 @@ class TestLeaseStuckSLO:
 
     @staticmethod
     def scrape(collector):
-        client = collector_client(collector)
-        from repro.obs import parse_exposition
-
-        return parse_exposition(client.metrics())
+        return parse_exposition(collector_client(collector).metrics())
 
     def test_no_fleet_data_passes(self):
         verdict = self.evaluate([])
@@ -709,7 +745,7 @@ class TestLeaseStuckSLO:
     def test_healthy_collector_scrape_passes(self, collector):
         client = collector_client(collector)
         worker_id = client.register("w1")["worker_id"]
-        client.lease(worker_id, ["fp-0"], limit=1)
+        client.lease(worker_id, ["fp-0"])
         verdict = self.evaluate(self.scrape(collector))
         assert verdict.ok and not verdict.no_data
         assert "3x" in verdict.detail
@@ -725,7 +761,7 @@ class TestLeaseStuckSLO:
         try:
             client = collector_client(collector)
             worker_id = client.register("w1")["worker_id"]
-            client.lease(worker_id, ["fp-0"], limit=1)
+            client.lease(worker_id, ["fp-0"])
             clock.advance(5.0)  # ttl is 0.4s; 5s >> 3x budget
             verdict = self.evaluate(self.scrape(collector))
         finally:

@@ -16,8 +16,11 @@ from repro.experiments import (
     register_algorithm,
     runner,
 )
+from repro.experiments.runner import WorkerPool
+from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import ALGORITHMS, ANALYTIC_GENERATOR
-from repro.service import ShardSpec, WorkerPool
+from repro.obs import parse_exposition
+from repro.obs.metrics import sum_samples
 
 SUITE = Suite(
     name="pool-test",
@@ -120,6 +123,11 @@ def run_on(pool: WorkerPool, suite: Suite, store: ResultStore) -> list:
     return outcomes
 
 
+def counter(owner, name: str) -> float:
+    """A counter of ``owner.registry`` (a pool's or a server's)."""
+    return sum_samples(parse_exposition(owner.registry.render()), name)
+
+
 def normalized(store: ResultStore) -> dict[str, dict]:
     out = {}
     for record in store.records():
@@ -154,8 +162,8 @@ class TestPoolExecution:
             run_on(pool, SUITE, ResultStore(tmp_path / "b"))
             pids_after_second = [p.pid for p in pool._processes]
         assert pids_after_first == pids_after_second
-        assert pool.sweeps_served == 2
-        assert pool.cells_executed == 2 * len(SUITE.cells())
+        assert counter(pool, "pool_sweeps_total") == 2
+        assert counter(pool, "pool_cells_executed_total") == 2 * len(SUITE.cells())
 
     def test_resume_skips_completed(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -202,7 +210,7 @@ class TestPoolExecution:
         with WorkerPool(workers=2) as pool:
             outcomes = run_on(pool, one_cell, ResultStore(tmp_path))
             assert [outcome.error for outcome in outcomes] == [None]
-            assert pool.cells_executed == 1
+            assert counter(pool, "pool_cells_executed_total") == 1
 
     def test_cells_are_pulled_as_tasks_are_handed_out(self, tmp_path):
         """``submit_sweep`` pulls its cells lazily: at most two per worker

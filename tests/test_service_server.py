@@ -14,7 +14,10 @@ from repro.experiments import ResultStore, ScenarioSpec, Suite, get_suite
 from repro.experiments.cli import main
 from repro.experiments.runner import run_cell
 from repro.experiments.spec import ALGORITHMS, SUITES, AlgorithmFamily, register_algorithm
+from repro.obs import parse_exposition
+from repro.obs.metrics import sum_samples
 from repro.service import ResultCollector, ServiceClient, ServiceError
+from repro.service import client as client_module
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     MAX_SOCKET_PATH_BYTES,
@@ -22,8 +25,9 @@ from repro.service.protocol import (
     recv_message,
 )
 
-from test_service_fleet import FakeClock
-from test_service_pool import dying_suite
+from test_service_collector import push
+from test_service_fleet import FakeClock, lease_fates
+from test_service_pool import counter, dying_suite
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -136,16 +140,6 @@ class TestSubmit:
         assert second["skipped"] == second["total_cells"] == first["total_cells"]
         assert client.status(second["fingerprints"])["done"] is True
 
-    def test_sharded_submits_cover_the_suite(self, client):
-        replies = [
-            client.submit("paper-claims", smoke=True, shard=f"{index}/2")
-            for index in range(2)
-        ]
-        queued = [fp for reply in replies for fp in reply["fingerprints"]]
-        assert len(set(queued)) == len(queued)
-        assert len(queued) == len(get_suite("paper-claims").cells(smoke=True))
-        assert client.wait(queued, timeout=120)["completed"] == len(queued)
-
     def test_status_without_fingerprints_reports_counters(self, client, small):
         queued = client.submit(small.name)["fingerprints"]
         client.wait(queued, timeout=120)
@@ -157,9 +151,12 @@ class TestSubmit:
         with pytest.raises(ServiceError, match="unknown suite"):
             client.submit("no-such-suite")
 
-    def test_submit_bad_shard_fails_fast(self, client):
-        with pytest.raises(ServiceError, match="shard"):
-            client.submit("paper-claims", shard="2/2")
+    def test_submit_ignores_a_shard_field(self, small, client):
+        """``submit`` shards nothing: a ``shard`` field is ignored like any
+        unknown field, and the whole suite is queued."""
+        reply = client.request({"op": "submit", "suite": small.name, "shard": "0/2"})
+        assert reply["total_cells"] == len(reply["fingerprints"]) == len(small.cells())
+        assert client.wait(reply["fingerprints"], timeout=120)["done"]
 
     def test_submit_ignores_an_engine_field(self, small, client, tmp_path):
         """The engine is not the sweep's to choose: an ``engine`` field
@@ -287,8 +284,9 @@ class TestLocalWorker:
                 assert len(status["failures"]) == len(queued) == len(small.cells())
                 assert all("Error" in failure["error"] for failure in status["failures"])
             assert client.status()["records"] == 0
-            assert server.leases.active_leases() == 0
-            assert server.leases.counts["released"] == 2 * len(small.cells())
+            fates = lease_fates(server)
+            assert fates.held() == 0
+            assert fates.count("released") == 2 * len(small.cells())
 
     def test_a_broken_pool_fails_cells_and_the_server_keeps_serving(
         self, server, client, small, monkeypatch
@@ -306,7 +304,7 @@ class TestLocalWorker:
         assert status["completed"] == 0
         assert len(status["failures"]) == len(queued) == len(small.cells())
         assert all("fork failed" in failure["error"] for failure in status["failures"])
-        assert server.leases.active_leases() == 0
+        assert lease_fates(server).held() == 0
         monkeypatch.setattr(server.pool, "submit_sweep", working)
         status = client.wait(client.submit(small.name)["fingerprints"], timeout=120)
         assert status["completed"] == len(small.cells()) and not status["failures"]
@@ -325,7 +323,7 @@ class TestLocalWorker:
         with server:
             client = ServiceClient(server.socket_path)
             remote = client.register("remote")["worker_id"]
-            held = client.lease(remote, universe, limit=2)["granted"]
+            held = [client.lease(remote, universe)["granted"][0] for _ in range(2)]
             assert client.submit(small.name)["fingerprints"] == universe
             wait_until(
                 lambda: client.status(universe)["completed"] == len(universe) - 2
@@ -333,16 +331,14 @@ class TestLocalWorker:
             assert client.status(universe)["pending"] == 2
             for cell in small.cells():
                 if cell.fingerprint in held:
-                    client.push([run_cell(small.name, cell).to_record()])
+                    push(client, [run_cell(small.name, cell).to_record()])
             status = client.wait(universe, timeout=60)
-            completed = {
-                worker["name"]: worker["completed"]
-                for worker in server.leases.fleet_status()["workers"]
-            }
         assert status["completed"] == len(universe) and not status["failures"]
-        assert completed == {"local": len(universe) - 2, "remote": 2}
+        # Every cell's lease completed: the remote's two by its pushes,
+        # the rest by the local worker, which ran exactly those.
+        assert lease_fates(server).count("completed") == len(universe)
         assert server.duplicates == 0
-        assert server.pool.cells_executed == len(universe) - 2
+        assert counter(server, "pool_cells_executed_total") == len(universe) - 2
         assert len(server.store.path.read_text().splitlines()) == len(universe)
 
     def test_a_fleet_worker_shares_a_submitted_suite_without_duplicates(
@@ -366,7 +362,7 @@ class TestLocalWorker:
         total = len(small.cells())
         assert reports and reports[0].ok
         assert status["failures"] == []
-        assert reports[0].executed + server.pool.cells_executed == total
+        assert reports[0].executed + counter(server, "pool_cells_executed_total") == total
         assert server.duplicates == 0
         assert len(server.store.path.read_text().splitlines()) == total
 
@@ -376,7 +372,7 @@ class TestLocalWorker:
         cell = small.cells()[0]
         unverified = run_cell(small.name, cell).to_record()
         unverified["verified"] = False
-        client.push([unverified])
+        push(client, [unverified])
         reply = client.submit(small.name)
         assert reply["skipped"] == 0
         assert cell.fingerprint in reply["fingerprints"]
@@ -390,9 +386,6 @@ class TestLocalWorker:
         from the schedule and every append is counted."""
         import sys
 
-        from repro.obs import parse_exposition
-        from repro.obs.metrics import sum_samples
-
         suite = get_suite("paper-claims")
         records = [
             run_cell(suite.name, cell).to_record() for cell in suite.cells(smoke=True)
@@ -405,12 +398,12 @@ class TestLocalWorker:
             ) as server:
                 client = ServiceClient(server.socket_path)
 
-                def push(offset):
+                def push_all(offset):
                     for record in records[offset:] + records[:offset]:
-                        client.push([record])
+                        push(client, [record])
 
                 pushers = [
-                    threading.Thread(target=push, args=(offset,))
+                    threading.Thread(target=push_all, args=(offset,))
                     for offset in range(0, len(records), 5)
                 ]
                 for thread in pushers:
@@ -427,7 +420,7 @@ class TestLocalWorker:
         # ran still lands (as a duplicate) before the worker drains.
         samples = parse_exposition(server.registry.render())
         assert status["done"] and not status["failures"]
-        assert server.leases.active_leases() == 0
+        assert lease_fates(server).held() == 0
         stored = ResultStore(tmp_path / "store")
         assert {r["fingerprint"] for r in stored.records()} == {
             r["fingerprint"] for r in records
@@ -450,27 +443,30 @@ class TestLocalWorker:
         with server:
             client = ServiceClient(server.socket_path)
             queued = client.submit(suite.name)["fingerprints"]
-            wait_until(lambda: server.leases.active_leases() == 1)
+            wait_until(lambda: lease_fates(server).held() == 1)
             for _ in range(5):  # 5 × 0.08 s of lease time: four TTLs
                 clock.advance(0.08)
-                renewed = server.leases.counts["renewed"]
-                # two beats after the advance: one read the advanced clock
-                wait_until(lambda: server.leases.counts["renewed"] > renewed + 1)
-            assert server.leases.fleet_status()["lease_counts"]["expired"] == 0
+                renewed = lease_fates(server).count("renewed")
+                # two beats after the advance: one read the advanced clock,
+                # and each beat swept expired leases before renewing
+                wait_until(lambda: lease_fates(server).count("renewed") > renewed + 1)
+            assert lease_fates(server).count("expired") == 0
             _HOLD["release"].set()
             status = client.wait(queued, timeout=60)
         assert status["completed"] == 1 and not status["failures"]
-        assert server.leases.counts["expired"] == 0
-        assert server.leases.counts["completed"] == 1
+        fates = lease_fates(server)
+        assert fates.count("expired") == 0
+        assert fates.count("completed") == 1
 
 
 class TestShutdown:
-    def test_shutdown_verb_stops_server(self, tmp_path):
+    def test_shutdown_verb_stops_server(self, tmp_path, monkeypatch):
         server = ResultCollector(
             out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1
         )
         server.start()
-        client = ServiceClient(server.socket_path, connect_retry_s=0)
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
+        client = ServiceClient(server.socket_path)
         client.shutdown()
         server.close()
         assert not server.socket_path.exists()

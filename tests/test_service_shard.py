@@ -16,7 +16,7 @@ from repro.experiments import (
     merge_result_files,
 )
 from repro.experiments.spec import ANALYTIC_GENERATOR
-from repro.service import ShardSpec, partition, shard_cells
+from repro.experiments.shard import ShardSpec, shard_cells
 
 SUITE = Suite(
     name="shard-test",
@@ -60,19 +60,24 @@ class TestShardSpec:
         assert all(spec.owns(cell.fingerprint) for cell in SUITE.cells())
 
 
+def shards_of(cells, count):
+    """All ``count`` shards of ``cells``."""
+    return [shard_cells(cells, ShardSpec(index, count)) for index in range(count)]
+
+
 class TestPartitioning:
     @pytest.mark.parametrize("count", [2, 3, 5])
     def test_shards_are_disjoint_and_cover(self, count):
         cells = SUITE.cells()
-        shards = partition(cells, count)
+        shards = shards_of(cells, count)
         fingerprints = [c.fingerprint for shard in shards for c in shard]
         assert sorted(fingerprints) == sorted(c.fingerprint for c in cells)
         assert len(set(fingerprints)) == len(fingerprints)
 
     def test_partition_is_deterministic(self):
         cells = SUITE.cells()
-        first = [[c.fingerprint for c in s] for s in partition(cells, 4)]
-        second = [[c.fingerprint for c in s] for s in partition(cells, 4)]
+        first = [[c.fingerprint for c in s] for s in shards_of(cells, 4)]
+        second = [[c.fingerprint for c in s] for s in shards_of(cells, 4)]
         assert first == second
 
     def test_shard_cells_none_passthrough(self):
@@ -84,7 +89,7 @@ class TestPartitioning:
         # are large enough that an empty residue class would mean a
         # broken fingerprint distribution.
         cells = get_suite("paper-claims").cells()
-        for shard in partition(cells, 2):
+        for shard in shards_of(cells, 2):
             assert shard
 
 

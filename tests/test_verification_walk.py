@@ -191,7 +191,11 @@ PROBLEMS = {
 }
 
 #: Labels no problem accepts in any position, or only in another problem.
-WRONG_TYPE = [None, 0, -1, 7, 2.5, "X", (1,), (0, 2), (1, 2, 3), "D", "M", "OUT", (2, 1)]
+#: ``["M"]`` is unhashable: a predicate must reject it, not raise on it.
+WRONG_TYPE = [
+    None, 0, -1, 7, 2.5, "X", (1,), (0, 2), (1, 2, 3), "D", "M", "OUT", (2, 1),
+    ["M"],
+]
 
 
 def _semigraph(rng):
