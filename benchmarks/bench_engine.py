@@ -10,8 +10,9 @@ and are timed once each, recorded under ``engine="interpreted"``.  The
 ``instance/*`` entries time what every cell pays before any engine
 runs: one ``random_tree`` call and one ``Network`` built on it.  The
 ``semigraph/*`` entries time the layer the transform and list cells run
-on: Definition 6's check of one ``solve_semigraph`` labeling per problem,
-and the restrictions of one split of the instance.
+on: one ``solve_semigraph`` per problem (the A-phase, from the
+semi-graph's adjacency to the lifted labeling), Definition 6's check of
+its labeling, and the restrictions of one split of the instance.
 
 Two regression gates are asserted:
 
@@ -49,7 +50,11 @@ if _SRC not in sys.path:
 from _harness import record_json, record_table, scenario_entry, timed  # noqa: E402
 
 from repro.analysis import MeasurementTable  # noqa: E402
-from repro.baselines.adapters import EdgeColoringAlgorithm, MISAlgorithm  # noqa: E402
+from repro.baselines.adapters import (  # noqa: E402
+    EdgeColoringAlgorithm,
+    MaximalMatchingAlgorithm,
+    MISAlgorithm,
+)
 from repro.baselines.color_reduction import ColorClassReduction  # noqa: E402
 from repro.baselines.coloring import deg_plus_one_coloring  # noqa: E402
 from repro.baselines.forest_coloring import ForestThreeColoring  # noqa: E402
@@ -191,16 +196,23 @@ def _instance_scenarios():
 
 
 def _semigraph_scenarios():
-    """Verification of one labeling per problem, and the restrictions to
-    both halves of the nodes (in both modes) and of the edges."""
+    """One adapter run (an A-phase on the whole tree) and the verification
+    of its labeling per problem, and the restrictions to both halves of
+    the nodes (in both modes) and of the edges."""
     entries = []
     for n in SEMIGRAPH_SIZES:
         semigraph = semigraph_from_graph(random_tree(n, seed=42))
         for name, algorithm in (
             ("mis", MISAlgorithm()),
             ("edge-coloring", EdgeColoringAlgorithm()),
+            ("matching", MaximalMatchingAlgorithm()),
         ):
-            labeling, _ = algorithm.solve_semigraph(semigraph)
+            (labeling, _), seconds = timed(
+                lambda: algorithm.solve_semigraph(semigraph)
+            )
+            entries.append(
+                scenario_entry(f"semigraph/adapter/{name}/random-tree", n, seconds)
+            )
             result, seconds = timed(
                 lambda: verify_solution(algorithm.problem, semigraph, labeling)
             )

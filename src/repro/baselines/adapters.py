@@ -7,19 +7,22 @@ where ``Δ`` is the maximum degree of the underlying graph.  A
 solves and its declared complexity function ``f`` (used to pick the
 cut-off ``k = g(n)``).
 
-Every adapter solves the problem on the *underlying graph* of the
-semi-graph with a genuinely distributed baseline from this package and
-lifts the result to half-edge labels with the problem's ``from_classic``
-conversion (the 1-round transformations described in Section 5 of the
-paper); rank-1 half-edges receive the labels the respective encoding
-prescribes for them.
+Every adapter hands the semi-graph's own adjacency
+(:meth:`~repro.semigraph.SemiGraph.adjacency`, the underlying graph as
+neighbour sets) to a genuinely distributed baseline from this package,
+which indexes it as a :class:`~repro.local.Network` (or its line graph,
+for edge colouring and matching), and lifts the result to half-edge
+labels with the problem's ``from_classic`` conversion (the 1-round
+transformations described in Section 5 of the paper); rank-1 half-edges
+receive the labels the respective encoding prescribes for them.  No
+networkx graph is built on the way.
 """
 
 from __future__ import annotations
 
 from repro.baselines.coloring import deg_plus_one_coloring
-from repro.baselines.edge_coloring import edge_degree_plus_one_coloring
-from repro.baselines.matching import maximal_matching
+from repro.baselines.edge_coloring import _edge_coloring
+from repro.baselines.matching import _maximal_matching
 from repro.baselines.mis import maximal_independent_set
 from repro.core.complexity import quadratic
 from repro.core.interfaces import OracleCostModel, TrulyLocalAlgorithm
@@ -30,7 +33,6 @@ from repro.problems import (
     MaximalMatchingProblem,
 )
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.builders import edge_id_for
 
 __all__ = [
     "TrulyLocalAlgorithm",
@@ -42,13 +44,29 @@ __all__ = [
 ]
 
 
-def _underlying_edge_map(semigraph: SemiGraph) -> dict:
-    """Map canonical endpoint pairs of the underlying graph to semi-graph edge ids."""
-    mapping = {}
-    for edge in semigraph.edges_of_rank(2):
-        u, v = semigraph.endpoints(edge)
-        mapping[edge_id_for(u, v)] = edge
-    return mapping
+def _edge_ids(semigraph: SemiGraph, parallel_ok: bool) -> dict:
+    """Each rank-2 edge's identifier under both orderings of its endpoints.
+
+    A line-graph node is named by one of the two
+    (:func:`repro.baselines.edge_coloring.line_graph`), so this maps the
+    edge baselines' results back to the semi-graph's edges.  Parallel
+    rank-2 edges share one line-graph node: with ``parallel_ok`` the first
+    of them takes its result, otherwise they raise ``ValueError``.
+    """
+    edge_ids: dict = {}
+    for edge, endpoints in semigraph.edge_endpoints().items():
+        if len(endpoints) == 2:
+            u, v = endpoints
+            if (u, v) in edge_ids:
+                if parallel_ok:
+                    continue
+                raise ValueError(
+                    f"edges {edge_ids[u, v]!r} and {edge!r} are parallel: the "
+                    "line graph has one node for both, so no colouring of it "
+                    "colours both"
+                )
+            edge_ids[u, v] = edge_ids[v, u] = edge
+    return edge_ids
 
 
 class DegPlusOneColoringAlgorithm(TrulyLocalAlgorithm):
@@ -61,8 +79,7 @@ class DegPlusOneColoringAlgorithm(TrulyLocalAlgorithm):
         self.complexity = quadratic(shift=3.0)
 
     def solve_semigraph(self, semigraph: SemiGraph) -> tuple[HalfEdgeLabeling, int]:
-        graph = semigraph.underlying_graph()
-        run = deg_plus_one_coloring(graph)
+        run = deg_plus_one_coloring(semigraph.adjacency())
         labeling = self.problem.from_classic(semigraph, run.colours)
         return labeling, run.rounds
 
@@ -77,8 +94,7 @@ class MISAlgorithm(TrulyLocalAlgorithm):
         self.complexity = quadratic(shift=3.0)
 
     def solve_semigraph(self, semigraph: SemiGraph) -> tuple[HalfEdgeLabeling, int]:
-        graph = semigraph.underlying_graph()
-        run = maximal_independent_set(graph)
+        run = maximal_independent_set(semigraph.adjacency())
         labeling = self.problem.from_classic(semigraph, run.independent_set)
         return labeling, run.rounds
 
@@ -93,10 +109,9 @@ class EdgeColoringAlgorithm(TrulyLocalAlgorithm):
         self.complexity = quadratic(scale=4.0, shift=3.0)
 
     def solve_semigraph(self, semigraph: SemiGraph) -> tuple[HalfEdgeLabeling, int]:
-        graph = semigraph.underlying_graph()
-        run = edge_degree_plus_one_coloring(graph)
-        edge_map = _underlying_edge_map(semigraph)
-        classic = {edge_map[pair]: colour for pair, colour in run.colours.items()}
+        edge_ids = _edge_ids(semigraph, parallel_ok=False)
+        run = _edge_coloring(semigraph.adjacency())
+        classic = {edge_ids[name]: colour for name, colour in run.colours.items()}
         labeling = self.problem.from_classic(semigraph, classic)
         return labeling, run.rounds
 
@@ -111,9 +126,8 @@ class MaximalMatchingAlgorithm(TrulyLocalAlgorithm):
         self.complexity = quadratic(scale=4.0, shift=3.0)
 
     def solve_semigraph(self, semigraph: SemiGraph) -> tuple[HalfEdgeLabeling, int]:
-        graph = semigraph.underlying_graph()
-        run = maximal_matching(graph)
-        edge_map = _underlying_edge_map(semigraph)
-        classic = {edge_map[pair] for pair in run.matching}
+        edge_ids = _edge_ids(semigraph, parallel_ok=True)
+        run = _maximal_matching(semigraph.adjacency())
+        classic = {edge_ids[name] for name in run.matching}
         labeling = self.problem.from_classic(semigraph, classic)
         return labeling, run.rounds

@@ -15,6 +15,7 @@ import networkx as nx
 from repro.baselines.color_reduction import _reduce_to_deg_plus_one
 from repro.baselines.linial import _linial_coloring
 from repro.local import Network
+from repro.semigraph.semigraph import Adjacency
 
 
 @dataclass
@@ -28,13 +29,15 @@ class ColoringRun:
     palette_after_linial: int
 
 
-def deg_plus_one_coloring(graph: nx.Graph) -> ColoringRun:
+def deg_plus_one_coloring(graph: nx.Graph | Adjacency) -> ColoringRun:
     """Colour ``graph`` properly with each colour at most ``deg + 1``.
 
-    Round complexity: ``O(Δ² + log* n)`` — the measured breakdown is
-    returned alongside the colouring.
+    ``graph`` is anything :class:`~repro.local.Network` indexes: a
+    networkx graph or an adjacency mapping.  Round complexity:
+    ``O(Δ² + log* n)`` — the measured breakdown is returned alongside the
+    colouring.
     """
-    if graph.number_of_nodes() == 0:
+    if len(graph) == 0:
         return ColoringRun({}, 0, 0, 0, 0)
     return _deg_plus_one_coloring(Network(graph))
 

@@ -19,24 +19,38 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.baselines.edge_coloring import edge_degree_plus_one_coloring
+from repro.baselines.edge_coloring import _edge_coloring
+from repro.semigraph.builders import edge_id_for
+from repro.semigraph.semigraph import Adjacency
 
 
 @dataclass
 class MatchingRun:
     """Outcome of a truly local maximal matching run."""
 
-    matching: set  # canonical edge pairs
+    matching: set  # edge pairs
     rounds: int
     edge_coloring_rounds: int
     sweep_rounds: int
 
 
 def maximal_matching(graph: nx.Graph) -> MatchingRun:
-    """Compute a maximal matching of ``graph`` in ``O(Δ² + log* n)`` rounds."""
-    if graph.number_of_edges() == 0:
+    """Compute a maximal matching of ``graph`` in ``O(Δ² + log* n)`` rounds.
+
+    The matching holds canonical edge pairs (see
+    :func:`repro.semigraph.builders.edge_id_for`).
+    """
+    run = _maximal_matching(dict(graph.adjacency()))
+    run.matching = {edge_id_for(u, v) for u, v in run.matching}
+    return run
+
+
+def _maximal_matching(adjacency: Adjacency) -> MatchingRun:
+    """:func:`maximal_matching` on an adjacency mapping, with edges named
+    as :func:`repro.baselines.edge_coloring.line_graph` names them."""
+    coloring = _edge_coloring(adjacency)
+    if not coloring.colours:
         return MatchingRun(set(), 0, 0, 0)
-    coloring = edge_degree_plus_one_coloring(graph)
     num_classes = max(coloring.colours.values(), default=1)
 
     matched_nodes: set[Hashable] = set()

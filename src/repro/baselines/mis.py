@@ -14,6 +14,7 @@ import networkx as nx
 
 from repro.baselines.coloring import _deg_plus_one_coloring
 from repro.local import Network, NodeContext, RunResult, SynchronousAlgorithm, select_engine
+from repro.semigraph.semigraph import Adjacency
 
 
 class ColorClassMIS(SynchronousAlgorithm):
@@ -55,13 +56,14 @@ class MISRun:
     sweep_rounds: int
 
 
-def maximal_independent_set(graph: nx.Graph) -> MISRun:
+def maximal_independent_set(graph: nx.Graph | Adjacency) -> MISRun:
     """Compute an MIS of ``graph`` in ``O(Δ² + log* n)`` rounds.
 
-    The colouring and the sweep run on one network: the graph is indexed
-    once.
+    ``graph`` is a networkx graph or an adjacency mapping, as for
+    :class:`~repro.local.Network`.  The colouring and the sweep run on one
+    network: the graph is indexed once.
     """
-    if graph.number_of_nodes() == 0:
+    if len(graph) == 0:
         return MISRun(set(), 0, 0, 0)
     network = Network(graph)
     coloring = _deg_plus_one_coloring(network)

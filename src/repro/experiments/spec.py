@@ -1068,6 +1068,16 @@ register_suite(Suite(
             seeds=(1,),
             smoke_sizes=(5_000,),
         ),
+        # The Theorem 15 transform of the headline problem to 10⁵, where
+        # its A-phase runs on the line graph of the typical edges.
+        ScenarioSpec(
+            name="edge-coloring/arboricity-large",
+            generator="random-tree",
+            algorithm="arb-edge-coloring",
+            sizes=(10_000, 30_000, 100_000),
+            seeds=(1,),
+            smoke_sizes=(5_000,),
+        ),
     ),
 ))
 

@@ -11,7 +11,11 @@ ever *read* the topology, so they index it once into three flat arrays:
   ``offsets[i + 1] - offsets[i]`` is its degree);
 * ``targets``   — neighbour *indices* (ints), not node objects.
 
-All inner loops then run on small ints and list slices.  When an
+All inner loops then run on small ints and list slices.  The index is
+filled from an adjacency mapping (node → its distinct neighbours), in one
+place, :meth:`CSRAdjacency.from_adjacency`: a :mod:`networkx` graph hands
+over its own neighbour dicts (:meth:`CSRAdjacency.from_graph`), a
+semi-graph the neighbour sets of its underlying graph.  When an
 ``order_key`` is supplied (the simulator passes the identifier
 assignment), the build visits sources in increasing key order, so every
 neighbour slice comes out sorted by that key without any per-node sort —
@@ -21,7 +25,7 @@ the whole build is ``O(n log n + m)``.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Collection, Hashable, Mapping, Sequence
 
 import networkx as nx
 
@@ -50,7 +54,25 @@ class CSRAdjacency:
         graph: nx.Graph,
         order_key: Callable[[Hashable], int] | None = None,
     ) -> "CSRAdjacency":
-        """Index ``graph`` into flat arrays.
+        """Index ``graph`` through :meth:`from_adjacency`.
+
+        ``graph.adjacency()`` yields the raw neighbour dicts in node order;
+        ``graph.adj[node]`` would wrap each one in a fresh view.
+        """
+        return cls.from_adjacency(dict(graph.adjacency()), order_key=order_key)
+
+    @classmethod
+    def from_adjacency(
+        cls,
+        adjacency: Mapping[Hashable, Collection[Hashable]],
+        order_key: Callable[[Hashable], int] | None = None,
+    ) -> "CSRAdjacency":
+        """Index an undirected adjacency mapping into flat arrays.
+
+        Node ``i`` is the ``i``-th key of ``adjacency``.  The caller
+        vouches that the mapping is symmetric, loop-free and lists only
+        keys as neighbours (:class:`repro.local.Network` checks a mapping
+        it is handed).
 
         Parameters
         ----------
@@ -60,12 +82,10 @@ class CSRAdjacency:
             filling slices in source-key order leaves each one sorted, so
             no per-node sort is needed).
         """
-        nodes = tuple(graph.nodes())
+        nodes = tuple(adjacency)
         index = {node: i for i, node in enumerate(nodes)}
         n = len(nodes)
-        # ``graph.adjacency()`` yields the raw neighbour dicts in node
-        # order; ``graph.adj[node]`` would wrap each one in a fresh view.
-        rows = [neighbors for _, neighbors in graph.adjacency()]
+        rows = list(adjacency.values())
         offsets = [0, *accumulate(map(len, rows))]
         if order_key is None:
             order = range(n)

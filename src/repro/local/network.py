@@ -1,10 +1,12 @@
 """The communication graph of the LOCAL model.
 
-A :class:`Network` wraps a :mod:`networkx` graph and fixes the information
-every node starts with: a globally unique identifier from ``{1, ..., n^c}``,
-the number of nodes ``n``, the maximum degree ``Δ``, and optional problem-
-specific per-node inputs (for example the parent pointer used by the forest
-colouring subroutine).
+A :class:`Network` indexes an undirected simple graph, given as a
+:mod:`networkx` graph or as an adjacency mapping (node → its distinct
+neighbours, the form :meth:`repro.semigraph.SemiGraph.adjacency` returns),
+and fixes the information every node starts with: a globally unique
+identifier from ``{1, ..., n^c}``, the number of nodes ``n``, the maximum
+degree ``Δ``, and optional problem-specific per-node inputs (for example
+the parent pointer used by the forest colouring subroutine).
 
 Data layout
 -----------
@@ -12,16 +14,19 @@ A network is immutable after construction, so ``__init__`` performs a
 single indexing pass and every subsequent topology query is served from
 caches:
 
+* ``adjacency`` is the mapping the network was built on: a networkx
+  graph hands over its own neighbour dicts, a mapping is kept as it is;
 * ``max_degree`` and ``max_identifier`` are plain attributes computed
   once (the seed implementation recomputed both with a full scan on
   every access, which made context construction quadratic);
 * the adjacency is compiled into a CSR-style flat layout
   (:class:`repro.local.csr.CSRAdjacency`): an int-indexed node table plus
   ``offsets``/``targets`` arrays whose neighbour slices are already
-  sorted by identifier.  Building it visits sources in increasing
-  identifier order, so no per-node sort is needed — ``O(n log n + m)``
-  total instead of the seed's ``O(m log Δ)`` sort per ``neighbors()``
-  call;
+  sorted by identifier.  Both kinds of input go through the one fill,
+  :meth:`~repro.local.csr.CSRAdjacency.from_adjacency`, which visits
+  sources in increasing identifier order, so no per-node sort is needed
+  — ``O(n log n + m)`` total instead of the seed's ``O(m log Δ)`` sort
+  per ``neighbors()`` call;
 * ``nodes()`` returns one cached tuple and ``neighbors()`` memoizes the
   identifier-sorted neighbour tuple of each node.
 
@@ -33,20 +38,20 @@ One topology per instance
 A pipeline that runs several algorithms on one graph (Linial's
 colouring, then the colour-class reduction, then the MIS sweep) builds
 one network and runs each stage on :meth:`Network.with_inputs`
-derivations of it.  A derivation shares the graph, node tuple,
+derivations of it.  A derivation shares the adjacency, node tuple,
 identifiers, CSR adjacency (and its ``array_layout()`` cache), ``Δ``,
 the largest identifier, the neighbour cache and, once the array engine
 has built it, the identifier array; it differs only in ``node_inputs``
 and ``shared``, costs no indexing pass and records no ``network`` time.
 
-The wrapped ``graph`` must not be mutated after the network is built; the
-caches would go stale silently.
+Neither the graph nor the mapping may be mutated after the network is
+built; the caches would go stale silently.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Collection, Hashable, Iterable, Mapping
 
 import networkx as nx
 
@@ -66,13 +71,39 @@ def default_identifiers(nodes: Iterable[Hashable]) -> dict[Hashable, int]:
     return {node: index for index, node in enumerate(ordered, start=1)}
 
 
+# A self-loop carries no meaning in the LOCAL message model, and networkx
+# counts one twice towards a node's degree where the CSR index counts it
+# once, so both kinds of input reject it outright.
+_SELF_LOOPS = "the LOCAL network must not contain self-loops"
+
+
+def _check_adjacency(adjacency: Mapping[Hashable, Collection[Hashable]]) -> None:
+    """Reject a mapping that is not an undirected simple graph: a node
+    listed as its own neighbour, a neighbour that is not a key, or a pair
+    listed in one direction only."""
+    for node, neighbors in adjacency.items():
+        if node in neighbors:
+            raise ValueError(_SELF_LOOPS)
+        for neighbor in neighbors:
+            row = adjacency.get(neighbor)
+            if row is None:
+                raise ValueError(
+                    f"neighbour {neighbor!r} of {node!r} is not a node of the network"
+                )
+            if node not in row:
+                raise ValueError(
+                    f"{node!r} lists {neighbor!r} as a neighbour, but not vice versa"
+                )
+
+
 class Network:
     """A LOCAL-model network over an undirected simple graph.
 
     Parameters
     ----------
     graph:
-        The communication graph.
+        The communication graph: an undirected simple ``nx.Graph``, or an
+        adjacency mapping from each node to its distinct neighbours.
     identifiers:
         Optional mapping from node to its unique integer identifier.  When
         omitted, :func:`default_identifiers` numbers the nodes.
@@ -86,25 +117,26 @@ class Network:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | Mapping[Hashable, Collection[Hashable]],
         identifiers: Mapping[Hashable, int] | None = None,
         node_inputs: Mapping[Hashable, Any] | None = None,
         shared: Mapping[str, Any] | None = None,
     ) -> None:
         with span("network"):
-            if graph.is_directed() or graph.is_multigraph():
-                raise ValueError(
-                    "the LOCAL network must be a simple undirected graph"
-                )
-            if nx.number_of_selfloops(graph):
-                # The CSR index counts a self-loop once towards the degree
-                # while the reference engine's ``graph.degree`` counts it
-                # twice, so the two engines would disagree on Δ; self-loops
-                # carry no meaning in the LOCAL message model anyway, so
-                # reject them outright.
-                raise ValueError("the LOCAL network must not contain self-loops")
-            self.graph = graph
-            self._nodes: tuple = tuple(graph.nodes())
+            if isinstance(graph, nx.Graph):
+                if graph.is_directed() or graph.is_multigraph():
+                    raise ValueError(
+                        "the LOCAL network must be a simple undirected graph"
+                    )
+                if nx.number_of_selfloops(graph):
+                    raise ValueError(_SELF_LOOPS)
+                adjacency = dict(graph.adjacency())
+            else:
+                adjacency = graph
+                _check_adjacency(adjacency)
+            #: Each node's distinct neighbours, keyed in node order.
+            self.adjacency: Mapping[Hashable, Collection[Hashable]] = adjacency
+            self._nodes: tuple = tuple(adjacency)
             if identifiers is None:
                 identifiers = default_identifiers(self._nodes)
             self.identifiers: dict[Hashable, int] = dict(identifiers)
@@ -114,8 +146,8 @@ class Network:
             # One-time indexing pass: identifier-sorted CSR adjacency plus
             # the globally known scalars.
             ids = self.identifiers
-            self.csr: CSRAdjacency = CSRAdjacency.from_graph(
-                graph, order_key=ids.__getitem__
+            self.csr: CSRAdjacency = CSRAdjacency.from_adjacency(
+                adjacency, order_key=ids.__getitem__
             )
             self.max_degree: int = max(self.csr.degrees(), default=0)
             self.max_identifier: int = max(ids.values(), default=1)
@@ -182,6 +214,6 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Network(n={self.num_nodes}, m={self.graph.number_of_edges()}, "
+            f"Network(n={self.num_nodes}, m={len(self.csr.targets) // 2}, "
             f"max_degree={self.max_degree})"
         )

@@ -20,6 +20,8 @@ in the paper).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Any, Iterable
 
 from repro.problems.base import DUMMY, NodeEdgeCheckableProblem
@@ -101,20 +103,16 @@ class EdgeDegreePlusOneEdgeColoring(NodeEdgeCheckableProblem):
         satisfies the constraint because a colour of value at most
         ``edge-degree(e) + 1`` obeys ``deg(u) + deg(v) >= colour + 1``.
         """
-        labeling = HalfEdgeLabeling()
-        rank2_degree = {
-            node: sum(
-                1 for e in semigraph.incident_edges(node) if semigraph.rank(e) == 2
-            )
-            for node in semigraph.nodes
-        }
-        for edge in semigraph.edges:
-            rank = semigraph.rank(edge)
-            if rank == 1:
-                (node,) = semigraph.endpoints(edge)
-                labeling.assign(HalfEdge(node, edge), DUMMY)
-            elif rank == 2:
+        edges = semigraph.edge_endpoints()
+        rank2_degree = Counter(chain.from_iterable(
+            endpoints for endpoints in edges.values() if len(endpoints) == 2
+        ))
+        labels = {}
+        for edge, endpoints in edges.items():
+            if len(endpoints) == 2:
                 colour = classic[edge]
-                for node in semigraph.endpoints(edge):
-                    labeling.assign(HalfEdge(node, edge), (rank2_degree[node], colour))
-        return labeling
+                for node in endpoints:
+                    labels[HalfEdge(node, edge)] = (rank2_degree[node], colour)
+            elif endpoints:
+                labels[HalfEdge(endpoints[0], edge)] = DUMMY
+        return HalfEdgeLabeling(labels)

@@ -75,23 +75,22 @@ class MaximalMatchingProblem(NodeEdgeCheckableProblem):
         return matching
 
     def from_classic(self, semigraph: SemiGraph, classic: set) -> HalfEdgeLabeling:
-        """Lift a maximal matching (set of edge identifiers) to a labeling."""
+        """Lift a maximal matching (set of edge identifiers) to a labeling,
+        in one pass over the edges."""
+        edges = semigraph.edge_endpoints()
         matched_nodes = set()
         for edge in classic:
-            matched_nodes.update(semigraph.endpoints(edge))
-        labeling = HalfEdgeLabeling()
-        for edge in semigraph.edges:
-            rank = semigraph.rank(edge)
-            if rank == 1:
-                (node,) = semigraph.endpoints(edge)
-                labeling.assign(HalfEdge(node, edge), DUMMY)
-            elif rank == 2:
-                for node in semigraph.endpoints(edge):
-                    if edge in classic:
-                        label = MATCHED
-                    elif node in matched_nodes:
-                        label = POINTER
-                    else:
-                        label = UNMATCHED
-                    labeling.assign(HalfEdge(node, edge), label)
-        return labeling
+            matched_nodes.update(edges[edge])
+        labels = {}
+        for edge, endpoints in edges.items():
+            if len(endpoints) == 2:
+                matched = edge in classic
+                for node in endpoints:
+                    labels[HalfEdge(node, edge)] = (
+                        MATCHED if matched
+                        else POINTER if node in matched_nodes
+                        else UNMATCHED
+                    )
+            elif endpoints:
+                labels[HalfEdge(endpoints[0], edge)] = DUMMY
+        return HalfEdgeLabeling(labels)

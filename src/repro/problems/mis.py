@@ -87,17 +87,16 @@ class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
         return independent
 
     def from_classic(self, semigraph: SemiGraph, classic: set) -> HalfEdgeLabeling:
-        """Lift an MIS (set of nodes) of the underlying graph to a labeling."""
-        labeling = HalfEdgeLabeling()
-        for node in semigraph.nodes:
-            in_mis = node in classic
-            for edge in semigraph.incident_edges(node):
-                other = semigraph.other_endpoint(edge, node)
-                if in_mis:
-                    label = IN_MIS
-                elif other is not None and other in classic:
-                    label = POINTER
-                else:
-                    label = OUT
-                labeling.assign(HalfEdge(node, edge), label)
-        return labeling
+        """Lift an MIS (set of nodes) of the underlying graph to a labeling,
+        in one pass over the edges."""
+        labels = {}
+        for edge, endpoints in semigraph.edge_endpoints().items():
+            if len(endpoints) == 2:
+                u, v = endpoints
+                u_in, v_in = u in classic, v in classic
+                labels[HalfEdge(u, edge)] = IN_MIS if u_in else POINTER if v_in else OUT
+                labels[HalfEdge(v, edge)] = IN_MIS if v_in else POINTER if u_in else OUT
+            elif endpoints:
+                (u,) = endpoints
+                labels[HalfEdge(u, edge)] = IN_MIS if u in classic else OUT
+        return HalfEdgeLabeling(labels)

@@ -86,12 +86,13 @@ class DegreePlusOneColoring(NodeEdgeCheckableProblem):
     def from_classic(
         self, semigraph: SemiGraph, classic: dict[Any, int]
     ) -> HalfEdgeLabeling:
-        """Lift a vertex colouring (node -> colour) to a half-edge labeling."""
-        labeling = HalfEdgeLabeling()
-        for node in semigraph.nodes:
-            for edge in semigraph.incident_edges(node):
-                labeling.assign(HalfEdge(node, edge), classic[node])
-        return labeling
+        """Lift a vertex colouring (node -> colour) to a half-edge labeling,
+        in one pass over the edges."""
+        return HalfEdgeLabeling({
+            HalfEdge(node, edge): classic[node]
+            for edge, endpoints in semigraph.edge_endpoints().items()
+            for node in endpoints
+        })
 
 
 class DeltaPlusOneColoring(DegreePlusOneColoring):

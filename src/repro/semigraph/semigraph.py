@@ -199,7 +199,8 @@ class SemiGraph:
         """The underlying graph: rank-2 edges between the semi-graph's nodes.
 
         Parallel rank-2 edges collapse to a single graph edge, matching the
-        paper's definition of the underlying graph.
+        paper's definition of the underlying graph.  The pipelines read
+        :meth:`adjacency` instead; this networkx form serves as an oracle.
         """
         graph = nx.Graph()
         graph.add_nodes_from(self._nodes)
@@ -208,10 +209,13 @@ class SemiGraph:
                 graph.add_edge(endpoints[0], endpoints[1], edge_id=edge_id)
         return graph
 
-    def _adjacency(self) -> dict[NodeId, set[NodeId]]:
+    def adjacency(self) -> dict[NodeId, set[NodeId]]:
         """Neighbour sets of the underlying graph, keyed in node iteration order.
 
-        Parallel rank-2 edges collapse, as in :meth:`underlying_graph`.
+        The key order is :meth:`underlying_graph`'s node order, and
+        parallel rank-2 edges collapse as they do there, so a
+        :class:`~repro.local.Network` built on either is the same network.
+        A fresh mapping per call.
         """
         adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in self._nodes}
         for endpoints in self._edges.values():
@@ -223,7 +227,7 @@ class SemiGraph:
 
     def underlying_degree(self) -> int:
         """The maximum degree of the underlying graph (0 for an empty graph)."""
-        return max(map(len, self._adjacency().values()), default=0)
+        return max(map(len, self.adjacency().values()), default=0)
 
     def max_degree(self) -> int:
         """Maximum number of incident half-edges over all nodes."""
@@ -238,7 +242,7 @@ class SemiGraph:
         nodes form singleton components.  Rank-0/1 edges do not connect
         anything.
         """
-        return [set(c) for c in _components(self._adjacency())]
+        return [set(c) for c in _components(self.adjacency())]
 
     def component_diameters(self) -> list[int]:
         """The diameter of every connected component of the underlying graph.
@@ -246,7 +250,7 @@ class SemiGraph:
         One entry per component, in :meth:`connected_components` order; an
         isolated node has diameter 0.
         """
-        return component_diameters(self._adjacency())
+        return component_diameters(self.adjacency())
 
     def is_connected(self) -> bool:
         """Whether the underlying graph is connected (the empty one is)."""

@@ -19,7 +19,12 @@ from repro.baselines import (
 from repro.core.complexity import polylog
 from repro.generators import balanced_regular_tree, random_tree
 from repro.problems import verify_solution
-from repro.semigraph import restrict_to_edges, restrict_to_nodes, semigraph_from_graph
+from repro.semigraph import (
+    SemiGraph,
+    restrict_to_edges,
+    restrict_to_nodes,
+    semigraph_from_graph,
+)
 from repro.semigraph.builders import edge_id_for
 
 ADAPTERS = {
@@ -73,6 +78,25 @@ class TestAdaptersOnSemiGraphs:
         values = [algorithm.complexity(x) for x in (0, 1, 2, 5, 10, 100)]
         assert values[0] == 0
         assert all(later >= earlier for earlier, later in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("second", [(1, 2), (2, 1)], ids=["same-order", "reversed"])
+class TestParallelEdges:
+    """Parallel rank-2 edges share one node of the line graph."""
+
+    @staticmethod
+    def semigraph(second):
+        return SemiGraph([1, 2, 3], {"a": (1, 2), "b": second, "c": (2, 3)})
+
+    def test_edge_colouring_names_the_parallel_edges(self, second):
+        with pytest.raises(ValueError, match="'a' and 'b' are parallel"):
+            EdgeColoringAlgorithm().solve_semigraph(self.semigraph(second))
+
+    def test_matching_still_verifies(self, second):
+        algorithm = MaximalMatchingAlgorithm()
+        semigraph = self.semigraph(second)
+        labeling, _ = algorithm.solve_semigraph(semigraph)
+        assert verify_solution(algorithm.problem, semigraph, labeling).ok
 
 
 class TestOracleCostModel:

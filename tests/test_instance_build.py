@@ -5,6 +5,12 @@ The tree generator and the CSR build are pinned against the algorithms
 they replace (networkx's Prüfer decoder, the two-pass forest rooting and
 the view-based CSR loop, kept here as oracles), so every fingerprint's
 instance and every engine input stays the same.
+
+The A-phase indexes the semi-graph's own adjacency: the line-graph
+builder is pinned against :func:`networkx.line_graph` (names, orientation
+and neighbours), a ``Network`` on ``SemiGraph.adjacency()`` against one on
+``underlying_graph()``, and every cell family is counted at the one CSR
+fill with the networkx detours patched to raise.
 """
 
 from __future__ import annotations
@@ -19,12 +25,21 @@ from repro.baselines import (
     linial_coloring,
     maximal_independent_set,
 )
+from repro.baselines.adapters import (
+    DegPlusOneColoringAlgorithm,
+    EdgeColoringAlgorithm,
+    MaximalMatchingAlgorithm,
+    MISAlgorithm,
+)
 from repro.baselines.color_reduction import (
     ColorClassReduction,
     reduce_to_deg_plus_one,
 )
+from repro.baselines.edge_coloring import edge_degree_plus_one_coloring, line_graph
+from repro.baselines.forest_coloring import ForestThreeColoring
 from repro.baselines.linial import LinialColoring
 from repro.baselines.mis import ColorClassMIS
+from repro.core import transform
 from repro.experiments import run_cell
 from repro.experiments.spec import ANALYTIC_GENERATOR, GENERATORS, Cell
 from repro.generators import bfs_forest_parents, random_tree
@@ -37,6 +52,13 @@ from repro.local import (
     run_vectorized,
 )
 from repro.local.network import default_identifiers
+from repro.semigraph import (
+    SemiGraph,
+    restrict_to_edges,
+    restrict_to_nodes,
+    semigraph_from_graph,
+)
+from repro.semigraph.builders import edge_id_for
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 ENGINES = [run_synchronous, pytest.param(run_vectorized, marks=needs_numpy)]
@@ -165,8 +187,177 @@ class TestCSRBuild:
             )
 
 
+def _restrictions():
+    """Generated semi-graphs of the kinds an A-phase runs on: whole graphs,
+    ``T_C``-style and induced node restrictions, and ``G[E_2]``-style edge
+    restrictions of random trees, forest unions and planar graphs."""
+    rng = random.Random(11)
+    for name in ("random-tree", "forest-union-2", "planar-triangulation"):
+        for seed in (1, 2, 3):
+            semigraph = semigraph_from_graph(GENERATORS[name].build(60, seed))
+            nodes = [v for v in sorted(semigraph.nodes, key=repr) if rng.random() < 0.5]
+            edges = [e for e in sorted(semigraph.edges, key=repr) if rng.random() < 0.5]
+            yield f"{name}-{seed}", semigraph
+            yield f"{name}-{seed}-nodes", restrict_to_nodes(semigraph, nodes)
+            yield f"{name}-{seed}-induced", restrict_to_nodes(
+                semigraph, nodes, keep_boundary_edges=False
+            )
+            yield f"{name}-{seed}-edges", restrict_to_edges(semigraph, edges)
+
+
+RESTRICTIONS = list(_restrictions())
+
+
+def _same_line_graph(line: dict, graph: nx.Graph) -> None:
+    """``line`` has ``nx.line_graph(graph)``'s node tuples, orientation
+    included, and its neighbour sets."""
+    expected = nx.line_graph(graph)
+    assert set(line) == set(expected.nodes())
+    assert {node: set(row) for node, row in line.items()} == {
+        node: set(row) for node, row in expected.adjacency()
+    }
+
+
+class TestLineGraph:
+    @pytest.mark.parametrize("graph", [graph for _, graph in CSR_GRAPHS],
+                             ids=[name for name, _ in CSR_GRAPHS])
+    def test_equals_networkx_on_graphs(self, graph):
+        _same_line_graph(line_graph(dict(graph.adjacency())), graph)
+
+    @pytest.mark.parametrize("semigraph", [s for _, s in RESTRICTIONS],
+                             ids=[name for name, _ in RESTRICTIONS])
+    def test_equals_networkx_on_restrictions(self, semigraph):
+        _same_line_graph(line_graph(semigraph.adjacency()), semigraph.underlying_graph())
+
+    @pytest.mark.parametrize("graph", [graph for _, graph in CSR_GRAPHS],
+                             ids=[name for name, _ in CSR_GRAPHS])
+    def test_edge_colouring_keeps_the_networkx_colours(self, graph):
+        """The colours and rounds of the colouring run on ``nx.line_graph``."""
+        run = edge_degree_plus_one_coloring(graph)
+        if graph.number_of_edges() == 0:
+            assert (run.colours, run.rounds) == ({}, 0)
+            return
+        reference = deg_plus_one_coloring(nx.line_graph(graph))
+        assert run.colours == {
+            edge_id_for(u, v): colour for (u, v), colour in reference.colours.items()
+        }
+        assert (run.rounds, run.line_graph_rounds) == (
+            2 * reference.rounds, reference.rounds,
+        )
+
+
+def _kernel_runs(network: Network, forest: bool, engine) -> list:
+    """The four array kernels' runs on ``network``, with inputs derived from
+    the underlying topology alone."""
+    coloring = deg_plus_one_coloring(network.adjacency)
+    num_classes = max(coloring.colours.values(), default=1)
+    classes = network.with_inputs(
+        node_inputs=coloring.colours, shared={"num_classes": num_classes}
+    )
+    runs = [
+        engine(network, LinialColoring()),
+        engine(classes, ColorClassMIS(), max_rounds=num_classes + 2),
+        engine(classes, ColorClassReduction(), max_rounds=num_classes + 1),
+    ]
+    if forest:
+        parents = bfs_forest_parents(nx.from_dict_of_lists(network.adjacency))
+        runs.append(engine(network.with_inputs(node_inputs=parents), ForestThreeColoring()))
+    return runs
+
+
+class TestNetworkFromAdjacency:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("semigraph", [s for _, s in RESTRICTIONS],
+                             ids=[name for name, _ in RESTRICTIONS])
+    def test_equals_the_network_on_the_underlying_graph(self, semigraph, engine):
+        underlying = semigraph.underlying_graph()
+        if underlying.number_of_nodes() == 0:
+            return
+        network = Network(semigraph.adjacency())
+        expected = Network(underlying)
+        assert network.nodes() == expected.nodes()
+        assert network.identifiers == expected.identifiers
+        assert [network.neighbors(v) for v in network.nodes()] == [
+            expected.neighbors(v) for v in expected.nodes()
+        ]
+        assert network.max_degree == expected.max_degree
+        forest = nx.is_forest(underlying)
+        assert _kernel_runs(network, forest, engine) == _kernel_runs(
+            expected, forest, engine
+        )
+
+    @pytest.mark.parametrize("adjacency", [
+        {1: {1, 2}, 2: {1}},
+        {1: {2}, 2: set()},
+        {1: {2}, 2: {3}, 3: {1}},
+        {1: {2}},
+        {1: [2, 3], 2: [1], 3: []},
+    ], ids=["self-loop", "asymmetric-pair", "asymmetric-cycle", "unknown-neighbour",
+            "asymmetric-lists"])
+    def test_rejects_a_mapping_that_is_not_a_simple_graph(self, adjacency):
+        with pytest.raises(ValueError):
+            Network(adjacency)
+
+    def test_keeps_the_mapping_it_is_given(self):
+        adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        network = Network(adjacency)
+        assert network.adjacency is adjacency
+        assert network.neighbors("b") == ("a", "c")
+        assert (network.num_nodes, network.max_degree) == (3, 2)
+
+
 def _baseline_cell(algorithm: str) -> Cell:
     return Cell("instance-build", "random-tree", algorithm, 80, 3)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The size of every CSR fill, with the networkx detours of the
+    A-phase (``underlying_graph`` and ``nx.line_graph``) patched to raise."""
+    sizes = []
+    fill = CSRAdjacency.from_adjacency
+
+    def counting(adjacency, order_key=None):
+        sizes.append(len(adjacency))
+        return fill(adjacency, order_key=order_key)
+
+    def detour(*args, **kwargs):
+        raise AssertionError("the A-phase took the networkx detour")
+
+    monkeypatch.setattr(CSRAdjacency, "from_adjacency", counting)
+    monkeypatch.setattr(nx, "line_graph", detour)
+    monkeypatch.setattr(SemiGraph, "underlying_graph", detour)
+    return sizes
+
+
+ADAPTERS = (
+    DegPlusOneColoringAlgorithm, MISAlgorithm, EdgeColoringAlgorithm,
+    MaximalMatchingAlgorithm,
+)
+LINE_GRAPH_ADAPTERS = (EdgeColoringAlgorithm, MaximalMatchingAlgorithm)
+
+
+def _record_phases(monkeypatch, fills) -> list:
+    """Wrap the decompositions and every adapter's ``solve_semigraph`` so
+    each call records ``(phase, its fill sizes, argument, result)``."""
+    phases = []
+
+    def wrap(owner, name, phase):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            start = len(fills)
+            result = original(*args, **kwargs)
+            phases.append((phase, fills[start:], args[-1], result))
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    wrap(transform, "rake_and_compress", "decomposition")
+    wrap(transform, "arboricity_decomposition", "decomposition")
+    for adapter in ADAPTERS:
+        wrap(adapter, "solve_semigraph", adapter)
+    return phases
 
 
 class TestOneTopologyPerInstance:
@@ -178,25 +369,53 @@ class TestOneTopologyPerInstance:
         "baseline-edge-coloring",
         "baseline-matching",
     ])
-    def test_each_baseline_cell_indexes_its_graph_once(self, monkeypatch, algorithm):
-        builds = []
-        build = CSRAdjacency.from_graph
-
-        def counting(graph, order_key=None):
-            builds.append(graph.number_of_nodes())
-            return build(graph, order_key=order_key)
-
-        monkeypatch.setattr(CSRAdjacency, "from_graph", counting)
+    def test_each_baseline_cell_indexes_its_graph_once(self, fills, algorithm):
         result = run_cell("scaling", _baseline_cell(algorithm))
         assert result.verified
-        assert len(builds) == 1
+        assert len(fills) == 1
+
+    @pytest.mark.parametrize("algorithm", [
+        "tree-mis",
+        "tree-deg+1-coloring",
+        "arb-edge-coloring",
+        "arb-matching",
+        "node-list-edge-coloring",
+        "node-list-matching",
+        "edge-list-mis",
+        "edge-list-coloring",
+    ])
+    def test_each_stage_of_a_paper_cell_indexes_once(
+        self, monkeypatch, fills, algorithm
+    ):
+        """One fill per A-phase, on the semi-graph itself (its line graph
+        for the edge problems), and the decomposition's own: one for the
+        peel, plus, in Theorem 15's, one per non-empty forest ``F_i`` for
+        its Cole–Vishkin colouring.  Nothing else indexes a graph."""
+        phases = _record_phases(monkeypatch, fills)
+        result = run_cell("scaling", _baseline_cell(algorithm))
+        assert result.verified
+        a_phases = [entry for entry in phases if entry[0] != "decomposition"]
+        assert len(a_phases) == 1
+        for adapter, sizes, semigraph, _ in a_phases:
+            if adapter in LINE_GRAPH_ADAPTERS:
+                assert sizes == [len(semigraph.edges_of_rank(2))]
+            else:
+                assert sizes == [semigraph.num_nodes()]
+        decompositions = [entry for entry in phases if entry[0] == "decomposition"]
+        assert len(decompositions) == (0 if "list" in algorithm else 1)
+        for _, sizes, _, decomposition in decompositions:
+            forests = getattr(decomposition, "forests", [])
+            assert sizes == [80] + [
+                len({v for edge in forest for v in edge}) for forest in forests if forest
+            ]
+        assert len(fills) == sum(len(sizes) for _, sizes, _, _ in phases)
 
     def test_with_inputs_shares_the_topology(self):
         network = Network(random_tree(50, seed=2), shared={"k": 1})
         inputs = {node: node % 3 for node in network.nodes()}
         derived = network.with_inputs(node_inputs=inputs, shared={"num_classes": 3})
         assert derived.csr is network.csr
-        assert derived.graph is network.graph
+        assert derived.adjacency is network.adjacency
         assert derived.nodes() is network.nodes()
         assert derived.identifiers is network.identifiers
         assert derived._neighbor_cache is network._neighbor_cache
