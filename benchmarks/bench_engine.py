@@ -14,7 +14,14 @@ on: one ``solve_semigraph`` per problem (the A-phase, from the
 semi-graph's adjacency to the lifted labeling), Definition 6's check of
 its labeling, and the restrictions of one split of the instance.
 
-Two regression gates are asserted:
+Each scenario group runs in a fresh interpreter (``bench_engine.py
+--group NAME``), so no entry runs on a heap that earlier entries grew, and
+each entry records the fastest of three calls.  One-time caches a call
+fills, such as a network's array layout, are therefore warm in the
+recorded call.
+
+Two regression gates are asserted, each comparing two engines inside one
+group's interpreter:
 
 * the interpreted engine stays ≥5× faster than the seed engine
   (``run_synchronous_reference``) on the n=10⁴ random tree, with
@@ -39,7 +46,9 @@ or through pytest (``pytest benchmarks/bench_engine.py``).  Set
 ``benchmarks/results/bench_engine.txt`` (table).
 """
 
+import json
 import os
+import subprocess
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,7 +56,7 @@ _SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from _harness import record_json, record_table, scenario_entry, timed  # noqa: E402
+from _harness import best_of, record_json, record_table, scenario_entry  # noqa: E402
 
 from repro.analysis import MeasurementTable  # noqa: E402
 from repro.baselines.adapters import (  # noqa: E402
@@ -137,7 +146,7 @@ def _engine_scenarios():
                 ("interpreted", run_synchronous),
                 ("vectorized", run_vectorized),
             ):
-                result, seconds = timed(lambda: runner(network, algorithm_factory()))
+                result, seconds = best_of(lambda: runner(network, algorithm_factory()))
                 entries.append(scenario_entry(
                     scenario, n, seconds,
                     rounds=result.rounds, messages=result.messages_sent,
@@ -148,7 +157,7 @@ def _engine_scenarios():
     graph = random_graph_with_max_degree(n, 8, seed=7)
     for engine in ("interpreted", "vectorized"):
         with CellContext(engine):
-            run, seconds = timed(lambda: maximal_independent_set(graph))
+            run, seconds = best_of(lambda: maximal_independent_set(graph))
         entries.append(scenario_entry(
             "sync/color-class-mis/bounded-degree", n, seconds,
             rounds=run.rounds, engine=engine,
@@ -161,7 +170,7 @@ def _decomposition_scenarios():
     entries = []
     n = 3000 if SMOKE else 30000
     tree = random_tree(n, seed=5)
-    decomposition, seconds = timed(lambda: rake_and_compress(tree, k=8))
+    decomposition, seconds = best_of(lambda: rake_and_compress(tree, k=8))
     entries.append(scenario_entry(
         "decomposition/rake-compress/random-tree", n, seconds,
         rounds=decomposition.rounds, engine="interpreted",
@@ -169,7 +178,7 @@ def _decomposition_scenarios():
 
     n = 1000 if SMOKE else 10000
     graph = forest_union(n, arboricity=3, seed=11)
-    decomposition, seconds = timed(
+    decomposition, seconds = best_of(
         lambda: arboricity_decomposition(graph, arboricity=3, k=15)
     )
     entries.append(scenario_entry(
@@ -178,7 +187,7 @@ def _decomposition_scenarios():
     ))
 
     n = 2000 if SMOKE else 20000
-    _, seconds = timed(lambda: random_graph_with_max_degree(n, 8, seed=3))
+    _, seconds = best_of(lambda: random_graph_with_max_degree(n, 8, seed=3))
     entries.append(scenario_entry("generator/random-graph-max-degree", n, seconds))
     return entries
 
@@ -188,9 +197,9 @@ def _instance_scenarios():
     (identifiers plus the CSR index) on that tree."""
     entries = []
     for n in INSTANCE_SIZES:
-        tree, seconds = timed(lambda: random_tree(n, seed=42))
+        tree, seconds = best_of(lambda: random_tree(n, seed=42))
         entries.append(scenario_entry("instance/random-tree", n, seconds))
-        _, seconds = timed(lambda: Network(tree))
+        _, seconds = best_of(lambda: Network(tree))
         entries.append(scenario_entry("instance/network", n, seconds))
     return entries
 
@@ -207,13 +216,13 @@ def _semigraph_scenarios():
             ("edge-coloring", EdgeColoringAlgorithm()),
             ("matching", MaximalMatchingAlgorithm()),
         ):
-            (labeling, _), seconds = timed(
+            (labeling, _), seconds = best_of(
                 lambda: algorithm.solve_semigraph(semigraph)
             )
             entries.append(
                 scenario_entry(f"semigraph/adapter/{name}/random-tree", n, seconds)
             )
-            result, seconds = timed(
+            result, seconds = best_of(
                 lambda: verify_solution(algorithm.problem, semigraph, labeling)
             )
             assert result.ok, result.summary()
@@ -231,7 +240,7 @@ def _semigraph_scenarios():
             for part in (edges[0::2], edges[1::2]):
                 restrict_to_edges(semigraph, part)
 
-        _, seconds = timed(restrict)
+        _, seconds = best_of(restrict)
         entries.append(scenario_entry("semigraph/restrict/random-tree", n, seconds))
     return entries
 
@@ -250,10 +259,10 @@ def _speedup_scenario():
         (ForestThreeColoring, parents, "forest-3-coloring"),
     ):
         network = Network(tree, node_inputs=inputs)
-        fast, fast_seconds = timed(
+        fast, fast_seconds = best_of(
             lambda: run_synchronous(network, algorithm_factory())
         )
-        reference, reference_seconds = timed(
+        reference, reference_seconds = best_of(
             lambda: run_synchronous_reference(network, algorithm_factory())
         )
         assert fast.rounds == reference.rounds
@@ -308,10 +317,10 @@ def _vectorized_speedup_scenario():
             "color-class-reduction",
         ),
     ):
-        vectorized, vectorized_seconds = timed(
+        vectorized, vectorized_seconds = best_of(
             lambda: run_vectorized(network, algorithm_factory())
         )
-        interpreted, interpreted_seconds = timed(
+        interpreted, interpreted_seconds = best_of(
             lambda: run_synchronous(network, algorithm_factory())
         )
         assert vectorized.rounds == interpreted.rounds
@@ -344,7 +353,7 @@ def _full_scale_scenarios():
         (ForestThreeColoring, parents, "forest-3-coloring"),
     ):
         network = Network(tree, node_inputs=inputs)
-        result, seconds = timed(lambda: run_vectorized(network, algorithm_factory()))
+        result, seconds = best_of(lambda: run_vectorized(network, algorithm_factory()))
         entries.append(scenario_entry(
             f"full-scale/{name}/random-tree", FULL_SCALE_N, seconds,
             rounds=result.rounds, messages=result.messages_sent,
@@ -353,48 +362,69 @@ def _full_scale_scenarios():
     return entries
 
 
+#: The scenario groups in recording order, each run in its own interpreter.
+#: A group returns its entries, or its entries and the speedups it gates.
+GROUPS = {
+    "engine": _engine_scenarios,
+    "decomposition": _decomposition_scenarios,
+    "instance": _instance_scenarios,
+    "semigraph": _semigraph_scenarios,
+    "speedup": _speedup_scenario,
+    "vectorized-speedup": _vectorized_speedup_scenario,
+    "full-scale": _full_scale_scenarios,
+}
+
+
+def _run_group(name: str) -> None:
+    """Run one group here and print its entries and speedups as one JSON line."""
+    result = GROUPS[name]()
+    entries, speedups = result if isinstance(result, tuple) else (result, {})
+    print(json.dumps({"entries": entries, "speedups": speedups}))
+
+
+def _group_in_fresh_interpreter(name: str) -> tuple[list, dict]:
+    """``(entries, speedups)`` of one group, run by a fresh interpreter."""
+    process = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--group", name],
+        stdout=subprocess.PIPE, text=True, check=False,
+    )
+    if process.returncode != 0:
+        raise RuntimeError(f"bench group {name!r} exited {process.returncode}")
+    payload = json.loads(process.stdout.splitlines()[-1])
+    return payload["entries"], payload["speedups"]
+
+
 def run_bench(check_speedup: bool = True) -> list:
-    """Run every scenario, write table + JSON, return the JSON entries."""
+    """Run every scenario group, write table + JSON, return the JSON entries."""
     table = MeasurementTable(
         "BENCH: simulation engine (wall-clock per scenario and engine)",
         ["scenario", "engine", "n", "wall clock [s]", "rounds", "messages"],
     )
     entries = []
-
-    def add(entry, label=None):
-        entries.append(entry)
-        table.add_row(
-            label if label is not None else entry["scenario"],
-            entry.get("engine") or "-",
-            entry["n"],
-            entry["wall_clock_s"],
-            entry["rounds"] if entry["rounds"] is not None else "-",
-            entry["messages"] if entry["messages"] is not None else "-",
-        )
-
-    for entry in _engine_scenarios():
-        add(entry)
-    for entry in _decomposition_scenarios():
-        add(entry)
-    for entry in _instance_scenarios():
-        add(entry)
-    for entry in _semigraph_scenarios():
-        add(entry)
-
-    speedup_entries, speedups = _speedup_scenario()
-    for entry in speedup_entries:
-        add(entry, label=f"{entry['scenario']} ({entry['speedup']}x vs seed)")
-
-    vec_entries, vec_speedups = _vectorized_speedup_scenario()
-    for entry in vec_entries:
-        label = None
-        if "speedup" in entry:
-            label = f"{entry['scenario']} ({entry['speedup']}x vs interpreted)"
-        add(entry, label=label)
-
-    if not SMOKE:
-        for entry in _full_scale_scenarios():
-            add(entry)
+    speedups, vec_speedups = {}, {}
+    for name in GROUPS:
+        if name == "full-scale" and SMOKE:
+            continue
+        group_entries, group_speedups = _group_in_fresh_interpreter(name)
+        if name == "speedup":
+            speedups = group_speedups
+        elif name == "vectorized-speedup":
+            vec_speedups = group_speedups
+        for entry in group_entries:
+            entries.append(entry)
+            label = entry["scenario"]
+            if name == "speedup":
+                label += f" ({entry['speedup']}x vs seed)"
+            elif "speedup" in entry:
+                label += f" ({entry['speedup']}x vs interpreted)"
+            table.add_row(
+                label,
+                entry.get("engine") or "-",
+                entry["n"],
+                entry["wall_clock_s"],
+                entry["rounds"] if entry["rounds"] is not None else "-",
+                entry["messages"] if entry["messages"] is not None else "-",
+            )
 
     record_table("bench_engine", table)
     record_json(
@@ -435,5 +465,8 @@ def test_bench_engine_and_speedup():
 
 
 if __name__ == "__main__":
-    run_bench(check_speedup=True)
-    print("bench_engine: all scenarios recorded, speedup targets met")
+    if sys.argv[1:2] == ["--group"]:
+        _run_group(sys.argv[2])
+    else:
+        run_bench(check_speedup=True)
+        print("bench_engine: all scenarios recorded, speedup targets met")

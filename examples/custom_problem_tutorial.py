@@ -25,7 +25,7 @@ import _path  # noqa: F401
 from repro.core.slocal import solve_node_sequential
 from repro.generators import random_tree
 from repro.problems import NodeEdgeCheckableProblem, verify_solution
-from repro.semigraph import HalfEdge, semigraph_from_graph
+from repro.semigraph import semigraph_from_graph
 
 
 class WeakTwoColoring(NodeEdgeCheckableProblem):
@@ -92,7 +92,7 @@ class WeakTwoColoring(NodeEdgeCheckableProblem):
             for node in endpoints:
                 other = semigraph.other_endpoint(edge, node)
                 other_colour = classic[other] if other is not None else classic[node]
-                labeling.assign(HalfEdge(node, edge), (classic[node], other_colour))
+                labeling.assign((node, edge), (classic[node], other_colour))
         return labeling
 
 

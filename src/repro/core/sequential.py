@@ -41,8 +41,7 @@ from repro.core.slocal import (
 )
 from repro.problems.lists import EdgeListInstance, NodeListInstance
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.labeling import canonical_multiset
-from repro.semigraph.semigraph import HalfEdge
+from repro.semigraph.semigraph import Incidence
 
 
 class SequentialSolverError(RuntimeError):
@@ -140,22 +139,23 @@ class BacktrackingListSolver:
         edge_check: Callable[[Any, tuple], bool],
     ) -> HalfEdgeLabeling:
         half_edges = sorted(semigraph.half_edges(), key=repr)
-        assignment: dict[HalfEdge, Any] = {}
+        assignment: dict[Incidence, Any] = {}
 
-        def config(half_edge_list: list[HalfEdge]) -> tuple | None:
+        def config(half_edge_list: list[Incidence]) -> tuple | None:
             labels = []
             for h in half_edge_list:
                 if h not in assignment:
                     return None
                 labels.append(assignment[h])
-            return canonical_multiset(labels)
+            return tuple(labels)
 
-        def consistent(last: HalfEdge) -> bool:
-            node_labels = config(semigraph.half_edges_of_node(last.node))
-            if node_labels is not None and not node_check(last.node, node_labels):
+        def consistent(last: Incidence) -> bool:
+            node, edge = last
+            node_labels = config(semigraph.half_edges_of_node(node))
+            if node_labels is not None and not node_check(node, node_labels):
                 return False
-            edge_labels = config(semigraph.half_edges_of_edge(last.edge))
-            if edge_labels is not None and not edge_check(last.edge, edge_labels):
+            edge_labels = config(semigraph.half_edges_of_edge(edge))
+            if edge_labels is not None and not edge_check(edge, edge_labels):
                 return False
             return True
 

@@ -36,7 +36,7 @@ from repro.problems.base import NodeEdgeCheckableProblem
 from repro.problems.matching import MATCHED, POINTER as MATCH_POINTER, UNMATCHED
 from repro.problems.mis import IN_MIS, OUT, POINTER as MIS_POINTER
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId
+from repro.semigraph.semigraph import EdgeId, NodeId
 
 
 class SLocalError(RuntimeError):
@@ -84,7 +84,7 @@ class NodeView:
         if other is None:
             fixed = self.outside.get(edge, ())
             return fixed[0] if fixed else None
-        return self.labeling.get(HalfEdge(other, edge))
+        return self.labeling.get((other, edge))
 
 
 @dataclass
@@ -113,7 +113,7 @@ class EdgeView:
         labels = list(self.outside.get(node, ()))
         for edge in self.semigraph.incident_edges(node):
             if edge != self.edge:
-                label = self.labeling.get(HalfEdge(node, edge))
+                label = self.labeling.get((node, edge))
                 if label is not None:
                     labels.append(label)
         return labels
@@ -152,7 +152,7 @@ def solve_node_sequential(
         view = NodeView(node, semigraph, labeling, outside)
         decisions = oracle(view)
         for edge in semigraph.incident_edges(node):
-            half_edge = HalfEdge(node, edge)
+            half_edge = (node, edge)
             if labeling.is_labeled(half_edge):
                 continue
             if edge not in decisions:
@@ -187,7 +187,7 @@ def solve_edge_sequential(
         view = EdgeView(edge, semigraph, labeling, outside)
         decisions = oracle(view)
         for node in semigraph.endpoints(edge):
-            half_edge = HalfEdge(node, edge)
+            half_edge = (node, edge)
             if labeling.is_labeled(half_edge):
                 continue
             if node not in decisions:

@@ -74,7 +74,8 @@ def run_cell(suite_name: str, cell: Cell) -> CellResult:
     ``run``, and deeper layers add their own spans (``network`` from
     each ``Network`` build, ``verify`` from the suite run functions,
     ``simulate`` from the engines — all nested inside ``run``'s wall
-    clock).
+    clock).  ``gc`` is the seconds of cyclic garbage collection inside the
+    context, overlapping the other phases, and 0.0 when none ran.
     """
     generator = GENERATORS[cell.generator]
     algorithm = ALGORITHMS[cell.algorithm]
@@ -88,6 +89,7 @@ def run_cell(suite_name: str, cell: Cell) -> CellResult:
         with span("run"):
             fields = algorithm.run(graph, generator, cell.n)
     wall_clock = time.perf_counter() - start
+    context.timings.setdefault("gc", 0.0)
 
     messages = context.messages if context.runs else None
     return CellResult(
@@ -107,7 +109,7 @@ def run_cell(suite_name: str, cell: Cell) -> CellResult:
         extras=dict(fields.get("extras", {})),
         engine=context.engine,
         engine_rounds=context.engine_rounds or None,
-        timings=context.timings or None,
+        timings=context.timings,
     )
 
 

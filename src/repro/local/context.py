@@ -19,6 +19,14 @@ observes.  Outside every context the mode is ``auto`` and :func:`span`
 and :func:`record_run` record nothing, so the engines stay usable
 standalone.
 
+The seconds spent in cyclic garbage collections go to the ``gc`` phase,
+through one :data:`gc.callbacks` hook registered when this module is
+imported.  The collector is process-wide, so a collection is attributed
+only while exactly one context is active in the whole process (a pool
+worker runs one cell at a time); under nested contexts, or contexts in
+two threads, it is attributed to none.  ``gc`` overlaps the other
+phases: a collection runs inside whatever span allocated.
+
 Modes
 -----
 ``auto``
@@ -44,6 +52,7 @@ their rounds live in the decomposition objects and the round ledger.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -65,6 +74,9 @@ _ARRAY_BACKEND = "numpy"
 
 _CURRENT: ContextVar["CellContext | None"] = ContextVar("cell_context", default=None)
 
+#: Every context entered and not yet left, in any thread of the process.
+_ACTIVE: list["CellContext"] = []
+
 
 class CellContext:
     """The engine mode of one cell and the accounts of every run inside it."""
@@ -84,9 +96,11 @@ class CellContext:
 
     def __enter__(self) -> "CellContext":
         self._token = _CURRENT.set(self)
+        _ACTIVE.append(self)
         return self
 
     def __exit__(self, *exc_info) -> bool:
+        _ACTIVE.remove(self)
         _CURRENT.reset(self._token)
         return False
 
@@ -146,6 +160,30 @@ def record_run(
 
 def _add_seconds(context: CellContext, phase: str, seconds: float) -> None:
     context.timings[phase] = context.timings.get(phase, 0.0) + seconds
+
+
+#: The sole active context and the clock reading when the running
+#: collection started, or ``None`` when it is attributed to no context.
+_collection: tuple[CellContext, float] | None = None
+
+
+def _time_collection(phase: str, info: dict) -> None:
+    """The :data:`gc.callbacks` hook: add a collection's seconds to ``gc``
+    on the one active context."""
+    global _collection
+    # One copy, read once: another thread may enter or leave a context
+    # while this hook runs.
+    active = _ACTIVE.copy()
+    if phase == "start":
+        _collection = (active[0], time.perf_counter()) if len(active) == 1 else None
+    elif _collection is not None:
+        context, started = _collection
+        _collection = None
+        if len(active) == 1 and active[0] is context:
+            _add_seconds(context, "gc", time.perf_counter() - started)
+
+
+gc.callbacks.append(_time_collection)
 
 
 @contextmanager

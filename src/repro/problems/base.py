@@ -10,9 +10,17 @@ represented as membership predicates rather than explicit collections:
 * :meth:`NodeEdgeCheckableProblem.edge_config_ok` decides whether a label
   multiset belongs to ``E_Π^r`` for an edge of rank ``r``.
 
+Both predicates decide a *multiset*, as Definition 6 does: the labels
+come as an iterable in whatever order the caller gathered them, and a
+predicate must give one verdict for every order of the same labels.  A
+label outside the problem's alphabet, of a foreign type or unhashable,
+fails the configuration; it does not raise.  The verifier and the list
+constraints rely on this and never sort a configuration before a check.
+
 Concrete problems additionally provide conversions between half-edge
-labelings on a semi-graph and the classic graph-level solution objects
-(edge-colour maps, matchings, independent sets, vertex-colour maps).
+labelings on a semi-graph (keyed by the plain pairs ``(node, edge)``) and
+the classic graph-level solution objects (edge-colour maps, matchings,
+independent sets, vertex-colour maps).
 """
 
 from __future__ import annotations

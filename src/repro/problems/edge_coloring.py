@@ -26,7 +26,6 @@ from typing import Any, Iterable
 
 from repro.problems.base import DUMMY, NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import HalfEdge
 
 
 def is_pair_label(label: Any) -> bool:
@@ -34,7 +33,10 @@ def is_pair_label(label: Any) -> bool:
     return (
         isinstance(label, tuple)
         and len(label) == 2
-        and all(isinstance(x, int) and x >= 1 for x in label)
+        and isinstance(label[0], int)
+        and label[0] >= 1
+        and isinstance(label[1], int)
+        and label[1] >= 1
     )
 
 
@@ -80,18 +82,25 @@ class EdgeDegreePlusOneEdgeColoring(NodeEdgeCheckableProblem):
         """Extract the edge colouring: edge identifier -> colour.
 
         Only rank-2 edges receive colours (rank-1 edges carry the dummy
-        label and correspond to no edge of the underlying graph).
+        label and correspond to no edge of the underlying graph).  One pass
+        over the edges; a missing label raises ``KeyError``, a label that
+        is not a pair or two colour parts that differ ``ValueError``.
         """
+        labels = labeling.as_mapping()
         colouring: dict[Any, int] = {}
-        for edge in semigraph.edges_of_rank(2):
-            half_edges = semigraph.half_edges_of_edge(edge)
-            labels = [labeling[h] for h in half_edges]
-            if not all(is_pair_label(lab) for lab in labels):
-                raise ValueError(f"edge {edge!r} does not carry pair labels: {labels!r}")
-            colour_parts = {lab[1] for lab in labels}
-            if len(colour_parts) != 1:
-                raise ValueError(f"edge {edge!r} carries inconsistent colours: {labels!r}")
-            colouring[edge] = labels[0][1]
+        for edge, endpoints in semigraph.edge_endpoints().items():
+            if len(endpoints) == 2:
+                u, v = endpoints
+                first, second = labels[u, edge], labels[v, edge]
+                if not (is_pair_label(first) and is_pair_label(second)):
+                    raise ValueError(
+                        f"edge {edge!r} does not carry pair labels: {[first, second]!r}"
+                    )
+                if first[1] != second[1]:
+                    raise ValueError(
+                        f"edge {edge!r} carries inconsistent colours: {[first, second]!r}"
+                    )
+                colouring[edge] = first[1]
         return colouring
 
     def from_classic(
@@ -112,7 +121,7 @@ class EdgeDegreePlusOneEdgeColoring(NodeEdgeCheckableProblem):
             if len(endpoints) == 2:
                 colour = classic[edge]
                 for node in endpoints:
-                    labels[HalfEdge(node, edge)] = (rank2_degree[node], colour)
+                    labels[node, edge] = (rank2_degree[node], colour)
             elif endpoints:
-                labels[HalfEdge(endpoints[0], edge)] = DUMMY
+                labels[endpoints[0], edge] = DUMMY
         return HalfEdgeLabeling(labels)

@@ -10,7 +10,10 @@ The paper writes these lists as the collections ``N^i_{Π,ψ}`` and
 ``E^i_{Π,ψ}`` — the constraint of ``Π`` with the fixed multiset ``ψ``
 "baked in".  We represent a list directly by the pair ``(problem, ψ)``:
 membership of a multiset ``χ`` is then simply the ``Π``-membership of the
-combined multiset ``χ ∪ ψ``.
+combined multiset ``χ ∪ ψ``, handed to ``Π``'s predicate in the order
+``χ`` then ``ψ``.  ``ψ`` itself is stored in
+:func:`~repro.semigraph.labeling.canonical_multiset` order, so a list
+reads the same whatever order its labels were found in.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.problems.base import NodeEdgeCheckableProblem
 from repro.problems.verification import VerificationResult, check_labeling
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
 from repro.semigraph.labeling import canonical_multiset
-from repro.semigraph.semigraph import EdgeId, HalfEdge, NodeId
+from repro.semigraph.semigraph import EdgeId, NodeId
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,7 @@ class NodeListConstraint:
 
     def allows(self, labels: Iterable[Any]) -> bool:
         """Whether the multiset ``labels`` is in ``N^{len(labels)}_{Π,ψ}``."""
-        combined = tuple(labels) + tuple(self.fixed)
-        return self.problem.node_config_ok(canonical_multiset(combined))
+        return self.problem.node_config_ok(tuple(labels) + tuple(self.fixed))
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,10 @@ class EdgeListConstraint:
 
     def allows(self, labels: Iterable[Any]) -> bool:
         """Whether the multiset ``labels`` is in ``E^{len(labels)}_{Π,ψ}``."""
-        labels = tuple(labels)
-        combined = labels + tuple(self.fixed)
+        combined = tuple(labels) + tuple(self.fixed)
         if len(combined) != self.full_rank:
             return False
-        return self.problem.edge_config_ok(canonical_multiset(combined), self.full_rank)
+        return self.problem.edge_config_ok(combined, self.full_rank)
 
 
 @dataclass
@@ -124,9 +125,8 @@ def build_node_list_instance(
         fixed = []
         outside = full_semigraph.incident_edges(node) - sub_semigraph.incident_edges(node)
         for edge in outside:
-            half_edge = HalfEdge(node, edge)
-            if half_edge in labels:
-                fixed.append(labels[half_edge])
+            if (node, edge) in labels:
+                fixed.append(labels[node, edge])
         node_lists[node] = NodeListConstraint(problem, canonical_multiset(fixed))
     return NodeListInstance(problem, sub_semigraph, node_lists)
 
@@ -150,11 +150,8 @@ def build_edge_list_instance(
         fixed = []
         endpoints = full_semigraph.endpoints(edge)
         for node in endpoints:
-            if node in inside:
-                continue
-            half_edge = HalfEdge(node, edge)
-            if half_edge in labels:
-                fixed.append(labels[half_edge])
+            if node not in inside and (node, edge) in labels:
+                fixed.append(labels[node, edge])
         edge_lists[edge] = EdgeListConstraint(
             problem, canonical_multiset(fixed), full_rank=len(endpoints)
         )

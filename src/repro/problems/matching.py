@@ -18,7 +18,6 @@ from typing import Any, Iterable
 
 from repro.problems.base import DUMMY, NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import HalfEdge
 
 MATCHED = "M"
 POINTER = "P"
@@ -66,12 +65,17 @@ class MaximalMatchingProblem(NodeEdgeCheckableProblem):
     # classic conversions
     # ------------------------------------------------------------------
     def to_classic(self, semigraph: SemiGraph, labeling: HalfEdgeLabeling) -> set:
-        """The matching: the set of rank-2 edge identifiers labeled ``{M, M}``."""
+        """The matching: the set of rank-2 edge identifiers labeled ``{M, M}``.
+
+        One pass over the edges; a missing label raises ``KeyError``.
+        """
+        labels = labeling.as_mapping()
         matching = set()
-        for edge in semigraph.edges_of_rank(2):
-            labels = [labeling[h] for h in semigraph.half_edges_of_edge(edge)]
-            if labels == [MATCHED, MATCHED]:
-                matching.add(edge)
+        for edge, endpoints in semigraph.edge_endpoints().items():
+            if len(endpoints) == 2:
+                u, v = endpoints
+                if (labels[u, edge], labels[v, edge]) == (MATCHED, MATCHED):
+                    matching.add(edge)
         return matching
 
     def from_classic(self, semigraph: SemiGraph, classic: set) -> HalfEdgeLabeling:
@@ -86,11 +90,11 @@ class MaximalMatchingProblem(NodeEdgeCheckableProblem):
             if len(endpoints) == 2:
                 matched = edge in classic
                 for node in endpoints:
-                    labels[HalfEdge(node, edge)] = (
+                    labels[node, edge] = (
                         MATCHED if matched
                         else POINTER if node in matched_nodes
                         else UNMATCHED
                     )
             elif endpoints:
-                labels[HalfEdge(endpoints[0], edge)] = DUMMY
+                labels[endpoints[0], edge] = DUMMY
         return HalfEdgeLabeling(labels)

@@ -26,7 +26,6 @@ from typing import Any, Iterable
 
 from repro.problems.base import NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import HalfEdge
 
 IN_MIS = "M"
 POINTER = "P"
@@ -75,16 +74,17 @@ class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
         """The independent set: nodes all of whose half-edges are ``M``.
 
         Nodes with no incident half-edges are included (an isolated node
-        always belongs to every maximal independent set).
+        always belongs to every maximal independent set).  One pass over
+        the edges; a missing label raises ``KeyError``.
         """
-        independent = set()
-        for node in semigraph.nodes:
-            if all(
-                labeling[HalfEdge(node, edge)] == IN_MIS
-                for edge in semigraph.incident_edges(node)
-            ):
-                independent.add(node)
-        return independent
+        labels = labeling.as_mapping()
+        excluded = {
+            node
+            for edge, endpoints in semigraph.edge_endpoints().items()
+            for node in endpoints
+            if labels[node, edge] != IN_MIS
+        }
+        return set(semigraph.nodes) - excluded
 
     def from_classic(self, semigraph: SemiGraph, classic: set) -> HalfEdgeLabeling:
         """Lift an MIS (set of nodes) of the underlying graph to a labeling,
@@ -94,9 +94,9 @@ class MaximalIndependentSetProblem(NodeEdgeCheckableProblem):
             if len(endpoints) == 2:
                 u, v = endpoints
                 u_in, v_in = u in classic, v in classic
-                labels[HalfEdge(u, edge)] = IN_MIS if u_in else POINTER if v_in else OUT
-                labels[HalfEdge(v, edge)] = IN_MIS if v_in else POINTER if u_in else OUT
+                labels[u, edge] = IN_MIS if u_in else POINTER if v_in else OUT
+                labels[v, edge] = IN_MIS if v_in else POINTER if u_in else OUT
             elif endpoints:
                 (u,) = endpoints
-                labels[HalfEdge(u, edge)] = IN_MIS if u in classic else OUT
+                labels[u, edge] = IN_MIS if u in classic else OUT
         return HalfEdgeLabeling(labels)

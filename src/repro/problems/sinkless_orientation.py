@@ -27,7 +27,6 @@ import networkx as nx
 
 from repro.problems.base import NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import HalfEdge
 
 OUT = "OUT"
 IN = "IN"
@@ -69,12 +68,17 @@ class SinklessOrientationProblem(NodeEdgeCheckableProblem):
     def to_classic(
         self, semigraph: SemiGraph, labeling: HalfEdgeLabeling
     ) -> dict[Any, Hashable]:
-        """The orientation: edge identifier -> the endpoint the edge points *away from*."""
+        """The orientation: edge identifier -> the endpoint the edge points *away from*.
+
+        One pass over the edges; a missing label raises ``KeyError``.
+        """
+        labels = labeling.as_mapping()
         orientation: dict[Any, Hashable] = {}
-        for edge in semigraph.edges_of_rank(2):
-            for node in semigraph.endpoints(edge):
-                if labeling[HalfEdge(node, edge)] == OUT:
-                    orientation[edge] = node
+        for edge, endpoints in semigraph.edge_endpoints().items():
+            if len(endpoints) == 2:
+                for node in endpoints:
+                    if labels[node, edge] == OUT:
+                        orientation[edge] = node
         return orientation
 
     def from_classic(
@@ -90,11 +94,11 @@ class SinklessOrientationProblem(NodeEdgeCheckableProblem):
             rank = semigraph.rank(edge)
             if rank == 1:
                 (node,) = semigraph.endpoints(edge)
-                labeling.assign(HalfEdge(node, edge), OUT)
+                labeling.assign((node, edge), OUT)
             elif rank == 2:
                 tail = classic[edge]
                 for node in semigraph.endpoints(edge):
-                    labeling.assign(HalfEdge(node, edge), OUT if node == tail else IN)
+                    labeling.assign((node, edge), OUT if node == tail else IN)
         return labeling
 
 

@@ -12,8 +12,11 @@ passes once over the semi-graph's edges and reads each half-edge's label
 once: an edge's labels are checked as soon as they are gathered, and each
 label is also appended to its node's list.  Every node whose half-edges
 are all labeled is then checked.  Each complete configuration goes once
-through :func:`~repro.semigraph.labeling.canonical_multiset` and the
-predicate the caller supplies.
+through the predicate the caller supplies, in the order it was gathered:
+a constraint decides a multiset (Definition 6), so the order does not
+change a verdict.  Only a violated configuration is put in
+:func:`~repro.semigraph.labeling.canonical_multiset` order, the one a
+:class:`Violation` reports.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.problems.base import NodeEdgeCheckableProblem
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, SemiGraph
+from repro.semigraph import HalfEdgeLabeling, SemiGraph
 from repro.semigraph.labeling import canonical_multiset
 from repro.semigraph.semigraph import EdgeId, NodeId
 
@@ -93,21 +96,20 @@ _UNLABELED = object()
 def check_labeling(
     semigraph: SemiGraph,
     labeling: HalfEdgeLabeling,
-    node_ok: Callable[[NodeId, tuple], bool],
-    edge_ok: Callable[[EdgeId, tuple, int], bool],
+    node_ok: Callable[[NodeId, list], bool],
+    edge_ok: Callable[[EdgeId, list, int], bool],
     require_complete: bool = True,
     node_message: str = "node configuration not allowed",
     edge_message: str = "edge configuration not allowed",
 ) -> VerificationResult:
     """The one verifier walk: check every completely labeled node and edge.
 
-    ``node_ok(node, config)`` and ``edge_ok(edge, config, rank)`` decide a
-    canonical configuration.  With ``require_complete`` every unlabeled
-    half-edge is reported too; either way a node or edge with an
-    unlabeled half-edge is not checked.
+    ``node_ok(node, labels)`` and ``edge_ok(edge, labels, rank)`` decide
+    a configuration, handed over as the list of its labels in gathered
+    order.  With ``require_complete`` every unlabeled half-edge is
+    reported too; either way a node or edge with an unlabeled half-edge
+    is not checked.
     """
-    # A half-edge equals its plain ``(node, edge)`` pair, so the walk looks
-    # labels up by the pair and builds a ``HalfEdge`` only to report one.
     label_of = labeling.as_mapping().get
     endpoints_of = semigraph.edge_endpoints()
     node_labels: dict[NodeId, list] = {node: [] for node in semigraph.nodes}
@@ -125,23 +127,24 @@ def check_labeling(
                 partial_nodes.add(node)
                 if require_complete:
                     unlabeled.append(Violation(
-                        "unlabeled", HalfEdge(node, edge), (), "half-edge has no label"
+                        "unlabeled", (node, edge), (), "half-edge has no label"
                     ))
             else:
                 edge_labels.append(label)
                 node_labels[node].append(label)
-        if len(edge_labels) == len(endpoints):
-            config = canonical_multiset(edge_labels)
-            if not edge_ok(edge, config, len(endpoints)):
-                edge_violations.append(Violation("edge", edge, config, edge_message))
+        if len(edge_labels) == len(endpoints) and not edge_ok(
+            edge, edge_labels, len(endpoints)
+        ):
+            edge_violations.append(Violation(
+                "edge", edge, canonical_multiset(edge_labels), edge_message
+            ))
 
     node_violations: list[Violation] = []
     for node, labels in node_labels.items():
-        if node in partial_nodes:
-            continue
-        config = canonical_multiset(labels)
-        if not node_ok(node, config):
-            node_violations.append(Violation("node", node, config, node_message))
+        if node not in partial_nodes and not node_ok(node, labels):
+            node_violations.append(Violation(
+                "node", node, canonical_multiset(labels), node_message
+            ))
 
     violations = unlabeled + node_violations + edge_violations
     return VerificationResult(ok=not violations, violations=violations)

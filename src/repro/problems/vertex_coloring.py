@@ -23,7 +23,6 @@ from typing import Any, Iterable
 
 from repro.problems.base import NodeEdgeCheckableProblem
 from repro.semigraph import HalfEdgeLabeling, SemiGraph
-from repro.semigraph.semigraph import HalfEdge
 
 
 def _is_colour(label: Any) -> bool:
@@ -68,20 +67,21 @@ class DegreePlusOneColoring(NodeEdgeCheckableProblem):
     ) -> dict[Any, int]:
         """Extract the vertex colouring: node -> colour.
 
-        Nodes with no incident half-edges receive colour 1.
+        Nodes with no incident half-edges receive colour 1.  One pass over
+        the edges; a missing label raises ``KeyError``, a node whose
+        half-edges carry different colours ``ValueError``.
         """
-        colouring: dict[Any, int] = {}
-        for node in semigraph.nodes:
-            colours = {
-                labeling[HalfEdge(node, edge)] for edge in semigraph.incident_edges(node)
-            }
-            if not colours:
-                colouring[node] = 1
-                continue
-            if len(colours) != 1:
-                raise ValueError(f"node {node!r} carries inconsistent colours: {colours!r}")
-            colouring[node] = next(iter(colours))
-        return colouring
+        labels = labeling.as_mapping()
+        colour_of: dict[Any, int] = {}
+        for edge, endpoints in semigraph.edge_endpoints().items():
+            for node in endpoints:
+                colour = labels[node, edge]
+                first = colour_of.setdefault(node, colour)
+                if first != colour:
+                    raise ValueError(
+                        f"node {node!r} carries inconsistent colours: {first!r}, {colour!r}"
+                    )
+        return {node: colour_of.get(node, 1) for node in semigraph.nodes}
 
     def from_classic(
         self, semigraph: SemiGraph, classic: dict[Any, int]
@@ -89,7 +89,7 @@ class DegreePlusOneColoring(NodeEdgeCheckableProblem):
         """Lift a vertex colouring (node -> colour) to a half-edge labeling,
         in one pass over the edges."""
         return HalfEdgeLabeling({
-            HalfEdge(node, edge): classic[node]
+            (node, edge): classic[node]
             for edge, endpoints in semigraph.edge_endpoints().items()
             for node in endpoints
         })

@@ -3,10 +3,11 @@
 A semi-graph is a graph whose edges may have 0, 1, or 2 endpoints.  The
 paper (Definition 4) phrases this as a bipartite incidence structure; this
 package exposes it through the :class:`SemiGraph` class, together with
-half-edges, induced sub-semi-graphs, and half-edge labelings.
+induced sub-semi-graphs and half-edge labelings.  A half-edge is the
+plain ``(node, edge)`` pair.
 """
 
-from repro.semigraph.semigraph import HalfEdge, SemiGraph
+from repro.semigraph.semigraph import SemiGraph
 from repro.semigraph.labeling import HalfEdgeLabeling
 from repro.semigraph.builders import (
     semigraph_from_graph,
@@ -15,7 +16,6 @@ from repro.semigraph.builders import (
 )
 
 __all__ = [
-    "HalfEdge",
     "SemiGraph",
     "HalfEdgeLabeling",
     "semigraph_from_graph",

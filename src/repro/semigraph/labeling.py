@@ -1,11 +1,15 @@
 """Half-edge labelings.
 
-A solution to a node-edge-checkable problem is a mapping from half-edges to
-output labels (Definition 6).  :class:`HalfEdgeLabeling` represents such a
-mapping, possibly partial; :func:`canonical_multiset` is the canonical form
-of the per-node and per-edge label multisets ("configurations") that
-:func:`repro.problems.verification.check_labeling` checks the problem
-constraints against.
+A solution to a node-edge-checkable problem is a mapping from half-edges,
+the plain ``(node, edge)`` pairs, to output labels (Definition 6).
+:class:`HalfEdgeLabeling` represents such a mapping, possibly partial.
+
+:func:`canonical_multiset` is one fixed order of a label multiset
+("configuration").  No check needs it: a constraint decides a multiset,
+whatever the order of its labels.  It names a configuration where one is
+reported or stored: a :class:`~repro.problems.verification.Violation`'s
+``configuration`` and the ``fixed`` labels of the list instances of
+:mod:`repro.problems.lists`.
 """
 
 from __future__ import annotations
@@ -13,19 +17,19 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.semigraph.semigraph import HalfEdge, SemiGraph
+from repro.semigraph.semigraph import Incidence, SemiGraph
 
 
 class HalfEdgeLabeling:
     """A (possibly partial) assignment of labels to half-edges."""
 
-    def __init__(self, assignments: Mapping[HalfEdge, Any] | None = None) -> None:
-        self._labels: dict[HalfEdge, Any] = dict(assignments or {})
+    def __init__(self, assignments: Mapping[Incidence, Any] | None = None) -> None:
+        self._labels: dict[Incidence, Any] = dict(assignments or {})
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def assign(self, half_edge: HalfEdge, label: Any) -> None:
+    def assign(self, half_edge: Incidence, label: Any) -> None:
         """Assign ``label`` to ``half_edge``; re-assignment is an error."""
         if half_edge in self._labels and self._labels[half_edge] != label:
             raise ValueError(
@@ -47,29 +51,29 @@ class HalfEdgeLabeling:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def get(self, half_edge: HalfEdge, default: Any = None) -> Any:
+    def get(self, half_edge: Incidence, default: Any = None) -> Any:
         """The label on ``half_edge``, or ``default`` if unlabeled."""
         return self._labels.get(half_edge, default)
 
-    def is_labeled(self, half_edge: HalfEdge) -> bool:
+    def is_labeled(self, half_edge: Incidence) -> bool:
         """Whether the half-edge has received a label."""
         return half_edge in self._labels
 
-    def items(self) -> Iterator[tuple[HalfEdge, Any]]:
+    def items(self) -> Iterator[tuple[Incidence, Any]]:
         """Iterate over ``(half_edge, label)`` pairs."""
         return iter(self._labels.items())
 
-    def as_mapping(self) -> Mapping[HalfEdge, Any]:
+    def as_mapping(self) -> Mapping[Incidence, Any]:
         """The assignment as a read-only view (no copy)."""
         return MappingProxyType(self._labels)
 
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __getitem__(self, half_edge: HalfEdge) -> Any:
+    def __getitem__(self, half_edge: Incidence) -> Any:
         return self._labels[half_edge]
 
-    def __contains__(self, half_edge: HalfEdge) -> bool:
+    def __contains__(self, half_edge: Incidence) -> bool:
         return half_edge in self._labels
 
     # ------------------------------------------------------------------

@@ -7,6 +7,9 @@ A semi-graph consists of
 * the induced set of *half-edges*: pairs ``(node, edge)`` for every
   incidence.
 
+A half-edge is that plain tuple and nothing else, so it hashes, compares
+and orders in C, and a labeling of half-edges is a dict keyed by pairs.
+
 A standard graph is the special case in which every edge has rank 2.
 Semi-graphs arise in the paper when a problem has been partially solved:
 the unsolved part of the instance keeps edges whose other endpoint has
@@ -16,32 +19,16 @@ already been handled, and those edges drop to rank 1 (or 0).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
 NodeId = Hashable
 EdgeId = Hashable
+#: A half-edge (Definition 4): the plain pair ``(node, edge)``.
+Incidence = tuple[NodeId, EdgeId]
 #: Each node's distinct neighbours in an undirected graph.
 Adjacency = Mapping[NodeId, Collection[NodeId]]
-
-
-class HalfEdge(NamedTuple):
-    """An incidence between a node and an edge of a semi-graph.
-
-    A tuple, so it hashes, compares and orders in C: ``hash(HalfEdge(v, e))
-    == hash((v, e))`` and the repr is ``HalfEdge(node=v, edge=e)``.
-
-    It also *equals* the plain pair ``(v, e)``.  No mapping or set may
-    therefore key both half-edges and plain pairs, and none does:
-    labelings and their searches key half-edges only, ``NodeView.outside``
-    is keyed by edge identifiers and ``EdgeView.outside`` by node
-    identifiers (a grid's node identifiers are pairs themselves).  Readers
-    of a labeling may look a half-edge up by its plain pair.
-    """
-
-    node: NodeId
-    edge: EdgeId
 
 
 class SemiGraph:
@@ -146,19 +133,19 @@ class SemiGraph:
         """The edges incident on ``node``."""
         return frozenset(self._incident[node])
 
-    def half_edges(self) -> Iterator[HalfEdge]:
+    def half_edges(self) -> Iterator[Incidence]:
         """Iterate over all half-edges ``H(S)``."""
         for edge_id, endpoints in self._edges.items():
             for v in endpoints:
-                yield HalfEdge(v, edge_id)
+                yield (v, edge_id)
 
-    def half_edges_of_node(self, node: NodeId) -> list[HalfEdge]:
+    def half_edges_of_node(self, node: NodeId) -> list[Incidence]:
         """All half-edges incident on ``node``, sorted by edge ``repr``."""
-        return [HalfEdge(node, e) for e in sorted(self._incident[node], key=repr)]
+        return [(node, e) for e in sorted(self._incident[node], key=repr)]
 
-    def half_edges_of_edge(self, edge_id: EdgeId) -> list[HalfEdge]:
+    def half_edges_of_edge(self, edge_id: EdgeId) -> list[Incidence]:
         """All half-edges incident on ``edge_id`` (one per endpoint)."""
-        return [HalfEdge(v, edge_id) for v in self._edges[edge_id]]
+        return [(v, edge_id) for v in self._edges[edge_id]]
 
     def other_endpoint(self, edge_id: EdgeId, node: NodeId) -> NodeId | None:
         """The endpoint of a rank-2 edge other than ``node`` (``None`` otherwise)."""
@@ -226,8 +213,26 @@ class SemiGraph:
         return adjacency
 
     def underlying_degree(self) -> int:
-        """The maximum degree of the underlying graph (0 for an empty graph)."""
-        return max(map(len, self.adjacency().values()), default=0)
+        """The maximum degree of the underlying graph (0 for an empty graph).
+
+        One pass over the incidence sets, without building
+        :meth:`adjacency`: a node's distinct rank-2 neighbours are at most
+        its incident edges, so only a node with more incident edges than
+        the running maximum has its neighbours collected.
+        """
+        edges = self._edges
+        best = 0
+        for node, incident in self._incident.items():
+            if len(incident) <= best:
+                continue
+            neighbours = set()
+            for edge_id in incident:
+                endpoints = edges[edge_id]
+                if len(endpoints) == 2:
+                    neighbours.update(endpoints)
+            neighbours.discard(node)
+            best = max(best, len(neighbours))
+        return best
 
     def max_degree(self) -> int:
         """Maximum number of incident half-edges over all nodes."""

@@ -253,7 +253,8 @@ class TestCellContext:
             with span("verify"):
                 pass
             run = run_synchronous(Network(random_tree(20, seed=1)), LinialColoring())
-        assert set(context.timings) == {"verify", "network", "simulate"}
+        # ``gc`` joins whenever a collection ran (tests/test_gc_account.py).
+        assert set(context.timings) - {"gc"} == {"verify", "network", "simulate"}
         assert (context.runs, context.messages) == (1, run.messages_sent)
 
     def test_no_context_is_a_noop(self):
@@ -375,7 +376,9 @@ def test_two_threads_keep_two_records(monkeypatch, engines):
         assert context.messages == expected.messages
         assert context.engine == expected.engine
         assert context.engine_rounds == expected.engine_rounds
-        assert set(context.timings) == set(expected.timings)
+        # A collection is attributed to the context only when it runs alone
+        # in the process (tests/test_gc_account.py), so ``gc`` may differ.
+        assert set(context.timings) - {"gc"} == set(expected.timings) - {"gc"}
 
 
 class TestUnknownEngineNames:

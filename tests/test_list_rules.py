@@ -39,7 +39,6 @@ from repro.problems.lists import (
 )
 from repro.problems.mis import IN_MIS, OUT, POINTER
 from repro.semigraph import (
-    HalfEdge,
     HalfEdgeLabeling,
     restrict_to_edges,
     restrict_to_nodes,
@@ -98,10 +97,10 @@ def test_outside_mis_label_blocks_the_node():
     semigraph = restrict_to_nodes(semigraph_from_graph(nx.path_graph(3)), {1})
     left, right = edge_id_for(0, 1), edge_id_for(1, 2)
     free = solve_node_sequential(semigraph, mis_oracle)
-    assert free[HalfEdge(1, left)] == free[HalfEdge(1, right)] == IN_MIS
+    assert free[(1, left)] == free[(1, right)] == IN_MIS
     blocked = solve_node_sequential(semigraph, mis_oracle, outside={left: (IN_MIS,)})
-    assert blocked[HalfEdge(1, left)] == POINTER
-    assert blocked[HalfEdge(1, right)] == OUT
+    assert blocked[(1, left)] == POINTER
+    assert blocked[(1, right)] == OUT
 
 
 def test_a_rule_without_a_solver_class_runs_in_the_generic_solver(monkeypatch):

@@ -20,7 +20,6 @@ from repro.problems.lists import (
 from repro.problems.matching import MATCHED, POINTER, UNMATCHED
 from repro.problems.mis import IN_MIS, OUT, POINTER as MIS_POINTER
 from repro.semigraph import (
-    HalfEdge,
     HalfEdgeLabeling,
     restrict_to_edges,
     restrict_to_nodes,
@@ -84,10 +83,10 @@ class TestInstanceConstruction:
         # Nodes 1 and 2 must now stay out of the MIS and point at 0 resp. 3.
         labeling = HalfEdgeLabeling(
             {
-                HalfEdge(1, edge_id_for(0, 1)): MIS_POINTER,
-                HalfEdge(1, edge_id_for(1, 2)): OUT,
-                HalfEdge(2, edge_id_for(1, 2)): OUT,
-                HalfEdge(2, edge_id_for(2, 3)): MIS_POINTER,
+                (1, edge_id_for(0, 1)): MIS_POINTER,
+                (1, edge_id_for(1, 2)): OUT,
+                (2, edge_id_for(1, 2)): OUT,
+                (2, edge_id_for(2, 3)): MIS_POINTER,
             }
         )
         assert verify_edge_list_solution(instance, labeling).ok
@@ -98,10 +97,10 @@ class TestInstanceConstruction:
         instance = build_edge_list_instance(MIS, semigraph, inner, partial)
         labeling = HalfEdgeLabeling(
             {
-                HalfEdge(1, edge_id_for(0, 1)): IN_MIS,
-                HalfEdge(1, edge_id_for(1, 2)): IN_MIS,
-                HalfEdge(2, edge_id_for(1, 2)): MIS_POINTER,
-                HalfEdge(2, edge_id_for(2, 3)): OUT,
+                (1, edge_id_for(0, 1)): IN_MIS,
+                (1, edge_id_for(1, 2)): IN_MIS,
+                (2, edge_id_for(1, 2)): MIS_POINTER,
+                (2, edge_id_for(2, 3)): OUT,
             }
         )
         result = verify_edge_list_solution(instance, labeling)
@@ -123,16 +122,16 @@ class TestInstanceConstruction:
         # Colour 3 with a large enough degree part completes the colouring.
         good = HalfEdgeLabeling(
             {
-                HalfEdge(0, edge_id_for(0, 3)): (3, 3),
-                HalfEdge(3, edge_id_for(0, 3)): (1, 3),
+                (0, edge_id_for(0, 3)): (3, 3),
+                (3, edge_id_for(0, 3)): (1, 3),
             }
         )
         assert verify_node_list_solution(instance, good).ok
         # Re-using colour 1 at the centre violates the centre's list.
         bad = HalfEdgeLabeling(
             {
-                HalfEdge(0, edge_id_for(0, 3)): (3, 1),
-                HalfEdge(3, edge_id_for(0, 3)): (1, 1),
+                (0, edge_id_for(0, 3)): (3, 1),
+                (3, edge_id_for(0, 3)): (1, 1),
             }
         )
         result = verify_node_list_solution(instance, bad)

@@ -1,6 +1,7 @@
 """Dashboard rendering, the ``metrics``/``dashboard`` CLI subcommands
 and the CI SLO burn-check script, which read one scrape at a time."""
 
+import importlib.util
 import socket
 import subprocess
 import sys
@@ -114,8 +115,35 @@ class TestRenderDashboard:
         assert "<title>&lt;b&gt;sweep&lt;/b&gt;</title>" in html
 
 
+def _load_burn_check():
+    """``scripts/slo_burn_check.py`` as a module, to call its ``main``."""
+    spec = importlib.util.spec_from_file_location("slo_burn_check", BURN_CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBurnCheckScript:
+    """The burn check's verdicts, through its ``main`` in this process; one
+    test runs the script end to end in a fresh interpreter."""
+
+    burn_check = _load_burn_check()
+
+    @pytest.fixture(autouse=True)
+    def _capture(self, capsys):
+        self.capsys = capsys
+
     def run_check(self, *argv):
+        """``main(argv)`` as a finished process: its exit code and output."""
+        self.capsys.readouterr()
+        try:
+            code = self.burn_check.main([str(arg) for arg in argv])
+        except SystemExit as exit_:  # argparse refuses bad usage this way
+            code = exit_.code
+        out, err = self.capsys.readouterr()
+        return subprocess.CompletedProcess(argv, code, out, err)
+
+    def run_script(self, *argv):
         return subprocess.run(
             [sys.executable, str(BURN_CHECK), *map(str, argv)],
             capture_output=True, text=True,
@@ -271,7 +299,8 @@ class TestBurnCheckScript:
         assert "collector_store_records_at_start 3" in text
         scrape = tmp_path / "metrics.prom"
         scrape.write_text(text, encoding="utf-8")
-        proc = self.run_check(scrape, "--store", store.path)
+        # The end-to-end check: the script itself, in a fresh interpreter.
+        proc = self.run_script(scrape, "--store", store.path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "counter=1 store_records=4 at_start=3" in proc.stdout
 
@@ -671,6 +700,8 @@ class TestRemovedHistoryFlags:
     then ``dashboard --metrics``; ``submit`` shards nothing; the lease
     TTL is two heartbeat intervals; the bench noise floor is fixed)."""
 
+    burn_check = TestBurnCheckScript.burn_check
+    _capture = TestBurnCheckScript._capture
     run_check = TestBurnCheckScript.run_check
 
     @pytest.mark.parametrize("command,removed", [

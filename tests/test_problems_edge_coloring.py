@@ -9,7 +9,7 @@ from repro.problems.classic import (
     is_edge_degree_plus_one_coloring,
     is_proper_edge_coloring,
 )
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, semigraph_from_graph
+from repro.semigraph import HalfEdgeLabeling, semigraph_from_graph
 from repro.semigraph.builders import edge_id_for
 
 PROBLEM = EdgeDegreePlusOneEdgeColoring()
@@ -91,14 +91,14 @@ class TestClassicConversions:
         labeling = PROBLEM.from_classic(semigraph, {})
         for edge in semigraph.edges_of_rank(1):
             (node,) = semigraph.endpoints(edge)
-            assert labeling[HalfEdge(node, edge)] == DUMMY
+            assert labeling[(node, edge)] == DUMMY
 
     def test_to_classic_rejects_inconsistent_labels(self):
         graph = nx.path_graph(2)
         semigraph = semigraph_from_graph(graph)
         edge = edge_id_for(0, 1)
         labeling = HalfEdgeLabeling(
-            {HalfEdge(0, edge): (1, 1), HalfEdge(1, edge): (1, 2)}
+            {(0, edge): (1, 1), (1, edge): (1, 2)}
         )
         with pytest.raises(ValueError):
             PROBLEM.to_classic(semigraph, labeling)

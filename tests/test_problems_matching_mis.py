@@ -17,7 +17,7 @@ from repro.problems.classic import (
 )
 from repro.problems.matching import MATCHED, POINTER, UNMATCHED
 from repro.problems.mis import IN_MIS, OUT, POINTER as MIS_POINTER
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, restrict_to_nodes, semigraph_from_graph
+from repro.semigraph import HalfEdgeLabeling, restrict_to_nodes, semigraph_from_graph
 from repro.semigraph.builders import edge_id_for
 
 MATCHING = MaximalMatchingProblem()
@@ -81,7 +81,7 @@ class TestMatchingConversions:
         labeling = MATCHING.from_classic(semigraph, set())
         for edge in semigraph.edges_of_rank(1):
             (node,) = semigraph.endpoints(edge)
-            assert labeling[HalfEdge(node, edge)] == DUMMY
+            assert labeling[(node, edge)] == DUMMY
 
 
 class TestMatchingClassicVerifiers:
@@ -128,7 +128,7 @@ class TestMISConstraints:
         semigraph = semigraph_from_graph(nx.path_graph(2))
         labeling = MIS.from_classic(semigraph, {0})
         (edge,) = semigraph.edges
-        labeling = HalfEdgeLabeling({**labeling.as_mapping(), HalfEdge(1, edge): ["x"]})
+        labeling = HalfEdgeLabeling({**labeling.as_mapping(), (1, edge): ["x"]})
         result = verify_solution(MIS, semigraph, labeling)
         assert not result.ok
         assert {violation.kind for violation in result.violations} == {"node", "edge"}

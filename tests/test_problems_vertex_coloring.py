@@ -9,7 +9,7 @@ from repro.problems.classic import (
     is_delta_plus_one_coloring,
     is_proper_vertex_coloring,
 )
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, semigraph_from_graph
+from repro.semigraph import HalfEdgeLabeling, semigraph_from_graph
 
 DEG = DegreePlusOneColoring()
 
@@ -80,7 +80,7 @@ class TestConversions:
         bad = HalfEdgeLabeling(dict(labeling.items()))
         edge = next(iter(semigraph.incident_edges(0)))
         corrupted = {h: lab for h, lab in bad.items()}
-        corrupted[HalfEdge(1, edge)] = 3
+        corrupted[(1, edge)] = 3
         with pytest.raises(ValueError):
             DEG.to_classic(semigraph, HalfEdgeLabeling(corrupted))
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.semigraph import (
-    HalfEdge,
     HalfEdgeLabeling,
     SemiGraph,
     restrict_to_edges,
@@ -88,12 +87,12 @@ class TestSemiGraphQueries:
         semigraph = SemiGraph(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("c",)})
         half_edges = set(semigraph.half_edges())
         assert half_edges == {
-            HalfEdge("a", "e1"),
-            HalfEdge("b", "e1"),
-            HalfEdge("c", "e2"),
+            ("a", "e1"),
+            ("b", "e1"),
+            ("c", "e2"),
         }
-        assert semigraph.half_edges_of_edge("e2") == [HalfEdge("c", "e2")]
-        assert semigraph.half_edges_of_node("a") == [HalfEdge("a", "e1")]
+        assert semigraph.half_edges_of_edge("e2") == [("c", "e2")]
+        assert semigraph.half_edges_of_node("a") == [("a", "e1")]
 
     def test_other_endpoint(self):
         semigraph = SemiGraph(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("c",)})
@@ -180,43 +179,43 @@ class TestBuilders:
 class TestHalfEdgeLabeling:
     def test_assign_and_query(self):
         labeling = HalfEdgeLabeling()
-        h = HalfEdge("a", "e")
+        h = ("a", "e")
         labeling.assign(h, "X")
         assert labeling[h] == "X"
         assert labeling.is_labeled(h)
-        assert labeling.get(HalfEdge("b", "e"), "default") == "default"
+        assert labeling.get(("b", "e"), "default") == "default"
         assert len(labeling) == 1
 
     def test_conflicting_assignment_raises(self):
         labeling = HalfEdgeLabeling()
-        h = HalfEdge("a", "e")
+        h = ("a", "e")
         labeling.assign(h, "X")
         labeling.assign(h, "X")  # idempotent re-assignment is fine
         with pytest.raises(ValueError):
             labeling.assign(h, "Y")
 
     def test_merge(self):
-        first = HalfEdgeLabeling({HalfEdge("a", "e"): 1})
-        second = HalfEdgeLabeling({HalfEdge("b", "e"): 2})
+        first = HalfEdgeLabeling({("a", "e"): 1})
+        second = HalfEdgeLabeling({("b", "e"): 2})
         merged = first.merge(second)
         assert len(merged) == 2
-        conflicting = HalfEdgeLabeling({HalfEdge("a", "e"): 7})
+        conflicting = HalfEdgeLabeling({("a", "e"): 7})
         with pytest.raises(ValueError):
             first.merge(conflicting)
 
     def test_is_complete(self):
         semigraph = SemiGraph(["a", "b"], {"e": ("a", "b"), "f": ("a",)})
         labeling = HalfEdgeLabeling(
-            {HalfEdge("a", "e"): "X", HalfEdge("b", "e"): "Y", HalfEdge("a", "f"): "Z"}
+            {("a", "e"): "X", ("b", "e"): "Y", ("a", "f"): "Z"}
         )
         assert labeling.is_complete(semigraph)
-        partial = HalfEdgeLabeling({HalfEdge("a", "e"): "X"})
+        partial = HalfEdgeLabeling({("a", "e"): "X"})
         assert not partial.is_complete(semigraph)
 
     def test_restricted_to(self):
         semigraph = SemiGraph(["a", "b"], {"e": ("a", "b")})
         labeling = HalfEdgeLabeling(
-            {HalfEdge("a", "e"): 1, HalfEdge("zzz", "qqq"): 2}
+            {("a", "e"): 1, ("zzz", "qqq"): 2}
         )
         restricted = labeling.restricted_to(semigraph)
         assert len(restricted) == 1
@@ -265,7 +264,7 @@ def test_property_restriction_degree_split(n, seed):
 
 
 # ----------------------------------------------------------------------
-# HalfEdge as a tuple, and restrictions built from the parent's index
+# Half-edges as plain pairs, and restrictions built from the parent's index
 # ----------------------------------------------------------------------
 def _add_edge_restrict_to_nodes(semigraph, nodes, keep_boundary_edges):
     """``restrict_to_nodes`` built edge by edge through ``add_edge``."""
@@ -308,11 +307,19 @@ def _generated_graphs():
 
 
 class TestHalfEdgeTupleAndCheckedRestrictions:
-    def test_half_edge_repr_and_hash_are_the_tuple_ones(self):
-        assert repr(HalfEdge(1, (1, 2))) == "HalfEdge(node=1, edge=(1, 2))"
-        for node, edge in ((1, (1, 2)), ("a", "e"), ((0, 1), ((0, 1), (0, 2)))):
-            assert hash(HalfEdge(node, edge)) == hash((node, edge))
-            assert HalfEdge(node, edge) == (node, edge)
+    def test_half_edges_are_plain_pairs(self):
+        for graph in _generated_graphs():
+            semigraph = semigraph_from_graph(graph)
+            half_edges = list(semigraph.half_edges())
+            assert all(type(h) is tuple and len(h) == 2 for h in half_edges)
+            for node in semigraph.nodes:
+                assert all(
+                    type(h) is tuple for h in semigraph.half_edges_of_node(node)
+                )
+            for edge in semigraph.edges:
+                assert semigraph.half_edges_of_edge(edge) == [
+                    (node, edge) for node in semigraph.endpoints(edge)
+                ]
 
     def test_semigraph_from_graph_matches_add_edge(self):
         for graph in _generated_graphs():
@@ -362,3 +369,41 @@ class TestHalfEdgeTupleAndCheckedRestrictions:
         # On a repr tie the pair keeps its order, as a stable sort does.
         assert edge_id_for(first, second) == (first, second)
         assert edge_id_for(second, first) == (second, first)
+
+
+# ----------------------------------------------------------------------
+# underlying_degree without building the adjacency
+# ----------------------------------------------------------------------
+def _random_semigraph(rng):
+    """Isolated nodes, edges of rank 0, 1 and 2, and parallel rank-2 edges
+    (a bundle of up to four copies of one pair)."""
+    nodes = list(range(rng.randrange(1, 25)))
+    edges = {}
+    for index in range(rng.randrange(0, 3 * len(nodes) + 1)):
+        rank = rng.choice((0, 1, 2, 2, 2)) if len(nodes) > 1 else rng.choice((0, 1))
+        endpoints = tuple(rng.sample(nodes, rank))
+        for copy in range(rng.choice((1, 1, 1, 2, 4)) if rank == 2 else 1):
+            edges[f"e{index}.{copy}"] = endpoints
+    return SemiGraph(nodes + [("isolated", 0)], edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_underlying_degree_equals_the_adjacency_maximum(seed):
+    import random
+
+    semigraph = _random_semigraph(random.Random(seed))
+    expected = max(map(len, semigraph.adjacency().values()), default=0)
+    assert semigraph.underlying_degree() == expected
+
+
+def test_underlying_degree_hand_cases():
+    assert SemiGraph().underlying_degree() == 0
+    assert SemiGraph(["a"]).underlying_degree() == 0
+    # Five parallel edges and two rank-1 edges give "a" seven incident
+    # edges but one neighbour; "c" has two neighbours and fewer edges.
+    edges = {f"p{i}": ("a", "b") for i in range(5)}
+    edges.update({"r1": ("a",), "r2": ("a",), "r0": (), "x": ("c", "d"), "y": ("c", "e")})
+    semigraph = SemiGraph("abcde", edges)
+    assert semigraph.degree("a") == 7
+    assert semigraph.underlying_degree() == 2

@@ -180,12 +180,12 @@ class TestMISEdgeListSolver:
         # neighbours inside the outer part, so label them OUT via a pointer
         # towards the inner node is not allowed; instead build the instance
         # where the outer labels say OUT (the inner node must then join).
-        from repro.semigraph import HalfEdge, HalfEdgeLabeling
+        from repro.semigraph import HalfEdgeLabeling
 
         partial = HalfEdgeLabeling(
             {
-                HalfEdge(0, edge_id_for(0, 1)): OUT,
-                HalfEdge(2, edge_id_for(1, 2)): OUT,
+                (0, edge_id_for(0, 1)): OUT,
+                (2, edge_id_for(1, 2)): OUT,
             }
         )
         instance = build_edge_list_instance(MIS, semigraph, inner, partial)

@@ -40,7 +40,7 @@ from repro.problems.sinkless_orientation import (
     greedy_sinkless_orientation,
     is_sinkless_orientation,
 )
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, semigraph_from_graph
+from repro.semigraph import HalfEdgeLabeling, semigraph_from_graph
 
 MIS = MaximalIndependentSetProblem()
 COLORING = DegreePlusOneColoring()
@@ -87,9 +87,9 @@ class TestP1Solvers:
         semigraph = semigraph_from_graph(graph)
         partial = HalfEdgeLabeling()
         for edge in semigraph.incident_edges(2):
-            partial.assign(HalfEdge(2, edge), 3)
+            partial.assign((2, edge), 3)
         labeling = solve_node_sequential(semigraph, coloring_oracle, partial=partial)
-        assert labeling[HalfEdge(2, next(iter(semigraph.incident_edges(2))))] == 3
+        assert labeling[(2, next(iter(semigraph.incident_edges(2))))] == 3
         assert verify_solution(COLORING, semigraph, labeling).ok
 
     def test_order_must_cover_all_nodes(self):
@@ -240,7 +240,7 @@ class TestSinklessOrientation:
             # Orient every edge towards the lexicographically smaller endpoint:
             # that endpoint collects only IN labels somewhere in the graph.
             tail, head = (u, v) if repr(u) > repr(v) else (v, u)
-            labeling.assign(HalfEdge(tail, edge), OUT)
-            labeling.assign(HalfEdge(head, edge), IN)
+            labeling.assign((tail, edge), OUT)
+            labeling.assign((head, edge), IN)
         result = verify_solution(self.PROBLEM, semigraph, labeling)
         assert not result.ok  # node 0 has degree 3 and only incoming edges

@@ -1,5 +1,7 @@
 """Integration tests for the transformation pipelines (Theorems 12 and 15)."""
 
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,44 @@ class TestGatherAccount:
             assert rounds == 2 * max(diameters) + GATHER_OVERHEAD
         assert len(gather_and_solve_rounds(parts[0])[1]) > 1
         assert built == []
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda: solve_on_tree(random_tree(400, seed=3), MISAlgorithm()),
+            lambda: solve_on_tree(spider(20, 20), DegPlusOneColoringAlgorithm()),
+            lambda: solve_on_bounded_arboricity(
+                random_tree(400, seed=3), 1, EdgeColoringAlgorithm()
+            ),
+            lambda: solve_on_bounded_arboricity(
+                forest_union(300, 2, seed=5), 2, MaximalMatchingAlgorithm()
+            ),
+        ],
+        ids=["tree-mis", "spider-coloring", "tree-edge-coloring", "forest-matching"],
+    )
+    def test_one_adjacency_per_a_phase_part(self, monkeypatch, transform):
+        """``underlying_degree()`` builds no adjacency, so the A-phase
+        part's one :meth:`SemiGraph.adjacency` is the adapter's."""
+        built = Counter()
+        adjacency = SemiGraph.adjacency
+        monkeypatch.setattr(
+            SemiGraph, "adjacency",
+            lambda self: built.update([id(self)]) or adjacency(self),
+        )
+        parts = []
+        for adapter in (
+            MISAlgorithm, DegPlusOneColoringAlgorithm, EdgeColoringAlgorithm,
+            MaximalMatchingAlgorithm,
+        ):
+            solve = adapter.solve_semigraph
+            monkeypatch.setattr(
+                adapter, "solve_semigraph",
+                lambda self, part, solve=solve: parts.append(part) or solve(self, part),
+            )
+        result = transform()
+        assert result.verification.ok
+        assert len(parts) == 1
+        assert built[id(parts[0])] == 1
 
 
 @settings(max_examples=10, deadline=None)

@@ -26,7 +26,7 @@ from repro.problems.classic import (
 )
 from repro.problems.mis import IN_MIS, OUT
 from repro.problems.verification import VerificationResult, Violation
-from repro.semigraph import HalfEdge, HalfEdgeLabeling, semigraph_from_graph
+from repro.semigraph import HalfEdgeLabeling, semigraph_from_graph
 from repro.semigraph.builders import edge_id_for
 
 MIS = MaximalIndependentSetProblem()
@@ -38,8 +38,8 @@ class TestVerificationReporting:
         semigraph = semigraph_from_graph(graph)
         labeling = HalfEdgeLabeling(
             {
-                HalfEdge(0, edge_id_for(0, 1)): IN_MIS,
-                HalfEdge(1, edge_id_for(0, 1)): OUT,
+                (0, edge_id_for(0, 1)): IN_MIS,
+                (1, edge_id_for(0, 1)): OUT,
             }
         )
         strict = verify_solution(MIS, semigraph, labeling)
@@ -64,8 +64,8 @@ class TestVerificationReporting:
         semigraph = semigraph_from_graph(graph)
         labeling = HalfEdgeLabeling(
             {
-                HalfEdge(0, edge_id_for(0, 1)): IN_MIS,
-                HalfEdge(1, edge_id_for(0, 1)): IN_MIS,
+                (0, edge_id_for(0, 1)): IN_MIS,
+                (1, edge_id_for(0, 1)): IN_MIS,
             }
         )
         result = verify_solution(MIS, semigraph, labeling)

@@ -41,7 +41,6 @@ from repro.problems.lists import (
     verify_node_list_solution,
 )
 from repro.semigraph import (
-    HalfEdge,
     HalfEdgeLabeling,
     restrict_to_edges,
     restrict_to_nodes,
@@ -149,7 +148,7 @@ def _orientation(semigraph, rng):
         endpoints = semigraph.endpoints(edge)
         tail = rng.randrange(len(endpoints)) if endpoints else 0
         for index, node in enumerate(endpoints):
-            labels[HalfEdge(node, edge)] = "OUT" if index == tail else "IN"
+            labels[(node, edge)] = "OUT" if index == tail else "IN"
     return HalfEdgeLabeling(labels)
 
 
@@ -221,7 +220,7 @@ def _corrupt(semigraph, labeling, alphabet, rng):
     """``labeling`` with up to three random corruptions."""
     labels = dict(labeling.items())
     half_edges = sorted(semigraph.half_edges(), key=repr)
-    rank_one = [h for h in half_edges if semigraph.rank(h.edge) == 1]
+    rank_one = [h for h in half_edges if semigraph.rank(h[1]) == 1]
     for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
         kind = rng.choice(["drop", "swap", "wrong-type", "rank-1"])
         if not half_edges:
