@@ -102,16 +102,25 @@ def timed(callable_):
     return result, time.perf_counter() - start
 
 
-def best_of(callable_, repeats: int = 3):
-    """Call ``callable_`` ``repeats`` times; return ``(last result, fastest
+#: Calls per benchmark entry; the entry records the fastest.
+REPEATS = 3
+
+
+def best_of(callable_, setup=None):
+    """Call ``callable_`` ``REPEATS`` times; return ``(last result, fastest
     wall-clock seconds)``.
 
     Each call starts after a full collection, so no call pays for garbage
-    that earlier calls left.
+    that earlier calls left.  With ``setup``, each call takes ``setup()``'s
+    value as its one argument, built before the clock starts: a call that
+    fills caches on its input (a network's array layout or neighbour
+    tuples) then fills them every time, as a single call would.
     """
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
+        args = () if setup is None else (setup(),)
         gc.collect()
-        result, seconds = timed(callable_)
+        result, seconds = timed(lambda: callable_(*args))
         best = min(best, seconds)
+        del args  # free this call's input before the next one is built
     return result, best

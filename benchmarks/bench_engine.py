@@ -14,14 +14,12 @@ on: one ``solve_semigraph`` per problem (the A-phase, from the
 semi-graph's adjacency to the lifted labeling), Definition 6's check of
 its labeling, and the restrictions of one split of the instance.
 
-Each scenario group runs in a fresh interpreter (``bench_engine.py
---group NAME``), so no entry runs on a heap that earlier entries grew, and
-each entry records the fastest of three calls.  One-time caches a call
-fills, such as a network's array layout, are therefore warm in the
-recorded call.
+Each entry records the fastest of three calls, each after a full
+collection.  A simulator call gets a network built for it before the
+clock starts, so every call fills the network's caches (the array layout,
+the identifier array, the neighbour tuples) as a single run does.
 
-Two regression gates are asserted, each comparing two engines inside one
-group's interpreter:
+Two regression gates are asserted:
 
 * the interpreted engine stays ≥5× faster than the seed engine
   (``run_synchronous_reference``) on the n=10⁴ random tree, with
@@ -46,9 +44,7 @@ or through pytest (``pytest benchmarks/bench_engine.py``).  Set
 ``benchmarks/results/bench_engine.txt`` (table).
 """
 
-import json
 import os
-import subprocess
 import sys
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,8 +123,9 @@ FULL_SCALE_N = 1_000_000
 INSTANCE_SIZES = [100_000] if SMOKE else [10_000, 100_000, FULL_SCALE_N]
 
 #: Sizes of the semi-graph entries.  At the smoke size every entry stays
-#: above the CI trajectory gate's 0.05 s floor.
-SEMIGRAPH_SIZES = [16_000] if SMOKE else [16_000, 100_000]
+#: above the CI trajectory gate's 0.05 s floor (at 1.6·10⁴ the verifier
+#: entries read under it).
+SEMIGRAPH_SIZES = [32_000] if SMOKE else [16_000, 100_000]
 
 
 def _engine_scenarios():
@@ -141,12 +138,14 @@ def _engine_scenarios():
             ("sync/linial/random-tree", LinialColoring, None),
             ("sync/forest-3-coloring/random-tree", ForestThreeColoring, parents),
         ):
-            network = Network(tree, node_inputs=inputs)
             for engine, runner in (
                 ("interpreted", run_synchronous),
                 ("vectorized", run_vectorized),
             ):
-                result, seconds = best_of(lambda: runner(network, algorithm_factory()))
+                result, seconds = best_of(
+                    lambda network: runner(network, algorithm_factory()),
+                    setup=lambda: Network(tree, node_inputs=inputs),
+                )
                 entries.append(scenario_entry(
                     scenario, n, seconds,
                     rounds=result.rounds, messages=result.messages_sent,
@@ -258,12 +257,13 @@ def _speedup_scenario():
         (LinialColoring, None, "linial"),
         (ForestThreeColoring, parents, "forest-3-coloring"),
     ):
-        network = Network(tree, node_inputs=inputs)
         fast, fast_seconds = best_of(
-            lambda: run_synchronous(network, algorithm_factory())
+            lambda network: run_synchronous(network, algorithm_factory()),
+            setup=lambda: Network(tree, node_inputs=inputs),
         )
         reference, reference_seconds = best_of(
-            lambda: run_synchronous_reference(network, algorithm_factory())
+            lambda network: run_synchronous_reference(network, algorithm_factory()),
+            setup=lambda: Network(tree, node_inputs=inputs),
         )
         assert fast.rounds == reference.rounds
         assert fast.messages_sent == reference.messages_sent
@@ -299,29 +299,31 @@ def _vectorized_speedup_scenario():
     shared = {"num_classes": num_classes}
     entries = []
     speedups = {}
-    for algorithm_factory, network, name in (
-        (LinialColoring, Network(tree), "linial"),
+    for algorithm_factory, build_network, name in (
+        (LinialColoring, lambda: Network(tree), "linial"),
         (
             ForestThreeColoring,
-            Network(tree, node_inputs=parents),
+            lambda: Network(tree, node_inputs=parents),
             "forest-3-coloring",
         ),
         (
             ColorClassMIS,
-            Network(tree, node_inputs=colour_inputs, shared=shared),
+            lambda: Network(tree, node_inputs=colour_inputs, shared=shared),
             "color-class-mis",
         ),
         (
             ColorClassReduction,
-            Network(tree, node_inputs=colour_inputs, shared=shared),
+            lambda: Network(tree, node_inputs=colour_inputs, shared=shared),
             "color-class-reduction",
         ),
     ):
         vectorized, vectorized_seconds = best_of(
-            lambda: run_vectorized(network, algorithm_factory())
+            lambda network: run_vectorized(network, algorithm_factory()),
+            setup=build_network,
         )
         interpreted, interpreted_seconds = best_of(
-            lambda: run_synchronous(network, algorithm_factory())
+            lambda network: run_synchronous(network, algorithm_factory()),
+            setup=build_network,
         )
         assert vectorized.rounds == interpreted.rounds
         assert vectorized.messages_sent == interpreted.messages_sent
@@ -352,8 +354,10 @@ def _full_scale_scenarios():
         (LinialColoring, None, "linial"),
         (ForestThreeColoring, parents, "forest-3-coloring"),
     ):
-        network = Network(tree, node_inputs=inputs)
-        result, seconds = best_of(lambda: run_vectorized(network, algorithm_factory()))
+        result, seconds = best_of(
+            lambda network: run_vectorized(network, algorithm_factory()),
+            setup=lambda: Network(tree, node_inputs=inputs),
+        )
         entries.append(scenario_entry(
             f"full-scale/{name}/random-tree", FULL_SCALE_N, seconds,
             rounds=result.rounds, messages=result.messages_sent,
@@ -362,69 +366,48 @@ def _full_scale_scenarios():
     return entries
 
 
-#: The scenario groups in recording order, each run in its own interpreter.
-#: A group returns its entries, or its entries and the speedups it gates.
-GROUPS = {
-    "engine": _engine_scenarios,
-    "decomposition": _decomposition_scenarios,
-    "instance": _instance_scenarios,
-    "semigraph": _semigraph_scenarios,
-    "speedup": _speedup_scenario,
-    "vectorized-speedup": _vectorized_speedup_scenario,
-    "full-scale": _full_scale_scenarios,
-}
-
-
-def _run_group(name: str) -> None:
-    """Run one group here and print its entries and speedups as one JSON line."""
-    result = GROUPS[name]()
-    entries, speedups = result if isinstance(result, tuple) else (result, {})
-    print(json.dumps({"entries": entries, "speedups": speedups}))
-
-
-def _group_in_fresh_interpreter(name: str) -> tuple[list, dict]:
-    """``(entries, speedups)`` of one group, run by a fresh interpreter."""
-    process = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--group", name],
-        stdout=subprocess.PIPE, text=True, check=False,
-    )
-    if process.returncode != 0:
-        raise RuntimeError(f"bench group {name!r} exited {process.returncode}")
-    payload = json.loads(process.stdout.splitlines()[-1])
-    return payload["entries"], payload["speedups"]
-
-
 def run_bench(check_speedup: bool = True) -> list:
-    """Run every scenario group, write table + JSON, return the JSON entries."""
+    """Run every scenario, write table + JSON, return the JSON entries."""
     table = MeasurementTable(
         "BENCH: simulation engine (wall-clock per scenario and engine)",
         ["scenario", "engine", "n", "wall clock [s]", "rounds", "messages"],
     )
     entries = []
-    speedups, vec_speedups = {}, {}
-    for name in GROUPS:
-        if name == "full-scale" and SMOKE:
-            continue
-        group_entries, group_speedups = _group_in_fresh_interpreter(name)
-        if name == "speedup":
-            speedups = group_speedups
-        elif name == "vectorized-speedup":
-            vec_speedups = group_speedups
-        for entry in group_entries:
-            entries.append(entry)
-            label = entry["scenario"]
-            if name == "speedup":
-                label += f" ({entry['speedup']}x vs seed)"
-            elif "speedup" in entry:
-                label += f" ({entry['speedup']}x vs interpreted)"
-            table.add_row(
-                label,
-                entry.get("engine") or "-",
-                entry["n"],
-                entry["wall_clock_s"],
-                entry["rounds"] if entry["rounds"] is not None else "-",
-                entry["messages"] if entry["messages"] is not None else "-",
-            )
+
+    def add(entry, label=None):
+        entries.append(entry)
+        table.add_row(
+            label if label is not None else entry["scenario"],
+            entry.get("engine") or "-",
+            entry["n"],
+            entry["wall_clock_s"],
+            entry["rounds"] if entry["rounds"] is not None else "-",
+            entry["messages"] if entry["messages"] is not None else "-",
+        )
+
+    for entry in _engine_scenarios():
+        add(entry)
+    for entry in _decomposition_scenarios():
+        add(entry)
+    for entry in _instance_scenarios():
+        add(entry)
+    for entry in _semigraph_scenarios():
+        add(entry)
+
+    speedup_entries, speedups = _speedup_scenario()
+    for entry in speedup_entries:
+        add(entry, label=f"{entry['scenario']} ({entry['speedup']}x vs seed)")
+
+    vec_entries, vec_speedups = _vectorized_speedup_scenario()
+    for entry in vec_entries:
+        label = None
+        if "speedup" in entry:
+            label = f"{entry['scenario']} ({entry['speedup']}x vs interpreted)"
+        add(entry, label=label)
+
+    if not SMOKE:
+        for entry in _full_scale_scenarios():
+            add(entry)
 
     record_table("bench_engine", table)
     record_json(
@@ -465,8 +448,5 @@ def test_bench_engine_and_speedup():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--group"]:
-        _run_group(sys.argv[2])
-    else:
-        run_bench(check_speedup=True)
-        print("bench_engine: all scenarios recorded, speedup targets met")
+    run_bench(check_speedup=True)
+    print("bench_engine: all scenarios recorded, speedup targets met")
