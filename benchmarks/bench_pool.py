@@ -3,10 +3,10 @@
 Both paths run one cell per task on a `WorkerPool`; they differ only in
 how long the workers live.  `SweepRunner(jobs=2).run()` (the CLI's
 `run --jobs 2`) creates a pool, forks its workers and joins them before
-returning, so every sweep pays process startup.  A long-lived host (the
-sweep server, a fleet worker) keeps one warm pool and hands it every
-sweep (`WorkerPool.submit_sweep`), so on a stream of many small sweeps
-that startup is paid once.
+returning, so every sweep pays process startup.  A long-lived host (a
+`run --fleet` worker) keeps one warm pool and hands it every sweep
+(`WorkerPool.submit_sweep`), so on a stream of many small sweeps that
+startup is paid once.
 
 This benchmark replays the same stream of small sweeps through both paths
 and asserts the warm pool's speedup stays above a conservative floor

@@ -1,5 +1,5 @@
 """Command-line interface: ``python -m repro.experiments
-<run|list|report|merge|serve|submit|metrics|dashboard>``.
+<run|list|report|merge|serve|metrics|dashboard>``.
 
 Examples::
 
@@ -20,12 +20,13 @@ Static sharding, merged afterwards::
         shards/a/results.jsonl shards/b/results.jsonl
     python -m repro.experiments report
 
-The sweep server (TCP token-authenticated via ``REPRO_SERVICE_TOKEN``)::
+The sweep server (TCP token-authenticated via ``REPRO_SERVICE_TOKEN``)
+collects; ``run --fleet`` workers compute::
 
-    # one store, local workers, a fleet endpoint:
-    python -m repro.experiments serve --workers 4 --listen 0.0.0.0:7919 --out central &
-    python -m repro.experiments submit paper-claims --smoke --wait
-    # fleet workers on any machine lease cells from the same server:
+    # one deduplicated store and the lease table:
+    python -m repro.experiments serve --listen 0.0.0.0:7919 --out central &
+    # fleet workers on any machine lease cells from it:
+    python -m repro.experiments run paper-claims --smoke --fleet host:7919
     python -m repro.experiments run scaling --fleet host:7919
     # fetch the rendered report straight off the server:
     python -m repro.experiments report --connect host:7919 --json report.json
@@ -157,26 +158,24 @@ def build_parser() -> argparse.ArgumentParser:
             "charged scenario) and shape fits\nfrom the store alone.\n"
             "\n"
             "sweep server:\n"
-            "  `serve` is the one server role: a deduplicated store "
-            "(`--out`; verified\n  records outrank unverified ones, as in "
-            "`merge`) on a Unix socket and, with\n  `--listen host:port`, "
-            "token-authenticated TCP (token from --token or\n  "
-            f"{AUTH_TOKEN_ENV}; Unix "
-            "sockets need none).  `submit <suite>` queues the\n  cells not "
-            "yet verified in the store for the `--workers N` local "
-            "processes;\n  `--wait` polls them.  `serve --workers 0` refuses "
-            "`submit` and only collects\n  for `--fleet` workers.  `report "
-            "--connect host:port` serves the report over\n  the whole store, "
-            "byte-identical to `report --json` on it.\n\n"
+            "  `serve` is the one server role, and it computes nothing: a "
+            "deduplicated\n  store (`--out`; verified records outrank "
+            "unverified ones, as in `merge`)\n  and the lease table, on a "
+            "Unix socket and, with `--listen host:port`,\n  "
+            "token-authenticated TCP (token from --token or "
+            f"{AUTH_TOKEN_ENV}; Unix\n  "
+            "sockets need none).  `run <suite> --fleet` workers compute its "
+            "cells.\n  `report --connect host:port` serves the report over "
+            "the whole store,\n  byte-identical to `report --json` on it."
+            "\n\n"
             "elastic sweep fleet:\n"
             "  `run <suite> --fleet host:port` replaces the static shard "
-            "split with a lease\n  loop: each worker registers with the "
-            "server, offers the suite's fingerprint\n  universe and leases "
-            "one cell each time its pool pulls one, pushing every\n  "
-            "result back (a stored record completes the cell's lease).  The "
-            "server's\n  local workers run the same loop on the same table, "
-            "so a fleet worker\n  offering a submitted suite shares its "
-            "cells.  A background heartbeat renews\n  a worker's leases; a "
+            "split with a lease\n  loop: each worker registers the suite's "
+            "cells with the server once and\n  leases one each time its "
+            "pool pulls one, pushing every result back (a\n  stored record "
+            "completes the cell's lease).  Workers on overlapping suites\n"
+            "  share their common cells: each runs once.  A background "
+            "heartbeat renews\n  a worker's leases; a "
             "worker that dies stops heartbeating, its leases expire\n  after "
             "the TTL (2x `serve --heartbeat-interval`) and the cells are\n  "
             "reassigned to the survivors — kill a worker mid-sweep and the "
@@ -190,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
             "observability:\n"
             "  The server's `metrics` verb exports Prometheus text: per-verb "
             "request counts\n  and latency, auth failures, malformed lines, "
-            "ingest fates, pending cells,\n  pool traffic and, for every "
+            "ingest fates, lease fates\n  and, for every "
             "stored record, `cell_phase_seconds`\n  "
             "(generate/run/network/verify/simulate, also in the record's "
             "nonsemantic\n  `timings`) and `engine_rounds_total`.\n  "
             "`metrics --connect host:port [--out f.prom]`\n  scrapes it; "
             "`scripts/slo_burn_check.py <scrape> [--store results.jsonl]`\n"
-            "  evaluates the seven SLOs over that one scrape (p99 verb "
+            "  evaluates the six SLOs over that one scrape (p99 verb "
             "latency, zero\n  dropped/malformed/unauthenticated, conflict "
-            "rate, worker restarts, lease\n  age) and, with --store, checks "
+            "rate, lease age) and, with\n  --store, checks "
             "that the store holds exactly the records\n  the server found "
             "at startup plus those it ingested.  `dashboard\n  --out DIR "
             "[--metrics f.prom] --html page.html` renders the report bundle\n"
@@ -217,25 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Sweep-shaping options shared verbatim by `run` and `submit`.
-    sweep_options = argparse.ArgumentParser(add_help=False)
-    sweep_options.add_argument(
+    run = sub.add_parser("run", help="run a suite's pending cells")
+    run.add_argument("suite", help=f"suite name (one of: {', '.join(sorted(SUITES))})")
+    run.add_argument(
         "--sizes", type=_int_list, default=None,
         help="override the size sweep of measured scenarios, e.g. --sizes 100,300",
     )
-    sweep_options.add_argument(
+    run.add_argument(
         "--seeds", type=_int_list, default=None,
         help="override the seed list of measured scenarios, e.g. --seeds 1,2,3",
     )
-    sweep_options.add_argument(
+    run.add_argument(
         "--smoke", action="store_true",
         help="CI-size sweep: smoke sizes, first seed only (analytic cells unchanged)",
     )
-
-    run = sub.add_parser(
-        "run", help="run a suite's pending cells", parents=[sweep_options]
-    )
-    run.add_argument("suite", help=f"suite name (one of: {', '.join(sorted(SUITES))})")
     run.add_argument(
         "--shard", type=_shard_spec, default=None, metavar="I/K",
         help="run only shard i of k (deterministic disjoint fingerprint "
@@ -255,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from a sweep server (host:port or Unix socket path), one each time "
         "the pool pulls one, instead of computing a static shard, and push "
         "every result back; incompatible with --shard",
-    )
-    run.add_argument(
-        "--worker-name", default=None, metavar="NAME",
-        help="with --fleet: the name this worker registers under "
-        "(default: hostname-pid)",
     )
     run.add_argument(
         "--token", default=None,
@@ -283,17 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="run the sweep server: one deduplicated store fed by "
-        "its local workers (submit) and by --fleet workers",
+        "serve", help="run the sweep server: one deduplicated store and the "
+        "lease table that `run --fleet` workers compute for",
     )
     serve.add_argument(
         "--socket", default=DEFAULT_SOCKET,
         help=f"Unix socket path to listen on (default: {DEFAULT_SOCKET})",
-    )
-    serve.add_argument(
-        "--workers", type=_nonnegative_int, default=None,
-        help="warm local worker processes for submitted cells; 0 runs none "
-        "and refuses submit (default: min(cpu count, 8))",
     )
     serve.add_argument(
         "--out", default=DEFAULT_OUT,
@@ -314,30 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet cadence handed to `run --fleet` workers at registration; "
         "a lease survives two intervals without a heartbeat "
         f"(default: {DEFAULT_HEARTBEAT_INTERVAL_S:g})",
-    )
-
-    submit = sub.add_parser(
-        "submit", help="queue a suite's cells on a running sweep server",
-        parents=[sweep_options],
-    )
-    submit.add_argument("suite", help="suite name to run")
-    submit.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help="server endpoint: Unix socket path or host:port "
-        f"(default: {DEFAULT_SOCKET})",
-    )
-    submit.add_argument(
-        "--token", default=None,
-        help=f"shared auth token for a TCP server (default: ${AUTH_TOKEN_ENV})",
-    )
-    submit.add_argument(
-        "--wait", action="store_true",
-        help="block until every queued cell is stored or failed and print "
-        "a summary",
-    )
-    submit.add_argument(
-        "--timeout", type=_positive_float, default=600.0,
-        help="--wait timeout in seconds (default: 600)",
     )
 
     report = sub.add_parser(
@@ -468,13 +428,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         worker = FleetWorker(
             suite, store, args.fleet, token=args.token, jobs=jobs,
             smoke=args.smoke, sizes=args.sizes, seeds=args.seeds,
-            name=args.worker_name,
             progress=None if args.quiet else progress,
         )
-        print(
-            f"suite {suite.name!r} [fleet {args.fleet} as {worker.name}]: "
-            f"{suite.description}"
-        )
+        print(f"suite {suite.name!r} [fleet {args.fleet}]: {suite.description}")
         try:
             report = worker.run()
         except (ServiceError, ValueError) as error:
@@ -487,7 +443,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"({report.wall_clock_s:.1f}s, jobs={jobs})"
         )
         print(f"store: {store.path}")
-        print(f"pushed {worker.pushed} record(s) to fleet {args.fleet}")
+        print(
+            f"pushed {worker.pushed} record(s) to fleet {args.fleet} "
+            f"as {worker.worker_id}"
+        )
         for failure in report.failures:
             print(
                 f"FAILED cell {failure.cell.scenario} n={failure.cell.n} "
@@ -622,18 +581,16 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else default_jobs()
     try:
         server = ResultCollector(
             out=args.out, listen=args.listen, socket_path=args.socket,
             token=args.token, heartbeat_interval_s=args.heartbeat_interval,
-            workers=workers,
         )
         server.start()
     except (ValueError, RuntimeError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(f"sweep server: socket={args.socket} workers={workers}")
+    print(f"sweep server: socket={args.socket}")
     if server.tcp_address is not None:
         host, port = server.tcp_address
         print(f"TCP listener: {host}:{port} (token-authenticated)")
@@ -643,8 +600,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"lease TTL {server.leases.lease_ttl_s:g}s"
     )
     print(
-        "verbs: submit / status / push / report / metrics / register / "
-        "heartbeat / lease / shutdown  (ctrl-c also stops)"
+        "verbs: status / push / report / metrics / register / heartbeat / "
+        "lease / shutdown  (ctrl-c also stops)"
     )
     try:
         server.serve_forever()
@@ -655,41 +612,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{server.dropped} dropped, {server.conflicts} conflicts"
     )
     return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    client = _make_client(args.socket, args.token)
-    if isinstance(client, int):
-        return client
-    try:
-        reply = client.submit(
-            args.suite,
-            smoke=args.smoke,
-            sizes=args.sizes,
-            seeds=args.seeds,
-        )
-        queued = reply["fingerprints"]
-        print(
-            f"submitted {args.suite!r}: {reply['total_cells']} cells, "
-            f"{reply['skipped']} already stored, {len(queued)} queued"
-        )
-        if not args.wait:
-            return 0
-        status = client.wait(queued, timeout=args.timeout)
-    except ServiceError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(
-        f"{args.suite!r} done: {status['completed']} stored, "
-        f"{len(status['failures'])} failed, {status['unverified']} unverified"
-    )
-    for failure in status["failures"]:
-        print(
-            f"FAILED cell {failure['scenario']} n={failure['n']} "
-            f"seed={failure['seed']}: {failure['error']}",
-            file=sys.stderr,
-        )
-    return 0 if not status["failures"] and status["unverified"] == 0 else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -846,8 +768,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_merge(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "dashboard":

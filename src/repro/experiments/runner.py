@@ -37,7 +37,6 @@ from repro.experiments.shard import ShardSpec, shard_cells
 from repro.local import CellContext, span
 from repro.experiments.spec import ALGORITHMS, GENERATORS, Cell, Suite
 from repro.experiments.store import CellResult, ResultStore
-from repro.obs import MetricsRegistry
 
 __all__ = [
     "run_cell",
@@ -211,15 +210,11 @@ class WorkerPool:
     alive until :meth:`shutdown`.  Workers use the platform-default
     multiprocessing context (fork on Linux) so that algorithms and
     generators registered at runtime are visible in the workers;
-    multi-threaded hosts like the sweep server should call :meth:`start`
+    multi-threaded hosts like a fleet worker should call :meth:`start`
     eagerly, before spawning their own threads, to keep the fork clean.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self.workers = workers if workers is not None else default_jobs()
@@ -231,20 +226,6 @@ class WorkerPool:
         self._sweep_lock = threading.Lock()
         self._sweep_ids = itertools.count(1)
         self._closed = False
-        self._ever_started = False
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._restarts_metric = self.registry.counter(
-            "pool_worker_restarts_total",
-            "Worker processes respawned after the pool first came up.",
-        )
-        self._cells_metric = self.registry.counter(
-            "pool_cells_executed_total",
-            "Cells executed by the worker pool (ok and failed).",
-        )
-        self._sweeps_metric = self.registry.counter(
-            "pool_sweeps_total",
-            "Sweep submissions fully streamed by the pool.",
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -274,13 +255,8 @@ class WorkerPool:
             self._results = self._context.Queue()
         while len(self._processes) < self.workers:
             self._spawn_worker()
-        self._ever_started = True
 
     def _spawn_worker(self) -> None:
-        if self._ever_started:
-            # Spawning past the initial bring-up means a worker died and
-            # is being replaced — the restart SLO watches exactly this.
-            self._restarts_metric.inc()
         self._worker_counter += 1
         process = self._context.Process(
             target=_worker_main,
@@ -325,8 +301,8 @@ class WorkerPool:
         flight, so a stream that is abandoned, or a pool that is shut
         down, leaves little queued work behind.  ``cells`` is pulled
         lazily, one cell per task handed out, so a caller may feed it
-        while the sweep runs (the sweep server's local worker leases each
-        cell as it is pulled).  Outcomes arrive in completion order.  The
+        while the sweep runs (a fleet worker leases each cell as it is
+        pulled).  Outcomes arrive in completion order.  The
         iterator holds the pool's sweep lock until it is exhausted or
         closed.
 
@@ -336,13 +312,13 @@ class WorkerPool:
         its lock) and the rest of the sweep runs on the new workers.  The
         lost cells were never stored, so resume re-runs them.
 
-        Fork-safety of respawning from a threaded host (the sweep
-        server's local worker thread): the replacement children execute
-        only ``_worker_main``, which touches nothing but the two queues
-        this thread creates immediately before forking — their locks are
-        provably unheld at fork time, and no server-side lock (store
-        index, lease table, stdio) is ever acquired by worker code, so a
-        lock some *other* thread held at fork cannot deadlock the child.
+        Fork-safety of respawning from a threaded host (a fleet worker,
+        whose heartbeat thread runs beside the sweep): the replacement
+        children execute only ``_worker_main``, which touches nothing but
+        the two queues this thread creates immediately before forking —
+        their locks are provably unheld at fork time, and no host lock
+        (stdio, say) is ever acquired by worker code, so a lock some
+        *other* thread held at fork cannot deadlock the child.
         """
 
         def stream() -> Iterator[CellOutcome]:
@@ -385,9 +361,7 @@ class WorkerPool:
                         # listening.  Drop it — resume re-runs it.
                         continue
                     send(1)
-                    self._cells_metric.inc()
                     yield CellOutcome(cell=in_flight.pop(index), result=result, error=error)
-                self._sweeps_metric.inc()
 
         return stream()
 

@@ -337,7 +337,6 @@ def render_dashboard(
 _BAD_COUNTER_DELTAS: tuple[tuple[str, dict[str, str]], ...] = (
     ("service_malformed_lines_total", {}),
     ("service_auth_failures_total", {}),
-    ("pool_worker_restarts_total", {}),
     ("collector_records_total", {"fate": "dropped"}),
 )
 

@@ -2,11 +2,11 @@
 
 Each :class:`SLO` is a named predicate over the samples of one
 Prometheus-text exposition.  Counters are cumulative since the server
-started, so an objective reads lifetime totals: drops, malformed lines,
-auth failures and worker restarts against a zero budget, the conflict
-share of every ingested record, and the p99 of every request the
-server has answered.  To see what changed between two moments, save two
-scrapes and compare them with ``dashboard --diff``.
+started, so an objective reads lifetime totals: drops, malformed lines
+and auth failures against a zero budget, the conflict share of every
+ingested record, and the p99 of every request the server has answered.
+To see what changed between two moments, save two scrapes and compare
+them with ``dashboard --diff``.
 
 ``evaluate_slos`` runs every objective over one scrape; both
 ``scripts/slo_burn_check.py <scrape>`` and the dashboard's SLO table
@@ -144,10 +144,6 @@ def _slo_auth_failures(samples: Sequence[Sample]) -> tuple[bool, str]:
     return _counter_at_most(samples, "service_auth_failures_total", budget=0)
 
 
-def _slo_worker_restarts(samples: Sequence[Sample]) -> tuple[bool, str]:
-    return _counter_at_most(samples, "pool_worker_restarts_total", budget=0)
-
-
 def _slo_lease_stuck(samples: Sequence[Sample]) -> tuple[bool, str]:
     """No fleet lease should outlive 3x the lease TTL: heartbeats renew
     live workers' leases and expiry reassigns dead workers' leases, so a
@@ -195,11 +191,6 @@ DEFAULT_SLOS: tuple[SLO, ...] = (
         name="zero-auth-failures",
         description="no connections are rejected for a bad token",
         check=_slo_auth_failures,
-    ),
-    SLO(
-        name="zero-worker-restarts",
-        description="no pool workers die and respawn mid-sweep",
-        check=_slo_worker_restarts,
     ),
     SLO(
         name="lease-stuck",

@@ -2,10 +2,9 @@
 
 Three layers turn the single-machine experiment runner
 (:mod:`repro.experiments`: its warm
-:class:`~repro.experiments.runner.WorkerPool`, which the server's local
-worker and fleet workers run cells on, and static ``run --shard i/k``
-partitioning) into a multi-worker, multi-machine, resumable, elastic
-sweep platform:
+:class:`~repro.experiments.runner.WorkerPool`, which fleet workers run
+cells on, and static ``run --shard i/k`` partitioning) into a
+multi-worker, multi-machine, resumable, elastic sweep platform:
 
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
@@ -16,23 +15,21 @@ sweep platform:
   fingerprint-deduplicated store that ``report`` consumes unchanged
   (its duplicate policy is
   :func:`repro.experiments.store.resolve_duplicate`, shared with
-  :func:`repro.experiments.store.merge_result_files`), fed by the
-  server's own local workers (``submit``; ``serve --workers N``) and by
-  fleet workers' pushes, and :class:`ServiceClient` for the verbs;
+  :func:`repro.experiments.store.merge_result_files`), fed by fleet
+  workers' pushes; and :class:`ServiceClient` for the verbs;
 * :mod:`repro.service.leases` — the elastic control plane:
-  :class:`LeaseTable` tracks registered workers, heartbeats and
-  per-fingerprint leases inside the server (``register`` /
-  ``heartbeat`` / ``lease`` verbs; any stored record completes the
-  cell's lease), and one lease loop runs cells for the server's local
-  worker and for :class:`FleetWorker`, the pull side behind
-  ``run <suite> --fleet host:port`` — workers lease one cell each time
-  their pool pulls one instead of computing a static shard, dead
-  workers' leases expire and are reassigned to survivors, and
+  :class:`LeaseTable` tracks registered workers, their offers,
+  heartbeats and per-fingerprint leases inside the server
+  (``register`` / ``heartbeat`` / ``lease`` verbs; any stored record
+  completes the cell's lease), and :class:`FleetWorker` is the pull
+  side behind ``run <suite> --fleet host:port`` — workers lease one cell
+  each time their pool pulls one instead of computing a static shard,
+  dead workers' leases expire and are reassigned to survivors, and
   replacement workers resume from the server's completed fingerprints.
 
-A sweep is distributed one of two ways: static ``--shard`` runs merged
-afterwards with ``merge``, or live ``--fleet`` workers leasing from one
-server.
+``serve`` only collects; ``run`` is the one executor.  A sweep runs in
+one process, as static ``--shard`` runs merged afterwards with
+``merge``, or as live ``--fleet`` workers leasing from one server.
 """
 
 from repro.service.client import (

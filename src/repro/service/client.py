@@ -12,8 +12,8 @@ for many requests instead.
 Startup races are absorbed here: a connect refused or a missing socket
 file retries with exponential backoff for up to
 ``DEFAULT_CONNECT_RETRY_S`` seconds before surfacing
-:class:`ServiceError` — ``serve &`` followed immediately by ``submit``
-works without hand-written sleep loops.
+:class:`ServiceError` — ``serve &`` followed immediately by ``run
+<suite> --fleet`` works without hand-written sleep loops.
 
 TCP requests carry the shared auth token (explicit ``token=`` or the
 ``REPRO_SERVICE_TOKEN`` environment variable); Unix-socket requests
@@ -187,36 +187,9 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        suite: str,
-        smoke: bool = False,
-        sizes: tuple[int, ...] | None = None,
-        seeds: tuple[int, ...] | None = None,
-    ) -> dict[str, Any]:
-        """Queue a suite's cells for the server's local workers.
-
-        ``smoke``, ``sizes`` and ``seeds`` shape the sweep as they do
-        for ``run``; each cell runs on the engine
-        :func:`~repro.local.select_engine` picks for it.  Returns
-        ``total_cells``, ``skipped`` (already verified in the server's
-        store) and ``fingerprints``, the queued cells — the argument
-        :meth:`status` and :meth:`wait` track progress over.
-        """
-        payload: dict[str, Any] = {"op": "submit", "suite": suite, "smoke": smoke}
-        if sizes is not None:
-            payload["sizes"] = list(sizes)
-        if seeds is not None:
-            payload["seeds"] = list(seeds)
-        return self.request(payload)
-
-    def status(self, fingerprints: list[str] | None = None) -> dict[str, Any]:
-        """The server's counters, uptime and ingest rate, or progress over
-        ``fingerprints``: ``completed``, ``unverified``, ``failures``,
-        ``pending``, ``done``."""
-        if fingerprints is None:
-            return self.request({"op": "status"})
-        return self.request({"op": "status", "fingerprints": list(fingerprints)})
+    def status(self) -> dict[str, Any]:
+        """The server's ``records`` and ``duplicates`` counts."""
+        return self.request({"op": "status"})
 
     def report(self) -> dict[str, Any]:
         """A rendered report bundle over the server's whole store.
@@ -235,56 +208,8 @@ class ServiceClient:
         """
         return self.request({"op": "metrics"})["metrics"]
 
-    # -- elastic-fleet verbs (the server as control plane) --------------
-    def register(self, worker: str) -> dict[str, Any]:
-        """Register a fleet worker; returns ``worker_id`` plus the
-        fleet cadence (``heartbeat_interval_s``, ``lease_ttl_s``)."""
-        return self.request({"op": "register", "worker": worker})
-
-    def lease(
-        self,
-        worker_id: str,
-        fingerprints: list[str],
-        release: list[str] | None = None,
-    ) -> dict[str, Any]:
-        """Lease one pending cell from the offered universe.
-
-        Returns ``granted`` (the fingerprint now leased to this worker,
-        if any), ``pending`` / ``outstanding`` counts and ``done`` —
-        true only when every offered fingerprint is completed
-        fleet-wide.  ``release`` hands back fingerprints this worker
-        gave up on.
-        """
-        payload: dict[str, Any] = {
-            "op": "lease",
-            "worker_id": worker_id,
-            "fingerprints": list(fingerprints),
-        }
-        if release:
-            payload["release"] = list(release)
-        return self.request(payload)
-
     def shutdown(self) -> None:
         self.request({"op": "shutdown"})
-
-    def wait(
-        self,
-        fingerprints: list[str],
-        poll_interval: float = 0.1,
-        timeout: float = 600.0,
-    ) -> dict[str, Any]:
-        """Poll :meth:`status` over submitted cells until none is pending."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(fingerprints)
-            if status["done"]:
-                return status
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"timed out after {timeout:.0f}s waiting for "
-                    f"{status['pending']} pending cell(s)"
-                )
-            time.sleep(poll_interval)
 
 
 class CollectorSink:

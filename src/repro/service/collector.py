@@ -1,30 +1,16 @@
-"""The sweep server: one deduplicated store, the lease table and local
-workers.
+"""The sweep server: one deduplicated store and the lease table.
 
 ``python -m repro.experiments serve`` runs one :class:`ResultCollector`:
 a :class:`~repro.service.protocol.LineServer` on a Unix socket and, with
 ``--listen host:port``, on token-authenticated TCP, in front of one
 fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`
-(``--out``).  Every record reaches that store through
-:meth:`ResultCollector.ingest`, whichever way it was computed:
-
-* **submitted**: ``submit`` queues a suite's cells that are not yet
-  verified in the store, and the server's local worker — a warm
-  :class:`~repro.experiments.runner.WorkerPool` of ``--workers N``
-  processes — leases and runs them;
-* **fleet**: ``run <suite> --fleet host:port`` workers on any machine
-  lease cells from the same :class:`~repro.service.leases.LeaseTable`
-  and ``push`` each result back.
-
-Both run the one :class:`~repro.service.leases.LeaseLoop`: the local
-worker asks this server's own verb table, in-process, for the pending
-submitted cells, one each time its pool pulls one, and ingests each
-result.  It is one more lease holder, so a fleet worker that offers a
-submitted suite shares its cells, and a record for a pending cell from
-*any* stream retires it.  ``serve --workers 0`` runs no local worker and
-refuses ``submit``: it is the fleet's collector alone.  The store is a
-perfectly ordinary store: ``report --out`` reads it unchanged, and the
-``report`` verb serves the same bytes over the wire.
+(``--out``).  The server computes nothing: ``run <suite> --fleet
+host:port`` workers on any machine lease cells from its
+:class:`~repro.service.leases.LeaseTable` and ``push`` each result back,
+and every record reaches the store through :meth:`ResultCollector.ingest`.
+A record for a leased cell from *any* stream retires the lease.  The
+store is a perfectly ordinary store: ``report --out`` reads it
+unchanged, and the ``report`` verb serves the same bytes over the wire.
 
 Deduplication applies :func:`repro.experiments.store.resolve_duplicate`
 — the *same* policy as file-based merging, under one lock, so the
@@ -41,46 +27,33 @@ concurrent streams deliver a fingerprint:
 
 Verbs
 -----
-``submit``
-    ``{"op": "submit", "suite": "paper-claims", "smoke": true,
-    "sizes": [...], "seeds": [...]}`` → ``total_cells``,
-    ``skipped`` (already verified in the store) and ``fingerprints`` (the
-    cells queued for the local worker).  Every field is validated here,
-    so a bad request fails fast at the client: ``suite`` takes a
-    non-empty string, ``smoke`` a JSON boolean (absent means false), and
-    ``sizes`` and ``seeds`` integral numbers or numeric strings only.
-    Unknown fields are ignored; each cell runs on the engine
-    :func:`~repro.local.select_engine` picks for it.
 ``status``
-    Cumulative ingest counters, the pending-cell and local-worker
-    counts, the store path, uptime and the records/sec ingest rate;
-    with ``fingerprints`` (a submit reply's list), progress over those
-    cells: ``completed``, ``unverified``, ``failures``, ``pending`` and
-    ``done``.
+    ``records`` (distinct fingerprints stored) and ``duplicates``
+    (records that arrived for a fingerprint already stored).
 ``push``
-    ``{"op": "push", "records": [<cell record>, ...]}`` → per-batch
-    ``accepted`` / ``dropped`` / ``conflicts`` counts.
+    ``{"op": "push", "records": [<cell record>, ...]}``: ingest a batch.
 ``report``
     The rendered report bundle over the whole store — the same bytes
     ``report --json`` would write from it.
 ``metrics``
     The server's full Prometheus-text exposition (ingest counters by
-    fate, per-phase cell timings, simulator rounds per engine, pool
-    traffic, lease fates, per-verb latency).  Counters are cumulative
-    since the server started; two saved scrapes compared with
-    ``dashboard --diff`` show what changed between them.
+    fate, per-phase cell timings, simulator rounds per engine, lease
+    fates, per-verb latency).  Counters are cumulative since the server
+    started; two saved scrapes compared with ``dashboard --diff`` show
+    what changed between them.
 ``register`` / ``heartbeat`` / ``lease``
-    The elastic-fleet control plane (:mod:`repro.service.leases`):
-    workers register, lease one pending cell per request under
-    heartbeat-renewed leases, and stream results back through ``push``
-    — which doubles as lease completion.  A worker that stops
-    heartbeating has its leases expired and handed to whoever asks
-    next; the ``metrics`` scrape counts workers alive and lost
-    (``fleet_workers``) and lease events by fate
+    The elastic-fleet control plane (:mod:`repro.service.leases`): a
+    worker registers its offer once (``{"op": "register",
+    "fingerprints": [...]}``), leases one pending cell of it per request
+    (``{"op": "lease", "worker_id": ..., "release": [...]}``, handing
+    back the cells it failed) under heartbeat-renewed leases, and
+    streams results back through ``push`` — which doubles as lease
+    completion.  A worker that stops heartbeating has its leases expired
+    and handed to whoever asks next; the ``metrics`` scrape counts
+    workers alive and lost (``fleet_workers``) and lease events by fate
     (``fleet_leases_total``).
 ``shutdown``
-    Refuse new submits, let the local worker finish the submitted
-    cells, then stop serving.
+    Stop serving.
 """
 
 from __future__ import annotations
@@ -91,8 +64,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.report import report_payload
-from repro.experiments.runner import CellOutcome, WorkerPool
-from repro.experiments.spec import Cell, get_suite
 from repro.experiments.store import (
     DEFAULT_OUT,
     CellResult,
@@ -100,11 +71,7 @@ from repro.experiments.store import (
     resolve_duplicate,
 )
 from repro.obs import MetricsRegistry
-from repro.service.leases import (
-    DEFAULT_HEARTBEAT_INTERVAL_S,
-    LeaseLoop,
-    LeaseTable,
-)
+from repro.service.leases import DEFAULT_HEARTBEAT_INTERVAL_S, LeaseTable
 from repro.service.protocol import (
     LineServer,
     ServiceError,
@@ -121,47 +88,22 @@ __all__ = ["DEFAULT_SOCKET", "ResultCollector"]
 #: Default rendezvous point, next to the default result store.
 DEFAULT_SOCKET = "experiments/service.sock"
 
+#: The verb table's names, in the order the unknown-op error lists them.
+VERBS = (
+    "status", "push", "report", "metrics",
+    "register", "heartbeat", "lease", "shutdown",
+)
 
-def _int_tuple_field(name: str, value: Any) -> tuple[int, ...] | None:
-    """Coerce a submit list field (``sizes``/``seeds``) to an int tuple.
 
-    Raises :class:`ValueError` naming the field and the offending value,
-    so the submit handler answers a validation ``error_response`` like
-    every other parameter instead of letting a bare ``int(...)`` crash
-    escape as an opaque handler exception.  Empty/absent means "use the
-    suite's own sweep" (``None``).  Only integral values pass: ``128.0``
-    and ``"96"`` coerce, while ``2.5`` is refused rather than truncated,
-    and so are ``Infinity`` and ``NaN``, which the server's JSON decoder
-    accepts.  Booleans are refused too — ``True`` is an ``int`` to
-    Python but never a sweep size anyone meant.
-    """
-    if value is None or value == []:
-        return None
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(
-            f"submit: {name!r} must be a list of integers, got {value!r}"
-        )
-    items = []
-    for item in value:
-        coerced = item
-        if isinstance(item, float) and item.is_integer():
-            coerced = int(item)
-        elif isinstance(item, str):
-            try:
-                coerced = int(item)
-            except ValueError:
-                pass
-        if isinstance(coerced, bool) or not isinstance(coerced, int):
-            raise ValueError(
-                f"submit: {name!r} must be a list of integers, "
-                f"got {item!r} in {value!r}"
-            )
-        items.append(coerced)
-    return tuple(items)
+def _fingerprint_list(value: Any) -> bool:
+    """Whether ``value`` is a list of non-empty fingerprint strings."""
+    return isinstance(value, list) and all(
+        isinstance(item, str) and item for item in value
+    )
 
 
 class ResultCollector:
-    """The sweep server: one deduplicated store, leases, local workers."""
+    """The sweep server: one deduplicated store and the lease table."""
 
     def __init__(
         self,
@@ -170,32 +112,23 @@ class ResultCollector:
         socket_path: str | Path | None = None,
         token: str | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        workers: int = 0,
     ) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be at least 0, got {workers}")
         self.store = ResultStore(out)
         self.listen = listen
         self.socket_path = Path(socket_path) if socket_path is not None else None
         self.token = resolve_token(token)
         self._latest: dict[str, dict[str, Any]] = {}
         self._lock = threading.Lock()
-        # Wakes the local worker when cells are submitted or shutdown is
-        # requested.
-        self._work = threading.Condition(self._lock)
-        #: Submitted cells not yet retired: fingerprint → (suite, cell).
-        self._pending: dict[str, tuple[str, Cell]] = {}
-        #: Submitted cells whose local run failed, by fingerprint.
-        self._failures: dict[str, dict[str, Any]] = {}
         self._shutdown = threading.Event()
         self._server: LineServer | None = None
-        # Cumulative ingest counters (served by status).
+        # Cumulative ingest counters (status serves records and
+        # duplicates; serve prints the rest when it stops).
         self.accepted = 0
         self.dropped = 0
         self.duplicates = 0
         self.conflicts = 0
         #: Store records skipped at startup for lacking a fingerprint —
-        #: surfaced by status/metrics instead of refusing to serve.
+        #: surfaced by the metrics gauge instead of refusing to serve.
         self.malformed_store_records = 0
         #: Records the startup replay read from the store, malformed ones
         #: included: what was on disk before this process appended any.
@@ -207,12 +140,6 @@ class ResultCollector:
         self._started_monotonic: float | None = None
         self._last_push_monotonic: float | None = None
         self.registry = MetricsRegistry()
-        #: The local worker's warm pool; ``None`` with ``workers=0``.
-        self.pool = (
-            WorkerPool(workers=workers, registry=self.registry) if workers else None
-        )
-        self._worker: LeaseLoop | None = None
-        self._worker_thread: threading.Thread | None = None
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -251,14 +178,9 @@ class ResultCollector:
             "collector_store_malformed_records",
             "Store records skipped at startup for lacking a fingerprint.",
         ).set_function(lambda: float(self.malformed_store_records))
-        self.registry.gauge(
-            "collector_pending_cells",
-            "Submitted cells not yet stored or failed.",
-        ).set_function(lambda: float(len(self._pending)))
         # Cell phase timings and simulator rounds come off the records
-        # themselves: cells run in other processes (pool workers, fleet
-        # machines), so their accounts travel inside the record and land
-        # here at ingest, for submitted and fleet-pushed cells alike.
+        # themselves: cells run on fleet machines, so their accounts
+        # travel inside the record and land here at ingest.
         self._cell_phase_seconds = self.registry.histogram(
             "cell_phase_seconds",
             "Per-cell phase durations (generate/run/network/verify/simulate) of "
@@ -320,10 +242,6 @@ class ResultCollector:
             return 0.0
         return time.monotonic() - self._last_push_monotonic
 
-    def _records_per_s(self) -> float:
-        uptime = self._uptime_s()
-        return self.accepted / uptime if uptime > 0 else 0.0
-
     @property
     def tcp_address(self) -> tuple[str, int] | None:
         """The bound ``(host, port)`` of the TCP listener, if any."""
@@ -333,16 +251,11 @@ class ResultCollector:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Check the endpoints, load the store, fork the pool, then bind.
+        """Check the endpoints, load the store, then bind.
 
         Every endpoint problem (over-long socket path, a live server on
-        the socket, TCP without a token) is refused before any resource
-        is acquired: the pool must never fork for a server that cannot
-        come up.  Binding happens only *after* the fork — a listener
-        bound first would be inherited by every worker and keep the
-        socket alive past the server's death — and the fork happens
-        before this server starts any thread, so no child inherits a
-        lock some other thread held.
+        the socket, TCP without a token) is refused before anything is
+        bound.
 
         A restarted server picks up exactly where it stopped: the
         store's records are replayed through the same duplicate policy,
@@ -379,8 +292,8 @@ class ResultCollector:
             if not isinstance(fingerprint, str) or not fingerprint:
                 # One corrupt line must not brick a restart (and with it
                 # collector-aware resume): skip it, count it, surface the
-                # count via status and the malformed-records gauge.  The
-                # line stays in the JSONL file untouched for forensics.
+                # count via the malformed-records gauge.  The line stays
+                # in the JSONL file untouched for forensics.
                 self.malformed_store_records += 1
                 continue
             previous = self._latest.get(fingerprint)
@@ -394,16 +307,13 @@ class ResultCollector:
             for fingerprint, record in self._latest.items()
             if record.get("verified")
         )
-        if self.pool is not None:
-            self.pool.start()
         server = LineServer(
             self._dispatch,
             token=self.token,
             name="result-collector",
             close_after=lambda request, _: request.get("op") == "shutdown",
             registry=self.registry,
-            verbs=("submit", "status", "push", "report", "metrics",
-                   "register", "heartbeat", "lease", "shutdown"),
+            verbs=VERBS,
         )
         try:
             if self.socket_path is not None:
@@ -413,23 +323,9 @@ class ResultCollector:
             server.start()
         except BaseException:
             server.close()
-            if self.pool is not None:
-                self.pool.shutdown()
             raise
         self._server = server
         self._started_monotonic = time.monotonic()
-        if self.pool is not None:
-            # The local worker: the fleet's lease loop, asking this
-            # server's verb table in-process for submitted cells.
-            self._worker = LeaseLoop(
-                self._dispatch, self.pool, "local",
-                offer=lambda: self._pending, sink=self._settle, lock=self._lock,
-            )
-            self._worker.start()
-            self._worker_thread = threading.Thread(
-                target=self._run_submitted, name="local-worker", daemon=True
-            )
-            self._worker_thread.start()
 
     def serve_forever(self) -> None:
         """Run until a ``shutdown`` request (or :meth:`stop`) arrives."""
@@ -442,41 +338,18 @@ class ResultCollector:
             self.close()
 
     def stop(self) -> None:
-        """Request shutdown: new submits are refused, submitted cells still run.
-
-        Setting the flag under the lock makes stopping atomic with
-        respect to ``submit``: a submit that passed its shutdown check
-        has queued its cells before the flag can be set, so the local
-        worker (which exits only once the flag is set *and* nothing is
-        pending) never strands an accepted cell.
-        """
-        with self._work:
-            self._shutdown.set()
-            self._work.notify_all()
+        """Request shutdown: :meth:`serve_forever` returns."""
+        self._shutdown.set()
 
     def close(self) -> None:
-        """Stop, let the local worker drain, and release every resource.
-
-        The local worker is joined *before* the listeners close: clients
-        keep polling ``status`` while the submitted cells drain.
-        """
+        """Stop and release every resource."""
         self.stop()
-        if self._worker_thread is not None:
-            # No timeout: the shutdown contract is "submitted cells still
-            # run", however long they take.  A dead pool worker cannot
-            # hang this — the pool fails its cells within ~1 s.
-            self._worker_thread.join()
-            self._worker_thread = None
-        if self._worker is not None:
-            self._worker.stop()
         if self._server is not None:
             # The server unlinks only a socket *it* bound: a close()
             # after a failed start ("another server is serving") has no
             # server and must not sever the live one owning the file.
             self._server.close()
             self._server = None
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def __enter__(self) -> "ResultCollector":
         self.start()
@@ -507,7 +380,7 @@ class ResultCollector:
         if not isinstance(fingerprint, str) or not fingerprint:
             raise ValueError("pushed record lacks a fingerprint field")
         result = CellResult.from_record(record)
-        with self._work:
+        with self._lock:
             previous = self._latest.get(fingerprint)
             resolution = (
                 resolve_duplicate(previous, record) if previous is not None else None
@@ -528,13 +401,9 @@ class ResultCollector:
             if previous is not None:
                 self.duplicates += 1
             self._fate_metric.labels(fate=fate).inc()
-            # A record from any stream retires a submitted cell and
-            # completes its lease — for *every* fate: even a dropped
-            # duplicate proves the cell ran somewhere.  Both happen under
-            # the ingest lock, so a concurrent submit sees either neither
-            # or both.
-            self._failures.pop(fingerprint, None)
-            self._pending.pop(fingerprint, None)
+            # A record from any stream completes the cell's lease — for
+            # *every* fate: even a dropped duplicate proves the cell ran
+            # somewhere.
             self.leases.complete(fingerprint)
         return fate
 
@@ -550,51 +419,14 @@ class ResultCollector:
             ).inc(rounds)
 
     # ------------------------------------------------------------------
-    # the local worker (a thread of this process, cells on the pool)
-    # ------------------------------------------------------------------
-    def _run_submitted(self) -> None:
-        """Run the lease loop over submitted cells whenever any is
-        pending, until shutdown is requested and none is left."""
-        while True:
-            with self._work:
-                while not self._pending and not self._shutdown.is_set():
-                    self._work.wait()
-                if not self._pending:
-                    return
-            self._worker.run()
-
-    def _settle(self, outcome: CellOutcome) -> bool:
-        """The local worker's sink: ingest a result, or record the failure
-        of a cell that raised, died with its pool process or could not
-        be stored.  Returns whether the cell was stored."""
-        error = outcome.error
-        if error is None:
-            try:
-                self.ingest(outcome.result.to_record())
-                return True
-            except Exception as ingest_error:  # noqa: BLE001 - a cell failure
-                error = repr(ingest_error)
-        cell = outcome.cell
-        with self._lock:
-            # Not pending: another stream's record retired it meanwhile.
-            if self._pending.pop(cell.fingerprint, None) is not None:
-                self._failures[cell.fingerprint] = {
-                    "scenario": cell.scenario,
-                    "n": cell.n,
-                    "seed": cell.seed,
-                    "error": error,
-                }
-        return False
-
-    # ------------------------------------------------------------------
     # protocol handling
     # ------------------------------------------------------------------
     def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
-        if op == "submit":
-            return self._handle_submit(request)
         if op == "status":
-            return self._handle_status(request)
+            return ok_response(
+                records=len(self._latest), duplicates=self.duplicates
+            )
         if op == "push":
             return self._handle_push(request)
         if op == "report":
@@ -614,115 +446,19 @@ class ResultCollector:
         if op == "shutdown":
             self.stop()
             return ok_response(stopping=True)
-        return error_response(
-            f"unknown op {op!r} (expected submit/status/push/report/"
-            f"metrics/register/heartbeat/lease/shutdown)"
-        )
-
-    def _handle_submit(self, request: dict[str, Any]) -> dict[str, Any]:
-        if self.pool is None:
-            return error_response(
-                "this server runs no local workers (serve --workers 0); run "
-                "the suite on fleet workers instead: run <suite> --fleet "
-                "<this endpoint>"
-            )
-        if self._shutdown.is_set():
-            return error_response("server is shutting down; submit rejected")
-        suite_name = request.get("suite")
-        if suite_name is None:
-            return error_response("submit requires a 'suite' field")
-        if not isinstance(suite_name, str) or not suite_name:
-            return error_response(
-                f"submit: 'suite' must be a non-empty string, got {suite_name!r}"
-            )
-        smoke = request.get("smoke", False)
-        if not isinstance(smoke, bool):
-            return error_response(
-                f"submit: 'smoke' must be a JSON boolean, got {smoke!r}"
-            )
-        try:
-            suite = get_suite(suite_name)
-        except KeyError as error:
-            return error_response(error.args[0])
-        try:
-            sizes = _int_tuple_field("sizes", request.get("sizes"))
-            seeds = _int_tuple_field("seeds", request.get("seeds"))
-        except ValueError as error:
-            return error_response(str(error))
-        cells = suite.cells(smoke=smoke, sizes=sizes, seeds=seeds)
-        with self._work:
-            # Re-check under the lock: stop() also takes it, so cells
-            # queued here are queued before the flag can flip and the
-            # local worker is guaranteed to drain them.
-            if self._shutdown.is_set():
-                return error_response("server is shutting down; submit rejected")
-            queued = []
-            for cell in cells:
-                if self._latest.get(cell.fingerprint, {}).get("verified"):
-                    continue
-                queued.append(cell.fingerprint)
-                self._pending.setdefault(cell.fingerprint, (suite.name, cell))
-                self._failures.pop(cell.fingerprint, None)
-            # An unverified record completed its lease; re-running the
-            # cell needs it leasable again.
-            self.leases.reopen(queued)
-            self._work.notify_all()
-        return ok_response(
-            total_cells=len(cells),
-            skipped=len(cells) - len(queued),
-            fingerprints=queued,
-        )
-
-    def _handle_status(self, request: dict[str, Any]) -> dict[str, Any]:
-        fingerprints = request.get("fingerprints")
-        if fingerprints is None:
-            return ok_response(
-                records=len(self._latest),
-                accepted=self.accepted,
-                duplicates=self.duplicates,
-                dropped=self.dropped,
-                conflicts=self.conflicts,
-                malformed_store_records=self.malformed_store_records,
-                pending=len(self._pending),
-                workers=self.pool.workers if self.pool is not None else 0,
-                store=str(self.store.path),
-                uptime_s=self._uptime_s(),
-                records_per_s=self._records_per_s(),
-            )
-        if not isinstance(fingerprints, list) or not all(
-            isinstance(item, str) for item in fingerprints
-        ):
-            return error_response(
-                "status: 'fingerprints' must be a list of cell fingerprint strings"
-            )
-        with self._lock:
-            pending = sum(1 for fp in fingerprints if fp in self._pending)
-            failures = [self._failures[fp] for fp in fingerprints if fp in self._failures]
-            stored = [
-                self._latest[fp]
-                for fp in fingerprints
-                if fp in self._latest
-                and fp not in self._pending
-                and fp not in self._failures
-            ]
-        return ok_response(
-            completed=len(stored),
-            unverified=sum(1 for record in stored if not record.get("verified")),
-            failures=failures,
-            pending=pending,
-            done=pending == 0,
-        )
+        return error_response(f"unknown op {op!r} (expected {'/'.join(VERBS)})")
 
     # ------------------------------------------------------------------
     # fleet verbs (the lease-based control plane)
     # ------------------------------------------------------------------
     def _handle_register(self, request: dict[str, Any]) -> dict[str, Any]:
-        worker = request.get("worker")
-        if not isinstance(worker, str) or not worker:
+        fingerprints = request.get("fingerprints")
+        if not _fingerprint_list(fingerprints):
             return error_response(
-                "register requires a non-empty 'worker' name string"
+                "register requires a 'fingerprints' list of cell fingerprint "
+                "strings (the worker's offer)"
             )
-        return ok_response(**self.leases.register(worker))
+        return ok_response(**self.leases.register(fingerprints))
 
     def _handle_heartbeat(self, request: dict[str, Any]) -> dict[str, Any]:
         worker_id = request.get("worker_id")
@@ -734,24 +470,12 @@ class ResultCollector:
         worker_id = request.get("worker_id")
         if not isinstance(worker_id, str) or not worker_id:
             return error_response("lease requires a 'worker_id' string")
-        fingerprints = request.get("fingerprints")
-        if not isinstance(fingerprints, list) or not all(
-            isinstance(item, str) and item for item in fingerprints
-        ):
-            return error_response(
-                "lease requires a 'fingerprints' list of cell fingerprint "
-                "strings (the worker's offered universe)"
-            )
         release = request.get("release", [])
-        if not isinstance(release, list) or not all(
-            isinstance(item, str) for item in release
-        ):
+        if not _fingerprint_list(release):
             return error_response(
                 "lease: 'release' must be a list of fingerprint strings"
             )
-        return ok_response(**self.leases.grant(
-            worker_id, fingerprints, release=release
-        ))
+        return ok_response(**self.leases.grant(worker_id, release=release))
 
     def _handle_push(self, request: dict[str, Any]) -> dict[str, Any]:
         records = request.get("records")
@@ -759,7 +483,7 @@ class ResultCollector:
             return error_response("push requires a 'records' list")
         # Validate the whole batch before ingesting any of it: a bad
         # record mid-batch must not leave a half-ingested prefix whose
-        # counts are lost and whose retry would double-ingest.
+        # retry would double-ingest.
         for index, record in enumerate(records):
             if not isinstance(record, dict):
                 return error_response(
@@ -778,13 +502,6 @@ class ResultCollector:
                 )
         self._push_batch_records.observe(len(records))
         self._last_push_monotonic = time.monotonic()
-        counts = {"accepted": 0, "dropped": 0, "conflicts": 0}
         for record in records:
-            fate = self.ingest(record)
-            if fate == "dropped":
-                counts["dropped"] += 1
-            else:
-                counts["accepted"] += 1
-                if fate == "conflict":
-                    counts["conflicts"] += 1
-        return ok_response(**counts)
+            self.ingest(record)
+        return ok_response()

@@ -7,44 +7,46 @@ a human reruns it.  The lease model drops that assumption: workers
 short-lived leases, renew them from a background heartbeat thread, and
 stream each completed cell back through the ordinary ``push`` verb
 (push doubles as lease completion).  A lease whose worker stops
-heartbeating expires and its fingerprints return to the pending set,
-where any live worker picks them up on its next ``lease`` call — the
-robustness jump from "k machines" to "whatever shows up".
+heartbeating expires and its fingerprint goes to whichever live worker
+asks next — the robustness jump from "k machines" to "whatever shows
+up".
 
 Two halves live here:
 
 :class:`LeaseTable`
-    The server-side scheduler state: registered workers, heartbeat
-    deadlines, active leases and the completed-fingerprint set, all
-    under one lock and all on the **monotonic** clock (a wall-clock step
-    must never mass-expire leases).  Expiry is lazy — checked at the
-    top of every verb — so the table needs no background thread of its
-    own.  Every lease event is reported through an optional callback,
-    which is how the server turns scheduling into
-    ``fleet_leases_total{fate}`` metrics without this module importing
-    any observability code.
+    The server-side scheduler state: registered workers with their
+    offers, heartbeat deadlines, active leases and the
+    completed-fingerprint set, all under one lock and all on the
+    **monotonic** clock (a wall-clock step must never mass-expire
+    leases).  A worker sends its offer once, at ``register``, and the
+    table reads it through a cursor that only moves forward, so a sweep
+    of N cells costs O(N) in request bytes and in server CPU.  Expiry
+    is lazy — checked at the top of every verb — so the table needs no
+    background thread of its own.  Every lease event is reported
+    through an optional callback, which is how the server turns
+    scheduling into ``fleet_leases_total{fate}`` metrics without this
+    module importing any observability code.
 
-:class:`LeaseLoop`
-    The one worker-side loop, run by the server's local worker (``serve
-    --workers N``) against its own verb table and by
-    :class:`FleetWorker` (``run <suite> --fleet host:port``) over a
-    :class:`~repro.service.client.ServiceClient`, so submitted cells and
-    fleet workers share one schedule.  A replacement fleet worker
-    "resumes" a dead machine's sweep with no JSONL copying at all: the
-    server never grants a completed fingerprint again.
+:class:`FleetWorker`
+    The one executor that leases (``run <suite> --fleet host:port``):
+    it registers the suite's cells, leases one each time its warm
+    :class:`~repro.experiments.runner.WorkerPool` pulls one, and pushes
+    every result back.  A replacement worker "resumes" a dead machine's
+    sweep with no JSONL copying at all: the server never grants a
+    completed fingerprint again.
 
 Lease lifecycle fates (the ``fate`` label of ``fleet_leases_total``):
 
 ``granted``
     A pending fingerprint was handed to a worker.
 ``renewed``
-    A heartbeat (or an explicit re-grant) pushed a lease deadline out.
+    A heartbeat pushed a lease deadline out.
 ``expired``
     The deadline passed without a heartbeat; the fingerprint is pending
     again.
 ``released``
-    The worker gave the fingerprint back voluntarily (its cell raised),
-    so another worker may try it.
+    The worker gave the fingerprint back (its cell failed), so another
+    worker may try it.
 ``reassigned``
     A previously expired or released fingerprint was granted again —
     the recovery event the elastic-fleet smoke test asserts on.
@@ -56,13 +58,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import socket as socket_module
 import threading
 import time
-from contextlib import AbstractContextManager, closing, nullcontext
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from contextlib import closing
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.experiments.runner import (
     CellFailure,
@@ -79,7 +79,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL_S",
     "FleetWorker",
     "Lease",
-    "LeaseLoop",
     "LeaseTable",
     "WorkerEntry",
 ]
@@ -96,11 +95,16 @@ DEFAULT_TTL_HEARTBEATS = 2.0
 
 @dataclass
 class WorkerEntry:
-    """One registered fleet worker, as the collector sees it."""
+    """One registered fleet worker: when it was last heard from, and its
+    offer, read once through a cursor."""
 
-    worker_id: str
-    name: str
     last_seen: float  # monotonic
+    #: The offered fingerprints in order, each once.
+    offered: dict[str, None]
+    #: Over ``offered``: the fingerprints no grant has passed yet.
+    cursor: Iterator[str]
+    #: Fingerprints this worker failed: never granted to it again.
+    released: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -150,9 +154,10 @@ class LeaseTable:
         self._workers: dict[str, WorkerEntry] = {}
         self._leases: dict[str, Lease] = {}
         self._completed: set[str] = set()
-        # Fingerprints whose lease expired or was released: granting one
-        # of these again is the "reassigned" recovery event.
-        self._orphaned: set[str] = set()
+        # Fingerprints whose lease expired or was released, in the order
+        # they were: granting one of these again is the "reassigned"
+        # recovery event.
+        self._orphaned: dict[str, None] = {}
         self._worker_counter = 0
 
     # ------------------------------------------------------------------
@@ -169,29 +174,66 @@ class LeaseTable:
         ]
         for lease in expired:
             del self._leases[lease.fingerprint]
-            self._orphaned.add(lease.fingerprint)
+            self._orphaned[lease.fingerprint] = None
             self._event("expired", lease.age_s(now))
 
     def _alive(self, worker: WorkerEntry, now: float) -> bool:
         return (now - worker.last_seen) <= self.lease_ttl_s
 
+    def _mine(self, worker: WorkerEntry, fingerprint: str) -> bool:
+        """Whether ``fingerprint`` is the worker's to run: offered by it
+        and not released by it."""
+        return fingerprint in worker.offered and fingerprint not in worker.released
+
+    def _next(self, worker: WorkerEntry) -> str | None:
+        """The next fingerprint the worker may lease, or ``None``.
+
+        An expired or released fingerprint of its offer comes first (all
+        of them are pending), then the cursor moves past completed,
+        leased and released ones to the first pending one.  The cursor
+        never goes back: what it passed was completed, or leased and so
+        comes back here through ``_orphaned`` unless it completes.
+        """
+        for fingerprint in self._orphaned:
+            if self._mine(worker, fingerprint):
+                return fingerprint
+        for fingerprint in worker.cursor:
+            if (
+                fingerprint not in self._completed
+                and fingerprint not in self._leases
+                and fingerprint not in worker.released
+            ):
+                return fingerprint
+        return None
+
+    def _done(self, worker: WorkerEntry) -> bool:
+        """Whether every fingerprint of the worker's offer is completed,
+        those it released aside.  Once its cursor is spent, what is left
+        is leased or orphaned, so only those two are scanned."""
+        return not any(
+            self._mine(worker, fingerprint)
+            for fingerprint in itertools.chain(self._leases, self._orphaned)
+        )
+
     # ------------------------------------------------------------------
     # verbs
     # ------------------------------------------------------------------
-    def register(self, name: str) -> dict[str, Any]:
-        """Add a worker; returns its id and the fleet cadence settings."""
+    def register(self, fingerprints: Iterable[str]) -> dict[str, Any]:
+        """Add a worker offering ``fingerprints``, the cells it would run
+        in the order it would run them (a repeat counts once, at its
+        first place).  Returns its id and the fleet cadence."""
+        offered = dict.fromkeys(fingerprints)
         now = self._clock()
         with self._lock:
             self._expire(now)
             self._worker_counter += 1
             worker_id = f"worker-{self._worker_counter}"
             self._workers[worker_id] = WorkerEntry(
-                worker_id=worker_id, name=str(name), last_seen=now
+                last_seen=now, offered=offered, cursor=iter(offered)
             )
             return {
                 "worker_id": worker_id,
                 "heartbeat_interval_s": self.heartbeat_interval_s,
-                "lease_ttl_s": self.lease_ttl_s,
             }
 
     def heartbeat(self, worker_id: str) -> dict[str, Any]:
@@ -209,34 +251,25 @@ class LeaseTable:
             if worker is None:
                 return {"known": False}
             worker.last_seen = now
-            renewed = 0
             for lease in self._leases.values():
                 if lease.worker_id == worker_id:
                     lease.deadline = now + self.lease_ttl_s
-                    renewed += 1
                     self._event("renewed")
-            return {"known": True, "leases": renewed}
+            return {"known": True}
 
     def grant(
-        self,
-        worker_id: str,
-        offered: Sequence[str],
-        release: Sequence[str] = (),
+        self, worker_id: str, release: Iterable[str] = ()
     ) -> dict[str, Any]:
-        """Lease the first pending fingerprint of ``offered``.
+        """Lease the worker the next pending fingerprint of its offer.
 
-        ``offered`` is the worker's whole fingerprint universe (its view
-        of the suite); the table subtracts what is already completed or
-        actively leased, and a fingerprint offered twice counts once, at
-        its first place in the offer.  ``release`` hands back
-        fingerprints the worker will not finish (failed cells) so
-        another worker may try them.  Answers ``known: false`` for an
-        unknown worker.  The reply's ``done`` flag is true only when
-        every offered fingerprint is completed — an empty grant with
-        ``done`` false means other workers hold the remainder, so the
-        caller should poll again, not exit.
+        ``release`` names fingerprints the worker failed: their leases
+        end, other workers may take them, and this one is never granted
+        them again.  Answers ``known: false`` for an unknown worker.
+        ``granted`` holds at most one fingerprint.  ``done`` is true only
+        when every offered fingerprint is completed, the released ones
+        aside — an empty grant with ``done`` false means other workers
+        hold the remainder, so the caller should ask again, not exit.
         """
-        offered = list(dict.fromkeys(offered))
         now = self._clock()
         with self._lock:
             self._expire(now)
@@ -245,53 +278,40 @@ class LeaseTable:
                 return {"known": False, "granted": [], "done": False}
             worker.last_seen = now
             for fingerprint in release:
+                worker.released.add(fingerprint)
                 lease = self._leases.get(fingerprint)
                 if lease is not None and lease.worker_id == worker_id:
                     del self._leases[fingerprint]
-                    self._orphaned.add(fingerprint)
+                    self._orphaned[fingerprint] = None
                     self._event("released", lease.age_s(now))
-            pending = [
-                fingerprint
-                for fingerprint in offered
-                if fingerprint not in self._completed
-                and fingerprint not in self._leases
-            ]
-            granted = pending[:1]
-            for fingerprint in granted:
-                self._leases[fingerprint] = Lease(
-                    fingerprint=fingerprint,
-                    worker_id=worker_id,
-                    granted_at=now,
-                    deadline=now + self.lease_ttl_s,
-                )
-                self._event("granted")
-                if fingerprint in self._orphaned:
-                    self._orphaned.discard(fingerprint)
-                    self._event("reassigned")
-            outstanding = sum(
-                1 for fingerprint in offered if fingerprint in self._leases
+            fingerprint = self._next(worker)
+            if fingerprint is None:
+                return {"known": True, "granted": [], "done": self._done(worker)}
+            self._leases[fingerprint] = Lease(
+                fingerprint=fingerprint,
+                worker_id=worker_id,
+                granted_at=now,
+                deadline=now + self.lease_ttl_s,
             )
-            return {
-                "known": True,
-                "granted": granted,
-                "pending": len(pending) - len(granted),
-                "outstanding": outstanding - len(granted),
-                "done": not pending and outstanding == 0,
-            }
+            self._event("granted")
+            if fingerprint in self._orphaned:
+                del self._orphaned[fingerprint]
+                self._event("reassigned")
+            return {"known": True, "granted": [fingerprint], "done": False}
 
     def complete(self, fingerprint: str) -> None:
         """Mark a fingerprint done; retires its lease if one is active.
 
         Wired to the server's ingest, so completion needs no verb of its
-        own — and a record from any stream (a fleet push, the local
-        worker, a bare ``push``) informs the scheduler.
+        own — and a record from any stream (a fleet push, a bare
+        ``push``) informs the scheduler.
         """
         now = self._clock()
         with self._lock:
             self._expire(now)
             lease = self._leases.pop(fingerprint, None)
             self._completed.add(fingerprint)
-            self._orphaned.discard(fingerprint)
+            self._orphaned.pop(fingerprint, None)
             if lease is not None:
                 self._event("completed", lease.age_s(now))
 
@@ -300,12 +320,6 @@ class LeaseTable:
         store (verified records only — mirroring resume semantics)."""
         with self._lock:
             self._completed.update(fingerprints)
-
-    def reopen(self, fingerprints: Iterable[str]) -> None:
-        """Make completed fingerprints leasable again: a submit re-runs
-        cells whose stored record is unverified, like a resumed sweep."""
-        with self._lock:
-            self._completed.difference_update(fingerprints)
 
     # ------------------------------------------------------------------
     # introspection (metrics gauges)
@@ -329,178 +343,19 @@ class LeaseTable:
             return max(lease.age_s(now) for lease in self._leases.values())
 
 
-class LeaseLoop:
-    """Register once, heartbeat from one thread, lease one cell each
-    time the warm :class:`WorkerPool` pulls one, and hand each outcome to
-    a sink.
-
-    ``request(payload)`` answers the ``register``, ``heartbeat`` and
-    ``lease`` verbs: a :class:`ServiceClient`'s for a fleet worker, the
-    server's own verb table for its local worker.  ``offer()`` maps each
-    fingerprint the worker would run to its ``(suite name, cell)``, read
-    under ``lock`` together with the lease request (the server passes its
-    ingest lock, so a granted cell is still pending).  ``sink(outcome)``
-    returns false for a failed cell, whose lease is released at once; an
-    exception from it ends the loop.  The heartbeat renews the worker's
-    leases every ``heartbeat_interval_s``, the cadence the server hands
-    out at registration, so a cell may outlive the lease TTL.
-    """
-
-    def __init__(
-        self,
-        request: Callable[[dict[str, Any]], dict[str, Any]],
-        pool: WorkerPool,
-        name: str,
-        offer: Callable[[], Mapping[str, tuple[str, Cell]]],
-        sink: Callable[[CellOutcome], bool],
-        lock: AbstractContextManager = nullcontext(),
-    ) -> None:
-        self.request = request
-        self.pool = pool
-        self.name = name
-        self.offer = offer
-        self.sink = sink
-        self._lock = lock
-        self.worker_id: str | None = None
-        self.heartbeat_interval_s = DEFAULT_HEARTBEAT_INTERVAL_S
-        self._stop = threading.Event()
-        self._heartbeat: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Register, then heartbeat from one thread until :meth:`stop`."""
-        self._register()
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"lease-heartbeat-{self.name}",
-            daemon=True,
-        )
-        self._heartbeat.start()
-
-    def stop(self) -> None:
-        """Stop heartbeating; the worker's leases then lapse with the TTL."""
-        self._stop.set()
-        if self._heartbeat is not None:
-            self._heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
-            self._heartbeat = None
-
-    def _register(self) -> None:
-        reply = self.request({"op": "register", "worker": self.name})
-        self.worker_id = reply["worker_id"]
-        self.heartbeat_interval_s = float(reply["heartbeat_interval_s"])
-
-    def _heartbeat_loop(self) -> None:
-        """Renew leases until stopped; re-register if forgotten.  A failed
-        beat is swallowed: the lease loop surfaces a real outage on its
-        next request, and one missed beat inside the TTL costs nothing."""
-        while not self._stop.wait(self.heartbeat_interval_s):
-            try:
-                beat = self.request(
-                    {"op": "heartbeat", "worker_id": self.worker_id}
-                )
-                if not beat["known"]:
-                    self._register()
-            except Exception:  # noqa: BLE001 - transient by design
-                continue
-
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        """Lease, run and settle cells until every offered cell is complete."""
-        while True:
-            leased, done = self._lease()
-            if leased is not None:
-                with closing(self._sweep(*leased)) as outcomes:
-                    for outcome in outcomes:
-                        if not self.sink(outcome):
-                            self._release(outcome.cell.fingerprint)
-            elif done:
-                return
-            else:
-                # Other workers hold what is left: ask again in half a
-                # beat, well inside the 2x-heartbeat TTL, so a holder
-                # that dies has its expired leases granted here.
-                self._stop.wait(self.heartbeat_interval_s / 2)
-
-    def _lease(
-        self, suite_name: str | None = None
-    ) -> tuple[tuple[str, Cell] | None, bool]:
-        """Lease one offered cell, of ``suite_name`` if given: the granted
-        ``(suite name, cell)`` or ``None``, and whether every offered
-        cell is complete."""
-        with self._lock:
-            offered = self.offer()
-            reply = self.request({
-                "op": "lease",
-                "worker_id": self.worker_id,
-                "fingerprints": [
-                    fingerprint
-                    for fingerprint, (suite, _) in offered.items()
-                    if suite_name is None or suite == suite_name
-                ],
-            })
-            leased = next(
-                (offered[f] for f in reply["granted"] if f in offered), None
-            )
-        if not reply["known"]:
-            # The server restarted and forgot this worker: register again
-            # and ask next time — completed work is durable in its store.
-            self._register()
-        return leased, reply["done"]
-
-    def _release(self, fingerprint: str) -> None:
-        # An empty offer: lease nothing, hand this one back.
-        self.request({
-            "op": "lease", "worker_id": self.worker_id,
-            "fingerprints": [], "release": [fingerprint],
-        })
-
-    def _sweep(self, suite_name: str, first: Cell) -> Iterator[CellOutcome]:
-        """Run leased cells of one suite on the pool, streaming outcomes.
-
-        The pool pulls the next cell as each outcome arrives, and each
-        pull leases one more offered cell of the suite, so every pool
-        process stays busy until nothing of the suite is leasable.
-        Should the pool itself break (a failed fork, say), every leased
-        cell still without an outcome fails with the error.  A failed
-        lease request is no cell's failure: it propagates.
-        """
-        running = {first.fingerprint: first}
-
-        def pull() -> Cell | None:
-            leased, _ = self._lease(suite_name)
-            if leased is None:
-                return None
-            cell = leased[1]
-            running[cell.fingerprint] = cell
-            return cell
-
-        cells = itertools.chain([first], iter(pull, None))
-        try:
-            with closing(self.pool.submit_sweep(suite_name, cells)) as outcomes:
-                for outcome in outcomes:
-                    running.pop(outcome.cell.fingerprint, None)
-                    yield outcome
-        except ServiceError:
-            raise
-        except Exception as error:  # noqa: BLE001 - fails the leased cells
-            for cell in list(running.values()):
-                yield CellOutcome(cell=cell, result=None, error=repr(error))
-
-
-def _default_worker_name() -> str:
-    return f"{socket_module.gethostname()}-{os.getpid()}"
-
-
 class FleetWorker:
     """Pull-based sweep worker for ``run <suite> --fleet host:port``.
 
-    Instead of computing a static shard, the worker runs the
-    :class:`LeaseLoop` against the server, offering the suite's cells,
-    on a warm :class:`WorkerPool` of ``jobs`` processes.  It appends each
-    result to the local store and pushes it (push retires the lease).
-    Failed cells are *released* back to the fleet and left out of this
-    worker's later offers — another machine may still try them, and
-    local resume retries them next sweep, exactly like the static path.
+    Instead of computing a static shard, the worker registers the
+    suite's cells with the server, then leases one cell each time its
+    warm :class:`WorkerPool` of ``jobs`` processes pulls one.  A
+    background thread heartbeats every ``heartbeat_interval_s``, the
+    cadence the server hands out at registration, so a cell may outlive
+    the lease TTL.  The worker appends each result to the local store
+    and pushes it (push retires the lease).  A failed cell is *released*
+    on the next lease request: another machine may still try it, this
+    worker never leases it again, and local resume retries it next
+    sweep, exactly like the static path.
 
     A push failure aborts the run: the server is the control plane, and
     a worker that cannot push cannot complete leases either.  The local
@@ -518,7 +373,6 @@ class FleetWorker:
         smoke: bool = False,
         sizes: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
-        name: str | None = None,
         progress: Callable[[CellResult], None] | None = None,
     ) -> None:
         if jobs < 1:
@@ -531,16 +385,28 @@ class FleetWorker:
         self.smoke = smoke
         self.sizes = sizes
         self.seeds = seeds
-        self.name = name if name else _default_worker_name()
         self.progress = progress
         self.pushed = 0
+        #: The id the server assigned at the latest registration.
+        self.worker_id: str | None = None
+        self.heartbeat_interval_s = DEFAULT_HEARTBEAT_INTERVAL_S
+        #: Answers one verb request; ``run`` points it at the server.
+        self._request: Callable[[dict[str, Any]], dict[str, Any]] | None = None
+        #: The cells this worker offers, by fingerprint; a failed cell
+        #: leaves it.
+        self._cells: dict[str, Cell] = {}
+        #: Failed fingerprints not yet released to the server.
+        self._released: list[str] = []
+        self._stop = threading.Event()
 
     def run(self) -> SweepReport:
         """Lease, execute and stream until the suite is fleet-complete."""
         start = time.perf_counter()
+        self._stop.clear()
         cells = self.suite.cells(
             smoke=self.smoke, sizes=self.sizes, seeds=self.seeds
         )
+        self._cells = {cell.fingerprint: cell for cell in cells}
         report = SweepReport(
             suite=self.suite.name,
             total_cells=len(cells),
@@ -550,6 +416,7 @@ class FleetWorker:
         )
         # A bad endpoint fails here, before anything forks.
         client = ServiceClient(self.fleet, token=self.token)
+        self._request = client.request
         sink = CollectorSink(client)
 
         def push(result: CellResult) -> None:
@@ -561,25 +428,9 @@ class FleetWorker:
                 self.progress(result)
 
         record = make_recorder(self.store, report, push)
-        failed: set[str] = set()
-
-        def settle(outcome: CellOutcome) -> bool:
-            if outcome.ok:
-                record(outcome.result)
-                return True
-            report.failures.append(CellFailure(outcome.cell, outcome.error))
-            failed.add(outcome.cell.fingerprint)
-            return False
-
         pool = WorkerPool(workers=self.jobs)
-        loop = LeaseLoop(
-            client.request, pool, self.name,
-            offer=lambda: {
-                cell.fingerprint: (self.suite.name, cell)
-                for cell in cells
-                if cell.fingerprint not in failed
-            },
-            sink=settle,
+        heartbeat = threading.Thread(
+            target=self._heartbeat_loop, name="fleet-heartbeat", daemon=True
         )
         # Fork the workers before any thread or socket exists: the
         # children must not inherit a mid-flight connection or a lock
@@ -587,10 +438,32 @@ class FleetWorker:
         pool.start()
         try:
             # Inside the try: an unreachable server must not leak the pool.
-            loop.start()
-            loop.run()
+            self._register()
+            heartbeat.start()
+            while True:
+                first, done = self._lease()
+                if first is not None:
+                    with closing(self._sweep(pool, first)) as outcomes:
+                        for outcome in outcomes:
+                            if outcome.ok:
+                                record(outcome.result)
+                                continue
+                            report.failures.append(
+                                CellFailure(outcome.cell, outcome.error)
+                            )
+                            self._cells.pop(outcome.cell.fingerprint, None)
+                            self._released.append(outcome.cell.fingerprint)
+                elif done:
+                    break
+                else:
+                    # Other workers hold what is left: ask again in half a
+                    # beat, well inside the 2x-heartbeat TTL, so a holder
+                    # that dies has its expired leases granted here.
+                    self._stop.wait(self.heartbeat_interval_s / 2)
         finally:
-            loop.stop()
+            self._stop.set()
+            if heartbeat.is_alive():
+                heartbeat.join(timeout=self.heartbeat_interval_s * 2 + 1)
             sink.close()
             pool.shutdown()
         report.skipped = (
@@ -598,3 +471,71 @@ class FleetWorker:
         )
         report.wall_clock_s = time.perf_counter() - start
         return report
+
+    def _register(self) -> None:
+        """Offer the cells this worker may still run.  After a server
+        restart this sends the offer again, the failed cells left out."""
+        reply = self._request(
+            {"op": "register", "fingerprints": list(self._cells)}
+        )
+        self.worker_id = reply["worker_id"]
+        self.heartbeat_interval_s = float(reply["heartbeat_interval_s"])
+
+    def _heartbeat_loop(self) -> None:
+        """Renew this worker's leases every interval until stopped.
+
+        It never registers: after a server restart the lease path does,
+        on its next request, so one worker gets one new id.  A failed
+        beat is swallowed: the lease path surfaces a real outage on its
+        next request, and one missed beat inside the TTL costs nothing.
+        """
+        while not self._stop.wait(self.heartbeat_interval_s):
+            try:
+                self._request({"op": "heartbeat", "worker_id": self.worker_id})
+            except Exception:  # noqa: BLE001 - transient by design
+                pass
+
+    def _lease(self) -> tuple[Cell | None, bool]:
+        """Release the cells failed since the last request and lease one:
+        the granted cell or ``None``, and whether the suite is complete."""
+        release, self._released = self._released, []
+        reply = self._request({
+            "op": "lease", "worker_id": self.worker_id, "release": release,
+        })
+        if not reply["known"]:
+            # The server restarted and forgot this worker: register again
+            # and ask next time — completed work is durable in its store.
+            self._register()
+            return None, False
+        granted = reply["granted"]
+        return (self._cells[granted[0]] if granted else None), reply["done"]
+
+    def _sweep(self, pool: WorkerPool, first: Cell) -> Iterator[CellOutcome]:
+        """Run leased cells on the pool, streaming outcomes.
+
+        The pool pulls the next cell as each outcome arrives, and each
+        pull leases one more cell, so every pool process stays busy until
+        nothing is leasable.  Should the pool itself break (a failed
+        fork, say), every leased cell still without an outcome fails with
+        the error.  A failed lease request is no cell's failure: it
+        propagates.
+        """
+        running = {first.fingerprint: first}
+
+        def pull() -> Cell | None:
+            cell, _ = self._lease()
+            if cell is not None:
+                running[cell.fingerprint] = cell
+            return cell
+
+        cells = itertools.chain([first], iter(pull, None))
+        try:
+            with closing(pool.submit_sweep(self.suite.name, cells)) as outcomes:
+                for outcome in outcomes:
+                    running.pop(outcome.cell.fingerprint, None)
+                    yield outcome
+        except ServiceError:
+            raise
+        except Exception as error:  # noqa: BLE001 - fails the leased cells
+            for cell in list(running.values()):
+                yield CellOutcome(cell=cell, result=None, error=repr(error))

@@ -68,9 +68,9 @@ __all__ = [
     "unix_socket_is_live",
 ]
 
-#: Upper bound on one protocol line.  Report bundles and submit replies
-#: dominate; a 64 MiB line is ~100k cell records, far beyond a sane
-#: single response.
+#: Upper bound on one protocol line.  Report bundles and registration
+#: offers dominate; a 64 MiB line is ~100k cell records, far beyond a
+#: sane single response.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: Environment variable holding the shared TCP auth token; ``--token``

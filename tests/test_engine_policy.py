@@ -36,6 +36,7 @@ from repro.experiments import (
     ScenarioSpec,
     Suite,
     SweepRunner,
+    get_suite,
     register_algorithm,
 )
 from repro.experiments.runner import run_cell
@@ -159,39 +160,39 @@ class TestNumpyAbsentDegradation:
     @pytest.mark.skipif(
         not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
     )
-    def test_server_submit_degrades_and_ticks_interpreted_counters(
+    def test_fleet_ingest_degrades_and_ticks_interpreted_counters(
         self, no_numpy, tmp_path
     ):
+        """A fleet worker's forked pool runs every cell interpreted, and
+        the server's ingest counts those rounds under engine=interpreted
+        with no array backend."""
         from repro.obs import parse_exposition
         from repro.obs.metrics import samples_named
-        from repro.service import ResultCollector, ServiceClient
+        from repro.service import FleetWorker, ResultCollector, ServiceClient
 
-        server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock", workers=2
-        )
-        server.start()
-        try:
-            client = ServiceClient(server.socket_path)
-            queued = client.submit("paper-claims", smoke=True)["fingerprints"]
-            status = client.wait(queued, timeout=120)
-            assert status["completed"] == len(queued)
-            assert not status["failures"]
+        with ResultCollector(
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock"
+        ) as server:
+            report = FleetWorker(
+                get_suite("paper-claims"), ResultStore(tmp_path / "worker"),
+                str(server.socket_path), jobs=2, smoke=True,
+            ).run()
+            assert report.ok and report.executed == report.total_cells
             engines = {
                 record.get("engine")
                 for record in ResultStore(tmp_path / "store").records()
             }
             assert engines <= {"interpreted", None}
             samples = samples_named(
-                parse_exposition(client.metrics()), "engine_rounds_total"
+                parse_exposition(ServiceClient(server.socket_path).metrics()),
+                "engine_rounds_total",
             )
-            assert samples
-            assert all(
-                sample.label("engine") == "interpreted"
-                and sample.label("backend") == "-"
-                for sample in samples
-            )
-        finally:
-            server.close()
+        assert samples
+        assert all(
+            sample.label("engine") == "interpreted"
+            and sample.label("backend") == "-"
+            for sample in samples
+        )
 
 
 class TestEngineRoundsProvenance:

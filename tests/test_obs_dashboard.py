@@ -509,11 +509,11 @@ class TestDiffPrimitives:
         from repro.obs.dashboard import render_metrics_diff
 
         registry = MetricsRegistry()
-        registry.counter("pool_worker_restarts_total", "x").inc()
+        registry.counter("service_auth_failures_total", "x").inc()
         _, regressions = render_metrics_diff(
             clean_scrape(), clean_scrape() + registry.render()
         )
-        assert regressions == ["pool_worker_restarts_total grew 0 → 1"]
+        assert regressions == ["service_auth_failures_total grew 0 → 1"]
 
     def test_metrics_diff_unchanged_failure_count_passes(self):
         """Only growth between the two scrapes regresses; a failure both
@@ -529,13 +529,13 @@ class TestDiffPrimitives:
         from repro.obs.dashboard import render_metrics_diff
 
         registry = MetricsRegistry()
-        registry.gauge("collector_pending_cells", "x").set(4)
+        registry.gauge("fleet_oldest_lease_age_seconds", "x").set(4)
         html, regressions = render_metrics_diff(
             clean_scrape(), clean_scrape() + registry.render(),
             label_a="before.prom", label_b="after.prom",
         )
         assert regressions == []
-        row = html.split("<td>collector_pending_cells</td>")[1].split("</tr>")[0]
+        row = html.split("<td>fleet_oldest_lease_age_seconds</td>")[1].split("</tr>")[0]
         assert '<span class="muted">—</span>' in row
         assert "<td>4</td>" in row and "<td>+4</td>" in row
         assert "before.prom" in html and "after.prom" in html
@@ -697,8 +697,10 @@ class TestRemovedHistoryFlags:
     """Metrics over time are two scrapes and ``dashboard --diff``: the
     scrape-history flags are refused like any unknown argument, and so
     are the flags no caller set (a live dashboard is ``metrics --out``
-    then ``dashboard --metrics``; ``submit`` shards nothing; the lease
-    TTL is two heartbeat intervals; the bench noise floor is fixed)."""
+    then ``dashboard --metrics``; the lease TTL is two heartbeat
+    intervals; the bench noise floor is fixed), and the second executor's
+    command and flags (``run --fleet`` is the one executor that leases,
+    and the server assigns a worker its id)."""
 
     burn_check = TestBurnCheckScript.burn_check
     _capture = TestBurnCheckScript._capture
@@ -717,8 +719,11 @@ class TestRemovedHistoryFlags:
                      id="dashboard--history"),
         pytest.param(["dashboard", "--no-report"], ["--window", "5m"],
                      id="dashboard--window"),
-        pytest.param(["submit", "paper-claims"], ["--shard", "0/2"],
-                     id="submit--shard"),
+        # No command: the command itself is removed.
+        pytest.param([], ["submit", "paper-claims"], id="submit"),
+        pytest.param(["serve"], ["--workers", "2"], id="serve--workers"),
+        pytest.param(["run", "paper-claims"], ["--worker-name", "w"],
+                     id="run--worker-name"),
         pytest.param(["serve"], ["--lease-ttl", "4"], id="serve--lease-ttl"),
         pytest.param(["dashboard", "--no-report"], ["--connect", "x.sock"],
                      id="dashboard--connect"),
@@ -739,10 +744,11 @@ class TestRemovedHistoryFlags:
         with pytest.raises(SystemExit) as excinfo:
             main([*command, *removed])
         assert excinfo.value.code == 2
-        assert (
-            f"unrecognized arguments: {' '.join(removed)}"
-            in capsys.readouterr().err
+        refusal = (
+            f"unrecognized arguments: {' '.join(removed)}" if command
+            else f"invalid choice: '{removed[0]}'"
         )
+        assert refusal in capsys.readouterr().err
 
     @pytest.mark.parametrize("removed", [
         pytest.param(["--history", "h.jsonl"], id="--history"),

@@ -1,11 +1,10 @@
 """CLI tests for the service subcommands: run --shard, merge, serve,
-submit, run --fleet, and the removed `collect` and flags (`--engine`
-among them)."""
+run --fleet, and the removed `collect` and `submit` commands and flags
+(`--engine` among them)."""
 
 import json
 import socket
 import threading
-import time
 
 import pytest
 
@@ -89,62 +88,47 @@ class TestMergeCli:
 @pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
 )
-class TestServeSubmitCli:
+class TestServeCli:
     @staticmethod
-    def serve(argv):
-        """Run ``serve`` on a thread; return it once the server answers."""
+    def serve(argv, monkeypatch):
+        """Run ``serve`` on a thread; return it once the server answers,
+        waiting through the client's own connect retry."""
         server = threading.Thread(target=main, args=(["serve", *argv],), daemon=True)
         server.start()
+        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 30.0)
         client = ServiceClient(argv[argv.index("--socket") + 1])
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            try:
-                client.status()
-                return server, client
-            except Exception:
-                time.sleep(0.05)
-        pytest.fail("serve did not come up in time")
+        client.status()
+        return server, client
 
-    def test_serve_submit_shutdown(self, tmp_path, capsys):
+    def test_serve_run_fleet_shutdown(self, tmp_path, capsys, monkeypatch):
         sock_path = str(tmp_path / "svc.sock")
-        server, client = self.serve([
-            "--socket", sock_path, "--workers", "1",
-            "--out", str(tmp_path / "store"),
-        ])
-        submit = [
-            "submit", "paper-claims", "--socket", sock_path, "--smoke",
-            "--wait", "--timeout", "120",
-        ]
-        assert main(submit) == 0
-        out = capsys.readouterr().out
-        assert "submitted 'paper-claims': 19 cells, 0 already stored" in out
-        assert "done: 19 stored, 0 failed, 0 unverified" in out
-        assert (tmp_path / "store" / "results.jsonl").exists()
-        assert main(submit) == 0
-        assert "19 already stored, 0 queued" in capsys.readouterr().out
-
-        client.shutdown()
-        server.join(timeout=30)
-        assert not server.is_alive()
-        assert "sweep server stopped: 19 accepted" in capsys.readouterr().out
-
-    def test_serve_workers_0_collects_and_refuses_submit(self, tmp_path, capsys):
-        sock_path = str(tmp_path / "svc.sock")
-        server, client = self.serve([
-            "--socket", sock_path, "--workers", "0",
-            "--out", str(tmp_path / "store"),
-        ])
-        assert client.status()["workers"] == 0
-        assert main(["submit", "paper-claims", "--socket", sock_path]) == 2
-        assert "run <suite> --fleet" in capsys.readouterr().err
-        assert main([
-            "run", "lower-bound", "--smoke", "--jobs", "1", "--quiet",
+        server, client = self.serve(
+            ["--socket", sock_path, "--out", str(tmp_path / "store")], monkeypatch
+        )
+        run = [
+            "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
             "--fleet", sock_path, "--out", str(tmp_path / "worker"),
-        ]) == 0
-        assert client.status()["records"] > 0
+        ]
+        assert main(run) == 0
+        first = capsys.readouterr().out
+        assert f"suite 'paper-claims' [fleet {sock_path}]" in first
+        assert "cells: 19 total, 0 ran elsewhere or were already stored, 19 executed" in first
+        assert f"pushed 19 record(s) to fleet {sock_path} as worker-1" in first
+        assert (tmp_path / "store" / "results.jsonl").exists()
+        assert main(run) == 0
+        second = capsys.readouterr().out
+        assert ", 0 executed, 0 failed" in second
+        assert client.status() == {"ok": True, "records": 19, "duplicates": 0}
+
         client.shutdown()
         server.join(timeout=30)
         assert not server.is_alive()
+        # the server's own lines, printed from its thread around the runs
+        served = first + second + capsys.readouterr().out
+        assert f"sweep server: socket={sock_path}\n" in served
+        assert "verbs: status / push / report / metrics /" in served
+        assert "submit" not in served
+        assert "sweep server stopped: 19 accepted" in served
 
     def test_serve_on_busy_socket_exits_2(self, tmp_path, capsys):
         from repro.service import ResultCollector
@@ -156,18 +140,11 @@ class TestServeSubmitCli:
             ]) == 2
         assert "another server" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (["serve", "--workers", "-1"], "non-negative integer"),
-            (["run", "paper-claims", "--jobs", "0"], "positive integer"),
-        ],
-    )
-    def test_out_of_range_counts_rejected_by_argparse(self, argv, message, capsys):
+    def test_out_of_range_counts_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(["run", "paper-claims", "--jobs", "0"])
         assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
+        assert "positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -176,12 +153,10 @@ class TestServeSubmitCli:
                          id="serve--heartbeat-interval-nan"),
             pytest.param(["serve", "--heartbeat-interval", "inf"], "finite number",
                          id="serve--heartbeat-interval-inf"),
-            pytest.param(["submit", "paper-claims", "--timeout", "nan"], "finite number",
-                         id="submit--timeout-nan"),
-            pytest.param(["submit", "paper-claims", "--timeout", "-5"],
-                         "non-negative number", id="submit--timeout-negative"),
-            pytest.param(["submit", "paper-claims", "--timeout", "0"], "positive number",
-                         id="submit--timeout-0"),
+            pytest.param(["serve", "--heartbeat-interval", "-5"],
+                         "non-negative number", id="serve--heartbeat-interval-negative"),
+            pytest.param(["serve", "--heartbeat-interval", "0"], "positive number",
+                         id="serve--heartbeat-interval-0"),
             pytest.param(["dashboard", "--diff-bench", "a.json", "b.json",
                           "--max-regression", "nan"], "finite number",
                          id="dashboard--max-regression-nan"),
@@ -194,8 +169,8 @@ class TestServeSubmitCli:
         self, argv, message, tmp_path, capsys, monkeypatch
     ):
         """A NaN heartbeat interval makes a lease table whose leases never
-        expire, a NaN ``--max-regression`` passes any regression, and a
-        NaN ``--timeout`` never times out: each is refused at parse time."""
+        expire, and a NaN ``--max-regression`` passes any regression:
+        each is refused at parse time."""
         def no_server(*args, **kwargs):
             raise AssertionError("serve accepted a non-finite interval")
 
@@ -207,14 +182,6 @@ class TestServeSubmitCli:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_submit_without_server_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
-        assert main([
-            "submit", "paper-claims",
-            "--socket", str(tmp_path / "nope.sock"),
-        ]) == 2
-        assert "cannot reach" in capsys.readouterr().err
-
 
 @pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -222,8 +189,7 @@ class TestServeSubmitCli:
 class TestFleetCli:
     def test_fleet_run_report_connect_roundtrip(self, tmp_path, capsys, monkeypatch):
         """The CLI face of the TCP transport: `run --fleet` against a
-        `serve --workers 0` server, `report --connect` — token via the
-        env var."""
+        server, `report --connect` — token via the env var."""
         monkeypatch.setenv("REPRO_SERVICE_TOKEN", "cli-token")
         from repro.service import ResultCollector
 
@@ -239,7 +205,7 @@ class TestFleetCli:
                 "--fleet", f"{host}:{port}",
             ]) == 0
             out = capsys.readouterr().out
-            assert "pushed" in out and f"{host}:{port}" in out
+            assert f"pushed 19 record(s) to fleet {host}:{port} as worker-1" in out
             assert main(["report", "--connect", f"{host}:{port}"]) == 0
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:
@@ -248,18 +214,21 @@ class TestFleetCli:
     @pytest.mark.parametrize("argv", [
         ["collect"],
         ["collect", "--listen", "0.0.0.0:7919", "--out", "central"],
+        ["submit", "paper-claims"],
+        ["submit", "paper-claims", "--smoke", "--wait", "--socket", "s.sock"],
     ])
-    def test_collect_is_an_unknown_command(self, argv, capsys):
-        """`serve --workers 0` is the fleet's collector; `collect` is gone."""
+    def test_collect_and_submit_are_unknown_commands(self, argv, capsys):
+        """`serve` is the fleet's collector and `run --fleet` its one
+        executor; `collect` and `submit` are gone."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "invalid choice: 'collect'" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
     def test_unknown_flags_still_rejected_by_argparse(self, capsys):
         """A flag no command knows is an argparse usage error."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["submit", "paper-claims", "--out", "store"])
+            main(["list", "--out", "store"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --out store" in capsys.readouterr().err
 
@@ -276,7 +245,6 @@ class TestFleetCli:
 
     @pytest.mark.parametrize("command", [
         ["run", "paper-claims", "--smoke"],
-        ["submit", "paper-claims"],
     ])
     def test_engine_flag_is_gone(self, command, capsys):
         """The code picks each run's engine; no sweep chooses it."""
@@ -291,7 +259,7 @@ class TestFleetCli:
     def test_serve_listen_without_token_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
         assert main([
-            "serve", "--socket", str(tmp_path / "s.sock"), "--workers", "0",
+            "serve", "--socket", str(tmp_path / "s.sock"),
             "--listen", "127.0.0.1:0",
         ]) == 2
         assert "auth token" in capsys.readouterr().err
@@ -305,7 +273,7 @@ class TestFleetCli:
     @pytest.mark.parametrize("argv", [
         ["run", "paper-claims", "--smoke", "--fleet", "127.0.0.1:99999"],
         ["report", "--connect", "127.0.0.1:99999"],
-        ["submit", "paper-claims", "--socket", "127.0.0.1:99999"],
+        ["metrics", "--connect", "127.0.0.1:99999"],
     ])
     def test_bad_endpoint_exits_2_not_traceback(self, argv, capsys):
         assert main(argv) == 2

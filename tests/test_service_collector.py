@@ -1,7 +1,7 @@
 """Cross-machine transport tests: the server's TCP listener and push
 ingest, equivalence of two ``--fleet`` workers' server store with the
 file-based merge path, concurrent fingerprint dedup, the server-side
-``report`` verb, submit over TCP, and the client's connect-retry
+``report`` verb over both transports, and the client's connect-retry
 backoff."""
 
 import socket
@@ -15,6 +15,7 @@ from repro.experiments.cli import main
 from repro.experiments.store import resolve_duplicate
 from repro.service import (
     CollectorSink,
+    FleetWorker,
     LineServer,
     ResultCollector,
     ServiceClient,
@@ -75,17 +76,50 @@ def retrying_client(monkeypatch, endpoint, retry_s, **kwargs):
     return ServiceClient(endpoint, **kwargs)
 
 
+def watch_connects(monkeypatch):
+    """Record every connect the client attempts, by outcome; returns the
+    list and an event set once one has failed."""
+    attempts: list[str] = []
+    failed = threading.Event()
+    connect = client_module.connect_endpoint
+
+    def watched(endpoint, timeout):
+        try:
+            sock = connect(endpoint, timeout)
+        except OSError as error:
+            attempts.append(type(error).__name__)
+            failed.set()
+            raise
+        attempts.append("connected")
+        return sock
+
+    monkeypatch.setattr(client_module, "connect_endpoint", watched)
+    return attempts, failed
+
+
+def start_when(event, server, listen) -> threading.Thread:
+    """Bind and start ``server`` on a thread once ``event`` is set."""
+
+    def start():
+        assert event.wait(timeout=10)
+        listen()
+        server.start()
+
+    starter = threading.Thread(target=start, daemon=True)
+    starter.start()
+    return starter
+
+
 class TestCollectorVerbs:
-    def test_status_reports_counters(self, collector):
+    def test_status_reports_records_and_duplicates(self, collector):
         response = collector_client(collector).status()
-        assert response["workers"] == 0
-        assert response["records"] == 0
-        assert response["store"] == str(collector.store.path)
+        assert response == {"ok": True, "records": 0, "duplicates": 0}
 
     def test_push_appends_to_a_normal_store(self, collector, tmp_path):
         client = collector_client(collector)
         response = push(client, [make_result(seed).to_record() for seed in (1, 2)])
-        assert response["accepted"] == 2 and response["dropped"] == 0
+        assert response == {"ok": True}
+        assert collector.accepted == 2 and collector.dropped == 0
         records = ResultStore(tmp_path / "central").records()
         assert {record["seed"] for record in records} == {1, 2}
 
@@ -110,7 +144,8 @@ class TestCollectorVerbs:
         assert collector.accepted == 0
         assert ResultStore(tmp_path / "central").records() == []
         # the repaired batch then ingests cleanly, exactly once
-        assert push(client, [make_result(1).to_record()])["accepted"] == 1
+        push(client, [make_result(1).to_record()])
+        assert collector.accepted == 1
 
     def test_report_on_empty_collector_is_an_error(self, collector):
         with pytest.raises(ServiceError, match="no results"):
@@ -119,7 +154,8 @@ class TestCollectorVerbs:
     def test_failed_append_leaves_no_phantom_record(self, tmp_path):
         """A push the store could not append is answered with an error
         and leaves nothing behind: no index entry, no counter tick, no
-        record in the report verb, no completed lease."""
+        record in the report verb, no completed lease.  The server keeps
+        serving: a second push gets the same answer."""
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
         collector = ResultCollector(
@@ -127,14 +163,16 @@ class TestCollectorVerbs:
         )
         with collector:
             client = collector_client(collector)
-            with pytest.raises(ServiceError, match="Error"):
-                push(client, [make_result(1).to_record()])
-            status = client.status()
-            assert status["records"] == 0 and status["accepted"] == 0
+            for _ in range(2):
+                with pytest.raises(ServiceError, match="Error"):
+                    push(client, [make_result(1).to_record()])
+            assert client.status()["records"] == 0 and collector.accepted == 0
             with pytest.raises(ServiceError, match="no results"):
                 client.report()
-            worker_id = client.register("probe")["worker_id"]
-            assert client.lease(worker_id, [make_result(1).fingerprint])["granted"]
+            worker_id = client.request({
+                "op": "register", "fingerprints": [make_result(1).fingerprint],
+            })["worker_id"]
+            assert client.request({"op": "lease", "worker_id": worker_id})["granted"]
         assert not (blocked / "sub").exists()
 
     def test_tcp_push_without_token_refused(self, collector):
@@ -172,7 +210,8 @@ class TestCollectorVerbs:
         collector.start()
         try:
             client = ServiceClient(tmp_path / "collect.sock")
-            assert push(client, [make_result(1).to_record()])["accepted"] == 1
+            push(client, [make_result(1).to_record()])
+            assert client.status()["records"] == 1
         finally:
             collector.close()
 
@@ -192,12 +231,12 @@ class TestDedupPolicy:
                 unverified = make_result(1, rounds=9.0, verified=False).to_record()
                 if order == "unverified-first":
                     push(client, [unverified])
-                    response = push(client, [verified])
-                    assert response["accepted"] == 1
+                    push(client, [verified])
+                    assert (collector.accepted, collector.dropped) == (2, 0)
                 else:
                     push(client, [verified])
-                    response = push(client, [unverified])
-                    assert response["dropped"] == 1
+                    push(client, [unverified])
+                    assert (collector.accepted, collector.dropped) == (1, 1)
             finally:
                 collector.close()
             # the store's readers resolve to the verified record either way
@@ -210,8 +249,8 @@ class TestDedupPolicy:
     def test_equal_rank_differing_payloads_count_conflicts(self, collector):
         client = collector_client(collector)
         push(client, [make_result(1, rounds=7.0).to_record()])
-        response = push(client, [make_result(1, rounds=13.0).to_record()])
-        assert response["conflicts"] == 1
+        push(client, [make_result(1, rounds=13.0).to_record()])
+        assert collector.conflicts == 1
         # last-write-wins, exactly like merge_result_files
         latest = {r["fingerprint"]: r for r in collector.store.records()}
         assert latest[make_result(1).fingerprint]["rounds"] == 13.0
@@ -272,10 +311,8 @@ class TestDedupPolicy:
         second = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         second.start()
         try:
-            response = push(
-                collector_client(second), [make_result(1, verified=False).to_record()]
-            )
-            assert response["dropped"] == 1
+            push(collector_client(second), [make_result(1, verified=False).to_record()])
+            assert second.dropped == 1
         finally:
             second.close()
 
@@ -305,7 +342,6 @@ class TestStreamedEquivalence:
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
                 "--out", str(tmp_path / f"worker{index}"),
                 "--fleet", f"{host}:{port}", "--token", TOKEN,
-                "--worker-name", f"w{index}",
             ]) == 0
 
         # Two fleet workers pulling concurrently, like two machines would.
@@ -362,14 +398,21 @@ class TestStreamedEquivalence:
         assert merged_records == streamed_records
 
 
+def fleet_run(suite_name: str, endpoint: str, tmp_path, **kwargs):
+    """Run a suite's smoke sweep as one fleet worker; returns its report."""
+    return FleetWorker(
+        get_suite(suite_name), ResultStore(tmp_path / "worker"), endpoint,
+        smoke=True, jobs=2, **kwargs,
+    ).run()
+
+
 class TestServerReportVerb:
-    def test_report_after_submit_matches_local_bytes(self, tmp_path, capsys):
+    def test_report_after_a_fleet_run_matches_local_bytes(self, tmp_path, capsys):
         with ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock", workers=2
+            out=tmp_path / "store", socket_path=tmp_path / "svc.sock"
         ) as server:
-            client = ServiceClient(server.socket_path)
-            client.wait(client.submit("paper-claims", smoke=True)["fingerprints"])
-            payload = client.report()
+            assert fleet_run("paper-claims", str(server.socket_path), tmp_path).ok
+            payload = ServiceClient(server.socket_path).report()
         assert payload["all_verified"] is True
         assert "Theorem 3 shape" in payload["render"]
         # byte-identical to a local `report --json` over the server's store
@@ -382,27 +425,37 @@ class TestServerReportVerb:
 
 
 class TestServerTcp:
-    def test_submit_wait_report_over_tcp(self, tmp_path):
+    def test_fleet_run_and_report_connect_over_tcp(self, tmp_path, capsys):
+        """A fleet worker leasing over TCP fills the store, and ``report
+        --connect`` over TCP writes the bytes a local report writes."""
         server = ResultCollector(
             out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            workers=2, listen="127.0.0.1:0", token=TOKEN,
+            listen="127.0.0.1:0", token=TOKEN,
         )
         server.start()
         try:
             host, port = server.tcp_address
-            client = ServiceClient(f"{host}:{port}", token=TOKEN)
-            assert client.status()["workers"] == 2
-            queued = client.submit("paper-claims", smoke=True)["fingerprints"]
-            status = client.wait(queued, timeout=120)
-            assert status["completed"] == len(queued) and status["unverified"] == 0
-            assert "Theorem 3 shape" in client.report()["render"]
+            report = fleet_run("paper-claims", f"{host}:{port}", tmp_path, token=TOKEN)
+            assert report.ok and report.executed == report.total_cells
+            assert main([
+                "report", "--connect", f"{host}:{port}", "--token", TOKEN,
+                "--json", str(tmp_path / "remote.json"),
+            ]) == 0
         finally:
             server.close()
+        assert main([
+            "report", "--out", str(tmp_path / "store"),
+            "--json", str(tmp_path / "local.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "remote.json").read_bytes() == (
+            tmp_path / "local.json"
+        ).read_bytes()
 
     def test_tcp_request_with_wrong_token_refused(self, tmp_path):
         server = ResultCollector(
             out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            workers=1, listen="127.0.0.1:0", token=TOKEN,
+            listen="127.0.0.1:0", token=TOKEN,
         )
         server.start()
         try:
@@ -414,25 +467,25 @@ class TestServerTcp:
         finally:
             server.close()
 
-    def test_listen_without_token_refused_before_pool_start(self, tmp_path, monkeypatch):
+    def test_listen_without_token_refused_before_binding(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
         server = ResultCollector(
             out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            workers=1, listen="127.0.0.1:0",
+            listen="127.0.0.1:0",
         )
         with pytest.raises(ServiceError, match="without an auth token"):
             server.start()
-        assert not server.pool.started
+        assert not (tmp_path / "svc.sock").exists()
         server.close()
 
     def test_listen_must_be_tcp(self, tmp_path):
         server = ResultCollector(
             out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            workers=1, listen="/tmp/some.sock", token=TOKEN,
+            listen="/tmp/some.sock", token=TOKEN,
         )
         with pytest.raises(ServiceError, match="host:port"):
             server.start()
-        assert not server.pool.started
+        assert not (tmp_path / "svc.sock").exists()
         server.close()
 
 
@@ -458,19 +511,16 @@ class TestClientConnectRetry:
         with pytest.raises(ServiceError, match="cannot reach"):
             retrying_client(monkeypatch, f"127.0.0.1:{port}", 0, token=TOKEN).status()
 
+        attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True), token=TOKEN)
-
-        def start_late():
-            time.sleep(0.4)
-            server.listen_tcp("127.0.0.1", port)
-            server.start()
-
-        starter = threading.Thread(target=start_late, daemon=True)
-        begun = time.monotonic()
-        starter.start()
+        starter = start_when(
+            failed, server, lambda: server.listen_tcp("127.0.0.1", port)
+        )
         try:
             assert client.status()["up"] is True
-            assert time.monotonic() - begun >= 0.3  # it genuinely waited
+            # it genuinely waited: a connect was refused before one succeeded
+            assert attempts[0] == "ConnectionRefusedError"
+            assert attempts[-1] == "connected"
         finally:
             starter.join(timeout=10)
             server.close()
@@ -487,36 +537,28 @@ class TestClientConnectRetry:
         with pytest.raises(ServiceError, match="cannot reach"):
             retrying_client(monkeypatch, path, 0).status()
 
+        attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True))
-
-        def start_late():
-            time.sleep(0.3)
-            server.listen_unix(path)
-            server.start()
-
-        starter = threading.Thread(target=start_late, daemon=True)
-        starter.start()
+        starter = start_when(failed, server, lambda: server.listen_unix(path))
         try:
             assert retrying_client(monkeypatch, path, 10).status()["up"] is True
+            assert attempts[0] == "ConnectionRefusedError"
+            assert attempts[-1] == "connected"
         finally:
             starter.join(timeout=10)
             server.close()
 
     def test_missing_socket_file_also_retries(self, tmp_path, monkeypatch):
-        """`serve &` may not have bound yet when the first submit arrives:
-        FileNotFoundError is part of the same startup race."""
+        """`serve &` may not have bound yet when the first fleet worker
+        arrives: FileNotFoundError is part of the same startup race."""
         path = tmp_path / "notyet.sock"
+        attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True))
-
-        def start_late():
-            time.sleep(0.3)
-            server.listen_unix(path)
-            server.start()
-
-        starter = threading.Thread(target=start_late, daemon=True)
-        starter.start()
+        starter = start_when(failed, server, lambda: server.listen_unix(path))
         try:
             assert retrying_client(monkeypatch, path, 10).status()["up"] is True
+            assert attempts[0] == "FileNotFoundError"
+            assert attempts[-1] == "connected"
         finally:
             starter.join(timeout=10)
             server.close()
@@ -556,14 +598,6 @@ class TestCollectorSink:
 
 
 class TestObservability:
-    def test_status_reports_uptime_and_rates(self, collector):
-        client = collector_client(collector)
-        push(client, [make_result(1).to_record()])
-        status = client.status()
-        assert status["uptime_s"] > 0
-        assert status["records_per_s"] > 0
-        assert status["accepted"] == 1
-
     def test_metrics_verb_tracks_ingest_fates(self, collector):
         from repro.obs import parse_exposition
         from repro.obs.metrics import samples_named, sum_samples

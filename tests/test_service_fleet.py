@@ -1,10 +1,11 @@
 """Elastic fleet tests: the lease table's scheduling semantics under a
-fake clock, the collector's fleet verbs, the pull-based
-:class:`FleetWorker` loop end to end (including a dead worker whose
-leases are reassigned to a survivor, byte-identical reports included),
-the transport-vs-server-error split in :class:`CollectorSink`, and a
-restarted collector skipping malformed store records instead of
-refusing to start."""
+fake clock, the collector's fleet verbs (request bytes linear in a
+sweep's cells included), the worker's side of the protocol against a
+fake lessor, the pull-based :class:`FleetWorker` loop end to end
+(including a dead worker whose leases are reassigned to a survivor,
+byte-identical reports included), the transport-vs-server-error split
+in :class:`CollectorSink`, and a restarted collector skipping malformed
+store records instead of refusing to start."""
 
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import pytest
 
 from repro.experiments import ResultStore, Suite, get_suite
 from repro.experiments.cli import main
+from repro.experiments.runner import WorkerPool
 from repro.experiments.spec import (
     ALGORITHMS,
     AlgorithmFamily,
@@ -99,14 +101,25 @@ def make_table(heartbeat_interval_s: float = 1.0):
     return table, clock, events
 
 
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
+    checks = 0
+
+    def __contains__(self, item) -> bool:
+        self.checks += 1
+        return super().__contains__(item)
+
+
 class TestLeaseTable:
     def test_register_hands_out_ids_and_cadence(self):
         table, _, _ = make_table(heartbeat_interval_s=1.5)
-        first = table.register("alpha")
-        second = table.register("beta")
+        first = table.register(["fp-0"])
+        second = table.register(["fp-0"])
         assert first["worker_id"] != second["worker_id"]
-        assert first["heartbeat_interval_s"] == 1.5
-        assert first["lease_ttl_s"] == 3.0
+        assert first == {
+            "worker_id": first["worker_id"], "heartbeat_interval_s": 1.5,
+        }
 
     @pytest.mark.parametrize("interval", [0, -1.0, float("nan"), float("inf")])
     def test_invalid_cadence_rejected(self, interval):
@@ -128,107 +141,131 @@ class TestLeaseTable:
         table, _, _ = make_table()
         universe = [f"fp-{i}" for i in range(6)]
         table.seed_completed(["fp-0"])
-        alpha = table.register("alpha")["worker_id"]
-        beta = table.register("beta")["worker_id"]
-        first = table.grant(alpha, universe)
-        assert first["granted"] == ["fp-1"]
-        assert first["pending"] == 4 and not first["done"]
-        second = table.grant(beta, universe)
-        assert second["granted"] == ["fp-2"]
-        assert second["pending"] == 3
-        assert second["outstanding"] == 1  # alpha still holds its cell
-        assert not second["done"]
+        alpha = table.register(universe)["worker_id"]
+        beta = table.register(universe)["worker_id"]
+        first = table.grant(alpha)
+        assert first == {"known": True, "granted": ["fp-1"], "done": False}
+        second = table.grant(beta)
+        assert second == {"known": True, "granted": ["fp-2"], "done": False}
 
     def test_grant_leases_a_repeated_fingerprint_once(self):
         """An offer naming a cell twice leases it once, in first-offer
         order: a worker trusting the reply must not run it twice."""
         table, _, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        offer = ["fp-a", "fp-a", "fp-b"]
-        first = table.grant(alpha, offer)
-        assert first["granted"] == ["fp-a"]
-        assert first["pending"] == 1 and first["outstanding"] == 0
-        second = table.grant(alpha, offer)
-        assert second["granted"] == ["fp-b"]
-        assert second["pending"] == 0 and second["outstanding"] == 1
-        assert table.grant(alpha, offer)["granted"] == []
+        alpha = table.register(["fp-a", "fp-a", "fp-b"])["worker_id"]
+        assert table.grant(alpha)["granted"] == ["fp-a"]
+        assert table.grant(alpha)["granted"] == ["fp-b"]
+        assert table.grant(alpha) == {"known": True, "granted": [], "done": False}
         assert events.count("granted") == 2
 
-    def test_repeated_offer_of_a_leased_fingerprint_grants_nothing_new(self):
+    def test_a_fingerprint_leased_elsewhere_is_skipped(self):
         table, _, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        beta = table.register("beta")["worker_id"]
-        assert table.grant(alpha, ["fp-a"])["granted"] == ["fp-a"]
-        grant = table.grant(beta, ["fp-a", "fp-c", "fp-a"])
-        assert grant["granted"] == ["fp-c"]
-        assert grant["outstanding"] == 1
+        alpha = table.register(["fp-a"])["worker_id"]
+        beta = table.register(["fp-a", "fp-c", "fp-a"])["worker_id"]
+        assert table.grant(alpha)["granted"] == ["fp-a"]
+        assert table.grant(beta)["granted"] == ["fp-c"]
+        assert table.grant(beta)["granted"] == []
         assert events.count("granted") == 2
         assert events.held() == 2
 
     def test_unknown_worker_is_known_false(self):
         table, _, _ = make_table()
         assert table.heartbeat("worker-99") == {"known": False}
-        assert table.grant("worker-99", ["fp-0"]) == {
+        assert table.grant("worker-99") == {
             "known": False, "granted": [], "done": False,
         }
 
     def test_heartbeat_renews_leases_past_original_deadline(self):
         table, clock, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
         clock.advance(1.5)
-        assert table.heartbeat(alpha) == {"known": True, "leases": 1}
+        assert table.heartbeat(alpha) == {"known": True}
+        assert events.count("renewed") == 1
         clock.advance(1.5)  # 3.0s after grant, 1.5s after renewal
-        table.register("sweeper")  # every verb sweeps expired leases first
+        table.register([])  # every verb sweeps expired leases first
         assert events.held() == 1
         assert events.count("expired") == 0
 
     def test_missed_heartbeats_expire_and_reassign(self):
         table, clock, events = make_table()
-        dead = table.register("dead")["worker_id"]
-        table.grant(dead, ["fp-0", "fp-1"])
-        table.grant(dead, ["fp-0", "fp-1"])
+        dead = table.register(["fp-0", "fp-1"])["worker_id"]
+        table.grant(dead)
+        table.grant(dead)
         clock.advance(2.5)
-        survivor = table.register("survivor")["worker_id"]
-        granted = [table.grant(survivor, ["fp-0", "fp-1"])["granted"] for _ in range(2)]
-        assert sorted(sum(granted, [])) == ["fp-0", "fp-1"]
+        survivor = table.register(["fp-0", "fp-1"])["worker_id"]
+        granted = [table.grant(survivor)["granted"] for _ in range(2)]
+        assert granted == [["fp-0"], ["fp-1"]]
         assert events.count("expired") == 2
         assert events.count("reassigned") == 2
         expired = [age for fate, age in events.events if fate == "expired"]
         assert expired == [2.5, 2.5]
         # the dead worker's late heartbeat finds nothing to renew
-        assert table.heartbeat(dead) == {"known": True, "leases": 0}
+        assert table.heartbeat(dead) == {"known": True}
+        assert events.count("renewed") == 0
+
+    def test_an_expired_lease_is_granted_before_the_cursor_moves_on(self):
+        """A fingerprint whose lease expires comes back to a worker whose
+        cursor already passed it, ahead of the cells the cursor has not
+        reached."""
+        table, clock, events = make_table()
+        offer = ["fp-a", "fp-b", "fp-c"]
+        alpha = table.register(offer)["worker_id"]
+        beta = table.register(offer)["worker_id"]
+        assert table.grant(alpha)["granted"] == ["fp-a"]
+        assert table.grant(beta)["granted"] == ["fp-b"]  # passes leased fp-a
+        clock.advance(1.5)
+        table.heartbeat(beta)
+        clock.advance(1.0)  # alpha's lease is 2.5s old, beta's renewed 1s ago
+        assert table.grant(beta)["granted"] == ["fp-a"]
+        assert events.count("reassigned") == 1
+        assert table.grant(beta)["granted"] == ["fp-c"]
 
     def test_release_hands_failed_cells_to_the_next_worker(self):
         table, _, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"])
-        table.grant(alpha, [], release=["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        beta = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
+        # done ignores what the worker released
+        assert table.grant(alpha, release=["fp-0"]) == {
+            "known": True, "granted": [], "done": True,
+        }
         assert events.count("released") == 1
-        grant = table.grant(beta, ["fp-0"])
-        assert grant["granted"] == ["fp-0"]
+        assert table.grant(beta)["granted"] == ["fp-0"]
+        assert events.count("reassigned") == 1
+
+    def test_a_released_fingerprint_never_returns_to_its_worker(self):
+        """Released cells go to other workers only, even when this one
+        asks first and no one else holds them."""
+        table, _, events = make_table()
+        alpha = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.grant(alpha)["granted"] == ["fp-0"]
+        assert table.grant(alpha, release=["fp-0"])["granted"] == ["fp-1"]
+        table.complete("fp-1")
+        assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
+        beta = table.register(["fp-0"])["worker_id"]
+        assert table.grant(beta) == {"known": True, "granted": ["fp-0"], "done": False}
         assert events.count("reassigned") == 1
 
     def test_release_of_another_workers_lease_is_ignored(self):
         table, _, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"])
-        table.grant(beta, [], release=["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        beta = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
+        table.grant(beta, release=["fp-0"])
         assert events.count("released") == 0
         assert events.held() == 1
 
     def test_complete_retires_the_lease(self):
         table, clock, events = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
         clock.advance(0.5)
         table.complete("fp-0")
         assert events.held() == 0
         assert events.events[-1] == ("completed", 0.5)
         # a completed fingerprint is never granted again
-        grant = table.grant(alpha, ["fp-0"])
+        grant = table.grant(alpha)
         assert grant["granted"] == [] and grant["done"] is True
 
     def test_complete_without_a_lease_counts_no_lease_event(self):
@@ -237,31 +274,44 @@ class TestLeaseTable:
         table, _, events = make_table()
         table.complete("fp-0")
         assert events.events == []
-        alpha = table.register("alpha")["worker_id"]
-        assert table.grant(alpha, ["fp-0"])["done"] is True
+        alpha = table.register(["fp-0"])["worker_id"]
+        assert table.grant(alpha)["done"] is True
 
     def test_done_only_when_offered_universe_is_completed(self):
         table, _, _ = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        beta = table.register("beta")["worker_id"]
-        table.grant(alpha, ["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        beta = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
         # beta sees nothing pending, but alpha's lease is outstanding
-        stalled = table.grant(beta, ["fp-0"])
+        stalled = table.grant(beta)
         assert stalled["granted"] == [] and not stalled["done"]
         table.complete("fp-0")
-        assert table.grant(beta, ["fp-0"])["done"] is True
+        assert table.grant(beta)["done"] is True
+
+    def test_a_sweep_reads_each_offered_fingerprint_a_bounded_number_of_times(self):
+        """The grant never rescans the offer: leasing and completing every
+        cell of an N-cell offer one at a time tests a linear number of
+        completed-set memberships, not one per cell per grant."""
+        for n in (500, 1000):
+            table, _, _ = make_table()
+            table._completed = CountingSet()
+            worker = table.register([f"{i:016x}" for i in range(n)])["worker_id"]
+            while granted := table.grant(worker)["granted"]:
+                table.complete(granted[0])
+            assert table.grant(worker)["done"] is True
+            assert table._completed.checks <= 2 * n
 
     def test_worker_counts_track_liveness(self):
         table, clock, _ = make_table()
-        table.register("alpha")
+        table.register([])
         clock.advance(3.0)
-        table.register("beta")
+        table.register([])
         assert table.worker_counts() == {"alive": 1, "lost": 1}
 
     def test_oldest_lease_age_feeds_the_stuck_slo(self):
         table, clock, _ = make_table()
-        alpha = table.register("alpha")["worker_id"]
-        table.grant(alpha, ["fp-0"])
+        alpha = table.register(["fp-0"])["worker_id"]
+        table.grant(alpha)
         assert table.oldest_lease_age_s() == 0.0
         clock.advance(7.0)
         # deliberately unswept: the age is visible even past the TTL
@@ -295,51 +345,65 @@ def lease_fates(collector) -> Recorder:
     return fates
 
 
+def register(client, fingerprints) -> str:
+    """Register a worker offering ``fingerprints``; returns its id."""
+    reply = client.request({"op": "register", "fingerprints": list(fingerprints)})
+    return reply["worker_id"]
+
+
+def lease(client, worker_id, release=()) -> dict:
+    return client.request(
+        {"op": "lease", "worker_id": worker_id, "release": list(release)}
+    )
+
+
 def is_done(client, fingerprints) -> bool:
     """Whether the server holds every one of ``fingerprints`` completed,
     as a fresh worker offering them is told."""
-    worker_id = client.register("probe")["worker_id"]
-    return client.lease(worker_id, list(fingerprints))["done"]
+    return lease(client, register(client, fingerprints))["done"]
 
 
 class TestCollectorFleetVerbs:
     def test_register_heartbeat_lease_round_trip(self, collector):
         client = collector_client(collector)
-        reply = client.register("w1")
+        reply = client.request({"op": "register", "fingerprints": ["fp-0", "fp-1"]})
         worker_id = reply["worker_id"]
-        assert reply["heartbeat_interval_s"] == 0.2
-        assert reply["lease_ttl_s"] == pytest.approx(0.4)
+        assert reply == {
+            "ok": True, "worker_id": worker_id, "heartbeat_interval_s": 0.2,
+        }
         beat = client.request({"op": "heartbeat", "worker_id": worker_id})
-        assert beat["known"] is True and beat["leases"] == 0
-        grant = client.lease(worker_id, ["fp-0", "fp-1"])
-        assert grant["known"] is True
-        assert grant["granted"] == ["fp-0"]
+        assert beat == {"ok": True, "known": True}
+        grant = lease(client, worker_id)
+        assert grant == {"ok": True, "known": True, "granted": ["fp-0"], "done": False}
         assert lease_fates(collector).held() == 1
         assert sum(collector.leases.worker_counts().values()) == 1
 
-    def test_a_lease_request_carrying_limit_is_granted_one_cell(self, collector):
-        """The removed ``limit`` field is ignored like any unknown field."""
+    def test_a_lease_request_carrying_removed_fields_is_granted_one_cell(
+        self, collector
+    ):
+        """The removed ``limit`` and ``fingerprints`` fields are ignored
+        like any unknown field: the offer is the one registered."""
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
+        worker_id = register(client, [f"fp-{i}" for i in range(6)])
         grant = client.request({
             "op": "lease", "worker_id": worker_id,
-            "fingerprints": [f"fp-{i}" for i in range(6)], "limit": 5,
+            "fingerprints": ["fp-other"], "limit": 5,
         })
         assert grant["granted"] == ["fp-0"]
-        assert grant["pending"] == 5
 
-    def test_fleet_status_is_an_unknown_op(self, collector):
-        with pytest.raises(ServiceError, match="unknown op 'fleet_status'") as info:
-            collector_client(collector).request({"op": "fleet_status"})
+    @pytest.mark.parametrize("op", ["fleet_status", "submit"])
+    def test_removed_verbs_are_unknown_ops(self, collector, op):
+        with pytest.raises(ServiceError, match=f"unknown op '{op}'") as info:
+            collector_client(collector).request({"op": op, "suite": "paper-claims"})
         assert "register/heartbeat/lease/shutdown" in str(info.value)
+        assert "submit" not in str(info.value).split("expected")[1]
 
     def test_lease_verb_grants_a_repeated_fingerprint_once(self, collector):
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
-        offer = ["fp-b", "fp-a", "fp-b"]
-        assert client.lease(worker_id, offer)["granted"] == ["fp-b"]
-        assert client.lease(worker_id, offer)["granted"] == ["fp-a"]
-        assert client.lease(worker_id, offer)["granted"] == []
+        worker_id = register(client, ["fp-b", "fp-a", "fp-b"])
+        assert lease(client, worker_id)["granted"] == ["fp-b"]
+        assert lease(client, worker_id)["granted"] == ["fp-a"]
+        assert lease(client, worker_id)["granted"] == []
         assert lease_fates(collector).held() == 2
         assert 'fleet_leases_total{fate="granted"} 2' in client.metrics()
 
@@ -347,14 +411,13 @@ class TestCollectorFleetVerbs:
         client = collector_client(collector)
         beat = client.request({"op": "heartbeat", "worker_id": "worker-404"})
         assert beat["known"] is False
-        grant = client.lease("worker-404", ["fp-0"])
+        grant = lease(client, "worker-404")
         assert grant["known"] is False and grant["granted"] == []
 
     def test_push_completes_the_lease(self, collector):
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
         result = make_result(seed=1)
-        client.lease(worker_id, [result.fingerprint])
+        lease(client, register(client, [result.fingerprint]))
         assert lease_fates(collector).held() == 1
         push(client, [result.to_record()])
         assert lease_fates(collector).held() == 0
@@ -365,9 +428,8 @@ class TestCollectorFleetVerbs:
         fingerprint done in the scheduler (the cell ran *somewhere*),
         and repeat pushes do not double-count completion events."""
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
         verified = make_result(seed=1, verified=True)
-        client.lease(worker_id, [verified.fingerprint])
+        lease(client, register(client, [verified.fingerprint]))
         assert collector.ingest(verified.to_record()) == "accepted"
         assert lease_fates(collector).count("completed") == 1
         unverified = make_result(seed=1, verified=False)
@@ -378,14 +440,16 @@ class TestCollectorFleetVerbs:
         assert lease_fates(collector).count("completed") == 1
 
     @pytest.mark.parametrize("payload,match", [
-        ({"op": "register"}, "worker"),
-        ({"op": "register", "worker": 7}, "worker"),
+        ({"op": "register"}, "fingerprints"),
+        ({"op": "register", "worker": "w1"}, "fingerprints"),
+        ({"op": "register", "fingerprints": "fp"}, "fingerprints"),
+        ({"op": "register", "fingerprints": [1]}, "fingerprints"),
+        ({"op": "register", "fingerprints": [""]}, "fingerprints"),
         ({"op": "heartbeat"}, "worker_id"),
         ({"op": "heartbeat", "worker_id": 3}, "worker_id"),
         ({"op": "lease"}, "worker_id"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": "fp"}, "fingerprints"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [1]}, "fingerprints"),
-        ({"op": "lease", "worker_id": "w", "fingerprints": [], "release": "x"}, "release"),
+        ({"op": "lease", "worker_id": "w", "release": "x"}, "release"),
+        ({"op": "lease", "worker_id": "w", "release": [1]}, "release"),
     ])
     def test_malformed_fleet_requests_are_errors(self, collector, payload, match):
         with pytest.raises(ServiceError, match=match):
@@ -393,9 +457,8 @@ class TestCollectorFleetVerbs:
 
     def test_fleet_metrics_exported(self, collector):
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
         result = make_result(seed=1)
-        client.lease(worker_id, [result.fingerprint])
+        lease(client, register(client, [result.fingerprint]))
         push(client, [result.to_record()])
         text = client.metrics()
         assert 'fleet_workers{state="alive"} 1' in text
@@ -404,6 +467,41 @@ class TestCollectorFleetVerbs:
         assert "fleet_oldest_lease_age_seconds 0" in text
         assert "fleet_lease_ttl_seconds 0.4" in text
         assert "fleet_lease_age_seconds_count 1" in text
+
+    def test_a_sweep_sends_request_bytes_linear_in_its_cells(self, tmp_path):
+        """The offer travels once, at ``register``: leasing and completing
+        every cell of an N-cell offer one at a time, JSON-encoded through
+        the verb table, sends about twice the bytes at 2N as at N (the
+        offer sent with every lease made it four times)."""
+
+        def sweep_bytes(n: int) -> int:
+            collector = ResultCollector(out=tmp_path / f"sweep-{n}")
+            sent = 0
+
+            def ask(request):
+                nonlocal sent
+                line = json.dumps(request)
+                sent += len(line) + 1
+                reply = collector._dispatch(json.loads(line))
+                assert reply["ok"], reply
+                return reply
+
+            worker_id = ask({
+                "op": "register",
+                "fingerprints": [f"{i:016x}" for i in range(n)],
+            })["worker_id"]
+            completed = 0
+            while True:
+                reply = ask({"op": "lease", "worker_id": worker_id, "release": []})
+                if not reply["granted"]:
+                    break
+                record = make_result(completed, fingerprint=reply["granted"][0])
+                ask({"op": "push", "records": [record.to_record()]})
+                completed += 1
+            assert completed == n and reply["done"]
+            return sent
+
+        assert sweep_bytes(2000) <= 2.1 * sweep_bytes(1000)
 
 
 class TestCollectorSinkErrors:
@@ -479,9 +577,7 @@ class TestMalformedStoreRestart:
         collector.start()
         try:
             client = collector_client(collector)
-            status = client.status()
-            assert status["records"] == 1
-            assert status["malformed_store_records"] == 2
+            assert client.status()["records"] == 1
             assert "collector_store_malformed_records 2" in client.metrics()
             # the surviving verified record still seeds the lease table
             assert is_done(client, [good.fingerprint])
@@ -497,16 +593,107 @@ def run_fleet_worker(suite, store, collector, **kwargs):
     return worker, worker.run()
 
 
+class FakeLessor:
+    """Answers a fleet worker's requests from a table of replies by op,
+    recording every request."""
+
+    def __init__(self, stop=None, **replies):
+        self.replies = replies
+        self.requests: list[dict] = []
+        self._stop = stop
+
+    def __call__(self, request):
+        self.requests.append(request)
+        if self._stop is not None:
+            self._stop.set()
+        return self.replies[request["op"]]
+
+    def ops(self) -> list[str]:
+        return [request["op"] for request in self.requests]
+
+
+class TestFleetWorkerProtocol:
+    """The worker's side of the protocol, against a fake lessor: no
+    server, no pool, no sleeps."""
+
+    def worker(self, tmp_path) -> FleetWorker:
+        worker = FleetWorker(TINY, ResultStore(tmp_path), "unused.sock")
+        worker._cells = {cell.fingerprint: cell for cell in TINY.cells()}
+        worker.worker_id = "worker-1"
+        return worker
+
+    def test_a_heartbeat_answered_unknown_sends_no_register(self, tmp_path):
+        """After a server restart only the lease path registers again: a
+        heartbeat thread that registered too would leave the server a
+        second id that never heartbeats, a phantom lost worker holding a
+        second copy of the offer."""
+        worker = self.worker(tmp_path)
+        worker.heartbeat_interval_s = 0.0
+        worker._request = FakeLessor(
+            stop=worker._stop, heartbeat={"ok": True, "known": False},
+        )
+        worker._heartbeat_loop()  # one beat: the lessor stops the loop
+        assert worker._request.ops() == ["heartbeat"]
+        assert worker.worker_id == "worker-1"
+
+    def test_a_failed_heartbeat_is_swallowed(self, tmp_path):
+        worker = self.worker(tmp_path)
+        worker.heartbeat_interval_s = 0.0
+
+        def unreachable(request):
+            worker._stop.set()
+            raise ServiceTransportError("the server is restarting")
+
+        worker._request = unreachable
+        worker._heartbeat_loop()
+
+    def test_the_lease_path_re_registers_the_offer_without_failed_cells(
+        self, tmp_path
+    ):
+        worker = self.worker(tmp_path)
+        failed = TINY.cells()[0].fingerprint
+        del worker._cells[failed]
+        worker._released = [failed]
+        worker._request = FakeLessor(
+            lease={"ok": True, "known": False, "granted": [], "done": False},
+            register={"ok": True, "worker_id": "worker-9",
+                      "heartbeat_interval_s": 0.5},
+        )
+        assert worker._lease() == (None, False)
+        lease_request, register_request = worker._request.requests
+        assert lease_request == {
+            "op": "lease", "worker_id": "worker-1", "release": [failed],
+        }
+        assert register_request == {
+            "op": "register",
+            "fingerprints": [cell.fingerprint for cell in TINY.cells()[1:]],
+        }
+        assert worker.worker_id == "worker-9"
+        assert worker.heartbeat_interval_s == 0.5
+        assert worker._released == []
+
+    def test_a_grant_maps_back_to_its_cell(self, tmp_path):
+        worker = self.worker(tmp_path)
+        cell = TINY.cells()[2]
+        worker._request = FakeLessor(lease={
+            "ok": True, "known": True, "granted": [cell.fingerprint],
+            "done": False,
+        })
+        assert worker._lease() == (cell, False)
+        assert worker._request.requests == [
+            {"op": "lease", "worker_id": "worker-1", "release": []},
+        ]
+
+
 class TestFleetWorkerEndToEnd:
     def test_single_worker_completes_the_suite(self, collector, tmp_path):
         store = ResultStore(tmp_path / "w1")
-        worker, report = run_fleet_worker(
-            TINY, store, collector, jobs=2, name="w1"
-        )
+        worker, report = run_fleet_worker(TINY, store, collector, jobs=2)
         total = len(TINY.cells())
         assert report.ok
         assert report.executed == total and report.skipped == 0
         assert worker.pushed == total
+        assert worker.worker_id == "worker-1"
         assert len(store) == total
         assert len(ResultStore(tmp_path / "central")) == total
         fates = lease_fates(collector)
@@ -521,8 +708,7 @@ class TestFleetWorkerEndToEnd:
         at a barrier for the other."""
         suite = meeting_suite(monkeypatch)
         worker, report = run_fleet_worker(
-            suite, ResultStore(tmp_path / "meet"), collector,
-            jobs=2, name="meet",
+            suite, ResultStore(tmp_path / "meet"), collector, jobs=2,
         )
         assert report.ok and report.executed == 2
         assert worker.pushed == 2
@@ -537,16 +723,15 @@ class TestFleetWorkerEndToEnd:
         held = []
         grant = collector.leases.grant
 
-        def counting_grant(worker_id, offered, **kwargs):
-            reply = grant(worker_id, offered, **kwargs)
-            # Every cell is offered and this is the only worker, so the
-            # offered cells on lease are the ones it holds.
-            held.append(reply["outstanding"] + len(reply["granted"]))
+        def counting_grant(worker_id, **kwargs):
+            reply = grant(worker_id, **kwargs)
+            # This is the only worker, so every active lease is its own.
+            held.append(len(collector.leases._leases))
             return reply
 
         monkeypatch.setattr(collector.leases, "grant", counting_grant)
         worker, report = run_fleet_worker(
-            TINY, ResultStore(tmp_path / "lazy"), collector, jobs=1, name="lazy"
+            TINY, ResultStore(tmp_path / "lazy"), collector, jobs=1
         )
         assert report.ok and report.executed == len(TINY.cells()) == 5
         assert max(held) <= 3
@@ -561,9 +746,52 @@ class TestFleetWorkerEndToEnd:
         monkeypatch.setattr(CollectorSink, "__call__", refuse)
         store = ResultStore(tmp_path / "refused")
         with pytest.raises(ServiceError, match="refused"):
-            run_fleet_worker(TINY, store, collector, jobs=2, name="refused")
+            run_fleet_worker(TINY, store, collector, jobs=2)
         assert len(store) == 1
         assert multiprocessing.active_children() == []
+
+    def test_a_push_the_store_refuses_aborts_and_the_server_keeps_serving(
+        self, tmp_path
+    ):
+        """A push whose append fails (an unwritable ``--out``) is answered
+        with an error: the worker stops with it, nothing reaches the
+        server's store, and the server goes on answering."""
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        with ResultCollector(
+            out=blocked / "sub", listen="127.0.0.1:0", token=TOKEN
+        ) as server:
+            with pytest.raises(ServiceError, match="Error"):
+                run_fleet_worker(TINY, ResultStore(tmp_path / "w"), server, jobs=1)
+            client = collector_client(server)
+            assert client.status()["records"] == 0
+            with pytest.raises(ServiceError, match="no results"):
+                client.report()
+            assert "collector_records_ingested_total 0" in client.metrics()
+        assert not (blocked / "sub").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_broken_pool_fails_and_releases_the_cells_it_leased(
+        self, collector, tmp_path, monkeypatch
+    ):
+        """The pool itself raising (a failed fork, say) fails each leased
+        cell with the error and releases it: the worker ends its run with
+        every cell failed and no lease held."""
+        def broken(self, suite_name, cells):
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(WorkerPool, "submit_sweep", broken)
+        worker, report = run_fleet_worker(
+            TINY, ResultStore(tmp_path / "broken"), collector, jobs=1,
+        )
+        total = len(TINY.cells())
+        assert report.executed == 0
+        assert len(report.failures) == total
+        assert all("fork failed" in failure.error for failure in report.failures)
+        fates = lease_fates(collector)
+        assert fates.count("released") == total
+        assert fates.held() == 0
+        assert collector_client(collector).status()["records"] == 0
 
     def test_dead_workers_leases_are_reassigned_and_report_is_identical(
         self, collector, tmp_path, capsys
@@ -573,20 +801,17 @@ class TestFleetWorkerEndToEnd:
         finishes with no lost cells, and the collector's report is
         byte-identical to a plain single-machine run's."""
         client = collector_client(collector)
-        dead_id = client.register("doomed")["worker_id"]
-        universe = [cell.fingerprint for cell in TINY.cells()]
+        dead_id = register(client, [cell.fingerprint for cell in TINY.cells()])
         grabbed = {
             fingerprint
             for _ in range(3)
-            for fingerprint in client.lease(dead_id, universe)["granted"]
+            for fingerprint in lease(client, dead_id)["granted"]
         }
         assert len(grabbed) == 3
         # ... the worker dies here: no heartbeat ever arrives
 
         store = ResultStore(tmp_path / "survivor")
-        worker, report = run_fleet_worker(
-            TINY, store, collector, jobs=2, name="survivor"
-        )
+        worker, report = run_fleet_worker(TINY, store, collector, jobs=2)
         total = len(TINY.cells())
         assert report.ok and report.executed == total
         fates = lease_fates(collector)
@@ -643,9 +868,7 @@ class TestFleetWorkerEndToEnd:
             push(client, [result.to_record()])
             done += 1
         replacement = ResultStore(tmp_path / "replacement")
-        worker, report = run_fleet_worker(
-            TINY, replacement, collector, jobs=1, name="replacement"
-        )
+        worker, report = run_fleet_worker(TINY, replacement, collector, jobs=1)
         total = len(TINY.cells())
         assert report.executed == total - done
         assert report.skipped == done
@@ -675,9 +898,7 @@ class TestFleetWorkerEndToEnd:
             ),
         )
         store = ResultStore(tmp_path / "boom")
-        worker, report = run_fleet_worker(
-            suite, store, collector, jobs=1, name="boom-worker"
-        )
+        worker, report = run_fleet_worker(suite, store, collector, jobs=1)
         assert not report.ok
         assert len(report.failures) == 1
         assert "boom" in report.failures[0].error
@@ -685,6 +906,7 @@ class TestFleetWorkerEndToEnd:
         # the failed fingerprint went back to the fleet, not into limbo
         fates = lease_fates(collector)
         assert fates.count("released") == 1
+        assert fates.count("granted") == 2
         assert fates.held() == 0
 
     def test_cli_fleet_flag_is_exclusive_with_shard(self, capsys):
@@ -718,13 +940,12 @@ class TestFleetWorkerEndToEnd:
         code = main([
             "run", "lower-bound", "--smoke",
             "--fleet", f"{host}:{port}", "--token", TOKEN,
-            "--out", str(tmp_path / "cli-store"), "--jobs", "1",
-            "--worker-name", "cli-worker", "--quiet",
+            "--out", str(tmp_path / "cli-store"), "--jobs", "1", "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "[fleet " in out and "cli-worker" in out
-        assert "pushed" in out
+        assert f"[fleet {host}:{port}]" in out
+        assert f"record(s) to fleet {host}:{port} as worker-1" in out
         total = len(get_suite("lower-bound").cells(smoke=True))
         assert len(ResultStore(tmp_path / "central")) == total
 
@@ -744,8 +965,7 @@ class TestLeaseStuckSLO:
 
     def test_healthy_collector_scrape_passes(self, collector):
         client = collector_client(collector)
-        worker_id = client.register("w1")["worker_id"]
-        client.lease(worker_id, ["fp-0"])
+        lease(client, register(client, ["fp-0"]))
         verdict = self.evaluate(self.scrape(collector))
         assert verdict.ok and not verdict.no_data
         assert "3x" in verdict.detail
@@ -760,8 +980,7 @@ class TestLeaseStuckSLO:
         collector.start()
         try:
             client = collector_client(collector)
-            worker_id = client.register("w1")["worker_id"]
-            client.lease(worker_id, ["fp-0"])
+            lease(client, register(client, ["fp-0"]))
             clock.advance(5.0)  # ttl is 0.4s; 5s >> 3x budget
             verdict = self.evaluate(self.scrape(collector))
         finally:

@@ -19,8 +19,6 @@ from repro.experiments import (
 from repro.experiments.runner import WorkerPool
 from repro.experiments.shard import ShardSpec
 from repro.experiments.spec import ALGORITHMS, ANALYTIC_GENERATOR
-from repro.obs import parse_exposition
-from repro.obs.metrics import sum_samples
 
 SUITE = Suite(
     name="pool-test",
@@ -123,11 +121,6 @@ def run_on(pool: WorkerPool, suite: Suite, store: ResultStore) -> list:
     return outcomes
 
 
-def counter(owner, name: str) -> float:
-    """A counter of ``owner.registry`` (a pool's or a server's)."""
-    return sum_samples(parse_exposition(owner.registry.render()), name)
-
-
 def normalized(store: ResultStore) -> dict[str, dict]:
     out = {}
     for record in store.records():
@@ -157,13 +150,14 @@ class TestPoolExecution:
 
     def test_warm_reuse_across_sweeps_same_processes(self, tmp_path):
         with WorkerPool(workers=2) as pool:
-            run_on(pool, SUITE, ResultStore(tmp_path / "a"))
+            first = run_on(pool, SUITE, ResultStore(tmp_path / "a"))
             pids_after_first = [p.pid for p in pool._processes]
-            run_on(pool, SUITE, ResultStore(tmp_path / "b"))
+            second = run_on(pool, SUITE, ResultStore(tmp_path / "b"))
             pids_after_second = [p.pid for p in pool._processes]
         assert pids_after_first == pids_after_second
-        assert counter(pool, "pool_sweeps_total") == 2
-        assert counter(pool, "pool_cells_executed_total") == 2 * len(SUITE.cells())
+        for outcomes in (first, second):
+            assert len(outcomes) == len(SUITE.cells())
+            assert all(outcome.ok for outcome in outcomes)
 
     def test_resume_skips_completed(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -196,7 +190,7 @@ class TestPoolExecution:
         )
         assert events == ["cell"] * len(SUITE.cells())
 
-    def test_a_warm_pool_runs_even_a_single_cell(self, tmp_path):
+    def test_a_warm_pool_runs_even_a_single_cell(self, tmp_path, monkeypatch):
         """A one-cell sweep runs on the pool's workers too, not in the
         submitting process."""
         one_cell = Suite(
@@ -207,10 +201,18 @@ class TestPoolExecution:
                 ),
             ),
         )
+        original = runner.run_cell
+
+        def tagged(suite_name, cell):
+            result = original(suite_name, cell)
+            result.extras["worker_pid"] = os.getpid()
+            return result
+
+        monkeypatch.setattr(runner, "run_cell", tagged)
         with WorkerPool(workers=2) as pool:
             outcomes = run_on(pool, one_cell, ResultStore(tmp_path))
-            assert [outcome.error for outcome in outcomes] == [None]
-            assert counter(pool, "pool_cells_executed_total") == 1
+        assert [outcome.error for outcome in outcomes] == [None]
+        assert outcomes[0].result.extras["worker_pid"] != os.getpid()
 
     def test_cells_are_pulled_as_tasks_are_handed_out(self, tmp_path):
         """``submit_sweep`` pulls its cells lazily: at most two per worker

@@ -1,12 +1,12 @@
-"""Sweep-server tests: ``submit`` and the local worker end to end over a
-real Unix socket, shutdown and socket hygiene, protocol-level edge
-cases, and the server's metrics."""
+"""Sweep-server tests over a real Unix socket: fleet workers sharing the
+server's cells, shutdown and socket hygiene, protocol-level edge cases,
+and the server's metrics."""
 
 import json
 import multiprocessing
 import socket
 import threading
-import time
+from collections import Counter
 
 import pytest
 
@@ -15,8 +15,8 @@ from repro.experiments.cli import main
 from repro.experiments.runner import run_cell
 from repro.experiments.spec import ALGORITHMS, SUITES, AlgorithmFamily, register_algorithm
 from repro.obs import parse_exposition
-from repro.obs.metrics import sum_samples
-from repro.service import ResultCollector, ServiceClient, ServiceError
+from repro.obs.metrics import samples_named, sum_samples
+from repro.service import FleetWorker, ResultCollector, ServiceClient, ServiceError
 from repro.service import client as client_module
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -26,8 +26,8 @@ from repro.service.protocol import (
 )
 
 from test_service_collector import push
-from test_service_fleet import FakeClock, lease_fates
-from test_service_pool import counter, dying_suite
+from test_service_fleet import FakeClock, lease, lease_fates, register
+from test_service_pool import dying_suite
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -48,12 +48,31 @@ SMALL = Suite(
     ),
 )
 
-#: Fork-inherited state of the held family below: set before the
-#: server's pool forks.
+#: Shares SMALL's four MIS cells and adds one cell of its own.
+OVERLAPPING = Suite(
+    name="_test-server-overlap",
+    description="test suite: SMALL's MIS cells plus one colouring cell",
+    scenarios=(
+        ScenarioSpec(
+            name="mis/tree", generator="random-tree",
+            algorithm="tree-mis", sizes=(24, 32), seeds=(1, 2),
+        ),
+        ScenarioSpec(
+            name="deg+1/tree", generator="random-tree",
+            algorithm="tree-deg+1-coloring", sizes=(24,), seeds=(1,),
+        ),
+    ),
+)
+
+#: Fork-inherited state of the held family below: set before the fleet
+#: worker's pool forks.
 _HOLD: dict = {}
 
 #: How long a held cell waits to be released before it gives up.
 HOLD_TIMEOUT_S = 30.0
+
+#: How long a test waits on a condition before it fails.
+WAIT_S = 60.0
 
 
 def _wait_for_release(graph, generator, n):
@@ -70,7 +89,7 @@ def held_suite(monkeypatch) -> Suite:
             name="_test-hold", description="test family", kind="baseline",
             run=_wait_for_release,
         ))
-    suite = Suite(
+    return Suite(
         name="_test-hold", description="test suite: one held cell",
         scenarios=(
             ScenarioSpec(
@@ -79,29 +98,49 @@ def held_suite(monkeypatch) -> Suite:
             ),
         ),
     )
-    monkeypatch.setitem(SUITES, suite.name, suite)
-    return suite
 
 
-def wait_until(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() >= deadline:
-            pytest.fail("condition not reached in time")
-        time.sleep(0.01)
+class LeaseWatch:
+    """Counts a server's lease events as they happen, so a test can block
+    until a count is reached instead of polling."""
+
+    def __init__(self, server: ResultCollector) -> None:
+        self.counts: Counter = Counter()
+        self._changed = threading.Condition()
+        self._inner = server.leases._on_event
+        server.leases._on_event = self
+
+    def __call__(self, fate, age_s) -> None:
+        self._inner(fate, age_s)
+        with self._changed:
+            self.counts[fate] += 1
+            self._changed.notify_all()
+
+    def wait_for(self, predicate) -> None:
+        with self._changed:
+            assert self._changed.wait_for(
+                lambda: predicate(self.counts), timeout=WAIT_S
+            ), dict(self.counts)
 
 
-@pytest.fixture()
-def small(monkeypatch):
-    monkeypatch.setitem(SUITES, SMALL.name, SMALL)
-    return SMALL
+def fleet(suite, server, tmp_path, name="worker", **kwargs) -> FleetWorker:
+    return FleetWorker(
+        suite, ResultStore(tmp_path / name), str(server.socket_path), **kwargs
+    )
+
+
+def in_thread(worker: FleetWorker):
+    """Start ``worker.run()`` on a thread; returns the thread and a list
+    that receives the report."""
+    reports = []
+    thread = threading.Thread(target=lambda: reports.append(worker.run()))
+    thread.start()
+    return thread, reports
 
 
 @pytest.fixture()
 def server(tmp_path):
-    server = ResultCollector(
-        out=tmp_path / "store", socket_path=tmp_path / "svc.sock", workers=2
-    )
+    server = ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "svc.sock")
     server.start()
     yield server
     server.close()
@@ -112,314 +151,142 @@ def client(server):
     return ServiceClient(server.socket_path)
 
 
-class TestSubmit:
-    def test_status_reports_workers(self, client):
-        response = client.status()
-        assert response["ok"] is True
-        assert response["workers"] == 2
-        assert response["pending"] == 0
+class TestFleetOnOneServer:
+    def test_status_reports_records_and_duplicates(self, client):
+        assert client.status() == {"ok": True, "records": 0, "duplicates": 0}
 
-    def test_submit_wait_stores_every_cell(self, client, tmp_path):
-        reply = client.submit("paper-claims", smoke=True)
+    def test_a_fleet_run_stores_every_cell(self, server, client, tmp_path):
+        report = fleet(get_suite("paper-claims"), server, tmp_path, jobs=2,
+                       smoke=True).run()
         expected = len(get_suite("paper-claims").cells(smoke=True))
-        assert reply["total_cells"] == expected and reply["skipped"] == 0
-        assert len(reply["fingerprints"]) == expected
-        status = client.wait(reply["fingerprints"], timeout=120)
-        assert status["done"] and status["pending"] == 0
-        assert status["completed"] == expected
-        assert status["unverified"] == 0 and not status["failures"]
+        assert report.ok and report.executed == expected
+        assert client.status() == {"ok": True, "records": expected, "duplicates": 0}
         # the server's store is a normal resumable store on disk
         assert len(ResultStore(tmp_path / "store").records()) == expected
 
-    def test_resubmit_skips_stored_cells(self, client):
-        first = client.submit("paper-claims", smoke=True)
-        client.wait(first["fingerprints"], timeout=120)
-        second = client.submit("paper-claims", smoke=True)
-        assert first["fingerprints"]
-        assert second["fingerprints"] == []
-        assert second["skipped"] == second["total_cells"] == first["total_cells"]
-        assert client.status(second["fingerprints"])["done"] is True
+    def test_a_second_run_executes_nothing(self, server, tmp_path):
+        suite = get_suite("paper-claims")
+        first = fleet(suite, server, tmp_path, "first", smoke=True).run()
+        second = fleet(suite, server, tmp_path, "second", smoke=True).run()
+        assert first.executed == first.total_cells
+        assert second.executed == 0
+        assert second.skipped == second.total_cells == first.total_cells
 
-    def test_status_without_fingerprints_reports_counters(self, client, small):
-        queued = client.submit(small.name)["fingerprints"]
-        client.wait(queued, timeout=120)
-        overview = client.status()
-        assert overview["records"] == overview["accepted"] == len(queued)
-        assert overview["pending"] == 0
-
-    def test_submit_unknown_suite_fails_fast(self, client):
-        with pytest.raises(ServiceError, match="unknown suite"):
-            client.submit("no-such-suite")
-
-    def test_submit_ignores_a_shard_field(self, small, client):
-        """``submit`` shards nothing: a ``shard`` field is ignored like any
-        unknown field, and the whole suite is queued."""
-        reply = client.request({"op": "submit", "suite": small.name, "shard": "0/2"})
-        assert reply["total_cells"] == len(reply["fingerprints"]) == len(small.cells())
-        assert client.wait(reply["fingerprints"], timeout=120)["done"]
-
-    def test_submit_ignores_an_engine_field(self, small, client, tmp_path):
-        """The engine is not the sweep's to choose: an ``engine`` field
-        is ignored like any unknown field, and every cell runs ``auto``."""
-        reply = client.request({
-            "op": "submit", "suite": small.name, "engine": "interpreted",
-        })
-        status = client.wait(reply["fingerprints"], timeout=120)
-        assert status["completed"] == len(small.cells())
-        assert not status["failures"]
-        engines = {
-            record["fingerprint"]: record["engine"]
-            for record in ResultStore(tmp_path / "store").records()
-        }
-        assert engines == {
-            cell.fingerprint: run_cell(small.name, cell).engine
-            for cell in small.cells()
-        }
-
-    @pytest.mark.parametrize("field,value", [
-        ("sizes", "24"),          # not a list at all
-        ("sizes", {"n": 24}),
-        ("sizes", [24, "big"]),   # an uncoercible element
-        ("sizes", [True]),        # bools are not sizes
-        ("sizes", [None]),
-        ("seeds", 7),
-        ("seeds", ["one"]),
-        ("seeds", [1, False]),
-        ("sizes", [2.5]),          # not truncated to 2
-        ("seeds", [1.5]),
-        ("sizes", [float("inf")]),  # JSON Infinity, which json.loads accepts
-        ("seeds", [float("nan")]),
-    ])
-    def test_submit_bad_sizes_and_seeds_fail_fast(self, client, field, value):
-        """Malformed sweep overrides are rejected at submit time with an
-        error naming the field, and nothing is queued."""
-        with pytest.raises(ServiceError, match=field):
-            client.request({
-                "op": "submit", "suite": "paper-claims", field: value,
-            })
-        assert client.status()["pending"] == 0
-
-    @pytest.mark.parametrize("field,value", [
-        ("smoke", "false"),         # a non-empty string, truthy to bool()
-        ("smoke", 1),
-        ("smoke", None),
-        ("suite", ["lower-bound"]),  # unhashable: escaped get_suite as TypeError
-        ("suite", ""),
-        ("suite", 7),
-    ])
-    def test_submit_bad_smoke_and_suite_fail_fast(self, client, field, value):
-        """``smoke`` takes only a JSON boolean and ``suite`` only a
-        non-empty string; anything else is refused with an error naming
-        the field before any cell is queued."""
-        with pytest.raises(ServiceError, match=f"'{field}'"):
-            client.request({"op": "submit", "suite": "lower-bound", field: value})
-        assert client.status()["pending"] == 0
-
-    def test_submit_coerces_numeric_size_and_seed_strings(self, client):
-        reply = client.request({
-            "op": "submit", "suite": "paper-claims", "smoke": True,
-            "sizes": ["96", 128.0], "seeds": [1],
-        })
-        expected = get_suite("paper-claims").cells(
-            smoke=True, sizes=(96, 128), seeds=(1,)
-        )
-        assert reply["fingerprints"] == [cell.fingerprint for cell in expected]
-        status = client.wait(reply["fingerprints"], timeout=120)
-        assert status["completed"] == len(expected) and not status["failures"]
-
-    def test_unknown_op_and_malformed_fingerprints(self, client):
-        for op in ("dance", "metrics_history", "ping"):
+    def test_unknown_ops(self, client):
+        for op in ("dance", "metrics_history", "ping", "submit"):
             with pytest.raises(ServiceError, match="unknown op") as excinfo:
                 client.request({"op": op})
             assert "metrics/register" in str(excinfo.value)
-        with pytest.raises(ServiceError, match="fingerprints"):
-            client.request({"op": "status", "fingerprints": "fp"})
 
-    def test_a_lost_worker_fails_its_cells_and_a_resubmit_heals(
-        self, tmp_path, monkeypatch, capsys
+    def test_two_workers_on_overlapping_suites_run_each_cell_once(
+        self, server, client, tmp_path
     ):
-        """A worker that dies mid-sweep costs the submission its in-flight
-        cells, reported as failures, and ``submit --wait`` exits 1.  The
-        warm pool heals: resubmitting runs exactly the failed cells."""
+        """Two fleet workers offering suites that share cells: every cell
+        of the union runs once, on one of them, and none is stored
+        twice."""
+        workers = [
+            fleet(SMALL, server, tmp_path, "small", jobs=1),
+            fleet(OVERLAPPING, server, tmp_path, "overlap", jobs=1),
+        ]
+        runs = [in_thread(worker) for worker in workers]
+        for thread, _ in runs:
+            thread.join(timeout=WAIT_S)
+        reports = [reports[0] for _, reports in runs]
+        union = {
+            cell.fingerprint for suite in (SMALL, OVERLAPPING) for cell in suite.cells()
+        }
+        assert len(union) == len(SMALL.cells()) + 1 < 2 * len(SMALL.cells())
+        assert all(report.ok for report in reports)
+        assert sum(report.executed for report in reports) == len(union)
+        assert client.status() == {"ok": True, "records": len(union), "duplicates": 0}
+        assert len(server.store.path.read_text().splitlines()) == len(union)
+
+    def test_a_lost_worker_fails_its_cells_and_a_rerun_heals(
+        self, server, tmp_path, monkeypatch, capsys
+    ):
+        """A pool process that dies mid-sweep costs the run its in-flight
+        cells, reported as failures, and ``run --fleet`` exits 1; they
+        were released, so a second run executes exactly those."""
         suite = dying_suite(tmp_path, monkeypatch)
         monkeypatch.setitem(SUITES, suite.name, suite)
-        submit = [
-            "submit", suite.name, "--socket", str(tmp_path / "die.sock"),
-            "--wait", "--timeout", "120",
+        run = [
+            "run", suite.name, "--jobs", "2", "--quiet",
+            "--fleet", str(server.socket_path), "--out", str(tmp_path / "w"),
         ]
-        with ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "die.sock", workers=2
-        ):
-            assert main(submit) == 1
-            err = capsys.readouterr().err
-            assert "FAILED cell die/tree" in err and "died mid-sweep" in err
-            failed = err.count("FAILED cell")
-            assert main(submit) == 0
-            out = capsys.readouterr().out
-        assert f"{len(suite.cells()) - failed} already stored, {failed} queued" in out
+        assert main(run) == 1
+        err = capsys.readouterr().err
+        assert "FAILED cell die/tree" in err and "died mid-sweep" in err
+        assert "released back to the fleet" in err
+        failed = err.count("FAILED cell")
+        assert main(run) == 0
+        out = capsys.readouterr().out
+        assert f", {failed} executed, 0 failed" in out
         assert len(ResultStore(tmp_path / "store")) == len(suite.cells())
 
-    def test_submit_on_a_server_without_workers_names_the_fleet(self, tmp_path):
-        with ResultCollector(out=tmp_path / "c", socket_path=tmp_path / "c.sock") as server:
-            with pytest.raises(ServiceError, match="run <suite> --fleet"):
-                ServiceClient(server.socket_path).submit("paper-claims", smoke=True)
-
-
-class TestLocalWorker:
-    def test_an_unwritable_store_fails_cells_and_the_server_keeps_serving(
-        self, tmp_path, small
-    ):
-        """A store append that fails becomes a per-cell failure: the local
-        worker survives it, so a second submission drains too."""
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file, not a directory")
-        with ResultCollector(
-            out=blocked / "sub", socket_path=tmp_path / "s.sock", workers=1
-        ) as server:
-            client = ServiceClient(server.socket_path)
-            for _ in range(2):
-                queued = client.submit(small.name)["fingerprints"]
-                status = client.wait(queued, timeout=120)
-                assert status["completed"] == 0
-                assert len(status["failures"]) == len(queued) == len(small.cells())
-                assert all("Error" in failure["error"] for failure in status["failures"])
-            assert client.status()["records"] == 0
-            fates = lease_fates(server)
-            assert fates.held() == 0
-            assert fates.count("released") == 2 * len(small.cells())
-
-    def test_a_broken_pool_fails_cells_and_the_server_keeps_serving(
-        self, server, client, small, monkeypatch
-    ):
-        """The pool itself raising (a failed fork, say) fails the leased
-        cells with the error and releases their leases; the local worker
-        lives on, so a later submission runs once the pool is back."""
-        def broken(*args, **kwargs):
-            raise OSError("fork failed")
-
-        working = server.pool.submit_sweep
-        monkeypatch.setattr(server.pool, "submit_sweep", broken)
-        queued = client.submit(small.name)["fingerprints"]
-        status = client.wait(queued, timeout=60)
-        assert status["completed"] == 0
-        assert len(status["failures"]) == len(queued) == len(small.cells())
-        assert all("fork failed" in failure["error"] for failure in status["failures"])
-        assert lease_fates(server).held() == 0
-        monkeypatch.setattr(server.pool, "submit_sweep", working)
-        status = client.wait(client.submit(small.name)["fingerprints"], timeout=120)
-        assert status["completed"] == len(small.cells()) and not status["failures"]
-
-    def test_a_remote_worker_and_the_local_worker_share_a_submission(
-        self, tmp_path, small
-    ):
-        """Cells a fleet worker already holds are left to it, and its
-        pushes retire them: every cell is stored once, by one of the two."""
+    def test_cells_a_remote_worker_holds_are_left_to_it(self, tmp_path):
+        """A fleet worker runs what no one else holds and waits for the
+        rest: the remote's pushes retire its two cells, and every cell
+        is stored once, by one of the two."""
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1,
-            heartbeat_interval_s=0.2,
+            out=tmp_path / "store", socket_path=tmp_path / "s.sock",
+            heartbeat_interval_s=0.05,
         )
         server.leases._clock = FakeClock()  # no lease ever expires
-        universe = [cell.fingerprint for cell in small.cells()]
+        watch = LeaseWatch(server)
+        universe = [cell.fingerprint for cell in SMALL.cells()]
         with server:
             client = ServiceClient(server.socket_path)
-            remote = client.register("remote")["worker_id"]
-            held = [client.lease(remote, universe)["granted"][0] for _ in range(2)]
-            assert client.submit(small.name)["fingerprints"] == universe
-            wait_until(
-                lambda: client.status(universe)["completed"] == len(universe) - 2
-            )
-            assert client.status(universe)["pending"] == 2
-            for cell in small.cells():
+            remote = register(client, universe)
+            held = [lease(client, remote)["granted"][0] for _ in range(2)]
+            thread, reports = in_thread(fleet(SMALL, server, tmp_path, jobs=1))
+            watch.wait_for(lambda counts: counts["completed"] == len(universe) - 2)
+            for cell in SMALL.cells():
                 if cell.fingerprint in held:
-                    push(client, [run_cell(small.name, cell).to_record()])
-            status = client.wait(universe, timeout=60)
-        assert status["completed"] == len(universe) and not status["failures"]
-        # Every cell's lease completed: the remote's two by its pushes,
-        # the rest by the local worker, which ran exactly those.
-        assert lease_fates(server).count("completed") == len(universe)
-        assert server.duplicates == 0
-        assert counter(server, "pool_cells_executed_total") == len(universe) - 2
-        assert len(server.store.path.read_text().splitlines()) == len(universe)
-
-    def test_a_fleet_worker_shares_a_submitted_suite_without_duplicates(
-        self, tmp_path, small
-    ):
-        from repro.service import FleetWorker
-
-        with ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1
-        ) as server:
-            worker = FleetWorker(
-                small, ResultStore(tmp_path / "remote"), str(server.socket_path),
-                jobs=1, name="remote",
-            )
-            reports = []
-            thread = threading.Thread(target=lambda: reports.append(worker.run()))
-            thread.start()
-            client = ServiceClient(server.socket_path)
-            status = client.wait(client.submit(small.name)["fingerprints"], timeout=120)
-            thread.join(timeout=120)
-        total = len(small.cells())
+                    push(client, [run_cell(SMALL.name, cell).to_record()])
+            thread.join(timeout=WAIT_S)
+            status = client.status()
         assert reports and reports[0].ok
-        assert status["failures"] == []
-        assert reports[0].executed + counter(server, "pool_cells_executed_total") == total
-        assert server.duplicates == 0
-        assert len(server.store.path.read_text().splitlines()) == total
+        assert reports[0].executed == len(universe) - 2
+        assert reports[0].skipped == 2
+        # Every cell's lease completed: the remote's two by its pushes,
+        # the rest by the fleet worker, which ran exactly those.
+        assert lease_fates(server).count("completed") == len(universe)
+        assert status == {"ok": True, "records": len(universe), "duplicates": 0}
 
-    def test_resubmit_reruns_a_cell_stored_unverified(self, server, client, small):
-        """A pushed unverified record completes the cell's lease; a
-        submit queues the cell again, so it must become leasable again."""
-        cell = small.cells()[0]
-        unverified = run_cell(small.name, cell).to_record()
-        unverified["verified"] = False
-        push(client, [unverified])
-        reply = client.submit(small.name)
-        assert reply["skipped"] == 0
-        assert cell.fingerprint in reply["fingerprints"]
-        status = client.wait(reply["fingerprints"], timeout=120)
-        assert status["completed"] == len(small.cells())
-        assert status["unverified"] == 0 and not status["failures"]
-
-    def test_concurrent_pushes_and_a_submit_retire_every_cell(self, tmp_path):
-        """Fleet-style pushes race the local worker over one submission:
-        whatever the interleaving, every cell is retired exactly once
-        from the schedule and every append is counted."""
+    def test_concurrent_pushes_and_a_fleet_worker_retire_every_cell(
+        self, server, tmp_path
+    ):
+        """Pushes race a fleet worker over one suite: whatever the
+        interleaving, every cell is retired from the schedule and every
+        append is counted."""
         import sys
 
         suite = get_suite("paper-claims")
         records = [
             run_cell(suite.name, cell).to_record() for cell in suite.cells(smoke=True)
         ]
+        client = ServiceClient(server.socket_path)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ResultCollector(
-                out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=2
-            ) as server:
-                client = ServiceClient(server.socket_path)
+            def push_all(offset):
+                for record in records[offset:] + records[:offset]:
+                    push(client, [record])
 
-                def push_all(offset):
-                    for record in records[offset:] + records[:offset]:
-                        push(client, [record])
-
-                pushers = [
-                    threading.Thread(target=push_all, args=(offset,))
-                    for offset in range(0, len(records), 5)
-                ]
-                for thread in pushers:
-                    thread.start()
-                queued = client.submit(suite.name, smoke=True)["fingerprints"]
-                for thread in pushers:
-                    thread.join(timeout=120)
-                assert not any(thread.is_alive() for thread in pushers)
-                status = client.wait(queued, timeout=120)
-                assert client.status()["pending"] == 0
+            pushers = [
+                threading.Thread(target=push_all, args=(offset,))
+                for offset in range(0, len(records), 5)
+            ]
+            for thread in pushers:
+                thread.start()
+            report = fleet(suite, server, tmp_path, jobs=2, smoke=True).run()
+            for thread in pushers:
+                thread.join(timeout=WAIT_S)
+            assert not any(thread.is_alive() for thread in pushers)
         finally:
             sys.setswitchinterval(interval)
-        # Scraped after close: a local cell retired by a push while it
-        # ran still lands (as a duplicate) before the worker drains.
         samples = parse_exposition(server.registry.render())
-        assert status["done"] and not status["failures"]
+        assert report.ok
         assert lease_fates(server).held() == 0
         stored = ResultStore(tmp_path / "store")
         assert {r["fingerprint"] for r in stored.records()} == {
@@ -428,32 +295,32 @@ class TestLocalWorker:
         lines = len(stored.path.read_text().splitlines())
         assert sum_samples(samples, "collector_records_ingested_total") == lines
 
-    def test_a_local_cell_that_outlives_the_ttl_keeps_its_lease(
+    def test_a_cell_that_outlives_the_ttl_keeps_its_lease(
         self, tmp_path, monkeypatch
     ):
-        """The local worker heartbeats its leases while a cell runs, so a
+        """The fleet worker heartbeats its leases while a cell runs, so a
         cell may run for many TTLs without its lease expiring."""
         suite = held_suite(monkeypatch)
         clock = FakeClock()
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1,
+            out=tmp_path / "store", socket_path=tmp_path / "s.sock",
             heartbeat_interval_s=0.05,
         )
         server.leases._clock = clock
+        watch = LeaseWatch(server)
         with server:
-            client = ServiceClient(server.socket_path)
-            queued = client.submit(suite.name)["fingerprints"]
-            wait_until(lambda: lease_fates(server).held() == 1)
+            thread, reports = in_thread(fleet(suite, server, tmp_path, jobs=1))
+            watch.wait_for(lambda counts: counts["granted"] == 1)
             for _ in range(5):  # 5 × 0.08 s of lease time: four TTLs
                 clock.advance(0.08)
-                renewed = lease_fates(server).count("renewed")
-                # two beats after the advance: one read the advanced clock,
-                # and each beat swept expired leases before renewing
-                wait_until(lambda: lease_fates(server).count("renewed") > renewed + 1)
-            assert lease_fates(server).count("expired") == 0
+                renewed = watch.counts["renewed"]
+                # two beats after the advance: one read the advanced
+                # clock, and each beat swept expired leases before renewing
+                watch.wait_for(lambda counts: counts["renewed"] > renewed + 1)
+            assert watch.counts["expired"] == 0
             _HOLD["release"].set()
-            status = client.wait(queued, timeout=60)
-        assert status["completed"] == 1 and not status["failures"]
+            thread.join(timeout=WAIT_S)
+        assert reports and reports[0].ok and reports[0].executed == 1
         fates = lease_fates(server)
         assert fates.count("expired") == 0
         assert fates.count("completed") == 1
@@ -461,9 +328,7 @@ class TestLocalWorker:
 
 class TestShutdown:
     def test_shutdown_verb_stops_server(self, tmp_path, monkeypatch):
-        server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock", workers=1
-        )
+        server = ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "s.sock")
         server.start()
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
         client = ServiceClient(server.socket_path)
@@ -472,16 +337,6 @@ class TestShutdown:
         assert not server.socket_path.exists()
         with pytest.raises(ServiceError, match="cannot reach"):
             client.status()
-
-    def test_status_still_served_while_draining(self, server, client):
-        """After shutdown is requested, submitted cells still run and
-        clients keep polling status; only new submits are refused."""
-        queued = client.submit("paper-claims", smoke=True)["fingerprints"]
-        server.stop()
-        status = client.wait(queued, timeout=120)  # polls status during drain
-        assert status["completed"] == len(queued)
-        with pytest.raises(ServiceError, match="shutting down"):
-            client.submit("paper-claims", smoke=True)
 
     def test_unanswered_request_raises_service_error(self, tmp_path):
         """A server that accepts but never answers must surface a clean
@@ -518,14 +373,6 @@ class TestShutdown:
             server.close()
             thread.join(timeout=5)
 
-    def test_submit_reply_carries_the_plan(self, client, small):
-        """The denominator is known before the first cell runs."""
-        reply = client.submit(small.name)
-        assert reply["total_cells"] == len(small.cells())
-        status = client.status(reply["fingerprints"])
-        assert status["pending"] + status["completed"] == reply["total_cells"]
-        client.wait(reply["fingerprints"], timeout=120)
-
     def test_two_servers_cannot_share_a_socket(self, server, tmp_path):
         rival = ResultCollector(out=tmp_path / "rival", socket_path=server.socket_path)
         with pytest.raises(RuntimeError, match="another server"):
@@ -542,7 +389,7 @@ class TestShutdown:
         leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         leftover.bind(str(path))
         leftover.close()
-        server = ResultCollector(out=tmp_path / "store", socket_path=path, workers=1)
+        server = ResultCollector(out=tmp_path / "store", socket_path=path)
         server.start()
         try:
             assert ServiceClient(path).status()["ok"] is True
@@ -556,17 +403,16 @@ class TestSocketPathLimit:
 
     def test_long_socket_path_raises_service_error_naming_path(self, tmp_path):
         deep = tmp_path / ("d" * 40) / ("e" * 40) / ("f" * 40) / "svc.sock"
-        server = ResultCollector(out=tmp_path / "store", socket_path=deep, workers=1)
+        server = ResultCollector(out=tmp_path / "store", socket_path=deep)
         with pytest.raises(ServiceError) as excinfo:
             server.start()
         message = str(excinfo.value)
         assert "AF_UNIX" in message
         assert str(deep) in message
         assert "--socket" in message
-        # The refusal happened before any resource was acquired: the pool
-        # never forked, the directory was never created, and close() after
-        # the failed start is a clean no-op.
-        assert not server.pool.started
+        # The refusal happened before anything was bound: the directory
+        # was never created, and close() after the failed start is a
+        # clean no-op.
         assert not deep.parent.exists()
         server.close()
 
@@ -574,7 +420,7 @@ class TestSocketPathLimit:
         path = tmp_path / "ok.sock"
         if len(str(path).encode()) > MAX_SOCKET_PATH_BYTES:
             pytest.skip("test tmpdir itself exceeds the AF_UNIX limit")
-        server = ResultCollector(out=tmp_path / "store", socket_path=path, workers=1)
+        server = ResultCollector(out=tmp_path / "store", socket_path=path)
         server.start()
         try:
             assert ServiceClient(path).status()["ok"] is True
@@ -623,45 +469,35 @@ class TestProtocol:
 
 
 class TestObservability:
-    def test_status_reports_rates(self, client, small):
-        client.wait(client.submit(small.name)["fingerprints"], timeout=120)
-        overview = client.status()
-        assert overview["uptime_s"] > 0
-        assert overview["pending"] == 0
-        assert overview["records_per_s"] > 0
-
-    def test_metrics_verb_covers_cells_pool_and_server(self, client):
-        from repro.obs import parse_exposition
-        from repro.obs.metrics import samples_named, sum_samples
-
-        queued = client.submit("paper-claims", smoke=True)["fingerprints"]
-        client.wait(queued, timeout=120)
+    def test_metrics_verb_covers_cells_leases_and_server(
+        self, server, client, tmp_path
+    ):
+        fleet(get_suite("paper-claims"), server, tmp_path, jobs=2, smoke=True).run()
         samples = parse_exposition(client.metrics())
 
         executed = len(get_suite("paper-claims").cells(smoke=True))
         assert sum_samples(samples, "collector_records_ingested_total") == executed
+        assert sum_samples(samples, "collector_uptime_seconds") > 0
         # phase breakdowns cross the worker-process boundary on CellResult
         phases = {
             sample.label("phase")
             for sample in samples_named(samples, "cell_phase_seconds_count")
         }
         assert {"generate", "run", "verify"} <= phases
-        assert sum_samples(samples, "collector_pending_cells") == 0
-        assert sum_samples(samples, "pool_cells_executed_total") == executed
-        submits = [
+        assert sum_samples(samples, "fleet_leases_total", fate="completed") == executed
+        assert not samples_named(samples, "collector_pending_cells")
+        assert not [s for s in samples if s.name.startswith("pool_")]
+        registers = [
             sample
             for sample in samples_named(samples, "service_requests_total")
-            if sample.label("verb") == "submit"
+            if sample.label("verb") == "register"
         ]
-        assert submits and sum_samples(submits, "service_requests_total") == 1
+        assert registers and sum_samples(registers, "service_requests_total") == 1
         assert sum_samples(samples, "service_request_seconds_count") > 0
 
     def test_requests_are_counted_under_their_verb(self, client):
         """Each request is counted once under its own verb label, and
         nothing about the metrics path mutates server state."""
-        from repro.obs import parse_exposition
-        from repro.obs.metrics import samples_named
-
         client.status()
         client.status()
         samples = parse_exposition(client.metrics())
@@ -672,10 +508,10 @@ class TestObservability:
         ]
         assert counted == [2]
 
-    def test_a_started_server_runs_no_scrape_thread(self, client):
-        """Metrics are read one scrape at a time: nothing snapshots the
-        registry in the background."""
+    def test_a_started_server_runs_no_worker_or_scrape_thread(self, client):
+        """The server computes nothing and reads metrics one scrape at a
+        time: no local worker, nothing snapshotting in the background."""
         client.status()
         names = {thread.name for thread in threading.enumerate()}
-        assert "local-worker" in names
+        assert "local-worker" not in names
         assert "scrape-history" not in names
