@@ -732,10 +732,16 @@ class TestFleetVerbsConformance:
         ({"op": "register", "worker": "w1"}, "fingerprints"),
         ({"op": "register", "fingerprints": {"fp": 1}}, "fingerprints"),
         ({"op": "register", "fingerprints": [""]}, "fingerprints"),
+        # a string is iterable: taken as a list it would offer its characters
+        ({"op": "register", "fingerprints": "fp-a"}, "fingerprints"),
+        ({"op": "register", "fingerprints": ["fp-a", None]}, "fingerprints"),
         ({"op": "heartbeat"}, "worker_id"),
         ({"op": "heartbeat", "worker_id": None}, "worker_id"),
+        ({"op": "heartbeat", "worker_id": ""}, "worker_id"),
         ({"op": "lease"}, "worker_id"),
+        ({"op": "lease", "worker_id": ""}, "worker_id"),
         ({"op": "lease", "worker_id": "w", "release": [3]}, "release"),
+        ({"op": "lease", "worker_id": "w", "release": "fp-a"}, "release"),
     ])
     def test_malformed_parameters_are_error_responses(
         self, collector, payload, match

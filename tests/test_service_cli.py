@@ -58,6 +58,37 @@ class TestRunShard:
         assert _shard_spec.__name__ == "shard spec"
 
 
+class TestRunOverridesCli:
+    @pytest.mark.parametrize("flag,value", [
+        pytest.param("--sizes", "big", id="sizes-word"),
+        pytest.param("--sizes", "24,big", id="sizes-one-bad-element"),
+        pytest.param("--sizes", "2.5", id="sizes-fraction"),  # not truncated to 2
+        pytest.param("--sizes", "inf", id="sizes-inf"),
+        pytest.param("--sizes", "nan", id="sizes-nan"),
+        pytest.param("--sizes", "true", id="sizes-bool"),
+        pytest.param("--sizes", "", id="sizes-empty"),
+        pytest.param("--sizes", " , ", id="sizes-separators-only"),
+        pytest.param("--seeds", "one", id="seeds-word"),
+        pytest.param("--seeds", "1,false", id="seeds-one-bad-element"),
+        pytest.param("--seeds", "1.5", id="seeds-fraction"),
+        pytest.param("--seeds", "nan", id="seeds-nan"),
+    ])
+    def test_malformed_sizes_and_seeds_rejected_by_argparse(
+        self, flag, value, tmp_path, capsys
+    ):
+        """A sweep override that is not a list of integers is refused at
+        parse time with an error naming the flag, before any cell runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "paper-claims", flag, value, "--quiet",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "expected" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMergeCli:
     def test_all_inputs_missing_exits_2(self, tmp_path, capsys):
         assert main([
@@ -210,6 +241,34 @@ class TestFleetCli:
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:
             collector.close()
+
+    def test_size_and_seed_overrides_shape_the_fleet_offer(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """`run --fleet` offers the cells its `--sizes`/`--seeds`
+        overrides make, commas or spaces apart, not the suite's own
+        sweep: the server stores exactly those."""
+        monkeypatch.setenv("REPRO_SERVICE_TOKEN", "cli-token")
+        from repro.experiments import ResultStore, get_suite
+        from repro.service import ResultCollector
+
+        expected = {
+            cell.fingerprint
+            for cell in get_suite("paper-claims").cells(sizes=(40, 56), seeds=(1, 2))
+        }
+        with ResultCollector(out=tmp_path / "central", listen="127.0.0.1:0") as served:
+            host, port = served.tcp_address
+            assert main([
+                "run", "paper-claims", "--sizes", "40 56", "--seeds", "1,2",
+                "--jobs", "1", "--quiet", "--out", str(tmp_path / "local"),
+                "--fleet", f"{host}:{port}",
+            ]) == 0
+        stored = ResultStore(tmp_path / "central").records()
+        assert {record["fingerprint"] for record in stored} == expected
+        assert {(40, 1), (40, 2), (56, 1), (56, 2)} <= {
+            (record["n"], record["seed"]) for record in stored
+        }
+        assert f"cells: {len(expected)} total" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["collect"],

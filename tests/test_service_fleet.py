@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments import ResultStore, Suite, get_suite
 from repro.experiments.cli import main
-from repro.experiments.runner import WorkerPool
+from repro.experiments.runner import CellOutcome, WorkerPool
 from repro.experiments.spec import (
     ALGORITHMS,
     AlgorithmFamily,
@@ -256,6 +256,52 @@ class TestLeaseTable:
         assert events.count("released") == 0
         assert events.held() == 1
 
+    def test_a_fingerprint_released_unleased_is_kept_from_its_worker_only(self):
+        """Releasing a fingerprint the worker does not hold ends no lease
+        and counts no event, but that worker is never granted it."""
+        table, _, events = make_table()
+        alpha = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.grant(alpha, release=["fp-1"])["granted"] == ["fp-0"]
+        table.complete("fp-0")
+        assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
+        assert events.count("released") == 0
+        beta = table.register(["fp-1"])["worker_id"]
+        assert table.grant(beta)["granted"] == ["fp-1"]
+        assert events.count("reassigned") == 0
+
+    def test_an_orphaned_fingerprint_goes_only_to_a_worker_that_offered_it(self):
+        """An expired lease is pending again, but only for workers whose
+        offer holds it: a worker on another suite never runs it."""
+        table, clock, events = make_table()
+        dead = table.register(["fp-a"])["worker_id"]
+        assert table.grant(dead)["granted"] == ["fp-a"]
+        clock.advance(2.5)
+        other = table.register(["fp-b"])["worker_id"]
+        assert events.count("expired") == 1
+        assert table.grant(other)["granted"] == ["fp-b"]
+        table.complete("fp-b")
+        assert table.grant(other) == {"known": True, "granted": [], "done": True}
+        assert events.count("reassigned") == 0
+        survivor = table.register(["fp-a"])["worker_id"]
+        assert table.grant(survivor)["granted"] == ["fp-a"]
+        assert events.count("reassigned") == 1
+
+    def test_a_late_push_after_expiry_retires_the_orphan(self):
+        """A worker that missed its heartbeats may still push its cell:
+        the record completes the expired fingerprint, which then goes to
+        no one."""
+        table, clock, events = make_table()
+        slow = table.register(["fp-a"])["worker_id"]
+        table.grant(slow)
+        clock.advance(2.5)
+        survivor = table.register(["fp-a"])["worker_id"]  # sweeps the lease
+        assert events.count("expired") == 1
+        table.complete("fp-a")
+        assert table.grant(survivor) == {"known": True, "granted": [], "done": True}
+        assert events.count("reassigned") == 0
+        # no lease was active any more, so no completion event either
+        assert events.count("completed") == 0
+
     def test_complete_retires_the_lease(self):
         table, clock, events = make_table()
         alpha = table.register(["fp-0"])["worker_id"]
@@ -307,6 +353,17 @@ class TestLeaseTable:
         clock.advance(3.0)
         table.register([])
         assert table.worker_counts() == {"alive": 1, "lost": 1}
+
+    def test_a_lease_request_keeps_its_worker_alive(self):
+        """Liveness counts lease requests, not only heartbeats."""
+        table, clock, _ = make_table()
+        alpha = table.register(["fp-0"])["worker_id"]
+        clock.advance(1.5)
+        table.grant(alpha)
+        clock.advance(1.5)  # 3.0 s since it registered, 1.5 s since it leased
+        assert table.worker_counts() == {"alive": 1, "lost": 0}
+        clock.advance(1.0)
+        assert table.worker_counts() == {"alive": 0, "lost": 1}
 
     def test_oldest_lease_age_feeds_the_stuck_slo(self):
         table, clock, _ = make_table()
@@ -612,6 +669,22 @@ class FakeLessor:
         return [request["op"] for request in self.requests]
 
 
+class InstantPool:
+    """Stands in for a :class:`WorkerPool`: runs each cell it pulls at
+    once; with ``break_after`` it raises after that many outcomes, having
+    pulled one more cell."""
+
+    def __init__(self, break_after: int | None = None) -> None:
+        self.break_after = break_after
+
+    def submit_sweep(self, suite_name, cells):
+        for index, cell in enumerate(cells):
+            if index == self.break_after:
+                raise RuntimeError("the pool broke")
+            result = make_result(index, fingerprint=cell.fingerprint)
+            yield CellOutcome(cell=cell, result=result, error=None)
+
+
 class TestFleetWorkerProtocol:
     """The worker's side of the protocol, against a fake lessor: no
     server, no pool, no sleeps."""
@@ -683,6 +756,47 @@ class TestFleetWorkerProtocol:
         assert worker._request.requests == [
             {"op": "lease", "worker_id": "worker-1", "release": []},
         ]
+
+    def test_failed_cells_are_released_on_the_next_request_only(self, tmp_path):
+        worker = self.worker(tmp_path)
+        failed = TINY.cells()[0].fingerprint
+        worker._released = [failed]
+        worker._request = FakeLessor(
+            lease={"ok": True, "known": True, "granted": [], "done": False},
+        )
+        worker._lease()
+        worker._lease()
+        assert [request["release"] for request in worker._request.requests] == [
+            [failed], [],
+        ]
+
+    def test_a_lease_request_that_fails_mid_sweep_ends_the_sweep(self, tmp_path):
+        """A lost server is no cell's failure: the error propagates out of
+        the sweep instead of failing the cells still running."""
+        worker = self.worker(tmp_path)
+        first = TINY.cells()[0]
+
+        def unreachable(request):
+            raise ServiceTransportError("the server went away")
+
+        worker._request = unreachable
+        outcomes = worker._sweep(InstantPool(), first)
+        assert next(outcomes).cell == first
+        with pytest.raises(ServiceTransportError, match="went away"):
+            next(outcomes)
+
+    def test_a_broken_pool_fails_only_the_cells_without_an_outcome(self, tmp_path):
+        worker = self.worker(tmp_path)
+        first, second = TINY.cells()[:2]
+        worker._request = FakeLessor(lease={
+            "ok": True, "known": True, "granted": [second.fingerprint],
+            "done": False,
+        })
+        outcomes = list(worker._sweep(InstantPool(break_after=1), first))
+        assert [(outcome.cell, outcome.ok) for outcome in outcomes] == [
+            (first, True), (second, False),
+        ]
+        assert "the pool broke" in outcomes[1].error
 
 
 class TestFleetWorkerEndToEnd:
