@@ -20,8 +20,11 @@ Two halves live here:
     **monotonic** clock (a wall-clock step must never mass-expire
     leases).  A worker sends its offer once, at ``register``, and the
     table reads it through a cursor that only moves forward, so a sweep
-    of N cells costs O(N) in request bytes and in server CPU.  Expiry
-    is lazy — checked at the top of every verb — so the table needs no
+    of N cells costs O(N) in request bytes and in server CPU.  A
+    worker's offer lives only while it may still lease: it is dropped
+    when the worker is done and forgotten once the worker is lost.
+    Worker ids are unique across server restarts.  Expiry is lazy —
+    checked at the top of every verb — so the table needs no
     background thread of its own.  Every lease event is reported
     through an optional callback, which is how the server turns
     scheduling into ``fleet_leases_total{fate}`` metrics without this
@@ -58,8 +61,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import secrets
 import threading
 import time
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -96,15 +101,30 @@ DEFAULT_TTL_HEARTBEATS = 2.0
 @dataclass
 class WorkerEntry:
     """One registered fleet worker: when it was last heard from, and its
-    offer, read once through a cursor."""
+    offer, read once through a cursor.  A done worker's offer is dropped
+    and a lost one's forgotten, so either keeps only ``last_seen``, for
+    the ``fleet_workers`` gauge."""
 
     last_seen: float  # monotonic
-    #: The offered fingerprints in order, each once.
-    offered: dict[str, None]
+    #: The offered fingerprints in order, each once; ``None`` once the
+    #: worker was lost and forgotten, so it must register again.
+    offered: dict[str, None] | None
     #: Over ``offered``: the fingerprints no grant has passed yet.
     cursor: Iterator[str]
+    #: Offered fingerprints whose lease expired or was released, to try
+    #: before the cursor moves on; each is checked once.
+    orphans: deque[str] = field(default_factory=deque)
     #: Fingerprints this worker failed: never granted to it again.
     released: set[str] = field(default_factory=set)
+
+    def drop_offer(self, forget: bool = False) -> None:
+        """Keep only ``last_seen``.  A done worker stays known, and every
+        grant it asks for again answers ``done``; a forgotten one is told
+        it is unknown, so it registers its offer again."""
+        self.offered = None if forget else {}
+        self.cursor = iter(())
+        self.orphans.clear()
+        self.released = set()
 
 
 @dataclass
@@ -154,10 +174,14 @@ class LeaseTable:
         self._workers: dict[str, WorkerEntry] = {}
         self._leases: dict[str, Lease] = {}
         self._completed: set[str] = set()
-        # Fingerprints whose lease expired or was released, in the order
-        # they were: granting one of these again is the "reassigned"
-        # recovery event.
+        # Fingerprints whose lease expired or was released and that no
+        # one holds or completed since: granting one of these again is
+        # the "reassigned" recovery event.
         self._orphaned: dict[str, None] = {}
+        # A fresh prefix per table: an id from before a server restart is
+        # unknown here, so its worker registers again instead of taking
+        # over whichever new worker was handed the same number.
+        self._epoch = secrets.token_hex(4)
         self._worker_counter = 0
 
     # ------------------------------------------------------------------
@@ -174,8 +198,35 @@ class LeaseTable:
         ]
         for lease in expired:
             del self._leases[lease.fingerprint]
-            self._orphaned[lease.fingerprint] = None
+            self._orphan(lease.fingerprint)
             self._event("expired", lease.age_s(now))
+
+    def _orphan(self, fingerprint: str) -> None:
+        """Put an unfinished fingerprint whose lease ended up for grants
+        again, first to each worker that offered it and did not release
+        it."""
+        self._orphaned[fingerprint] = None
+        for worker in self._workers.values():
+            if worker.offered and self._mine(worker, fingerprint):
+                worker.orphans.append(fingerprint)
+
+    def _forget_lost(self, now: float) -> None:
+        """Forget the offers of lost workers.  After the expiry sweep a
+        lost worker holds no lease: its last grant or heartbeat set its
+        ``last_seen`` and its leases' deadlines alike."""
+        for worker in self._workers.values():
+            if worker.offered and not self._alive(worker, now):
+                worker.drop_offer(forget=True)
+
+    def _known(self, worker_id: str) -> WorkerEntry | None:
+        """The worker's entry, or ``None`` if it must register again.  A
+        forgotten entry goes when its worker comes back, so the gauge
+        counts that worker once, under its new id."""
+        worker = self._workers.get(worker_id)
+        if worker is not None and worker.offered is None:
+            del self._workers[worker_id]
+            return None
+        return worker
 
     def _alive(self, worker: WorkerEntry, now: float) -> bool:
         return (now - worker.last_seen) <= self.lease_ttl_s
@@ -188,14 +239,16 @@ class LeaseTable:
     def _next(self, worker: WorkerEntry) -> str | None:
         """The next fingerprint the worker may lease, or ``None``.
 
-        An expired or released fingerprint of its offer comes first (all
-        of them are pending), then the cursor moves past completed,
-        leased and released ones to the first pending one.  The cursor
-        never goes back: what it passed was completed, or leased and so
-        comes back here through ``_orphaned`` unless it completes.
+        An expired or released fingerprint of its offer comes first, if
+        no one took or completed it since, then the cursor moves past
+        completed, leased and released ones to the first pending one.
+        The cursor never goes back: what it passed was completed, or
+        leased and so comes back through ``worker.orphans`` unless it
+        completes.
         """
-        for fingerprint in self._orphaned:
-            if self._mine(worker, fingerprint):
+        while worker.orphans:
+            fingerprint = worker.orphans.popleft()
+            if fingerprint in self._orphaned and fingerprint not in worker.released:
                 return fingerprint
         for fingerprint in worker.cursor:
             if (
@@ -208,11 +261,11 @@ class LeaseTable:
 
     def _done(self, worker: WorkerEntry) -> bool:
         """Whether every fingerprint of the worker's offer is completed,
-        those it released aside.  Once its cursor is spent, what is left
-        is leased or orphaned, so only those two are scanned."""
+        those it released aside.  Asked once ``_next`` found nothing: its
+        cursor and orphans are spent, so what is left is leased, and only
+        the active leases are scanned."""
         return not any(
-            self._mine(worker, fingerprint)
-            for fingerprint in itertools.chain(self._leases, self._orphaned)
+            self._mine(worker, fingerprint) for fingerprint in self._leases
         )
 
     # ------------------------------------------------------------------
@@ -221,15 +274,21 @@ class LeaseTable:
     def register(self, fingerprints: Iterable[str]) -> dict[str, Any]:
         """Add a worker offering ``fingerprints``, the cells it would run
         in the order it would run them (a repeat counts once, at its
-        first place).  Returns its id and the fleet cadence."""
+        first place).  Returns its id, unique across server restarts, and
+        the fleet cadence.  Each registration also forgets the offers of
+        lost workers."""
         offered = dict.fromkeys(fingerprints)
         now = self._clock()
         with self._lock:
             self._expire(now)
+            self._forget_lost(now)
             self._worker_counter += 1
-            worker_id = f"worker-{self._worker_counter}"
+            worker_id = f"worker-{self._epoch}-{self._worker_counter}"
             self._workers[worker_id] = WorkerEntry(
-                last_seen=now, offered=offered, cursor=iter(offered)
+                last_seen=now,
+                offered=offered,
+                cursor=iter(offered),
+                orphans=deque(fp for fp in self._orphaned if fp in offered),
             )
             return {
                 "worker_id": worker_id,
@@ -239,15 +298,15 @@ class LeaseTable:
     def heartbeat(self, worker_id: str) -> dict[str, Any]:
         """Mark the worker live and renew all its leases.
 
-        Answers ``known: false`` for an unknown worker, not an error: the
-        worker re-registers, which is how a fleet survives a collector
-        restart (the lease table is in-memory state; the *results* are
-        durable in the store).
+        Answers ``known: false`` for an unknown or forgotten worker, not
+        an error: the worker re-registers, which is how a fleet survives
+        a collector restart (the lease table is in-memory state; the
+        *results* are durable in the store).
         """
         now = self._clock()
         with self._lock:
             self._expire(now)
-            worker = self._workers.get(worker_id)
+            worker = self._known(worker_id)
             if worker is None:
                 return {"known": False}
             worker.last_seen = now
@@ -264,16 +323,18 @@ class LeaseTable:
 
         ``release`` names fingerprints the worker failed: their leases
         end, other workers may take them, and this one is never granted
-        them again.  Answers ``known: false`` for an unknown worker.
-        ``granted`` holds at most one fingerprint.  ``done`` is true only
-        when every offered fingerprint is completed, the released ones
-        aside — an empty grant with ``done`` false means other workers
-        hold the remainder, so the caller should ask again, not exit.
+        them again.  Answers ``known: false`` for an unknown or forgotten
+        worker.  ``granted`` holds at most one fingerprint.  ``done`` is
+        true only when every offered fingerprint is completed, the
+        released ones aside — an empty grant with ``done`` false means
+        other workers hold the remainder, so the caller should ask again,
+        not exit.  ``done`` never turns false again, so a done worker's
+        offer is dropped.
         """
         now = self._clock()
         with self._lock:
             self._expire(now)
-            worker = self._workers.get(worker_id)
+            worker = self._known(worker_id)
             if worker is None:
                 return {"known": False, "granted": [], "done": False}
             worker.last_seen = now
@@ -282,11 +343,14 @@ class LeaseTable:
                 lease = self._leases.get(fingerprint)
                 if lease is not None and lease.worker_id == worker_id:
                     del self._leases[fingerprint]
-                    self._orphaned[fingerprint] = None
+                    self._orphan(fingerprint)
                     self._event("released", lease.age_s(now))
             fingerprint = self._next(worker)
             if fingerprint is None:
-                return {"known": True, "granted": [], "done": self._done(worker)}
+                done = self._done(worker)
+                if done:
+                    worker.drop_offer()
+                return {"known": True, "granted": [], "done": done}
             self._leases[fingerprint] = Lease(
                 fingerprint=fingerprint,
                 worker_id=worker_id,
@@ -508,7 +572,15 @@ class FleetWorker:
             self._register()
             return None, False
         granted = reply["granted"]
-        return (self._cells[granted[0]] if granted else None), reply["done"]
+        if not granted:
+            return None, reply["done"]
+        cell = self._cells.get(granted[0])
+        if cell is None:
+            raise ServiceError(
+                f"the fleet server granted cell {granted[0]}, which worker "
+                f"{self.worker_id} does not offer"
+            )
+        return cell, reply["done"]
 
     def _sweep(self, pool: WorkerPool, first: Cell) -> Iterator[CellOutcome]:
         """Run leased cells on the pool, streaming outcomes.

@@ -3,6 +3,7 @@ run --fleet, and the removed `collect` and `submit` commands and flags
 (`--engine` among them)."""
 
 import json
+import re
 import socket
 import threading
 
@@ -144,7 +145,11 @@ class TestServeCli:
         first = capsys.readouterr().out
         assert f"suite 'paper-claims' [fleet {sock_path}]" in first
         assert "cells: 19 total, 0 ran elsewhere or were already stored, 19 executed" in first
-        assert f"pushed 19 record(s) to fleet {sock_path} as worker-1" in first
+        assert re.search(
+            rf"pushed 19 record\(s\) to fleet {re.escape(sock_path)} "
+            rf"as worker-[0-9a-f]{{8}}-1\n",
+            first,
+        )
         assert (tmp_path / "store" / "results.jsonl").exists()
         assert main(run) == 0
         second = capsys.readouterr().out
@@ -236,7 +241,11 @@ class TestFleetCli:
                 "--fleet", f"{host}:{port}",
             ]) == 0
             out = capsys.readouterr().out
-            assert f"pushed 19 record(s) to fleet {host}:{port} as worker-1" in out
+            assert re.search(
+                rf"pushed 19 record\(s\) to fleet {host}:{port} "
+                rf"as worker-[0-9a-f]{{8}}-1\n",
+                out,
+            )
             assert main(["report", "--connect", f"{host}:{port}"]) == 0
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:

@@ -9,6 +9,7 @@ store records instead of refusing to start."""
 
 import json
 import multiprocessing
+import re
 import socket
 import threading
 
@@ -111,6 +112,25 @@ class CountingSet(set):
         return super().__contains__(item)
 
 
+class CountingDict(dict):
+    """A dict that counts the scans over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+#: A worker id as a server hands it out: its prefix is fresh per server
+#: lifetime, the number counts registrations.
+WORKER_ID = r"worker-[0-9a-f]{8}-{n}"
+
+
+def first_worker_id() -> str:
+    return WORKER_ID.replace("{n}", "1")
+
+
 class TestLeaseTable:
     def test_register_hands_out_ids_and_cadence(self):
         table, _, _ = make_table(heartbeat_interval_s=1.5)
@@ -120,6 +140,25 @@ class TestLeaseTable:
         assert first == {
             "worker_id": first["worker_id"], "heartbeat_interval_s": 1.5,
         }
+        assert re.fullmatch(first_worker_id(), first["worker_id"])
+
+    def test_an_id_from_before_a_restart_is_unknown_after_it(self):
+        """A restarted server numbers its workers afresh under a new
+        prefix.  Two workers on different suites register again in
+        whichever order they ask, and the old id of one never names the
+        offer the other registered first: that would grant it a cell of
+        another suite."""
+        before, _, _ = make_table()
+        alpha = before.register(["fp-a"])["worker_id"]
+        beta = before.register(["fp-b"])["worker_id"]
+        after, _, _ = make_table()  # the restart
+        beta_again = after.register(["fp-b"])["worker_id"]  # beta asks first
+        assert beta_again not in (alpha, beta)
+        assert after.heartbeat(alpha) == {"known": False}
+        assert after.grant(alpha) == {"known": False, "granted": [], "done": False}
+        alpha_again = after.register(["fp-a"])["worker_id"]
+        assert after.grant(alpha_again)["granted"] == ["fp-a"]
+        assert after.grant(beta_again)["granted"] == ["fp-b"]
 
     @pytest.mark.parametrize("interval", [0, -1.0, float("nan"), float("inf")])
     def test_invalid_cadence_rejected(self, interval):
@@ -200,8 +239,9 @@ class TestLeaseTable:
         assert events.count("reassigned") == 2
         expired = [age for fate, age in events.events if fate == "expired"]
         assert expired == [2.5, 2.5]
-        # the dead worker's late heartbeat finds nothing to renew
-        assert table.heartbeat(dead) == {"known": True}
+        # the survivor's registration forgot the lost worker: its late
+        # heartbeat renews nothing and tells it to register again
+        assert table.heartbeat(dead) == {"known": False}
         assert events.count("renewed") == 0
 
     def test_an_expired_lease_is_granted_before_the_cursor_moves_on(self):
@@ -346,6 +386,55 @@ class TestLeaseTable:
                 table.complete(granted[0])
             assert table.grant(worker)["done"] is True
             assert table._completed.checks <= 2 * n
+
+    def test_an_orphan_no_worker_takes_is_not_rescanned(self):
+        """A released fingerprint that no other worker offers stays
+        pending, but a later worker's grants do not scan past it: only
+        registering reads the orphans."""
+        table, _, _ = make_table()
+        table._orphaned = CountingDict()
+        alpha = table.register(["fp-x"])["worker_id"]
+        assert table.grant(alpha)["granted"] == ["fp-x"]
+        assert table.grant(alpha, release=["fp-x"])["done"] is True
+        worker = table.register([f"{i:016x}" for i in range(100)])["worker_id"]
+        scans = table._orphaned.scans
+        while granted := table.grant(worker)["granted"]:
+            table.complete(granted[0])
+        assert table.grant(worker)["done"] is True
+        assert table._orphaned.scans == scans
+
+    def test_a_done_worker_keeps_no_offer(self):
+        """Once a grant answers ``done``, the worker's entry keeps only
+        its liveness, so a server taking sweep after sweep does not hold
+        every finished worker's offer; asked again, it is still done."""
+        table, _, _ = make_table()
+        alpha = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.grant(alpha, release=["fp-1"])["granted"] == ["fp-0"]
+        table.complete("fp-0")
+        assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
+        entry = table._workers[alpha]
+        assert entry.offered == {} and entry.released == set()
+        assert list(entry.cursor) == [] and list(entry.orphans) == []
+        assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
+        assert table.heartbeat(alpha) == {"known": True}
+        assert table.worker_counts() == {"alive": 1, "lost": 0}
+
+    def test_a_lost_worker_is_forgotten_and_counted_once_when_it_returns(self):
+        """The next registration forgets a lost worker's offer.  If the
+        worker comes back it is told it is unknown, registers its offer
+        again and takes up its expired lease; the gauge counts it once."""
+        table, clock, events = make_table()
+        lost = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.grant(lost)["granted"] == ["fp-0"]
+        clock.advance(2.5)
+        table.register(["fp-2"])  # expires fp-0, forgets the lost offer
+        assert table._workers[lost].offered is None
+        assert table.worker_counts() == {"alive": 1, "lost": 1}
+        assert table.grant(lost) == {"known": False, "granted": [], "done": False}
+        again = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.worker_counts() == {"alive": 2, "lost": 0}
+        assert table.grant(again)["granted"] == ["fp-0"]
+        assert events.count("reassigned") == 1
 
     def test_worker_counts_track_liveness(self):
         table, clock, _ = make_table()
@@ -745,6 +834,43 @@ class TestFleetWorkerProtocol:
         assert worker.heartbeat_interval_s == 0.5
         assert worker._released == []
 
+    def test_two_workers_on_other_suites_survive_a_restart_in_any_order(
+        self, tmp_path
+    ):
+        """A server restart under two live workers on different suites:
+        the one that asks second is told it is unknown too, and each is
+        then granted only cells of its own suite."""
+        server = {"collector": ResultCollector(out=tmp_path / "before")}
+
+        def ask(request):
+            return server["collector"]._dispatch(json.loads(json.dumps(request)))
+
+        workers = []
+        for index, suite in enumerate((TINY, get_suite("lower-bound"))):
+            worker = FleetWorker(suite, ResultStore(tmp_path / f"w{index}"), "unused.sock")
+            worker._cells = {cell.fingerprint: cell for cell in suite.cells(smoke=True)}
+            worker._request = ask
+            worker._register()
+            workers.append(worker)
+        alpha, beta = workers
+        server["collector"] = ResultCollector(out=tmp_path / "after")  # restart
+        assert beta._lease() == (None, False)  # beta registers again first
+        assert alpha._lease() == (None, False)
+        for worker in (alpha, beta):
+            cell, done = worker._lease()
+            assert worker._cells[cell.fingerprint] == cell and not done
+
+    def test_a_grant_it_does_not_offer_is_a_service_error(self, tmp_path):
+        """A grant outside the worker's offer means the server took it for
+        another worker: the run stops with a service error, which the CLI
+        reports, not with a KeyError traceback."""
+        worker = self.worker(tmp_path)
+        worker._request = FakeLessor(lease={
+            "ok": True, "known": True, "granted": ["0" * 16], "done": False,
+        })
+        with pytest.raises(ServiceError, match="does not offer"):
+            worker._lease()
+
     def test_a_grant_maps_back_to_its_cell(self, tmp_path):
         worker = self.worker(tmp_path)
         cell = TINY.cells()[2]
@@ -807,7 +933,7 @@ class TestFleetWorkerEndToEnd:
         assert report.ok
         assert report.executed == total and report.skipped == 0
         assert worker.pushed == total
-        assert worker.worker_id == "worker-1"
+        assert re.fullmatch(first_worker_id(), worker.worker_id)
         assert len(store) == total
         assert len(ResultStore(tmp_path / "central")) == total
         fates = lease_fates(collector)
@@ -1059,7 +1185,9 @@ class TestFleetWorkerEndToEnd:
         out = capsys.readouterr().out
         assert code == 0
         assert f"[fleet {host}:{port}]" in out
-        assert f"record(s) to fleet {host}:{port} as worker-1" in out
+        assert re.search(
+            rf"record\(s\) to fleet {host}:{port} as {first_worker_id()}\n", out
+        )
         total = len(get_suite("lower-bound").cells(smoke=True))
         assert len(ResultStore(tmp_path / "central")) == total
 
