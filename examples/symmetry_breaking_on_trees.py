@@ -102,7 +102,7 @@ def main() -> None:
 
     arb = edge_colouring.decomposition
     print("\narboricity decomposition structure (Theorem 15 path):")
-    print(f"  iterations:                  {arb.iterations} (Lemma 13 bound {arb.theoretical_layer_bound()})")
+    print(f"  iterations:                  {arb.iterations} (Lemma 13 bound {arb.theoretical_iteration_bound})")
     print(f"  typical-edge max degree:     {arb.typical_max_degree()} (k={arb.k})")
     print(f"  atypical edges / lower node: {arb.max_atypical_per_lower_endpoint()} (b={arb.b})")
     print(f"  star collections:            {len(arb.star_collections)} (all stars: {arb.star_components_are_stars()})")

@@ -9,6 +9,9 @@
   Theorem 15: layers, typical/atypical edges, the ``2a`` forests ``F_i``
   and the ``6a`` star collections ``F_{i,j}``, with the guarantees of
   Lemmas 13 and 14 as checkable properties.
+
+Both run one peel with one compress rule (:mod:`repro.decomposition.peel`),
+and Algorithm 3 splits its edges while it peels.
 """
 
 from repro.decomposition.rake_compress import (

@@ -5,7 +5,9 @@ The process peels a tree layer by layer.  In iteration ``i`` it first
 (in the remaining tree) are at most ``k``, and then *rakes* every node of
 degree at most 1 in the remaining tree (after removing the nodes
 compressed in this iteration).  After ``O(log_k n)`` iterations every node
-has been marked.
+has been marked.  The compress step is Algorithm 3's ``Compress(G, b, k)``
+at ``b = 0``, run by the peel both decompositions share
+(:mod:`repro.decomposition.peel`).
 
 The decomposition exposes the two structural facts the transformation
 relies on:
@@ -29,6 +31,7 @@ from typing import Hashable
 
 import networkx as nx
 
+from repro.decomposition.peel import LayerOrder, Peel
 from repro.local.csr import CSRAdjacency
 from repro.local.network import default_identifiers
 from repro.semigraph.semigraph import component_diameters
@@ -58,7 +61,7 @@ class Layer:
 
 
 @dataclass
-class RakeCompressDecomposition:
+class RakeCompressDecomposition(LayerOrder):
     """The output of Algorithm 1 on a tree."""
 
     tree: nx.Graph
@@ -86,17 +89,9 @@ class RakeCompressDecomposition:
     # ------------------------------------------------------------------
     # the total order on nodes (layer first, identifier second)
     # ------------------------------------------------------------------
-    def order_key(self, node: Hashable) -> tuple[int, int]:
-        """Sort key realising the paper's lower-to-higher total order."""
-        return (self.node_layer[node].order_index, self.identifiers[node])
-
-    def is_higher(self, u: Hashable, v: Hashable) -> bool:
-        """Whether ``u`` is higher than ``v`` in the total order."""
-        return self.order_key(u) > self.order_key(v)
-
-    def lower_endpoint(self, u: Hashable, v: Hashable) -> Hashable:
-        """The lower endpoint of the edge ``{u, v}``."""
-        return v if self.is_higher(u, v) else u
+    def layer_rank(self, node: Hashable) -> int:
+        """Position of ``node``'s layer in the lower-to-higher order."""
+        return self.node_layer[node].order_index
 
     # ------------------------------------------------------------------
     # Lemma 10 / Lemma 11 as checkable properties
@@ -143,11 +138,7 @@ class RakeCompressDecomposition:
         )
 
 
-def rake_and_compress(
-    tree: nx.Graph,
-    k: int,
-    strict_iteration_bound: bool = False,
-) -> RakeCompressDecomposition:
+def rake_and_compress(tree: nx.Graph, k: int) -> RakeCompressDecomposition:
     """Run Algorithm 1 on ``tree`` with compress parameter ``k``.
 
     Parameters
@@ -157,10 +148,6 @@ def rake_and_compress(
         which only helps the process).
     k:
         The compress threshold, at least 2.
-    strict_iteration_bound:
-        When true, raise if the process needs more than the paper's
-        ``⌈log_k n⌉ + 1`` iterations; otherwise keep iterating (and record
-        the excess), which is useful for k-sweep ablations.
 
     Returns
     -------
@@ -171,72 +158,39 @@ def rake_and_compress(
     if tree.number_of_nodes() == 0:
         return RakeCompressDecomposition(tree, k, [], {}, 0, 0, 1, {})
 
-    # One-time CSR indexing: the peeling loop runs on int indices and
-    # flat offset/target arrays rather than dict-of-set adjacencies.
-    csr = CSRAdjacency.from_graph(tree)
-    n = csr.num_nodes
+    peel = Peel(tree)
+    n = peel.csr.num_nodes
     # A graph is a forest exactly when m = n − (number of components);
     # m < n alone passes a cycle padded out with isolated nodes.
-    if tree.number_of_edges() != n - _count_components(csr):
+    if tree.number_of_edges() != n - _count_components(peel.csr):
         raise ValueError("the input graph contains a cycle; Algorithm 1 expects a forest")
-
-    identifiers = default_identifiers(tree.nodes())
 
     theoretical_bound = math.ceil(math.log(max(n, 2)) / math.log(k)) + 1
     safety_cap = max(4 * theoretical_bound + 8, 32)
 
-    node_of = csr.nodes
-    offsets, targets = csr.offsets, csr.targets
-    remaining = csr.degrees()
-    alive = [True] * n
-    alive_indices = list(range(n))
-
+    node_of = peel.csr.nodes
     layers: list[Layer] = []
     node_layer: dict[Hashable, Layer] = {}
     iteration = 0
 
-    while alive_indices:
+    def add_layer(kind: str, marked: list[int]) -> None:
+        if marked:
+            layer = Layer(iteration, kind, frozenset(node_of[i] for i in marked))
+            layers.append(layer)
+            for i in marked:
+                node_layer[node_of[i]] = layer
+
+    while peel.alive_indices:
         iteration += 1
         if iteration > safety_cap:
             raise RuntimeError(
                 f"rake-and-compress did not terminate within {safety_cap} iterations "
                 f"(n={n}, k={k}); this contradicts Lemma 9"
             )
-        if strict_iteration_bound and iteration > theoretical_bound:
-            raise RuntimeError(
-                f"rake-and-compress exceeded the ⌈log_k n⌉+1 = {theoretical_bound} "
-                f"iteration bound (n={n}, k={k})"
-            )
-
-        # Compress: degree ≤ k and all neighbours' degrees ≤ k (in the
-        # remaining forest).
-        compressed = [
-            i
-            for i in alive_indices
-            if remaining[i] <= k
-            and all(
-                remaining[j] <= k
-                for j in targets[offsets[i] : offsets[i + 1]]
-                if alive[j]
-            )
-        ]
-        _remove(compressed, alive, offsets, targets, remaining)
-        alive_indices = [i for i in alive_indices if alive[i]]
-        if compressed:
-            layer = Layer(iteration, "compress", frozenset(node_of[i] for i in compressed))
-            layers.append(layer)
-            for i in compressed:
-                node_layer[node_of[i]] = layer
-
-        # Rake: degree ≤ 1 in the forest remaining after the compress step.
-        raked = [i for i in alive_indices if remaining[i] <= 1]
-        _remove(raked, alive, offsets, targets, remaining)
-        alive_indices = [i for i in alive_indices if alive[i]]
-        if raked:
-            layer = Layer(iteration, "rake", frozenset(node_of[i] for i in raked))
-            layers.append(layer)
-            for i in raked:
-                node_layer[node_of[i]] = layer
+        # Compress(G, 0, k): degree ≤ k and every remaining neighbour's
+        # degree ≤ k; then rake what has degree ≤ 1 after it.
+        add_layer("compress", peel.compress(k, 0))
+        add_layer("rake", peel.rake())
 
     return RakeCompressDecomposition(
         tree=tree,
@@ -246,25 +200,8 @@ def rake_and_compress(
         iterations=iteration,
         rounds=ROUNDS_PER_ITERATION * iteration,
         theoretical_iteration_bound=theoretical_bound,
-        identifiers=dict(identifiers),
+        identifiers=default_identifiers(tree.nodes()),
     )
-
-
-def _remove(
-    marked: list[int],
-    alive: list[bool],
-    offsets: list[int],
-    targets: list[int],
-    remaining: list[int],
-) -> None:
-    """Remove ``marked`` indices from the remaining forest, updating degrees."""
-    for i in marked:
-        alive[i] = False
-    for i in marked:
-        for j in targets[offsets[i] : offsets[i + 1]]:
-            if alive[j]:
-                remaining[j] -= 1
-        remaining[i] = 0
 
 
 def _count_components(csr: CSRAdjacency) -> int:

@@ -44,6 +44,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.experiments.report import _format_n, build_report, render_json_tables
 from repro.experiments.runner import SweepRunner, default_jobs
@@ -62,16 +63,6 @@ from repro.service.leases import DEFAULT_HEARTBEAT_INTERVAL_S, FleetWorker
 from repro.service.protocol import AUTH_TOKEN_ENV
 
 __all__ = ["main", "build_parser"]
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def _shard_spec(text: str) -> ShardSpec:
@@ -107,6 +98,19 @@ def _positive_int(text: str) -> int:
     if value == 0:
         raise argparse.ArgumentTypeError("expected a positive integer, got 0")
     return value
+
+
+def _int_list(parse: Callable[[str], int]) -> Callable[[str], tuple[int, ...]]:
+    """A converter for a comma- or space-separated list of integers, each
+    checked by ``parse``."""
+
+    def parse_list(text: str) -> tuple[int, ...]:
+        values = tuple(parse(part) for part in text.replace(",", " ").split())
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one integer")
+        return values
+
+    return parse_list
 
 
 def _nonnegative_float(text: str) -> float:
@@ -219,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a suite's pending cells")
     run.add_argument("suite", help=f"suite name (one of: {', '.join(sorted(SUITES))})")
     run.add_argument(
-        "--sizes", type=_int_list, default=None,
+        "--sizes", type=_int_list(_positive_int), default=None,
         help="override the size sweep of measured scenarios, e.g. --sizes 100,300",
     )
     run.add_argument(
-        "--seeds", type=_int_list, default=None,
+        "--seeds", type=_int_list(_nonnegative_int), default=None,
         help="override the seed list of measured scenarios, e.g. --seeds 1,2,3",
     )
     run.add_argument(

@@ -21,9 +21,10 @@ multi-worker, multi-machine, resumable, elastic sweep platform:
   :class:`LeaseTable` tracks registered workers, their offers,
   heartbeats and per-fingerprint leases inside the server
   (``register`` / ``heartbeat`` / ``lease`` verbs; any stored record
-  completes the cell's lease), and :class:`FleetWorker` is the pull
-  side behind ``run <suite> --fleet host:port`` — workers lease one cell
-  each time their pool pulls one instead of computing a static shard,
+  retires the cell's lease, a verified one completes the cell), and
+  :class:`FleetWorker` is the pull side behind ``run <suite> --fleet
+  host:port`` — workers lease one cell each time their pool pulls one
+  instead of computing a static shard,
   dead workers' leases expire and are reassigned to survivors, and
   replacement workers resume from the server's completed fingerprints.
 

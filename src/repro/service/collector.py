@@ -401,10 +401,15 @@ class ResultCollector:
             if previous is not None:
                 self.duplicates += 1
             self._fate_metric.labels(fate=fate).inc()
-            # A record from any stream completes the cell's lease — for
+            # A record from any stream retires the cell's lease — for
             # *every* fate: even a dropped duplicate proves the cell ran
-            # somewhere.
-            self.leases.complete(fingerprint)
+            # somewhere.  Only a verified kept record completes the cell,
+            # as seed_completed does at a restart; an unverified one is
+            # leased again to a later worker.
+            if self._latest[fingerprint].get("verified"):
+                self.leases.complete(fingerprint)
+            else:
+                self.leases.retire(fingerprint)
         return fate
 
     def _observe_cell(self, result: CellResult) -> None:

@@ -364,20 +364,39 @@ class LeaseTable:
             return {"known": True, "granted": [fingerprint], "done": False}
 
     def complete(self, fingerprint: str) -> None:
-        """Mark a fingerprint done; retires its lease if one is active.
+        """Mark a fingerprint done: retire its lease if one is active,
+        and grant it to no worker again.
 
-        Wired to the server's ingest, so completion needs no verb of its
-        own — and a record from any stream (a fleet push, a bare
-        ``push``) informs the scheduler.
+        Wired to the server's ingest of a verified record, so completion
+        needs no verb of its own — and a record from any stream (a fleet
+        push, a bare ``push``) informs the scheduler.
         """
-        now = self._clock()
         with self._lock:
-            self._expire(now)
-            lease = self._leases.pop(fingerprint, None)
+            self._retire(fingerprint)
             self._completed.add(fingerprint)
             self._orphaned.pop(fingerprint, None)
-            if lease is not None:
-                self._event("completed", lease.age_s(now))
+
+    def retire(self, fingerprint: str) -> None:
+        """Retire the fingerprint's lease, if one is active, but keep the
+        fingerprint pending: the server's ingest of a record that did not
+        verify.  The worker that held the lease is never granted it
+        again; a worker that registers later is, as a local resume runs an
+        unverified cell again."""
+        with self._lock:
+            lease = self._retire(fingerprint)
+            holder = self._workers.get(lease.worker_id) if lease else None
+            if holder is not None:
+                holder.released.add(fingerprint)
+
+    def _retire(self, fingerprint: str) -> Lease | None:
+        """End the fingerprint's active lease, if any, as completed.
+        Call with the lock held."""
+        now = self._clock()
+        self._expire(now)
+        lease = self._leases.pop(fingerprint, None)
+        if lease is not None:
+            self._event("completed", lease.age_s(now))
+        return lease
 
     def seed_completed(self, fingerprints: Iterable[str]) -> None:
         """Preload completed fingerprints from a restarted collector's

@@ -37,7 +37,7 @@ class TestAlgorithmThree:
     def test_lemma_13_iteration_bound(self, name):
         graph, a = INSTANCES[name]
         decomposition = arboricity_decomposition(graph, a, k=5 * a)
-        assert decomposition.iterations <= decomposition.theoretical_layer_bound()
+        assert decomposition.iterations <= decomposition.theoretical_iteration_bound
 
     def test_lemma_14_typical_degree_bound(self, name):
         graph, a = INSTANCES[name]
@@ -125,7 +125,7 @@ class TestParameterValidation:
         for graph, a in INSTANCES.values():
             for k in (10 * a, 20 * a):
                 decomposition = arboricity_decomposition(graph, a, k)
-                assert decomposition.iterations <= decomposition.theoretical_layer_bound()
+                assert decomposition.iterations <= decomposition.theoretical_iteration_bound
                 assert decomposition.typical_max_degree() <= k
                 assert decomposition.max_atypical_per_lower_endpoint() <= decomposition.b
                 assert decomposition.star_components_are_stars()
@@ -160,7 +160,7 @@ def test_property_arboricity_decomposition_invariants(n, a, seed):
     decomposition = arboricity_decomposition(graph, a, k=5 * a)
     assert decomposition.typical_max_degree() <= decomposition.k
     assert decomposition.max_atypical_per_lower_endpoint() <= decomposition.b
-    assert decomposition.iterations <= decomposition.theoretical_layer_bound()
+    assert decomposition.iterations <= decomposition.theoretical_iteration_bound
     assert decomposition.star_components_are_stars()
     total = len(decomposition.typical_edges) + len(decomposition.atypical_edges)
     assert total == graph.number_of_edges()

@@ -31,6 +31,8 @@ from repro.decomposition import arboricity_decomposition, rake_and_compress
 from repro.generators import (
     bfs_forest_parents,
     forest_union,
+    grid_graph,
+    planar_triangulation_like,
     random_graph_with_max_degree,
     random_tree,
 )
@@ -48,6 +50,7 @@ from repro.local import (
     supports_vectorized,
 )
 from repro.local import vectorized as vectorized_engine
+from repro.local.network import default_identifiers
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires the numpy array backend"
@@ -334,12 +337,22 @@ def _naive_rake_compress_layers(tree, k):
 
 
 def _naive_arboricity_layers(graph, k, b):
-    """The seed peeling loop of Algorithm 3 (dict-of-set version)."""
+    """The seed peeling loop of Algorithm 3 (dict-of-set version) and the
+    seed's edge split from per-iteration degree snapshots: an edge is
+    atypical when its higher endpoint's remaining degree exceeded ``k``
+    in the iteration its lower endpoint was marked.
+
+    Returns the layers, the typical edges, and each atypical edge mapped
+    to its ``(lower, higher)`` endpoints, edges as ``graph.edges()``
+    yields them.
+    """
     remaining = dict(graph.degree())
     alive = set(graph.nodes())
     adjacency = {node: set(graph.neighbors(node)) for node in graph.nodes()}
     layers = []
+    snapshots = []
     while alive:
+        snapshots.append({node: remaining[node] for node in alive})
         marked = {
             node
             for node in alive
@@ -356,7 +369,17 @@ def _naive_arboricity_layers(graph, k, b):
                 if neighbor in alive:
                     remaining[neighbor] -= 1
             remaining[node] = 0
-    return layers
+
+    identifiers = default_identifiers(graph.nodes())
+    iteration = {node: t for t, layer in enumerate(layers) for node in layer}
+    typical, atypical = set(), {}
+    for u, v in graph.edges():
+        lower, higher = sorted((u, v), key=lambda node: (iteration[node], identifiers[node]))
+        if snapshots[iteration[lower]].get(higher, 0) > k:
+            atypical[u, v] = (lower, higher)
+        else:
+            typical.add((u, v))
+    return layers, typical, atypical
 
 
 @pytest.mark.parametrize(
@@ -377,4 +400,58 @@ def test_arboricity_layers_match_naive(n, a, seed):
     graph = forest_union(n, arboricity=a, seed=seed)
     k, b = 5 * a, 2 * a
     decomposition = arboricity_decomposition(graph, arboricity=a, k=k)
-    assert decomposition.layers == _naive_arboricity_layers(graph, k, b)
+    assert decomposition.layers == _naive_arboricity_layers(graph, k, b)[0]
+
+
+def _forest_union_with_hubs(n, a, seed):
+    """A union of ``a`` forests: ``a - 1`` seeded random trees and a forest
+    of 45-leaf stars.  Without the hubs, these unions have no atypical
+    edge at any ``k`` the split test uses."""
+    graph = forest_union(n, arboricity=a - 1, seed=seed)
+    for centre in range(0, n, 46):
+        graph.add_edges_from((centre, leaf) for leaf in range(centre + 1, min(centre + 46, n)))
+    return graph
+
+
+SPLIT_GRAPHS = {
+    # name: (graph, arboricity bound)
+    "forest-union-2": (_forest_union_with_hubs(400, 2, seed=11), 2),
+    "forest-union-3": (_forest_union_with_hubs(400, 3, seed=12), 3),
+    "forest-union-4": (_forest_union_with_hubs(400, 4, seed=13), 4),
+    "planar": (planar_triangulation_like(250, seed=14), 3),
+    "grid": (grid_graph(12, 15), 2),
+    "random-tree": (random_tree(3000, seed=15), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GRAPHS))
+@pytest.mark.parametrize("k_of", ["5a", "5a+2", "9a"])
+@pytest.mark.parametrize("b_of", ["2a", "2a+1"])
+def test_arboricity_edge_split_matches_naive(name, k_of, b_of):
+    """The split Algorithm 3 makes while it peels equals the seed's
+    snapshot rule, and so do the forests and star collections built on
+    it: each lower endpoint puts its atypical edges into ``F_1, F_2, ...``
+    by the higher endpoint's identifier, and ``F_{i,j}`` holds the edges
+    of ``F_i`` whose higher endpoint has colour ``j``."""
+    graph, a = SPLIT_GRAPHS[name]
+    k = {"5a": 5 * a, "5a+2": 5 * a + 2, "9a": 9 * a}[k_of]
+    b = {"2a": 2 * a, "2a+1": 2 * a + 1}[b_of]
+    decomposition = arboricity_decomposition(graph, arboricity=a, k=k, b=b)
+    layers, typical, atypical = _naive_arboricity_layers(graph, k, b)
+    assert decomposition.layers == layers
+    assert decomposition.typical_edges == typical
+    assert decomposition.atypical_edges == set(atypical)
+
+    identifiers = default_identifiers(graph.nodes())
+    by_lower = {}
+    for edge, (lower, higher) in atypical.items():
+        by_lower.setdefault(lower, []).append((identifiers[higher], higher, edge))
+    forests = [set() for _ in range(b)]
+    stars = {}
+    for edges in by_lower.values():
+        for index, (_, higher, edge) in enumerate(sorted(edges)):
+            forests[index].add(edge)
+            colour = decomposition.forest_colorings[index][higher]
+            stars.setdefault((index + 1, colour), set()).add(edge)
+    assert decomposition.forests == forests
+    assert decomposition.star_collections == stars

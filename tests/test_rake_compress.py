@@ -130,11 +130,6 @@ class TestAlgorithmOneEdgeCases:
         assert decomposition.is_higher(u, v) != decomposition.is_higher(v, u)
         assert decomposition.lower_endpoint(u, v) in (u, v)
 
-    def test_strict_iteration_bound_flag(self):
-        # The bound holds on these instances, so strict mode succeeds.
-        decomposition = rake_and_compress(random_tree(100, seed=2), 4, strict_iteration_bound=True)
-        assert decomposition.iterations <= decomposition.theoretical_iteration_bound
-
 
 class TestLayerStructure:
     def test_layers_partition_nodes(self):

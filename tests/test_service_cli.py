@@ -73,20 +73,26 @@ class TestRunOverridesCli:
         pytest.param("--seeds", "1,false", id="seeds-one-bad-element"),
         pytest.param("--seeds", "1.5", id="seeds-fraction"),
         pytest.param("--seeds", "nan", id="seeds-nan"),
+        pytest.param("--sizes=-5", None, id="sizes-negative"),
+        pytest.param("--sizes", "0", id="sizes-zero"),
+        pytest.param("--sizes", "40,0", id="sizes-one-zero-element"),
+        pytest.param("--seeds=-1", None, id="seeds-negative"),
     ])
     def test_malformed_sizes_and_seeds_rejected_by_argparse(
         self, flag, value, tmp_path, capsys
     ):
-        """A sweep override that is not a list of integers is refused at
-        parse time with an error naming the flag, before any cell runs."""
+        """A sweep override that is not a list of sizes ≥ 1 or seeds ≥ 0
+        is refused at parse time with an error naming the flag, before any
+        cell runs."""
+        override = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "run", "paper-claims", flag, value, "--quiet",
+                "run", "paper-claims", *override, "--quiet",
                 "--out", str(tmp_path / "out"),
             ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}" in err and "expected" in err
+        assert f"argument {flag.partition('=')[0]}" in err and "expected" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -570,9 +570,10 @@ class TestCollectorFleetVerbs:
         assert lease_fates(collector).count("completed") == 1
 
     def test_every_push_fate_completes_idempotently(self, collector):
-        """Every ingest fate — even a dropped duplicate — marks the
-        fingerprint done in the scheduler (the cell ran *somewhere*),
-        and repeat pushes do not double-count completion events."""
+        """Every ingest fate — even a dropped duplicate — leaves a
+        fingerprint whose kept record is verified done in the scheduler
+        (the cell ran *somewhere*), and repeat pushes do not double-count
+        completion events."""
         client = collector_client(collector)
         verified = make_result(seed=1, verified=True)
         lease(client, register(client, [verified.fingerprint]))
@@ -584,6 +585,45 @@ class TestCollectorFleetVerbs:
         assert lease_fates(collector).held() == 0
         # the second push found no active lease: no second event
         assert lease_fates(collector).count("completed") == 1
+
+    def test_only_a_verified_record_completes_the_cell(self, tmp_path):
+        """A pushed record always retires its lease, but the cell is
+        completed only when the record kept for it is verified, as at a
+        restart: after an unverified push a worker that registers later
+        is granted the cell and the worker that pushed it is not; after a
+        verified push no later worker is."""
+        collector = ResultCollector(out=tmp_path / "central")
+        fingerprint = make_result(seed=1).fingerprint
+
+        def ask(request):
+            reply = collector._dispatch(json.loads(json.dumps(request)))
+            assert reply["ok"], reply
+            return reply
+
+        def new_worker():
+            return ask({"op": "register", "fingerprints": [fingerprint]})["worker_id"]
+
+        def grant(worker_id):
+            reply = ask({"op": "lease", "worker_id": worker_id, "release": []})
+            return reply["granted"], reply["done"]
+
+        def push_record(verified):
+            record = make_result(seed=1, verified=verified).to_record()
+            ask({"op": "push", "records": [record]})
+
+        first = new_worker()
+        assert grant(first) == ([fingerprint], False)
+        push_record(verified=False)
+        assert lease_fates(collector).held() == 0
+        second = new_worker()
+        assert grant(second) == ([fingerprint], False)
+        # Not waiting on the second worker's lease: the cell is no longer
+        # the first worker's to run.
+        assert grant(first) == ([], True)
+        push_record(verified=True)
+        assert grant(second) == ([], True)
+        assert grant(new_worker()) == ([], True)
+        assert lease_fates(collector).count("completed") == 2
 
     @pytest.mark.parametrize("payload,match", [
         ({"op": "register"}, "fingerprints"),

@@ -169,7 +169,8 @@ def test_arboricity_peel_property(n, a, seed):
     with CellContext("interpreted") as interpreted_context:
         interpreted = arboricity_decomposition(graph, arboricity=a, k=5 * a)
     assert vectorized.layers == interpreted.layers
-    assert vectorized.degree_snapshots == interpreted.degree_snapshots
+    assert vectorized.typical_edges == interpreted.typical_edges
+    assert vectorized.atypical_edges == interpreted.atypical_edges
     assert vectorized.forests == interpreted.forests
     assert vectorized.forest_colorings == interpreted.forest_colorings
     assert vectorized.rounds == interpreted.rounds
