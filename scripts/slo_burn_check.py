@@ -82,17 +82,17 @@ def main(argv: list[str] | None = None) -> int:
         else:
             ingested = sum_samples(samples, "collector_records_ingested_total")
             at_start = sum_samples(samples, "collector_store_records_at_start")
-            # Records as the server's startup replay counts them: a
-            # truncated final line (a crash mid-append) is not one.  The
-            # store's package imports the whole simulator (~0.5 s), so
-            # only a --store check pays for it.
+            # Lines as the server's startup replay counts them, cell
+            # records or not: a truncated final line (a crash mid-append)
+            # is not one.  The store's package imports the whole simulator
+            # (~0.5 s), so only a --store check pays for it.
             from repro.experiments.store import ResultStore
 
             store = ResultStore.from_path(args.store)
             try:
                 if not store.path.is_file():
                     raise FileNotFoundError(f"no store file at {store.path}")
-                store_records = len(store.records())
+                store_records = len(store.lines())
             except (OSError, ValueError) as error:
                 print(f"cannot read store: {error}", file=sys.stderr)
                 return EXIT_UNREADABLE

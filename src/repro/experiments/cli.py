@@ -52,6 +52,7 @@ from repro.experiments.spec import ALGORITHMS, GENERATORS, SUITES, get_suite
 from repro.experiments.store import (
     DEFAULT_OUT,
     CellResult,
+    CorruptStoreError,
     ResultStore,
     merge_result_files,
 )
@@ -164,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
             "sweep server:\n"
             "  `serve` is the one server role, and it computes nothing: a "
             "deduplicated\n  store (`--out`; verified records outrank "
-            "unverified ones, as in `merge`)\n  and the lease table, on a "
-            "Unix socket and, with `--listen host:port`,\n  "
-            "token-authenticated TCP (token from --token or "
-            f"{AUTH_TOKEN_ENV}; Unix\n  "
-            "sockets need none).  `run <suite> --fleet` workers compute its "
-            "cells.\n  `report --connect host:port` serves the report over "
-            "the whole store,\n  byte-identical to `report --json` on it."
+            "unverified ones, as in `merge`)\n  and the lease table, on one "
+            "endpoint: `--listen host:port` is\n  token-authenticated TCP "
+            f"(token from --token or {AUTH_TOKEN_ENV}),\n  any other "
+            "`--listen` a Unix socket path, which needs no token (default\n  "
+            f"{DEFAULT_SOCKET}).  `run <suite> --fleet` workers compute its"
+            "\n  cells.  `report --connect ENDPOINT` serves the report over "
+            "the whole\n  store, byte-identical to `report --json` on it."
             "\n\n"
             "elastic sweep fleet:\n"
             "  `run <suite> --fleet host:port` replaces the static shard "
@@ -280,21 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
         "lease table that `run --fleet` workers compute for",
     )
     serve.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help=f"Unix socket path to listen on (default: {DEFAULT_SOCKET})",
+        "--listen", default=DEFAULT_SOCKET, metavar="ENDPOINT",
+        help="the one endpoint to serve on: host:port is token-authenticated "
+        "TCP for cross-machine clients (e.g. 0.0.0.0:7919), anything else a "
+        f"Unix socket path (default: {DEFAULT_SOCKET})",
     )
     serve.add_argument(
         "--out", default=DEFAULT_OUT,
         help=f"deduplicated result-store directory (default: {DEFAULT_OUT})",
     )
     serve.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="also listen on TCP (token-authenticated) for cross-machine "
-        "clients, e.g. --listen 0.0.0.0:7919",
-    )
-    serve.add_argument(
         "--token", default=None,
-        help=f"shared auth token for the TCP listener (default: ${AUTH_TOKEN_ENV})",
+        help=f"shared auth token for a TCP --listen (default: ${AUTH_TOKEN_ENV})",
     )
     serve.add_argument(
         "--heartbeat-interval", type=_positive_float,
@@ -587,17 +585,15 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = ResultCollector(
-            out=args.out, listen=args.listen, socket_path=args.socket,
-            token=args.token, heartbeat_interval_s=args.heartbeat_interval,
+            out=args.out, listen=args.listen, token=args.token,
+            heartbeat_interval_s=args.heartbeat_interval,
         )
         server.start()
     except (ValueError, RuntimeError, OSError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(f"sweep server: socket={args.socket}")
-    if server.tcp_address is not None:
-        host, port = server.tcp_address
-        print(f"TCP listener: {host}:{port} (token-authenticated)")
+    auth = " (token-authenticated)" if server.endpoint.is_tcp else ""
+    print(f"sweep server: {server.endpoint}{auth}")
     print(f"store: {server.store.path}")
     print(
         f"fleet: heartbeat every {server.leases.heartbeat_interval_s:g}s, "
@@ -764,16 +760,15 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "merge":
-        return _cmd_merge(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    return _cmd_report(args)
+    commands = {
+        "run": _cmd_run, "list": lambda _: _cmd_list(), "merge": _cmd_merge,
+        "serve": _cmd_serve, "metrics": _cmd_metrics,
+        "dashboard": _cmd_dashboard, "report": _cmd_report,
+    }
+    try:
+        return commands[args.command](args)
+    except CorruptStoreError as error:
+        # Exit 1 means failed or conflicting cells; an unreadable store
+        # is bad input, like any other.
+        print(str(error), file=sys.stderr)
+        return 2

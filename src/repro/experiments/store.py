@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_OUT",
     "cell_fingerprint",
     "CellResult",
+    "CorruptStoreError",
     "ResultStore",
     "DuplicateResolution",
     "MergeConflict",
@@ -127,26 +128,47 @@ class CellResult:
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "CellResult":
-        return cls(
-            fingerprint=record["fingerprint"],
-            suite=record["suite"],
-            scenario=record["scenario"],
-            generator=record["generator"],
-            algorithm=record["algorithm"],
-            n=record["n"],
-            seed=record["seed"],
-            rounds=record["rounds"],
-            charged_rounds=record.get("charged_rounds"),
-            messages=record.get("messages"),
-            wall_clock_s=record.get("wall_clock_s", 0.0),
-            verified=bool(record["verified"]),
-            k=record.get("k"),
-            extras=dict(record.get("extras", {})),
-            engine=record.get("engine"),
-            engine_rounds=record.get("engine_rounds"),
-            timings=record.get("timings"),
-        )
+    def from_record(cls, record: Any) -> "CellResult":
+        """The result a store record holds.
+
+        This is the one rule of what a cell record is: a JSON object with
+        a non-empty fingerprint string and every required field.  Anything
+        else raises ``ValueError`` saying what is wrong.
+        """
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+        fingerprint = record.get("fingerprint")
+        if not isinstance(fingerprint, str) or not fingerprint:
+            raise ValueError("no fingerprint string")
+        try:
+            return cls(
+                fingerprint=fingerprint,
+                suite=record["suite"],
+                scenario=record["scenario"],
+                generator=record["generator"],
+                algorithm=record["algorithm"],
+                n=record["n"],
+                seed=record["seed"],
+                rounds=record["rounds"],
+                charged_rounds=record.get("charged_rounds"),
+                messages=record.get("messages"),
+                wall_clock_s=record.get("wall_clock_s", 0.0),
+                verified=bool(record["verified"]),
+                k=record.get("k"),
+                extras=dict(record.get("extras", {})),
+                engine=record.get("engine"),
+                engine_rounds=record.get("engine_rounds"),
+                timings=record.get("timings"),
+            )
+        except KeyError as error:
+            raise ValueError(f"no {error.args[0]!r} field") from None
+        except TypeError as error:  # extras that is no mapping
+            raise ValueError(str(error)) from None
+
+
+class CorruptStoreError(ValueError):
+    """A store line, other than a truncated final one, that is not JSON or
+    is JSON but no cell record."""
 
 
 class ResultStore:
@@ -193,11 +215,13 @@ class ResultStore:
             keep = data.rfind(b"\n") + 1  # 0 when no complete line exists
             handle.truncate(keep)
 
-    def records(self) -> list[dict[str, Any]]:
-        """All parseable records, tolerating a truncated final line."""
+    def lines(self) -> list[tuple[int, Any]]:
+        """Each stored line's number and JSON value, tolerating a
+        truncated final line.  A value need not be a cell record:
+        :meth:`records` checks that."""
         if not self.path.exists():
             return []
-        records: list[dict[str, Any]] = []
+        values: list[tuple[int, Any]] = []
         with open(self.path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
         for index, line in enumerate(lines):
@@ -205,16 +229,34 @@ class ResultStore:
             if not stripped:
                 continue
             try:
-                records.append(json.loads(stripped))
+                values.append((index + 1, json.loads(stripped)))
             except json.JSONDecodeError:
                 if index == len(lines) - 1:
                     # A crash mid-append leaves a truncated last line; the
                     # cell is simply treated as not completed and re-run.
                     continue
-                raise ValueError(
+                raise CorruptStoreError(
                     f"{self.path}: corrupt record on line {index + 1} "
                     f"(only the final line may be truncated): {stripped[:80]!r}"
                 )
+        return values
+
+    def records(self) -> list[dict[str, Any]]:
+        """Every stored cell record, tolerating a truncated final line.
+
+        A line that is JSON but no cell record (one
+        :meth:`CellResult.from_record` refuses) raises
+        :class:`CorruptStoreError` naming the file and the line.
+        """
+        records: list[dict[str, Any]] = []
+        for number, record in self.lines():
+            try:
+                CellResult.from_record(record)
+            except ValueError as error:
+                raise CorruptStoreError(
+                    f"{self.path}: line {number} is not a cell record ({error})"
+                ) from None
+            records.append(record)
         return records
 
     def results(self) -> list[CellResult]:
@@ -365,12 +407,14 @@ def merge_result_files(
 
     Inputs are read in order through :class:`ResultStore`, so each file
     gets the same tolerance as a live store: a truncated final line (a
-    crash mid-append) is dropped, corruption elsewhere raises.  Duplicate
-    fingerprints resolve by rank, then recency: a **verified** record
-    always beats an unverified one (an unverified record is "not
-    completed" per the store's resume semantics — its re-run legitimately
-    supersedes it, and it must never displace a completed result), and
-    between records of equal verification status the *last* one wins.
+    crash mid-append) is dropped, while corruption elsewhere or a line
+    that is no cell record raises :class:`CorruptStoreError` before
+    anything is written.  Duplicate fingerprints resolve by rank, then
+    recency: a **verified** record always beats an unverified one (an
+    unverified record is "not completed" per the store's resume
+    semantics — its re-run legitimately supersedes it, and it must never
+    displace a completed result), and between records of equal
+    verification status the *last* one wins.
     Two records of equal status that differ in semantic fields (anything
     except wall clock and the cosmetic suite/scenario labels) are
     reported as conflicts — for a deterministic cell that means the
@@ -400,9 +444,7 @@ def merge_result_files(
             continue
         for record in ResultStore.from_path(path).records():
             report.records_read += 1
-            fingerprint = record.get("fingerprint")
-            if fingerprint is None:
-                raise ValueError(f"{path}: record without a fingerprint field")
+            fingerprint = record["fingerprint"]
             previous = merged.get(fingerprint)
             if previous is not None:
                 report.duplicates += 1

@@ -8,8 +8,9 @@ multi-worker, multi-machine, resumable, elastic sweep platform:
 
 * :mod:`repro.service.protocol` — the transport-neutral line-JSON wire
   protocol: :class:`Endpoint` addresses (Unix path or ``host:port``),
-  the :class:`LineServer` listener (accept loops, per-connection
-  threads, TCP token auth) that the server is a verb table on top of;
+  the :class:`LineServer` on one endpoint (one listener and its accept
+  loop, per-connection threads, TCP token auth) that the server is a
+  verb table on top of;
 * :mod:`repro.service.collector` / :mod:`repro.service.client` — the
   one server role, :class:`ResultCollector` (``serve``): a
   fingerprint-deduplicated store that ``report`` consumes unchanged

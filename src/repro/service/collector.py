@@ -1,11 +1,12 @@
 """The sweep server: one deduplicated store and the lease table.
 
 ``python -m repro.experiments serve`` runs one :class:`ResultCollector`:
-a :class:`~repro.service.protocol.LineServer` on a Unix socket and, with
-``--listen host:port``, on token-authenticated TCP, in front of one
-fingerprint-deduplicated :class:`~repro.experiments.store.ResultStore`
-(``--out``).  The server computes nothing: ``run <suite> --fleet
-host:port`` workers on any machine lease cells from its
+a :class:`~repro.service.protocol.LineServer` on one endpoint
+(``--listen``: a ``host:port`` is token-authenticated TCP, anything else
+a Unix socket path), in front of one fingerprint-deduplicated
+:class:`~repro.experiments.store.ResultStore` (``--out``).  The server
+computes nothing: ``run <suite> --fleet ENDPOINT`` workers on any
+machine lease cells from its
 :class:`~repro.service.leases.LeaseTable` and ``push`` each result back,
 and every record reaches the store through :meth:`ResultCollector.ingest`.
 A record for a leased cell from *any* stream retires the lease.  The
@@ -73,19 +74,16 @@ from repro.experiments.store import (
 from repro.obs import MetricsRegistry
 from repro.service.leases import DEFAULT_HEARTBEAT_INTERVAL_S, LeaseTable
 from repro.service.protocol import (
+    Endpoint,
     LineServer,
-    ServiceError,
-    check_unix_socket_path,
     error_response,
     ok_response,
-    parse_endpoint,
     resolve_token,
-    unix_socket_is_live,
 )
 
 __all__ = ["DEFAULT_SOCKET", "ResultCollector"]
 
-#: Default rendezvous point, next to the default result store.
+#: Default endpoint: a Unix socket next to the default result store.
 DEFAULT_SOCKET = "experiments/service.sock"
 
 #: The verb table's names, in the order the unknown-op error lists them.
@@ -108,15 +106,16 @@ class ResultCollector:
     def __init__(
         self,
         out: str | Path = DEFAULT_OUT,
-        listen: str | None = None,
-        socket_path: str | Path | None = None,
+        listen: str | Path = DEFAULT_SOCKET,
         token: str | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
     ) -> None:
         self.store = ResultStore(out)
         self.listen = listen
-        self.socket_path = Path(socket_path) if socket_path is not None else None
         self.token = resolve_token(token)
+        #: The endpoint :meth:`start` bound (a ``host:0`` listen's port
+        #: included); ``None`` before it.
+        self.endpoint: Endpoint | None = None
         self._latest: dict[str, dict[str, Any]] = {}
         self._lock = threading.Lock()
         self._shutdown = threading.Event()
@@ -127,7 +126,7 @@ class ResultCollector:
         self.dropped = 0
         self.duplicates = 0
         self.conflicts = 0
-        #: Store records skipped at startup for lacking a fingerprint —
+        #: Store lines skipped at startup for not being cell records —
         #: surfaced by the metrics gauge instead of refusing to serve.
         self.malformed_store_records = 0
         #: Records the startup replay read from the store, malformed ones
@@ -176,7 +175,7 @@ class ResultCollector:
         ).set_function(lambda: float(self.store_records_at_start))
         self.registry.gauge(
             "collector_store_malformed_records",
-            "Store records skipped at startup for lacking a fingerprint.",
+            "Store lines skipped at startup for not being cell records.",
         ).set_function(lambda: float(self.malformed_store_records))
         # Cell phase timings and simulator rounds come off the records
         # themselves: cells run on fleet machines, so their accounts
@@ -242,20 +241,17 @@ class ResultCollector:
             return 0.0
         return time.monotonic() - self._last_push_monotonic
 
-    @property
-    def tcp_address(self) -> tuple[str, int] | None:
-        """The bound ``(host, port)`` of the TCP listener, if any."""
-        return self._server.tcp_address if self._server is not None else None
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Check the endpoints, load the store, then bind.
+        """Bind the endpoint, read the store, then accept.
 
-        Every endpoint problem (over-long socket path, a live server on
-        the socket, TCP without a token) is refused before anything is
-        bound.
+        Every endpoint problem (an over-long socket path, a live server
+        on the socket, TCP without a token) is refused by the bind,
+        before the store is read, and no request is answered before the
+        store has been read.  A store that fails to load closes the
+        listener again, so no socket file is left behind.
 
         A restarted server picks up exactly where it stopped: the
         store's records are replayed through the same duplicate policy,
@@ -264,32 +260,33 @@ class ResultCollector:
         """
         if self._server is not None:
             raise RuntimeError("server already started")
-        if self.listen is None and self.socket_path is None:
-            raise ServiceError(
-                "a server needs an endpoint: --listen host:port and/or "
-                "--socket path"
-            )
-        tcp_endpoint = None
-        if self.socket_path is not None:
-            check_unix_socket_path(self.socket_path)
-            if self.socket_path.exists() and unix_socket_is_live(self.socket_path):
-                raise RuntimeError(f"another server is serving {self.socket_path}")
-        if self.listen is not None:
-            tcp_endpoint = parse_endpoint(self.listen)
-            if not tcp_endpoint.is_tcp:
-                raise ServiceError(
-                    f"--listen takes a host:port TCP address, got {self.listen!r}"
-                )
-            if not self.token:
-                raise ServiceError(
-                    "refusing to listen on TCP without an auth token — pass "
-                    "--token or set REPRO_SERVICE_TOKEN"
-                )
-        records = self.store.records()
-        self.store_records_at_start = len(records)
-        for record in records:
-            fingerprint = record.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint:
+        server = LineServer(
+            self._dispatch,
+            token=self.token,
+            name="result-collector",
+            close_after=lambda request, _: request.get("op") == "shutdown",
+            registry=self.registry,
+            verbs=VERBS,
+        )
+        endpoint = server.bind(self.listen)
+        try:
+            self._replay_store()
+            server.start()
+        except BaseException:
+            server.close()
+            raise
+        self._server = server
+        self.endpoint = endpoint
+        self._started_monotonic = time.monotonic()
+
+    def _replay_store(self) -> None:
+        """Rebuild the dedup index and the completed cells from the store."""
+        lines = self.store.lines()
+        self.store_records_at_start = len(lines)
+        for _, record in lines:
+            try:
+                fingerprint = CellResult.from_record(record).fingerprint
+            except ValueError:
                 # One corrupt line must not brick a restart (and with it
                 # collector-aware resume): skip it, count it, surface the
                 # count via the malformed-records gauge.  The line stays
@@ -307,25 +304,6 @@ class ResultCollector:
             for fingerprint, record in self._latest.items()
             if record.get("verified")
         )
-        server = LineServer(
-            self._dispatch,
-            token=self.token,
-            name="result-collector",
-            close_after=lambda request, _: request.get("op") == "shutdown",
-            registry=self.registry,
-            verbs=VERBS,
-        )
-        try:
-            if self.socket_path is not None:
-                server.listen_unix(self.socket_path)
-            if tcp_endpoint is not None:
-                server.listen_tcp(tcp_endpoint.host, tcp_endpoint.port)
-            server.start()
-        except BaseException:
-            server.close()
-            raise
-        self._server = server
-        self._started_monotonic = time.monotonic()
 
     def serve_forever(self) -> None:
         """Run until a ``shutdown`` request (or :meth:`stop`) arrives."""
@@ -376,10 +354,8 @@ class ResultCollector:
         raises here and leaves the index, the counters and the lease
         table as they were.
         """
-        fingerprint = record.get("fingerprint")
-        if not isinstance(fingerprint, str) or not fingerprint:
-            raise ValueError("pushed record lacks a fingerprint field")
         result = CellResult.from_record(record)
+        fingerprint = result.fingerprint
         with self._lock:
             previous = self._latest.get(fingerprint)
             resolution = (
@@ -490,20 +466,11 @@ class ResultCollector:
         # record mid-batch must not leave a half-ingested prefix whose
         # retry would double-ingest.
         for index, record in enumerate(records):
-            if not isinstance(record, dict):
-                return error_response(
-                    f"push record {index} is not a JSON object (cell record)"
-                )
-            fingerprint = record.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint:
-                return error_response(
-                    f"push record {index} lacks a fingerprint field"
-                )
             try:
                 CellResult.from_record(record)
-            except (KeyError, TypeError, ValueError) as error:
+            except ValueError as error:
                 return error_response(
-                    f"push record {index} is not a valid cell record ({error!r})"
+                    f"push record {index} is not a cell record: {error}"
                 )
         self._push_batch_records.observe(len(records))
         self._last_push_monotonic = time.monotonic()

@@ -586,10 +586,13 @@ class FleetWorker:
             "op": "lease", "worker_id": self.worker_id, "release": release,
         })
         if not reply["known"]:
-            # The server restarted and forgot this worker: register again
-            # and ask next time — completed work is durable in its store.
+            # The server restarted and forgot this worker: register again,
+            # the failed cells left out of the offer, and ask at once under
+            # the new id — completed work is durable in its store.
             self._register()
-            return None, False
+            reply = self._request({
+                "op": "lease", "worker_id": self.worker_id, "release": [],
+            })
         granted = reply["granted"]
         if not granted:
             return None, reply["done"]

@@ -19,19 +19,20 @@ Transports and endpoints
 ------------------------
 :func:`parse_endpoint` turns an address string into an :class:`Endpoint`:
 ``host:port`` (numeric port) means TCP, anything else is a Unix-socket
-path.  :class:`LineServer` is the shared listener abstraction — it owns
-the accept loop, the per-connection threads and the per-request token
-check, and dispatches each decoded request to a handler callable.  The
-sweep server (:class:`~repro.service.collector.ResultCollector`) is one
-verb table on top of it.
+path.  A :class:`LineServer` serves one endpoint: it binds one listener,
+makes every endpoint check as it binds, owns the accept loop, the
+per-connection threads and the per-request token check, and dispatches
+each decoded request to a handler callable.  The sweep server
+(:class:`~repro.service.collector.ResultCollector`) is one verb table on
+top of it.
 
 Authentication
 --------------
-TCP crosses machine boundaries, so TCP listeners *require* a shared
+TCP crosses machine boundaries, so a TCP endpoint *requires* a shared
 token (``--token`` or the :data:`AUTH_TOKEN_ENV` environment variable):
-every request on a TCP connection must carry a matching ``"token"``
-field or it is refused and the connection closed.  Unix-socket
-connections stay guarded by filesystem permissions and need no token.
+every request on it must carry a matching ``"token"`` field or it is
+refused and the connection closed.  A Unix socket stays guarded by
+filesystem permissions and needs no token.
 """
 
 from __future__ import annotations
@@ -217,14 +218,14 @@ def connect_endpoint(endpoint: Endpoint, timeout: float) -> socket.socket:
     return sock
 
 
-def check_unix_socket_path(path: str | Path, flag: str = "--socket") -> None:
+def check_unix_socket_path(path: str | Path) -> None:
     """Refuse an over-long ``AF_UNIX`` path with a clear, named error."""
     path_bytes = len(os.fsencode(str(path)))
     if path_bytes > MAX_SOCKET_PATH_BYTES:
         raise ServiceError(
             f"socket path is {path_bytes} bytes, over the "
             f"{MAX_SOCKET_PATH_BYTES}-byte AF_UNIX limit: "
-            f"{path} — pass a shorter {flag} path (e.g. under /tmp)"
+            f"{path} — pass a shorter --listen path (e.g. under /tmp)"
         )
 
 
@@ -247,20 +248,20 @@ def unix_socket_is_live(path: str | Path) -> bool:
 # ----------------------------------------------------------------------
 
 class LineServer:
-    """Transport-neutral request/response server over the line protocol.
+    """Request/response server over the line protocol, on one endpoint.
 
-    One :class:`LineServer` owns any number of listeners (Unix and/or
-    TCP), an accept thread per listener, and one thread per connection.
-    Every decoded request is passed to ``handler(request)`` which returns
-    the response dict; handler exceptions become ``ok: false`` responses
-    and the connection keeps serving.  ``close_after(request, response)``
-    (when given) lets the owner close a connection after a terminal verb
-    such as ``shutdown``.
+    :meth:`bind` checks the endpoint and binds the one listener,
+    :meth:`start` runs its accept thread, and each connection gets a
+    thread of its own.  Every decoded request is passed to
+    ``handler(request)`` which returns the response dict; handler
+    exceptions become ``ok: false`` responses and the connection keeps
+    serving.  ``close_after(request, response)`` (when given) lets the
+    owner close a connection after a terminal verb such as ``shutdown``.
 
-    Requests on TCP connections must carry a ``"token"`` field matching
-    the server token (compared constant-time); the field is stripped
-    before the handler sees the request.  Unix connections skip the check
-    — the socket file's permissions are the boundary.
+    On a TCP endpoint every request must carry a ``"token"`` field
+    matching the server token (compared constant-time); the field is
+    stripped before the handler sees the request.  On a Unix socket the
+    file's permissions are the boundary and no token is checked.
 
     Every server self-instruments into ``registry`` (its own private
     :class:`~repro.obs.MetricsRegistry` when none is shared in): request
@@ -286,12 +287,11 @@ class LineServer:
         self.close_after = close_after
         self.registry = registry if registry is not None else MetricsRegistry()
         self.verbs = tuple(verbs)
-        self.unix_path: Path | None = None
-        self.tcp_address: tuple[str, int] | None = None
-        self._listeners: list[tuple[socket.socket, bool]] = []
-        self._accept_threads: list[threading.Thread] = []
+        #: The bound endpoint; ``None`` until :meth:`bind`.
+        self.endpoint: Endpoint | None = None
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._started = False
         self._requests_total = self.registry.counter(
             "service_requests_total",
             "Requests handled, by server, verb and outcome (ok/error).",
@@ -327,116 +327,108 @@ class LineServer:
         op = request.get("op")
         return op if op in self.verbs else "other"
 
-    # -- listeners ------------------------------------------------------
-    def listen_unix(self, path: str | Path, flag: str = "--socket") -> Path:
-        """Bind a Unix listener, reclaiming a stale (dead) socket file.
+    # -- lifecycle ------------------------------------------------------
+    def bind(self, endpoint: str | Path | Endpoint) -> Endpoint:
+        """Check ``endpoint`` and bind the server's one listener on it.
 
-        Raises :class:`ServiceError` for an over-long path and
-        ``RuntimeError`` when a *live* server already owns the file.
+        A Unix path reclaims a stale (dead) socket file; it raises
+        :class:`ServiceError` when over-long and ``RuntimeError`` when a
+        *live* server owns the file.  TCP raises :class:`ServiceError`
+        without a token.  Returns the bound endpoint, with the port the
+        kernel picked for ``host:0``.
         """
-        if self._started:
-            raise RuntimeError("cannot add listeners to a started server")
-        if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
-            raise ServiceError("Unix-socket listeners require a POSIX platform")
-        path = Path(path)
-        check_unix_socket_path(path, flag=flag)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            # A previous server that crashed leaves a stale socket file; a
-            # *live* one would still answer, so probe before stealing.
-            if unix_socket_is_live(path):
-                raise RuntimeError(f"another server is serving {path}")
-            path.unlink()
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(str(path))
-        except BaseException:
-            listener.close()
-            raise
-        self._add_listener(listener, requires_token=False)
-        self.unix_path = path
-        return path
-
-    def listen_tcp(self, host: str, port: int) -> tuple[str, int]:
-        """Bind a TCP listener; requires a token.  Returns the bound
-        ``(host, port)`` — with ``port=0`` the kernel picks a free one."""
-        if self._started:
-            raise RuntimeError("cannot add listeners to a started server")
-        if not self.token:
-            raise ServiceError(
-                "refusing to listen on TCP without an auth token — pass "
-                f"--token or set {AUTH_TOKEN_ENV}"
+        if self._listener is not None:
+            raise RuntimeError("server already bound")
+        endpoint = parse_endpoint(endpoint)
+        if endpoint.is_tcp:
+            if not self.token:
+                raise ServiceError(
+                    "refusing to listen on TCP without an auth token — pass "
+                    f"--token or set {AUTH_TOKEN_ENV}"
+                )
+            listener = socket.socket(
+                socket.AF_INET6 if ":" in endpoint.host else socket.AF_INET
             )
-        listener = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-        except OSError as error:
-            listener.close()
-            raise ServiceError(f"cannot listen on {host}:{port} ({error})") from None
-        self._add_listener(listener, requires_token=True)
-        bound = listener.getsockname()
-        self.tcp_address = (bound[0], bound[1])
-        return self.tcp_address
-
-    def _add_listener(self, listener: socket.socket, requires_token: bool) -> None:
+            try:
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                listener.bind((endpoint.host, endpoint.port))
+            except OSError as error:
+                listener.close()
+                raise ServiceError(f"cannot listen on {endpoint} ({error})") from None
+            host, port = listener.getsockname()[:2]
+            endpoint = Endpoint(kind="tcp", host=host, port=port)
+        else:
+            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
+                raise ServiceError("Unix-socket endpoints require a POSIX platform")
+            path = Path(endpoint.path)
+            check_unix_socket_path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.exists():
+                # A previous server that crashed leaves a stale socket file; a
+                # *live* one would still answer, so probe before stealing.
+                if unix_socket_is_live(path):
+                    raise RuntimeError(f"another server is serving {path}")
+                path.unlink()
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                listener.bind(str(path))
+            except BaseException:
+                listener.close()
+                raise
         listener.listen(16)
         listener.settimeout(0.2)
-        self._listeners.append((listener, requires_token))
+        self._listener = listener
+        self.endpoint = endpoint
+        return endpoint
 
-    # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        if self._started:
+        """Accept connections on the bound endpoint, on one thread."""
+        if self._listener is None:
+            raise RuntimeError("bind an endpoint before starting the server")
+        if self._accept_thread is not None:
             raise RuntimeError("server already started")
-        if not self._listeners:
-            raise RuntimeError("no listeners configured")
-        self._started = True
-        for index, (listener, requires_token) in enumerate(self._listeners):
-            thread = threading.Thread(
-                target=self._accept_loop,
-                args=(listener, requires_token),
-                name=f"{self.name}-accept-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._accept_threads.append(thread)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name=f"{self.name}-accept", daemon=True
+        )
+        self._accept_thread.start()
 
     def close(self) -> None:
-        """Stop accepting, join the accept threads, release the sockets.
+        """Stop accepting, join the accept thread, release the socket.
 
         In-flight connection threads are daemonic and finish (or die with
-        the process) on their own; only the listeners are torn down here.
+        the process) on their own; only the listener is torn down here.
         Shutting a TCP listener down wakes its blocked ``accept`` at once.
         On Linux that does not wake a Unix listener's ``accept``, so one
         connection to the socket file wakes it instead; the accept timeout
-        is the fallback where neither does.
+        is the fallback where neither does.  Only a socket file this
+        server bound is unlinked.
         """
         self._stop.set()
-        if self._started and self.unix_path is not None:
-            try:
-                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as waker:
-                    waker.settimeout(0.2)
-                    waker.connect(str(self.unix_path))
-            except OSError:
-                pass
-        for listener, _ in self._listeners:
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        unix_path = None if self.endpoint.is_tcp else Path(self.endpoint.path)
+        if self._accept_thread is not None:
+            if unix_path is not None:
+                try:
+                    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as waker:
+                        waker.settimeout(0.2)
+                        waker.connect(str(unix_path))
+                except OSError:
+                    pass
             try:
                 listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in self._accept_threads:
-            thread.join(timeout=10)
-        self._accept_threads.clear()
-        for listener, _ in self._listeners:
-            listener.close()
-        self._listeners.clear()
-        if self.unix_path is not None and self.unix_path.exists():
-            self.unix_path.unlink()
-        self.unix_path = None
-        self._started = False
+            self._accept_thread.join(timeout=10)
+            self._accept_thread = None
+        listener.close()
+        if unix_path is not None:
+            unix_path.unlink(missing_ok=True)
 
     # -- serving --------------------------------------------------------
-    def _accept_loop(self, listener: socket.socket, requires_token: bool) -> None:
+    def _accept_loop(self) -> None:
+        listener = self._listener
         while not self._stop.is_set():
             try:
                 connection, _ = listener.accept()
@@ -449,7 +441,7 @@ class LineServer:
                 break
             threading.Thread(
                 target=self._serve_connection,
-                args=(connection, requires_token),
+                args=(connection,),
                 name=f"{self.name}-conn",
                 daemon=True,
             ).start()
@@ -467,9 +459,8 @@ class LineServer:
             )
         )
 
-    def _serve_connection(
-        self, connection: socket.socket, requires_token: bool
-    ) -> None:
+    def _serve_connection(self, connection: socket.socket) -> None:
+        requires_token = self.endpoint.is_tcp
         active = self._connections_active.labels(server=self.name)
         self._connections_total.labels(server=self.name).inc()
         active.inc()

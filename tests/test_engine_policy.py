@@ -171,11 +171,11 @@ class TestNumpyAbsentDegradation:
         from repro.service import FleetWorker, ResultCollector, ServiceClient
 
         with ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock"
+            out=tmp_path / "store", listen=tmp_path / "svc.sock"
         ) as server:
             report = FleetWorker(
                 get_suite("paper-claims"), ResultStore(tmp_path / "worker"),
-                str(server.socket_path), jobs=2, smoke=True,
+                str(server.endpoint), jobs=2, smoke=True,
             ).run()
             assert report.ok and report.executed == report.total_cells
             engines = {
@@ -184,7 +184,7 @@ class TestNumpyAbsentDegradation:
             }
             assert engines <= {"interpreted", None}
             samples = samples_named(
-                parse_exposition(ServiceClient(server.socket_path).metrics()),
+                parse_exposition(ServiceClient(server.endpoint).metrics()),
                 "engine_rounds_total",
             )
         assert samples

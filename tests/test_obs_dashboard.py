@@ -292,7 +292,7 @@ class TestBurnCheckScript:
         for seed in (1, 2, 3):
             store.append(make_result(seed=seed))
         with ResultCollector(
-            out=store.directory, socket_path=tmp_path / "restart.sock"
+            out=store.directory, listen=tmp_path / "restart.sock"
         ) as server:
             assert server.ingest(make_result(seed=4).to_record()) == "accepted"
             text = server.registry.render()
@@ -313,7 +313,7 @@ class TestMetricsAndDashboardCLI:
     def collector(self, tmp_path):
         collector = ResultCollector(
             out=tmp_path / "central",
-            socket_path=tmp_path / "obs.sock",
+            listen=tmp_path / "obs.sock",
             token=TOKEN,
         )
         collector.start()
@@ -323,7 +323,7 @@ class TestMetricsAndDashboardCLI:
     def test_metrics_scrape_to_file(self, collector, tmp_path, capsys):
         out = tmp_path / "scrapes" / "metrics.prom"
         code = main([
-            "metrics", "--connect", str(collector.socket_path),
+            "metrics", "--connect", str(collector.endpoint),
             "--token", TOKEN, "--out", str(out),
         ])
         assert code == 0
@@ -333,7 +333,7 @@ class TestMetricsAndDashboardCLI:
 
     def test_metrics_scrape_to_stdout(self, collector, capsys):
         code = main([
-            "metrics", "--connect", str(collector.socket_path), "--token", TOKEN,
+            "metrics", "--connect", str(collector.endpoint), "--token", TOKEN,
         ])
         assert code == 0
         assert "# HELP collector_records_total" in capsys.readouterr().out
@@ -368,7 +368,7 @@ class TestMetricsAndDashboardCLI:
         then ``dashboard --metrics``."""
         scrape, html_path = tmp_path / "live.prom", tmp_path / "dash.html"
         assert main([
-            "metrics", "--connect", str(collector.socket_path),
+            "metrics", "--connect", str(collector.endpoint),
             "--token", TOKEN, "--out", str(scrape),
         ]) == 0
         code = main([

@@ -56,15 +56,15 @@ def echo_server(transport, tmp_path):
         name="conformance",
         close_after=lambda request, _: request.get("op") == "bye",
     )
-    if transport == "unix":
-        server.listen_unix(tmp_path / "conformance.sock")
-        endpoint = parse_endpoint(tmp_path / "conformance.sock")
-    else:
-        host, port = server.listen_tcp("127.0.0.1", 0)
-        endpoint = parse_endpoint(f"{host}:{port}")
+    endpoint = server.bind(listen_on(transport, tmp_path, "conformance.sock"))
     server.start()
     yield server, endpoint
     server.close()
+
+
+def listen_on(transport, tmp_path, name):
+    """The endpoint to bind for ``transport``: a socket file or a free port."""
+    return tmp_path / name if transport == "unix" else "127.0.0.1:0"
 
 
 def open_connection(endpoint):
@@ -284,12 +284,7 @@ class TestMalformedInput:
             raise RuntimeError("handler blew up")
 
         server = LineServer(explosive, token=TOKEN, name="explosive")
-        if transport == "unix":
-            server.listen_unix(tmp_path / "explosive.sock")
-            endpoint = parse_endpoint(tmp_path / "explosive.sock")
-        else:
-            host, port = server.listen_tcp("127.0.0.1", 0)
-            endpoint = parse_endpoint(f"{host}:{port}")
+        endpoint = server.bind(listen_on(transport, tmp_path, "explosive.sock"))
         server.start()
         try:
             sock = open_connection(endpoint)
@@ -405,10 +400,10 @@ class TestAuthentication:
 
     def test_unix_needs_no_token(self, tmp_path):
         server = LineServer(lambda r: ok_response(echo=r), token=TOKEN)
-        server.listen_unix(tmp_path / "auth.sock")
+        endpoint = server.bind(tmp_path / "auth.sock")
         server.start()
         try:
-            sock = open_connection(parse_endpoint(tmp_path / "auth.sock"))
+            sock = open_connection(endpoint)
             try:
                 sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
                 with sock.makefile("rb") as reader:
@@ -425,10 +420,10 @@ class TestAuthentication:
     ])
     def test_tcp_refuses_bad_token_and_closes(self, request_payload):
         server = LineServer(lambda r: ok_response(echo=r), token=TOKEN)
-        host, port = server.listen_tcp("127.0.0.1", 0)
+        endpoint = server.bind("127.0.0.1:0")
         server.start()
         try:
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(endpoint)
             try:
                 sock.sendall(json.dumps(request_payload).encode() + b"\n")
                 with sock.makefile("rb") as reader:
@@ -443,10 +438,10 @@ class TestAuthentication:
 
     def test_tcp_accepts_good_token_and_strips_it(self):
         server = LineServer(lambda r: ok_response(echo=r), token=TOKEN)
-        host, port = server.listen_tcp("127.0.0.1", 0)
+        endpoint = server.bind("127.0.0.1:0")
         server.start()
         try:
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(endpoint)
             try:
                 sock.sendall(
                     json.dumps({"op": "ping", "token": TOKEN}).encode() + b"\n"
@@ -465,10 +460,10 @@ class TestAuthentication:
         must authenticate, not blow up hmac.compare_digest."""
         token = "tökén-∆"
         server = LineServer(lambda r: ok_response(echo=r), token=token)
-        host, port = server.listen_tcp("127.0.0.1", 0)
+        endpoint = server.bind("127.0.0.1:0")
         server.start()
         try:
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(endpoint)
             try:
                 sock.sendall(
                     json.dumps({"op": "ping", "token": token}).encode() + b"\n"
@@ -477,7 +472,7 @@ class TestAuthentication:
                     good = recv_message(reader)
             finally:
                 sock.close()
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(endpoint)
             try:
                 sock.sendall(
                     json.dumps({"op": "ping", "token": "tökén-X"}).encode() + b"\n"
@@ -494,12 +489,12 @@ class TestAuthentication:
     def test_tcp_listener_refused_without_token(self):
         server = LineServer(lambda r: ok_response())
         with pytest.raises(ServiceError, match="without an auth token"):
-            server.listen_tcp("127.0.0.1", 0)
+            server.bind("127.0.0.1:0")
 
     def test_error_names_the_env_var(self):
         server = LineServer(lambda r: ok_response())
         with pytest.raises(ServiceError, match="REPRO_SERVICE_TOKEN"):
-            server.listen_tcp("127.0.0.1", 0)
+            server.bind("127.0.0.1:0")
 
 
 class TestClose:
@@ -508,9 +503,10 @@ class TestClose:
         blocked until the 0.2 s timeout; close() wakes it with one
         connection, which is not counted as a client's."""
         server = LineServer(lambda r: ok_response(echo=r), name="closing")
-        path = server.listen_unix(tmp_path / "close.sock")
+        path = tmp_path / "close.sock"
+        endpoint = server.bind(path)
         server.start()
-        sock = open_connection(parse_endpoint(path))
+        sock = open_connection(endpoint)
         try:
             sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
             with sock.makefile("rb") as reader:
@@ -533,22 +529,13 @@ class TestMetricsVerb:
     def collector(self, transport, tmp_path):
         from repro.service.collector import ResultCollector
 
-        if transport == "unix":
-            served = ResultCollector(
-                out=tmp_path / "store",
-                socket_path=tmp_path / "metrics.sock",
-                token=TOKEN,
-            )
-            served.start()
-            endpoint = parse_endpoint(tmp_path / "metrics.sock")
-        else:
-            served = ResultCollector(
-                out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN
-            )
-            served.start()
-            host, port = served.tcp_address
-            endpoint = parse_endpoint(f"{host}:{port}")
-        yield served, endpoint
+        served = ResultCollector(
+            out=tmp_path / "store",
+            listen=listen_on(transport, tmp_path, "metrics.sock"),
+            token=TOKEN,
+        )
+        served.start()
+        yield served, served.endpoint
         served.close()
 
     def test_metrics_round_trip(self, collector):
@@ -645,8 +632,7 @@ class TestMetricsVerb:
         )
         served.start()
         try:
-            host, port = served.tcp_address
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(served.endpoint)
             try:
                 sock.sendall(json.dumps({"op": "metrics"}).encode() + b"\n")
                 with sock.makefile("rb") as reader:
@@ -669,22 +655,13 @@ class TestFleetVerbsConformance:
     def collector(self, transport, tmp_path):
         from repro.service.collector import ResultCollector
 
-        if transport == "unix":
-            served = ResultCollector(
-                out=tmp_path / "store",
-                socket_path=tmp_path / "fleet.sock",
-                token=TOKEN,
-            )
-            served.start()
-            endpoint = parse_endpoint(tmp_path / "fleet.sock")
-        else:
-            served = ResultCollector(
-                out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN
-            )
-            served.start()
-            host, port = served.tcp_address
-            endpoint = parse_endpoint(f"{host}:{port}")
-        yield served, endpoint
+        served = ResultCollector(
+            out=tmp_path / "store",
+            listen=listen_on(transport, tmp_path, "fleet.sock"),
+            token=TOKEN,
+        )
+        served.start()
+        yield served, served.endpoint
         served.close()
 
     @staticmethod
@@ -760,8 +737,7 @@ class TestFleetVerbsConformance:
         )
         served.start()
         try:
-            host, port = served.tcp_address
-            sock = open_connection(parse_endpoint(f"{host}:{port}"))
+            sock = open_connection(served.endpoint)
             try:
                 sock.sendall(json.dumps({"op": op}).encode() + b"\n")
                 with sock.makefile("rb") as reader:

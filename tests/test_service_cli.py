@@ -1,8 +1,10 @@
 """CLI tests for the service subcommands: run --shard, merge, serve,
-run --fleet, and the removed `collect` and `submit` commands and flags
-(`--engine` among them)."""
+run --fleet, the exit code of every command reading a store line that is
+no cell record, and the removed `collect` and `submit` commands and
+flags (`--engine` and `serve --socket` among them)."""
 
 import json
+import queue
 import re
 import socket
 import threading
@@ -123,6 +125,45 @@ class TestMergeCli:
         assert "CONFLICT" in captured.err
 
 
+class TestStoreLinesThatAreNoCellRecords:
+    """One rule says what a cell record is (``CellResult.from_record``):
+    a store line that is JSON but no cell record is bad input, so every
+    command reading the store exits 2 naming the file and the line, never
+    1 (failed cells) and never with a traceback."""
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"fingerprint": "abc", "verified": True}, id="fingerprint-only"),
+        pytest.param({"verified": True}, id="no-fingerprint"),
+        pytest.param([1, 2], id="no-object"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "merge", "report", "dashboard"])
+    def test_exits_2_naming_the_line(self, command, bad, tmp_path, capsys):
+        from repro.experiments import CellResult
+
+        good = CellResult(
+            fingerprint="ab" * 8, suite="s", scenario="x", generator="g",
+            algorithm="a", n=10, seed=1, rounds=5, messages=1,
+            wall_clock_s=0.1, verified=True,
+        ).to_record()
+        store = tmp_path / "store" / "results.jsonl"
+        store.parent.mkdir()
+        store.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        merged = tmp_path / "merged.jsonl"
+        argv = {
+            "run": ["run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
+                    "--out", str(store.parent)],
+            "merge": ["merge", "--out", str(merged), str(store)],
+            "report": ["report", "--out", str(store.parent)],
+            "dashboard": ["dashboard", "--out", str(store.parent),
+                          "--html", str(tmp_path / "page.html")],
+        }[command]
+        assert main(argv) == 2
+        assert f"{store}: line 2 is not a cell record" in capsys.readouterr().err
+        # nothing ran, was merged or rendered
+        assert store.read_text().count("\n") == 2
+        assert not merged.exists() and not (tmp_path / "page.html").exists()
+
+
 @pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
 )
@@ -134,14 +175,14 @@ class TestServeCli:
         server = threading.Thread(target=main, args=(["serve", *argv],), daemon=True)
         server.start()
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 30.0)
-        client = ServiceClient(argv[argv.index("--socket") + 1])
+        client = ServiceClient(argv[argv.index("--listen") + 1])
         client.status()
         return server, client
 
     def test_serve_run_fleet_shutdown(self, tmp_path, capsys, monkeypatch):
         sock_path = str(tmp_path / "svc.sock")
         server, client = self.serve(
-            ["--socket", sock_path, "--out", str(tmp_path / "store")], monkeypatch
+            ["--listen", sock_path, "--out", str(tmp_path / "store")], monkeypatch
         )
         run = [
             "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
@@ -167,17 +208,71 @@ class TestServeCli:
         assert not server.is_alive()
         # the server's own lines, printed from its thread around the runs
         served = first + second + capsys.readouterr().out
-        assert f"sweep server: socket={sock_path}\n" in served
+        assert f"sweep server: {sock_path}\n" in served
         assert "verbs: status / push / report / metrics /" in served
         assert "submit" not in served
         assert "sweep server stopped: 19 accepted" in served
 
+    def test_two_tcp_servers_serve_from_one_directory(self, tmp_path, monkeypatch):
+        """A server binds only the endpoint it is given: two `serve --listen
+        127.0.0.1:0` runs from one working directory both start, answer
+        `status` and leave no socket file there."""
+        from repro.service import ResultCollector
+
+        started = queue.Queue()
+
+        class Reporting(ResultCollector):
+            def start(self):
+                try:
+                    super().start()
+                except BaseException as error:
+                    started.put(error)
+                    raise
+                started.put(self)
+
+        monkeypatch.setattr("repro.experiments.cli.ResultCollector", Reporting)
+        monkeypatch.setenv("REPRO_SERVICE_TOKEN", "cli-token")
+        monkeypatch.chdir(tmp_path)
+        exits, threads, servers = [], [], []
+        try:
+            for out in ("a", "b"):
+                argv = ["serve", "--listen", "127.0.0.1:0", "--out", out]
+                thread = threading.Thread(
+                    target=lambda argv=argv: exits.append(main(argv)), daemon=True
+                )
+                thread.start()
+                threads.append(thread)
+                server = started.get(timeout=30)
+                assert isinstance(server, ResultCollector), server
+                servers.append(server)
+            for server in servers:
+                assert ServiceClient(server.endpoint).status()["ok"] is True
+        finally:
+            for server in servers:
+                server.stop()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert exits == [0, 0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_socket_flag_is_gone(self, capsys, monkeypatch):
+        """`--listen` names the one endpoint; `--socket` is no flag."""
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve accepted --socket")
+
+        monkeypatch.setattr("repro.experiments.cli.ResultCollector", no_server)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--socket", "s.sock"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --socket s.sock" in capsys.readouterr().err
+
     def test_serve_on_busy_socket_exits_2(self, tmp_path, capsys):
         from repro.service import ResultCollector
 
-        with ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "busy.sock"):
+        with ResultCollector(out=tmp_path / "store", listen=tmp_path / "busy.sock"):
             assert main([
-                "serve", "--socket", str(tmp_path / "busy.sock"),
+                "serve", "--listen", str(tmp_path / "busy.sock"),
                 "--out", str(tmp_path / "store"),
             ]) == 2
         assert "another server" in capsys.readouterr().err
@@ -239,20 +334,20 @@ class TestFleetCli:
             out=tmp_path / "central", listen="127.0.0.1:0"
         )
         collector.start()
-        host, port = collector.tcp_address
+        endpoint = str(collector.endpoint)
         try:
             assert main([
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
                 "--out", str(tmp_path / "local"),
-                "--fleet", f"{host}:{port}",
+                "--fleet", endpoint,
             ]) == 0
             out = capsys.readouterr().out
             assert re.search(
-                rf"pushed 19 record\(s\) to fleet {host}:{port} "
+                rf"pushed 19 record\(s\) to fleet {endpoint} "
                 rf"as worker-[0-9a-f]{{8}}-1\n",
                 out,
             )
-            assert main(["report", "--connect", f"{host}:{port}"]) == 0
+            assert main(["report", "--connect", endpoint]) == 0
             assert "Theorem 3 shape" in capsys.readouterr().out
         finally:
             collector.close()
@@ -272,11 +367,10 @@ class TestFleetCli:
             for cell in get_suite("paper-claims").cells(sizes=(40, 56), seeds=(1, 2))
         }
         with ResultCollector(out=tmp_path / "central", listen="127.0.0.1:0") as served:
-            host, port = served.tcp_address
             assert main([
                 "run", "paper-claims", "--sizes", "40 56", "--seeds", "1,2",
                 "--jobs", "1", "--quiet", "--out", str(tmp_path / "local"),
-                "--fleet", f"{host}:{port}",
+                "--fleet", str(served.endpoint),
             ]) == 0
         stored = ResultStore(tmp_path / "central").records()
         assert {record["fingerprint"] for record in stored} == expected
@@ -332,10 +426,7 @@ class TestFleetCli:
 
     def test_serve_listen_without_token_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
-        assert main([
-            "serve", "--socket", str(tmp_path / "s.sock"),
-            "--listen", "127.0.0.1:0",
-        ]) == 2
+        assert main(["serve", "--listen", "127.0.0.1:0"]) == 2
         assert "auth token" in capsys.readouterr().err
 
     def test_report_suite_with_connect_exits_2(self, capsys):

@@ -60,8 +60,7 @@ def collector(tmp_path):
 
 
 def collector_client(collector):
-    host, port = collector.tcp_address
-    return ServiceClient(f"{host}:{port}", token=TOKEN)
+    return ServiceClient(collector.endpoint, token=TOKEN)
 
 
 def push(client, records):
@@ -97,12 +96,13 @@ def watch_connects(monkeypatch):
     return attempts, failed
 
 
-def start_when(event, server, listen) -> threading.Thread:
-    """Bind and start ``server`` on a thread once ``event`` is set."""
+def start_when(event, server, endpoint) -> threading.Thread:
+    """Bind ``server`` to ``endpoint`` and start it on a thread once
+    ``event`` is set."""
 
     def start():
         assert event.wait(timeout=10)
-        listen()
+        server.bind(endpoint)
         server.start()
 
     starter = threading.Thread(target=start, daemon=True)
@@ -192,20 +192,18 @@ class TestCollectorVerbs:
         stopped.join(timeout=10)
         assert not stopped.is_alive()
 
-    def test_collector_requires_an_endpoint(self, tmp_path):
-        with pytest.raises(ServiceError, match="needs an endpoint"):
-            ResultCollector(out=tmp_path / "c").start()
-
-    def test_collector_rejects_non_tcp_listen(self, tmp_path):
-        collector = ResultCollector(
-            out=tmp_path / "c", listen="/tmp/not-a-port", token=TOKEN
-        )
-        with pytest.raises(ServiceError, match="host:port"):
-            collector.start()
+    def test_the_default_endpoint_is_the_service_socket(self, tmp_path, monkeypatch):
+        """With no ``listen``, the server binds ``experiments/service.sock``
+        under the working directory: one endpoint, no TCP."""
+        monkeypatch.chdir(tmp_path)
+        with ResultCollector(out=tmp_path / "c") as collector:
+            assert str(collector.endpoint) == "experiments/service.sock"
+            assert ServiceClient("experiments/service.sock").status()["ok"] is True
+        assert not (tmp_path / "experiments" / "service.sock").exists()
 
     def test_unix_socket_collector_works_without_token(self, tmp_path):
         collector = ResultCollector(
-            out=tmp_path / "c", socket_path=tmp_path / "collect.sock"
+            out=tmp_path / "c", listen=tmp_path / "collect.sock"
         )
         collector.start()
         try:
@@ -335,13 +333,13 @@ class TestStreamedEquivalence:
     local stores."""
 
     def test_fleet_store_report_matches_merge_path(self, collector, tmp_path, capsys):
-        host, port = collector.tcp_address
+        endpoint = str(collector.endpoint)
 
         def run_worker(index):
             assert main([
                 "run", "paper-claims", "--smoke", "--jobs", "1", "--quiet",
                 "--out", str(tmp_path / f"worker{index}"),
-                "--fleet", f"{host}:{port}", "--token", TOKEN,
+                "--fleet", endpoint, "--token", TOKEN,
             ]) == 0
 
         # Two fleet workers pulling concurrently, like two machines would.
@@ -379,7 +377,7 @@ class TestStreamedEquivalence:
             "--json", str(tmp_path / "central.json"),
         ]) == 0
         assert main([
-            "report", "--connect", f"{host}:{port}", "--token", TOKEN,
+            "report", "--connect", endpoint, "--token", TOKEN,
             "--json", str(tmp_path / "verb.json"), "--csv", str(tmp_path / "verb.csv"),
         ]) == 0
         capsys.readouterr()
@@ -409,10 +407,10 @@ def fleet_run(suite_name: str, endpoint: str, tmp_path, **kwargs):
 class TestServerReportVerb:
     def test_report_after_a_fleet_run_matches_local_bytes(self, tmp_path, capsys):
         with ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock"
+            out=tmp_path / "store", listen=tmp_path / "svc.sock"
         ) as server:
-            assert fleet_run("paper-claims", str(server.socket_path), tmp_path).ok
-            payload = ServiceClient(server.socket_path).report()
+            assert fleet_run("paper-claims", str(server.endpoint), tmp_path).ok
+            payload = ServiceClient(server.endpoint).report()
         assert payload["all_verified"] is True
         assert "Theorem 3 shape" in payload["render"]
         # byte-identical to a local `report --json` over the server's store
@@ -429,16 +427,15 @@ class TestServerTcp:
         """A fleet worker leasing over TCP fills the store, and ``report
         --connect`` over TCP writes the bytes a local report writes."""
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            listen="127.0.0.1:0", token=TOKEN,
+            out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN,
         )
         server.start()
         try:
-            host, port = server.tcp_address
-            report = fleet_run("paper-claims", f"{host}:{port}", tmp_path, token=TOKEN)
+            endpoint = str(server.endpoint)
+            report = fleet_run("paper-claims", endpoint, tmp_path, token=TOKEN)
             assert report.ok and report.executed == report.total_cells
             assert main([
-                "report", "--connect", f"{host}:{port}", "--token", TOKEN,
+                "report", "--connect", endpoint, "--token", TOKEN,
                 "--json", str(tmp_path / "remote.json"),
             ]) == 0
         finally:
@@ -454,38 +451,25 @@ class TestServerTcp:
 
     def test_tcp_request_with_wrong_token_refused(self, tmp_path):
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            listen="127.0.0.1:0", token=TOKEN,
+            out=tmp_path / "store", listen="127.0.0.1:0", token=TOKEN,
         )
         server.start()
         try:
-            host, port = server.tcp_address
             with pytest.raises(ServiceError, match="authentication failed"):
-                ServiceClient(f"{host}:{port}", token="wrong").status()
-            # the Unix socket keeps working without any token
-            assert ServiceClient(server.socket_path).status()["ok"] is True
+                ServiceClient(server.endpoint, token="wrong").status()
         finally:
             server.close()
 
     def test_listen_without_token_refused_before_binding(self, tmp_path, monkeypatch):
+        """The endpoint is checked before the store is read: a corrupt
+        store does not hide the missing token."""
         monkeypatch.delenv("REPRO_SERVICE_TOKEN", raising=False)
-        server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            listen="127.0.0.1:0",
-        )
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "results.jsonl").write_text("not json\n{}\n")
+        server = ResultCollector(out=tmp_path / "store", listen="127.0.0.1:0")
         with pytest.raises(ServiceError, match="without an auth token"):
             server.start()
-        assert not (tmp_path / "svc.sock").exists()
-        server.close()
-
-    def test_listen_must_be_tcp(self, tmp_path):
-        server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "svc.sock",
-            listen="/tmp/some.sock", token=TOKEN,
-        )
-        with pytest.raises(ServiceError, match="host:port"):
-            server.start()
-        assert not (tmp_path / "svc.sock").exists()
+        assert server.endpoint is None
         server.close()
 
 
@@ -513,9 +497,7 @@ class TestClientConnectRetry:
 
         attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True), token=TOKEN)
-        starter = start_when(
-            failed, server, lambda: server.listen_tcp("127.0.0.1", port)
-        )
+        starter = start_when(failed, server, f"127.0.0.1:{port}")
         try:
             assert client.status()["up"] is True
             # it genuinely waited: a connect was refused before one succeeded
@@ -539,7 +521,7 @@ class TestClientConnectRetry:
 
         attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True))
-        starter = start_when(failed, server, lambda: server.listen_unix(path))
+        starter = start_when(failed, server, path)
         try:
             assert retrying_client(monkeypatch, path, 10).status()["up"] is True
             assert attempts[0] == "ConnectionRefusedError"
@@ -554,7 +536,7 @@ class TestClientConnectRetry:
         path = tmp_path / "notyet.sock"
         attempts, failed = watch_connects(monkeypatch)
         server = LineServer(lambda r: ok_response(up=True))
-        starter = start_when(failed, server, lambda: server.listen_unix(path))
+        starter = start_when(failed, server, path)
         try:
             assert retrying_client(monkeypatch, path, 10).status()["up"] is True
             assert attempts[0] == "FileNotFoundError"
@@ -577,16 +559,13 @@ class TestCollectorSink:
         """One mid-stream collector restart costs a reconnect, not the sweep."""
         first = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         first.start()
-        host, port = first.tcp_address
-        sink = CollectorSink(
-            retrying_client(monkeypatch, f"{host}:{port}", 10, token=TOKEN)
-        )
+        endpoint = str(first.endpoint)
+        sink = CollectorSink(retrying_client(monkeypatch, endpoint, 10, token=TOKEN))
         sink(make_result(1))
         first.close()
 
-        second = ResultCollector(out=tmp_path / "c", listen="127.0.0.1:0", token=TOKEN)
         # rebind the same port; SO_REUSEADDR makes this immediate
-        second.listen = f"127.0.0.1:{port}"
+        second = ResultCollector(out=tmp_path / "c", listen=endpoint, token=TOKEN)
         second.start()
         try:
             sink(make_result(2))

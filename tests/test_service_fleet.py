@@ -37,7 +37,7 @@ from repro.service import (
     ServiceError,
     ServiceTransportError,
 )
-from repro.service.protocol import error_response, ok_response, parse_endpoint
+from repro.service.protocol import error_response, ok_response
 
 from test_service_collector import make_result, push
 from test_service_pool import meeting_suite
@@ -476,8 +476,7 @@ def collector(tmp_path):
 
 
 def collector_client(collector):
-    host, port = collector.tcp_address
-    return ServiceClient(f"{host}:{port}", token=TOKEN)
+    return ServiceClient(collector.endpoint, token=TOKEN)
 
 
 def lease_fates(collector) -> Recorder:
@@ -696,9 +695,9 @@ class TestCollectorSinkErrors:
 
     def serve(self, tmp_path, handler, close_after=None):
         server = LineServer(handler, name="sink-test", close_after=close_after)
-        server.listen_unix(tmp_path / "sink.sock")
+        endpoint = server.bind(tmp_path / "sink.sock")
         server.start()
-        return server, parse_endpoint(tmp_path / "sink.sock")
+        return server, endpoint
 
     def test_transport_failure_reconnects_once_and_succeeds(self, tmp_path):
         requests = []
@@ -747,15 +746,18 @@ class TestCollectorSinkErrors:
 
 class TestMalformedStoreRestart:
     def test_collector_restart_skips_and_counts_bad_records(self, tmp_path):
-        """A corrupt line in the store (no fingerprint) must not brick
-        the restart — it is skipped, counted and surfaced."""
+        """A line in the store that is no cell record (no fingerprint, or
+        a fingerprint without the other fields) must not brick the
+        restart — it is skipped, counted and surfaced."""
         store_dir = tmp_path / "central"
         good = make_result(seed=1)
         bad = {"seed": 2, "rounds": 3.0}  # fingerprint missing
         empty = dict(good.to_record(), fingerprint="")
+        fingerprint_only = {"fingerprint": make_result(seed=3).fingerprint,
+                            "verified": True}
         store_dir.mkdir()
         with open(store_dir / "results.jsonl", "w") as handle:
-            for record in (good.to_record(), bad, empty):
+            for record in (good.to_record(), bad, empty, fingerprint_only):
                 handle.write(json.dumps(record) + "\n")
         collector = ResultCollector(
             out=store_dir, listen="127.0.0.1:0", token=TOKEN
@@ -764,7 +766,8 @@ class TestMalformedStoreRestart:
         try:
             client = collector_client(collector)
             assert client.status()["records"] == 1
-            assert "collector_store_malformed_records 2" in client.metrics()
+            assert "collector_store_malformed_records 3" in client.metrics()
+            assert client.report()["all_verified"] is True
             # the surviving verified record still seeds the lease table
             assert is_done(client, [good.fingerprint])
         finally:
@@ -772,16 +775,15 @@ class TestMalformedStoreRestart:
 
 
 def run_fleet_worker(suite, store, collector, **kwargs):
-    host, port = collector.tcp_address
     worker = FleetWorker(
-        suite, store, f"{host}:{port}", token=TOKEN, **kwargs
+        suite, store, str(collector.endpoint), token=TOKEN, **kwargs
     )
     return worker, worker.run()
 
 
 class FakeLessor:
     """Answers a fleet worker's requests from a table of replies by op,
-    recording every request."""
+    recording every request; a list of replies is answered in order."""
 
     def __init__(self, stop=None, **replies):
         self.replies = replies
@@ -792,7 +794,8 @@ class FakeLessor:
         self.requests.append(request)
         if self._stop is not None:
             self._stop.set()
-        return self.replies[request["op"]]
+        reply = self.replies[request["op"]]
+        return reply.pop(0) if isinstance(reply, list) else reply
 
     def ops(self) -> list[str]:
         return [request["op"] for request in self.requests]
@@ -861,8 +864,10 @@ class TestFleetWorkerProtocol:
             register={"ok": True, "worker_id": "worker-9",
                       "heartbeat_interval_s": 0.5},
         )
+        # Told unknown again under the new id, it returns no cell rather
+        # than registering in a loop.
         assert worker._lease() == (None, False)
-        lease_request, register_request = worker._request.requests
+        lease_request, register_request, again = worker._request.requests
         assert lease_request == {
             "op": "lease", "worker_id": "worker-1", "release": [failed],
         }
@@ -870,9 +875,29 @@ class TestFleetWorkerProtocol:
             "op": "register",
             "fingerprints": [cell.fingerprint for cell in TINY.cells()[1:]],
         }
+        assert again == {"op": "lease", "worker_id": "worker-9", "release": []}
         assert worker.worker_id == "worker-9"
         assert worker.heartbeat_interval_s == 0.5
         assert worker._released == []
+
+    def test_a_worker_told_unknown_leases_again_once_registered(self, tmp_path):
+        """After a server restart the lease that finds the worker unknown
+        registers it and leases at once, so the granted cell comes back
+        on the same call instead of after half a heartbeat."""
+        worker = self.worker(tmp_path)
+        cell = TINY.cells()[1]
+        worker._request = FakeLessor(
+            lease=[
+                {"ok": True, "known": False, "granted": [], "done": False},
+                {"ok": True, "known": True, "granted": [cell.fingerprint],
+                 "done": False},
+            ],
+            register={"ok": True, "worker_id": "worker-9",
+                      "heartbeat_interval_s": 0.5},
+        )
+        assert worker._lease() == (cell, False)
+        assert worker._request.ops() == ["lease", "register", "lease"]
+        assert worker._request.requests[-1]["worker_id"] == "worker-9"
 
     def test_two_workers_on_other_suites_survive_a_restart_in_any_order(
         self, tmp_path
@@ -894,9 +919,9 @@ class TestFleetWorkerProtocol:
             workers.append(worker)
         alpha, beta = workers
         server["collector"] = ResultCollector(out=tmp_path / "after")  # restart
-        assert beta._lease() == (None, False)  # beta registers again first
-        assert alpha._lease() == (None, False)
-        for worker in (alpha, beta):
+        # beta registers again first; each is granted its own cells on the
+        # call that found it unknown, and on the next
+        for worker in (beta, alpha, alpha, beta):
             cell, done = worker._lease()
             assert worker._cells[cell.fingerprint] == cell and not done
 
@@ -1216,17 +1241,17 @@ class TestFleetWorkerEndToEnd:
         assert multiprocessing.active_children() == []
 
     def test_cli_fleet_run_end_to_end(self, collector, tmp_path, capsys):
-        host, port = collector.tcp_address
+        endpoint = str(collector.endpoint)
         code = main([
             "run", "lower-bound", "--smoke",
-            "--fleet", f"{host}:{port}", "--token", TOKEN,
+            "--fleet", endpoint, "--token", TOKEN,
             "--out", str(tmp_path / "cli-store"), "--jobs", "1", "--quiet",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert f"[fleet {host}:{port}]" in out
+        assert f"[fleet {endpoint}]" in out
         assert re.search(
-            rf"record\(s\) to fleet {host}:{port} as {first_worker_id()}\n", out
+            rf"record\(s\) to fleet {endpoint} as {first_worker_id()}\n", out
         )
         total = len(get_suite("lower-bound").cells(smoke=True))
         assert len(ResultStore(tmp_path / "central")) == total

@@ -125,7 +125,7 @@ class LeaseWatch:
 
 def fleet(suite, server, tmp_path, name="worker", **kwargs) -> FleetWorker:
     return FleetWorker(
-        suite, ResultStore(tmp_path / name), str(server.socket_path), **kwargs
+        suite, ResultStore(tmp_path / name), str(server.endpoint), **kwargs
     )
 
 
@@ -140,7 +140,7 @@ def in_thread(worker: FleetWorker):
 
 @pytest.fixture()
 def server(tmp_path):
-    server = ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "svc.sock")
+    server = ResultCollector(out=tmp_path / "store", listen=tmp_path / "svc.sock")
     server.start()
     yield server
     server.close()
@@ -148,7 +148,7 @@ def server(tmp_path):
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(server.socket_path)
+    return ServiceClient(server.endpoint)
 
 
 class TestFleetOnOneServer:
@@ -211,7 +211,7 @@ class TestFleetOnOneServer:
         monkeypatch.setitem(SUITES, suite.name, suite)
         run = [
             "run", suite.name, "--jobs", "2", "--quiet",
-            "--fleet", str(server.socket_path), "--out", str(tmp_path / "w"),
+            "--fleet", str(server.endpoint), "--out", str(tmp_path / "w"),
         ]
         assert main(run) == 1
         err = capsys.readouterr().err
@@ -228,14 +228,14 @@ class TestFleetOnOneServer:
         rest: the remote's pushes retire its two cells, and every cell
         is stored once, by one of the two."""
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock",
+            out=tmp_path / "store", listen=tmp_path / "s.sock",
             heartbeat_interval_s=0.05,
         )
         server.leases._clock = FakeClock()  # no lease ever expires
         watch = LeaseWatch(server)
         universe = [cell.fingerprint for cell in SMALL.cells()]
         with server:
-            client = ServiceClient(server.socket_path)
+            client = ServiceClient(server.endpoint)
             remote = register(client, universe)
             held = [lease(client, remote)["granted"][0] for _ in range(2)]
             thread, reports = in_thread(fleet(SMALL, server, tmp_path, jobs=1))
@@ -265,7 +265,7 @@ class TestFleetOnOneServer:
         records = [
             run_cell(suite.name, cell).to_record() for cell in suite.cells(smoke=True)
         ]
-        client = ServiceClient(server.socket_path)
+        client = ServiceClient(server.endpoint)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -303,7 +303,7 @@ class TestFleetOnOneServer:
         suite = held_suite(monkeypatch)
         clock = FakeClock()
         server = ResultCollector(
-            out=tmp_path / "store", socket_path=tmp_path / "s.sock",
+            out=tmp_path / "store", listen=tmp_path / "s.sock",
             heartbeat_interval_s=0.05,
         )
         server.leases._clock = clock
@@ -328,13 +328,13 @@ class TestFleetOnOneServer:
 
 class TestShutdown:
     def test_shutdown_verb_stops_server(self, tmp_path, monkeypatch):
-        server = ResultCollector(out=tmp_path / "store", socket_path=tmp_path / "s.sock")
+        server = ResultCollector(out=tmp_path / "store", listen=tmp_path / "s.sock")
         server.start()
         monkeypatch.setattr(client_module, "DEFAULT_CONNECT_RETRY_S", 0.0)
-        client = ServiceClient(server.socket_path)
+        client = ServiceClient(server.endpoint)
         client.shutdown()
         server.close()
-        assert not server.socket_path.exists()
+        assert not (tmp_path / "s.sock").exists()
         with pytest.raises(ServiceError, match="cannot reach"):
             client.status()
 
@@ -374,14 +374,14 @@ class TestShutdown:
             thread.join(timeout=5)
 
     def test_two_servers_cannot_share_a_socket(self, server, tmp_path):
-        rival = ResultCollector(out=tmp_path / "rival", socket_path=server.socket_path)
+        rival = ResultCollector(out=tmp_path / "rival", listen=str(server.endpoint))
         with pytest.raises(RuntimeError, match="another server"):
             rival.start()
         # A failed rival's cleanup must not sever the live server: it
         # never bound the socket, so it must not unlink it either.
         rival.close()
-        assert server.socket_path.exists()
-        assert ServiceClient(server.socket_path).status()["ok"] is True
+        assert (tmp_path / "svc.sock").exists()
+        assert ServiceClient(server.endpoint).status()["ok"] is True
 
     def test_stale_socket_file_is_reclaimed(self, tmp_path):
         path = tmp_path / "stale.sock"
@@ -389,12 +389,24 @@ class TestShutdown:
         leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         leftover.bind(str(path))
         leftover.close()
-        server = ResultCollector(out=tmp_path / "store", socket_path=path)
+        server = ResultCollector(out=tmp_path / "store", listen=path)
         server.start()
         try:
             assert ServiceClient(path).status()["ok"] is True
         finally:
             server.close()
+
+
+    def test_a_store_that_fails_to_load_leaves_no_socket(self, tmp_path):
+        """The server binds before it reads its store: a store it cannot
+        read closes the listener again and unlinks the socket file."""
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "results.jsonl").write_text("not json\n{}\n")
+        server = ResultCollector(out=tmp_path / "store", listen=tmp_path / "s.sock")
+        with pytest.raises(ValueError, match="corrupt record on line 1"):
+            server.start()
+        assert not (tmp_path / "s.sock").exists()
+        server.close()
 
 
 class TestSocketPathLimit:
@@ -403,13 +415,13 @@ class TestSocketPathLimit:
 
     def test_long_socket_path_raises_service_error_naming_path(self, tmp_path):
         deep = tmp_path / ("d" * 40) / ("e" * 40) / ("f" * 40) / "svc.sock"
-        server = ResultCollector(out=tmp_path / "store", socket_path=deep)
+        server = ResultCollector(out=tmp_path / "store", listen=deep)
         with pytest.raises(ServiceError) as excinfo:
             server.start()
         message = str(excinfo.value)
         assert "AF_UNIX" in message
         assert str(deep) in message
-        assert "--socket" in message
+        assert "--listen" in message
         # The refusal happened before anything was bound: the directory
         # was never created, and close() after the failed start is a
         # clean no-op.
@@ -420,7 +432,7 @@ class TestSocketPathLimit:
         path = tmp_path / "ok.sock"
         if len(str(path).encode()) > MAX_SOCKET_PATH_BYTES:
             pytest.skip("test tmpdir itself exceeds the AF_UNIX limit")
-        server = ResultCollector(out=tmp_path / "store", socket_path=path)
+        server = ResultCollector(out=tmp_path / "store", listen=path)
         server.start()
         try:
             assert ServiceClient(path).status()["ok"] is True
@@ -432,7 +444,7 @@ class TestProtocol:
     def test_malformed_line_answered_with_error(self, server):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(5)
-        sock.connect(str(server.socket_path))
+        sock.connect(str(server.endpoint))
         try:
             sock.sendall(b"this is not json\n")
             with sock.makefile("rb") as reader:
@@ -458,7 +470,7 @@ class TestProtocol:
     def test_one_connection_many_requests(self, server):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(5)
-        sock.connect(str(server.socket_path))
+        sock.connect(str(server.endpoint))
         try:
             with sock.makefile("rb") as reader:
                 for _ in range(3):
