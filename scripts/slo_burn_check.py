@@ -36,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.metrics import parse_exposition, samples_named, sum_samples
-from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
+from repro.obs.slo import evaluate_slos
 
 EXIT_OK = 0
 EXIT_BURNING = 1
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = False
     saw_data = False
-    for result in evaluate_slos(samples, DEFAULT_SLOS):
+    for result in evaluate_slos(samples):
         print(f"  {result.status:>8}  {result.name}: {result.detail}")
         failed = failed or not result.ok
         saw_data = saw_data or not result.no_data

@@ -55,9 +55,3 @@ def fit_power_of_log(ns: Sequence[float], values: Sequence[float]) -> tuple[floa
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / variance
     intercept = mean_y - slope * mean_x
     return float(slope), float(math.exp(intercept))
-
-
-def growth_exponent(ns: Sequence[float], values: Sequence[float]) -> float:
-    """The fitted exponent ``β`` of ``value ≈ c · (log₂ n)^β``."""
-    beta, _ = fit_power_of_log(ns, values)
-    return beta

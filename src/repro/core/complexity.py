@@ -103,7 +103,7 @@ def log_star(n: float) -> int:
     return count
 
 
-def solve_g(f: ComplexityFunction, n: float, tolerance: float = 1e-9) -> float:
+def solve_g(f: ComplexityFunction, n: float) -> float:
     """Solve ``g^{f(g)} = n`` (i.e. ``f(g)·ln g = ln n``) for ``g ≥ 1``.
 
     For monotone non-decreasing, non-zero ``f`` the left-hand side is
@@ -114,14 +114,11 @@ def solve_g(f: ComplexityFunction, n: float, tolerance: float = 1e-9) -> float:
     """
     if n <= 1:
         return 1.0
-    return solve_g_from_log2(f, math.log2(n), cap=float(n), tolerance=tolerance)
+    return solve_g_from_log2(f, math.log2(n), cap=float(n))
 
 
 def solve_g_from_log2(
-    f: ComplexityFunction,
-    log2_n: float,
-    cap: float | None = None,
-    tolerance: float = 1e-9,
+    f: ComplexityFunction, log2_n: float, cap: float | None = None
 ) -> float:
     """Solve ``g^{f(g)} = n`` given ``log₂ n`` (for instances too large to
     represent ``n`` itself as a float, e.g. the asymptotic regime of the
@@ -149,7 +146,7 @@ def solve_g_from_log2(
             low = mid
         else:
             high = mid
-        if high - low <= tolerance * max(1.0, high):
+        if high - low <= 1e-9 * max(1.0, high):
             break
     return high
 

@@ -230,10 +230,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return bool(self._processes)
-
     def start(self) -> None:
         """Spawn the worker processes (idempotent, self-healing).
 

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "DEFAULT_OUT",
@@ -132,14 +132,20 @@ class CellResult:
         """The result a store record holds.
 
         This is the one rule of what a cell record is: a JSON object with
-        a non-empty fingerprint string and every required field.  Anything
-        else raises ``ValueError`` saying what is wrong.
+        a non-empty fingerprint string and every required field, whose
+        ``timings`` map names to numbers and whose ``engine_rounds`` map
+        names to non-negative integers, each or ``null``.  Anything else
+        raises ``ValueError`` saying what is wrong.
         """
         if not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {type(record).__name__}")
         fingerprint = record.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
             raise ValueError("no fingerprint string")
+        _check_name_map(record, "timings", "numbers", _is_number)
+        _check_name_map(
+            record, "engine_rounds", "non-negative integers", _is_round_count
+        )
         try:
             return cls(
                 fingerprint=fingerprint,
@@ -164,6 +170,29 @@ class CellResult:
             raise ValueError(f"no {error.args[0]!r} field") from None
         except TypeError as error:  # extras that is no mapping
             raise ValueError(str(error)) from None
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_round_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_name_map(
+    record: dict[str, Any], name: str, kind: str, accepts: Callable[[Any], bool]
+) -> None:
+    """Raise ``ValueError`` unless ``record[name]`` is absent, ``None`` or
+    a mapping from name strings to values ``accepts`` takes: the server
+    turns each entry into a metric observation."""
+    value = record.get(name)
+    if value is None:
+        return
+    if not isinstance(value, dict) or not all(
+        isinstance(key, str) and accepts(item) for key, item in value.items()
+    ):
+        raise ValueError(f"{name!r} is not a mapping from names to {kind}")
 
 
 class CorruptStoreError(ValueError):

@@ -46,12 +46,5 @@ class RoundLedger:
         """A copy of the per-phase charges."""
         return dict(self.charges)
 
-    def merge(self, other: "RoundLedger") -> "RoundLedger":
-        """A new ledger containing the charges of both ledgers."""
-        merged = RoundLedger(dict(self.charges))
-        for phase, rounds in other.charges.items():
-            merged.charge(phase, rounds)
-        return merged
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RoundLedger(total={self.total}, phases={self.charges})"

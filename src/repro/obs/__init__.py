@@ -1,13 +1,14 @@
 """Dependency-free observability: metrics, SLOs, dashboards.
 
-The public surface is the registry/primitive layer (:mod:`.metrics`)
-and the SLO definitions (:mod:`.slo`), which read one scrape.  Per-cell
-phase timing is not here: it lives with the engines, in
-:mod:`repro.local.context`, so the paper's layers never import this
-package.  The HTML dashboard renderer lives in
-:mod:`repro.obs.dashboard` and is imported explicitly by the CLI — it
-is presentation, not instrumentation, and nothing in the service path
-should pull it in.  Metrics over time are two saved scrapes compared
+The public surface is the registry the sweep server instruments
+(:mod:`.metrics`: counters, gauges and histograms, rendered as one
+Prometheus-text scrape), the parser that reads a scrape back, and the
+SLOs evaluated over one scrape (:mod:`.slo`).  Per-cell phase timing is
+not here: it lives with the engines, in :mod:`repro.local.context`, so
+the paper's layers never import this package.  The HTML pages live in
+:mod:`repro.obs.dashboard`, which the CLI imports explicitly: they are
+presentation, not instrumentation, and nothing in the service path
+should pull them in.  Metrics over time are two saved scrapes compared
 by ``dashboard --diff``.
 """
 
@@ -20,7 +21,6 @@ from repro.obs.metrics import (
     Sample,
     histogram_quantile,
     parse_exposition,
-    parse_exposition_types,
 )
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -42,5 +42,4 @@ __all__ = [
     "evaluate_slos",
     "histogram_quantile",
     "parse_exposition",
-    "parse_exposition_types",
 ]

@@ -14,7 +14,12 @@ per-(scenario, engine, n) wall-clock ratios between two canonical
 ``BENCH_*.json`` payloads with regressions highlighted — the page CI
 uploads as the ``bench-diff`` artifact when gating a PR's bench run
 against the committed trajectory.  Two scrapes saved with
-``metrics --out`` and diffed are the one view of metrics over time.
+``metrics --out`` and diffed are the one view of metrics over time: the
+diff flags growth of the :data:`~repro.obs.slo.FAILURE_COUNTERS` and a
+pooled p99 that more than doubles.
+
+Both scrape pages read samples only, and find a histogram family one
+way: a ``_bucket`` sample with an ``le`` label names it.
 
 Everything is a stat tile or a table: the quantities here (verdicts,
 fits, per-size means, counter totals, histogram quantiles) are headline
@@ -34,10 +39,9 @@ from repro.obs.metrics import (
     Sample,
     histogram_quantile,
     parse_exposition,
-    parse_exposition_types,
     pooled_buckets,
 )
-from repro.obs.slo import DEFAULT_SLOS, SLOResult, evaluate_slos
+from repro.obs.slo import DEFAULT_SLOS, FAILURE_COUNTERS, SLOResult, evaluate_slos
 
 __all__ = [
     "BenchDiff",
@@ -166,9 +170,20 @@ def _label_text(sample: Sample) -> str:
     return ", ".join(pairs) if pairs else "—"
 
 
+def _is_bucket(sample: Sample) -> bool:
+    return sample.name.endswith("_bucket") and sample.label("le") is not None
+
+
+def _histogram_families(samples: Sequence[Sample]) -> set[str]:
+    """The scrape's histogram families: those with a ``_bucket`` sample
+    that carries an ``le`` label.  Both pages find histograms this way,
+    so a family nothing has observed yet (no bucket sample) is none."""
+    return {sample.name[: -len("_bucket")] for sample in samples if _is_bucket(sample)}
+
+
 def _metrics_section(metrics_text: str) -> tuple[str, list[SLOResult]]:
     samples = parse_exposition(metrics_text)
-    slo_results = evaluate_slos(samples, DEFAULT_SLOS)
+    slo_results = evaluate_slos(samples)
 
     slo_rows = []
     for slo, result in zip(DEFAULT_SLOS, slo_results):
@@ -188,11 +203,7 @@ def _metrics_section(metrics_text: str) -> tuple[str, list[SLOResult]]:
     ]
 
     # Split samples into scalar families and histogram families.
-    histogram_names = {
-        sample.name[: -len("_bucket")]
-        for sample in samples
-        if sample.name.endswith("_bucket") and sample.label("le") is not None
-    }
+    histogram_names = _histogram_families(samples)
     scalar_rows = []
     for sample in samples:
         base = sample.name
@@ -333,13 +344,6 @@ def render_dashboard(
 # cross-run diffs: two scrapes, two bench trajectories
 # ----------------------------------------------------------------------
 
-#: Counters whose *any* growth between two scrapes is a regression.
-_BAD_COUNTER_DELTAS: tuple[tuple[str, dict[str, str]], ...] = (
-    ("service_malformed_lines_total", {}),
-    ("service_auth_failures_total", {}),
-    ("collector_records_total", {"fate": "dropped"}),
-)
-
 #: A p99 that grows past this factor between two scrapes is a regression.
 _P99_REGRESSION_FACTOR = 2.0
 
@@ -351,7 +355,7 @@ BENCH_NOISE_FLOOR_S = 0.05
 def _scalar_map(samples: Sequence[Sample]) -> dict[tuple[str, tuple], float]:
     values: dict[tuple[str, tuple], float] = {}
     for sample in samples:
-        if sample.name.endswith("_bucket") and sample.label("le") is not None:
+        if _is_bucket(sample):
             continue  # buckets are noise here; quantiles cover them
         key = (sample.name, sample.labels)
         values[key] = values.get(key, 0.0) + sample.value
@@ -372,8 +376,8 @@ def render_metrics_diff(
     """Two scrapes side by side: per-series deltas plus regression flags.
 
     Returns ``(html, regressions)`` where ``regressions`` lists the
-    failure-class counters that grew and the histogram p99s that blew
-    past :data:`_P99_REGRESSION_FACTOR` between A and B.
+    :data:`~repro.obs.slo.FAILURE_COUNTERS` that grew and the histogram
+    p99s that blew past :data:`_P99_REGRESSION_FACTOR` between A and B.
     """
     samples_a = parse_exposition(text_a)
     samples_b = parse_exposition(text_b)
@@ -382,7 +386,7 @@ def render_metrics_diff(
 
     regressions: list[str] = []
     bad_keys: set[tuple[str, tuple]] = set()
-    for name, labels in _BAD_COUNTER_DELTAS:
+    for name, labels in FAILURE_COUNTERS.values():
         matching = [
             key for key in set(map_a) | set(map_b)
             if key[0] == name
@@ -425,9 +429,9 @@ def render_metrics_diff(
             status,
         ])
 
-    types = parse_exposition_types(text_a + "\n" + text_b)
     quantile_rows = []
-    for name in sorted(n for n, kind in types.items() if kind == "histogram"):
+    histograms = _histogram_families(samples_a) | _histogram_families(samples_b)
+    for name in sorted(histograms):
         p99_a = _pooled_p99(samples_a, name)
         p99_b = _pooled_p99(samples_b, name)
         regressed = (

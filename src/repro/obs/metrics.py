@@ -1,25 +1,25 @@
 """In-process metrics primitives with Prometheus text exposition.
 
 A :class:`MetricsRegistry` holds :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` families, each optionally labelled; :meth:`render`
-produces the standard Prometheus text format (``# HELP`` / ``# TYPE``
-lines, escaped label values, cumulative histogram buckets), so any
-scraper — or this repo's own ``metrics`` CLI subcommand and SLO burn
-check — can consume it.  Everything is dependency-free stdlib and safe
-to update from the service threads: one lock guards registration, one
-lock per family guards its children.
-
-The design follows the in-process helpers production provisioning
-stacks embed (a registry object owned by each long-lived service, verbs
-instrumented at the listener, function gauges for live queue depths)
-rather than pulling in a client library the container does not ship.
+:class:`Histogram` families, each optionally labelled, and
+:meth:`~MetricsRegistry.render` produces the standard Prometheus text
+format (``# HELP`` / ``# TYPE`` lines, escaped label values, cumulative
+histogram buckets).  The API is what the sweep server calls:
+``labels(...)`` returns a family's child for one set of label values; a
+counter child takes ``inc``, a gauge child ``inc``, ``dec`` and
+``set_function`` (read at render time), a histogram child ``observe``.
+An unlabelled family is its own one child, and forwards ``inc``
+(counter), ``set_function`` (gauge) or ``observe`` (histogram) to it.
+Everything is dependency-free stdlib and safe to update from the server
+threads: one lock guards registration, one per family guards its
+children, and one per child guards its value.
 
 Exposition is deterministic — families sorted by name, children by
 label values — so golden-file tests can pin the exact bytes.
 
 :func:`parse_exposition` is the matching reader: it turns rendered text
-back into :class:`Sample` values, which is what the SLO burn check and
-the CI ingest-completeness assertion run on.
+back into :class:`Sample` values, which is what the SLOs, the
+dashboard pages and the CI ingest-completeness assertion run on.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -40,7 +39,6 @@ __all__ = [
     "Sample",
     "histogram_quantile",
     "parse_exposition",
-    "parse_exposition_types",
     "pooled_buckets",
 ]
 
@@ -173,10 +171,6 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
 
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
     def _render_child(self, values, child) -> Iterator[str]:
         yield f"{self.name}{self._label_text(values)} {_format_value(child.value)}"
 
@@ -188,10 +182,6 @@ class _GaugeValue:
         self.value = 0.0
         self.function: Callable[[], float] | None = None
         self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
@@ -219,21 +209,8 @@ class Gauge(_Metric):
     def _make_child(self) -> _GaugeValue:
         return _GaugeValue()
 
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
     def set_function(self, function: Callable[[], float]) -> None:
         self._default_child().set_function(function)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().current
 
     def _render_child(self, values, child) -> Iterator[str]:
         yield f"{self.name}{self._label_text(values)} {_format_value(child.current)}"
@@ -260,42 +237,6 @@ class _HistogramValue:
                     break
 
 
-class _HistogramTimer:
-    def __init__(self, child: _HistogramValue) -> None:
-        self._child = child
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self._child.observe(time.perf_counter() - self._start)
-        return False
-
-
-class _HistogramChild:
-    """Per-labelset histogram state plus the observe/time API."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, bounds: tuple[float, ...]) -> None:
-        self._value = _HistogramValue(bounds)
-
-    def observe(self, value: float) -> None:
-        self._value.observe(value)
-
-    def time(self) -> _HistogramTimer:
-        return _HistogramTimer(self._value)
-
-    @property
-    def count(self) -> int:
-        return self._value.count
-
-    @property
-    def sum(self) -> float:
-        return self._value.sum
-
-
 class Histogram(_Metric):
     """A latency/size distribution with cumulative Prometheus buckets."""
 
@@ -316,29 +257,17 @@ class Histogram(_Metric):
         self.bounds = bounds
         super().__init__(name, help, labelnames)
 
-    def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.bounds)
+    def _make_child(self) -> _HistogramValue:
+        return _HistogramValue(self.bounds)
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
-    def time(self) -> _HistogramTimer:
-        return self._default_child().time()
-
-    @property
-    def count(self) -> int:
-        return self._default_child().count
-
-    @property
-    def sum(self) -> float:
-        return self._default_child().sum
-
     def _render_child(self, values, child) -> Iterator[str]:
-        value = child._value
-        with value._lock:
-            counts = list(value.counts)
-            total = value.count
-            observed_sum = value.sum
+        with child._lock:
+            counts = list(child.counts)
+            total = child.count
+            observed_sum = child.sum
         cumulative = 0
         for bound, count in zip(self.bounds, counts):
             cumulative += count
@@ -391,10 +320,6 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labelnames, buckets=buckets
         )
-
-    def get(self, name: str) -> _Metric | None:
-        with self._lock:
-            return self._metrics.get(name)
 
     def render(self) -> str:
         """The full Prometheus text exposition (trailing newline included)."""
@@ -478,20 +403,6 @@ def parse_exposition(text: str) -> list[Sample]:
             value=_parse_value(match.group("value")),
         ))
     return samples
-
-
-def parse_exposition_types(text: str) -> dict[str, str]:
-    """The ``# TYPE`` declarations of a scrape: family name → type name.
-
-    The diff dashboard needs to know which families are histograms (it
-    compares their pooled p99s); the sample lines alone cannot say.
-    """
-    types: dict[str, str] = {}
-    for raw in text.splitlines():
-        parts = raw.strip().split()
-        if len(parts) == 4 and parts[0] == "#" and parts[1] == "TYPE":
-            types[parts[2]] = parts[3]
-    return types
 
 
 def samples_named(samples: Iterable[Sample], name: str) -> list[Sample]:

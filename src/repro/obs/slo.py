@@ -8,9 +8,12 @@ ingested record, and the p99 of every request the server has answered.
 To see what changed between two moments, save two scrapes and compare
 them with ``dashboard --diff``.
 
-``evaluate_slos`` runs every objective over one scrape; both
-``scripts/slo_burn_check.py <scrape>`` and the dashboard's SLO table
-call it.
+``evaluate_slos`` runs every objective of :data:`DEFAULT_SLOS` over
+one scrape; both ``scripts/slo_burn_check.py <scrape>`` and the
+dashboard's SLO table call it.  :data:`FAILURE_COUNTERS` is the one list
+of series whose every count is a failure: each is a zero-budget
+objective here, and ``dashboard --diff`` flags its growth between two
+scrapes.
 
 An objective whose underlying series is absent from the scrape passes
 with ``"no data"`` (and ``no_data=True`` on the result) rather than
@@ -34,6 +37,7 @@ from repro.obs.metrics import (
 
 __all__ = [
     "DEFAULT_SLOS",
+    "FAILURE_COUNTERS",
     "SLO",
     "SLOResult",
     "evaluate_slos",
@@ -88,19 +92,6 @@ def _histogram_p99(
     return p99 <= threshold_s, f"p99 ≈ {p99:.4f}s (budget {threshold_s}s)"
 
 
-def _counter_at_most(
-    samples: Sequence[Sample], name: str, budget: float, **labels: str
-) -> tuple[bool, str]:
-    if not samples_named(samples, name):
-        return True, f"no data ({name} absent)"
-    total = sum_samples(samples, name, **labels)
-    label_note = "".join(f"{{{k}={v}}}" for k, v in labels.items())
-    return (
-        total <= budget,
-        f"{name}{label_note} total = {_trim(total)} (budget {_trim(budget)})",
-    )
-
-
 def _ratio_at_most(
     samples: Sequence[Sample],
     numerator: tuple[str, dict],
@@ -121,12 +112,6 @@ def _slo_verb_latency(samples: Sequence[Sample]) -> tuple[bool, str]:
     return _histogram_p99(samples, "service_request_seconds", threshold_s=5.0)
 
 
-def _slo_zero_dropped(samples: Sequence[Sample]) -> tuple[bool, str]:
-    return _counter_at_most(
-        samples, "collector_records_total", budget=0, fate="dropped"
-    )
-
-
 def _slo_conflict_rate(samples: Sequence[Sample]) -> tuple[bool, str]:
     return _ratio_at_most(
         samples,
@@ -134,14 +119,6 @@ def _slo_conflict_rate(samples: Sequence[Sample]) -> tuple[bool, str]:
         denominator="collector_records_ingested_total",
         budget=0.05,
     )
-
-
-def _slo_malformed_lines(samples: Sequence[Sample]) -> tuple[bool, str]:
-    return _counter_at_most(samples, "service_malformed_lines_total", budget=0)
-
-
-def _slo_auth_failures(samples: Sequence[Sample]) -> tuple[bool, str]:
-    return _counter_at_most(samples, "service_auth_failures_total", budget=0)
 
 
 def _slo_lease_stuck(samples: Sequence[Sample]) -> tuple[bool, str]:
@@ -163,6 +140,31 @@ def _slo_lease_stuck(samples: Sequence[Sample]) -> tuple[bool, str]:
     )
 
 
+#: The failure counters, by the objective that holds each to a zero
+#: budget: the series name and the labels a sample must carry to count.
+#: ``dashboard --diff`` flags the growth of exactly these series, in this
+#: order.
+FAILURE_COUNTERS: dict[str, tuple[str, dict[str, str]]] = {
+    "zero-malformed-lines": ("service_malformed_lines_total", {}),
+    "zero-auth-failures": ("service_auth_failures_total", {}),
+    "zero-dropped-records": ("collector_records_total", {"fate": "dropped"}),
+}
+
+
+def _zero_budget(objective: str, description: str) -> SLO:
+    """The objective holding one failure counter to a zero budget."""
+    name, labels = FAILURE_COUNTERS[objective]
+    label_note = "".join(f"{{{k}={v}}}" for k, v in labels.items())
+
+    def check(samples: Sequence[Sample]) -> tuple[bool, str]:
+        if not samples_named(samples, name):
+            return True, f"no data ({name} absent)"
+        total = sum_samples(samples, name, **labels)
+        return total <= 0, f"{name}{label_note} total = {_trim(total)} (budget 0)"
+
+    return SLO(name=objective, description=description, check=check)
+
+
 #: The repo's objectives, documented in ROADMAP.md.  Budgets are tuned
 #: for the CI smoke jobs: a healthy run serves every verb in well under
 #: five seconds at p99 and drops, mangles and rejects nothing.
@@ -172,25 +174,17 @@ DEFAULT_SLOS: tuple[SLO, ...] = (
         description="p99 service request latency ≤ 5s across all verbs",
         check=_slo_verb_latency,
     ),
-    SLO(
-        name="zero-dropped-records",
-        description="the collector drops no pushed records",
-        check=_slo_zero_dropped,
+    _zero_budget(
+        "zero-dropped-records", "the collector drops no pushed records"
     ),
     SLO(
         name="duplicate-conflict-rate",
         description="semantic duplicate conflicts ≤ 5% of ingested records",
         check=_slo_conflict_rate,
     ),
-    SLO(
-        name="zero-malformed-lines",
-        description="no protocol lines fail to parse",
-        check=_slo_malformed_lines,
-    ),
-    SLO(
-        name="zero-auth-failures",
-        description="no connections are rejected for a bad token",
-        check=_slo_auth_failures,
+    _zero_budget("zero-malformed-lines", "no protocol lines fail to parse"),
+    _zero_budget(
+        "zero-auth-failures", "no connections are rejected for a bad token"
     ),
     SLO(
         name="lease-stuck",
@@ -200,10 +194,7 @@ DEFAULT_SLOS: tuple[SLO, ...] = (
 )
 
 
-def evaluate_slos(
-    samples: Iterable[Sample],
-    slos: Iterable[SLO] = DEFAULT_SLOS,
-) -> list[SLOResult]:
+def evaluate_slos(samples: Iterable[Sample]) -> list[SLOResult]:
     """Every objective's verdict over one scrape, in definition order."""
     samples = list(samples)
-    return [slo.evaluate(samples) for slo in slos]
+    return [slo.evaluate(samples) for slo in DEFAULT_SLOS]

@@ -169,20 +169,8 @@ class ServiceClient:
 
     def request(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Send one request on a fresh connection and return the response."""
-        sock = self._connect()
-        try:
-            try:
-                send_message(sock, self._with_token(payload))
-                with sock.makefile("rb") as reader:
-                    response = recv_message(reader)
-            except (OSError, ProtocolError) as error:  # incl. socket.timeout
-                raise ServiceTransportError(
-                    f"request to the sweep service at {self.endpoint} "
-                    f"failed mid-flight ({error})"
-                ) from None
-        finally:
-            sock.close()
-        return self._check_response(response)
+        with self.connection() as connection:
+            return connection.request(payload)
 
     # ------------------------------------------------------------------
     # verbs
@@ -225,7 +213,6 @@ class CollectorSink:
 
     def __init__(self, client: ServiceClient) -> None:
         self.client = client
-        self.pushed = 0
         self._connection: ServiceConnection | None = None
 
     def __call__(self, result: CellResult) -> None:
@@ -244,7 +231,6 @@ class CollectorSink:
             # just double the rejection; it propagates immediately.
             self.close()
             self._ensure_connection().request(payload)
-        self.pushed += 1
 
     def _ensure_connection(self) -> ServiceConnection:
         if self._connection is None:

@@ -21,8 +21,8 @@ Two halves live here:
     leases).  A worker sends its offer once, at ``register``, and the
     table reads it through a cursor that only moves forward, so a sweep
     of N cells costs O(N) in request bytes and in server CPU.  A
-    worker's offer lives only while it may still lease: it is dropped
-    when the worker is done and forgotten once the worker is lost.
+    worker is kept only while it may still lease: the grant that tells it
+    it is done removes it, and a lost worker's offer is forgotten.
     Worker ids are unique across server restarts.  Expiry is lazy —
     checked at the top of every verb — so the table needs no
     background thread of its own.  Every lease event is reported
@@ -101,9 +101,9 @@ DEFAULT_TTL_HEARTBEATS = 2.0
 @dataclass
 class WorkerEntry:
     """One registered fleet worker: when it was last heard from, and its
-    offer, read once through a cursor.  A done worker's offer is dropped
-    and a lost one's forgotten, so either keeps only ``last_seen``, for
-    the ``fleet_workers`` gauge."""
+    offer, read once through a cursor.  A lost worker's offer is
+    forgotten, so its entry keeps only ``last_seen``, for the
+    ``fleet_workers`` gauge, until the worker comes back."""
 
     last_seen: float  # monotonic
     #: The offered fingerprints in order, each once; ``None`` once the
@@ -117,11 +117,10 @@ class WorkerEntry:
     #: Fingerprints this worker failed: never granted to it again.
     released: set[str] = field(default_factory=set)
 
-    def drop_offer(self, forget: bool = False) -> None:
-        """Keep only ``last_seen``.  A done worker stays known, and every
-        grant it asks for again answers ``done``; a forgotten one is told
-        it is unknown, so it registers its offer again."""
-        self.offered = None if forget else {}
+    def drop_offer(self) -> None:
+        """Keep only ``last_seen``: the worker is told it is unknown, so
+        it registers its offer again."""
+        self.offered = None
         self.cursor = iter(())
         self.orphans.clear()
         self.released = set()
@@ -215,8 +214,8 @@ class LeaseTable:
         lost worker holds no lease: its last grant or heartbeat set its
         ``last_seen`` and its leases' deadlines alike."""
         for worker in self._workers.values():
-            if worker.offered and not self._alive(worker, now):
-                worker.drop_offer(forget=True)
+            if worker.offered is not None and not self._alive(worker, now):
+                worker.drop_offer()
 
     def _known(self, worker_id: str) -> WorkerEntry | None:
         """The worker's entry, or ``None`` if it must register again.  A
@@ -328,8 +327,9 @@ class LeaseTable:
         true only when every offered fingerprint is completed, the
         released ones aside — an empty grant with ``done`` false means
         other workers hold the remainder, so the caller should ask again,
-        not exit.  ``done`` never turns false again, so a done worker's
-        offer is dropped.
+        not exit.  ``done`` never turns false again, so the grant that
+        answers it removes the worker: a finished worker is neither alive
+        nor lost, and a request under its id answers ``known: false``.
         """
         now = self._clock()
         with self._lock:
@@ -349,7 +349,7 @@ class LeaseTable:
             if fingerprint is None:
                 done = self._done(worker)
                 if done:
-                    worker.drop_offer()
+                    del self._workers[worker_id]
                 return {"known": True, "granted": [], "done": done}
             self._leases[fingerprint] = Lease(
                 fingerprint=fingerprint,
@@ -408,6 +408,9 @@ class LeaseTable:
     # introspection (metrics gauges)
     # ------------------------------------------------------------------
     def worker_counts(self) -> dict[str, int]:
+        """The workers that may still lease: alive, or silent past the
+        lease TTL (lost).  A finished worker was removed, so it is
+        neither."""
         now = self._clock()
         with self._lock:
             counts = {"alive": 0, "lost": 0}

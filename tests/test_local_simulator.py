@@ -192,10 +192,3 @@ class TestRoundLedger:
             ledger.charge("x", -1)
         with pytest.raises(ValueError):
             ledger.charge_max("x", -1)
-
-    def test_merge(self):
-        first = RoundLedger({"a": 1})
-        second = RoundLedger({"a": 2, "b": 3})
-        merged = first.merge(second)
-        assert merged.breakdown() == {"a": 3, "b": 3}
-        assert first.breakdown() == {"a": 1}

@@ -14,6 +14,7 @@ from repro.experiments.cli import main
 from repro.experiments.spec import ANALYTIC_GENERATOR
 from repro.obs import MetricsRegistry
 from repro.obs.dashboard import render_dashboard
+from repro.obs.slo import FAILURE_COUNTERS
 from repro.service import ResultCollector
 from repro.service import client as client_module
 
@@ -176,7 +177,7 @@ class TestBurnCheckScript:
 
     def test_scrape_without_objective_series_is_exit_3(self, tmp_path):
         registry = MetricsRegistry()
-        registry.gauge("collector_uptime_seconds", "x").set(5)
+        registry.gauge("collector_uptime_seconds", "x").set_function(lambda: 5)
         scrape = tmp_path / "metrics.prom"
         scrape.write_text(registry.render(), encoding="utf-8")
         proc = self.run_check(scrape)
@@ -212,7 +213,7 @@ class TestBurnCheckScript:
         server's startup replay skips: a restart on it burns nothing."""
         registry = MetricsRegistry()
         registry.counter("collector_records_ingested_total", "x")
-        registry.gauge("collector_store_records_at_start", "x").set(3)
+        registry.gauge("collector_store_records_at_start", "x").set_function(lambda: 3)
         scrape = tmp_path / "metrics.prom"
         scrape.write_text(registry.render(), encoding="utf-8")
         store = tmp_path / "results.jsonl"
@@ -235,7 +236,7 @@ class TestBurnCheckScript:
     def test_records_at_start_do_not_excuse_a_lost_record(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("collector_records_ingested_total", "x").inc(1)
-        registry.gauge("collector_store_records_at_start", "x").set(3)
+        registry.gauge("collector_store_records_at_start", "x").set_function(lambda: 3)
         scrape = tmp_path / "metrics.prom"
         scrape.write_text(registry.render(), encoding="utf-8")
         store = tmp_path / "results.jsonl"
@@ -529,7 +530,7 @@ class TestDiffPrimitives:
         from repro.obs.dashboard import render_metrics_diff
 
         registry = MetricsRegistry()
-        registry.gauge("fleet_oldest_lease_age_seconds", "x").set(4)
+        registry.gauge("fleet_oldest_lease_age_seconds", "x").set_function(lambda: 4)
         html, regressions = render_metrics_diff(
             clean_scrape(), clean_scrape() + registry.render(),
             label_a="before.prom", label_b="after.prom",
@@ -539,6 +540,40 @@ class TestDiffPrimitives:
         assert '<span class="muted">—</span>' in row
         assert "<td>4</td>" in row and "<td>+4</td>" in row
         assert "before.prom" in html and "after.prom" in html
+
+    @pytest.mark.parametrize("objective", sorted(FAILURE_COUNTERS))
+    def test_failure_counter_growth_regresses_and_its_count_burns(
+        self, objective
+    ):
+        """One table names the failure counters: the diff flags growth of
+        each one, and its zero-budget objective burns on any count."""
+        from repro.obs import evaluate_slos, parse_exposition
+        from repro.obs.dashboard import render_metrics_diff
+
+        name, labels = FAILURE_COUNTERS[objective]
+        registry = MetricsRegistry()
+        family = registry.counter(name, "x", tuple(labels))
+        (family.labels(**labels) if labels else family).inc()
+        after = registry.render()
+        _, regressions = render_metrics_diff(clean_scrape(), after)
+        assert len(regressions) == 1
+        assert regressions[0].startswith(name) and regressions[0].endswith("0 → 1")
+        verdicts = {r.name: r.ok for r in evaluate_slos(parse_exposition(after))}
+        assert [o for o, ok in verdicts.items() if not ok] == [objective]
+
+    def test_p99_table_lists_the_families_with_bucket_samples(self):
+        """A histogram family is one with a bucket sample in either
+        scrape: a labelled family nothing observed has none, so no row."""
+        from repro.obs.dashboard import render_metrics_diff
+
+        registry = MetricsRegistry()
+        registry.histogram("idle_seconds", "x", ("phase",))
+        registry.histogram("late_seconds", "x").observe(0.5)
+        html, _ = render_metrics_diff(clean_scrape(), registry.render())
+        p99_table = html.split("Histogram p99")[1]
+        assert "<td>service_request_seconds</td>" in p99_table
+        assert "<td>late_seconds</td>" in p99_table
+        assert "idle_seconds" not in html
 
     @staticmethod
     def bench_payload(wall_s, scenario="mis", engine="python", n=1000):

@@ -23,8 +23,7 @@ GOLDEN = Path(__file__).parent / "golden" / "metrics.prom"
 def build_demo_registry() -> MetricsRegistry:
     """The deterministic registry the golden exposition pins."""
     registry = MetricsRegistry()
-    depth = registry.gauge("demo_depth", "Current queue depth.")
-    depth.set(3)
+    registry.gauge("demo_depth", "Current queue depth.").set_function(lambda: 3)
     latency = registry.histogram(
         "demo_latency_seconds",
         "Latency with backslash \\ and\nnewline in help.",
@@ -103,14 +102,20 @@ class TestExposition:
         with pytest.raises(ValueError, match="labelled"):
             counter.inc()
 
-    def test_histogram_timer_observes(self):
-        histogram = MetricsRegistry().histogram("h", "x", buckets=(10.0,))
-        with histogram.time():
-            pass
-        assert histogram.count == 1
+    def test_labelled_gauge_children_go_up_and_down(self):
+        """The server's connection gauge: one child per server name."""
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g", "x", ("server",))
+        gauge.labels(server="a").inc()
+        gauge.labels(server="a").inc()
+        gauge.labels(server="a").dec()
+        gauge.labels(server="b").inc(3)
+        assert 'g{server="a"} 1\n' in registry.render()
+        assert 'g{server="b"} 3\n' in registry.render()
 
     def test_concurrent_increments_do_not_lose_counts(self):
-        counter = MetricsRegistry().counter("c_total", "x")
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "x")
 
         def hammer():
             for _ in range(1000):
@@ -121,7 +126,7 @@ class TestExposition:
             thread.start()
         for thread in threads:
             thread.join()
-        assert counter.value == 8000
+        assert "c_total 8000\n" in registry.render()
 
 
 class TestParser:

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.experiments import CellResult
 from repro.experiments.cli import main
 from repro.service import ServiceClient
 from repro.service import client as client_module
@@ -125,6 +126,27 @@ class TestMergeCli:
         assert "CONFLICT" in captured.err
 
 
+def cell_record(seed: int = 1, **fields) -> dict:
+    """A cell record of fingerprint ``seed``, with ``fields`` replaced."""
+    return dict(CellResult(
+        fingerprint=f"{seed:016x}", suite="s", scenario="x", generator="g",
+        algorithm="a", n=10, seed=seed, rounds=5, messages=1,
+        wall_clock_s=0.1, verified=True,
+    ).to_record(), **fields)
+
+
+#: Records whose telemetry the server could not observe: each is JSON
+#: with every field, but no cell record.
+MALFORMED_TELEMETRY = [
+    pytest.param({"timings": 5}, id="timings-number"),
+    pytest.param({"timings": {"run": "fast"}}, id="timings-string-value"),
+    pytest.param({"timings": {"run": True}}, id="timings-bool-value"),
+    pytest.param({"engine_rounds": [1]}, id="engine-rounds-list"),
+    pytest.param({"engine_rounds": {"interpreted/-/-": 1.5}}, id="engine-rounds-float"),
+    pytest.param({"engine_rounds": {"interpreted/-/-": -1}}, id="engine-rounds-negative"),
+]
+
+
 class TestStoreLinesThatAreNoCellRecords:
     """One rule says what a cell record is (``CellResult.from_record``):
     a store line that is JSON but no cell record is bad input, so every
@@ -135,16 +157,14 @@ class TestStoreLinesThatAreNoCellRecords:
         pytest.param({"fingerprint": "abc", "verified": True}, id="fingerprint-only"),
         pytest.param({"verified": True}, id="no-fingerprint"),
         pytest.param([1, 2], id="no-object"),
+        *(
+            pytest.param(cell_record(2, **param.values[0]), id=param.id)
+            for param in MALFORMED_TELEMETRY
+        ),
     ])
     @pytest.mark.parametrize("command", ["run", "merge", "report", "dashboard"])
     def test_exits_2_naming_the_line(self, command, bad, tmp_path, capsys):
-        from repro.experiments import CellResult
-
-        good = CellResult(
-            fingerprint="ab" * 8, suite="s", scenario="x", generator="g",
-            algorithm="a", n=10, seed=1, rounds=5, messages=1,
-            wall_clock_s=0.1, verified=True,
-        ).to_record()
+        good = cell_record()
         store = tmp_path / "store" / "results.jsonl"
         store.parent.mkdir()
         store.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
@@ -162,6 +182,15 @@ class TestStoreLinesThatAreNoCellRecords:
         # nothing ran, was merged or rendered
         assert store.read_text().count("\n") == 2
         assert not merged.exists() and not (tmp_path / "page.html").exists()
+
+    def test_telemetry_may_be_null_absent_or_empty(self):
+        for fields in ({"timings": None, "engine_rounds": None},
+                       {"timings": {}, "engine_rounds": {}},
+                       {"timings": {"run": 0.5, "gc": 0}, "engine_rounds": {"a/b/c": 0}}):
+            assert CellResult.from_record(cell_record(**fields)).timings == fields["timings"]
+        record = cell_record()
+        del record["timings"], record["engine_rounds"]
+        assert CellResult.from_record(record).engine_rounds is None
 
 
 @pytest.mark.skipif(

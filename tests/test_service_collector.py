@@ -4,6 +4,7 @@ file-based merge path, concurrent fingerprint dedup, the server-side
 ``report`` verb over both transports, and the client's connect-retry
 backoff."""
 
+import json
 import socket
 import threading
 import time
@@ -23,6 +24,8 @@ from repro.service import (
 )
 from repro.service import client as client_module
 from repro.service.protocol import ok_response
+
+from test_service_cli import MALFORMED_TELEMETRY
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="requires Unix-domain sockets"
@@ -146,6 +149,41 @@ class TestCollectorVerbs:
         # the repaired batch then ingests cleanly, exactly once
         push(client, [make_result(1).to_record()])
         assert collector.accepted == 1
+
+    @pytest.mark.parametrize("fields", MALFORMED_TELEMETRY)
+    def test_a_push_with_unobservable_telemetry_is_refused_whole(
+        self, tmp_path, fields
+    ):
+        """Timings or engine rounds the server could not observe make a
+        record no cell record, so the batch check refuses the push: nothing
+        is appended or counted, and the leases stay held until a repaired
+        push completes them."""
+        collector = ResultCollector(out=tmp_path / "central")
+        first, second = make_result(1), make_result(2)
+        worker_id = collector._dispatch({
+            "op": "register",
+            "fingerprints": [first.fingerprint, second.fingerprint],
+        })["worker_id"]
+        lease = {"op": "lease", "worker_id": worker_id, "release": []}
+        for result in (first, second):
+            assert collector._dispatch(lease)["granted"] == [result.fingerprint]
+        batch = [first.to_record(), dict(second.to_record(), **fields)]
+        reply = collector._dispatch({"op": "push", "records": batch})
+        assert reply["ok"] is False
+        (name,) = fields
+        assert reply["error"].startswith(
+            f"push record 1 is not a cell record: '{name}' is not a mapping "
+            "from names to"
+        )
+        assert collector.accepted == 0 and collector.store.lines() == []
+        assert "collector_records_ingested_total 0\n" in collector.registry.render()
+        assert collector._dispatch(lease) == {
+            "ok": True, "known": True, "granted": [], "done": False,
+        }
+        repaired = [first.to_record(), second.to_record()]
+        assert collector._dispatch({"op": "push", "records": repaired})["ok"]
+        assert collector.accepted == 2 and len(collector.store.lines()) == 2
+        assert collector._dispatch(lease)["done"] is True
 
     def test_report_on_empty_collector_is_an_error(self, collector):
         with pytest.raises(ServiceError, match="no results"):
@@ -569,7 +607,6 @@ class TestCollectorSink:
         second.start()
         try:
             sink(make_result(2))
-            assert sink.pushed == 2
         finally:
             sink.close()
             second.close()

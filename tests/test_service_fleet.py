@@ -39,6 +39,7 @@ from repro.service import (
 )
 from repro.service.protocol import error_response, ok_response
 
+from test_service_cli import MALFORMED_TELEMETRY
 from test_service_collector import make_result, push
 from test_service_pool import meeting_suite
 
@@ -382,9 +383,9 @@ class TestLeaseTable:
             table, _, _ = make_table()
             table._completed = CountingSet()
             worker = table.register([f"{i:016x}" for i in range(n)])["worker_id"]
-            while granted := table.grant(worker)["granted"]:
+            while granted := (reply := table.grant(worker))["granted"]:
                 table.complete(granted[0])
-            assert table.grant(worker)["done"] is True
+            assert reply["done"] is True
             assert table._completed.checks <= 2 * n
 
     def test_an_orphan_no_worker_takes_is_not_rescanned(self):
@@ -398,26 +399,40 @@ class TestLeaseTable:
         assert table.grant(alpha, release=["fp-x"])["done"] is True
         worker = table.register([f"{i:016x}" for i in range(100)])["worker_id"]
         scans = table._orphaned.scans
-        while granted := table.grant(worker)["granted"]:
+        while granted := (reply := table.grant(worker))["granted"]:
             table.complete(granted[0])
-        assert table.grant(worker)["done"] is True
+        assert reply["done"] is True
         assert table._orphaned.scans == scans
 
     def test_a_done_worker_keeps_no_offer(self):
-        """Once a grant answers ``done``, the worker's entry keeps only
-        its liveness, so a server taking sweep after sweep does not hold
-        every finished worker's offer; asked again, it is still done."""
+        """The grant that answers ``done`` removes the worker, so a server
+        taking sweep after sweep holds no finished worker's offer.  The
+        fleet worker stops at ``done``; a request under its id after that
+        is told it is unknown."""
         table, _, _ = make_table()
         alpha = table.register(["fp-0", "fp-1"])["worker_id"]
         assert table.grant(alpha, release=["fp-1"])["granted"] == ["fp-0"]
         table.complete("fp-0")
         assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
-        entry = table._workers[alpha]
-        assert entry.offered == {} and entry.released == set()
-        assert list(entry.cursor) == [] and list(entry.orphans) == []
-        assert table.grant(alpha) == {"known": True, "granted": [], "done": True}
-        assert table.heartbeat(alpha) == {"known": True}
+        assert alpha not in table._workers
+        assert table.grant(alpha) == {"known": False, "granted": [], "done": False}
+        assert table.heartbeat(alpha) == {"known": False}
+        assert table.worker_counts() == {"alive": 0, "lost": 0}
+
+    def test_a_finished_worker_is_neither_alive_nor_lost(self):
+        """``fleet_workers`` counts the workers that may still lease: past
+        the TTL a finished worker is not counted lost, so a lost count is
+        a worker that stopped before its suite was done."""
+        table, clock, _ = make_table()
+        finished = table.register(["fp-0"])["worker_id"]
+        killed = table.register(["fp-0", "fp-1"])["worker_id"]
+        assert table.grant(finished)["granted"] == ["fp-0"]
+        assert table.grant(killed)["granted"] == ["fp-1"]
+        table.complete("fp-0")
+        assert table.grant(finished)["done"] is True
         assert table.worker_counts() == {"alive": 1, "lost": 0}
+        clock.advance(2.5)
+        assert table.worker_counts() == {"alive": 0, "lost": 1}
 
     def test_a_lost_worker_is_forgotten_and_counted_once_when_it_returns(self):
         """The next registration forgets a lost worker's offer.  If the
@@ -718,7 +733,6 @@ class TestCollectorSinkErrors:
             sink.close()
         finally:
             server.close()
-        assert sink.pushed == 2
         assert requests.count("push") == 2
 
     def test_server_error_response_propagates_without_retry(self, tmp_path):
@@ -738,7 +752,6 @@ class TestCollectorSinkErrors:
             server.close()
         # exactly one attempt: a definitive server verdict is not retried
         assert requests == ["push"]
-        assert sink.pushed == 0
 
     def test_transport_error_is_a_service_error_subclass(self):
         assert issubclass(ServiceTransportError, ServiceError)
@@ -746,18 +759,23 @@ class TestCollectorSinkErrors:
 
 class TestMalformedStoreRestart:
     def test_collector_restart_skips_and_counts_bad_records(self, tmp_path):
-        """A line in the store that is no cell record (no fingerprint, or
-        a fingerprint without the other fields) must not brick the
-        restart — it is skipped, counted and surfaced."""
+        """A line in the store that is no cell record (no fingerprint, a
+        fingerprint without the other fields, or telemetry the server
+        could not observe) must not brick the restart — it is skipped,
+        counted and surfaced."""
         store_dir = tmp_path / "central"
         good = make_result(seed=1)
         bad = {"seed": 2, "rounds": 3.0}  # fingerprint missing
         empty = dict(good.to_record(), fingerprint="")
         fingerprint_only = {"fingerprint": make_result(seed=3).fingerprint,
                             "verified": True}
+        telemetry = [
+            dict(make_result(seed=10 + index).to_record(), **param.values[0])
+            for index, param in enumerate(MALFORMED_TELEMETRY)
+        ]
         store_dir.mkdir()
         with open(store_dir / "results.jsonl", "w") as handle:
-            for record in (good.to_record(), bad, empty, fingerprint_only):
+            for record in (good.to_record(), bad, empty, fingerprint_only, *telemetry):
                 handle.write(json.dumps(record) + "\n")
         collector = ResultCollector(
             out=store_dir, listen="127.0.0.1:0", token=TOKEN
@@ -766,7 +784,7 @@ class TestMalformedStoreRestart:
         try:
             client = collector_client(collector)
             assert client.status()["records"] == 1
-            assert "collector_store_malformed_records 3" in client.metrics()
+            assert "collector_store_malformed_records 9\n" in client.metrics()
             assert client.report()["all_verified"] is True
             # the surviving verified record still seeds the lease table
             assert is_done(client, [good.fingerprint])
@@ -1005,6 +1023,9 @@ class TestFleetWorkerEndToEnd:
         assert fates.held() == 0
         assert fates.count("completed") == total
         assert is_done(collector_client(collector), [c.fingerprint for c in TINY.cells()])
+        # It registered once (its id is the first), and the grant that
+        # answered done removed it: it is neither alive nor lost.
+        assert collector.leases.worker_counts() == {"alive": 0, "lost": 0}
 
     def test_two_jobs_run_two_leased_cells_at_once(
         self, collector, tmp_path, monkeypatch
